@@ -490,6 +490,43 @@ class NormalizationResult:
         return "NormalizationResult(s=%d)" % self.s
 
 
+def _least_shift(roots0, targets, step: int) -> int:
+    """Least s >= 0 with r - s*step < t for every integer-comparable pair.
+
+    r runs over roots0 and t over targets.  A pair with r >= t needs
+    s*step > r - t, so s = floor((r - t)/step) + 1; the answer is the largest
+    such bound, or 0 when no pair constrains s.
+    """
+    s = 0
+    for r in roots0:
+        for t in targets:
+            d = r - t
+            if d.denominator == 1 and d >= 0:
+                s = max(s, d.numerator // step + 1)
+    return s
+
+
+def _normalization_data(b: GwaElement):
+    """(m', left coords, right beta_0, least shift count) of b."""
+    mprime, left = _nonpositive_coords(b)
+    pres = b.presentation
+    beta0 = _right_coeff(pres, 0, left[0])
+    betam = _right_coeff(pres, mprime, left[mprime])
+    roots0 = _split_roots(beta0)
+    rootsm = _split_roots(betam)
+    rootsa = _split_roots(pres.a[0])
+    s = _least_shift(roots0, rootsm + roots0 + rootsa, pres.steps[0])
+    return mprime, left, beta0, s
+
+
+def normalization_shift(b: GwaElement) -> int:
+    """The shift count s that normalize(b) uses, without building alpha or beta.
+
+    Raises the same shape and splitting errors as is_normal.
+    """
+    return _normalization_data(b)[3]
+
+
 def normalize(b: GwaElement) -> NormalizationResult:
     """Multiply b into normal position: beta * b * alpha^{-1}.
 
@@ -501,25 +538,11 @@ def normalize(b: GwaElement) -> NormalizationResult:
 
     and beta * b * alpha^{-1} stays in the algebra (each coordinate divides
     exactly) and is normal.  Raises the same shape and splitting errors as
-    is_normal.
+    is_normal.  The cost grows with s; normalization_shift(b) gives s first.
     """
-    mprime, left = _nonpositive_coords(b)
+    mprime, left, beta0, s = _normalization_data(b)
     pres = b.presentation
     step = pres.steps[0]
-    beta0 = _right_coeff(pres, 0, left[0])
-    betam = _right_coeff(pres, mprime, left[mprime])
-    roots0 = _split_roots(beta0)
-    rootsm = _split_roots(betam)
-    rootsa = _split_roots(pres.a[0])
-    s = 0
-    while True:
-        shifted = [r - s * step for r in roots0]
-        if (_roots_less(shifted, rootsm) and _roots_less(shifted, roots0)
-                and _roots_less(shifted, rootsa)):
-            break
-        s += 1
-        if s > 100000:
-            raise RuntimeError("normalization shift search did not terminate")
     alpha = BasePoly.one(1)
     for i in range(0, s + 1):
         alpha = alpha * beta0.shift([-i * step])

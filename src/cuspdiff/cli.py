@@ -29,6 +29,9 @@ from . import classify as classify_mod
 
 SCHEMA = 1
 
+# normalize builds products of about s factors; larger shifts are refused
+MAX_NORMALIZE_SHIFT = 256
+
 
 def _shape(args, parser):
     try:
@@ -425,6 +428,10 @@ def cmd_normalize(args, parser):
         b = emb.pullback(op)
     except NotInImage as exc:
         parser.error("element is outside the %s image: %s" % (algebra, exc))
+    s = classify_mod.normalization_shift(b)
+    if s > MAX_NORMALIZE_SHIFT:
+        parser.error("normalization needs shift count %d, above the limit %d"
+                     % (s, MAX_NORMALIZE_SHIFT))
     was_normal = classify_mod.is_normal(b)
     result = classify_mod.normalize(b)
     if args.json:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, isqrt
+from operator import add
 
 
 class ArityMismatch(ValueError):
@@ -34,6 +35,16 @@ def _norm_coef(c):
     raise TypeError("coefficient must be int or Fraction, got %r" % type(c).__name__)
 
 
+def _clean(terms: dict) -> dict:
+    """Drop zero coefficients and store integral Fractions as int.
+
+    For the int and Fraction values that arithmetic produces this is exactly
+    what validation stores, without re-checking the exponents.
+    """
+    return {e: (c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
+            for e, c in terms.items() if c}
+
+
 def _div_coef(a, b):
     q = Fraction(a) / Fraction(b)
     return q.numerator if q.denominator == 1 else q
@@ -47,12 +58,28 @@ def grlex_key(exp: tuple[int, ...]):
 class BasePoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Terms map exponent tuples of length nvars to nonzero coefficients.  The
-    variables are written h1..hn (plain h when nvars == 1).  Instances are
+    The variables are written h1..hn (plain h when nvars == 1).  Instances are
     treated as immutable; no method mutates self.
+
+    Stored terms invariant: ``terms`` maps exponent tuples of length nvars,
+    whose entries are nonnegative ints, to nonzero coefficients, and an
+    integral coefficient is stored as an int, never as a Fraction.
+
+    Only the public constructor BasePoly(nvars, terms) validates; use it for
+    every outside input.  Results the class computes itself (sums, negation,
+    products, shifts, exact quotients, inject) already satisfy the invariant
+    and are wrapped by the private _trusted constructor without re-checking.
     """
 
     __slots__ = ("nvars", "terms")
+
+    @staticmethod
+    def _trusted(nvars: int, terms: dict) -> "BasePoly":
+        """Wrap a term dict that already satisfies the stored-terms invariant."""
+        p = _new(BasePoly)
+        _set_nvars(p, nvars)
+        _set_terms(p, terms)
+        return p
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 1:
@@ -101,7 +128,9 @@ class BasePoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        # stored exponents are distinct, so only one term can be constant
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -148,7 +177,7 @@ class BasePoly:
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             terms[exp] = terms.get(exp, 0) + c
-        return BasePoly(self.nvars, terms)
+        return BasePoly._trusted(self.nvars, _clean(terms))
 
     __radd__ = __add__
 
@@ -165,19 +194,28 @@ class BasePoly:
         return other + (-self)
 
     def __neg__(self):
-        return BasePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return BasePoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def _is_one(self) -> bool:
+        terms = self.terms
+        return len(terms) == 1 and terms.get((0,) * self.nvars) == 1
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check_arity(other)
+        # instances are immutable, so a factor 1 can hand back the other one
+        if self._is_one():
+            return other
+        if other._is_one():
+            return self
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 terms[exp] = terms.get(exp, 0) + c1 * c2
-        return BasePoly(self.nvars, terms)
+        return BasePoly._trusted(self.nvars, _clean(terms))
 
     __rmul__ = __mul__
 
@@ -221,33 +259,26 @@ class BasePoly:
         This is the automorphism sigma^k of the coefficient ring; shift is a
         ring homomorphism and shift(shift(p, k), l) == shift(p, k + l).
         """
-        k = tuple(int(v) for v in k)
+        k = tuple(map(int, k))
         if len(k) != self.nvars:
             raise ArityMismatch("shift vector has length %d, nvars=%d"
                                 % (len(k), self.nvars))
-        if not any(k):
+        if not any(k) or self.is_constant():
             return self
         out = {}
         for exp, c in self.terms.items():
-            # expand prod_i (h_i - k_i)^{e_i} one variable at a time
-            partial = {(0,) * self.nvars: c}
-            for j, (e, kj) in enumerate(zip(exp, k)):
-                if e == 0:
+            # expand prod_i (h_i - k_i)^{e_i} over exponent prefixes, one
+            # binomial row per variable; distinct prefixes never collide
+            partial = [((), c)]
+            for e, kj in zip(exp, k):
+                if e == 0 or kj == 0:
+                    partial = [(pe + (e,), pc) for pe, pc in partial]
                     continue
-                if kj == 0:
-                    partial = {tuple(v + (e if i == j else 0) for i, v in enumerate(pe)): pc
-                               for pe, pc in partial.items()}
-                    continue
-                expanded = {}
-                for t in range(e + 1):
-                    coef = comb(e, t) * (-kj) ** (e - t)
-                    for pe, pc in partial.items():
-                        ne = tuple(v + (t if i == j else 0) for i, v in enumerate(pe))
-                        expanded[ne] = expanded.get(ne, 0) + pc * coef
-                partial = expanded
-            for pe, pc in partial.items():
+                row = [((t,), comb(e, t) * (-kj) ** (e - t)) for t in range(e + 1)]
+                partial = [(pe + te, pc * rc) for pe, pc in partial for te, rc in row]
+            for pe, pc in partial:
                 out[pe] = out.get(pe, 0) + pc
-        return BasePoly(self.nvars, out)
+        return BasePoly._trusted(self.nvars, _clean(out))
 
     def eval(self, point) -> Fraction:
         """Evaluate at a rational point (one value per variable)."""
@@ -272,11 +303,15 @@ class BasePoly:
             raise ArityMismatch("inject expects a univariate polynomial")
         if not 0 <= j < nvars:
             raise ValueError("variable index %d out of range for nvars=%d" % (j, nvars))
-        terms = {}
-        for (e,), c in self.terms.items():
-            exp = tuple(e if i == j else 0 for i in range(nvars))
-            terms[exp] = c
-        return BasePoly(nvars, terms)
+        before, after = (0,) * j, (0,) * (nvars - j - 1)
+        return BasePoly._trusted(
+            nvars, {before + exp + after: c for exp, c in self.terms.items()})
+
+
+# slot setters for BasePoly._trusted, which bypasses __init__ and __setattr__
+_new = object.__new__
+_set_nvars = BasePoly.nvars.__set__
+_set_terms = BasePoly.terms.__set__
 
 
 def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
@@ -312,7 +347,7 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
                 rem[ne] = nc
             else:
                 rem.pop(ne, None)
-    return BasePoly(p.nvars, quot)
+    return BasePoly._trusted(p.nvars, _clean(quot))
 
 
 def divides(q: BasePoly, p: BasePoly) -> bool:

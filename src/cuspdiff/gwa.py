@@ -16,6 +16,7 @@ Y_i^{-k} for k < 0, with base coefficients written on the left.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, exact_divide,
                         grlex_key, parse_poly, render_poly)
@@ -157,6 +158,15 @@ class GwaElement:
 
     __slots__ = ("presentation", "coords")
 
+    @staticmethod
+    def _trusted(presentation: GwaPresentation, coords: dict) -> "GwaElement":
+        """Wrap coords whose keys are int tuples of length nvars and whose
+        values are nonzero BasePoly of arity nvars, without re-checking."""
+        u = object.__new__(GwaElement)
+        object.__setattr__(u, "presentation", presentation)
+        object.__setattr__(u, "coords", coords)
+        return u
+
     def __init__(self, presentation: GwaPresentation, coords=None):
         clean = {}
         n = presentation.nvars
@@ -262,24 +272,26 @@ class GwaElement:
 
 def gwa_multiply(u: GwaElement, v: GwaElement) -> GwaElement:
     """Product via the closed-form pair coefficients, factor by factor."""
-    if u.presentation != v.presentation:
+    if u.presentation is not v.presentation and u.presentation != v.presentation:
         raise PresentationMismatch("elements of different presentations")
     pres = u.presentation
-    n = pres.nvars
+    pair = pres.pair_coefficient
+    factors = range(pres.nvars)
     coords = {}
     for alpha, c in u.coords.items():
+        shift_vec = [k * s for k, s in zip(alpha, pres.steps)]
         for beta, d in v.coords.items():
-            poly = c * pres.sigma_power(d, alpha)
-            for i in range(n):
-                pc = pres.pair_coefficient(i, alpha[i], beta[i])
-                if not pc.is_constant() or pc.constant_value() != 1:
-                    poly = poly * pc
-            gamma = tuple(a + b for a, b in zip(alpha, beta))
-            if gamma in coords:
-                coords[gamma] = coords[gamma] + poly
-            else:
-                coords[gamma] = poly
-    return GwaElement(pres, coords)
+            poly = c * d.shift(shift_vec)
+            # same signs or a zero degree give the pair coefficient 1
+            for i in factors:
+                n, m = alpha[i], beta[i]
+                if (n > 0 > m) or (n < 0 < m):
+                    poly = poly * pair(i, n, m)
+            gamma = tuple(map(add, alpha, beta))
+            prev = coords.get(gamma)
+            coords[gamma] = poly if prev is None else prev + poly
+    return GwaElement._trusted(
+        pres, {gamma: p for gamma, p in coords.items() if p.terms})
 
 
 def render_gwa(u: GwaElement) -> str:

@@ -11,8 +11,9 @@ from cuspdiff.classify import (INFINITE, GammaInterval, InvalidInterval,
                                Orbit, WrongShape, build_weight_module,
                                classify_DA_torsion, classify_bbA, is_normal,
                                less_than, marked_ideals, module_dimension,
-                               normalize, orbit_of, partition_orbit,
-                               torsionfree_presentation)
+                               normalization_shift, normalize, orbit_of,
+                               partition_orbit, torsionfree_presentation)
+from cuspdiff.classify import _least_shift, _roots_less
 from cuspdiff.cuspops import bbA_presentation, calA_presentation
 from cuspdiff.exactpoly import BasePoly, parse_poly
 from cuspdiff.gwa import GwaElement
@@ -325,6 +326,30 @@ class TestNormalize:
         assert is_normal(result.normalized)
         # step 2 moves the shifted root down two at a time
         assert result.s >= 1
+
+    def test_closed_form_shift_matches_search(self):
+        def search(roots0, targets, step):
+            # the linear search the closed form replaced
+            s = 0
+            while not _roots_less([r - s * step for r in roots0], targets):
+                s += 1
+            return s
+
+        rng = random.Random(11)
+        values = [Fraction(k, 2) for k in range(-9, 10)] + [Fraction(1, 3)]
+        for _ in range(300):
+            roots0 = rng.choices(values, k=rng.randint(0, 3))
+            targets = rng.choices(values, k=rng.randint(0, 4)) + roots0
+            for step in (1, 2, 3):
+                assert (_least_shift(roots0, targets, step)
+                        == search(roots0, targets, step)), (roots0, targets, step)
+
+    def test_normalization_shift_is_the_used_shift(self):
+        rng = random.Random(29)
+        pres, _ = bbA_presentation(3)
+        for _ in range(20):
+            b = _random_lower(pres, rng)
+            assert normalization_shift(b) == normalize(b).s
 
 
 def _random_lower(pres, rng):

@@ -1,10 +1,16 @@
 """Command line interface: golden outputs, exit codes, JSON determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import cuspdiff
 from cuspdiff.cli import main
 from cuspdiff.cuspops import delta_op, generating_set, w_minus
 from cuspdiff.exactpoly import BasePoly
@@ -242,6 +248,22 @@ class TestOrbitNormalizeSupport:
         assert data["s"] == 1
         assert data["normal"] is False
         assert data["alpha"] == "h^2+h"
+
+    def test_normalize_rejects_oversized_shift(self):
+        # the least shift here is 200001; building alpha would not finish
+        src = Path(cuspdiff.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspdiff", "normalize", "--m", "2",
+             "--algebra", "bbA", "--element", "h-200000+Y"],
+            capture_output=True, text=True, env=env, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        assert elapsed < 1.0
+        assert "Traceback" not in proc.stderr
+        assert "shift count 200001" in proc.stderr
+        assert proc.stdout == ""
 
     def test_support(self, capsys):
         code, out = run(capsys, "support", "--m", "3", "--window", "12")

@@ -265,6 +265,20 @@ class TestWeylIntersection:
             acc = acc * w1 if m > 2 else w1 * w1
             assert acc == LaurentOp.from_poly(H - 1) * w_minus(shape, m)
 
+    def test_criterion_04_corrected_identities(self):
+        # the derived forms recorded in docs/ERRATA.md, over the sweep that
+        # criterion 4 quotes (m = 2..6, i = m..m+4)
+        for m in range(2, 7):
+            shape = as_shape(m)
+            w1 = w_minus(shape, 1)
+            for i in range(m, m + 5):
+                wi = w_minus(shape, i)
+                wnext = w_minus(shape, i + 1)
+                assert wi * w1 == LaurentOp.from_poly(H + (i - m)) * wnext
+                assert w1 * wi == LaurentOp.from_poly(H - 1) * wnext
+                assert commutator(wi, w1) == (i - m + 1) * wnext
+            assert w1 ** m == LaurentOp.from_poly(H - 1) * w_minus(shape, m)
+
     def test_w_basis_covers_all_degrees(self):
         shape = as_shape(2)
         assert w_basis(shape, 0) == LaurentOp.one(1)

@@ -53,6 +53,67 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             H.terms = {}
 
+    def test_public_constructor_validates(self):
+        with pytest.raises(ArityMismatch):
+            BasePoly(2, {(1,): 1})
+        with pytest.raises(ValueError):
+            BasePoly(0, {})
+        with pytest.raises(TypeError):
+            BasePoly(1, {(1,): 0.5})
+
+
+mixed_coeffs = st.one_of(
+    coeffs, st.fractions(min_value=-9, max_value=9, max_denominator=4))
+
+
+@st.composite
+def mixed_polys(draw, nvars, maxdeg=3):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        exp = tuple(draw(st.integers(min_value=0, max_value=maxdeg))
+                    for _ in range(nvars))
+        terms[exp] = draw(mixed_coeffs)
+    return BasePoly(nvars, terms)
+
+
+def assert_stored_as_validated(p):
+    """p.terms is exactly what the validating constructor would store."""
+    rebuilt = BasePoly(p.nvars, dict(p.terms)).terms
+    assert rebuilt == p.terms
+    for exp, c in p.terms.items():
+        assert type(rebuilt[exp]) is type(c)
+        assert c != 0
+        assert all(type(e) is int for e in exp)
+
+
+class TestTrustedResults:
+    """Internal results skip validation, so they must already satisfy it."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_results_round_trip_through_validation(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        p = data.draw(mixed_polys(n))
+        q = data.draw(mixed_polys(n))
+        k = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        results = [p + q, p - q, -p, p * q, p ** data.draw(st.integers(0, 3)),
+                   p.shift(k), p + Fraction(1, 2), Fraction(2, 3) * p,
+                   (p + q) - q]
+        if not q.is_zero():
+            results.append(exact_divide(p * q, q))
+        if n == 1:
+            results.append(p.inject(3, data.draw(st.integers(0, 2))))
+        for r in results:
+            assert_stored_as_validated(r)
+
+    def test_cancellation_drops_terms_and_demotes_fractions(self):
+        half = BasePoly(1, {(1,): Fraction(1, 2), (0,): Fraction(1, 2)})
+        total = half + half
+        assert total.terms == {(1,): 1, (0,): 1}
+        assert all(type(c) is int for c in total.terms.values())
+        assert (half - half).terms == {}
+        assert_stored_as_validated(half * 2)
+
 
 class TestArithmetic:
     def test_known_product(self):

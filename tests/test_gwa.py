@@ -2,6 +2,7 @@
 abstract arithmetic against the concrete Laurent model, pullbacks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,51 @@ class TestArithmetic:
         assert pres.sigma_power(h1, (0, 1)) == h1
         got = pres.basis((0, 1)) * pres.from_base(h2)
         assert got == GwaElement(pres, {(0, 1): h2 - 2})
+
+
+def _rank_two():
+    h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
+    return GwaPresentation((h1 - Fraction(1, 2), h2 * h2 - 1), (1, 2))
+
+
+@st.composite
+def mixed_gwa_elements(draw, pres):
+    n = pres.nvars
+    coords = {}
+    for _ in range(draw(st.integers(0, 3))):
+        deg = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+        exp = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        c = draw(st.one_of(st.integers(-5, 5),
+                           st.fractions(-5, 5, max_denominator=3)))
+        coords[deg] = BasePoly(n, {exp: c})
+    return GwaElement(pres, coords)
+
+
+class TestTrustedProducts:
+    """gwa_multiply skips element validation, so its results must pass it."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_product_coordinates_round_trip(self, data):
+        pres = data.draw(st.sampled_from(
+            [GwaPresentation((H * (H - 2),), (1,)),
+             calA_presentation(3)[0], _rank_two()]))
+        u = data.draw(mixed_gwa_elements(pres))
+        v = data.draw(mixed_gwa_elements(pres))
+        for w in (u * v, gwa_multiply(v, u), u * v - v * u):
+            for c in w.coords.values():
+                assert not c.is_zero()
+                rebuilt = BasePoly(c.nvars, dict(c.terms)).terms
+                assert rebuilt == c.terms
+                assert all(type(rebuilt[e]) is type(x)
+                           for e, x in c.terms.items())
+
+    def test_cancelled_coordinate_is_dropped(self):
+        pres = GwaPresentation((H,), (1,))
+        u = pres.basis((1,)) + 1
+        v = pres.basis((-1,)) - pres.from_base(H - 1)
+        # X*Y = h-1 cancels against 1*(-(h-1)) at degree zero
+        assert (0,) not in gwa_multiply(u, v).coords
 
 
 class TestVerify:
