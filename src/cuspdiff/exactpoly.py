@@ -378,6 +378,28 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def _horner(coeffs, num: int, den: int) -> int:
+    """den^d * P(num/den) for P with integer coeffs listed from the leading one down."""
+    acc, dpow = coeffs[0], 1
+    for c in coeffs[1:]:
+        dpow *= den
+        acc = acc * num + c * dpow
+    return acc
+
+
+def _deflate(coeffs, num: int, den: int) -> list[int]:
+    """P / (den*h - num) by synthetic division, for a root num/den of P.
+
+    With gcd(num, den) == 1 and P integral the quotient is integral (Gauss's
+    lemma), so every step is an exact integer division.
+    """
+    quot, carry = [], 0
+    for c in coeffs[:-1]:
+        carry = (c + num * carry) // den
+        quot.append(carry)
+    return quot
+
+
 def rational_roots(p: BasePoly):
     """All rational roots of a univariate polynomial, with multiplicity.
 
@@ -385,47 +407,57 @@ def rational_roots(p: BasePoly):
     (repeated according to multiplicity) and cofactor is the polynomial left
     after dividing out every (h - root) factor; the cofactor has no rational
     root and keeps the leading coefficient, so
-    p == cofactor * prod (h - root).  Candidates come from the rational root
-    theorem applied to the primitive integer form of p.
+    p == cofactor * prod (h - root).
+
+    Roots at 0 come off the trailing exponent.  The rest of the search works
+    on the dense list of the primitive integer coefficients of p.  By the
+    rational root theorem each other root is num/den in lowest terms, with
+    den dividing the leading coefficient and num the constant term; these
+    are tried as plain int pairs of both signs, and only while they still
+    divide the current quotient's end coefficients.  A pair is tested by
+    homogeneous integer Horner, sum a_i num^i den^(d-i), and each hit is
+    divided out by exact integer synthetic division by (den*h - num), then
+    tried again for a repeated root.  The integer quotient is scaled back
+    once at the end, by content * prod(den) / lcm of the denominators, so
+    the cofactor keeps the leading coefficient of p.
     """
     if p.nvars != 1:
         raise ArityMismatch("rational_roots expects a univariate polynomial")
     if p.is_zero():
         raise ValueError("the zero polynomial has every root")
-    roots = []
     # roots at 0 come from the trailing exponent
     val = min(e for (e,) in p.terms)
-    if val:
-        h = BasePoly.variable(1, 0)
-        for _ in range(val):
-            p = exact_divide(p, h)
-            roots.append(Fraction(0))
-    if p.is_constant():
-        return sorted(roots), p
-    # primitive integer form for candidate generation
+    deg = max(e for (e,) in p.terms)
+    roots = [Fraction(0)] * val
+    # primitive integer form, dense from the leading coefficient down
     denom_lcm = 1
     for c in p.terms.values():
-        if isinstance(c, Fraction):
+        if c.__class__ is Fraction:
             denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    ints = {e: int(c * denom_lcm) if isinstance(c, Fraction) else c * denom_lcm
-            for (e,), c in p.terms.items()}
-    content = 0
-    for c in ints.values():
-        content = _gcd(content, c)
-    ints = {e: c // content for e, c in ints.items()}
-    deg = max(ints)
-    a0, alead = ints[min(ints)], ints[deg]
-    candidates = set()
-    for num in _divisors(a0):
-        for den in _divisors(alead):
-            g = _gcd(num, den)
-            candidates.add(Fraction(num // g, den // g))
-            candidates.add(Fraction(-(num // g), den // g))
-    for r in sorted(candidates):
-        while not p.is_constant() and p.eval([r]) == 0:
-            p = exact_divide(p, BasePoly(1, {(1,): 1, (0,): -r}))
-            roots.append(r)
-    return sorted(roots), p
+    coeffs = [int(p.terms.get((e,), 0) * denom_lcm) for e in range(deg, val - 1, -1)]
+    scale = 0
+    for c in coeffs:
+        scale = _gcd(scale, c)
+    coeffs = [c // scale for c in coeffs]
+    dens = _divisors(coeffs[0])
+    pairs = ((sign * num, den)
+             for num in _divisors(coeffs[-1])
+             for den in dens if _gcd(num, den) == 1
+             for sign in (-1, 1))
+    for num, den in pairs:
+        while (len(coeffs) > 1 and coeffs[0] % den == 0
+               and coeffs[-1] % num == 0 and _horner(coeffs, num, den) == 0):
+            coeffs = _deflate(coeffs, num, den)
+            scale *= den
+            roots.append(Fraction(num, den))
+        if len(coeffs) == 1:
+            break
+    # p == h^val * (scale / denom_lcm) * coeffs * prod (h - root) over the other roots
+    top = len(coeffs) - 1
+    terms = {(top - k,): _div_coef(c * scale, denom_lcm)
+             for k, c in enumerate(coeffs) if c}
+    roots.sort()
+    return roots, BasePoly._trusted(1, terms)
 
 
 def _gcd(a: int, b: int) -> int:

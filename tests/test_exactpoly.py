@@ -1,6 +1,7 @@
 """Exact polynomial layer: ring axioms, shift, division, roots, text forms."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +244,105 @@ class TestRationalRoots:
         got, cof = rational_roots(p)
         assert got == sorted(roots)
         assert cof == BasePoly.constant(1, lead)
+
+
+def _reference_divisors(n):
+    """Positive divisors of |n|, n != 0, by trial division."""
+    n = abs(n)
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    divs = [1]
+    for prime, mult in factors.items():
+        divs = [dv * prime ** e for dv in divs for e in range(mult + 1)]
+    return divs
+
+
+def _typed(terms):
+    # dict equality alone would let Fraction(2) stand for the stored int 2
+    return {e: (type(c), c) for e, c in terms.items()}
+
+
+def _reference_rational_roots(p):
+    """The earlier Fraction candidate scan, kept as an independent oracle.
+
+    Every candidate of the rational root theorem is built as a Fraction,
+    tested with BasePoly.eval and divided out with exact_divide.
+    """
+    roots = []
+    val = min(e for (e,) in p.terms)
+    for _ in range(val):
+        p = exact_divide(p, H)
+        roots.append(Fraction(0))
+    if p.is_constant():
+        return sorted(roots), p
+    denom_lcm = 1
+    for c in p.terms.values():
+        denom_lcm = lcm(denom_lcm, Fraction(c).denominator)
+    ints = {e: int(c * denom_lcm) for (e,), c in p.terms.items()}
+    content = 0
+    for c in ints.values():
+        content = gcd(content, c)
+    ints = {e: c // content for e, c in ints.items()}
+    a0, alead = ints[min(ints)], ints[max(ints)]
+    candidates = set()
+    for num in _reference_divisors(a0):
+        for den in _reference_divisors(alead):
+            candidates.add(Fraction(num, den))
+            candidates.add(Fraction(-num, den))
+    for r in sorted(candidates):
+        while not p.is_constant() and p.eval([r]) == 0:
+            p = exact_divide(p, BasePoly(1, {(1,): 1, (0,): -r}))
+            roots.append(r)
+    return sorted(roots), p
+
+
+@st.composite
+def split_products(draw):
+    """(p, roots): a Fraction times products of (d*h - n), maybe times h^2 + k."""
+    lead = draw(st.fractions(min_value=-7, max_value=7, max_denominator=5)
+                .filter(bool))
+    p, roots = BasePoly.constant(1, lead), []
+    factors = draw(st.lists(st.tuples(st.integers(1, 4),
+                                      st.one_of(st.just(0), st.integers(-8, 8)),
+                                      st.integers(1, 2)),
+                            max_size=4))
+    for d, n, mult in factors:
+        for _ in range(mult):
+            p = p * BasePoly(1, {(1,): d, (0,): -n})
+            roots.append(Fraction(n, d))
+    if draw(st.booleans()):
+        p = p * (H * H + draw(st.integers(1, 9)))
+    return p, sorted(roots)
+
+
+class TestRationalRootsOracle:
+    @given(split_products())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_scan(self, case):
+        p, roots = case
+        got, cof = rational_roots(p)
+        want, ref_cof = _reference_rational_roots(p)
+        assert got == want == roots
+        assert _typed(cof.terms) == _typed(ref_cof.terms)
+        assert linear_factors(got) * cof == p
+
+    def test_degree_nine_many_divisors(self):
+        p = parse_poly("-h^9-54*h^8-1281*h^7-17514*h^6-152019*h^5-868266*h^4"
+                       "-3261299*h^3-7762806*h^2-10616760*h-6350400")
+        got, cof = rational_roots(p)
+        assert got == [-9, -8, -7, -7, -6, -5, -5, -4, -3]
+        assert _typed(cof.terms) == {(0,): (int, -1)}
+        want, ref_cof = _reference_rational_roots(p)
+        assert got == want
+        assert _typed(ref_cof.terms) == _typed(cof.terms)
+        assert linear_factors(got) * cof == p
 
 
 class TestTextForm:
