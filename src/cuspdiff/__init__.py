@@ -11,17 +11,16 @@ from .exactpoly import (ArityMismatch, BasePoly, DivisionByZero, NotDivisible,
                         parse_poly, poly_from_json, poly_to_json,
                         rational_roots, render_poly)
 from .skewlaurent import (LaurentOp, commutator, op_from_json, op_to_json,
-                          render_op, rising_product, weyl_decompose,
-                          weyl_generators, weyl_membership)
-from .cuspops import (CuspShape, DiffOp, StructureRelation, a1_membership,
-                      as_shape, bbA_generators, bbA_presentation,
-                      calA_presentation, decompose, delta, delta_op,
-                      generating_set, gwa_A_generators, membership, phi,
-                      phi_multi, structure_constant, w_basis, w_minus,
-                      weyl_presentation)
+                          render_op, rising_product, vanishing_roots,
+                          weyl_decompose, weyl_generators, weyl_membership)
+from .cuspops import (CuspShape, StructureRelation, a1_membership, as_shape,
+                      bbA_generators, bbA_presentation, calA_presentation,
+                      decompose, delta_op, generating_set, gwa_A_generators,
+                      membership, phi, phi_multi, structure_constant, w_basis,
+                      w_minus, weyl_presentation)
 from .gwa import (Embedding, GwaElement, GwaPresentation, GwaReport,
                   ImagesViolateRelations, NotInImage, PresentationMismatch,
-                  embed, gwa_multiply, render_gwa, verify_presentation)
+                  gwa_multiply, render_gwa, verify_presentation)
 from .modactions import (ExponentSet, GradedMask, LaurentVector, NotStable,
                          WeightSupport, act, act_on_quotient, cusp_mask,
                          quotient_mask, render_vector, restriction_blocks,
@@ -30,9 +29,8 @@ from .classify import (ClassifiedModule, GammaInterval, InvalidInterval,
                        LinMaxIdeal, NonlinearFactor, NormalizationResult,
                        NotNormal, Orbit, WeightModule, WrongShape,
                        build_weight_module, classify_DA_torsion, classify_bbA,
-                       is_normal, less_than, marked_ideals, module_dimension,
-                       normalize, orbit_of, partition_orbit,
-                       torsionfree_presentation)
+                       is_normal, less_than, marked_ideals, normalize,
+                       orbit_of, partition_orbit, torsionfree_presentation)
 from .exprparse import ExprParseError, parse_expression
 
 __version__ = "0.1.0"

@@ -182,9 +182,6 @@ class GammaInterval:
             return root > self.lower.root
         return self.lower.root < root <= self.upper.root
 
-    def is_finite(self) -> bool:
-        return self.kind == "half_open"
-
     def __eq__(self, other):
         if not isinstance(other, GammaInterval):
             return NotImplemented
@@ -309,10 +306,6 @@ def build_weight_module(a: BasePoly, gamma: GammaInterval, step: int,
     rep = gamma.orbit.rep
     weights = [rep + k * step for k in range(-window, window + 1)]
     return WeightModule(a, step, gamma, weights, False)
-
-
-def module_dimension(wm: WeightModule):
-    return wm.dimension
 
 
 class ClassifiedModule:

@@ -12,13 +12,12 @@ structure constants that rewrite products of generators.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, divides,
-                        exact_divide)
+from .exactpoly import (ArityMismatch, BasePoly, divides, exact_divide,
+                        linear_factors)
 from .gwa import Embedding, GwaPresentation
-from .skewlaurent import (LaurentOp, rising_product, weyl_membership)
+from .skewlaurent import LaurentOp, vanishing_roots, weyl_membership
 
 
 class CuspShape:
@@ -71,7 +70,8 @@ def _require_rank_one(shape: CuspShape) -> int:
 def phi(mi: int, i: int) -> BasePoly:
     """The coefficient polynomial of the degree i graded generator (one factor).
 
-    With h the shift variable and width mi:
+    The product of (h - r) over vanishing_roots(mi, i).  Written out, with h
+    the shift variable and width mi:
 
       phi(mi, 0) = 1
       phi(mi, i) = h - i - 1          for 1 <= i <= mi - 1
@@ -79,24 +79,10 @@ def phi(mi: int, i: int) -> BasePoly:
       phi(mi, -t) = (h + t - 1) * prod (h - j),  j from mi - t + 1 to mi
                                                  skipping j = 1,  for t >= 1.
 
-    The skip only matters once t >= mi; for smaller t the range starts above 1.
-    At width 1 this degenerates to phi(1, i) = 1 for i >= 0 and
+    At width 1 this is phi(1, i) = 1 for i >= 0 and
     phi(1, -t) = h (h+1) ... (h+t-1), the coefficient of the t-th derivative.
     """
-    if mi < 1:
-        raise ValueError("width must be >= 1")
-    h = BasePoly.variable(1, 0)
-    if i >= 0:
-        if i == 0 or i >= mi:
-            return BasePoly.one(1)
-        return h - (i + 1)
-    t = -i
-    out = h + (t - 1)
-    for j in range(mi - t + 1, mi + 1):
-        if j == 1:
-            continue
-        out = out * (h - j)
-    return out
+    return linear_factors(vanishing_roots(mi, i))
 
 
 def phi_multi(shape, alpha) -> BasePoly:
@@ -111,129 +97,19 @@ def phi_multi(shape, alpha) -> BasePoly:
     return out
 
 
-class DiffOp:
-    """A Laurent operator known to lie in the operator ring of the shape.
-
-    Membership is checked once at construction by running the decomposition;
-    sums and products of checked operators are closed, so arithmetic results
-    skip re-validation.
-    """
-
-    __slots__ = ("shape", "op", "_coords")
-
-    def __init__(self, shape, op: LaurentOp, _coords=None):
-        shape = as_shape(shape)
-        if op.nvars != shape.rank:
-            raise ArityMismatch("operator arity %d != shape rank %d"
-                                % (op.nvars, shape.rank))
-        if _coords is None:
-            _coords = decompose(op, shape)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "_coords", _coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOp is immutable")
-
-    def decompose(self) -> dict:
-        return dict(self._coords)
-
-    def support(self):
-        return self.op.support()
-
-    def _coerce(self, other):
-        if isinstance(other, DiffOp):
-            if other.shape != self.shape:
-                raise ArityMismatch("operators of different shapes")
-            return other
-        if isinstance(other, (int, Fraction, BasePoly)):
-            poly = other if isinstance(other, BasePoly) \
-                else BasePoly.constant(self.shape.rank, other)
-            return DiffOp(self.shape, LaurentOp.from_poly(poly))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        op = self.op + other.op
-        return DiffOp(self.shape, op, _coords=decompose(op, self.shape))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffOp(self.shape, -self.op,
-                      _coords={a: -c for a, c in self._coords.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        op = self.op * other.op
-        # closure of the operator ring lets the product skip re-validation,
-        # but the decomposition is still computed on demand
-        return DiffOp(self.shape, op, _coords=decompose(op, self.shape))
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative integers")
-        out = delta(self.shape, (0,) * self.shape.rank)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, DiffOp):
-            return self.shape == other.shape and self.op == other.op
-        if isinstance(other, LaurentOp):
-            return self.op == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.shape, self.op))
-
-    def __repr__(self):
-        return "DiffOp(%s, %r)" % (self.shape.m, self.op)
-
-
-def delta(shape, alpha) -> DiffOp:
+def delta_op(shape, alpha) -> LaurentOp:
     """The graded generator phi(m, alpha)(h) * x^alpha of the operator ring."""
     shape = as_shape(shape)
     alpha = tuple(int(v) for v in alpha)
-    coeff = phi_multi(shape, alpha)
-    op = LaurentOp.monomial(shape.rank, alpha, coeff)
-    return DiffOp(shape, op, _coords={alpha: BasePoly.one(shape.rank)})
-
-
-def delta_op(shape, alpha) -> LaurentOp:
-    """delta as a bare Laurent operator."""
-    return delta(shape, alpha).op
+    return LaurentOp.monomial(shape.rank, alpha, phi_multi(shape, alpha))
 
 
 def _as_op(u) -> LaurentOp:
-    if isinstance(u, DiffOp):
-        return u.op
     if isinstance(u, LaurentOp):
         return u
     if isinstance(u, BasePoly):
         return LaurentOp.from_poly(u)
-    raise TypeError("expected LaurentOp, DiffOp or BasePoly")
+    raise TypeError("expected LaurentOp or BasePoly")
 
 
 def membership(u, shape) -> bool:
@@ -352,24 +228,19 @@ def structure_constant(shape, i: int, j: int) -> StructureRelation:
 def w_minus(shape, i: int) -> LaurentOp:
     """Generator of the degree -i component of the Weyl intersection (i >= 1).
 
-    Equals a_i(h) * partial^i with
+    Its coefficient vanishes at the roots of both rings, the union of
+    vanishing_roots(m, -i) and vanishing_roots(1, -i), which is the least
+    common multiple of phi(m, -i) and h (h+1) ... (h+i-1).  Written out,
+    it is a_i(h) * h (h+1) ... (h+i-1) with
 
       a_i = prod_{j=m-i+1}^{m} (h - j)   for 1 <= i <= m - 2,
-      a_i = prod_{j=2}^{m} (h - j)       for i >= m - 1;
-
-    the coefficient is the least common multiple condition of lying in both
-    the operator ring and the Weyl algebra at that degree.
+      a_i = prod_{j=2}^{m} (h - j)       for i >= m - 1.
     """
     m = _require_rank_one(as_shape(shape))
     if i < 1:
         raise ValueError("w_minus expects i >= 1")
-    h = BasePoly.variable(1, 0)
-    a = BasePoly.one(1)
-    lo = m - i + 1 if i <= m - 2 else 2
-    for j in range(lo, m + 1):
-        a = a * (h - j)
-    coeff = a * rising_product(1, 0, i)
-    return LaurentOp.monomial(1, (-i,), coeff)
+    roots = set(vanishing_roots(m, -i)) | set(vanishing_roots(1, -i))
+    return LaurentOp.monomial(1, (-i,), linear_factors(sorted(roots)))
 
 
 def w_basis(shape, k: int) -> LaurentOp:

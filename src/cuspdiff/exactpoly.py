@@ -55,7 +55,41 @@ def grlex_key(exp: tuple[int, ...]):
     return (sum(exp), exp)
 
 
-class BasePoly:
+class RingOps:
+    """Subtraction and powers, shared by the ring element classes.
+
+    The class provides _coerce (returning NotImplemented for foreign
+    operands), __add__, __neg__ and __mul__; the identity is _coerce(1).
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("powers must be nonnegative integers")
+        out = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+class BasePoly(RingOps):
     """Sparse multivariate polynomial with exact rational coefficients.
 
     The variables are written h1..hn (plain h when nvars == 1).  Instances are
@@ -132,22 +166,6 @@ class BasePoly:
         terms = self.terms
         return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return Fraction(self.terms.get((0,) * self.nvars, 0))
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, j: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[j] for e in self.terms)
-
     def leading_term(self):
         """(exponent, coefficient) of the graded-lex leading term."""
         if not self.terms:
@@ -181,18 +199,6 @@ class BasePoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         return BasePoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
@@ -218,18 +224,6 @@ class BasePoly:
         return BasePoly._trusted(self.nvars, _clean(terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        out = BasePoly.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def _coerce(self, other):
         if isinstance(other, BasePoly):
@@ -576,6 +570,9 @@ def _tokenize_poly(text: str):
             while j < len(text) and text[j].isdigit():
                 j += 1
             idx = int(text[i + 1:j]) if j > i + 1 else 1
+            if idx == 0:
+                raise PolyParseError("variable index 0 at position %d; "
+                                     "variables are h1..hn" % i)
             tokens.append(("var", idx, i))
             i = j
             continue

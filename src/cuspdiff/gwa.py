@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, exact_divide,
-                        grlex_key, parse_poly, render_poly)
+from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
+                        exact_divide, grlex_key, parse_poly, render_poly)
 from .skewlaurent import LaurentOp
 
 
@@ -129,12 +129,6 @@ class GwaPresentation:
         self._pair_cache[key] = out
         return out
 
-    def pair_coefficient_right(self, i: int, n: int, m: int) -> BasePoly:
-        """The right-handed pair coefficient <n, m> = sigma^{-n-m}((n, m))."""
-        shift_vec = [0] * self.nvars
-        shift_vec[i] = -(n + m) * self.steps[i]
-        return self.pair_coefficient(i, n, m).shift(shift_vec)
-
     # -- element constructors --------------------------------------------
 
     def element(self, coords) -> "GwaElement":
@@ -153,7 +147,7 @@ class GwaPresentation:
         return GwaElement(self, {(0,) * self.nvars: d})
 
 
-class GwaElement:
+class GwaElement(RingOps):
     """Element sum_alpha c_alpha v_alpha with left base coefficients."""
 
     __slots__ = ("presentation", "coords")
@@ -216,18 +210,6 @@ class GwaElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         return GwaElement(self.presentation,
                           {a: -p for a, p in self.coords.items()})
@@ -243,18 +225,6 @@ class GwaElement:
         if other is NotImplemented:
             return NotImplemented
         return gwa_multiply(other, self)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("element powers must be nonnegative integers")
-        out = self.presentation.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -470,15 +440,25 @@ class Embedding:
                                 % (i + 1, j + 1))
 
     def _power(self, i: int, k: int) -> LaurentOp:
-        key = (i, k)
-        if key not in self._powers:
-            if k == 0:
-                self._powers[key] = LaurentOp.one(self.presentation.nvars)
-            elif k > 0:
-                self._powers[key] = self._power(i, k - 1) * self.x_images[i]
-            else:
-                self._powers[key] = self._power(i, k + 1) * self.y_images[i]
-        return self._powers[key]
+        """X_i^k for k >= 0, Y_i^-k for k < 0; cached.
+
+        A missing power is built up from the largest one of the same sign
+        already stored, and every power on the way is stored too.
+        """
+        powers = self._powers
+        if (i, 0) not in powers:
+            powers[(i, 0)] = LaurentOp.one(self.presentation.nvars)
+        step = 1 if k > 0 else -1
+        j = k
+        while (i, j) not in powers:
+            j -= step
+        gen = self.x_images[i] if k > 0 else self.y_images[i]
+        acc = powers[(i, j)]
+        while j != k:
+            j += step
+            acc = acc * gen
+            powers[(i, j)] = acc
+        return acc
 
     def apply(self, u: GwaElement) -> LaurentOp:
         if u.presentation != self.presentation:
@@ -531,11 +511,6 @@ class Embedding:
                     "component at %r is not a multiple of the basis image"
                     % (deg,)) from exc
         return GwaElement(pres, coords)
-
-
-def embed(u: GwaElement, embedding: Embedding) -> LaurentOp:
-    """Apply an embedding to an element (function form of Embedding.apply)."""
-    return embedding.apply(u)
 
 
 def presentation_to_json(pres: GwaPresentation) -> dict:

@@ -118,20 +118,19 @@ def render_vector(v: LaurentVector) -> str:
     return out
 
 
-def act(u, v: LaurentVector) -> LaurentVector:
+def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:
     """Apply an operator to a vector.
 
     Componentwise, (d * x^alpha) sends x^beta to
     d(alpha_1 + beta_1 + 1, ..., alpha_n + beta_n + 1) x^{alpha + beta}.
     """
-    op = u.op if hasattr(u, "op") else u
-    if not isinstance(op, LaurentOp):
+    if not isinstance(u, LaurentOp):
         raise TypeError("expected an operator")
-    if op.nvars != v.nvars:
+    if u.nvars != v.nvars:
         raise ArityMismatch("operator arity %d != vector arity %d"
-                            % (op.nvars, v.nvars))
+                            % (u.nvars, v.nvars))
     out = {}
-    for alpha, dpoly in op.components.items():
+    for alpha, dpoly in u.components.items():
         for beta, c in v.coeffs.items():
             scalar = dpoly.eval([a + b + 1 for a, b in zip(alpha, beta)])
             if not scalar:
@@ -237,10 +236,6 @@ class GradedMask:
             out = [v + (k,) for v in out for k in axis]
         return out
 
-    def project_inside(self, v: LaurentVector) -> LaurentVector:
-        return LaurentVector(v.nvars, {d: c for d, c in v.coeffs.items()
-                                       if self.contains(d)})
-
     def project_outside(self, v: LaurentVector) -> LaurentVector:
         return LaurentVector(v.nvars, {d: c for d, c in v.coeffs.items()
                                        if not self.contains(d)})
@@ -286,7 +281,7 @@ def stability_check(gens, mask: GradedMask, window: int) -> bool:
     The window must comfortably exceed the generator degrees; a window below
     twice the largest degree would miss the interesting transitions.
     """
-    gens = [g.op if hasattr(g, "op") else g for g in gens]
+    gens = list(gens)
     maxdeg = 0
     for g in gens:
         for deg in g.components:

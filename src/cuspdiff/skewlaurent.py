@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, divides,
-                        exact_divide, grlex_key, parse_poly, poly_from_json,
+from .exactpoly import (ArityMismatch, BasePoly, RingOps, divides,
+                        exact_divide, grlex_key, linear_factors, poly_from_json,
                         poly_to_json, render_poly)
 
 
-class LaurentOp:
+class LaurentOp(RingOps):
     """An element of the skew Laurent ring, graded by x-degree in Z^n.
 
     components maps degree vectors to nonzero BasePoly coefficients, always
@@ -92,9 +92,6 @@ class LaurentOp:
     def is_zero(self) -> bool:
         return not self.components
 
-    def is_homogeneous(self) -> bool:
-        return len(self.components) <= 1
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
@@ -123,18 +120,6 @@ class LaurentOp:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         return LaurentOp(self.nvars,
                          {d: -p for d, p in self.components.items()})
@@ -160,18 +145,6 @@ class LaurentOp:
         if other is NotImplemented:
             return NotImplemented
         return other * self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("operator powers must be nonnegative integers")
-        out = LaurentOp.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -199,30 +172,50 @@ def weyl_generators(nvars: int):
     return xs, ds, hs
 
 
+def vanishing_roots(m: int, i: int) -> list[int]:
+    """Roots at which a degree i coefficient must vanish on the width m set.
+
+    S_m = {0} union [m, infinity) is the exponent set of the width m cusp
+    algebra, and h x^k = (k+1) x^k, so c(h) x^i maps span{x^k : k in S_m}
+    into itself exactly when c(i+k+1) = 0 for every k in S_m with
+    i + k not in S_m.  Only k = 0 and m <= k < m - i can leave the set.
+    Every graded coefficient table is an instance: phi is the product of
+    (h - r) over these roots, width 1 (S_1 = N) is the Weyl algebra, and
+    the Weyl intersection takes the union of both root sets.
+    """
+    if m < 1:
+        raise ValueError("width must be >= 1")
+    return [i + k + 1 for k in (0, *range(m, m - i))
+            if not (i + k == 0 or i + k >= m)]
+
+
 def rising_product(nvars: int, j: int, count: int) -> BasePoly:
     """prod_{k=0}^{count-1} (h_{j+1} + k); equals the coefficient of partial^count."""
+    return linear_factors(vanishing_roots(1, -count), nvars, j)
+
+
+def _weyl_divisor(alpha) -> BasePoly:
+    """The least coefficient of a Weyl algebra element at degree alpha.
+
+    That is the product of h_i (h_i + 1) ... (h_i - alpha_i - 1) over the
+    factors with alpha_i < 0, the vanishing product of S_1 = N in every
+    factor: x_i^{-1} only enters through partial_i = h_i x_i^{-1}.
+    """
+    nvars = len(alpha)
     out = BasePoly.one(nvars)
-    h = BasePoly.variable(nvars, j)
-    for k in range(count):
-        out = out * (h + k)
+    for j, a in enumerate(alpha):
+        if a < 0:
+            out = out * rising_product(nvars, j, -a)
     return out
 
 
 def weyl_membership(u: LaurentOp) -> bool:
     """Whether u lies in the Weyl subalgebra generated by the x_i and partial_i.
 
-    A component d * x^alpha belongs exactly when d is divisible by
-    prod_{k=0}^{-alpha_i-1} (h_i + k) for every i with alpha_i < 0, because
-    x_i^{-1} only enters through partial_i = h_i x_i^{-1}.
+    A component d * x^alpha belongs exactly when _weyl_divisor(alpha) divides d.
     """
-    for alpha, dpoly in u.components.items():
-        divisor = BasePoly.one(u.nvars)
-        for j, a in enumerate(alpha):
-            if a < 0:
-                divisor = divisor * rising_product(u.nvars, j, -a)
-        if not divides(divisor, dpoly):
-            return False
-    return True
+    return all(divides(_weyl_divisor(alpha), dpoly)
+               for alpha, dpoly in u.components.items())
 
 
 def weyl_decompose(u: LaurentOp) -> dict:
@@ -230,14 +223,8 @@ def weyl_decompose(u: LaurentOp) -> dict:
 
     Raises NotDivisible when u is outside the Weyl subalgebra.
     """
-    out = {}
-    for alpha in u.support():
-        divisor = BasePoly.one(u.nvars)
-        for j, a in enumerate(alpha):
-            if a < 0:
-                divisor = divisor * rising_product(u.nvars, j, -a)
-        out[alpha] = exact_divide(u.components[alpha], divisor)
-    return out
+    return {alpha: exact_divide(u.components[alpha], _weyl_divisor(alpha))
+            for alpha in u.support()}
 
 
 # -- canonical text and json forms ----------------------------------------

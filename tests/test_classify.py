@@ -10,7 +10,7 @@ from cuspdiff.classify import (INFINITE, GammaInterval, InvalidInterval,
                                LinMaxIdeal, NonlinearFactor, NotNormal,
                                Orbit, WrongShape, build_weight_module,
                                classify_DA_torsion, classify_bbA, is_normal,
-                               less_than, marked_ideals, module_dimension,
+                               less_than, marked_ideals,
                                normalization_shift, normalize, orbit_of,
                                partition_orbit, torsionfree_presentation)
 from cuspdiff.classify import _least_shift, _roots_less
@@ -146,7 +146,7 @@ class TestWeightModules:
 
     def test_rays_are_infinite(self):
         wm = build_weight_module(self.a, self.pieces[0], 1, window=6)
-        assert module_dimension(wm) == INFINITE
+        assert wm.dimension == INFINITE
         assert wm.weights == tuple(range(-5, 1))
         wm = build_weight_module(self.a, self.pieces[3], 1, window=6)
         assert wm.weights == tuple(range(5, 11))

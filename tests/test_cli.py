@@ -57,6 +57,17 @@ class TestMember:
         assert code == 0
         assert "true" in out
 
+    def test_deep_power_in_image(self):
+        src = Path(cuspdiff.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspdiff", "member", "--m", "2",
+             "--algebra", "calA", "--json", "X^1100"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["member"] is True
+
     def test_weyl_context(self, capsys):
         code, out = run(capsys, "member", "--m", "1", "--algebra", "weyl",
                         "x^-1")

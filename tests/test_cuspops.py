@@ -1,19 +1,21 @@
 """Operator ring of the cusp algebra: phi table, deltas, structure constants,
 the Weyl intersection, and canonical presentations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspdiff.cuspops import (CuspShape, DiffOp, a1_membership, as_shape,
+from cuspdiff.cuspops import (CuspShape, a1_membership, as_shape,
                               bbA_generators, bbA_presentation,
-                              calA_presentation, decompose, delta, delta_op,
+                              calA_presentation, decompose, delta_op,
                               generating_set, gwa_A_generators, membership,
                               phi, phi_multi, structure_constant, w_basis,
                               w_minus, weyl_presentation)
 from cuspdiff.exactpoly import BasePoly, NotDivisible, parse_poly
 from cuspdiff.gwa import verify_presentation
 from cuspdiff.skewlaurent import (LaurentOp, commutator, rising_product,
-                                  weyl_membership)
+                                  vanishing_roots, weyl_membership)
 
 H = BasePoly.variable(1, 0)
 
@@ -86,11 +88,6 @@ class TestDelta:
         assert delta_op(2, (-1,)) == LaurentOp.monomial(1, (-1,), p("h^2-2*h"))
         assert delta_op(2, (2,)) == LaurentOp.x(1, 0, 2)
         assert delta_op(2, (-2,)) == LaurentOp.monomial(1, (-2,), p("h^2-h-2"))
-
-    def test_delta_wrapper_coords(self):
-        u = delta(2, (-1,))
-        assert isinstance(u, DiffOp)
-        assert u.decompose() == {(-1,): BasePoly.one(1)}
 
     def test_rank_two_is_product_of_factors(self):
         shape = CuspShape((2, 3))
@@ -276,6 +273,88 @@ class TestWeylIntersection:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             w_minus(2, 0)
+
+
+# -- independent oracles: the stored terms read with plain integer arithmetic
+
+def _in_cusp_set(m, k):
+    """k in S_m = {0} u [m, infinity), the exponents of the width m algebra."""
+    return k == 0 or k >= m
+
+
+def _int_value(poly, r):
+    """c(r) from the stored terms of a univariate polynomial."""
+    return sum(c * r ** e for (e,), c in poly.terms.items())
+
+
+def _dense_mul(a, b):
+    """Product of dense integer coefficient lists, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestVanishingRule:
+    WINDOW = 40
+
+    def test_roots_match_the_window_definition(self):
+        for m in range(1, 9):
+            for i in range(-20, 21):
+                expected = [i + k + 1 for k in range(self.WINDOW)
+                            if _in_cusp_set(m, k)
+                            and not _in_cusp_set(m, i + k)]
+                assert vanishing_roots(m, i) == expected
+
+    def test_rejects_width_zero(self):
+        with pytest.raises(ValueError):
+            vanishing_roots(0, -1)
+
+    def test_membership_against_monomial_action(self):
+        # c(h) x^alpha maps span{x^k : k in S_m} into itself exactly when
+        # c(alpha+k+1) = 0 for every k in S_m with alpha+k outside S_m,
+        # because h x^k = (k+1) x^k; the window covers every such k
+        rng = random.Random(20261018)
+        verdicts = {True: 0, False: 0}
+        for m in range(1, 7):
+            for alpha in range(-3 * m - 2, 3 * m + 3):
+                for _ in range(5):
+                    dense = [rng.choice((-3, -2, -1, 1, 2, 3))]
+                    for _ in range(rng.randint(0, 2)):
+                        dense = _dense_mul(dense, [rng.randint(-9, 9), 1])
+                    for r in range(alpha - 1, m + 3):
+                        if rng.random() < 0.7:
+                            dense = _dense_mul(dense, [-r, 1])
+                    c = BasePoly(1, {(e,): v for e, v in enumerate(dense)})
+                    expected = all(
+                        _int_value(c, alpha + k + 1) == 0
+                        for k in range(self.WINDOW + 1)
+                        if _in_cusp_set(m, k)
+                        and not _in_cusp_set(m, alpha + k))
+                    u = LaurentOp.monomial(1, (alpha,), c)
+                    assert membership(u, m) == expected, (m, alpha, c)
+                    if m == 1:
+                        assert weyl_membership(u) == expected, (alpha, c)
+                    verdicts[expected] += 1
+        assert min(verdicts.values()) > 100
+
+    def test_w_minus_closed_form(self):
+        # prod_{j=lo}^{m} (h-j) * h (h+1) ... (h+i-1), lo = m-i+1 while
+        # i <= m-2 and 2 from there on
+        for m in range(2, 9):
+            for i in range(1, 3 * m + 6):
+                lo = m - i + 1 if i <= m - 2 else 2
+                dense = [1]
+                for j in range(lo, m + 1):
+                    dense = _dense_mul(dense, [-j, 1])
+                for k in range(i):
+                    dense = _dense_mul(dense, [k, 1])
+                u = w_minus(m, i)
+                assert list(u.components) == [(-i,)]
+                got = u.components[(-i,)].terms
+                assert got == {(e,): v for e, v in enumerate(dense) if v}
+                assert all(type(v) is int for v in got.values())
 
 
 def _try_divide(c, factor):

@@ -367,6 +367,14 @@ class TestTextForm:
             parse_poly("h^")
         assert "position" in str(err.value)
 
+    def test_parse_rejects_variable_index_zero(self):
+        # variables are h1..hn; h0 must not wrap around to the last one
+        for text, nvars, at in (("h0", None, 0), ("h0+h1", 2, 0),
+                                ("2*h1*h0^2", 2, 5)):
+            with pytest.raises(PolyParseError) as err:
+                parse_poly(text, nvars=nvars)
+            assert "position %d" % at in str(err.value)
+
     @given(polys())
     @settings(max_examples=80, deadline=None)
     def test_roundtrip(self, p):
