@@ -310,6 +310,10 @@ def _random_element(pres, rng):
 
 
 def cmd_gwa_verify(args, parser):
+    if args.depth < 1:
+        parser.error("--depth must be a positive integer")
+    if args.pairs < 0:
+        parser.error("--pairs must be a nonnegative integer")
     shape = _shape(args, parser)
     if args.algebra == "DA":
         parser.error("gwa-verify needs --algebra bbA, calA or weyl")
@@ -460,7 +464,10 @@ def cmd_support(args, parser):
         parser.error("supports are rank one; pass a single width")
     supp_a = support(cusp_mask(shape))
     supp_q = support(quotient_mask(shape))
-    blocks_a, blocks_q = restriction_blocks(shape, args.window)
+    try:
+        blocks_a, blocks_q = restriction_blocks(shape, args.window)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.json:
         _print_json("support", {
             "A": {"support": supp_a.to_json(),

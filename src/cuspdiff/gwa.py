@@ -290,8 +290,18 @@ def verify_presentation(pres: GwaPresentation, depth: int = 3,
     Runs the relations Y_i X_i = a_i, X_i Y_i = sigma_i(a_i), the commutation
     rules X_i d = sigma_i(d) X_i and Y_i d = sigma_i^{-1}(d) Y_i on sample base
     elements, cross-factor commutation, and associativity of v_alpha v_beta
-    v_gamma for all coordinate vectors bounded by depth.
+    v_gamma for all coordinate vectors bounded by depth: every coordinate in
+    [-depth, depth] and, at rank > 1, |alpha|_1 <= depth.
+
+    The associativity sweep builds each basis element once and each pairwise
+    product v_alpha v_beta once, then multiplies out both sides of every
+    triple with gwa_multiply: N^2 + 2 N^3 products for N sweep vectors.  It
+    stops at the first failing triple in (alpha, beta, gamma) order and names
+    it as the witness.  depth must be a positive integer (ValueError), so the
+    sweep is never empty.
     """
+    if not isinstance(depth, int) or depth < 1:
+        raise ValueError("depth must be a positive integer, got %r" % (depth,))
     checks = []
     n = pres.nvars
 
@@ -325,22 +335,19 @@ def verify_presentation(pres: GwaPresentation, depth: int = 3,
             f = tuple(1 if k == j else 0 for k in range(n))
             for u in (pres.basis(e), pres.basis(tuple(-v for v in e))):
                 for v in (pres.basis(f), pres.basis(tuple(-w for w in f))):
-                    record("commute[%d,%d]" % (i, j), u * v == v * u,
-                           render_gwa(u * v))
+                    uv = u * v
+                    record("commute[%d,%d]" % (i, j), uv == v * u,
+                           render_gwa(uv))
 
-    span = range(-depth, depth + 1)
-    if n == 1:
-        triples = [((p,), (q,), (r,)) for p in span for q in span for r in span]
-    else:
-        # bound the coordinate sum for higher rank to keep the sweep small
-        vecs = [v for v in _box(n, depth) if sum(abs(c) for c in v) <= depth]
-        triples = [(a, b, c) for a in vecs for b in vecs for c in vecs]
-    bad = None
-    for a, b, c in triples:
-        va, vb, vc = pres.basis(a), pres.basis(b), pres.basis(c)
-        if (va * vb) * vc != va * (vb * vc):
-            bad = (a, b, c)
-            break
+    # bound the coordinate sum for higher rank to keep the sweep small
+    vecs = [v for v in _box(n, depth) if sum(map(abs, v)) <= depth]
+    basis = [pres.basis(v) for v in vecs]
+    table = [[gwa_multiply(u, v) for v in basis] for u in basis]
+    bad = next(((a, b, c)
+                for a, va, row_a in zip(vecs, basis, table)
+                for b, ab, row_b in zip(vecs, row_a, table)
+                for c, vc, bc in zip(vecs, basis, row_b)
+                if gwa_multiply(ab, vc) != gwa_multiply(va, bc)), None)
     record("associativity(depth=%d)" % depth, bad is None,
            "" if bad is None else "failed at %r" % (bad,))
     return GwaReport(checks)

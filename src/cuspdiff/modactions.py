@@ -432,7 +432,8 @@ def restriction_blocks(shape, window: int):
         raise ArityMismatch("restriction blocks are rank one")
     m = shape.m[0]
     if window <= m + 2:
-        raise ValueError("window too small")
+        raise ValueError("window %d too small: it must exceed m+2 = %d"
+                         % (window, m + 2))
     up1 = delta_op(shape, (1,))
     down1 = delta_op(shape, (-1,))
     mask = cusp_mask(shape)

@@ -18,14 +18,19 @@ from cuspdiff.exprparse import parse_expression
 from cuspdiff.skewlaurent import LaurentOp, render_op
 
 
-def run(capsys, *args):
-    """Invoke the CLI; returns (exit code, stdout)."""
+def run_with_stderr(capsys, *args):
+    """Invoke the CLI; returns (exit code, stdout, stderr)."""
     try:
         code = main(list(args))
     except SystemExit as exc:  # argparse usage failures
         code = exc.code
-    out = capsys.readouterr().out
-    return code, out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run(capsys, *args):
+    """Invoke the CLI; returns (exit code, stdout)."""
+    return run_with_stderr(capsys, *args)[:2]
 
 
 class TestMul:
@@ -189,6 +194,20 @@ class TestGwaVerify:
         code, _ = run(capsys, "gwa-verify", "--m", "2", "--algebra", "DA")
         assert code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--depth", "0"], "--depth must be a positive integer"),
+        (["--depth", "-1"], "--depth must be a positive integer"),
+        (["--pairs", "-3"], "--pairs must be a nonnegative integer"),
+    ])
+    def test_empty_sweep_is_a_usage_error(self, capsys, flags, message):
+        # a nonpositive depth leaves no triple to check, so it cannot pass
+        code, out, err = run_with_stderr(capsys, "gwa-verify", "--m", "2",
+                                         "--algebra", "calA", "--json", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestClassify:
     def test_bbA_text(self, capsys):
@@ -286,6 +305,16 @@ class TestOrbitNormalizeSupport:
             "Aprime exponent blocks under the degree one pair: "
             "(-inf, -1]; {1} u {2}",
         ]
+
+
+    def test_support_rejects_small_window(self, capsys):
+        for window in ("0", "5"):
+            code, out, err = run_with_stderr(capsys, "support", "--m", "3",
+                                             "--window", window)
+            assert code == 2
+            assert out == ""
+            assert "too small: it must exceed m+2 = 5" in err
+            assert "Traceback" not in err
 
 
 class TestUsageErrors:

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspdiff import gwa
 from cuspdiff.cuspops import (bbA_presentation, calA_presentation, delta_op,
                               weyl_presentation)
 from cuspdiff.exactpoly import ArityMismatch, BasePoly, parse_poly
 from cuspdiff.gwa import (Embedding, GwaElement, GwaPresentation,
                           ImagesViolateRelations, NotInImage,
-                          PresentationMismatch, gwa_multiply,
+                          PresentationMismatch, _box, gwa_multiply,
                           presentation_from_json, presentation_to_json,
                           render_gwa, verify_presentation)
 from cuspdiff.skewlaurent import LaurentOp
@@ -216,6 +217,114 @@ class TestVerify:
         report = verify_presentation(pres, depth=2)
         assert report.failures() == []
         assert all(c.ok for c in report.checks)
+
+
+def _reference_associativity(pres, depth):
+    """The plain sweep: four products and three basis builds per triple.
+
+    Returns the first triple (a, b, c) with (v_a v_b) v_c != v_a (v_b v_c),
+    or None.
+    """
+    n = pres.nvars
+    span = range(-depth, depth + 1)
+    if n == 1:
+        triples = [((p,), (q,), (r,)) for p in span for q in span for r in span]
+    else:
+        vecs = [v for v in _box(n, depth) if sum(abs(c) for c in v) <= depth]
+        triples = [(a, b, c) for a in vecs for b in vecs for c in vecs]
+    for a, b, c in triples:
+        va, vb, vc = pres.basis(a), pres.basis(b), pres.basis(c)
+        if (va * vb) * vc != va * (vb * vc):
+            return (a, b, c)
+    return None
+
+
+def _associativity_check(report, depth):
+    name = "associativity(depth=%d)" % depth
+    (check,) = [c for c in report.checks if c.name == name]
+    return check
+
+
+def _sweep_size(n, depth):
+    return sum(1 for v in _box(n, depth) if sum(map(abs, v)) <= depth)
+
+
+def _shifted_pair_coefficient(original):
+    """pair_coefficient with the t range of the n > 0 > m case one too low."""
+    def mutated(self, i, n, m):
+        if n > 0 > m:
+            out = BasePoly.one(self.nvars)
+            for t in range(n - min(n, -m), n):
+                out = out * self.sigma_of_a(i, t)
+            return out
+        return original(self, i, n, m)
+    return mutated
+
+
+_SWEEP_PRESENTATIONS = {
+    "weyl": lambda: weyl()[0],
+    "calA2": lambda: calA_presentation(2)[0],
+    "calA3": lambda: calA_presentation(3)[0],
+    "calA4": lambda: calA_presentation(4)[0],
+    "bbA2": lambda: bbA_presentation(2)[0],
+    "bbA3": lambda: bbA_presentation(3)[0],
+    "bbA4": lambda: bbA_presentation(4)[0],
+    "rank2": _rank_two,
+}
+
+
+class TestAssociativitySweep:
+    """The compute-once sweep against the plain four-product loop."""
+
+    @pytest.mark.parametrize("name, depth", [
+        ("weyl", 3), ("calA2", 3), ("calA3", 3), ("calA4", 3),
+        ("bbA2", 3), ("bbA3", 3), ("bbA4", 3), ("rank2", 2)])
+    @pytest.mark.parametrize("mutated", [False, True])
+    def test_matches_reference(self, name, depth, mutated, monkeypatch):
+        if mutated:
+            monkeypatch.setattr(
+                GwaPresentation, "pair_coefficient",
+                _shifted_pair_coefficient(GwaPresentation.pair_coefficient))
+        pres = _SWEEP_PRESENTATIONS[name]()
+        bad = _reference_associativity(pres, depth)
+        check = _associativity_check(verify_presentation(pres, depth), depth)
+        assert check.ok is (bad is None)
+        assert check.witness == ("" if bad is None else "failed at %r" % (bad,))
+
+    def test_mutated_pair_coefficient_fails_with_witness(self, monkeypatch):
+        monkeypatch.setattr(
+            GwaPresentation, "pair_coefficient",
+            _shifted_pair_coefficient(GwaPresentation.pair_coefficient))
+        pres, _ = calA_presentation(3)
+        check = _associativity_check(verify_presentation(pres, depth=3), 3)
+        assert not check.ok
+        assert check.witness == "failed at ((-3,), (1,), (-3,))"
+
+    @pytest.mark.parametrize("name, depth", [("calA3", 3), ("rank2", 2)])
+    def test_every_triple_is_multiplied_out(self, name, depth, monkeypatch):
+        calls = []
+
+        def counting(u, v):
+            calls.append(1)
+            return gwa_multiply(u, v)
+
+        monkeypatch.setattr(gwa, "gwa_multiply", counting)
+        pres = _SWEEP_PRESENTATIONS[name]()
+        report = verify_presentation(pres, depth)
+        assert report.ok
+        n = pres.nvars
+        samples = 1 + 2 * n
+        # per factor: Y*X, X*Y and four shift products per base sample;
+        # per pair of factors: u*v and v*u for four generator pairs
+        relations = n * (2 + 4 * samples) + 4 * n * (n - 1)
+        size = _sweep_size(n, depth)
+        assert len(calls) == relations + size ** 2 + 2 * size ** 3
+
+    @pytest.mark.parametrize("depth", [0, -1, 1.5, "3"])
+    def test_rejects_depth_that_is_not_positive(self, depth):
+        pres, _ = weyl()
+        with pytest.raises(ValueError):
+            verify_presentation(pres, depth)
 
 
 class TestEmbedding:
