@@ -7,9 +7,8 @@ classification machinery for simple weight modules and normal elements.
 """
 
 from .exactpoly import (ArityMismatch, BasePoly, DivisionByZero, NotDivisible,
-                        PolyParseError, exact_divide, divides, linear_factors,
-                        parse_poly, poly_from_json, poly_to_json,
-                        rational_roots, render_poly)
+                        exact_divide, divides, linear_factors, poly_from_json,
+                        poly_to_json, rational_roots, render_poly)
 from .skewlaurent import (LaurentOp, commutator, op_from_json, op_to_json,
                           render_op, rising_product, vanishing_roots,
                           weyl_decompose, weyl_generators, weyl_membership)
@@ -30,7 +29,7 @@ from .classify import (ClassifiedModule, GammaInterval, InvalidInterval,
                        NotNormal, Orbit, WeightModule, WrongShape,
                        build_weight_module, classify_DA_torsion, classify_bbA,
                        is_normal, less_than, marked_ideals, normalize,
-                       orbit_of, partition_orbit, torsionfree_presentation)
-from .exprparse import ExprParseError, parse_expression
+                       partition_orbit, torsionfree_presentation)
+from .exprparse import ExprParseError, parse_expression, parse_poly
 
 __version__ = "0.1.0"

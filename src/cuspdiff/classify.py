@@ -102,10 +102,6 @@ class Orbit:
         return "Orbit(%s)" % self.rep
 
 
-def orbit_of(root) -> Orbit:
-    return Orbit(root)
-
-
 def _split_roots(p: BasePoly):
     """Rational roots of p; NonlinearFactor when p does not split over Q."""
     roots, cofactor = rational_roots(p)
@@ -126,7 +122,7 @@ def marked_ideals(a: BasePoly):
     roots = sorted(set(_split_roots(a)))
     grouped = {}
     for r in roots:
-        orbit = orbit_of(r)
+        orbit = Orbit(r)
         grouped.setdefault(orbit.rep, []).append(LinMaxIdeal(r))
     return [(Orbit(rep), ideals) for rep, ideals in sorted(grouped.items())]
 
@@ -352,30 +348,42 @@ def classify_bbA(m: int, window: int = 10):
         raise ValueError("classification needs width m >= 2")
     h = BasePoly.variable(1, 0)
     a = h * (h - 1) * (h - m)
-    orbit = orbit_of(0)
-    gammas = partition_orbit(a, orbit)
-    annihilators = [
-        ["h", "delta(1)"],
-        ["delta(-1)", "h-1", "delta(1)"],
-        ["delta(-1)^%d" % (m - 1) if m > 2 else "delta(-1)",
-         "h-%d" % m, "delta(1)"],
-        ["h-%d" % (m + 1), "delta(-1)"],
-    ]
+    gammas = partition_orbit(a, Orbit(0))
     tags = ["Gamma-", "Gamma1", "Gamma(m-1)", "Gamma+"]
-    supports = [
-        WeightSupport(ExponentSet(le=0)),
-        WeightSupport(ExponentSet(points=(1,))),
-        WeightSupport(ExponentSet(points=range(2, m + 1))),
-        WeightSupport(ExponentSet(ge=m + 1)),
-    ]
     entries = []
-    for tag, gamma, ann, supp in zip(tags, gammas, annihilators, supports):
+    for tag, gamma in zip(tags, gammas):
         wm = build_weight_module(a, gamma, 1, window)
+        ann, supp = _bbA_annihilator_and_support(wm)
         entries.append(ClassifiedModule(tag, gamma, ann, wm, supp))
     entries.append(ClassifiedModule(
         "family", None,
         ["h-r for any root r with 0 < r mod 1"], None, None))
     return entries
+
+
+def _bbA_annihilator_and_support(wm: WeightModule):
+    """Annihilator of the anchored weight vector, and the weight support.
+
+    The anchored weight w0 is the top weight, or the bottom one of a right
+    ray, and s = +1 steps from w0 out of the module (s = -1 for a right ray).
+    The vector at w0 is killed by h - w0 and delta(s), and on a finite module
+    of dimension k by delta(-s)^k, the least power of delta(-s) that walks
+    past the far end.
+    """
+    s = -1 if wm.interval.kind == "right_ray" else 1
+    w0 = wm.weights[0] if s == -1 else wm.weights[-1]
+    ann = []
+    if wm.finite:
+        k = len(wm.weights)
+        ann.append("delta(%d)" % -s + ("^%d" % k if k > 1 else ""))
+    ann += [render_poly(BasePoly.variable(1, 0) - w0), "delta(%d)" % s]
+    if wm.interval.kind == "left_ray":
+        roots = ExponentSet(le=w0)
+    elif wm.interval.kind == "right_ray":
+        roots = ExponentSet(ge=w0)
+    else:
+        roots = ExponentSet(points=wm.weights)
+    return ann, WeightSupport(roots)
 
 
 class TorsionClassification:

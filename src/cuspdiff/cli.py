@@ -14,14 +14,14 @@ import json
 from fractions import Fraction
 from random import Random
 
-from .exactpoly import (ArityMismatch, NotDivisible, PolyParseError,
-                        grlex_key, poly_to_json, render_poly)
+from .exactpoly import (ArityMismatch, NotDivisible, grlex_key, poly_to_json,
+                        render_poly)
 from .skewlaurent import LaurentOp, op_to_json, render_op, weyl_membership
 from .cuspops import (as_shape, bbA_presentation, calA_presentation,
                       decompose, delta_op, generating_set, membership, phi,
                       structure_constant, weyl_presentation)
 from .gwa import NotInImage, render_gwa, verify_presentation
-from .exprparse import ExprParseError, parse_expression
+from .exprparse import ExprParseError, parse_expression, parse_poly
 from .modactions import (LaurentVector, NotStable, act, act_on_quotient,
                          cusp_mask, quotient_mask, render_vector,
                          restriction_blocks, stability_check, support)
@@ -390,16 +390,15 @@ def cmd_orbit(args, parser):
     shape = _shape(args, parser)
     if shape.rank != 1:
         parser.error("orbits live over the univariate base; pass one width")
-    op = parse_expression(args.a, shape, "DA")
-    if op.is_zero() or any(alpha != (0,) for alpha in op.components):
+    a = parse_poly(args.a, 1)
+    if a.is_zero():
         parser.error("--a must be a nonzero polynomial in h")
-    a = op.components[(0,)]
     try:
         root = Fraction(args.root)
     except (ValueError, ZeroDivisionError):
         parser.error("--root expects a rational number")
     marked = classify_mod.marked_ideals(a)
-    intervals = classify_mod.partition_orbit(a, classify_mod.orbit_of(root))
+    intervals = classify_mod.partition_orbit(a, classify_mod.Orbit(root))
     if args.json:
         _print_json("orbit", {
             "marked": [{"orbit": str(orb.rep),
@@ -597,7 +596,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, parser)
-    except (ExprParseError, PolyParseError, ArityMismatch,
+    except (ExprParseError, ArityMismatch,
             classify_mod.WrongShape, classify_mod.NonlinearFactor) as exc:
         parser.error(str(exc))
 

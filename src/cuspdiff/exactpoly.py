@@ -330,7 +330,8 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
     while rem:
         exp = max(rem, key=grlex_key)
         if any(a < b for a, b in zip(exp, qlead)):
-            raise NotDivisible("%r does not divide %r" % (q, p))
+            raise NotDivisible("%s does not divide %s"
+                               % (render_poly(q), render_poly(p)))
         t = tuple(a - b for a, b in zip(exp, qlead))
         c = _div_coef(rem[exp], qc)
         quot[t] = quot.get(t, 0) + c
@@ -510,160 +511,6 @@ def render_poly(p: BasePoly) -> str:
         else:
             chunks.append(("-" if negative else "+") + body)
     return "".join(chunks)
-
-
-class PolyParseError(ValueError):
-    """Raised with a position when polynomial text cannot be parsed."""
-
-
-def parse_poly(text: str, nvars: int | None = None) -> BasePoly:
-    """Parse the canonical polynomial text form.
-
-    Accepts sums of terms c*h1^e1*...*hn^en with rational coefficients p/q,
-    the alias h for h1, and optional whitespace.  The arity is inferred from
-    the highest variable index unless nvars is given.
-    """
-    tokens = _tokenize_poly(text)
-    parser = _PolyParser(tokens, text)
-    raw_terms = parser.parse_sum()
-    parser.expect_end()
-    max_index = 1
-    for factors, _ in raw_terms:
-        for idx, _ in factors:
-            max_index = max(max_index, idx)
-    if nvars is None:
-        nvars = max_index
-    elif max_index > nvars:
-        raise PolyParseError("variable h%d out of range for nvars=%d"
-                             % (max_index, nvars))
-    terms = {}
-    for factors, coef in raw_terms:
-        exp = [0] * nvars
-        for idx, e in factors:
-            exp[idx - 1] += e
-        key = tuple(exp)
-        terms[key] = terms.get(key, 0) + coef
-    return BasePoly(nvars, terms)
-
-
-def _tokenize_poly(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^/":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "h":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            idx = int(text[i + 1:j]) if j > i + 1 else 1
-            if idx == 0:
-                raise PolyParseError("variable index 0 at position %d; "
-                                     "variables are h1..hn" % i)
-            tokens.append(("var", idx, i))
-            i = j
-            continue
-        raise PolyParseError("unexpected character %r at position %d" % (ch, i))
-    return tokens
-
-
-class _PolyParser:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_end(self):
-        kind, _, at = self.peek()
-        if kind is not None:
-            raise PolyParseError("unexpected token at position %d" % at)
-
-    def parse_sum(self):
-        terms = []
-        sign = 1
-        kind, _, _ = self.peek()
-        if kind == "-":
-            self.next()
-            sign = -1
-        elif kind == "+":
-            self.next()
-        terms.append(self.parse_term(sign))
-        while True:
-            kind, _, _ = self.peek()
-            if kind == "+":
-                self.next()
-                terms.append(self.parse_term(1))
-            elif kind == "-":
-                self.next()
-                terms.append(self.parse_term(-1))
-            else:
-                return terms
-
-    def parse_term(self, sign):
-        factors = []
-        coef = Fraction(sign)
-        while True:
-            kind, value, at = self.peek()
-            if kind == "int":
-                self.next()
-                num = value
-                if self.peek()[0] == "/":
-                    self.next()
-                    dkind, dval, dat = self.next()
-                    if dkind != "int" or dval == 0:
-                        raise PolyParseError("bad denominator at position %d" % dat)
-                    coef *= Fraction(num, dval)
-                else:
-                    coef *= num
-            elif kind == "var":
-                self.next()
-                e = 1
-                if self.peek()[0] == "^":
-                    self.next()
-                    e = self._parse_int_exponent()
-                if e < 0:
-                    raise PolyParseError(
-                        "negative exponent on h at position %d" % at)
-                factors.append((value, e))
-            else:
-                raise PolyParseError("expected a factor at position %d" % at)
-            if self.peek()[0] == "*":
-                self.next()
-                continue
-            break
-        c = coef.numerator if coef.denominator == 1 else coef
-        return factors, c
-
-    def _parse_int_exponent(self):
-        sign = 1
-        kind, value, at = self.next()
-        if kind == "-":
-            sign = -1
-            kind, value, at = self.next()
-        if kind != "int":
-            raise PolyParseError("expected an integer exponent at position %d" % at)
-        return sign * value
 
 
 def poly_to_json(p: BasePoly) -> dict:

@@ -17,12 +17,16 @@ Rationals are written p or p/q.  h and x may carry a trailing factor index
 on x atoms.  delta and w take a degree (w degrees are negative), d takes a
 factor index, and X/Y are the distinguished generator pair of the selected
 algebra, unavailable in the plain operator ring context.
+
+parse_poly reads base polynomials (the render_poly text form) with the same
+grammar and rejects any term of nonzero degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .exactpoly import BasePoly
 from .skewlaurent import LaurentOp
 from .cuspops import as_shape, delta_op, w_minus
 
@@ -271,3 +275,20 @@ def parse_expression(text: str, shape, algebra: str = "DA") -> LaurentOp:
     if algebra not in ("DA", "bbA", "calA", "weyl"):
         raise ValueError("unknown algebra tag %r" % algebra)
     return _ExprParser(text, shape, algebra).parse()
+
+
+def parse_poly(text: str, nvars: int = 1) -> BasePoly:
+    """Parse a base polynomial in h (h1..hn when nvars > 1).
+
+    The text is read as an operator expression over nvars factors in the
+    plain operator ring context; ExprParseError is raised unless every term
+    has degree zero.
+    """
+    op = parse_expression(text, (1,) * nvars)
+    zero = (0,) * nvars
+    for alpha in op.components:
+        if alpha != zero:
+            raise ExprParseError("%r is not a polynomial in h: it has a term "
+                                 "of degree %s"
+                                 % (text, ",".join(map(str, alpha))))
+    return op.components.get(zero, BasePoly.zero(nvars))

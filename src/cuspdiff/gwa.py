@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import add
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
-                        exact_divide, grlex_key, parse_poly, render_poly)
+                        exact_divide, grlex_key, render_poly)
 from .skewlaurent import LaurentOp
 
 
@@ -529,6 +529,8 @@ def presentation_to_json(pres: GwaPresentation) -> dict:
 
 
 def presentation_from_json(data: dict) -> GwaPresentation:
+    # imported here: exprparse imports cuspops, which imports this module
+    from .exprparse import parse_poly
     rank = int(data["rank"])
     a = [parse_poly(text, nvars=rank) for text in data["a"]]
     return GwaPresentation(a, data["steps"])

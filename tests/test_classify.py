@@ -2,20 +2,22 @@
 order, normal elements, and normalization."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from cuspdiff.classify import (INFINITE, GammaInterval, InvalidInterval,
-                               LinMaxIdeal, NonlinearFactor, NotNormal,
-                               Orbit, WrongShape, build_weight_module,
-                               classify_DA_torsion, classify_bbA, is_normal,
-                               less_than, marked_ideals,
-                               normalization_shift, normalize, orbit_of,
+from cuspdiff.classify import (INFINITE, ClassifiedModule, GammaInterval,
+                               InvalidInterval, LinMaxIdeal, NonlinearFactor,
+                               NotNormal, Orbit, WrongShape,
+                               build_weight_module, classify_DA_torsion,
+                               classify_bbA, is_normal, less_than,
+                               marked_ideals, normalization_shift, normalize,
                                partition_orbit, torsionfree_presentation)
 from cuspdiff.classify import _least_shift, _roots_less
 from cuspdiff.cuspops import bbA_presentation, calA_presentation
-from cuspdiff.exactpoly import BasePoly, parse_poly
+from cuspdiff.exactpoly import BasePoly
+from cuspdiff.exprparse import parse_poly
 from cuspdiff.gwa import GwaElement
 from cuspdiff.modactions import ExponentSet, WeightSupport
 
@@ -33,19 +35,19 @@ def bba_element(m, coords):
 
 class TestOrbits:
     def test_rep_is_fractional_part(self):
-        assert orbit_of(5).rep == 0
-        assert orbit_of(-3).rep == 0
-        assert orbit_of(Fraction(7, 2)).rep == Fraction(1, 2)
-        assert orbit_of(Fraction(-1, 3)).rep == Fraction(2, 3)
+        assert Orbit(5).rep == 0
+        assert Orbit(-3).rep == 0
+        assert Orbit(Fraction(7, 2)).rep == Fraction(1, 2)
+        assert Orbit(Fraction(-1, 3)).rep == Fraction(2, 3)
 
     def test_contains(self):
-        orb = orbit_of(Fraction(1, 2))
+        orb = Orbit(Fraction(1, 2))
         assert orb.contains_root(Fraction(5, 2))
         assert not orb.contains_root(2)
 
     def test_equality(self):
-        assert orbit_of(2) == orbit_of(-7)
-        assert orbit_of(Fraction(1, 2)) != orbit_of(0)
+        assert Orbit(2) == Orbit(-7)
+        assert Orbit(Fraction(1, 2)) != Orbit(0)
 
 
 class TestMarkedIdeals:
@@ -53,7 +55,7 @@ class TestMarkedIdeals:
         marked = marked_ideals(H * (H - 1) * (H - 4))
         assert len(marked) == 1
         orb, ideals = marked[0]
-        assert orb == orbit_of(0)
+        assert orb == Orbit(0)
         assert [i.root for i in ideals] == [0, 1, 4]
 
     def test_two_orbits_sorted_by_rep(self):
@@ -80,7 +82,7 @@ class TestMarkedIdeals:
 class TestPartition:
     def test_three_marks_make_four_pieces(self):
         a = H * (H - 1) * (H - 4)
-        pieces = partition_orbit(a, orbit_of(0))
+        pieces = partition_orbit(a, Orbit(0))
         assert [g.kind for g in pieces] == ["left_ray", "half_open",
                                            "half_open", "right_ray"]
         assert pieces[0].upper.root == 0
@@ -90,18 +92,18 @@ class TestPartition:
 
     def test_unmarked_orbit_stays_whole(self):
         a = p("2*h-1")
-        pieces = partition_orbit(a, orbit_of(0))
+        pieces = partition_orbit(a, Orbit(0))
         assert len(pieces) == 1 and pieces[0].kind == "full"
 
     def test_disjoint_cover(self):
         a = H * (H - 1) * (H - 4)
-        pieces = partition_orbit(a, orbit_of(0))
+        pieces = partition_orbit(a, Orbit(0))
         for r in range(-20, 21):
             assert sum(g.contains_root(r) for g in pieces) == 1
 
     def test_render(self):
         a = H * (H - 1)
-        pieces = partition_orbit(a, orbit_of(0))
+        pieces = partition_orbit(a, Orbit(0))
         assert pieces[1].render() == "((h), (h-1)]"
         assert pieces[0].render() == "(-inf, (h)]"
         assert pieces[2].render() == "((h-1), +inf)"
@@ -110,33 +112,33 @@ class TestPartition:
 class TestIntervalValidation:
     def test_full_takes_no_anchors(self):
         with pytest.raises(InvalidInterval):
-            GammaInterval("full", orbit_of(0), upper=LinMaxIdeal(0))
+            GammaInterval("full", Orbit(0), upper=LinMaxIdeal(0))
 
     def test_rays_need_their_anchor(self):
         with pytest.raises(InvalidInterval):
-            GammaInterval("left_ray", orbit_of(0))
+            GammaInterval("left_ray", Orbit(0))
         with pytest.raises(InvalidInterval):
-            GammaInterval("right_ray", orbit_of(0), upper=LinMaxIdeal(1))
+            GammaInterval("right_ray", Orbit(0), upper=LinMaxIdeal(1))
 
     def test_half_open_order(self):
         with pytest.raises(InvalidInterval):
-            GammaInterval("half_open", orbit_of(0), lower=LinMaxIdeal(2),
+            GammaInterval("half_open", Orbit(0), lower=LinMaxIdeal(2),
                           upper=LinMaxIdeal(1))
 
     def test_anchor_must_lie_in_orbit(self):
         with pytest.raises(InvalidInterval):
-            GammaInterval("left_ray", orbit_of(0),
+            GammaInterval("left_ray", Orbit(0),
                           upper=LinMaxIdeal(Fraction(1, 2)))
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidInterval):
-            GammaInterval("open", orbit_of(0))
+            GammaInterval("open", Orbit(0))
 
 
 class TestWeightModules:
     def setup_method(self):
         self.a = H * (H - 1) * (H - 4)
-        self.pieces = partition_orbit(self.a, orbit_of(0))
+        self.pieces = partition_orbit(self.a, Orbit(0))
 
     def test_half_open_dimensions(self):
         wm1 = build_weight_module(self.a, self.pieces[1], 1)
@@ -171,9 +173,39 @@ class TestWeightModules:
 
     def test_step_two(self):
         a2 = H * (H - 4)
-        pieces = partition_orbit(a2, orbit_of(0))
+        pieces = partition_orbit(a2, Orbit(0))
         wm = build_weight_module(a2, pieces[1], 2)
         assert wm.weights == (2, 4)
+
+
+def _reference_bbA_table(m):
+    """The bbA annihilators and supports as typed by hand, kept as an oracle."""
+    annihilators = [
+        ["h", "delta(1)"],
+        ["delta(-1)", "h-1", "delta(1)"],
+        ["delta(-1)^%d" % (m - 1) if m > 2 else "delta(-1)",
+         "h-%d" % m, "delta(1)"],
+        ["h-%d" % (m + 1), "delta(-1)"],
+    ]
+    supports = [
+        WeightSupport(ExponentSet(le=0)),
+        WeightSupport(ExponentSet(points=(1,))),
+        WeightSupport(ExponentSet(points=range(2, m + 1))),
+        WeightSupport(ExponentSet(ge=m + 1)),
+    ]
+    return annihilators, supports
+
+
+_DELTA = re.compile(r"delta\((-?1)\)(?:\^(\d+))?$")
+
+
+def _walk(wm, lam, t, k):
+    """Product of the delta(t) scalars along k steps from the weight lam."""
+    prod = 1
+    for _ in range(k):
+        prod *= wm.up_scalar(lam) if t == 1 else wm.down_scalar(lam)
+        lam += t
+    return prod
 
 
 class TestClassifyBbA:
@@ -224,6 +256,41 @@ class TestClassifyBbA:
     def test_width_guard(self):
         with pytest.raises(ValueError):
             classify_bbA(1)
+
+    def test_matches_hand_typed_table(self):
+        for m in range(2, 13):
+            entries = classify_bbA(m)
+            annihilators, supports = _reference_bbA_table(m)
+            for e, ann, supp in zip(entries, annihilators, supports):
+                want = ClassifiedModule(e.tag, e.interval, ann, e.module, supp)
+                assert e.to_json() == want.to_json()
+
+    def test_annihilators_kill_the_anchored_vector(self):
+        # read each generator back and act with it in the weight model
+        for m in range(2, 13):
+            for e in classify_bbA(m)[:4]:
+                wm = e.module
+                polys = [g for g in e.annihilator if not g.startswith("delta")]
+                assert len(polys) == 1
+                g = parse_poly(polys[0])
+                w0 = -g.eval([0])
+                assert g == H - w0 and g.eval([w0]) == 0
+                assert w0 in (wm.weights[0], wm.weights[-1])
+                deltas = [_DELTA.match(d) for d in e.annihilator
+                          if d.startswith("delta")]
+                assert all(deltas)
+                steps = {int(d.group(1)): int(d.group(2) or 1) for d in deltas}
+                assert len(steps) == len(deltas) == (2 if wm.finite else 1)
+                for t, k in steps.items():
+                    assert _walk(wm, w0, t, k) == 0
+                    assert _walk(wm, w0, t, k - 1) != 0
+
+    def test_supports_are_the_interval_roots(self):
+        for m in range(2, 13):
+            for e in classify_bbA(m)[:4]:
+                window = range(-3 * m - 5, 4 * m + 6)
+                assert e.support.window(window[0], window[-1]) == [
+                    k for k in window if e.interval.contains_root(k)]
 
 
 class TestClassifyTorsion:

@@ -114,8 +114,13 @@ class TestDecomposeAct:
         assert out.splitlines() == ["1: h", "-2: 3"]
 
     def test_decompose_outsider(self, capsys):
-        code, _ = run(capsys, "decompose", "--m", "2", "x")
+        code, out = run(capsys, "decompose", "--m", "2", "x")
         assert code == 1
+        assert out == "not in the operator ring: h-2 does not divide 1\n"
+        code, out = run(capsys, "decompose", "--m", "2", "--json", "x")
+        assert code == 1
+        assert json.loads(out)["error"] == "h-2 does not divide 1"
+        assert "BasePoly(" not in out
 
     def test_act(self, capsys):
         code, out = run(capsys, "act", "--m", "2", "d(1)", "x^2")
@@ -256,6 +261,14 @@ class TestOrbitNormalizeSupport:
     def test_orbit_rejects_nonsplit(self, capsys):
         code, _ = run(capsys, "orbit", "--a", "h^2+1")
         assert code == 2
+
+    def test_orbit_rejects_zero_and_non_polynomials(self, capsys):
+        for text, message in (("0", "nonzero polynomial"),
+                              ("x", "not a polynomial"),
+                              ("d(1)", "not a polynomial")):
+            code, out, err = run_with_stderr(capsys, "orbit", "--a", text)
+            assert code == 2 and out == ""
+            assert message in err and "Traceback" not in err
 
     def test_normalize(self, capsys):
         code, out = run(capsys, "normalize", "--m", "2", "--algebra", "bbA",

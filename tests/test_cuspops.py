@@ -12,7 +12,8 @@ from cuspdiff.cuspops import (CuspShape, a1_membership, as_shape,
                               generating_set, gwa_A_generators, membership,
                               phi, phi_multi, structure_constant, w_basis,
                               w_minus, weyl_presentation)
-from cuspdiff.exactpoly import BasePoly, NotDivisible, parse_poly
+from cuspdiff.exactpoly import BasePoly, NotDivisible
+from cuspdiff.exprparse import parse_poly
 from cuspdiff.gwa import verify_presentation
 from cuspdiff.skewlaurent import (LaurentOp, commutator, rising_product,
                                   vanishing_roots, weyl_membership)

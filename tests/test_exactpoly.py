@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspdiff.exactpoly import (ArityMismatch, BasePoly, DivisionByZero,
-                                NotDivisible, PolyParseError, divides,
-                                exact_divide, grlex_key, linear_factors,
-                                parse_poly, poly_from_json, poly_to_json,
-                                rational_roots, render_poly)
+                                NotDivisible, divides, exact_divide,
+                                grlex_key, linear_factors, poly_from_json,
+                                poly_to_json, rational_roots, render_poly)
+from cuspdiff.exprparse import parse_poly
 
 H = BasePoly.variable(1, 0)
 
@@ -355,35 +355,6 @@ class TestTextForm:
     def test_multivariate_rendering_uses_graded_order(self):
         h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
         assert render_poly(h1 * h2 + h1 + 1) == "h1*h2+h1+1"
-
-    def test_parse_known(self):
-        assert parse_poly("h^2-3*h+2") == (H - 1) * (H - 2)
-        assert parse_poly("-h+1/2") == -H + Fraction(1, 2)
-        assert parse_poly("h1*h2+1", nvars=2) == \
-            BasePoly.variable(2, 0) * BasePoly.variable(2, 1) + 1
-
-    def test_parse_error_carries_position(self):
-        with pytest.raises(PolyParseError) as err:
-            parse_poly("h^")
-        assert "position" in str(err.value)
-
-    def test_parse_rejects_variable_index_zero(self):
-        # variables are h1..hn; h0 must not wrap around to the last one
-        for text, nvars, at in (("h0", None, 0), ("h0+h1", 2, 0),
-                                ("2*h1*h0^2", 2, 5)):
-            with pytest.raises(PolyParseError) as err:
-                parse_poly(text, nvars=nvars)
-            assert "position %d" % at in str(err.value)
-
-    @given(polys())
-    @settings(max_examples=80, deadline=None)
-    def test_roundtrip(self, p):
-        assert parse_poly(render_poly(p), nvars=1) == p
-
-    @given(polys(nvars=2, maxdeg=3))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_rank_two(self, p):
-        assert parse_poly(render_poly(p), nvars=2) == p
 
 
 class TestJson:

@@ -1,13 +1,15 @@
 """Expression parser: atoms, precedence, noncommutative order, error positions,
-algebra-specific generator pairs, round trips through the renderer."""
+algebra-specific generator pairs, round trips through the renderer, and base
+polynomials read with the same grammar."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspdiff.cuspops import delta_op, w_minus
-from cuspdiff.exactpoly import BasePoly
-from cuspdiff.exprparse import ExprParseError, parse_expression
+from cuspdiff.exactpoly import BasePoly, render_poly
+from cuspdiff.exprparse import ExprParseError, parse_expression, parse_poly
 from cuspdiff.skewlaurent import LaurentOp, render_op
 
 H = BasePoly.variable(1, 0)
@@ -190,3 +192,63 @@ class TestRoundTrip:
         u = (delta_op((2, 3), (1, -2)) * 2
              + LaurentOp.monomial(2, (0, 1), BasePoly.variable(2, 0)))
         assert parse(render_op(u), (2, 3)) == u
+
+
+coeffs = st.one_of(st.integers(min_value=-9, max_value=9),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=4))
+
+
+@st.composite
+def polys(draw, nvars, maxdeg):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        exp = tuple(draw(st.integers(min_value=0, max_value=maxdeg))
+                    for _ in range(nvars))
+        terms[exp] = draw(coeffs)
+    return BasePoly(nvars, terms)
+
+
+def typed_terms(p):
+    return {exp: (type(c), c) for exp, c in p.terms.items()}
+
+
+class TestParsePoly:
+    def test_parse_known(self):
+        assert parse_poly("h^2-3*h+2") == (H - 1) * (H - 2)
+        assert parse_poly("-h+1/2") == -H + Fraction(1, 2)
+        assert parse_poly("h1*h2+1", nvars=2) == \
+            BasePoly.variable(2, 0) * BasePoly.variable(2, 1) + 1
+        assert parse_poly("0") == BasePoly.zero(1)
+        assert parse_poly("0", nvars=2) == BasePoly.zero(2)
+
+    def test_parse_error_carries_position(self):
+        with pytest.raises(ExprParseError) as err:
+            parse_poly("h^")
+        assert "position" in str(err.value)
+
+    def test_parse_rejects_variable_index_zero(self):
+        # variables are h1..hn; h0 must not wrap around to the last one
+        for text, nvars, at in (("h0", 1, 0), ("h0+h1", 2, 0),
+                                ("2*h1*h0^2", 2, 5)):
+            with pytest.raises(ExprParseError) as err:
+                parse_poly(text, nvars=nvars)
+            assert "position %d" % at in str(err.value)
+
+    def test_rejects_terms_of_nonzero_degree(self):
+        for text in ("x", "d(1)", "delta(1)", "x^-1"):
+            with pytest.raises(ExprParseError, match="not a polynomial"):
+                parse_poly(text)
+        with pytest.raises(ExprParseError, match="not a polynomial"):
+            parse_poly("h1+x2", nvars=2)
+
+    @given(polys(nvars=1, maxdeg=4))
+    @settings(max_examples=80, deadline=None)
+    def test_roundtrip(self, p):
+        q = parse_poly(render_poly(p), nvars=1)
+        assert q == p and typed_terms(q) == typed_terms(p)
+
+    @given(polys(nvars=2, maxdeg=3))
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_rank_two(self, p):
+        q = parse_poly(render_poly(p), nvars=2)
+        assert q == p and typed_terms(q) == typed_terms(p)
