@@ -3,14 +3,17 @@
 Every subcommand takes --m (comma separated factor widths), --algebra,
 --json, --window and --seed.  Exit status is 0 for successful queries, 1
 when a requested check fails (membership, stability, relation or round trip
-verification), and 2 for usage or parse errors.  Output is deterministic:
-iteration is sorted and randomness is seeded.
+verification) or stdout is closed before the output is written, and 2 for
+usage or parse errors.  Output is deterministic: iteration is sorted and
+randomness is seeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -595,10 +598,17 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
     except (ExprParseError, ArityMismatch,
             classify_mod.WrongShape, classify_mod.NonlinearFactor) as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

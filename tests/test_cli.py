@@ -343,6 +343,22 @@ class TestUsageErrors:
         code, _ = run(capsys, "phi", "--m", "zero", "1")
         assert code == 2
 
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # about 240 kB of JSON: more than a pipe buffer, so the write itself
+        # meets the closed pipe, as in `cuspdiff mul ... | head -c 20`
+        src = Path(cuspdiff.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cuspdiff", "mul", "--m", "2", "--json",
+             "w(-300)"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(20) == b'{"command": "mul", "'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err
+        assert b"BrokenPipeError" not in err
+
 
 class TestDeterminismCorpus:
     def test_render_parse_round_trip_corpus(self, capsys):

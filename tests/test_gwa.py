@@ -245,20 +245,51 @@ def _associativity_check(report, depth):
     return check
 
 
-def _sweep_size(n, depth):
-    return sum(1 for v in _box(n, depth) if sum(map(abs, v)) <= depth)
-
-
-def _shifted_pair_coefficient(original):
-    """pair_coefficient with the t range of the n > 0 > m case one too low."""
+def _shifted_pair_coefficient(original, factor=None):
+    """pair_coefficient with the t range of the n > 0 > m case one too low,
+    on every factor or only on the given one."""
     def mutated(self, i, n, m):
-        if n > 0 > m:
+        if n > 0 > m and factor in (None, i):
             out = BasePoly.one(self.nvars)
             for t in range(n - min(n, -m), n):
                 out = out * self.sigma_of_a(i, t)
             return out
         return original(self, i, n, m)
     return mutated
+
+
+def _raised_pair_coefficient(original):
+    """pair_coefficient with the t range of the n < 0 < m case one too high."""
+    def mutated(self, i, n, m):
+        if n < 0 < m:
+            out = BasePoly.one(self.nvars)
+            for t in range(n + 2, n + min(-n, m) + 2):
+                out = out * self.sigma_of_a(i, t)
+            return out
+        return original(self, i, n, m)
+    return mutated
+
+
+_MUTATIONS = {
+    "shifted": _shifted_pair_coefficient,
+    "shifted_factor0": lambda f: _shifted_pair_coefficient(f, factor=0),
+    "shifted_factor1": lambda f: _shifted_pair_coefficient(f, factor=1),
+    "raised": _raised_pair_coefficient,
+}
+
+
+def _mutate(monkeypatch, mutation):
+    monkeypatch.setattr(
+        GwaPresentation, "pair_coefficient",
+        _MUTATIONS[mutation](GwaPresentation.pair_coefficient))
+
+
+def _assert_matches_reference(pres, depth):
+    bad = _reference_associativity(pres, depth)
+    check = _associativity_check(verify_presentation(pres, depth), depth)
+    assert check.ok is (bad is None)
+    assert check.witness == ("" if bad is None else "failed at %r" % (bad,))
+    return check
 
 
 _SWEEP_PRESENTATIONS = {
@@ -270,35 +301,58 @@ _SWEEP_PRESENTATIONS = {
     "bbA3": lambda: bbA_presentation(3)[0],
     "bbA4": lambda: bbA_presentation(4)[0],
     "rank2": _rank_two,
+    "calA23": lambda: calA_presentation((2, 3))[0],
+    "bbA23": lambda: bbA_presentation((2, 3))[0],
 }
 
 
 class TestAssociativitySweep:
-    """The compute-once sweep against the plain four-product loop."""
+    """The per-factor sweep against the plain four-product loop over every
+    triple of the whole sweep."""
 
     @pytest.mark.parametrize("name, depth", [
         ("weyl", 3), ("calA2", 3), ("calA3", 3), ("calA4", 3),
-        ("bbA2", 3), ("bbA3", 3), ("bbA4", 3), ("rank2", 2)])
+        ("bbA2", 3), ("bbA3", 3), ("bbA4", 3), ("rank2", 2),
+        ("calA23", 3), ("bbA23", 3)])
     @pytest.mark.parametrize("mutated", [False, True])
     def test_matches_reference(self, name, depth, mutated, monkeypatch):
         if mutated:
-            monkeypatch.setattr(
-                GwaPresentation, "pair_coefficient",
-                _shifted_pair_coefficient(GwaPresentation.pair_coefficient))
-        pres = _SWEEP_PRESENTATIONS[name]()
-        bad = _reference_associativity(pres, depth)
-        check = _associativity_check(verify_presentation(pres, depth), depth)
-        assert check.ok is (bad is None)
-        assert check.witness == ("" if bad is None else "failed at %r" % (bad,))
+            _mutate(monkeypatch, "shifted")
+        _assert_matches_reference(_SWEEP_PRESENTATIONS[name](), depth)
+
+    @pytest.mark.parametrize("name, depth", [
+        ("rank2", 2), ("calA23", 3), ("bbA23", 3)])
+    @pytest.mark.parametrize("mutation", ["shifted_factor0", "shifted_factor1"])
+    def test_one_factor_mutation_matches_reference(self, name, depth, mutation,
+                                                   monkeypatch):
+        _mutate(monkeypatch, mutation)
+        assert not _assert_matches_reference(
+            _SWEEP_PRESENTATIONS[name](), depth).ok
+
+    @pytest.mark.parametrize("name, depth", [
+        ("weyl", 3), ("calA3", 3), ("bbA3", 3), ("rank2", 2),
+        ("calA23", 3), ("bbA23", 3)])
+    def test_other_range_mutation_matches_reference(self, name, depth,
+                                                    monkeypatch):
+        _mutate(monkeypatch, "raised")
+        assert not _assert_matches_reference(
+            _SWEEP_PRESENTATIONS[name](), depth).ok
 
     def test_mutated_pair_coefficient_fails_with_witness(self, monkeypatch):
-        monkeypatch.setattr(
-            GwaPresentation, "pair_coefficient",
-            _shifted_pair_coefficient(GwaPresentation.pair_coefficient))
+        _mutate(monkeypatch, "shifted")
         pres, _ = calA_presentation(3)
         check = _associativity_check(verify_presentation(pres, depth=3), 3)
         assert not check.ok
         assert check.witness == "failed at ((-3,), (1,), (-3,))"
+
+    def test_second_factor_mutation_names_a_whole_triple(self, monkeypatch):
+        # the failing triple of factor 1 first shows up next to a nonzero
+        # coordinate of factor 0, and the witness is that whole triple
+        _mutate(monkeypatch, "shifted_factor1")
+        pres, _ = calA_presentation((2, 3))
+        check = _associativity_check(verify_presentation(pres, depth=3), 3)
+        assert not check.ok
+        assert check.witness == "failed at ((-2, -1), (-2, 1), (-2, -1))"
 
     @pytest.mark.parametrize("name, depth", [("calA3", 3), ("rank2", 2)])
     def test_every_triple_is_multiplied_out(self, name, depth, monkeypatch):
@@ -317,8 +371,10 @@ class TestAssociativitySweep:
         # per factor: Y*X, X*Y and four shift products per base sample;
         # per pair of factors: u*v and v*u for four generator pairs
         relations = n * (2 + 4 * samples) + 4 * n * (n - 1)
-        size = _sweep_size(n, depth)
-        assert len(calls) == relations + size ** 2 + 2 * size ** 3
+        # per factor: the pair table and both sides of every triple of the
+        # 2 depth + 1 vectors k e_i
+        n1 = 2 * depth + 1
+        assert len(calls) == relations + n * (n1 ** 2 + 2 * n1 ** 3)
 
     @pytest.mark.parametrize("depth", [0, -1, 1.5, "3"])
     def test_rejects_depth_that_is_not_positive(self, depth):
@@ -351,6 +407,21 @@ class TestEmbedding:
                 v = _random_gwa(pres, rng)
                 assert emb.apply(gwa_multiply(u, v)) == emb.apply(u) * emb.apply(v)
 
+    def test_homomorphism_property_rank_two_seeded(self):
+        # verify_presentation sweeps one factor at a time, so products whose
+        # coordinates mix factors are checked here, against the Laurent model
+        rng = random.Random(23)
+        mixed = 0
+        for maker in (calA_presentation, bbA_presentation):
+            pres, emb = maker((2, 3))
+            for _ in range(25):
+                u = _random_gwa(pres, rng)
+                v = _random_gwa(pres, rng)
+                mixed += any(all(alpha) for alpha in u.coords) and \
+                    any(all(beta) for beta in v.coords)
+                assert emb.apply(gwa_multiply(u, v)) == emb.apply(u) * emb.apply(v)
+        assert mixed >= 25
+
     def test_pullback_round_trip(self):
         rng = random.Random(11)
         pres, emb = bbA_presentation(3)
@@ -373,11 +444,12 @@ class TestEmbedding:
 
 
 def _random_gwa(pres, rng):
+    n = pres.nvars
     coords = {}
     for _ in range(rng.randint(1, 3)):
-        deg = rng.randint(-3, 3)
-        poly = BasePoly(1, {(rng.randint(0, 2),): rng.randint(-4, 4)})
-        coords[(deg,)] = poly
+        deg = tuple(rng.randint(-3, 3) for _ in range(n))
+        exp = tuple(rng.randint(0, 2) for _ in range(n))
+        coords[deg] = BasePoly(n, {exp: rng.randint(-4, 4)})
     return GwaElement(pres, coords)
 
 
