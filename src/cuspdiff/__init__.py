@@ -9,13 +9,13 @@ classification machinery for simple weight modules and normal elements.
 from .exactpoly import (ArityMismatch, BasePoly, DivisionByZero, NotDivisible,
                         exact_divide, divides, linear_factors, poly_from_json,
                         poly_to_json, rational_roots, render_poly)
-from .skewlaurent import (LaurentOp, commutator, op_from_json, op_to_json,
-                          render_op, rising_product, vanishing_roots,
-                          weyl_decompose, weyl_generators, weyl_membership)
+from .skewlaurent import (LaurentOp, commutator, graded_divisor, op_from_json,
+                          op_to_json, render_op, vanishing_roots,
+                          weyl_decompose, weyl_membership)
 from .cuspops import (CuspShape, StructureRelation, a1_membership, as_shape,
-                      bbA_generators, bbA_presentation, calA_presentation,
-                      decompose, delta_op, generating_set, gwa_A_generators,
-                      membership, phi, phi_multi, structure_constant, w_basis,
+                      bbA_presentation, calA_presentation, decompose, delta_op,
+                      generating_set, generator_pair, membership, phi,
+                      phi_multi, presentation, structure_constant, w_basis,
                       w_minus, weyl_presentation)
 from .gwa import (Embedding, GwaElement, GwaPresentation, GwaReport,
                   ImagesViolateRelations, NotInImage, PresentationMismatch,

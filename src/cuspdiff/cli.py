@@ -20,9 +20,8 @@ from random import Random
 from .exactpoly import (ArityMismatch, NotDivisible, grlex_key, poly_to_json,
                         render_poly)
 from .skewlaurent import LaurentOp, op_to_json, render_op, weyl_membership
-from .cuspops import (as_shape, bbA_presentation, calA_presentation,
-                      decompose, delta_op, generating_set, membership, phi,
-                      structure_constant, weyl_presentation)
+from .cuspops import (as_shape, decompose, delta_op, generating_set,
+                      membership, phi, presentation, structure_constant)
 from .gwa import NotInImage, render_gwa, verify_presentation
 from .exprparse import ExprParseError, parse_expression, parse_poly
 from .modactions import (LaurentVector, NotStable, act, act_on_quotient,
@@ -57,16 +56,6 @@ def _fmt_degree(alpha) -> str:
     if len(alpha) == 1:
         return str(alpha[0])
     return "(" + ",".join(str(v) for v in alpha) + ")"
-
-
-def _presentation(shape, algebra):
-    if algebra == "calA":
-        return calA_presentation(shape)
-    if algebra == "bbA":
-        return bbA_presentation(shape)
-    if algebra == "weyl":
-        return weyl_presentation(shape.rank)
-    raise ValueError("no canonical presentation for algebra %r" % algebra)
 
 
 def _render_expset(es) -> str:
@@ -115,7 +104,10 @@ def cmd_member(args, parser):
         ok = weyl_membership(u)
         where = "the Weyl algebra"
     else:
-        _, emb = _presentation(shape, args.algebra)
+        try:
+            _, emb = presentation(shape, args.algebra)
+        except ValueError as exc:
+            parser.error(str(exc))
         try:
             emb.pullback(u)
             ok = True
@@ -209,7 +201,7 @@ def cmd_act(args, parser):
             if args.json:
                 _print_json("act", {"error": str(exc)})
             else:
-                print("quotient action undefined: %s" % exc)
+                print(exc)
             return 1
     else:
         out = act(u, vec)
@@ -321,7 +313,7 @@ def cmd_gwa_verify(args, parser):
     if args.algebra == "DA":
         parser.error("gwa-verify needs --algebra bbA, calA or weyl")
     try:
-        pres, emb = _presentation(shape, args.algebra)
+        pres, emb = presentation(shape, args.algebra)
     except ValueError as exc:
         parser.error(str(exc))
     report = verify_presentation(pres, depth=args.depth)
@@ -426,7 +418,7 @@ def cmd_normalize(args, parser):
         parser.error("normalization is rank one; pass a single width")
     algebra = "calA" if args.algebra == "DA" else args.algebra
     try:
-        pres, emb = _presentation(shape, algebra)
+        pres, emb = presentation(shape, algebra)
     except ValueError as exc:
         parser.error(str(exc))
     op = parse_expression(args.element, shape, algebra)

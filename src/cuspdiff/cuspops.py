@@ -7,17 +7,18 @@ component in degree alpha is the left ideal generated by
 delta_alpha = prod_i phi(m_i, alpha_i)(h_i) * x^alpha, so membership is a
 divisibility condition coefficient by coefficient.  This module builds the
 graded generators, decides membership, decomposes elements and produces the
-structure constants that rewrite products of generators.
+structure constants that rewrite products of generators.  Each named algebra
+(calA, bbA, weyl) is fixed by one pair of graded generators per factor, and
+its GWA presentation is read off those pairs.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .exactpoly import (ArityMismatch, BasePoly, divides, exact_divide,
                         linear_factors)
 from .gwa import Embedding, GwaPresentation
-from .skewlaurent import LaurentOp, vanishing_roots, weyl_membership
+from .skewlaurent import (LaurentOp, graded_divisor, phi, vanishing_roots,
+                          weyl_membership)
 
 
 class CuspShape:
@@ -66,35 +67,13 @@ def _require_rank_one(shape: CuspShape) -> int:
     return shape.m[0]
 
 
-@lru_cache(maxsize=None)
-def phi(mi: int, i: int) -> BasePoly:
-    """The coefficient polynomial of the degree i graded generator (one factor).
-
-    The product of (h - r) over vanishing_roots(mi, i).  Written out, with h
-    the shift variable and width mi:
-
-      phi(mi, 0) = 1
-      phi(mi, i) = h - i - 1          for 1 <= i <= mi - 1
-      phi(mi, i) = 1                  for i >= mi
-      phi(mi, -t) = (h + t - 1) * prod (h - j),  j from mi - t + 1 to mi
-                                                 skipping j = 1,  for t >= 1.
-
-    At width 1 this is phi(1, i) = 1 for i >= 0 and
-    phi(1, -t) = h (h+1) ... (h+t-1), the coefficient of the t-th derivative.
-    """
-    return linear_factors(vanishing_roots(mi, i))
-
-
 def phi_multi(shape, alpha) -> BasePoly:
     """prod_i phi(m_i, alpha_i) as a polynomial in h_1..h_n."""
     shape = as_shape(shape)
     alpha = tuple(int(v) for v in alpha)
     if len(alpha) != shape.rank:
         raise ArityMismatch("degree %r has length != %d" % (alpha, shape.rank))
-    out = BasePoly.one(shape.rank)
-    for i, (mi, ai) in enumerate(zip(shape.m, alpha)):
-        out = out * phi(mi, ai).inject(shape.rank, i)
-    return out
+    return graded_divisor(shape.m, alpha)
 
 
 def delta_op(shape, alpha) -> LaurentOp:
@@ -156,14 +135,12 @@ class StructureRelation:
     """The rewriting of delta_i * delta_j as coefficient times residual deltas.
 
     coefficient multiplies the residual product from the left; residual is a
-    list of (index, power) pairs naming delta factors in order.  The composite
-    degree i + j determines which of five windows applies:
-
-      |i+j| < 2m            ->  delta_{i+j}
-      2m <= i+j < 3m        ->  delta_{i+j-m} delta_m
-      3m <= i+j < 4m        ->  delta_{i+j-2m} delta_m^2
-      -3m < i+j <= -2m      ->  delta_{i+j+m} delta_{-m}
-      -4m < i+j <= -3m      ->  delta_{i+j+2m} delta_{-m}^2
+    list of (index, power) pairs naming delta factors in order.  With
+    s = i + j and k = max(0, |s| // m - 1), the residual is
+    delta_{s - sign(s) k m} delta_{sign(s) m}^k: the first factor's index
+    is below 2m in size, and k is 0, 1 or 2 for 1 <= |i|, |j| <= 2m - 1.
+    The case label names the window of s that gives k, e.g.
+    "2m <= i+j < 3m" for k = 1 and s > 0.
 
     Each residual product equals delta_{i+j} exactly (deltas of indices past
     the width multiply by concatenation), so the coefficient is the exact
@@ -205,21 +182,17 @@ def structure_constant(shape, i: int, j: int) -> StructureRelation:
             raise ValueError("index %d out of range; need 1 <= |index| <= %d"
                              % (idx, 2 * m - 1))
     s = i + j
-    if abs(s) < 2 * m:
+    sign = 1 if s > 0 else -1
+    k = max(0, abs(s) // m - 1)
+    residual = [(s - sign * k * m, 1)]
+    if k == 0:
         case = "|i+j| < 2m"
-        residual = [(s, 1)]
-    elif 2 * m <= s < 3 * m:
-        case = "2m <= i+j < 3m"
-        residual = [(s - m, 1), (m, 1)]
-    elif s >= 3 * m:
-        case = "3m <= i+j < 4m"
-        residual = [(s - 2 * m, 1), (m, 2)]
-    elif -3 * m < s:
-        case = "-3m < i+j <= -2m"
-        residual = [(s + m, 1), (-m, 1)]
+    elif s > 0:
+        case = "%dm <= i+j < %dm" % (k + 1, k + 2)
+        residual.append((m, k))
     else:
-        case = "-4m < i+j <= -3m"
-        residual = [(s + 2 * m, 1), (-m, 2)]
+        case = "-%dm < i+j <= -%dm" % (k + 2, k + 1)
+        residual.append((-m, k))
     product = phi(m, i) * phi(m, j).shift([i])
     coefficient = exact_divide(product, phi(m, s))
     return StructureRelation(i, j, case, coefficient, residual)
@@ -270,75 +243,54 @@ def generating_set(shape) -> list[LaurentOp]:
     return gens
 
 
-def gwa_A_generators(shape):
-    """(h, X, Y) with X = x^m and Y = delta_{-m}; rank one.
-
-    Y X = (h + m - 1)(h - 2)...(h - m) and the pair generates the operator
-    ring together with h over the degrees divisible by m.
-    """
-    shape = as_shape(shape)
-    m = _require_rank_one(shape)
-    return (LaurentOp.h(1, 0), LaurentOp.x(1, 0, m), delta_op(shape, (-m,)))
-
-
-def bbA_generators(shape):
-    """(delta_{-1}, h, delta_1); rank one, width >= 2.
-
-    delta_{-1} delta_1 = h (h - 1)(h - m) and
-    delta_1 delta_{-1} = (h - 1)(h - 2)(h - m - 1).
-    """
-    shape = as_shape(shape)
-    m = _require_rank_one(shape)
-    if m < 2:
-        raise ValueError("the degree one pair needs width >= 2")
-    return (delta_op(shape, (-1,)), LaurentOp.h(1, 0), delta_op(shape, (1,)))
-
-
 # -- canonical GWA presentations and their Laurent embeddings --------------
 
-def calA_presentation(shape):
-    """GWA on X_i = x_i^{m_i}, Y_i = delta_{-m_i}(i) with steps m_i.
+def generator_pair(shape, algebra: str, i: int):
+    """(X_i, Y_i) = (delta_{k e_i}, delta_{-k e_i}) of a named algebra.
 
-    Base elements a_i = phi(m_i, -m_i)(h_i); returns (presentation, embedding).
+    calA takes k = m_i, so X_i = x_i^{m_i} since phi(m, k) = 1 for k >= m;
+    bbA takes k = 1 and needs m_i >= 2; weyl is the bbA pair at widths
+    (1, ..., 1), which is (x_i, partial_i) whatever the shape.
     """
     shape = as_shape(shape)
-    n = shape.rank
-    pres = GwaPresentation([phi(mi, -mi) for mi in shape.m], list(shape.m))
-    xs, ys = [], []
-    for i, mi in enumerate(shape.m):
-        deg = tuple(mi if j == i else 0 for j in range(n))
-        xs.append(LaurentOp.monomial(n, deg, 1))
-        ys.append(LaurentOp.monomial(
-            n, tuple(-v for v in deg), phi(mi, -mi).inject(n, i)))
-    return pres, Embedding(pres, xs, ys)
+    if algebra == "weyl":
+        shape = CuspShape((1,) * shape.rank)
+    elif algebra == "bbA" and shape.m[i] < 2:
+        raise ValueError("the degree one pair needs width >= 2")
+    elif algebra not in ("bbA", "calA"):
+        raise ValueError("no canonical presentation for algebra %r" % algebra)
+    k = shape.m[i] if algebra == "calA" else 1
+    up = tuple(k if j == i else 0 for j in range(shape.rank))
+    return delta_op(shape, up), delta_op(shape, tuple(-v for v in up))
 
 
-def bbA_presentation(shape):
-    """GWA on X_i = delta_1(i), Y_i = delta_{-1}(i) with steps 1; widths >= 2.
+def presentation(shape, algebra: str):
+    """The GWA of a named algebra read off its generator pairs.
 
-    Base elements a_i = h_i (h_i - 1)(h_i - m_i); returns
+    a_i is the degree zero coefficient of Y_i X_i, the step s_i is the
+    degree of X_i, and the pairs are the embedding images; returns
     (presentation, embedding).
     """
     shape = as_shape(shape)
-    n = shape.rank
-    if any(mi < 2 for mi in shape.m):
-        raise ValueError("the degree one pair needs widths >= 2")
-    h = BasePoly.variable(1, 0)
-    pres = GwaPresentation([h * (h - 1) * (h - mi) for mi in shape.m],
-                           [1] * n)
-    xs, ys = [], []
-    for i, mi in enumerate(shape.m):
-        up = tuple(1 if j == i else 0 for j in range(n))
-        xs.append(LaurentOp.monomial(n, up, phi(mi, 1).inject(n, i)))
-        ys.append(LaurentOp.monomial(
-            n, tuple(-v for v in up), phi(mi, -1).inject(n, i)))
+    zero = (0,) * shape.rank
+    xs, ys = zip(*(generator_pair(shape, algebra, i)
+                   for i in range(shape.rank)))
+    pres = GwaPresentation([(y * x).graded_component(zero)
+                            for x, y in zip(xs, ys)],
+                           [x.support()[0][i] for i, x in enumerate(xs)])
     return pres, Embedding(pres, xs, ys)
+
+
+def calA_presentation(shape):
+    """presentation(shape, "calA")."""
+    return presentation(shape, "calA")
+
+
+def bbA_presentation(shape):
+    """presentation(shape, "bbA")."""
+    return presentation(shape, "bbA")
 
 
 def weyl_presentation(nvars: int):
-    """The Weyl algebra as a GWA: X_i = x_i, Y_i = partial_i, a_i = h_i."""
-    pres = GwaPresentation([BasePoly.variable(1, 0) for _ in range(nvars)],
-                           [1] * nvars)
-    xs = [LaurentOp.x(nvars, i) for i in range(nvars)]
-    ys = [LaurentOp.d(nvars, i) for i in range(nvars)]
-    return pres, Embedding(pres, xs, ys)
+    """presentation((1,) * nvars, "weyl"): a_i = h_i, steps 1."""
+    return presentation((1,) * nvars, "weyl")

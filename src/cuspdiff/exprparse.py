@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .exactpoly import BasePoly
 from .skewlaurent import LaurentOp
-from .cuspops import as_shape, delta_op, w_minus
+from .cuspops import as_shape, delta_op, generator_pair, w_minus
 
 _SYMBOLS = "+-*^/()@"
 
@@ -236,33 +236,20 @@ class _ExprParser:
             return LaurentOp.d(n, factor), "op"
         if name in ("X", "Y"):
             factor = self.at_factor()
-            return self.generator(tok, name, factor), "op"
+            if self.algebra == "DA":
+                self.fail(tok, "%s is only defined for a named algebra "
+                          "(bbA, calA or weyl)" % name)
+            try:
+                pair = generator_pair(self.shape, self.algebra, factor)
+            except ValueError as exc:
+                self.fail(tok, str(exc))
+            return pair[name == "Y"], "op"
         if name[0] in ("h", "x") and (len(name) == 1 or name[1:].isdigit()):
             factor = 0 if len(name) == 1 else self.factor_index(tok, name[1:])
             if name[0] == "h":
                 return LaurentOp.h(n, factor), "op"
             return (factor, 1), "xvar"
         self.fail(tok, "unknown name %r" % name)
-
-    def generator(self, tok, name: str, factor: int) -> LaurentOp:
-        n = self.shape.rank
-        mi = self.shape.m[factor]
-        if self.algebra == "weyl":
-            return (LaurentOp.x(n, factor) if name == "X"
-                    else LaurentOp.d(n, factor))
-        if self.algebra == "calA":
-            if name == "X":
-                return LaurentOp.x(n, factor, mi)
-            alpha = tuple(-mi if j == factor else 0 for j in range(n))
-            return delta_op(self.shape, alpha)
-        if self.algebra == "bbA":
-            if mi < 2:
-                self.fail(tok, "the degree one pair needs width >= 2")
-            sign = 1 if name == "X" else -1
-            alpha = tuple(sign if j == factor else 0 for j in range(n))
-            return delta_op(self.shape, alpha)
-        self.fail(tok, "%s is only defined for a named algebra "
-                  "(bbA, calA or weyl)" % name)
 
 
 def parse_expression(text: str, shape, algebra: str = "DA") -> LaurentOp:

@@ -4,12 +4,15 @@ Elements are finite sums  sum_alpha  d_alpha(h) * x^alpha  with alpha in Z^n
 and d_alpha in Q[h1..hn].  Multiplication moves x past coefficients by the
 shift rule  x^alpha * d = shift(d, alpha) * x^alpha, which encodes
 x_i h_i = (h_i - 1) x_i.  The Weyl algebra sits inside via
-partial_i = h_i x_i^{-1}.
+partial_i = h_i x_i^{-1}.  Which components an operator ring allows is one
+rule, the graded divisor of vanishing_roots; the Weyl algebra is its width 1
+instance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactpoly import (ArityMismatch, BasePoly, RingOps, divides,
                         exact_divide, grlex_key, linear_factors, poly_from_json,
@@ -164,14 +167,6 @@ def commutator(u: LaurentOp, v: LaurentOp) -> LaurentOp:
     return u * v - v * u
 
 
-def weyl_generators(nvars: int):
-    """(xs, ds, hs): the Weyl generators x_i, partial_i and the products h_i."""
-    xs = [LaurentOp.x(nvars, j) for j in range(nvars)]
-    ds = [LaurentOp.d(nvars, j) for j in range(nvars)]
-    hs = [LaurentOp.h(nvars, j) for j in range(nvars)]
-    return xs, ds, hs
-
-
 def vanishing_roots(m: int, i: int) -> list[int]:
     """Roots at which a degree i coefficient must vanish on the width m set.
 
@@ -189,32 +184,47 @@ def vanishing_roots(m: int, i: int) -> list[int]:
             if not (i + k == 0 or i + k >= m)]
 
 
-def rising_product(nvars: int, j: int, count: int) -> BasePoly:
-    """prod_{k=0}^{count-1} (h_{j+1} + k); equals the coefficient of partial^count."""
-    return linear_factors(vanishing_roots(1, -count), nvars, j)
+@lru_cache(maxsize=None)
+def phi(mi: int, i: int) -> BasePoly:
+    """The coefficient polynomial of the degree i graded generator (one factor).
 
+    The product of (h - r) over vanishing_roots(mi, i).  Written out, with h
+    the shift variable and width mi:
 
-def _weyl_divisor(alpha) -> BasePoly:
-    """The least coefficient of a Weyl algebra element at degree alpha.
+      phi(mi, 0) = 1
+      phi(mi, i) = h - i - 1          for 1 <= i <= mi - 1
+      phi(mi, i) = 1                  for i >= mi
+      phi(mi, -t) = (h + t - 1) * prod (h - j),  j from mi - t + 1 to mi
+                                                 skipping j = 1,  for t >= 1.
 
-    That is the product of h_i (h_i + 1) ... (h_i - alpha_i - 1) over the
-    factors with alpha_i < 0, the vanishing product of S_1 = N in every
-    factor: x_i^{-1} only enters through partial_i = h_i x_i^{-1}.
+    At width 1 this is phi(1, i) = 1 for i >= 0 and
+    phi(1, -t) = h (h+1) ... (h+t-1), the coefficient of the t-th derivative.
     """
-    nvars = len(alpha)
-    out = BasePoly.one(nvars)
-    for j, a in enumerate(alpha):
-        if a < 0:
-            out = out * rising_product(nvars, j, -a)
+    return linear_factors(vanishing_roots(mi, i))
+
+
+def graded_divisor(widths, alpha) -> BasePoly:
+    """prod_i phi(widths_i, alpha_i)(h_i): the least coefficient at degree alpha.
+
+    A component d * x^alpha lies in the operator ring of the widths exactly
+    when this product divides d.  Widths (1, ..., 1) give the Weyl algebra,
+    where only partial_i = h_i x_i^{-1} brings in x_i^{-1}.
+    """
+    n = len(alpha)
+    out = BasePoly.one(n)
+    for i, (mi, ai) in enumerate(zip(widths, alpha)):
+        out = out * phi(mi, ai).inject(n, i)
     return out
 
 
 def weyl_membership(u: LaurentOp) -> bool:
     """Whether u lies in the Weyl subalgebra generated by the x_i and partial_i.
 
-    A component d * x^alpha belongs exactly when _weyl_divisor(alpha) divides d.
+    That is membership at widths (1, ..., 1): graded_divisor divides each
+    component.
     """
-    return all(divides(_weyl_divisor(alpha), dpoly)
+    widths = (1,) * u.nvars
+    return all(divides(graded_divisor(widths, alpha), dpoly)
                for alpha, dpoly in u.components.items())
 
 
@@ -223,7 +233,9 @@ def weyl_decompose(u: LaurentOp) -> dict:
 
     Raises NotDivisible when u is outside the Weyl subalgebra.
     """
-    return {alpha: exact_divide(u.components[alpha], _weyl_divisor(alpha))
+    widths = (1,) * u.nvars
+    return {alpha: exact_divide(u.components[alpha],
+                                graded_divisor(widths, alpha))
             for alpha in u.support()}
 
 

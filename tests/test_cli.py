@@ -73,6 +73,19 @@ class TestMember:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["member"] is True
 
+    @pytest.mark.parametrize("widths", ["1", "1,2"])
+    def test_bbA_at_width_one_is_usage_error(self, widths):
+        src = Path(cuspdiff.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspdiff", "member", "--m", widths,
+             "--algebra", "bbA", "x"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "the degree one pair needs width >= 2" in proc.stderr
+
     def test_weyl_context(self, capsys):
         code, out = run(capsys, "member", "--m", "1", "--algebra", "weyl",
                         "x^-1")
@@ -136,6 +149,14 @@ class TestDecomposeAct:
     def test_act_quotient_unstable(self, capsys):
         code, _ = run(capsys, "act", "--m", "2", "--quotient", "x", "x")
         assert code == 1
+        code, out = run(capsys, "act", "--m", "2", "--quotient", "d(1)", "x")
+        assert code == 1
+        assert out == "operator is outside the ring; quotient action undefined\n"
+        code, out = run(capsys, "act", "--m", "2", "--quotient", "--json",
+                        "d(1)", "x")
+        assert code == 1
+        assert json.loads(out)["error"] == ("operator is outside the ring; "
+                                            "quotient action undefined")
 
 
 class TestStability:

@@ -7,22 +7,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspdiff.cuspops import (CuspShape, a1_membership, as_shape,
-                              bbA_generators, bbA_presentation,
-                              calA_presentation, decompose, delta_op,
-                              generating_set, gwa_A_generators, membership,
-                              phi, phi_multi, structure_constant, w_basis,
-                              w_minus, weyl_presentation)
+                              bbA_presentation, calA_presentation, decompose,
+                              delta_op, generating_set, generator_pair,
+                              membership, phi, phi_multi, presentation,
+                              structure_constant, w_basis, w_minus,
+                              weyl_presentation)
 from cuspdiff.exactpoly import BasePoly, NotDivisible
-from cuspdiff.exprparse import parse_poly
+from cuspdiff.exprparse import parse_expression, parse_poly
 from cuspdiff.gwa import verify_presentation
-from cuspdiff.skewlaurent import (LaurentOp, commutator, rising_product,
-                                  vanishing_roots, weyl_membership)
+from cuspdiff.skewlaurent import (LaurentOp, commutator, vanishing_roots,
+                                  weyl_membership)
 
 H = BasePoly.variable(1, 0)
 
 
 def p(text):
     return parse_poly(text, 1)
+
+
+def rising(t):
+    """h (h+1) ... (h+t-1), multiplied out by hand."""
+    out = BasePoly.one(1)
+    for k in range(t):
+        out = out * (H + k)
+    return out
 
 
 class TestShape:
@@ -74,7 +82,7 @@ class TestPhi:
 
     def test_width_one_is_rising_factorial(self):
         for t in range(1, 5):
-            assert phi(1, -t) == rising_product(1, 0, t)
+            assert phi(1, -t) == rising(t)
 
     def test_multi(self):
         shape = CuspShape((2, 3))
@@ -152,6 +160,19 @@ class TestDecompose:
             decompose(LaurentOp.x(1, 0), 2)
 
 
+def _window_table(m, s):
+    """The structure-constant windows as a table: (case, residual) at i+j = s."""
+    if abs(s) < 2 * m:
+        return "|i+j| < 2m", [(s, 1)]
+    if 2 * m <= s < 3 * m:
+        return "2m <= i+j < 3m", [(s - m, 1), (m, 1)]
+    if s >= 3 * m:
+        return "3m <= i+j < 4m", [(s - 2 * m, 1), (m, 2)]
+    if -3 * m < s:
+        return "-3m < i+j <= -2m", [(s + m, 1), (-m, 1)]
+    return "-4m < i+j <= -3m", [(s + 2 * m, 1), (-m, 2)]
+
+
 class TestStructureConstants:
     def test_case_labels(self):
         assert structure_constant(2, 1, 1).case == "|i+j| < 2m"
@@ -168,6 +189,14 @@ class TestStructureConstants:
         rel = structure_constant(2, -1, -3)
         assert rel.coefficient == p("h-1")
         assert rel.residual == [(-2, 1), (-2, 1)]
+
+    def test_windows_match_the_five_branch_table(self):
+        for m in range(1, 13):
+            idxs = [i for i in range(-(2 * m - 1), 2 * m) if i != 0]
+            for i in idxs:
+                for j in idxs:
+                    rel = structure_constant(m, i, j)
+                    assert (rel.case, rel.residual) == _window_table(m, i + j)
 
     def test_relations_hold_in_laurent_ring(self):
         for m in (2, 3):
@@ -380,22 +409,98 @@ class TestGeneratingSet:
         assert len(gens) == 2 + 2 * (2 * 2 - 1) + 2 * (2 * 3 - 1)
 
 
+def _unit(n, i, k):
+    return tuple(k if j == i else 0 for j in range(n))
+
+
+def _oracle(widths, algebra):
+    """The hand-typed presentation data: (a, steps, x images, y images)."""
+    n = len(widths)
+    a, steps, xs, ys = [], [], [], []
+    for i, m in enumerate(widths):
+        if algebra == "calA":
+            a.append(phi(m, -m))
+            steps.append(m)
+            xs.append(LaurentOp.x(n, i, m))
+            ys.append(LaurentOp.monomial(n, _unit(n, i, -m),
+                                         phi(m, -m).inject(n, i)))
+        elif algebra == "bbA":
+            a.append(H * (H - 1) * (H - m))
+            steps.append(1)
+            xs.append(LaurentOp.monomial(n, _unit(n, i, 1),
+                                         phi(m, 1).inject(n, i)))
+            ys.append(LaurentOp.monomial(n, _unit(n, i, -1),
+                                         phi(m, -1).inject(n, i)))
+        else:
+            a.append(H)
+            steps.append(1)
+            xs.append(LaurentOp.x(n, i))
+            ys.append(LaurentOp.d(n, i))
+    return [poly.inject(n, i) for i, poly in enumerate(a)], steps, xs, ys
+
+
+ORACLE_SHAPES = [(m,) for m in range(1, 9)] + [(2, 3)]
+
+
 class TestPresentations:
     def test_gwa_A_pair_products(self):
-        h, X, Y = gwa_A_generators(2)
+        X, Y = generator_pair(2, "calA", 0)
         assert Y * X == LaurentOp.from_poly(p("h^2-h-2"))
         assert X * Y == LaurentOp.from_poly(p("h^2-5*h+4"))
 
     def test_bbA_pair_products(self):
         for m in (2, 3, 5):
-            Y, h, X = bbA_generators(m)
+            X, Y = generator_pair(m, "bbA", 0)
             assert Y * X == LaurentOp.from_poly(H * (H - 1) * (H - m))
             assert X * Y == LaurentOp.from_poly(
                 (H - 1) * (H - 2) * (H - m - 1))
 
     def test_bbA_needs_width_two(self):
+        with pytest.raises(ValueError, match="width >= 2"):
+            generator_pair(1, "bbA", 0)
+        with pytest.raises(ValueError, match="width >= 2"):
+            bbA_presentation((2, 1))
+
+    def test_weyl_pair_is_x_and_partial(self):
+        for m in ((1,), (3,), (2, 3)):
+            n = len(m)
+            for i in range(n):
+                assert generator_pair(m, "weyl", i) == (LaurentOp.x(n, i),
+                                                        LaurentOp.d(n, i))
+
+    @pytest.mark.parametrize("algebra", ["calA", "bbA", "weyl"])
+    def test_presentation_matches_hand_table(self, algebra):
+        for widths in ORACLE_SHAPES:
+            if algebra == "bbA" and min(widths) < 2:
+                with pytest.raises(ValueError):
+                    presentation(widths, algebra)
+                continue
+            a, steps, xs, ys = _oracle(widths, algebra)
+            pres, emb = presentation(widths, algebra)
+            assert list(pres.a) == a, widths
+            assert list(pres.steps) == steps, widths
+            assert list(emb.x_images) == xs, widths
+            assert list(emb.y_images) == ys, widths
+
+    @pytest.mark.parametrize("algebra", ["calA", "bbA", "weyl"])
+    def test_parser_atoms_are_the_pairs(self, algebra):
+        for widths in ORACLE_SHAPES:
+            if algebra == "bbA" and min(widths) < 2:
+                continue
+            _, emb = presentation(widths, algebra)
+            read = {text: parse_expression(text, widths, algebra)
+                    for text in ("X", "Y", "X@1", "Y@1")}
+            assert read["X"] == read["X@1"] == emb.x_images[0]
+            assert read["Y"] == read["Y@1"] == emb.y_images[0]
+            if len(widths) > 1:
+                assert parse_expression("X@2", widths, algebra) == emb.x_images[1]
+                assert parse_expression("Y@2", widths, algebra) == emb.y_images[1]
+
+    def test_plain_ring_has_no_presentation(self):
         with pytest.raises(ValueError):
-            bbA_generators(1)
+            presentation(2, "DA")
+        with pytest.raises(ValueError):
+            generator_pair(2, "DA", 0)
 
     def test_presentations_verify(self):
         for m in (2, 3):

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspdiff.exactpoly import ArityMismatch, BasePoly
-from cuspdiff.skewlaurent import (LaurentOp, commutator, op_from_json,
-                                  op_to_json, render_op, rising_product,
-                                  weyl_decompose, weyl_generators,
-                                  weyl_membership)
+from cuspdiff.skewlaurent import (LaurentOp, commutator, graded_divisor,
+                                  op_from_json, op_to_json, render_op,
+                                  weyl_decompose, weyl_membership)
 
 H = BasePoly.variable(1, 0)
 x = LaurentOp.x(1, 0)
@@ -52,7 +51,10 @@ class TestTwistRule:
     def test_powers_of_partial_close_up(self):
         # partial^k = h(h+1)...(h+k-1) x^{-k}
         for k in range(1, 6):
-            expected = LaurentOp.monomial(1, (-k,), rising_product(1, 0, k))
+            rising = BasePoly.one(1)
+            for j in range(k):
+                rising = rising * (H + j)
+            expected = LaurentOp.monomial(1, (-k,), rising)
             assert d ** k == expected
 
     def test_rank_two_factors_commute(self):
@@ -112,10 +114,6 @@ class TestSupport:
 
 
 class TestWeylSubalgebra:
-    def test_generators(self):
-        xs, ds, hs = weyl_generators(1)
-        assert xs[0] == x and ds[0] == d and hs[0] == h
-
     def test_obvious_members(self):
         assert weyl_membership(x ** 3)
         assert weyl_membership(d ** 2)
@@ -124,6 +122,13 @@ class TestWeylSubalgebra:
     def test_bare_inverse_is_outside(self):
         assert not weyl_membership(xinv)
         assert not weyl_membership(h * LaurentOp.x(1, 0, -2))
+
+    def test_graded_divisor_at_width_one(self):
+        # only negative coordinates contribute, each a rising product
+        h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
+        assert graded_divisor((1, 1), (-2, -1)) == h1 * (h1 + 1) * h2
+        assert graded_divisor((1, 1), (3, -3)) == h2 * (h2 + 1) * (h2 + 2)
+        assert graded_divisor((1, 1), (4, 0)) == BasePoly.one(2)
 
     def test_divisibility_threshold(self):
         # degree -2 needs the factor h(h+1)
