@@ -16,8 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .exactpoly import (ArityMismatch, BasePoly, exact_divide, rational_roots,
-                        render_poly)
+from .exactpoly import ArityMismatch, BasePoly, rational_roots, render_poly
 from .gwa import GwaElement, GwaPresentation
 from .modactions import ExponentSet, WeightSupport, cusp_mask, quotient_mask, support
 from .cuspops import as_shape
@@ -461,19 +460,26 @@ def _right_coeff(pres: GwaPresentation, k: int, left: BasePoly) -> BasePoly:
     return left.shift([k * pres.steps[0]])
 
 
+def _split_ends(b: GwaElement):
+    """(m', left coords, right beta_0, roots of beta_0, roots of beta_{-m'}) of b."""
+    mprime, left = _nonpositive_coords(b)
+    pres = b.presentation
+    beta0 = _right_coeff(pres, 0, left[0])
+    betam = _right_coeff(pres, mprime, left[mprime])
+    return mprime, left, beta0, _split_roots(beta0), _split_roots(betam)
+
+
 def is_normal(b: GwaElement) -> bool:
     """Normality test for b = v_{-m'} beta_{-m'} + ... + beta_0.
 
     b is normal when beta_0 < beta_{-m'} and beta_0 < a in the strict orbit
     order (right coefficients).  Raises WrongShape for elements with positive
     degrees or vanishing degree zero part, NonlinearFactor when a coefficient
-    does not split over Q.
+    does not split over Q.  a is split only when beta_0 < beta_{-m'} holds.
     """
-    mprime, left = _nonpositive_coords(b)
-    pres = b.presentation
-    beta0 = _right_coeff(pres, 0, left[0])
-    betam = _right_coeff(pres, mprime, left[mprime])
-    return less_than(beta0, betam) and less_than(beta0, pres.a[0])
+    _, _, _, roots0, rootsm = _split_ends(b)
+    return (_roots_less(roots0, rootsm)
+            and _roots_less(roots0, _split_roots(b.presentation.a[0])))
 
 
 class NormalizationResult:
@@ -509,12 +515,8 @@ def _least_shift(roots0, targets, step: int) -> int:
 
 def _normalization_data(b: GwaElement):
     """(m', left coords, right beta_0, least shift count) of b."""
-    mprime, left = _nonpositive_coords(b)
+    mprime, left, beta0, roots0, rootsm = _split_ends(b)
     pres = b.presentation
-    beta0 = _right_coeff(pres, 0, left[0])
-    betam = _right_coeff(pres, mprime, left[mprime])
-    roots0 = _split_roots(beta0)
-    rootsm = _split_roots(betam)
     rootsa = _split_roots(pres.a[0])
     s = _least_shift(roots0, rootsm + roots0 + rootsa, pres.steps[0])
     return mprime, left, beta0, s
@@ -532,35 +534,42 @@ def normalize(b: GwaElement) -> NormalizationResult:
     """Multiply b into normal position: beta * b * alpha^{-1}.
 
     s is the least shift count making sigma^{-s}(beta_0) strictly below
-    beta_{-m'}, beta_0 and a in the orbit order; then
+    beta_{-m'}, beta_0 and a in the orbit order.  With f_j = sigma^{-j}(beta_0),
 
-      alpha = prod_{i=0}^{s} sigma^{-i}(beta_0),
-      beta  = prod_{i=1}^{s+m'} sigma^{-i}(beta_0),
+      alpha = prod_{j=0}^{s} f_j,
+      beta  = prod_{j=1}^{s+m'} f_j,
 
-    and beta * b * alpha^{-1} stays in the algebra (each coordinate divides
-    exactly) and is normal.  Raises the same shape and splitting errors as
-    is_normal.  The cost grows with s; normalization_shift(b) gives s first.
+    and the coordinate c_k at v_{-k} becomes beta * c_k / sigma^{-k}(alpha),
+    where sigma^{-k}(alpha) = prod_{j=k}^{s+k} f_j.  The quotient telescopes,
+    so nothing is divided: c_0 = beta_0 = f_0 cancels and leaves
+    prod_{j=s+1}^{s+m'} f_j, and for 1 <= k <= m' the interval [k, s+k] lies
+    inside [1, s+m'], which leaves c_k * prod_{j=1}^{k-1} f_j *
+    prod_{j=s+k+1}^{s+m'} f_j.  Both products are read off running prefix
+    and suffix products of the f_j.  The result is normal.  Raises the same
+    shape and splitting errors as is_normal.  The cost grows with s;
+    normalization_shift(b) gives s first.
     """
     mprime, left, beta0, s = _normalization_data(b)
     pres = b.presentation
     step = pres.steps[0]
-    alpha = BasePoly.one(1)
-    for i in range(0, s + 1):
-        alpha = alpha * beta0.shift([-i * step])
-    beta = BasePoly.one(1)
-    for i in range(1, s + mprime + 1):
-        beta = beta * beta0.shift([-i * step])
-    coords = {}
-    for k in range(0, mprime + 1):
-        ck = left[k]
-        if ck.is_zero():
-            continue
-        divisor = alpha.shift([-k * step])
-        coords[(-k,)] = exact_divide(beta * ck, divisor)
+    top = s + mprime
+    f = [beta0] + [beta0.shift([-j * step]) for j in range(1, top + 1)]
+    one = BasePoly.one(1)
+    # low[j] = f_1 ... f_j and high[j] = f_j ... f_top; only high[s+1 ..] is read
+    low = [one]
+    for j in range(1, top + 1):
+        low.append(low[-1] * f[j])
+    high = {top + 1: one}
+    for j in range(top, s, -1):
+        high[j] = f[j] * high[j + 1]
+    coords = {(0,): high[s + 1]}
+    for k in range(1, mprime + 1):
+        if not left[k].is_zero():
+            coords[(-k,)] = left[k] * low[k - 1] * high[s + k + 1]
     normalized = GwaElement(pres, coords)
     if not is_normal(normalized):
         raise RuntimeError("normalization produced a non-normal element")
-    return NormalizationResult(s, alpha, beta, normalized)
+    return NormalizationResult(s, beta0 * low[s], low[top], normalized)
 
 
 class TorsionFreeModule:

@@ -19,7 +19,7 @@ from random import Random
 
 from .exactpoly import (ArityMismatch, NotDivisible, grlex_key, poly_to_json,
                         render_poly)
-from .skewlaurent import LaurentOp, op_to_json, render_op, weyl_membership
+from .skewlaurent import op_to_json, render_op, weyl_membership
 from .cuspops import (as_shape, decompose, delta_op, generating_set,
                       membership, phi, presentation, structure_constant)
 from .gwa import NotInImage, render_gwa, verify_presentation
@@ -256,15 +256,12 @@ def cmd_relations_check(args, parser):
     commuted = 0
     commute_failures = []
     if shape.rank >= 2:
-        factor_gens = []
-        for f, mi in enumerate(shape.m):
-            gens = [LaurentOp.h(shape.rank, f)]
-            for k in range(1, 2 * mi):
-                for signed in (k, -k):
-                    alpha = tuple(signed if j == f else 0
-                                  for j in range(shape.rank))
-                    gens.append(delta_op(shape, alpha))
-            factor_gens.append(gens)
+        # each generator is h_f or delta(+-k e_f): it involves one factor f
+        factor_gens = [[] for _ in shape.m]
+        for g in generating_set(shape):
+            (deg, coeff), = g.components.items()
+            key = deg if any(deg) else next(iter(coeff.terms))
+            factor_gens[next(j for j, e in enumerate(key) if e)].append(g)
         for f1 in range(shape.rank):
             for f2 in range(f1 + 1, shape.rank):
                 for u in factor_gens[f1]:

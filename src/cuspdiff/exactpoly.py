@@ -275,21 +275,28 @@ class BasePoly(RingOps):
         return BasePoly._trusted(self.nvars, _clean(out))
 
     def eval(self, point) -> Fraction:
-        """Evaluate at a rational point (one value per variable)."""
-        point = [Fraction(v) for v in point]
+        """Evaluate at a rational point (one value per variable).
+
+        Integer points stay in int arithmetic: int coordinates are not boxed,
+        so int coefficients at an int point sum as ints.  Only the other
+        coordinates become Fractions, and the total is boxed as a Fraction
+        once at the end.
+        """
+        point = [v if v.__class__ is int else Fraction(v) for v in point]
         if len(point) != self.nvars:
             raise ArityMismatch("point has length %d, nvars=%d"
                                 % (len(point), self.nvars))
-        total = Fraction(0)
-        powcache = [{0: Fraction(1)} for _ in range(self.nvars)]
+        total = 0
+        powcache = [{} for _ in range(self.nvars)]
         for exp, c in self.terms.items():
-            val = Fraction(c)
             for j, e in enumerate(exp):
-                if e not in powcache[j]:
-                    powcache[j][e] = point[j] ** e
-                val *= powcache[j][e]
-            total += val
-        return total
+                if e:
+                    powers = powcache[j]
+                    if e not in powers:
+                        powers[e] = point[j] ** e
+                    c *= powers[e]
+            total += c
+        return Fraction(total)
 
     def inject(self, nvars: int, j: int) -> "BasePoly":
         """View a univariate polynomial as a polynomial in h_{j+1} of a larger ring."""

@@ -3,6 +3,7 @@ order, normal elements, and normalization."""
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,9 @@ from cuspdiff.classify import (INFINITE, ClassifiedModule, GammaInterval,
                                classify_bbA, is_normal, less_than,
                                marked_ideals, normalization_shift, normalize,
                                partition_orbit, torsionfree_presentation)
-from cuspdiff.classify import _least_shift, _roots_less
+from cuspdiff.classify import _least_shift, _nonpositive_coords, _roots_less
 from cuspdiff.cuspops import bbA_presentation, calA_presentation
-from cuspdiff.exactpoly import BasePoly
+from cuspdiff.exactpoly import BasePoly, exact_divide, rational_roots
 from cuspdiff.exprparse import parse_poly
 from cuspdiff.gwa import GwaElement
 from cuspdiff.modactions import ExponentSet, WeightSupport
@@ -446,6 +447,104 @@ def _shift_ok(b, s):
     return (_roots_less(shifted, _split_roots(betam))
             and _roots_less(shifted, _split_roots(beta0))
             and _roots_less(shifted, _split_roots(pres.a[0])))
+
+
+def _reference_normalize(b):
+    """The earlier normalize, kept as an independent oracle.
+
+    s is found by linear search; alpha and beta are multiplied out, and each
+    coordinate is beta * c_k divided exactly by sigma^{-k}(alpha).
+    """
+    s = 0
+    while not _shift_ok(b, s):
+        s += 1
+    mprime, left = _nonpositive_coords(b)
+    step = b.presentation.steps[0]
+    beta0 = left[0]
+    alpha = BasePoly.one(1)
+    for i in range(0, s + 1):
+        alpha = alpha * beta0.shift([-i * step])
+    beta = BasePoly.one(1)
+    for i in range(1, s + mprime + 1):
+        beta = beta * beta0.shift([-i * step])
+    coords = {(-k,): exact_divide(beta * left[k], alpha.shift([-k * step]))
+              for k in range(0, mprime + 1) if not left[k].is_zero()}
+    return s, alpha, beta, coords
+
+
+_ROOTS = [-3, -2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-5, 2),
+          Fraction(2, 3), Fraction(7, 3)]
+_LEADS = [1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 4)]
+
+
+def _random_split_element(pres, mprime, rng):
+    """Split coefficients with Fraction roots and leads; middle ones may vanish."""
+    coords = {}
+    for k in range(0, mprime + 1):
+        if 0 < k < mprime and rng.random() < 0.4:
+            continue
+        c = BasePoly.constant(1, rng.choice(_LEADS))
+        for r in rng.choices(_ROOTS, k=rng.randint(0, 3)):
+            c = c * (H - r)
+        coords[(-k,)] = c
+    return GwaElement(pres, coords)
+
+
+def _normalize_cases():
+    rng = random.Random(41)
+    for algebra in (bbA_presentation, calA_presentation):
+        for m in (2, 3, 4):
+            pres, _ = algebra(m)
+            for mprime in range(4):
+                for _ in range(8):
+                    yield _random_split_element(pres, mprime, rng)
+
+
+class TestNormalizeOracle:
+    def test_matches_exact_division(self):
+        cases = list(_normalize_cases())
+        steps = {b.presentation.steps[0] for b in cases}
+        assert steps >= {1, 2, 3, 4}
+        # some case has a vanishing middle coordinate
+        assert any(len(b.coords) < 1 - min(k for (k,) in b.coords) for b in cases)
+        shifts = set()
+        for b in cases:
+            result = normalize(b)
+            s, alpha, beta, coords = _reference_normalize(b)
+            shifts.add(s)
+            assert result.s == s, b
+            assert result.alpha == alpha, b
+            assert result.beta == beta, b
+            assert result.normalized.coords == coords, b
+        assert max(shifts) >= 3
+
+    def test_work_counts(self, monkeypatch):
+        from cuspdiff import classify, exactpoly
+        roots_calls, divide_calls = [], []
+
+        def counting_roots(p):
+            roots_calls.append(1)
+            return rational_roots(p)
+
+        def counting_divide(p, q):
+            divide_calls.append(1)
+            return exact_divide(p, q)
+
+        monkeypatch.setattr(classify, "rational_roots", counting_roots)
+        # every module binding, so one imported into classify again counts too
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("cuspdiff") and \
+                    getattr(mod, "exact_divide", None) is exact_divide:
+                monkeypatch.setattr(mod, "exact_divide", counting_divide)
+        assert exactpoly.exact_divide is counting_divide
+        for b in _normalize_cases():
+            roots_calls.clear()
+            is_normal(b)
+            assert len(roots_calls) <= 3, b
+            roots_calls.clear()
+            normalize(b)
+            assert len(roots_calls) <= 6, b
+        assert divide_calls == []
 
 
 class TestTorsionFree:

@@ -200,6 +200,19 @@ class TestRelationsCheck:
         assert data["checked"] == 36
         assert data["failures"] == []
 
+    @pytest.mark.parametrize("m, checked, commuted", [
+        ("2,3", 136, 77), ("2,2,3", 172, 203)])
+    def test_rank_two_and_three_json_pinned(self, capsys, m, checked, commuted):
+        # factor f brings h_f and delta(+-k e_f) for k < 2 m_f, so each pair
+        # of factors commutes (4 m_f - 1)(4 m_g - 1) generator pairs
+        code, out = run(capsys, "relations-check", "--m", m, "--json")
+        assert code == 0
+        assert out == (
+            '{"checked": %d, "command": "relations-check", '
+            '"commutation_checked": %d, "commutation_failures": [], '
+            '"corrupt": false, "failures": [], "schema": 1}\n'
+            % (checked, commuted))
+
     def test_corrupt_json_names_the_case(self, capsys):
         code, out = run(capsys, "relations-check", "--m", "2", "--json",
                         "--corrupt")

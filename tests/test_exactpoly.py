@@ -1,5 +1,6 @@
 """Exact polynomial layer: ring axioms, shift, division, roots, text forms."""
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -145,6 +146,53 @@ class TestArithmetic:
         q = p * p + p
         assert q.eval([a, t]) == p.eval([a, t]) ** 2 + p.eval([a, t])
         assert (p + q).eval([b, t]) == p.eval([b, t]) + q.eval([b, t])
+
+
+def _reference_eval(p, point):
+    """The earlier all-Fraction evaluation, kept as an independent oracle."""
+    point = [Fraction(v) for v in point]
+    total = Fraction(0)
+    powcache = [{0: Fraction(1)} for _ in range(p.nvars)]
+    for exp, c in p.terms.items():
+        val = Fraction(c)
+        for j, e in enumerate(exp):
+            if e not in powcache[j]:
+                powcache[j][e] = point[j] ** e
+            val *= powcache[j][e]
+        total += val
+    return total
+
+
+class TestEvalOracle:
+    def test_matches_fraction_evaluation(self):
+        rng = random.Random(5)
+        # int, Fraction and mixed coefficients
+        coefficient_draws = [
+            lambda: rng.randint(-9, 9),
+            lambda: Fraction(rng.randint(-9, 9), rng.randint(2, 6)),
+            lambda: rng.choice([Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                                rng.randint(-9, 9)]),
+        ]
+        # int, Fraction and bool coordinates
+        point_draws = [
+            lambda: rng.randint(-7, 7),
+            lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 5)),
+            lambda: rng.random() < 0.5,
+        ]
+        for nvars in (1, 2, 3):
+            for draw_coef in coefficient_draws:
+                for _ in range(40):
+                    p = BasePoly(nvars, {
+                        tuple(rng.randint(0, 4) for _ in range(nvars)): draw_coef()
+                        for _ in range(rng.randint(0, 6))})
+                    points = [[draw() for _ in range(nvars)]
+                              for draw in point_draws]
+                    points.append([rng.choice(point_draws)()
+                                   for _ in range(nvars)])
+                    for point in points:
+                        got = p.eval(point)
+                        assert type(got) is Fraction, (p, point)
+                        assert got == _reference_eval(p, point), (p, point)
 
 
 class TestShift:
