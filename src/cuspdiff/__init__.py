@@ -7,16 +7,14 @@ classification machinery for simple weight modules and normal elements.
 """
 
 from .exactpoly import (ArityMismatch, BasePoly, DivisionByZero, NotDivisible,
-                        exact_divide, divides, linear_factors, poly_from_json,
-                        poly_to_json, rational_roots, render_poly)
-from .skewlaurent import (LaurentOp, commutator, graded_divisor, op_from_json,
-                          op_to_json, render_op, vanishing_roots,
-                          weyl_decompose, weyl_membership)
-from .cuspops import (CuspShape, StructureRelation, a1_membership, as_shape,
-                      bbA_presentation, calA_presentation, decompose, delta_op,
-                      generating_set, generator_pair, membership, phi,
-                      phi_multi, presentation, structure_constant, w_basis,
-                      w_minus, weyl_presentation)
+                        exact_divide, divides, linear_factors, poly_to_json,
+                        rational_roots, render_poly)
+from .skewlaurent import (LaurentOp, commutator, graded_divisor, op_to_json,
+                          render_op, vanishing_roots, weyl_membership)
+from .cuspops import (CuspShape, StructureRelation, as_shape, bbA_presentation,
+                      calA_presentation, decompose, delta_op, generating_set,
+                      generator_pair, membership, phi, phi_multi, presentation,
+                      structure_constant, w_minus, weyl_presentation)
 from .gwa import (Embedding, GwaElement, GwaPresentation, GwaReport,
                   ImagesViolateRelations, NotInImage, PresentationMismatch,
                   gwa_multiply, render_gwa, verify_presentation)
@@ -26,10 +24,9 @@ from .modactions import (ExponentSet, GradedMask, LaurentVector, NotStable,
                          simplicity_probe, stability_check, support)
 from .classify import (ClassifiedModule, GammaInterval, InvalidInterval,
                        LinMaxIdeal, NonlinearFactor, NormalizationResult,
-                       NotNormal, Orbit, WeightModule, WrongShape,
-                       build_weight_module, classify_DA_torsion, classify_bbA,
-                       is_normal, less_than, marked_ideals, normalize,
-                       partition_orbit, torsionfree_presentation)
+                       Orbit, WeightModule, WrongShape, build_weight_module,
+                       classify_DA_torsion, classify_bbA, is_normal,
+                       marked_ideals, normalize, partition_orbit)
 from .exprparse import ExprParseError, parse_expression, parse_poly
 
 __version__ = "0.1.0"

@@ -32,10 +32,6 @@ class WrongShape(ValueError):
     """An element does not have the nonpositive-degree shape."""
 
 
-class NotNormal(ValueError):
-    """A torsion-free presentation was requested for a non-normal element."""
-
-
 class InvalidInterval(ValueError):
     """Interval anchors are missing, misordered or in different orbits."""
 
@@ -69,9 +65,6 @@ class LinMaxIdeal:
         if r > 0:
             return "(h-%s)" % r
         return "(h+%s)" % (-r)
-
-    def generator(self) -> BasePoly:
-        return BasePoly.variable(1, 0) - BasePoly.constant(1, self.root)
 
 
 class Orbit:
@@ -165,18 +158,6 @@ class GammaInterval:
     def __setattr__(self, name, value):
         raise AttributeError("GammaInterval is immutable")
 
-    def contains_root(self, root) -> bool:
-        root = Fraction(root)
-        if not self.orbit.contains_root(root):
-            return False
-        if self.kind == "full":
-            return True
-        if self.kind == "left_ray":
-            return root <= self.upper.root
-        if self.kind == "right_ray":
-            return root > self.lower.root
-        return self.lower.root < root <= self.upper.root
-
     def __eq__(self, other):
         if not isinstance(other, GammaInterval):
             return NotImplemented
@@ -247,21 +228,6 @@ class WeightModule:
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightModule is immutable")
-
-    def up_scalar(self, lam) -> Fraction:
-        lam = Fraction(lam)
-        if self.interval.contains_root(lam) and \
-                self.interval.contains_root(lam + self.step):
-            return Fraction(1)
-        return Fraction(0)
-
-    def down_scalar(self, lam) -> Fraction:
-        """Scalar of the transition lam -> lam - step."""
-        lam = Fraction(lam)
-        if self.interval.contains_root(lam) and \
-                self.interval.contains_root(lam - self.step):
-            return self.a.eval([lam - self.step])
-        return Fraction(0)
 
     @property
     def dimension(self):
@@ -420,17 +386,14 @@ def classify_DA_torsion(m: int) -> TorsionClassification:
 
 # -- the orbit order and normal elements ----------------------------------
 
-def less_than(alpha: BasePoly, beta: BasePoly) -> bool:
-    """Strict orbit order on split polynomials.
-
-    True when every root of alpha lies strictly below every root of beta that
-    it is integer-comparable with; pairs in different orbits impose nothing,
-    so the comparison is vacuously true when no comparable pairs exist.
-    """
-    return _roots_less(_split_roots(alpha), _split_roots(beta))
-
-
 def _roots_less(aroots, broots) -> bool:
+    """Strict orbit order on root lists.
+
+    True when every root of aroots lies strictly below every root of broots
+    that it is integer-comparable with; pairs in different orbits impose
+    nothing, so the comparison is vacuously true when no comparable pairs
+    exist.
+    """
     for r in aroots:
         for s in broots:
             if (r - s).denominator == 1 and not r < s:
@@ -571,24 +534,3 @@ def normalize(b: GwaElement) -> NormalizationResult:
         raise RuntimeError("normalization produced a non-normal element")
     return NormalizationResult(s, beta0 * low[s], low[top], normalized)
 
-
-class TorsionFreeModule:
-    """Descriptor of the cyclic torsion-free module generated over a normal element."""
-
-    __slots__ = ("element",)
-
-    def __init__(self, element: GwaElement):
-        self.element = element
-
-    def __repr__(self):
-        return "TorsionFreeModule(generator=%r)" % (self.element,)
-
-
-def torsionfree_presentation(b_norm: GwaElement) -> TorsionFreeModule:
-    """The rank one torsion-free simple module attached to a normal element.
-
-    Raises NotNormal when b_norm fails the normality test.
-    """
-    if not is_normal(b_norm):
-        raise NotNormal("the generator must be normal")
-    return TorsionFreeModule(b_norm)

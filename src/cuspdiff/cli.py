@@ -17,8 +17,8 @@ import sys
 from fractions import Fraction
 from random import Random
 
-from .exactpoly import (ArityMismatch, NotDivisible, grlex_key, poly_to_json,
-                        render_poly)
+from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, grlex_key,
+                        poly_to_json, render_poly)
 from .skewlaurent import op_to_json, render_op, weyl_membership
 from .cuspops import (as_shape, decompose, delta_op, generating_set,
                       membership, phi, presentation, structure_constant)
@@ -293,7 +293,6 @@ def _random_element(pres, rng):
     coords = {}
     for _ in range(2):
         alpha = tuple(rng.randint(-2, 2) for _ in range(n))
-        from .exactpoly import BasePoly
         poly = BasePoly.constant(n, rng.randint(-4, 4))
         for j in range(n):
             poly = poly + BasePoly.variable(n, j) * rng.randint(-3, 3)

@@ -17,8 +17,7 @@ from __future__ import annotations
 from .exactpoly import (ArityMismatch, BasePoly, divides, exact_divide,
                         linear_factors)
 from .gwa import Embedding, GwaPresentation
-from .skewlaurent import (LaurentOp, graded_divisor, phi, vanishing_roots,
-                          weyl_membership)
+from .skewlaurent import LaurentOp, graded_divisor, phi, vanishing_roots
 
 
 class CuspShape:
@@ -124,13 +123,6 @@ def decompose(u, shape) -> dict:
     return out
 
 
-def a1_membership(u, shape) -> bool:
-    """Membership in the intersection of the operator ring with the Weyl algebra."""
-    shape = as_shape(shape)
-    u = _as_op(u)
-    return membership(u, shape) and weyl_membership(u)
-
-
 class StructureRelation:
     """The rewriting of delta_i * delta_j as coefficient times residual deltas.
 
@@ -214,21 +206,6 @@ def w_minus(shape, i: int) -> LaurentOp:
         raise ValueError("w_minus expects i >= 1")
     roots = set(vanishing_roots(m, -i)) | set(vanishing_roots(1, -i))
     return LaurentOp.monomial(1, (-i,), linear_factors(sorted(roots)))
-
-
-def w_basis(shape, k: int) -> LaurentOp:
-    """Graded generator of the Weyl intersection at any degree k.
-
-    Positive degrees reuse the deltas, degree zero is 1, negative degrees are
-    the w_minus generators.
-    """
-    shape = as_shape(shape)
-    _require_rank_one(shape)
-    if k > 0:
-        return delta_op(shape, (k,))
-    if k == 0:
-        return LaurentOp.one(1)
-    return w_minus(shape, -k)
 
 
 def generating_set(shape) -> list[LaurentOp]:

@@ -10,7 +10,7 @@ all-integer computations on the fast path.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd
 from operator import add
 
 
@@ -172,9 +172,6 @@ class BasePoly(RingOps):
             raise ValueError("zero polynomial has no leading term")
         exp = max(self.terms, key=grlex_key)
         return exp, self.terms[exp]
-
-    def coefficient(self, exp) -> Fraction:
-        return Fraction(self.terms.get(tuple(exp), 0))
 
     def sorted_terms(self):
         """Terms in graded-lex descending order (the canonical order)."""
@@ -435,16 +432,16 @@ def rational_roots(p: BasePoly):
     denom_lcm = 1
     for c in p.terms.values():
         if c.__class__ is Fraction:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
     coeffs = [int(p.terms.get((e,), 0) * denom_lcm) for e in range(deg, val - 1, -1)]
     scale = 0
     for c in coeffs:
-        scale = _gcd(scale, c)
+        scale = gcd(scale, c)
     coeffs = [c // scale for c in coeffs]
     dens = _divisors(coeffs[0])
     pairs = ((sign * num, den)
              for num in _divisors(coeffs[-1])
-             for den in dens if _gcd(num, den) == 1
+             for den in dens if gcd(num, den) == 1
              for sign in (-1, 1))
     for num, den in pairs:
         while (len(coeffs) > 1 and coeffs[0] % den == 0
@@ -460,13 +457,6 @@ def rational_roots(p: BasePoly):
              for k, c in enumerate(coeffs) if c}
     roots.sort()
     return roots, BasePoly._trusted(1, terms)
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def linear_factors(roots, nvars: int = 1, j: int = 0) -> BasePoly:
@@ -526,11 +516,3 @@ def poly_to_json(p: BasePoly) -> dict:
         "terms": [{"exp": list(exp), "coef": _coef_str(c)}
                   for exp, c in p.sorted_terms()],
     }
-
-
-def poly_from_json(data: dict) -> BasePoly:
-    nvars = int(data["nvars"])
-    terms = {}
-    for item in data["terms"]:
-        terms[tuple(item["exp"])] = Fraction(item["coef"])
-    return BasePoly(nvars, terms)

@@ -134,12 +134,6 @@ class GwaPresentation:
     def element(self, coords) -> "GwaElement":
         return GwaElement(self, coords)
 
-    def zero(self) -> "GwaElement":
-        return GwaElement(self, {})
-
-    def one(self) -> "GwaElement":
-        return self.basis((0,) * self.nvars)
-
     def basis(self, alpha) -> "GwaElement":
         return GwaElement(self, {tuple(alpha): BasePoly.one(self.nvars)})
 
@@ -423,8 +417,7 @@ class Embedding:
 
     __slots__ = ("presentation", "x_images", "y_images", "_powers")
 
-    def __init__(self, presentation: GwaPresentation, x_images, y_images,
-                 check: bool = True):
+    def __init__(self, presentation: GwaPresentation, x_images, y_images):
         n = presentation.nvars
         x_images = tuple(x_images)
         y_images = tuple(y_images)
@@ -437,8 +430,7 @@ class Embedding:
         object.__setattr__(self, "x_images", x_images)
         object.__setattr__(self, "y_images", y_images)
         object.__setattr__(self, "_powers", {})
-        if check:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("Embedding is immutable")
@@ -546,18 +538,3 @@ class Embedding:
                     % (deg,)) from exc
         return GwaElement(pres, coords)
 
-
-def presentation_to_json(pres: GwaPresentation) -> dict:
-    return {
-        "rank": pres.nvars,
-        "a": [render_poly(p) for p in pres.a],
-        "steps": list(pres.steps),
-    }
-
-
-def presentation_from_json(data: dict) -> GwaPresentation:
-    # imported here: exprparse imports cuspops, which imports this module
-    from .exprparse import parse_poly
-    rank = int(data["rank"])
-    a = [parse_poly(text, nvars=rank) for text in data["a"]]
-    return GwaPresentation(a, data["steps"])

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactpoly import ArityMismatch, BasePoly
-from .skewlaurent import LaurentOp, render_op
-from .cuspops import CuspShape, as_shape, delta_op, generating_set, membership
+from .exactpoly import ArityMismatch
+from .skewlaurent import LaurentOp
+from .cuspops import as_shape, delta_op, membership
 
 
 class NotStable(ValueError):
@@ -44,10 +44,6 @@ class LaurentVector:
     @classmethod
     def monomial(cls, nvars: int, degree, c=1) -> "LaurentVector":
         return cls(nvars, {tuple(degree): c})
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LaurentVector":
-        return cls(nvars, {})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -316,9 +312,6 @@ class WeightSupport:
     def contains_root(self, r: int) -> bool:
         return r in self.roots
 
-    def window(self, lo: int, hi: int) -> list[int]:
-        return self.roots.window(lo, hi)
-
     def __eq__(self, other):
         if not isinstance(other, WeightSupport):
             return NotImplemented
@@ -471,7 +464,7 @@ def restriction_blocks(shape, window: int):
         return sets
 
     exps_a = [k for k in range(-window, window + 1)
-              if mask.factors[0].__contains__(k)]
+              if k in mask.factors[0]]
     exps_q = [k for k in range(-window, window + 1)
               if k not in mask.factors[0]]
     return blocks(exps_a, False), blocks(exps_q, True)

@@ -14,9 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactpoly import (ArityMismatch, BasePoly, RingOps, divides,
-                        exact_divide, grlex_key, linear_factors, poly_from_json,
-                        poly_to_json, render_poly)
+from .exactpoly import (ArityMismatch, BasePoly, RingOps, divides, grlex_key,
+                        linear_factors, poly_to_json, render_poly)
 
 
 class LaurentOp(RingOps):
@@ -228,17 +227,6 @@ def weyl_membership(u: LaurentOp) -> bool:
                for alpha, dpoly in u.components.items())
 
 
-def weyl_decompose(u: LaurentOp) -> dict:
-    """Coefficients of u in the basis c(h) * prod partial_i^{|alpha_i|} layers.
-
-    Raises NotDivisible when u is outside the Weyl subalgebra.
-    """
-    widths = (1,) * u.nvars
-    return {alpha: exact_divide(u.components[alpha],
-                                graded_divisor(widths, alpha))
-            for alpha in u.support()}
-
-
 # -- canonical text and json forms ----------------------------------------
 
 def _x_names(nvars: int) -> list[str]:
@@ -274,11 +262,3 @@ def op_to_json(u: LaurentOp) -> dict:
         "components": [{"degree": list(deg), "coeff": poly_to_json(u.components[deg])}
                        for deg in u.support()],
     }
-
-
-def op_from_json(data: dict) -> LaurentOp:
-    nvars = int(data["nvars"])
-    comps = {}
-    for item in data["components"]:
-        comps[tuple(item["degree"])] = poly_from_json(item["coeff"])
-    return LaurentOp(nvars, comps)

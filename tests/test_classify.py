@@ -10,11 +10,10 @@ import pytest
 
 from cuspdiff.classify import (INFINITE, ClassifiedModule, GammaInterval,
                                InvalidInterval, LinMaxIdeal, NonlinearFactor,
-                               NotNormal, Orbit, WrongShape,
-                               build_weight_module, classify_DA_torsion,
-                               classify_bbA, is_normal, less_than,
+                               Orbit, WrongShape, build_weight_module,
+                               classify_DA_torsion, classify_bbA, is_normal,
                                marked_ideals, normalization_shift, normalize,
-                               partition_orbit, torsionfree_presentation)
+                               partition_orbit)
 from cuspdiff.classify import _least_shift, _nonpositive_coords, _roots_less
 from cuspdiff.cuspops import bbA_presentation, calA_presentation
 from cuspdiff.exactpoly import BasePoly, exact_divide, rational_roots
@@ -32,6 +31,40 @@ def p(text):
 def bba_element(m, coords):
     pres, _ = bbA_presentation(m)
     return GwaElement(pres, {(k,): c for k, c in coords.items()})
+
+
+# the weight model of an interval module, kept here as the oracle that the
+# classification's annihilators and supports are checked against
+
+def in_interval(gamma, root):
+    """Whether a root lies in the interval: in its orbit and between its anchors."""
+    root = Fraction(root)
+    if not gamma.orbit.contains_root(root):
+        return False
+    if gamma.kind == "full":
+        return True
+    if gamma.kind == "left_ray":
+        return root <= gamma.upper.root
+    if gamma.kind == "right_ray":
+        return root > gamma.lower.root
+    return gamma.lower.root < root <= gamma.upper.root
+
+
+def up_scalar(wm, lam):
+    """Scalar of the transition lam -> lam + step: 1 where both ends lie inside."""
+    lam = Fraction(lam)
+    inside = in_interval(wm.interval, lam) and \
+        in_interval(wm.interval, lam + wm.step)
+    return Fraction(1 if inside else 0)
+
+
+def down_scalar(wm, lam):
+    """Scalar of the transition lam -> lam - step: a(lam - step) where both
+    ends lie inside, so down(up(lam)) = a(lam)."""
+    lam = Fraction(lam)
+    if in_interval(wm.interval, lam) and in_interval(wm.interval, lam - wm.step):
+        return wm.a.eval([lam - wm.step])
+    return Fraction(0)
 
 
 class TestOrbits:
@@ -100,7 +133,7 @@ class TestPartition:
         a = H * (H - 1) * (H - 4)
         pieces = partition_orbit(a, Orbit(0))
         for r in range(-20, 21):
-            assert sum(g.contains_root(r) for g in pieces) == 1
+            assert sum(in_interval(g, r) for g in pieces) == 1
 
     def test_render(self):
         a = H * (H - 1)
@@ -158,19 +191,19 @@ class TestWeightModules:
         # the scalar of the down transition out of the bottom weight is a at
         # the marked root, which is zero
         wm = build_weight_module(self.a, self.pieces[2], 1)
-        assert wm.down_scalar(2) == 0
-        assert wm.down_scalar(3) == self.a.eval([2]) != 0
+        assert down_scalar(wm, 2) == 0
+        assert down_scalar(wm, 3) == self.a.eval([2]) != 0
 
     def test_transition_composition(self):
         wm = build_weight_module(self.a, self.pieces[2], 1)
         for lam in (2, 3):
-            up = wm.up_scalar(lam)
-            down = wm.down_scalar(lam + 1)
+            up = up_scalar(wm, lam)
+            down = down_scalar(wm, lam + 1)
             assert down * up == self.a.eval([lam])
 
     def test_top_weight_cannot_go_up(self):
         wm = build_weight_module(self.a, self.pieces[1], 1)
-        assert wm.up_scalar(1) == 0
+        assert up_scalar(wm, 1) == 0
 
     def test_step_two(self):
         a2 = H * (H - 4)
@@ -204,7 +237,7 @@ def _walk(wm, lam, t, k):
     """Product of the delta(t) scalars along k steps from the weight lam."""
     prod = 1
     for _ in range(k):
-        prod *= wm.up_scalar(lam) if t == 1 else wm.down_scalar(lam)
+        prod *= up_scalar(wm, lam) if t == 1 else down_scalar(wm, lam)
         lam += t
     return prod
 
@@ -290,8 +323,8 @@ class TestClassifyBbA:
         for m in range(2, 13):
             for e in classify_bbA(m)[:4]:
                 window = range(-3 * m - 5, 4 * m + 6)
-                assert e.support.window(window[0], window[-1]) == [
-                    k for k in window if e.interval.contains_root(k)]
+                assert e.support.roots.window(window[0], window[-1]) == [
+                    k for k in window if in_interval(e.interval, k)]
 
 
 class TestClassifyTorsion:
@@ -312,25 +345,27 @@ class TestClassifyTorsion:
 
 class TestOrbitOrder:
     def test_comparable_pairs(self):
-        assert less_than(H, H - 1)           # 0 < 1
-        assert not less_than(H - 1, H)
-        assert not less_than(H, H)           # strict
+        assert _roots_less([0], [1])
+        assert not _roots_less([1], [0])
+        assert not _roots_less([0], [0])     # strict
 
     def test_products(self):
-        assert less_than(H * (H - 1), (H - 2) * (H - 3))
-        assert not less_than(H * (H - 3), (H - 2) * (H - 4))
+        assert _roots_less([0, 1], [2, 3])
+        assert not _roots_less([0, 3], [2, 4])
 
     def test_incomparable_is_vacuous(self):
-        assert less_than(p("2*h-1"), H - 1)
-        assert less_than(H - 1, p("2*h-1"))
+        half = Fraction(1, 2)
+        assert _roots_less([half], [1])
+        assert _roots_less([1], [half])
 
     def test_constants_are_vacuous(self):
-        assert less_than(BasePoly.constant(1, 5), H)
-        assert less_than(H, BasePoly.constant(1, 5))
+        assert _roots_less([], [0])
+        assert _roots_less([0], [])
 
     def test_nonsplit_rejected(self):
+        # beta_{-m'} = h^2 + 1 has no rational root
         with pytest.raises(NonlinearFactor):
-            less_than(H * H + 1, H)
+            is_normal(bba_element(2, {0: H, -1: H * H + 1}))
 
 
 class TestIsNormal:
@@ -546,13 +581,3 @@ class TestNormalizeOracle:
             assert len(roots_calls) <= 6, b
         assert divide_calls == []
 
-
-class TestTorsionFree:
-    def test_requires_normal_generator(self):
-        with pytest.raises(NotNormal):
-            torsionfree_presentation(bba_element(2, {0: H, -1: H + 1}))
-
-    def test_wraps_normal_generator(self):
-        b = bba_element(2, {0: BasePoly.one(1), -1: H})
-        tf = torsionfree_presentation(b)
-        assert tf.element == b

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cuspdiff.exactpoly import (ArityMismatch, BasePoly, DivisionByZero,
                                 NotDivisible, divides, exact_divide,
-                                grlex_key, linear_factors, poly_from_json,
-                                poly_to_json, rational_roots, render_poly)
+                                grlex_key, linear_factors, poly_to_json,
+                                rational_roots, render_poly)
 from cuspdiff.exprparse import parse_poly
 
 H = BasePoly.variable(1, 0)
@@ -406,14 +406,14 @@ class TestTextForm:
 
 
 class TestJson:
-    @given(polys(nvars=2, maxdeg=3))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip(self, p):
-        assert poly_from_json(poly_to_json(p)) == p
-
     def test_fraction_coefficients_survive(self):
-        p = H * Fraction(3, 7) + 1
-        assert poly_from_json(poly_to_json(p)) == p
+        h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
+        p = Fraction(3, 7) * h1 * h1 * h2 - 2 * h2 * h2 - Fraction(1, 2) * h1 - 5
+        assert poly_to_json(p) == {"nvars": 2, "terms": [
+            {"exp": [2, 1], "coef": "3/7"},
+            {"exp": [0, 2], "coef": "-2"},
+            {"exp": [1, 0], "coef": "-1/2"},
+            {"exp": [0, 0], "coef": "-5"}]}
 
 
 def test_grlex_orders_by_total_degree_first():

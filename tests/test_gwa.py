@@ -14,7 +14,6 @@ from cuspdiff.exactpoly import ArityMismatch, BasePoly
 from cuspdiff.gwa import (Embedding, GwaElement, GwaPresentation,
                           ImagesViolateRelations, NotInImage,
                           PresentationMismatch, _box, gwa_multiply,
-                          presentation_from_json, presentation_to_json,
                           render_gwa, verify_presentation)
 from cuspdiff.skewlaurent import LaurentOp
 
@@ -114,20 +113,20 @@ class TestArithmetic:
         assert (u * v) * w == u * (v * w)
         assert u * (v + w) == u * v + u * w
         assert (u + v) * w == u * w + v * w
-        assert u - u == pres.zero()
+        assert u - u == GwaElement(pres)
 
     def test_scalar_and_base_coercion(self):
         pres = GwaPresentation((H,), (1,))
         X = pres.basis((1,))
         assert 2 * X == X + X
-        assert X * 0 == pres.zero()
-        assert (1 - X) + X == pres.one()
+        assert X * 0 == GwaElement(pres)
+        assert (1 - X) + X == pres.basis((0,))
 
     def test_power(self):
         pres = GwaPresentation((H,), (1,))
         Y = pres.basis((-1,))
         assert Y ** 3 == pres.basis((-3,))
-        assert Y ** 0 == pres.one()
+        assert Y ** 0 == pres.basis((0,))
         with pytest.raises(ValueError):
             Y ** -2
 
@@ -135,7 +134,7 @@ class TestArithmetic:
         p1 = GwaPresentation((H,), (1,))
         p2 = GwaPresentation((H + 1,), (1,))
         with pytest.raises(PresentationMismatch):
-            p1.one() + p2.one()
+            p1.basis((0,)) + p2.basis((0,))
 
     def test_rank_two_cross_factor(self):
         h1 = BasePoly.variable(2, 0)
@@ -460,11 +459,4 @@ class TestTextAndJson:
                               (-1,): H - 1})
         text = render_gwa(u)
         assert "X^2" in text and "Y" in text and "(h)" in text
-        assert render_gwa(pres.zero()) == "0"
-
-    def test_presentation_json_round_trip(self):
-        for pres in (GwaPresentation((H * H - 3,), (2,)),
-                     GwaPresentation((BasePoly.variable(2, 0),
-                                      BasePoly.variable(2, 1)), (1, 3))):
-            data = presentation_to_json(pres)
-            assert presentation_from_json(data) == pres
+        assert render_gwa(GwaElement(pres)) == "0"

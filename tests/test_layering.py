@@ -1,6 +1,11 @@
-"""Import layering: each module imports only from the modules below it."""
+"""Import layering: each module imports only from the modules below it.
+
+The public surface holds only what something outside the unit tests reaches:
+another library module, the bench, the acceptance criteria or the README.
+"""
 
 import ast
+import re
 from pathlib import Path
 
 import cuspdiff
@@ -8,11 +13,10 @@ import cuspdiff
 LAYERS = ["exactpoly", "skewlaurent", "gwa", "cuspops", "modactions",
           "classify", "exprparse", "cli"]
 
-# gwa.presentation_from_json parses base polynomials with exprparse, which
-# sits above it; the import is inside the function, so it runs only then
-ALLOWED_UPWARD = {("gwa", "exprparse", "presentation_from_json")}
+ALLOWED_UPWARD = set()
 
 PACKAGE = Path(cuspdiff.__file__).resolve().parent
+ROOT = PACKAGE.parents[1]
 
 
 def _relative_imports(module):
@@ -49,3 +53,39 @@ def test_imports_point_down():
             if LAYERS.index(target) >= rank:
                 upward.add((module, target, func))
     assert upward == ALLOWED_UPWARD
+
+
+def _exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _references(path):
+    """Names a file reads, each outside the def or class that defines it."""
+    used = set()
+
+    def visit(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            inner = enclosing
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = enclosing | {child.name}
+            if isinstance(child, ast.Name) and child.id not in inner:
+                used.add(child.id)
+            elif isinstance(child, ast.Attribute) and child.attr not in inner:
+                used.add(child.attr)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return used
+
+
+def test_every_export_is_reached():
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += (ROOT / "bench").glob("*.py")
+    sources.append(ROOT / "tests" / "test_acceptance.py")
+    reached = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in sources:
+        reached |= _references(path)
+    assert sorted(_exports() - reached) == []

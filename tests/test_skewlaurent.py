@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspdiff.cuspops import decompose
 from cuspdiff.exactpoly import ArityMismatch, BasePoly
 from cuspdiff.skewlaurent import (LaurentOp, commutator, graded_divisor,
-                                  op_from_json, op_to_json, render_op,
-                                  weyl_decompose, weyl_membership)
+                                  op_to_json, render_op, weyl_membership)
 
 H = BasePoly.variable(1, 0)
 x = LaurentOp.x(1, 0)
@@ -143,7 +143,7 @@ class TestWeylSubalgebra:
 
     def test_decompose_rebuilds(self):
         u = d ** 3 * (h + 2) + x ** 2 - 5
-        layers = weyl_decompose(u)
+        layers = decompose(u, 1)
         rebuilt = LaurentOp.zero(1)
         for alpha, coeff in layers.items():
             piece = LaurentOp.from_poly(coeff)
@@ -165,12 +165,23 @@ class TestTextAndJson:
         u = xinv + x * x
         assert render_op(u) == "(1) * x^2 + (1) * x^-1"
 
-    @given(ops(nvars=2))
-    @settings(max_examples=30, deadline=None)
-    def test_json_roundtrip(self, u):
-        assert op_from_json(op_to_json(u)) == u
+    def test_json_pinned_form(self):
+        h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
+        p = Fraction(3, 7) * h1 * h1 * h2 - 2 * h2 * h2 - Fraction(1, 2) * h1 - 5
+        u = (LaurentOp.monomial(2, (-1, 2), p)
+             + LaurentOp.monomial(2, (1, 0), Fraction(-2, 3))
+             + LaurentOp.h(2, 1))
+        assert op_to_json(u) == {"nvars": 2, "components": [
+            {"degree": [1, 0], "coeff": {"nvars": 2, "terms": [
+                {"exp": [0, 0], "coef": "-2/3"}]}},
+            {"degree": [-1, 2], "coeff": {"nvars": 2, "terms": [
+                {"exp": [2, 1], "coef": "3/7"},
+                {"exp": [0, 2], "coef": "-2"},
+                {"exp": [1, 0], "coef": "-1/2"},
+                {"exp": [0, 0], "coef": "-5"}]}},
+            {"degree": [0, 0], "coeff": {"nvars": 2, "terms": [
+                {"exp": [0, 1], "coef": "1"}]}}]}
 
     def test_fraction_coefficients(self):
         u = LaurentOp.monomial(1, (1,), Fraction(2, 3))
-        assert op_from_json(op_to_json(u)) == u
         assert render_op(u) == "(2/3) * x"
