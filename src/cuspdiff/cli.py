@@ -17,8 +17,8 @@ import sys
 from fractions import Fraction
 from random import Random
 
-from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, grlex_key,
-                        poly_to_json, render_poly)
+from .exactpoly import (ArityMismatch, BasePoly, ExponentOverflow, NotDivisible,
+                        grlex_key, poly_to_json, render_poly)
 from .skewlaurent import op_to_json, render_op, weyl_membership
 from .cuspops import (as_shape, decompose, delta_op, generating_set,
                       membership, phi, presentation, structure_constant)
@@ -589,7 +589,7 @@ def main(argv=None) -> int:
         code = args.func(args, parser)
         sys.stdout.flush()
         return code
-    except (ExprParseError, ArityMismatch,
+    except (ExprParseError, ArityMismatch, ExponentOverflow,
             classify_mod.WrongShape, classify_mod.NonlinearFactor) as exc:
         parser.error(str(exc))
     except BrokenPipeError:

@@ -10,8 +10,9 @@ all-integer computations on the fast path.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
-from operator import add
+from functools import lru_cache, reduce
+from math import gcd
+from operator import or_
 
 
 class ArityMismatch(ValueError):
@@ -24,6 +25,24 @@ class NotDivisible(ArithmeticError):
 
 class DivisionByZero(ZeroDivisionError):
     """Division by the zero polynomial."""
+
+
+class ExponentOverflow(ValueError):
+    """A multivariate exponent does not fit the field of its packed key."""
+
+
+_FIELD = 32  # bits per variable in a packed key (see BasePoly)
+_MASK = (1 << _FIELD) - 1
+
+
+@lru_cache(maxsize=None)
+def _guard(nvars: int) -> int:
+    return 0 if nvars == 1 else sum(1 << _FIELD * i + _FIELD - 1 for i in range(nvars))
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    return (key,) if nvars == 1 else tuple(
+        key >> at & _MASK for at in range(_FIELD * (nvars - 1), -1, -_FIELD))
 
 
 def _norm_coef(c):
@@ -39,7 +58,7 @@ def _clean(terms: dict) -> dict:
     """Drop zero coefficients and store integral Fractions as int.
 
     For the int and Fraction values that arithmetic produces this is exactly
-    what validation stores, without re-checking the exponents.
+    what validation stores, without re-checking the keys.
     """
     return {e: (c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
             for e, c in terms.items() if c}
@@ -95,9 +114,13 @@ class BasePoly(RingOps):
     The variables are written h1..hn (plain h when nvars == 1).  Instances are
     treated as immutable; no method mutates self.
 
-    Stored terms invariant: ``terms`` maps exponent tuples of length nvars,
-    whose entries are nonnegative ints, to nonzero coefficients, and an
-    integral coefficient is stored as an int, never as a Fraction.
+    Stored terms invariant: ``_packed`` maps packed keys to nonzero
+    coefficients, an integral one stored as an int, never as a Fraction.  A
+    key has a _FIELD-bit field per variable, variable 0 most significant (one
+    variable: the key is the exponent, of any size), so int order on keys is
+    lex and keys add as exponents do.  Products and quotients refuse factors
+    with a field's top bit set (_guard), so no sum carries between fields.
+    ``terms`` is a read-only view by exponent tuple.
 
     Only the public constructor BasePoly(nvars, terms) validates; use it for
     every outside input.  Results the class computes itself (sums, negation,
@@ -105,14 +128,14 @@ class BasePoly(RingOps):
     and are wrapped by the private _trusted constructor without re-checking.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_packed")
 
     @staticmethod
-    def _trusted(nvars: int, terms: dict) -> "BasePoly":
-        """Wrap a term dict that already satisfies the stored-terms invariant."""
+    def _trusted(nvars: int, packed: dict) -> "BasePoly":
+        """Wrap a packed dict that already satisfies the stored-terms invariant."""
         p = _new(BasePoly)
         _set_nvars(p, nvars)
-        _set_terms(p, terms)
+        _set_packed(p, packed)
         return p
 
     def __init__(self, nvars: int, terms=None):
@@ -125,11 +148,13 @@ class BasePoly(RingOps):
                 raise ArityMismatch("exponent %r has length != %d" % (exp, nvars))
             if any(e < 0 for e in exp):
                 raise ValueError("negative exponent in polynomial term: %r" % (exp,))
+            if nvars > 1 and any(e > _MASK for e in exp):
+                raise ExponentOverflow("exponent %r passes 2^%d" % (exp, _FIELD))
             c = _norm_coef(c)
             if c:
-                clean[exp] = c
+                clean[reduce(lambda key, e: key << _FIELD | e, exp, 0)] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_packed", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("BasePoly is immutable")
@@ -158,20 +183,15 @@ class BasePoly(RingOps):
 
     # -- predicates and views --------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        return {_unpack(key, self.nvars): c for key, c in self._packed.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def is_constant(self) -> bool:
-        # stored exponents are distinct, so only one term can be constant
-        terms = self.terms
-        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
-
-    def leading_term(self):
-        """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=grlex_key)
-        return exp, self.terms[exp]
+        return not self._packed or (len(self._packed) == 1 and 0 in self._packed)
 
     def sorted_terms(self):
         """Terms in graded-lex descending order (the canonical order)."""
@@ -189,19 +209,18 @@ class BasePoly(RingOps):
         if other is NotImplemented:
             return NotImplemented
         self._check_arity(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + c
+        terms = dict(self._packed)
+        for key, c in other._packed.items():
+            terms[key] = terms.get(key, 0) + c
         return BasePoly._trusted(self.nvars, _clean(terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BasePoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return BasePoly._trusted(self.nvars, {k: -c for k, c in self._packed.items()})
 
     def _is_one(self) -> bool:
-        terms = self.terms
-        return len(terms) == 1 and terms.get((0,) * self.nvars) == 1
+        return len(self._packed) == 1 and self._packed.get(0) == 1
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -213,11 +232,14 @@ class BasePoly(RingOps):
             return other
         if other._is_one():
             return self
+        left, right, guard = self._packed, other._packed, _guard(self.nvars)
+        if guard and (reduce(or_, left, 0) | reduce(or_, right, 0)) & guard:
+            raise ExponentOverflow("a factor has an exponent >= 2^%d" % (_FIELD - 1))
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
-                terms[exp] = terms.get(exp, 0) + c1 * c2
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                key = e1 + e2
+                terms[key] = terms.get(key, 0) + c1 * c2
         return BasePoly._trusted(self.nvars, _clean(terms))
 
     __rmul__ = __mul__
@@ -234,10 +256,10 @@ class BasePoly(RingOps):
             other = BasePoly.constant(self.nvars, other)
         if not isinstance(other, BasePoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._packed == other._packed
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._packed.items())))
 
     def __repr__(self):
         return "BasePoly(%d, %s)" % (self.nvars, render_poly(self))
@@ -256,20 +278,26 @@ class BasePoly(RingOps):
                                 % (len(k), self.nvars))
         if not any(k) or self.is_constant():
             return self
-        out = {}
-        for exp, c in self.terms.items():
-            # expand prod_i (h_i - k_i)^{e_i} over exponent prefixes, one
-            # binomial row per variable; distinct prefixes never collide
-            partial = [((), c)]
-            for e, kj in zip(exp, k):
-                if e == 0 or kj == 0:
-                    partial = [(pe + (e,), pc) for pe, pc in partial]
-                    continue
-                row = [((t,), comb(e, t) * (-kj) ** (e - t)) for t in range(e + 1)]
-                partial = [(pe + te, pc * rc) for pe, pc in partial for te, rc in row]
-            for pe, pc in partial:
-                out[pe] = out.get(pe, 0) + pc
-        return BasePoly._trusted(self.nvars, _clean(out))
+        n, packed = self.nvars, self._packed
+        mask = _MASK if n > 1 else -1  # a univariate key is all exponent
+        for i, ki in enumerate(k):
+            if not ki:
+                continue
+            # Ruffini-Horner Taylor shift in h_i of each column of terms
+            at, columns = _FIELD * (n - 1 - i), {}
+            for key, c in packed.items():
+                e = key >> at & mask
+                columns.setdefault(key - (e << at), {})[e] = c
+            packed = {}
+            for rest, column in columns.items():
+                a = [column.get(e, 0) for e in range(max(column) + 1)]
+                d = len(a) - 1
+                for low in range(d):
+                    acc = a[d]
+                    for e in range(d - 1, low - 1, -1):
+                        acc = a[e] = a[e] - ki * acc
+                packed.update((rest + (e << at), c) for e, c in enumerate(a) if c)
+        return BasePoly._trusted(n, _clean(packed))
 
     def eval(self, point) -> Fraction:
         """Evaluate at a rational point (one value per variable).
@@ -283,15 +311,16 @@ class BasePoly(RingOps):
         if len(point) != self.nvars:
             raise ArityMismatch("point has length %d, nvars=%d"
                                 % (len(point), self.nvars))
-        total = 0
-        powcache = [{} for _ in range(self.nvars)]
-        for exp, c in self.terms.items():
-            for j, e in enumerate(exp):
+        total, mask = 0, (_MASK if self.nvars > 1 else -1)
+        fields = [({}, x) for x in reversed(point)]  # power caches, last field first
+        for key, c in self._packed.items():
+            for powers, x in fields:
+                e = key & mask
                 if e:
-                    powers = powcache[j]
                     if e not in powers:
-                        powers[e] = point[j] ** e
+                        powers[e] = x ** e
                     c *= powers[e]
+                key >>= _FIELD
             total += c
         return Fraction(total)
 
@@ -301,24 +330,25 @@ class BasePoly(RingOps):
             raise ArityMismatch("inject expects a univariate polynomial")
         if not 0 <= j < nvars:
             raise ValueError("variable index %d out of range for nvars=%d" % (j, nvars))
-        before, after = (0,) * j, (0,) * (nvars - j - 1)
-        return BasePoly._trusted(
-            nvars, {before + exp + after: c for exp, c in self.terms.items()})
+        if nvars > 1 and max(self._packed, default=0) > _MASK:
+            raise ExponentOverflow("exponent passes 2^%d" % _FIELD)
+        return BasePoly._trusted(nvars, {e << _FIELD * (nvars - 1 - j): c
+                                         for e, c in self._packed.items()})
 
 
 # slot setters for BasePoly._trusted, which bypasses __init__ and __setattr__
 _new = object.__new__
 _set_nvars = BasePoly.nvars.__set__
-_set_terms = BasePoly.terms.__set__
+_set_packed = BasePoly._packed.__set__
 
 
 def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
     """Return p / q when q divides p exactly, else raise NotDivisible.
 
-    Reduction by the single divisor's graded-lex leading term decides exact
-    divisibility: if p == c*q, the reduction can never get stuck, because a
-    stuck remainder would be a multiple of q whose leading monomial is not
-    divisible by the leading monomial of q.
+    Reduction by the single divisor's leading term in the lex order of the
+    packed keys decides exact divisibility: if p == c*q, the reduction can
+    never get stuck, because a stuck remainder would be a multiple of q whose
+    leading monomial is not divisible by the leading monomial of q.
     """
     if not isinstance(p, BasePoly) or not isinstance(q, BasePoly):
         raise TypeError("exact_divide expects BasePoly operands")
@@ -328,25 +358,27 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
         raise DivisionByZero("division by the zero polynomial")
     if p.is_zero():
         return BasePoly.zero(p.nvars)
-    qlead, qc = q.leading_term()
-    rem = dict(p.terms)
-    quot = {}
+    qterms, guard = q._packed, _guard(p.nvars)
+    if guard and (reduce(or_, p._packed) | reduce(or_, qterms)) & guard:
+        raise ExponentOverflow("a factor has an exponent >= 2^%d" % (_FIELD - 1))
+    qlead, qc = max(qterms.items())  # keys are distinct: coefficients never compared
+    rem, quot = dict(p._packed), {}
     while rem:
-        exp = max(rem, key=grlex_key)
-        if any(a < b for a, b in zip(exp, qlead)):
+        lead = max(rem)
+        t = lead - qlead
+        # a field of lead below qlead borrows: from the sign or a top bit
+        if t < 0 or t & guard:
             raise NotDivisible("%s does not divide %s"
                                % (render_poly(q), render_poly(p)))
-        t = tuple(a - b for a, b in zip(exp, qlead))
-        c = _div_coef(rem[exp], qc)
-        quot[t] = quot.get(t, 0) + c
-        for qe, qco in q.terms.items():
-            ne = tuple(a + b for a, b in zip(t, qe))
+        c = quot[t] = _div_coef(rem[lead], qc)
+        for qe, qco in qterms.items():
+            ne = t + qe
             nc = rem.get(ne, 0) - c * qco
             if nc:
                 rem[ne] = nc
             else:
                 rem.pop(ne, None)
-    return BasePoly._trusted(p.nvars, _clean(quot))
+    return BasePoly._trusted(p.nvars, quot)
 
 
 def divides(q: BasePoly, p: BasePoly) -> bool:
@@ -425,15 +457,14 @@ def rational_roots(p: BasePoly):
     if p.is_zero():
         raise ValueError("the zero polynomial has every root")
     # roots at 0 come from the trailing exponent
-    val = min(e for (e,) in p.terms)
-    deg = max(e for (e,) in p.terms)
+    val, deg = min(p._packed), max(p._packed)
     roots = [Fraction(0)] * val
     # primitive integer form, dense from the leading coefficient down
     denom_lcm = 1
-    for c in p.terms.values():
+    for c in p._packed.values():
         if c.__class__ is Fraction:
             denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    coeffs = [int(p.terms.get((e,), 0) * denom_lcm) for e in range(deg, val - 1, -1)]
+    coeffs = [int(p._packed.get(e, 0) * denom_lcm) for e in range(deg, val - 1, -1)]
     scale = 0
     for c in coeffs:
         scale = gcd(scale, c)
@@ -453,7 +484,7 @@ def rational_roots(p: BasePoly):
             break
     # p == h^val * (scale / denom_lcm) * coeffs * prod (h - root) over the other roots
     top = len(coeffs) - 1
-    terms = {(top - k,): _div_coef(c * scale, denom_lcm)
+    terms = {top - k: _div_coef(c * scale, denom_lcm)
              for k, c in enumerate(coeffs) if c}
     roots.sort()
     return roots, BasePoly._trusted(1, terms)
@@ -476,10 +507,19 @@ def _var_names(nvars: int) -> list[str]:
     return ["h%d" % (i + 1) for i in range(nvars)]
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n, split in halves below the interpreter's str limit."""
+    if n.bit_length() <= 12000:
+        return str(n)
+    m = n.bit_length() * 3 // 20  # about half the digits: log10(2) ~ 0.3
+    hi, lo = divmod(abs(n), 10 ** m)
+    return ("-" if n < 0 else "") + _int_str(hi) + _int_str(lo).zfill(m)
+
+
 def _coef_str(c) -> str:
     if isinstance(c, Fraction):
-        return "%d/%d" % (c.numerator, c.denominator)
-    return str(c)
+        return "%s/%s" % (_int_str(c.numerator), _int_str(c.denominator))
+    return _int_str(c)
 
 
 def render_poly(p: BasePoly) -> str:

@@ -255,7 +255,7 @@ def gwa_multiply(u: GwaElement, v: GwaElement) -> GwaElement:
             prev = coords.get(gamma)
             coords[gamma] = poly if prev is None else prev + poly
     return GwaElement._trusted(
-        pres, {gamma: p for gamma, p in coords.items() if p.terms})
+        pres, {gamma: p for gamma, p in coords.items() if not p.is_zero()})
 
 
 def render_gwa(u: GwaElement) -> str:

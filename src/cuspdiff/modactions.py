@@ -24,6 +24,15 @@ class LaurentVector:
 
     __slots__ = ("nvars", "coeffs")
 
+    @staticmethod
+    def _trusted(nvars: int, coeffs: dict) -> "LaurentVector":
+        """Wrap coeffs whose keys are int tuples of length nvars and whose
+        values are Fractions, dropping the zero ones unchecked."""
+        v = object.__new__(LaurentVector)
+        object.__setattr__(v, "nvars", nvars)
+        object.__setattr__(v, "coeffs", {d: c for d, c in coeffs.items() if c})
+        return v
+
     def __init__(self, nvars: int, coeffs=None):
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
@@ -133,7 +142,7 @@ def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:
                 continue
             deg = tuple(a + b for a, b in zip(alpha, beta))
             out[deg] = out.get(deg, Fraction(0)) + c * scalar
-    return LaurentVector(v.nvars, out)
+    return LaurentVector._trusted(v.nvars, out)
 
 
 class ExponentSet:

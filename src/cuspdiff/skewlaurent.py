@@ -27,6 +27,16 @@ class LaurentOp(RingOps):
 
     __slots__ = ("nvars", "components")
 
+    @staticmethod
+    def _trusted(nvars: int, components: dict) -> "LaurentOp":
+        """Wrap components whose keys are int tuples of length nvars and whose
+        values are BasePoly of arity nvars, dropping the zero ones unchecked."""
+        u = object.__new__(LaurentOp)
+        object.__setattr__(u, "nvars", nvars)
+        object.__setattr__(u, "components", {
+            d: p for d, p in components.items() if not p.is_zero()})
+        return u
+
     def __init__(self, nvars: int, components=None):
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
@@ -118,13 +128,13 @@ class LaurentOp(RingOps):
         comps = dict(self.components)
         for deg, poly in other.components.items():
             comps[deg] = comps.get(deg, BasePoly.zero(self.nvars)) + poly
-        return LaurentOp(self.nvars, comps)
+        return LaurentOp._trusted(self.nvars, comps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentOp(self.nvars,
-                         {d: -p for d, p in self.components.items()})
+        return LaurentOp._trusted(self.nvars,
+                                  {d: -p for d, p in self.components.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -140,7 +150,7 @@ class LaurentOp(RingOps):
                     comps[deg] = comps[deg] + term
                 else:
                     comps[deg] = term
-        return LaurentOp(self.nvars, comps)
+        return LaurentOp._trusted(self.nvars, comps)
 
     def __rmul__(self, other):
         other = self._coerce(other)

@@ -4,16 +4,13 @@ sweeps are seeded and deterministic."""
 
 import json
 import random
-import sys
 import time
-
-import pytest
 
 from cuspdiff.classify import classify_bbA, is_normal, normalize
 from cuspdiff.cli import main as cli_main
 from cuspdiff.cuspops import (CuspShape, bbA_presentation, calA_presentation,
                               decompose, delta_op, generating_set, membership,
-                              phi, structure_constant, w_minus)
+                              structure_constant, w_minus)
 from cuspdiff.exactpoly import BasePoly, NotDivisible
 from cuspdiff.exprparse import parse_expression
 from cuspdiff.gwa import GwaElement, gwa_multiply

@@ -12,7 +12,7 @@ import pytest
 
 import cuspdiff
 from cuspdiff.cli import main
-from cuspdiff.cuspops import delta_op, generating_set, w_minus
+from cuspdiff.cuspops import delta_op
 from cuspdiff.exactpoly import BasePoly
 from cuspdiff.exprparse import parse_expression
 from cuspdiff.skewlaurent import LaurentOp, render_op

@@ -4,7 +4,6 @@ the Weyl intersection, and canonical presentations."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cuspdiff.cuspops import (CuspShape, as_shape, bbA_presentation,
                               calA_presentation, decompose, delta_op,

@@ -2,15 +2,16 @@
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspdiff.cli import main
 from cuspdiff.exactpoly import (ArityMismatch, BasePoly, DivisionByZero,
-                                NotDivisible, divides, exact_divide,
-                                grlex_key, linear_factors, poly_to_json,
-                                rational_roots, render_poly)
+                                ExponentOverflow, NotDivisible, divides,
+                                exact_divide, grlex_key, linear_factors,
+                                poly_to_json, rational_roots, render_poly)
 from cuspdiff.exprparse import parse_poly
 
 H = BasePoly.variable(1, 0)
@@ -228,6 +229,74 @@ class TestShift:
         assert q.eval([3, 5]) == (3 - 1) * (5 + 1)
 
 
+def _reference_shift(p, k):
+    """The earlier term-by-term shift, kept as an independent oracle.
+
+    Each term prod_i h_i^{e_i} is expanded as prod_i (h_i - k_i)^{e_i} with
+    one binomial row per variable, over tuples of exponent prefixes.
+    """
+    out = {}
+    for exp, c in p.terms.items():
+        partial = [((), c)]
+        for e, kj in zip(exp, k):
+            if e == 0 or kj == 0:
+                partial = [(pe + (e,), pc) for pe, pc in partial]
+                continue
+            row = [((t,), comb(e, t) * (-kj) ** (e - t)) for t in range(e + 1)]
+            partial = [(pe + te, pc * rc) for pe, pc in partial for te, rc in row]
+        for pe, pc in partial:
+            out[pe] = out.get(pe, 0) + pc
+    return BasePoly(p.nvars, out)
+
+
+def _random_poly(rng, nvars, maxdeg, nterms):
+    """Int and Fraction coefficients, some exponents up to maxdeg."""
+    return BasePoly(nvars, {
+        tuple(rng.randint(0, maxdeg) for _ in range(nvars)):
+            rng.choice([rng.randint(-20, 20),
+                        Fraction(rng.randint(-20, 20), rng.randint(1, 9))])
+        for _ in range(nterms)})
+
+
+class TestTaylorShiftOracle:
+    def test_matches_term_by_term_expansion(self):
+        rng = random.Random(12)
+        for nvars in (1, 2, 3):
+            for _ in range(60):
+                p = _random_poly(rng, nvars, rng.choice([2, 5, 12]),
+                                 rng.randint(0, 8))
+                # negative entries, several nonzero entries, and zeros
+                k = [rng.choice([0, rng.randint(-6, 6)]) for _ in range(nvars)]
+                k[rng.randrange(nvars)] = rng.choice([-3, -1, 2, 5])
+                got, want = p.shift(k), _reference_shift(p, k)
+                assert _typed(got.terms) == _typed(want.terms), (p, k)
+
+    def test_dense_high_degree(self):
+        p = linear_factors(range(-9, 11))
+        for k in ([7], [-13]):
+            assert _typed(p.shift(k).terms) == _typed(_reference_shift(p, k).terms)
+        assert p.shift([7]) == linear_factors(range(-2, 18))
+
+
+class TestTermsView:
+    def test_round_trip_through_the_constructor(self):
+        rng = random.Random(7)
+        for nvars in (1, 2, 3):
+            for _ in range(40):
+                p = _random_poly(rng, nvars, 9, rng.randint(0, 7))
+                assert BasePoly(p.nvars, p.terms) == p
+                assert _typed(BasePoly(p.nvars, p.terms).terms) == _typed(p.terms)
+        big = BasePoly(1, {(2 ** 70,): 3, (5,): -1})
+        assert BasePoly(1, big.terms) == big
+        wide = BasePoly(2, {(2 ** 32 - 1, 0): 1, (1, 2 ** 32 - 1): 2})
+        assert wide.terms == {(2 ** 32 - 1, 0): 1, (1, 2 ** 32 - 1): 2}
+
+    def test_view_is_read_only(self):
+        p = H * H + 1
+        p.terms[(7,)] = 1
+        assert p == H * H + 1
+
+
 class TestDivision:
     def test_exact(self):
         p = (H - 1) * (H + 3) * (H - Fraction(1, 2))
@@ -248,6 +317,21 @@ class TestDivision:
         h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
         p = (h1 + h2) * (h1 * h2 - 2)
         assert exact_divide(p, h1 + h2) == h1 * h2 - 2
+
+    def test_lex_and_graded_leading_terms_differ(self):
+        # h1 leads h1 + h2^2 in lex order, h2^2 in graded-lex order
+        h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
+        q = h1 + h2 * h2
+        for c in (h1 * h2 - 3, h2 ** 3 + Fraction(1, 2) * h1, h1 ** 2 - h2):
+            assert exact_divide(q * c, q) == c
+        for p in (h2 * h2, h1 * h2 + h2 ** 3 + 1, q * h1 + h2, h2 ** 4 - h1):
+            with pytest.raises(NotDivisible):
+                exact_divide(p, q)
+        assert exact_divide(h2 ** 4 - h1 * h1, q) == h2 * h2 - h1
+        # the key of h1 exceeds that of h2, but h2 does not divide h1
+        for p, d in ((h1 * h2, h2 * h2), (h1, h2 + 1), (h1 * h2 + h1, h2 * h2)):
+            with pytest.raises(NotDivisible):
+                exact_divide(p, d)
 
     @given(polys(), polys())
     @settings(max_examples=80, deadline=None)
@@ -393,6 +477,44 @@ class TestRationalRootsOracle:
         assert linear_factors(got) * cof == p
 
 
+class TestFieldLimit:
+    """Multivariate exponents live in 32-bit fields of one packed int key."""
+
+    def test_overflow_is_a_value_error(self):
+        assert issubclass(ExponentOverflow, ValueError)
+        with pytest.raises(ExponentOverflow):
+            BasePoly(2, {(2 ** 32, 0): 1})
+        with pytest.raises(ExponentOverflow):
+            BasePoly(1, {(2 ** 32,): 1}).inject(2, 1)
+
+    def test_products_never_carry_into_the_next_variable(self):
+        top = BasePoly(2, {(2 ** 31 - 1, 2 ** 31 - 1): 1})
+        assert (top * top).terms == {(2 ** 32 - 2, 2 ** 32 - 2): 1}
+        low = BasePoly(2, {(0, 2 ** 31): 1})
+        h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
+        for a, b in ((low, low), (top * top, h2), (h1, top * top)):
+            with pytest.raises(ExponentOverflow):
+                a * b
+        with pytest.raises(ExponentOverflow):
+            exact_divide(BasePoly(2, {(0, 2 ** 31 + 1): 1}), h2)
+
+    def test_univariate_has_no_limit(self):
+        big = H ** (2 ** 63)
+        assert big.terms == {(2 ** 63,): 1}
+        assert (big * big * H).terms == {(2 ** 64 + 1,): 1}
+        assert exact_divide(big * (H - 1), big) == H - 1
+        # the whole key is the exponent: none of it is masked away
+        assert (H ** (2 ** 32) + 3).eval([0]) == 3
+
+    def test_cli_exit_codes(self, capsys):
+        assert main(["mul", "--m", "1", "h^9223372036854775808"]) == 0
+        assert capsys.readouterr().out == "(h^9223372036854775808)\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["mul", "--m", "2,3", "h1^4294967296"])
+        assert exc.value.code == 2
+        assert "exponent" in capsys.readouterr().err
+
+
 class TestTextForm:
     def test_canonical_rendering(self):
         assert render_poly((H - 1) * (H - 2)) == "h^2-3*h+2"
@@ -403,6 +525,38 @@ class TestTextForm:
     def test_multivariate_rendering_uses_graded_order(self):
         h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
         assert render_poly(h1 * h2 + h1 + 1) == "h1*h2+h1+1"
+
+
+def _digits_to_int(digits):
+    n = 0
+    for ch in digits:
+        n = n * 10 + int(ch)
+    return n
+
+
+class TestHugeCoefficients:
+    """Ints past the interpreter's 4300-digit str() limit still render."""
+
+    def test_render_and_json(self):
+        rng = random.Random(3)
+        digits = "7" + "".join(rng.choice("0123456789") for _ in range(4999))
+        n = _digits_to_int(digits)
+        p = BasePoly(1, {(1,): n, (0,): -n, (2,): Fraction(1, n)})
+        assert render_poly(p) == "1/%s*h^2+%s*h-%s" % (digits, digits, digits)
+        assert poly_to_json(p)["terms"] == [
+            {"exp": [2], "coef": "1/" + digits},
+            {"exp": [1], "coef": digits},
+            {"exp": [0], "coef": "-" + digits}]
+
+    def test_zero_runs_across_the_split(self):
+        rng = random.Random(4)
+        for size in (3600, 4301, 5000, 9000, 20000):
+            digits = "".join(rng.choice(["0" * 40, "9", "1", "05"])
+                             for _ in range(size))[:size]
+            digits = "3" + digits[1:]
+            n = _digits_to_int(digits)
+            assert render_poly(BasePoly(1, {(0,): n})) == digits
+            assert render_poly(BasePoly(1, {(0,): -n})) == "-" + digits
 
 
 class TestJson:

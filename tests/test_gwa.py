@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cuspdiff import gwa
 from cuspdiff.cuspops import (bbA_presentation, calA_presentation, delta_op,
                               weyl_presentation)
-from cuspdiff.exactpoly import ArityMismatch, BasePoly
+from cuspdiff.exactpoly import BasePoly
 from cuspdiff.gwa import (Embedding, GwaElement, GwaPresentation,
                           ImagesViolateRelations, NotInImage,
                           PresentationMismatch, _box, gwa_multiply,

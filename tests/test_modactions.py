@@ -1,18 +1,17 @@
 """Module actions on Laurent monomials, masked quotients, stability, and the
 weight-support bookkeeping behind restriction."""
 
-import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspdiff.cuspops import CuspShape, delta_op, generating_set
 from cuspdiff.exactpoly import ArityMismatch, BasePoly
-from cuspdiff.modactions import (ExponentSet, GradedMask, LaurentVector,
-                                 NotStable, act, act_on_quotient, cusp_mask,
-                                 quotient_mask, render_vector,
-                                 restriction_blocks, simplicity_probe,
-                                 stability_check, support)
+from cuspdiff.modactions import (ExponentSet, LaurentVector, NotStable, act,
+                                 act_on_quotient, cusp_mask, quotient_mask,
+                                 render_vector, restriction_blocks,
+                                 simplicity_probe, stability_check, support)
 from cuspdiff.skewlaurent import LaurentOp
 
 H = BasePoly.variable(1, 0)
@@ -49,6 +48,13 @@ class TestAct:
         u = delta_op(2, (1,))
         v = mono(1, 2) + mono(4, -1)
         assert act(u, v) == 2 * act(u, mono(1)) + (-1) * act(u, mono(4))
+
+    def test_cancelling_contributions_leave_no_entry(self):
+        # x sends x^0 and -1 sends x^1 to x^1, with opposite signs
+        got = act(x - 1, mono(0) + mono(1))
+        assert got == mono(2) + mono(0, -1)
+        assert set(got.coeffs) == {(2,), (0,)}
+        assert all(type(c) is Fraction for c in got.coeffs.values())
 
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
