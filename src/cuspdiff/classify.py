@@ -408,14 +408,13 @@ def _nonpositive_coords(b: GwaElement):
         raise WrongShape("normal elements are rank one")
     if b.is_zero():
         raise WrongShape("the zero element has no normal form")
-    degrees = [alpha[0] for alpha in b.coords]
+    degrees = [alpha[0] for alpha in b.components]
     if any(k > 0 for k in degrees):
         raise WrongShape("positive-degree coordinates present")
     if 0 not in degrees:
         raise WrongShape("the degree zero coordinate vanishes")
     mprime = -min(degrees)
-    return mprime, {k: b.coords.get((-k,), BasePoly.zero(1))
-                    for k in range(0, mprime + 1)}
+    return mprime, {k: b.graded_component((-k,)) for k in range(mprime + 1)}
 
 
 def _right_coeff(pres: GwaPresentation, k: int, left: BasePoly) -> BasePoly:

@@ -437,7 +437,7 @@ def cmd_normalize(args, parser):
             "normalized": render_gwa(result.normalized),
             "normalized_coords": [
                 {"degree": list(alpha), "coefficient": poly_to_json(c)}
-                for alpha, c in sorted(result.normalized.coords.items())]})
+                for alpha, c in sorted(result.normalized.components.items())]})
     else:
         print("input: %s" % render_gwa(b))
         print("normal: %s" % ("true" if was_normal else "false"))

@@ -98,13 +98,19 @@ class RingOps:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers must be nonnegative integers")
-        out = self._coerce(1)
+        if n == 0:
+            return self._coerce(1)
+        # square up to the lowest set bit, then fold in the higher ones
         base = self
-        while n:
-            if n & 1:
-                out = out * base
+        while not n & 1:
             base = base * base
             n >>= 1
+        out = base
+        while n > 1:
+            n >>= 1
+            base = base * base
+            if n & 1:
+                out = out * base
         return out
 
 

@@ -120,46 +120,37 @@ class _ExprParser:
         return value
 
     def expr(self) -> LaurentOp:
-        value, _ = self.term()
+        value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            rhs, _ = self.term()
+            rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self):
-        value, kind = self.factor()
+    def term(self) -> LaurentOp:
+        value = self.factor()
         while self.peek().kind == "*":
             self.next()
-            rhs, _ = self.factor()
-            value = value * rhs
-            kind = "op"
-        return value, kind
+            value = value * self.factor()
+        return value
 
-    def factor(self):
-        tok = self.peek()
-        if tok.kind == "-":
+    def factor(self) -> LaurentOp:
+        if self.peek().kind == "-":
             self.next()
-            value, kind = self.factor()
-            return -value, kind
+            return -self.factor()
         value, kind = self.atom()
+        exponent = 1
         if self.peek().kind == "^":
             caret = self.next()
             exponent = self.signed_int()
-            if exponent < 0:
-                if kind != "xvar":
-                    self.fail(caret,
-                              "negative exponents need a bare x variable")
-                j, power = value
-                return LaurentOp.x(self.shape.rank, j, exponent), "op"
-            if kind == "xvar":
-                j, power = value
-                return LaurentOp.x(self.shape.rank, j, exponent), "op"
-            return value ** exponent, "op"
+            if kind != "xvar":
+                if exponent < 0:
+                    self.fail(caret, "negative exponents need a bare x variable")
+                return value ** exponent
         if kind == "xvar":
-            j, power = value
-            return LaurentOp.x(self.shape.rank, j, power), "op"
-        return value, kind
+            # value is the factor index of a bare x variable
+            return LaurentOp.x(self.shape.rank, value, exponent)
+        return value
 
     def signed_int(self) -> int:
         sign = 1
@@ -181,11 +172,7 @@ class _ExprParser:
         self.expect("(")
         tok = self.peek()
         value = self.signed_int()
-        factor = 0
-        if self.peek().kind == "@":
-            self.next()
-            ftok = self.expect("int")
-            factor = self.factor_index(ftok, ftok.text)
+        factor = self.at_factor()
         self.expect(")")
         return value, factor, tok
 
@@ -248,7 +235,7 @@ class _ExprParser:
             factor = 0 if len(name) == 1 else self.factor_index(tok, name[1:])
             if name[0] == "h":
                 return LaurentOp.h(n, factor), "op"
-            return (factor, 1), "xvar"
+            return factor, "xvar"
         self.fail(tok, "unknown name %r" % name)
 
 
@@ -278,4 +265,4 @@ def parse_poly(text: str, nvars: int = 1) -> BasePoly:
             raise ExprParseError("%r is not a polynomial in h: it has a term "
                                  "of degree %s"
                                  % (text, ",".join(map(str, alpha))))
-    return op.components.get(zero, BasePoly.zero(nvars))
+    return op.graded_component(zero)

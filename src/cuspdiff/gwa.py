@@ -11,16 +11,23 @@ where sigma_i sends h_i to h_i - s_i and fixes the other variables, and
 generators of distinct factors commute.  Elements are stored on the basis
 v_alpha = prod_i v_{alpha_i}(i) with v_k(i) = X_i^k for k >= 0 and
 Y_i^{-k} for k < 0, with base coefficients written on the left.
+GwaElement shares its sums, equality and text form with
+skewlaurent.LaurentOp through their common base, and keeps its own product,
+gwa_multiply.  The relations above are listed once, in _relations, and
+checked both by verify_presentation on GWA elements and by Embedding on the
+generator images in the Laurent ring.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import add, mul
 
-from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
-                        exact_divide, grlex_key, render_poly)
-from .skewlaurent import LaurentOp
+from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, exact_divide,
+                        render_poly)
+from .skewlaurent import Graded, LaurentOp
 
 
 class PresentationMismatch(ValueError):
@@ -141,44 +148,30 @@ class GwaPresentation:
         return GwaElement(self, {(0,) * self.nvars: d})
 
 
-class GwaElement(RingOps):
-    """Element sum_alpha c_alpha v_alpha with left base coefficients."""
+class GwaElement(Graded):
+    """Element sum_alpha c_alpha v_alpha with left base coefficients.
 
-    __slots__ = ("presentation", "coords")
+    components (also named coords) maps coordinate vectors alpha to the
+    nonzero base coefficients c_alpha.
+    """
 
-    @staticmethod
-    def _trusted(presentation: GwaPresentation, coords: dict) -> "GwaElement":
-        """Wrap coords whose keys are int tuples of length nvars and whose
-        values are nonzero BasePoly of arity nvars, without re-checking."""
-        u = object.__new__(GwaElement)
-        object.__setattr__(u, "presentation", presentation)
-        object.__setattr__(u, "coords", coords)
-        return u
+    __slots__ = ("presentation",)
 
     def __init__(self, presentation: GwaPresentation, coords=None):
-        clean = {}
-        n = presentation.nvars
-        for alpha, poly in (coords or {}).items():
-            alpha = tuple(int(v) for v in alpha)
-            if len(alpha) != n:
-                raise ArityMismatch("coordinate %r has length != %d" % (alpha, n))
-            if not isinstance(poly, BasePoly):
-                poly = BasePoly.constant(n, poly)
-            if poly.nvars != n:
-                raise ArityMismatch("coefficient arity %d != %d" % (poly.nvars, n))
-            if not poly.is_zero():
-                clean[alpha] = poly
         object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "coords", clean)
+        super().__init__(presentation.nvars, coords)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GwaElement is immutable")
+    def _like(self, components: dict) -> "GwaElement":
+        u = Graded._like(self, components)
+        _set_presentation(u, self.presentation)
+        return u
 
-    def support(self):
-        return sorted(self.coords, key=grlex_key, reverse=True)
+    def __hash__(self):
+        return hash((self.presentation, Graded.__hash__(self)))
 
-    def is_zero(self) -> bool:
-        return not self.coords
+    @property
+    def coords(self) -> dict:
+        return self.components
 
     def _coerce(self, other):
         if isinstance(other, GwaElement):
@@ -188,25 +181,8 @@ class GwaElement(RingOps):
         if isinstance(other, BasePoly):
             return self.presentation.from_base(other)
         if isinstance(other, (int, Fraction)):
-            n = self.presentation.nvars
-            return self.presentation.from_base(BasePoly.constant(n, other))
+            return self.presentation.from_base(BasePoly.constant(self.nvars, other))
         return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        coords = dict(self.coords)
-        n = self.presentation.nvars
-        for alpha, poly in other.coords.items():
-            coords[alpha] = coords.get(alpha, BasePoly.zero(n)) + poly
-        return GwaElement(self.presentation, coords)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GwaElement(self.presentation,
-                          {a: -p for a, p in self.coords.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -214,24 +190,12 @@ class GwaElement(RingOps):
             return NotImplemented
         return gwa_multiply(self, other)
 
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return gwa_multiply(other, self)
+    @staticmethod
+    def _letter(e: int):
+        return ("X", e) if e > 0 else ("Y", -e)
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coords == other.coords
 
-    def __hash__(self):
-        return hash((self.presentation,
-                     frozenset(self.coords.items())))
-
-    def __repr__(self):
-        return "GwaElement(%s)" % render_gwa(self)
+_set_presentation = GwaElement.presentation.__set__
 
 
 def gwa_multiply(u: GwaElement, v: GwaElement) -> GwaElement:
@@ -242,9 +206,9 @@ def gwa_multiply(u: GwaElement, v: GwaElement) -> GwaElement:
     pair = pres.pair_coefficient
     factors = range(pres.nvars)
     coords = {}
-    for alpha, c in u.coords.items():
+    for alpha, c in u.components.items():
         shift_vec = [k * s for k, s in zip(alpha, pres.steps)]
-        for beta, d in v.coords.items():
+        for beta, d in v.components.items():
             poly = c * d.shift(shift_vec)
             # same signs or a zero degree give the pair coefficient 1
             for i in factors:
@@ -254,38 +218,50 @@ def gwa_multiply(u: GwaElement, v: GwaElement) -> GwaElement:
             gamma = tuple(map(add, alpha, beta))
             prev = coords.get(gamma)
             coords[gamma] = poly if prev is None else prev + poly
-    return GwaElement._trusted(
-        pres, {gamma: p for gamma, p in coords.items() if not p.is_zero()})
+    return u._like(coords)
 
 
 def render_gwa(u: GwaElement) -> str:
     """Text form on the v-basis using X/Y names (X1, Y1, ... for rank > 1)."""
-    if u.is_zero():
-        return "0"
-    n = u.presentation.nvars
-    parts = []
-    for alpha in u.support():
-        pieces = ["(%s)" % render_poly(u.coords[alpha])]
-        for i, k in enumerate(alpha):
-            if k == 0:
-                continue
-            name = ("X" if k > 0 else "Y") if n == 1 else \
-                ("X%d" % (i + 1) if k > 0 else "Y%d" % (i + 1))
-            e = abs(k)
-            pieces.append(name if e == 1 else "%s^%d" % (name, e))
-        parts.append(" * ".join(pieces))
-    return " + ".join(parts)
+    return u._render()
+
+
+def _relations(pres: GwaPresentation, xs, ys, lift, samples):
+    """Yield (name, lhs, rhs) for each defining relation of pres.
+
+    xs and ys are the images of X_i and Y_i in some ring, and lift maps a
+    base polynomial into it.  Per factor i: Y_i X_i = a_i, X_i Y_i =
+    sigma_i(a_i), and X_i d = sigma_i(d) X_i, Y_i d = sigma_i^{-1}(d) Y_i for
+    each base sample d; then u v = v u for u in (X_i, Y_i) and v in (X_j,
+    Y_j), j > i.
+    """
+    n = pres.nvars
+    for i in range(n):
+        X, Y = xs[i], ys[i]
+        e = tuple(1 if j == i else 0 for j in range(n))
+        yield "yx=a[%d]" % i, Y * X, lift(pres.a[i])
+        yield "xy=sigma(a)[%d]" % i, X * Y, lift(pres.sigma_of_a(i, 1))
+        for k, d in enumerate(samples):
+            yield ("x-shift[%d,%d]" % (i, k), X * lift(d),
+                   lift(pres.sigma_power(d, e)) * X)
+            yield ("y-shift[%d,%d]" % (i, k), Y * lift(d),
+                   lift(pres.sigma_power(d, tuple(-v for v in e))) * Y)
+        for j in range(i + 1, n):
+            for u in (X, Y):
+                for v in (xs[j], ys[j]):
+                    yield "commute[%d,%d]" % (i, j), u * v, v * u
 
 
 def verify_presentation(pres: GwaPresentation, depth: int = 3,
                         extra_base=()) -> "GwaReport":
     """Check defining relations and associativity up to a coordinate bound.
 
-    Runs the relations Y_i X_i = a_i, X_i Y_i = sigma_i(a_i), the commutation
-    rules X_i d = sigma_i(d) X_i and Y_i d = sigma_i^{-1}(d) Y_i on sample base
-    elements, cross-factor commutation, and associativity of v_alpha v_beta
-    v_gamma for all coordinate vectors bounded by depth: every coordinate in
-    [-depth, depth] and, at rank > 1, |alpha|_1 <= depth.
+    Runs the relations _relations lists, on GWA elements: Y_i X_i = a_i,
+    X_i Y_i = sigma_i(a_i), the commutation rules X_i d = sigma_i(d) X_i and
+    Y_i d = sigma_i^{-1}(d) Y_i on the base samples 1, h_1..h_n, a_1..a_n and
+    extra_base, and cross-factor commutation.  Then it checks associativity
+    of v_alpha v_beta v_gamma for all coordinate vectors bounded by depth:
+    every coordinate in [-depth, depth] and, at rank > 1, |alpha|_1 <= depth.
 
     Associativity is checked one factor at a time.  Each a_i and sigma_i
     involves h_i alone, so both sides of (v_a v_b) v_c = v_a (v_b v_c) are
@@ -305,40 +281,13 @@ def verify_presentation(pres: GwaPresentation, depth: int = 3,
         raise ValueError("depth must be a positive integer, got %r" % (depth,))
     checks = []
     n = pres.nvars
-
-    def record(name, ok, witness=""):
-        checks.append(GwaCheck(name, bool(ok), witness))
-
-    base_samples = [BasePoly.one(n)]
-    for i in range(n):
-        base_samples.append(BasePoly.variable(n, i))
-    base_samples.extend(pres.a)
-    base_samples.extend(extra_base)
-
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        X = pres.basis(e)
-        Y = pres.basis(tuple(-v for v in e))
-        prod = Y * X
-        record("yx=a[%d]" % i, prod == pres.from_base(pres.a[i]),
-               render_gwa(prod))
-        prod = X * Y
-        record("xy=sigma(a)[%d]" % i,
-               prod == pres.from_base(pres.sigma_of_a(i, 1)), render_gwa(prod))
-        for k, d in enumerate(base_samples):
-            lhs = X * pres.from_base(d)
-            rhs = pres.from_base(pres.sigma_power(d, e)) * X
-            record("x-shift[%d,%d]" % (i, k), lhs == rhs, render_gwa(lhs))
-            lhs = Y * pres.from_base(d)
-            rhs = pres.from_base(pres.sigma_power(d, tuple(-v for v in e))) * Y
-            record("y-shift[%d,%d]" % (i, k), lhs == rhs, render_gwa(lhs))
-        for j in range(i + 1, n):
-            f = tuple(1 if k == j else 0 for k in range(n))
-            for u in (pres.basis(e), pres.basis(tuple(-v for v in e))):
-                for v in (pres.basis(f), pres.basis(tuple(-w for w in f))):
-                    uv = u * v
-                    record("commute[%d,%d]" % (i, j), uv == v * u,
-                           render_gwa(uv))
+    samples = [BasePoly.one(n), *(BasePoly.variable(n, i) for i in range(n)),
+               *pres.a, *extra_base]
+    units = [[int(j == i) for j in range(n)] for i in range(n)]
+    xs = [pres.basis(e) for e in units]
+    ys = [pres.basis([-v for v in e]) for e in units]
+    for name, lhs, rhs in _relations(pres, xs, ys, pres.from_base, samples):
+        checks.append(GwaCheck(name, lhs == rhs, render_gwa(lhs)))
 
     factor_failures = [_factor_failures(pres, i, depth) for i in range(n)]
     bad = None
@@ -349,8 +298,8 @@ def verify_presentation(pres: GwaPresentation, depth: int = 3,
                     if any(t in failures for t, failures
                            in zip(zip(a, b, c), factor_failures))
                     and not _associates(pres, a, b, c)), None)
-    record("associativity(depth=%d)" % depth, bad is None,
-           "" if bad is None else "failed at %r" % (bad,))
+    checks.append(GwaCheck("associativity(depth=%d)" % depth, bad is None,
+                           "" if bad is None else "failed at %r" % (bad,)))
     return GwaReport(checks)
 
 
@@ -381,13 +330,8 @@ def _box(n, depth):
     return [(v,) + r for v in range(-depth, depth + 1) for r in rest]
 
 
-class GwaCheck:
-    __slots__ = ("name", "ok", "witness")
-
-    def __init__(self, name, ok, witness=""):
-        self.name = name
-        self.ok = ok
-        self.witness = witness
+# a named check of verify_presentation, with the text of what it computed
+GwaCheck = namedtuple("GwaCheck", "name ok witness")
 
 
 class GwaReport:
@@ -411,8 +355,10 @@ class Embedding:
     """A homomorphism into the skew Laurent ring given by generator images.
 
     The images must satisfy every defining relation of the presentation inside
-    the Laurent ring; this is checked on construction and violations raise
-    ImagesViolateRelations.  Base polynomials map to degree zero operators.
+    the Laurent ring, the same list verify_presentation checks, with the
+    variables h_j as base samples; this is checked on construction and the
+    first violation raises ImagesViolateRelations.  Base polynomials map to
+    degree zero operators.
     """
 
     __slots__ = ("presentation", "x_images", "y_images", "_powers")
@@ -436,50 +382,28 @@ class Embedding:
         raise AttributeError("Embedding is immutable")
 
     def _validate(self):
-        pres = self.presentation
-        n = pres.nvars
-        for i in range(n):
-            X, Y = self.x_images[i], self.y_images[i]
-            if Y * X != LaurentOp.from_poly(pres.a[i]):
-                raise ImagesViolateRelations("Y%d*X%d != a%d" % (i + 1, i + 1, i + 1))
-            if X * Y != LaurentOp.from_poly(pres.sigma_of_a(i, 1)):
-                raise ImagesViolateRelations("X%d*Y%d != sigma(a%d)"
-                                             % (i + 1, i + 1, i + 1))
-            for j in range(n):
-                hj = BasePoly.variable(n, j)
-                shift_vec = [0] * n
-                shift_vec[i] = pres.steps[i]
-                sig_h = hj.shift(shift_vec)
-                if X * hj != LaurentOp.from_poly(sig_h) * X:
-                    raise ImagesViolateRelations(
-                        "X%d does not shift h%d correctly" % (i + 1, j + 1))
-                inv = hj.shift([-v for v in shift_vec])
-                if Y * hj != LaurentOp.from_poly(inv) * Y:
-                    raise ImagesViolateRelations(
-                        "Y%d does not shift h%d correctly" % (i + 1, j + 1))
-            for j in range(i + 1, n):
-                for u in (self.x_images[i], self.y_images[i]):
-                    for v in (self.x_images[j], self.y_images[j]):
-                        if u * v != v * u:
-                            raise ImagesViolateRelations(
-                                "factor %d and %d images do not commute"
-                                % (i + 1, j + 1))
+        n = self.presentation.nvars
+        samples = [BasePoly.variable(n, j) for j in range(n)]
+        for name, lhs, rhs in _relations(self.presentation, self.x_images,
+                                         self.y_images, LaurentOp.from_poly,
+                                         samples):
+            if lhs != rhs:
+                raise ImagesViolateRelations("images fail %s" % name)
 
     def _power(self, i: int, k: int) -> LaurentOp:
-        """X_i^k for k >= 0, Y_i^-k for k < 0; cached.
+        """X_i^k for k > 0, Y_i^-k for k < 0; cached.
 
         A missing power is built up from the largest one of the same sign
-        already stored, and every power on the way is stored too.
+        already stored (the generator itself if none is), and every power on
+        the way is stored too.
         """
         powers = self._powers
-        if (i, 0) not in powers:
-            powers[(i, 0)] = LaurentOp.one(self.presentation.nvars)
+        gen = self.x_images[i] if k > 0 else self.y_images[i]
         step = 1 if k > 0 else -1
         j = k
-        while (i, j) not in powers:
+        while j != step and (i, j) not in powers:
             j -= step
-        gen = self.x_images[i] if k > 0 else self.y_images[i]
-        acc = powers[(i, j)]
+        acc = powers.setdefault((i, j), gen)
         while j != k:
             j += step
             acc = acc * gen
@@ -489,22 +413,18 @@ class Embedding:
     def apply(self, u: GwaElement) -> LaurentOp:
         if u.presentation != self.presentation:
             raise PresentationMismatch("element from a different presentation")
-        n = self.presentation.nvars
-        out = LaurentOp.zero(n)
-        for alpha, c in u.coords.items():
+        out = LaurentOp.zero(self.presentation.nvars)
+        for alpha, c in u.components.items():
             img = LaurentOp.from_poly(c)
-            for i, k in enumerate(alpha):
-                if k:
-                    img = img * self._power(i, k)
+            if any(alpha):
+                img = img * self.basis_image(alpha)
             out = out + img
         return out
 
     def basis_image(self, alpha) -> LaurentOp:
-        out = LaurentOp.one(self.presentation.nvars)
-        for i, k in enumerate(alpha):
-            if k:
-                out = out * self._power(i, k)
-        return out
+        powers = [self._power(i, k) for i, k in enumerate(alpha) if k]
+        return reduce(mul, powers) if powers else \
+            LaurentOp.one(self.presentation.nvars)
 
     def pullback(self, op: LaurentOp) -> GwaElement:
         """Inverse of apply on the image subalgebra; NotInImage otherwise.

@@ -7,6 +7,12 @@ x_i h_i = (h_i - 1) x_i.  The Weyl algebra sits inside via
 partial_i = h_i x_i^{-1}.  Which components an operator ring allows is one
 rule, the graded divisor of vanishing_roots; the Weyl algebra is its width 1
 instance.
+
+The private base Graded holds what LaurentOp shares with gwa.GwaElement, the
+other Z^n-graded sum with left coefficients in Q[h1..hn]: validation,
+immutability, support, sums, negation, equality, hashing and the text form.
+Each subclass keeps its own product, coercion and monomial names.
+modactions.LaurentVector stays apart: its coefficients are Fractions.
 """
 
 from __future__ import annotations
@@ -18,24 +24,18 @@ from .exactpoly import (ArityMismatch, BasePoly, RingOps, divides, grlex_key,
                         linear_factors, poly_to_json, render_poly)
 
 
-class LaurentOp(RingOps):
-    """An element of the skew Laurent ring, graded by x-degree in Z^n.
+class Graded(RingOps):
+    """A finite sum  sum_alpha  c_alpha * m_alpha  graded by alpha in Z^n.
 
-    components maps degree vectors to nonzero BasePoly coefficients, always
-    written with the polynomial on the left of the monomial x^alpha.
+    The shared body of LaurentOp and GwaElement.  components maps degree
+    vectors (int tuples of length nvars) to nonzero BasePoly coefficients of
+    arity nvars, each written on the left of the degree alpha monomial
+    m_alpha.  A subclass supplies _coerce, __mul__ and _letter (the name and
+    power that one nonzero entry of alpha renders as); one with more slots
+    naming its ring extends _like and __hash__ with them.
     """
 
     __slots__ = ("nvars", "components")
-
-    @staticmethod
-    def _trusted(nvars: int, components: dict) -> "LaurentOp":
-        """Wrap components whose keys are int tuples of length nvars and whose
-        values are BasePoly of arity nvars, dropping the zero ones unchecked."""
-        u = object.__new__(LaurentOp)
-        object.__setattr__(u, "nvars", nvars)
-        object.__setattr__(u, "components", {
-            d: p for d, p in components.items() if not p.is_zero()})
-        return u
 
     def __init__(self, nvars: int, components=None):
         if nvars < 1:
@@ -55,8 +55,97 @@ class LaurentOp(RingOps):
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "components", clean)
 
+    def _like(self, components: dict):
+        """An element of self's ring holding components, which must already
+        meet the invariant apart from zero coefficients; those are dropped."""
+        u = _new(type(self))
+        _set_nvars(u, self.nvars)
+        _set_components(u, {d: p for d, p in components.items()
+                            if not p.is_zero()})
+        return u
+
     def __setattr__(self, name, value):
-        raise AttributeError("LaurentOp is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def support(self):
+        """Degree vectors with nonzero coefficient, graded-lex descending."""
+        return sorted(self.components, key=grlex_key, reverse=True)
+
+    def graded_component(self, degree) -> BasePoly:
+        return self.components.get(tuple(degree), BasePoly.zero(self.nvars))
+
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def _check_arity(self, other):
+        if self.nvars != other.nvars:
+            raise ArityMismatch("mixed arities %d and %d"
+                                % (self.nvars, other.nvars))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check_arity(other)
+        comps = dict(self.components)
+        for deg, poly in other.components.items():
+            comps[deg] = comps.get(deg, BasePoly.zero(self.nvars)) + poly
+        return self._like(comps)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({d: -p for d, p in self.components.items()})
+
+    def __rmul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.nvars == other.nvars and self.components == other.components
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.components.items())))
+
+    def _render(self) -> str:
+        """Terms (coefficient) * monomial, graded-lex descending on the degree
+        vector, joined by ' + '; factor names carry an index at rank > 1."""
+        if self.is_zero():
+            return "0"
+        parts = []
+        for deg in self.support():
+            pieces = ["(%s)" % render_poly(self.components[deg])]
+            for i, e in enumerate(deg):
+                if e:
+                    letter, power = self._letter(e)
+                    name = letter if self.nvars == 1 else "%s%d" % (letter, i + 1)
+                    pieces.append(name if power == 1 else "%s^%d" % (name, power))
+            parts.append(" * ".join(pieces))
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return "%s(%d, %s)" % (type(self).__name__, self.nvars, self._render())
+
+
+# slot setters for Graded._like, which bypasses __init__ and __setattr__
+_new = object.__new__
+_set_nvars = Graded.nvars.__set__
+_set_components = Graded.components.__set__
+
+
+class LaurentOp(Graded):
+    """An element of the skew Laurent ring, graded by x-degree in Z^n.
+
+    components maps degree vectors to nonzero BasePoly coefficients, always
+    written with the polynomial on the left of the monomial x^alpha.
+    """
+
+    __slots__ = ()
 
     # -- constructors -----------------------------------------------------
 
@@ -92,18 +181,6 @@ class LaurentOp(RingOps):
         deg = tuple(-1 if i == j else 0 for i in range(nvars))
         return cls.monomial(nvars, deg, BasePoly.variable(nvars, j))
 
-    # -- structure --------------------------------------------------------
-
-    def support(self):
-        """Degree vectors with nonzero coefficient, graded-lex descending."""
-        return sorted(self.components, key=grlex_key, reverse=True)
-
-    def graded_component(self, degree) -> BasePoly:
-        return self.components.get(tuple(degree), BasePoly.zero(self.nvars))
-
-    def is_zero(self) -> bool:
-        return not self.components
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
@@ -115,26 +192,9 @@ class LaurentOp(RingOps):
             return LaurentOp.monomial(self.nvars, (0,) * self.nvars, other)
         return NotImplemented
 
-    def _check_arity(self, other: "LaurentOp"):
-        if self.nvars != other.nvars:
-            raise ArityMismatch("mixed arities %d and %d"
-                                % (self.nvars, other.nvars))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_arity(other)
-        comps = dict(self.components)
-        for deg, poly in other.components.items():
-            comps[deg] = comps.get(deg, BasePoly.zero(self.nvars)) + poly
-        return LaurentOp._trusted(self.nvars, comps)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentOp._trusted(self.nvars,
-                                  {d: -p for d, p in self.components.items()})
+    # entries of this class's own dict, so that wrapping them (as
+    # bench/spans.py does) leaves GwaElement's sums alone
+    __add__ = __radd__ = Graded.__add__
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -146,30 +206,13 @@ class LaurentOp(RingOps):
             for beta, epoly in other.components.items():
                 deg = tuple(a + b for a, b in zip(alpha, beta))
                 term = dpoly * epoly.shift(alpha)
-                if deg in comps:
-                    comps[deg] = comps[deg] + term
-                else:
-                    comps[deg] = term
-        return LaurentOp._trusted(self.nvars, comps)
+                prev = comps.get(deg)
+                comps[deg] = term if prev is None else prev + term
+        return self._like(comps)
 
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.nvars == other.nvars and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.nvars,
-                     frozenset((d, p) for d, p in self.components.items())))
-
-    def __repr__(self):
-        return "LaurentOp(%d, %s)" % (self.nvars, render_op(self))
+    @staticmethod
+    def _letter(e: int):
+        return "x", e
 
 
 def commutator(u: LaurentOp, v: LaurentOp) -> LaurentOp:
@@ -239,31 +282,13 @@ def weyl_membership(u: LaurentOp) -> bool:
 
 # -- canonical text and json forms ----------------------------------------
 
-def _x_names(nvars: int) -> list[str]:
-    if nvars == 1:
-        return ["x"]
-    return ["x%d" % (i + 1) for i in range(nvars)]
-
-
 def render_op(u: LaurentOp) -> str:
     """Canonical text form, e.g. (h^2-3*h) * x1^-1 * x2^2 + (h-2).
 
     Components are sorted graded-lex descending on the degree vector; each
     coefficient polynomial is parenthesized.
     """
-    if u.is_zero():
-        return "0"
-    names = _x_names(u.nvars)
-    parts = []
-    for deg in u.support():
-        poly = u.components[deg]
-        pieces = ["(%s)" % render_poly(poly)]
-        for name, e in zip(names, deg):
-            if e == 0:
-                continue
-            pieces.append(name if e == 1 else "%s^%d" % (name, e))
-        parts.append(" * ".join(pieces))
-    return " + ".join(parts)
+    return u._render()
 
 
 def op_to_json(u: LaurentOp) -> dict:

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from cuspdiff import gwa
 from cuspdiff.cuspops import (bbA_presentation, calA_presentation, delta_op,
-                              weyl_presentation)
-from cuspdiff.exactpoly import BasePoly
+                              membership, weyl_presentation)
+from cuspdiff.exactpoly import ArityMismatch, BasePoly
 from cuspdiff.gwa import (Embedding, GwaElement, GwaPresentation,
                           ImagesViolateRelations, NotInImage,
                           PresentationMismatch, _box, gwa_multiply,
                           render_gwa, verify_presentation)
-from cuspdiff.skewlaurent import LaurentOp
+from cuspdiff.skewlaurent import LaurentOp, render_op
 
 H = BasePoly.variable(1, 0)
 
@@ -388,6 +388,15 @@ class TestEmbedding:
         with pytest.raises(ImagesViolateRelations):
             Embedding(pres, [LaurentOp.x(1, 0, 2)], emb.y_images)
 
+    def test_violation_names_the_relation(self):
+        pres, emb = weyl()
+        with pytest.raises(ImagesViolateRelations, match=r"yx=a\[0\]"):
+            Embedding(pres, [LaurentOp.x(1, 0, 2)], emb.y_images)
+        pres, emb = weyl_presentation(2)
+        with pytest.raises(ImagesViolateRelations, match=r"yx=a\[1\]"):
+            Embedding(pres, [emb.x_images[0], LaurentOp.x(2, 1, 2)],
+                      emb.y_images)
+
     def test_apply_known_element(self):
         pres, emb = bbA_presentation(2)
         u = GwaElement(pres, {(0,): H, (-1,): H + 1})
@@ -455,8 +464,67 @@ def _random_gwa(pres, rng):
 class TestTextAndJson:
     def test_render(self):
         pres, _ = weyl()
-        u = GwaElement(pres, {(0,): H, (2,): BasePoly.one(1),
-                              (-1,): H - 1})
-        text = render_gwa(u)
-        assert "X^2" in text and "Y" in text and "(h)" in text
+        u = GwaElement(pres, {(0,): H, (2,): BasePoly.one(1), (-1,): H - 1,
+                              (-3,): Fraction(-1, 2) * H * H + 3})
+        assert render_gwa(u) == \
+            "(1) * X^2 + (h) + (h-1) * Y + (-1/2*h^2+3) * Y^3"
         assert render_gwa(GwaElement(pres)) == "0"
+
+    def test_render_rank_two(self):
+        pres, _ = calA_presentation((2, 3))
+        h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
+        u = GwaElement(pres, {(1, 0): h1 * h2 - 2, (0, -2): BasePoly.one(2),
+                              (1, -2): -h2, (0, 0): 5})
+        assert render_gwa(u) == \
+            "(h1*h2-2) * X1 + (5) + (-h2) * X1 * Y2^2 + (1) * Y2^2"
+
+    def test_render_op_rank_two_negative_exponents(self):
+        h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
+        u = LaurentOp(2, {(-1, 2): h1 * h1 - 3 * h1, (0, 0): h2 - 2,
+                          (2, -3): -1, (0, -1): Fraction(1, 3) * h1})
+        assert render_op(u) == ("(h1^2-3*h1) * x1^-1 * x2^2 + (h2-2)"
+                                " + (-1) * x1^2 * x2^-3 + (1/3*h1) * x2^-1")
+
+
+class TestRingsStayApart:
+    """LaurentOp and GwaElement are different rings over the same base."""
+
+    def test_gwa_element_is_not_a_laurent_op(self):
+        pres, _ = weyl()
+        assert not isinstance(pres.basis((1,)), LaurentOp)
+        assert not isinstance(LaurentOp.x(1, 0), GwaElement)
+
+    def test_mixed_sums_and_products_raise_type_error(self):
+        pres, _ = weyl()
+        u, X = LaurentOp.x(1, 0), pres.basis((1,))
+        for combine in (lambda a, b: a + b, lambda a, b: a * b,
+                        lambda a, b: a - b):
+            with pytest.raises(TypeError):
+                combine(u, X)
+            with pytest.raises(TypeError):
+                combine(X, u)
+
+    def test_membership_rejects_gwa_elements(self):
+        pres, _ = calA_presentation(2)
+        with pytest.raises(TypeError):
+            membership(pres.basis((1,)), 2)
+
+    def test_units_of_different_arity_differ(self):
+        assert (LaurentOp.one(1) == LaurentOp.one(2)) is False
+        assert (LaurentOp.one(1) != LaurentOp.one(2)) is True
+
+    def test_arity_mismatch_across_ranks(self):
+        u, v = LaurentOp.x(1, 0), LaurentOp.x(2, 1)
+        for combine in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(ArityMismatch):
+                combine(u, v)
+            with pytest.raises(ArityMismatch):
+                combine(v, u)
+
+    def test_presentations_do_not_mix(self):
+        X2 = calA_presentation(2)[0].basis((1,))
+        X3 = calA_presentation(3)[0].basis((1,))
+        for combine in (lambda a, b: a + b, lambda a, b: a * b,
+                        lambda a, b: a - b, lambda a, b: a == b):
+            with pytest.raises(PresentationMismatch):
+                combine(X2, X3)

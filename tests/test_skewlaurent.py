@@ -100,6 +100,30 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             x ** -1
 
+    @pytest.mark.parametrize("cls, value", [
+        (BasePoly, H + 2), (LaurentOp, h * x + d)])
+    def test_power_makes_no_wasted_product(self, cls, value, monkeypatch):
+        # square-and-multiply from the lowest set bit: p^8 is three squarings,
+        # p^5 is two squarings and one product, and p^0 multiplies nothing
+        calls = []
+        original = cls.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        expected = {0: value ** 0}
+        acc = value ** 0
+        for k in range(1, 9):
+            acc = acc * value
+            expected[k] = acc
+        monkeypatch.setattr(cls, "__mul__", counting)
+        for k, products in ((8, 3), (5, 3), (1, 0), (0, 0)):
+            calls.clear()
+            assert value ** k == expected[k]
+            assert len(calls) == products, k
+        assert value ** 0 == 1
+
 
 class TestSupport:
     def test_components_and_support(self):
