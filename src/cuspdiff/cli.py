@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from .exactpoly import (ArityMismatch, BasePoly, ExponentOverflow, NotDivisible,
@@ -579,8 +580,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process; parse_args leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()

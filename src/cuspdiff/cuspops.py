@@ -9,13 +9,18 @@ divisibility condition coefficient by coefficient.  This module builds the
 graded generators, decides membership, decomposes elements and produces the
 structure constants that rewrite products of generators.  Each named algebra
 (calA, bbA, weyl) is fixed by one pair of graded generators per factor, and
-its GWA presentation is read off those pairs.
+its GWA presentation is read off those pairs.  The graded divisors and the
+deltas are fixed tables, memoized per process as phi is: each key yields one
+shared immutable object.
 """
 
 from __future__ import annotations
 
-from .exactpoly import (ArityMismatch, BasePoly, divides, exact_divide,
-                        linear_factors)
+from collections import Counter
+from functools import lru_cache
+
+from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, divides,
+                        exact_divide, linear_factors, render_poly)
 from .gwa import Embedding, GwaPresentation
 from .skewlaurent import LaurentOp, graded_divisor, phi, vanishing_roots
 
@@ -66,20 +71,32 @@ def _require_rank_one(shape: CuspShape) -> int:
     return shape.m[0]
 
 
-def phi_multi(shape, alpha) -> BasePoly:
-    """prod_i phi(m_i, alpha_i) as a polynomial in h_1..h_n."""
+def _graded_key(shape, alpha):
+    """(widths, alpha) as int tuples, with alpha checked against the rank."""
     shape = as_shape(shape)
     alpha = tuple(int(v) for v in alpha)
     if len(alpha) != shape.rank:
         raise ArityMismatch("degree %r has length != %d" % (alpha, shape.rank))
-    return graded_divisor(shape.m, alpha)
+    return shape.m, alpha
+
+
+def phi_multi(shape, alpha) -> BasePoly:
+    """prod_i phi(m_i, alpha_i) as a polynomial in h_1..h_n."""
+    return graded_divisor(*_graded_key(shape, alpha))
 
 
 def delta_op(shape, alpha) -> LaurentOp:
-    """The graded generator phi(m, alpha)(h) * x^alpha of the operator ring."""
-    shape = as_shape(shape)
-    alpha = tuple(int(v) for v in alpha)
-    return LaurentOp.monomial(shape.rank, alpha, phi_multi(shape, alpha))
+    """The graded generator phi(m, alpha)(h) * x^alpha of the operator ring.
+
+    Memoized per process by (widths, alpha): callers share one immutable
+    LaurentOp per key.
+    """
+    return _delta(*_graded_key(shape, alpha))
+
+
+@lru_cache(maxsize=None)
+def _delta(widths, alpha) -> LaurentOp:
+    return LaurentOp.monomial(len(widths), alpha, graded_divisor(widths, alpha))
 
 
 def _as_op(u) -> LaurentOp:
@@ -137,7 +154,9 @@ class StructureRelation:
     Each residual product equals delta_{i+j} exactly (deltas of indices past
     the width multiply by concatenation), so the coefficient is the exact
     quotient phi_i * shift(phi_j, i) / phi_{i+j}; exactness is a consequence
-    of the ring being closed under multiplication.
+    of the ring being closed under multiplication.  All three are products
+    of (h - r) over vanishing_roots (shift by i adds i to each root), so the
+    quotient is the product over a root multiset difference.
     """
 
     __slots__ = ("i", "j", "case", "coefficient", "residual")
@@ -166,7 +185,9 @@ def structure_constant(shape, i: int, j: int) -> StructureRelation:
     """Structure constant for delta_i * delta_j at rank one.
 
     Defined for 1 <= |i|, |j| <= 2m - 1.  See StructureRelation for the case
-    table and why the division is exact.
+    table and why the division is exact; the coefficient is read off the
+    root multisets, vanishing_roots(m, i) plus vanishing_roots(m, j) moved
+    by +i, less vanishing_roots(m, i + j).
     """
     m = _require_rank_one(as_shape(shape))
     for idx in (i, j):
@@ -185,8 +206,14 @@ def structure_constant(shape, i: int, j: int) -> StructureRelation:
     else:
         case = "-%dm < i+j <= -%dm" % (k + 2, k + 1)
         residual.append((-m, k))
-    product = phi(m, i) * phi(m, j).shift([i])
-    coefficient = exact_divide(product, phi(m, s))
+    top = Counter(vanishing_roots(m, i))
+    top.update(r + i for r in vanishing_roots(m, j))
+    bottom = Counter(vanishing_roots(m, s))
+    if bottom - top:
+        raise NotDivisible("%s does not divide %s" % tuple(
+            render_poly(linear_factors(sorted(roots.elements())))
+            for roots in (bottom, top)))
+    coefficient = linear_factors(sorted((top - bottom).elements()))
     return StructureRelation(i, j, case, coefficient, residual)
 
 

@@ -65,6 +65,8 @@ def _clean(terms: dict) -> dict:
 
 
 def _div_coef(a, b):
+    if a.__class__ is int and b.__class__ is int and a % b == 0:
+        return a // b
     q = Fraction(a) / Fraction(b)
     return q.numerator if q.denominator == 1 else q
 
@@ -354,7 +356,8 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
     Reduction by the single divisor's leading term in the lex order of the
     packed keys decides exact divisibility: if p == c*q, the reduction can
     never get stuck, because a stuck remainder would be a multiple of q whose
-    leading monomial is not divisible by the leading monomial of q.
+    leading monomial is not divisible by the leading monomial of q.  A
+    monic q (every graded divisor is one) needs no coefficient division.
     """
     if not isinstance(p, BasePoly) or not isinstance(q, BasePoly):
         raise TypeError("exact_divide expects BasePoly operands")
@@ -376,7 +379,7 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
         if t < 0 or t & guard:
             raise NotDivisible("%s does not divide %s"
                                % (render_poly(q), render_poly(p)))
-        c = quot[t] = _div_coef(rem[lead], qc)
+        c = quot[t] = rem[lead] if qc == 1 else _div_coef(rem[lead], qc)
         for qe, qco in qterms.items():
             ne = t + qe
             nc = rem.get(ne, 0) - c * qco
@@ -384,7 +387,8 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
                 rem[ne] = nc
             else:
                 rem.pop(ne, None)
-    return BasePoly._trusted(p.nvars, quot)
+    # a remainder of Fractions can lead with an integral one, kept as int
+    return BasePoly._trusted(p.nvars, _clean(quot) if qc == 1 else quot)
 
 
 def divides(q: BasePoly, p: BasePoly) -> bool:
@@ -497,12 +501,19 @@ def rational_roots(p: BasePoly):
 
 
 def linear_factors(roots, nvars: int = 1, j: int = 0) -> BasePoly:
-    """prod (h_{j+1} - r) over the given roots, as a polynomial in nvars variables."""
-    out = BasePoly.one(nvars)
-    h = BasePoly.variable(nvars, j)
+    """prod (h_{j+1} - r) over the given roots, as a polynomial in nvars variables.
+
+    Expanded in one pass over a dense coefficient list, lowest degree first.
+    """
+    if not 0 <= j < nvars:
+        raise ValueError("variable index %d out of range for nvars=%d" % (j, nvars))
+    coeffs = [1]
     for r in roots:
-        out = out * (h - BasePoly.constant(nvars, Fraction(r)))
-    return out
+        if r.__class__ is not int:
+            r = Fraction(r)
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    at = _FIELD * (nvars - 1 - j)
+    return BasePoly._trusted(nvars, _clean({e << at: c for e, c in enumerate(coeffs)}))
 
 
 # -- canonical text form --------------------------------------------------

@@ -175,7 +175,8 @@ class GwaElement(Graded):
 
     def _coerce(self, other):
         if isinstance(other, GwaElement):
-            if other.presentation != self.presentation:
+            if (other.presentation is not self.presentation
+                    and other.presentation != self.presentation):
                 raise PresentationMismatch("elements of different presentations")
             return other
         if isinstance(other, BasePoly):

@@ -6,7 +6,8 @@ shift rule  x^alpha * d = shift(d, alpha) * x^alpha, which encodes
 x_i h_i = (h_i - 1) x_i.  The Weyl algebra sits inside via
 partial_i = h_i x_i^{-1}.  Which components an operator ring allows is one
 rule, the graded divisor of vanishing_roots; the Weyl algebra is its width 1
-instance.
+instance.  phi and graded_divisor are fixed tables, memoized per process:
+each key yields one shared immutable BasePoly.
 
 The private base Graded holds what LaurentOp shares with gwa.GwaElement, the
 other Z^n-graded sum with left coefficients in Q[h1..hn]: validation,
@@ -89,7 +90,8 @@ class Graded(RingOps):
         self._check_arity(other)
         comps = dict(self.components)
         for deg, poly in other.components.items():
-            comps[deg] = comps.get(deg, BasePoly.zero(self.nvars)) + poly
+            prev = comps.get(deg)
+            comps[deg] = poly if prev is None else prev + poly
         return self._like(comps)
 
     __radd__ = __add__
@@ -255,12 +257,15 @@ def phi(mi: int, i: int) -> BasePoly:
     return linear_factors(vanishing_roots(mi, i))
 
 
+@lru_cache(maxsize=None)
 def graded_divisor(widths, alpha) -> BasePoly:
     """prod_i phi(widths_i, alpha_i)(h_i): the least coefficient at degree alpha.
 
     A component d * x^alpha lies in the operator ring of the widths exactly
     when this product divides d.  Widths (1, ..., 1) give the Weyl algebra,
-    where only partial_i = h_i x_i^{-1} brings in x_i^{-1}.
+    where only partial_i = h_i x_i^{-1} brings in x_i^{-1}.  Memoized per
+    process, as phi is, so widths and alpha must be tuples; every caller
+    shares one immutable BasePoly per key.
     """
     n = len(alpha)
     out = BasePoly.one(n)

@@ -394,6 +394,41 @@ class TestUsageErrors:
         assert b"BrokenPipeError" not in err
 
 
+def single_call(*args):
+    """(exit code, stdout, stderr) of the CLI alone in a fresh interpreter."""
+    src = Path(cuspdiff.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "cuspdiff", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leak into the next."""
+
+    @pytest.mark.parametrize("argv", [
+        ("stability", "--m", "2", "--window", "8", "--gens", "x", "--gens", "h",
+         "--json"),
+        ("relations-check", "--m", "3", "--corrupt", "--seed", "5")])
+    def test_repeated_call_matches_a_single_call(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        alone = single_call(*argv)
+        assert alone[0] == 1
+        for _ in range(2):
+            assert run_with_stderr(capsys, *argv) == alone
+
+    def test_usage_error_after_a_success(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        ok = ("phi", "--m", "2", "--", "-1", "1", "2")
+        bad = ("relations-check", "--m", "2,x")
+        ok_alone, alone = single_call(*ok), single_call(*bad)
+        assert ok_alone[0] == 0 and alone[0] == 2
+        assert "--m expects a comma separated list of integers" in alone[2]
+        for _ in range(2):
+            assert run_with_stderr(capsys, *ok) == ok_alone
+            assert run_with_stderr(capsys, *bad) == alone
+
+
 class TestDeterminismCorpus:
     def test_render_parse_round_trip_corpus(self, capsys):
         # a deterministic corpus of rendered operators must survive the trip

@@ -10,7 +10,8 @@ from cuspdiff.cuspops import (CuspShape, as_shape, bbA_presentation,
                               generating_set, generator_pair, membership, phi,
                               phi_multi, presentation, structure_constant,
                               w_minus, weyl_presentation)
-from cuspdiff.exactpoly import BasePoly, NotDivisible
+from cuspdiff import cuspops
+from cuspdiff.exactpoly import ArityMismatch, BasePoly, NotDivisible, exact_divide
 from cuspdiff.exprparse import parse_expression, parse_poly
 from cuspdiff.gwa import verify_presentation
 from cuspdiff.skewlaurent import (LaurentOp, commutator, vanishing_roots,
@@ -103,6 +104,21 @@ class TestDelta:
         assert comp == phi_multi(shape, (-1, 2))
         assert u.support() == [(-1, 2)]
 
+    @pytest.mark.parametrize("widths", [(2,), (5,), (2, 3)])
+    def test_memoized_delta_is_the_monomial(self, widths):
+        n = len(widths)
+        for alpha in [(k,) * n for k in range(-11, 12)] + [
+                tuple(range(-n, 0)), tuple(range(1, n + 1))]:
+            expected = LaurentOp.monomial(n, alpha, phi_multi(widths, alpha))
+            assert delta_op(widths, alpha) == expected
+            # one shared object per key, whatever form the shape takes
+            assert delta_op(CuspShape(widths), list(alpha)) is delta_op(widths, alpha)
+
+    def test_degree_of_the_wrong_length(self):
+        for widths, alpha in (((2,), (1, 1)), ((2, 3), (1,)), ((2, 3), ())):
+            with pytest.raises(ArityMismatch):
+                delta_op(widths, alpha)
+
 
 class TestMembership:
     def test_generators_inside(self):
@@ -171,6 +187,11 @@ def _window_table(m, s):
     return "-4m < i+j <= -3m", [(s + 2 * m, 1), (-m, 2)]
 
 
+def _reference_structure_coefficient(m, i, j):
+    """phi_i * shift(phi_j, i) / phi_{i+j}, multiplied and divided out."""
+    return exact_divide(phi(m, i) * phi(m, j).shift([i]), phi(m, i + j))
+
+
 class TestStructureConstants:
     def test_case_labels(self):
         assert structure_constant(2, 1, 1).case == "|i+j| < 2m"
@@ -195,6 +216,24 @@ class TestStructureConstants:
                 for j in idxs:
                     rel = structure_constant(m, i, j)
                     assert (rel.case, rel.residual) == _window_table(m, i + j)
+
+    def test_coefficients_match_the_exact_quotient(self):
+        for m in range(1, 13):
+            idxs = [i for i in range(-(2 * m - 1), 2 * m) if i != 0]
+            for i in idxs:
+                for j in idxs:
+                    assert (structure_constant(m, i, j).coefficient
+                            == _reference_structure_coefficient(m, i, j)), (m, i, j)
+
+    def test_root_shortfall_names_both_polynomials(self, monkeypatch):
+        # a table whose phi_{i+j} has a root phi_i * shift(phi_j, i) lacks
+        real = vanishing_roots
+        monkeypatch.setattr(cuspops, "vanishing_roots",
+                            lambda m, i: real(m, i) + [9] if i == 2 else real(m, i))
+        with pytest.raises(NotDivisible) as exc:
+            structure_constant(3, 1, 1)
+        # phi_2 now (h - 3)(h - 9); phi_1 * shift(phi_1, 1) = (h - 2)(h - 3)
+        assert str(exc.value) == "h^2-12*h+27 does not divide h^2-5*h+6"
 
     def test_relations_hold_in_laurent_ring(self):
         for m in (2, 3):

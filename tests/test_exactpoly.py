@@ -342,6 +342,55 @@ class TestDivision:
         assert divides(q, p * q)
 
 
+class TestQuotientTypes:
+    def test_no_integral_fraction_is_stored(self):
+        # monic divisors take no coefficient division, so a remainder of
+        # Fractions can lead with an integral one; the quotient stores ints
+        rng = random.Random(41)
+        for nvars in (1, 2, 3):
+            for monic in (True, False):
+                for _ in range(60):
+                    q = _random_poly(rng, nvars, 3, rng.randint(1, 4))
+                    if q.is_zero():
+                        continue
+                    if monic:
+                        q = q * (1 / Fraction(q.terms[max(q.terms)]))
+                    c = _random_poly(rng, nvars, 3, rng.randint(1, 5))
+                    got = exact_divide(q * c, q)
+                    assert _typed(got.terms) == _typed(c.terms), (q, c)
+                    assert_stored_as_validated(got)
+
+
+def _reference_linear_factors(roots, nvars, j):
+    """prod (h_{j+1} - r) by BasePoly products, one factor at a time."""
+    out = BasePoly.one(nvars)
+    for r in roots:
+        out = out * (BasePoly.variable(nvars, j) - Fraction(r))
+    return out
+
+
+class TestLinearFactorsOracle:
+    def test_matches_the_product_of_factors(self):
+        rng = random.Random(29)
+        for nvars in (1, 2, 3):
+            for j in range(nvars):
+                for fractions in (False, True):
+                    for _ in range(30):
+                        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                 if fractions and rng.random() < 0.5
+                                 else rng.randint(-9, 9)
+                                 for _ in range(rng.randint(0, 9))]
+                        got = linear_factors(roots, nvars, j)
+                        want = _reference_linear_factors(roots, nvars, j)
+                        assert _typed(got.terms) == _typed(want.terms), roots
+                        assert_stored_as_validated(got)
+
+    def test_variable_index_checked(self):
+        for nvars, j in ((1, 1), (2, -1), (3, 3)):
+            with pytest.raises(ValueError):
+                linear_factors([1, 2], nvars, j)
+
+
 class TestRationalRoots:
     def test_monic_split(self):
         roots, cof = rational_roots((H - 1) * (H - 1) * (H + 4))

@@ -521,6 +521,28 @@ class TestRingsStayApart:
             with pytest.raises(ArityMismatch):
                 combine(v, u)
 
+    def test_one_presentation_is_not_compared(self, monkeypatch):
+        # operands of one presentation object skip GwaPresentation.__eq__;
+        # equal presentations built apart still combine, through it
+        pres, _ = calA_presentation(2)
+        twin, _ = calA_presentation(2)
+        X, Y = pres.basis((1,)), pres.basis((-1,))
+        compared = []
+        original = GwaPresentation.__eq__
+
+        def counting(a, b):
+            compared.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(GwaPresentation, "__eq__", counting)
+        sums, products, equal = X + Y, X * Y, X == X
+        assert compared == []
+        assert (twin.basis((1,)) + Y) == sums
+        assert compared
+        monkeypatch.undo()
+        assert products == pres.element({(0,): pres.a[0].shift(pres.steps)})
+        assert equal is True
+
     def test_presentations_do_not_mix(self):
         X2 = calA_presentation(2)[0].basis((1,))
         X3 = calA_presentation(3)[0].basis((1,))

@@ -125,6 +125,33 @@ class TestArithmetic:
         assert value ** 0 == 1
 
 
+    def test_disjoint_sum_adds_no_polynomials(self, monkeypatch):
+        # a degree only one operand has keeps that operand's coefficient:
+        # no zero polynomial is built and nothing is added to one
+        u = h * x * x + 3 * d
+        v = (h - 1) * xinv * xinv * xinv + 5 * LaurentOp.x(1, 0, 4)
+        expected = LaurentOp(1, {**u.components, **v.components})
+        calls = {"add": 0, "zero": 0}
+        add, zero = BasePoly.__add__, BasePoly.__dict__["zero"].__func__
+
+        def counting_add(a, b):
+            calls["add"] += 1
+            return add(a, b)
+
+        def counting_zero(cls, nvars):
+            calls["zero"] += 1
+            return zero(cls, nvars)
+
+        monkeypatch.setattr(BasePoly, "__add__", counting_add)
+        monkeypatch.setattr(BasePoly, "__radd__", counting_add)
+        monkeypatch.setattr(BasePoly, "zero", classmethod(counting_zero))
+        total = u + v
+        assert calls == {"add": 0, "zero": 0}
+        monkeypatch.undo()
+        assert total == expected
+        assert v + u == expected
+
+
 class TestSupport:
     def test_components_and_support(self):
         u = h * xinv + x * x * 3
