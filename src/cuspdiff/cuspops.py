@@ -22,6 +22,7 @@ from functools import lru_cache
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, divides,
                         exact_divide, linear_factors, render_poly)
 from .gwa import Embedding, GwaPresentation
+# phi is re-exported: the package root and the bench read cuspops.phi
 from .skewlaurent import LaurentOp, graded_divisor, phi, vanishing_roots
 
 
