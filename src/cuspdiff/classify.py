@@ -9,6 +9,12 @@ module whose up and down transitions follow the defining relation y x = a.
 Normal elements of nonpositive degree support the torsion-free side: they
 are detected by a strict root ordering and repaired by the normalization
 identity b -> beta b alpha^{-1}.
+
+Roots come from exactpoly.rational_roots: an int for an integral root, a
+Fraction otherwise, memoized on each polynomial object, so a presentation's
+a and the stored coefficients of an element are split at most once however
+many tests read them.  The orbit order groups each root list by orbit once
+and compares, per shared orbit, the extreme roots of the two sides.
 """
 
 from __future__ import annotations
@@ -94,13 +100,18 @@ class Orbit:
         return "Orbit(%s)" % self.rep
 
 
-def _split_roots(p: BasePoly):
-    """Rational roots of p; NonlinearFactor when p does not split over Q."""
+def _split_roots(p: BasePoly, k: int = 0):
+    """Rational roots of sigma^k(p) = p(h - k), read off those of p plus k.
+
+    Raises NonlinearFactor, naming sigma^k(p) and its cofactor, when p does
+    not split over Q.
+    """
     roots, cofactor = rational_roots(p)
     if not cofactor.is_constant():
         raise NonlinearFactor("%s has the non-linear factor %s"
-                              % (render_poly(p), render_poly(cofactor)))
-    return roots
+                              % (render_poly(p.shift([k])),
+                                 render_poly(cofactor.shift([k]))))
+    return [r + k for r in roots] if k else roots
 
 
 def marked_ideals(a: BasePoly):
@@ -386,19 +397,27 @@ def classify_DA_torsion(m: int) -> TorsionClassification:
 
 # -- the orbit order and normal elements ----------------------------------
 
+def _orbit_extremes(roots, pick) -> dict:
+    """{orbit key r - floor(r): pick (min or max) of the roots in that orbit}."""
+    out = {}
+    for r in roots:
+        key = r - floor(r)
+        out[key] = pick(out[key], r) if key in out else r
+    return out
+
+
 def _roots_less(aroots, broots) -> bool:
     """Strict orbit order on root lists.
 
     True when every root of aroots lies strictly below every root of broots
     that it is integer-comparable with; pairs in different orbits impose
     nothing, so the comparison is vacuously true when no comparable pairs
-    exist.
+    exist.  Within one orbit that is: the largest root of aroots lies below
+    the least one of broots, so each side is grouped by orbit once.
     """
-    for r in aroots:
-        for s in broots:
-            if (r - s).denominator == 1 and not r < s:
-                return False
-    return True
+    least = _orbit_extremes(broots, min)
+    return all(r < least[key] for key, r in _orbit_extremes(aroots, max).items()
+               if key in least)
 
 
 def _nonpositive_coords(b: GwaElement):
@@ -423,12 +442,16 @@ def _right_coeff(pres: GwaPresentation, k: int, left: BasePoly) -> BasePoly:
 
 
 def _split_ends(b: GwaElement):
-    """(m', left coords, right beta_0, roots of beta_0, roots of beta_{-m'}) of b."""
+    """(m', left coords, right beta_0, roots of beta_0, roots of beta_{-m'}) of b.
+
+    beta_{-m'} is sigma^{m' step} of the stored left[m'], so its roots are
+    those of left[m'] moved up by m' step; only the stored objects are split.
+    """
     mprime, left = _nonpositive_coords(b)
     pres = b.presentation
     beta0 = _right_coeff(pres, 0, left[0])
-    betam = _right_coeff(pres, mprime, left[mprime])
-    return mprime, left, beta0, _split_roots(beta0), _split_roots(betam)
+    return (mprime, left, beta0, _split_roots(beta0),
+            _split_roots(left[mprime], mprime * pres.steps[0]))
 
 
 def is_normal(b: GwaElement) -> bool:
@@ -464,15 +487,13 @@ def _least_shift(roots0, targets, step: int) -> int:
 
     r runs over roots0 and t over targets.  A pair with r >= t needs
     s*step > r - t, so s = floor((r - t)/step) + 1; the answer is the largest
-    such bound, or 0 when no pair constrains s.
+    such bound, or 0 when no pair constrains s.  In each orbit the largest
+    bound comes from the largest r and the least t.
     """
-    s = 0
-    for r in roots0:
-        for t in targets:
-            d = r - t
-            if d.denominator == 1 and d >= 0:
-                s = max(s, d.numerator // step + 1)
-    return s
+    least = _orbit_extremes(targets, min)
+    return max(((r - least[key]) // step + 1
+                for key, r in _orbit_extremes(roots0, max).items()
+                if key in least and r >= least[key]), default=0)
 
 
 def _normalization_data(b: GwaElement):

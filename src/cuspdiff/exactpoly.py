@@ -136,7 +136,8 @@ class BasePoly(RingOps):
     and are wrapped by the private _trusted constructor without re-checking.
     """
 
-    __slots__ = ("nvars", "_packed")
+    # _roots is set lazily by rational_roots and never by the constructors
+    __slots__ = ("nvars", "_packed", "_roots")
 
     @staticmethod
     def _trusted(nvars: int, packed: dict) -> "BasePoly":
@@ -444,31 +445,45 @@ def _deflate(coeffs, num: int, den: int) -> list[int]:
 def rational_roots(p: BasePoly):
     """All rational roots of a univariate polynomial, with multiplicity.
 
-    Returns (roots, cofactor) where roots is an ascending list of Fractions
-    (repeated according to multiplicity) and cofactor is the polynomial left
-    after dividing out every (h - root) factor; the cofactor has no rational
-    root and keeps the leading coefficient, so
-    p == cofactor * prod (h - root).
+    Returns (roots, cofactor) where roots is an ascending list (repeated
+    according to multiplicity) holding an int for each integral root and a
+    Fraction for each other one, and cofactor is the polynomial left after
+    dividing out every (h - root) factor; the cofactor has no rational root
+    and keeps the leading coefficient, so p == cofactor * prod (h - root).
+
+    The answer is memoized on p, which is immutable, so each polynomial
+    object is split at most once; every call returns a fresh roots list.
 
     Roots at 0 come off the trailing exponent.  The rest of the search works
-    on the dense list of the primitive integer coefficients of p.  By the
-    rational root theorem each other root is num/den in lowest terms, with
-    den dividing the leading coefficient and num the constant term; these
-    are tried as plain int pairs of both signs, and only while they still
-    divide the current quotient's end coefficients.  A pair is tested by
-    homogeneous integer Horner, sum a_i num^i den^(d-i), and each hit is
-    divided out by exact integer synthetic division by (den*h - num), then
-    tried again for a repeated root.  The integer quotient is scaled back
-    once at the end, by content * prod(den) / lcm of the denominators, so
-    the cofactor keeps the leading coefficient of p.
+    on the dense list of the primitive integer coefficients of p.  A linear
+    one, c1 h + c0, has the root -c0/c1 in lowest terms and needs no search.
+    Otherwise, by the rational root theorem each root is num/den in lowest
+    terms, with den dividing the leading coefficient and num the constant
+    term; these are tried as plain int pairs of both signs, and only while
+    they still divide the current quotient's end coefficients.  A pair is
+    tested by homogeneous integer Horner, sum a_i num^i den^(d-i), and each
+    hit is divided out by exact integer synthetic division by (den*h - num),
+    then tried again for a repeated root.  The integer quotient is scaled back
+    once at the end, by content * prod(den) / lcm of the denominators, so the
+    cofactor keeps the leading coefficient of p.
     """
     if p.nvars != 1:
         raise ArityMismatch("rational_roots expects a univariate polynomial")
     if p.is_zero():
         raise ValueError("the zero polynomial has every root")
+    try:
+        roots, cofactor = p._roots
+    except AttributeError:
+        roots, cofactor = _split(p)
+        object.__setattr__(p, "_roots", (roots, cofactor))
+    return list(roots), cofactor
+
+
+def _split(p: BasePoly):
+    """(ascending roots as a tuple, cofactor) of a nonzero univariate p."""
     # roots at 0 come from the trailing exponent
     val, deg = min(p._packed), max(p._packed)
-    roots = [Fraction(0)] * val
+    roots = [0] * val
     # primitive integer form, dense from the leading coefficient down
     denom_lcm = 1
     for c in p._packed.values():
@@ -479,17 +494,22 @@ def rational_roots(p: BasePoly):
     for c in coeffs:
         scale = gcd(scale, c)
     coeffs = [c // scale for c in coeffs]
-    dens = _divisors(coeffs[0])
-    pairs = ((sign * num, den)
-             for num in _divisors(coeffs[-1])
-             for den in dens if gcd(num, den) == 1
-             for sign in (-1, 1))
+    if len(coeffs) == 2:
+        # c1 h + c0 is primitive, so -c0/c1 is already in lowest terms
+        sign = 1 if coeffs[0] > 0 else -1
+        pairs = [(-sign * coeffs[1], sign * coeffs[0])]
+    else:
+        dens = _divisors(coeffs[0])
+        pairs = ((sign * num, den)
+                 for num in _divisors(coeffs[-1])
+                 for den in dens if gcd(num, den) == 1
+                 for sign in (-1, 1))
     for num, den in pairs:
         while (len(coeffs) > 1 and coeffs[0] % den == 0
                and coeffs[-1] % num == 0 and _horner(coeffs, num, den) == 0):
             coeffs = _deflate(coeffs, num, den)
             scale *= den
-            roots.append(Fraction(num, den))
+            roots.append(num if den == 1 else Fraction(num, den))
         if len(coeffs) == 1:
             break
     # p == h^val * (scale / denom_lcm) * coeffs * prod (h - root) over the other roots
@@ -497,7 +517,7 @@ def rational_roots(p: BasePoly):
     terms = {top - k: _div_coef(c * scale, denom_lcm)
              for k, c in enumerate(coeffs) if c}
     roots.sort()
-    return roots, BasePoly._trusted(1, terms)
+    return tuple(roots), BasePoly._trusted(1, terms)
 
 
 def linear_factors(roots, nvars: int = 1, j: int = 0) -> BasePoly:

@@ -193,8 +193,8 @@ class _ExprParser:
                 den = self.expect("int")
                 if int(den.text) == 0:
                     self.fail(den, "zero denominator")
-                return LaurentOp.one(n) * Fraction(num, int(den.text)), "op"
-            return LaurentOp.one(n) * num, "op"
+                num = Fraction(num, int(den.text))
+            return LaurentOp.monomial(n, (0,) * n, num), "op"
         if tok.kind == "(":
             value = self.expr()
             self.expect(")")

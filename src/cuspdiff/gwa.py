@@ -288,7 +288,8 @@ def verify_presentation(pres: GwaPresentation, depth: int = 3,
     xs = [pres.basis(e) for e in units]
     ys = [pres.basis([-v for v in e]) for e in units]
     for name, lhs, rhs in _relations(pres, xs, ys, pres.from_base, samples):
-        checks.append(GwaCheck(name, lhs == rhs, render_gwa(lhs)))
+        ok = lhs == rhs
+        checks.append(GwaCheck(name, ok, "" if ok else render_gwa(lhs)))
 
     factor_failures = [_factor_failures(pres, i, depth) for i in range(n)]
     bad = None
@@ -331,7 +332,8 @@ def _box(n, depth):
     return [(v,) + r for v in range(-depth, depth + 1) for r in rest]
 
 
-# a named check of verify_presentation, with the text of what it computed
+# a named check of verify_presentation; a failed one carries the text of what
+# it computed, a passing one ""
 GwaCheck = namedtuple("GwaCheck", "name ok witness")
 
 

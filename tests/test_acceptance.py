@@ -316,18 +316,25 @@ def _random_normal_candidate(pres, rng):
     return GwaElement(pres, coords)
 
 
+def _reference_roots_less(aroots, broots):
+    """The strict orbit order pair by pair, as classify computed it before it
+    grouped roots by orbit: each integer-comparable pair r, s has r < s."""
+    return all(r < s for r in aroots for s in broots
+               if (r - s).denominator == 1)
+
+
 def _minimality_witness(b, s):
     """True when shift count s satisfies the three orbit-order conditions."""
-    from cuspdiff.classify import (_nonpositive_coords, _right_coeff,
-                                   _roots_less, _split_roots)
+    from cuspdiff.classify import _nonpositive_coords, _right_coeff, _split_roots
     mprime, left = _nonpositive_coords(b)
     pres = b.presentation
     step = pres.steps[0]
     roots0 = _split_roots(_right_coeff(pres, 0, left[0]))
     rootsm = _split_roots(_right_coeff(pres, mprime, left[mprime]))
     shifted = [r - s * step for r in roots0]
-    return (_roots_less(shifted, rootsm) and _roots_less(shifted, roots0)
-            and _roots_less(shifted, _split_roots(pres.a[0])))
+    return (_reference_roots_less(shifted, rootsm)
+            and _reference_roots_less(shifted, roots0)
+            and _reference_roots_less(shifted, _split_roots(pres.a[0])))
 
 
 def test_criterion_08_normalization(capfd):

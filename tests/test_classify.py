@@ -343,7 +343,50 @@ class TestClassifyTorsion:
         assert "family" in data
 
 
+def _reference_roots_less(aroots, broots):
+    """The pairwise loop the per-orbit order replaced, kept as an oracle."""
+    for r in aroots:
+        for s in broots:
+            if (r - s).denominator == 1 and not r < s:
+                return False
+    return True
+
+
+def _reference_least_shift(roots0, targets, step):
+    """The pairwise loop the per-orbit shift bound replaced, kept as an oracle."""
+    s = 0
+    for r in roots0:
+        for t in targets:
+            d = r - t
+            if d.denominator == 1 and d >= 0:
+                s = max(s, d.numerator // step + 1)
+    return s
+
+
+# ints, integral Fractions and Fractions in the orbits of 1/2, 1/3 and 2/3
+_ORDER_VALUES = ([*range(-6, 7), Fraction(4), Fraction(-2)]
+                 + [Fraction(k, 2) for k in range(-9, 10, 2)]
+                 + [Fraction(k, 3) for k in range(-8, 9) if k % 3])
+
+
 class TestOrbitOrder:
+    def test_matches_pairwise_loops(self):
+        rng = random.Random(47)
+        verdicts, shifts = set(), set()
+        for _ in range(1500):
+            aroots = rng.choices(_ORDER_VALUES, k=rng.randint(0, 5))
+            broots = rng.choices(_ORDER_VALUES, k=rng.randint(0, 5))
+            verdict = _roots_less(aroots, broots)
+            assert verdict is _reference_roots_less(aroots, broots), (aroots, broots)
+            verdicts.add(verdict)
+            for step in (1, 2, 3):
+                s = _least_shift(aroots, broots, step)
+                assert s == _reference_least_shift(aroots, broots, step)
+                assert type(s) is int
+                shifts.add(s)
+        assert verdicts == {False, True}
+        assert max(shifts) >= 5
+
     def test_comparable_pairs(self):
         assert _roots_less([0], [1])
         assert not _roots_less([1], [0])
@@ -434,7 +477,8 @@ class TestNormalize:
         def search(roots0, targets, step):
             # the linear search the closed form replaced
             s = 0
-            while not _roots_less([r - s * step for r in roots0], targets):
+            while not _reference_roots_less([r - s * step for r in roots0],
+                                            targets):
                 s += 1
             return s
 
@@ -472,16 +516,16 @@ def _random_lower(pres, rng):
 
 def _shift_ok(b, s):
     """Check the three orbit-order conditions at shift count s."""
-    from cuspdiff.classify import _nonpositive_coords, _right_coeff, _split_roots, _roots_less
+    from cuspdiff.classify import _nonpositive_coords, _right_coeff, _split_roots
     mprime, left = _nonpositive_coords(b)
     pres = b.presentation
     step = pres.steps[0]
     beta0 = _right_coeff(pres, 0, left[0])
     betam = _right_coeff(pres, mprime, left[mprime])
     shifted = [r - s * step for r in _split_roots(beta0)]
-    return (_roots_less(shifted, _split_roots(betam))
-            and _roots_less(shifted, _split_roots(beta0))
-            and _roots_less(shifted, _split_roots(pres.a[0])))
+    return (_reference_roots_less(shifted, _split_roots(betam))
+            and _reference_roots_less(shifted, _split_roots(beta0))
+            and _reference_roots_less(shifted, _split_roots(pres.a[0])))
 
 
 def _reference_normalize(b):
@@ -581,3 +625,32 @@ class TestNormalizeOracle:
             assert len(roots_calls) <= 6, b
         assert divide_calls == []
 
+    def test_cli_order_searches_each_polynomial_once(self, monkeypatch):
+        # the normalize command asks normalization_shift, is_normal and
+        # normalize in turn; each end coefficient of b, and a, is searched
+        # for roots at most once across the three
+        from cuspdiff import classify, exactpoly
+        divisors = exactpoly._divisors
+        calls, searched = [], set()
+
+        def tracking_roots(q):
+            calls.append(q)
+            return rational_roots(q)
+
+        def tracking_divisors(n):
+            searched.add(len(calls) - 1)
+            return divisors(n)
+
+        monkeypatch.setattr(classify, "rational_roots", tracking_roots)
+        monkeypatch.setattr(exactpoly, "_divisors", tracking_divisors)
+        pres, _ = bbA_presentation(3)
+        # degree two ends, so that neither is read off as a linear root
+        ends = [(H - 1) * (H - 2), (H + 1) * (2 * H - 9)]
+        b = GwaElement(pres, {(0,): ends[0], (-1,): H + 1, (-2,): ends[1]})
+        normalization_shift(b)
+        is_normal(b)
+        normalize(b)
+        split = [calls[i] for i in searched]
+        for q in [b.graded_component((0,)), b.graded_component((-2,))]:
+            assert sum(s is q for s in split) == 1
+        assert sum(s is pres.a[0] for s in split) <= 1

@@ -18,6 +18,9 @@ from cuspdiff.exprparse import parse_expression
 from cuspdiff.skewlaurent import LaurentOp, render_op
 
 
+_PRIME_31 = "1000000000000000000000000000057"
+
+
 def run_with_stderr(capsys, *args):
     """Invoke the CLI; returns (exit code, stdout, stderr)."""
     try:
@@ -341,6 +344,24 @@ class TestOrbitNormalizeSupport:
         assert "Traceback" not in proc.stderr
         assert "shift count 200001" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("args, code, needle", [
+        (["orbit", "--m", "2", "--a", "h-" + _PRIME_31], 0,
+         "marked on orbit 0: (h-%s)" % _PRIME_31),
+        (["normalize", "--m", "2", "--algebra", "bbA", "--element",
+          "h-" + _PRIME_31], 2, "shift count %d" % (int(_PRIME_31) + 1))],
+        ids=["orbit", "normalize"])
+    def test_linear_root_of_a_31_digit_prime(self, args, code, needle):
+        # the root is read off the linear coefficient list; a divisor search
+        # would trial-divide the constant term past any timeout
+        src = Path(cuspdiff.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "cuspdiff", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=10)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert needle in proc.stdout + proc.stderr
 
     def test_support(self, capsys):
         code, out = run(capsys, "support", "--m", "3", "--window", "12")

@@ -417,6 +417,38 @@ class TestRationalRoots:
         with pytest.raises(ValueError):
             rational_roots(BasePoly.zero(1))
 
+    def test_root_types(self):
+        # integral roots are ints, the others Fractions, in ascending order
+        p = H * H * (H - 2) * (3 * H + 1) * (2 * H + 6)
+        roots, cof = rational_roots(p)
+        assert roots == [-3, Fraction(-1, 3), 0, 0, 2]
+        assert [type(r) for r in roots] == [int, Fraction, int, int, int]
+        assert _typed(cof.terms) == {(0,): (int, 6)}
+        for q, root in ((2 * H - 4, 2), (2 * H - 3, Fraction(3, 2)),
+                        (Fraction(1, 3) * H + Fraction(5, 7), Fraction(-15, 7))):
+            (got,), _ = rational_roots(q)
+            assert got == root and type(got) is type(root)
+
+    def test_memo_answers_again_without_a_search(self, monkeypatch):
+        from cuspdiff import exactpoly
+
+        p = (2 * H - 1) * (H + 3) * (H * H + 1)
+        roots, cof = rational_roots(p)
+
+        def no_search(n):
+            raise AssertionError("the roots were searched again")
+
+        monkeypatch.setattr(exactpoly, "_divisors", no_search)
+        assert rational_roots(p) == (roots, cof)
+        # each call hands out a fresh list
+        again, _ = rational_roots(p)
+        again.append(99)
+        again[0] = 0
+        assert rational_roots(p) == ([-3, Fraction(1, 2)], 2 * H * H + 2)
+        # the memo is kept per object: an equal new polynomial is searched
+        with pytest.raises(AssertionError):
+            rational_roots((2 * H - 1) * (H + 3) * (H * H + 1))
+
     @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=4),
            st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -513,6 +545,22 @@ class TestRationalRootsOracle:
         assert got == want == roots
         assert _typed(cof.terms) == _typed(ref_cof.terms)
         assert linear_factors(got) * cof == p
+
+    def test_linear_and_huge_roots(self):
+        # a linear polynomial's root is read off with no divisor search; the
+        # huge roots here have constant terms that trial division factors fast
+        big = 2 ** 100
+        cases = [3 * H - 2, 7 - 2 * H, Fraction(1, 3) * H + Fraction(5, 7),
+                 H - big, 3 * H + big, H * (5 * H - 10 ** 30),
+                 (H - big) * (H + 1), (2 * H - 10 ** 30) * (H - 3) * H]
+        for p in cases:
+            got, cof = rational_roots(p)
+            want, ref_cof = _reference_rational_roots(p)
+            assert got == want, p
+            assert [type(r) for r in got] == [
+                int if r.denominator == 1 else Fraction for r in want]
+            assert _typed(cof.terms) == _typed(ref_cof.terms)
+            assert linear_factors(got) * cof == p
 
     def test_degree_nine_many_divisors(self):
         p = parse_poly("-h^9-54*h^8-1281*h^7-17514*h^6-152019*h^5-868266*h^4"

@@ -217,6 +217,22 @@ class TestVerify:
         assert report.failures() == []
         assert all(c.ok for c in report.checks)
 
+    def test_witness_only_for_failed_relations(self, monkeypatch):
+        pres, _ = bbA_presentation(2)
+        assert all(c.ok and c.witness == ""
+                   for c in verify_presentation(pres, depth=1).checks)
+        x, y = pres.basis([1]), pres.basis([-1])
+        # multiplying in the reverse order turns y x into x y = sigma(a)
+        monkeypatch.setattr(gwa, "gwa_multiply", lambda u, v: gwa_multiply(v, u))
+        checks = {c.name: c for c in verify_presentation(pres, depth=1).checks}
+        assert not checks["yx=a[0]"].ok
+        assert checks["yx=a[0]"].witness == render_gwa(gwa_multiply(x, y))
+        assert not checks["x-shift[0,1]"].ok
+        assert checks["x-shift[0,1]"].witness != ""
+        # the base sample 1 commutes with x however the product is ordered
+        assert checks["x-shift[0,0]"].ok
+        assert checks["x-shift[0,0]"].witness == ""
+
 
 def _reference_associativity(pres, depth):
     """The plain sweep: four products and three basis builds per triple.
