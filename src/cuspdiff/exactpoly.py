@@ -308,30 +308,30 @@ class BasePoly(RingOps):
                 packed.update((rest + (e << at), c) for e, c in enumerate(a) if c)
         return BasePoly._trusted(n, _clean(packed))
 
-    def eval(self, point) -> Fraction:
+    def eval(self, point) -> int | Fraction:
         """Evaluate at a rational point (one value per variable).
 
-        Integer points stay in int arithmetic: int coordinates are not boxed,
-        so int coefficients at an int point sum as ints.  Only the other
-        coordinates become Fractions, and the total is boxed as a Fraction
-        once at the end.
+        The value is exact and unboxed: an int when it is integral, a
+        Fraction otherwise, as rational_roots gives its roots.  int
+        coordinates are not boxed, so int coefficients at an int point sum
+        as ints; only the other coordinates become Fractions.
         """
         point = [v if v.__class__ is int else Fraction(v) for v in point]
         if len(point) != self.nvars:
             raise ArityMismatch("point has length %d, nvars=%d"
                                 % (len(point), self.nvars))
         total, mask = 0, (_MASK if self.nvars > 1 else -1)
-        fields = [({}, x) for x in reversed(point)]  # power caches, last field first
+        point.reverse()  # the last variable sits in the lowest field
         for key, c in self._packed.items():
-            for powers, x in fields:
+            for x in point:
                 e = key & mask
                 if e:
-                    if e not in powers:
-                        powers[e] = x ** e
-                    c *= powers[e]
+                    c *= x ** e
                 key >>= _FIELD
             total += c
-        return Fraction(total)
+        if total.__class__ is Fraction and total.denominator == 1:
+            return total.numerator
+        return total
 
     def inject(self, nvars: int, j: int) -> "BasePoly":
         """View a univariate polynomial as a polynomial in h_{j+1} of a larger ring."""

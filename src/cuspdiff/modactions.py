@@ -9,10 +9,11 @@ and quotients are cut out by masks on the exponent lattice.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from .exactpoly import ArityMismatch
+from .exactpoly import ArityMismatch, _clean
 from .skewlaurent import LaurentOp
-from .cuspops import as_shape, delta_op, membership
+from .cuspops import as_shape, delta_op, generator_pair, membership
 
 
 class NotStable(ValueError):
@@ -20,17 +21,23 @@ class NotStable(ValueError):
 
 
 class LaurentVector:
-    """Finite rational combination of monomials x^beta, beta in Z^n."""
+    """Finite rational combination of monomials x^beta, beta in Z^n.
+
+    Coefficients are stored as BasePoly stores them: an int when integral,
+    a Fraction otherwise.  Results the module computes itself are wrapped by
+    the private _trusted constructor without re-checking.
+    """
 
     __slots__ = ("nvars", "coeffs")
 
     @staticmethod
     def _trusted(nvars: int, coeffs: dict) -> "LaurentVector":
         """Wrap coeffs whose keys are int tuples of length nvars and whose
-        values are Fractions, dropping the zero ones unchecked."""
-        v = object.__new__(LaurentVector)
-        object.__setattr__(v, "nvars", nvars)
-        object.__setattr__(v, "coeffs", {d: c for d, c in coeffs.items() if c})
+        values are ints and Fractions, unchecked; zero values are dropped and
+        integral Fractions stored as int."""
+        v = _new(LaurentVector)
+        _set_nvars(v, nvars)
+        _set_coeffs(v, _clean(coeffs))
         return v
 
     def __init__(self, nvars: int, coeffs=None):
@@ -43,7 +50,7 @@ class LaurentVector:
                 raise ArityMismatch("degree %r has length != %d" % (deg, nvars))
             c = Fraction(c)
             if c:
-                clean[deg] = c
+                clean[deg] = c.numerator if c.denominator == 1 else c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "coeffs", clean)
 
@@ -67,8 +74,8 @@ class LaurentVector:
             raise ArityMismatch("mixed arities")
         coeffs = dict(self.coeffs)
         for deg, c in other.coeffs.items():
-            coeffs[deg] = coeffs.get(deg, Fraction(0)) + c
-        return LaurentVector(self.nvars, coeffs)
+            coeffs[deg] = coeffs.get(deg, 0) + c
+        return LaurentVector._trusted(self.nvars, coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentVector):
@@ -76,12 +83,13 @@ class LaurentVector:
         return self + (-other)
 
     def __neg__(self):
-        return LaurentVector(self.nvars, {d: -c for d, c in self.coeffs.items()})
+        return LaurentVector._trusted(self.nvars,
+                                      {d: -c for d, c in self.coeffs.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LaurentVector(self.nvars,
-                                 {d: other * c for d, c in self.coeffs.items()})
+            return LaurentVector._trusted(
+                self.nvars, {d: other * c for d, c in self.coeffs.items()})
         return NotImplemented
 
     def __eq__(self, other):
@@ -94,6 +102,12 @@ class LaurentVector:
 
     def __repr__(self):
         return "LaurentVector(%s)" % render_vector(self)
+
+
+# slot setters for LaurentVector._trusted, which bypasses __init__ and __setattr__
+_new = object.__new__
+_set_nvars = LaurentVector.nvars.__set__
+_set_coeffs = LaurentVector.coeffs.__set__
 
 
 def render_vector(v: LaurentVector) -> str:
@@ -137,11 +151,10 @@ def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:
     out = {}
     for alpha, dpoly in u.components.items():
         for beta, c in v.coeffs.items():
-            scalar = dpoly.eval([a + b + 1 for a, b in zip(alpha, beta)])
-            if not scalar:
-                continue
-            deg = tuple(a + b for a, b in zip(alpha, beta))
-            out[deg] = out.get(deg, Fraction(0)) + c * scalar
+            deg = tuple(map(add, alpha, beta))
+            scalar = dpoly.eval([k + 1 for k in deg])
+            if scalar:
+                out[deg] = out.get(deg, 0) + c * scalar
     return LaurentVector._trusted(v.nvars, out)
 
 
@@ -242,8 +255,8 @@ class GradedMask:
         return out
 
     def project_outside(self, v: LaurentVector) -> LaurentVector:
-        return LaurentVector(v.nvars, {d: c for d, c in v.coeffs.items()
-                                       if not self.contains(d)})
+        return LaurentVector._trusted(v.nvars, {d: c for d, c in v.coeffs.items()
+                                                if not self.contains(d)})
 
 
 def cusp_mask(shape) -> GradedMask:
@@ -273,11 +286,16 @@ def act_on_quotient(u, v: LaurentVector, mask: GradedMask) -> LaurentVector:
     masked submodule is stable and the induced action is well defined; apply
     then discard every component inside the mask.
     """
+    _require_stable(u, mask)
+    return mask.project_outside(act(u, v))
+
+
+def _require_stable(u, mask: GradedMask):
+    """Raise NotStable unless u lies in the operator ring of the mask's shape."""
     if mask.shape is None:
         raise NotStable("mask carries no shape; stability cannot be checked")
     if not membership(u, mask.shape):
         raise NotStable("operator is outside the ring; quotient action undefined")
-    return mask.project_outside(act(u, v))
 
 
 def stability_check(gens, mask: GradedMask, window: int) -> bool:
@@ -295,7 +313,7 @@ def stability_check(gens, mask: GradedMask, window: int) -> bool:
         raise ValueError("window %d too small for generator degree %d"
                          % (window, maxdeg))
     for gamma in mask.masked_monomials(window):
-        vec = LaurentVector.monomial(mask.nvars, gamma)
+        vec = LaurentVector._trusted(mask.nvars, {gamma: 1})
         for g in gens:
             image = act(g, vec)
             for deg in image.coeffs:
@@ -357,6 +375,25 @@ def support(mask: GradedMask) -> WeightSupport:
     return WeightSupport(mask.factors[0].translate(1))
 
 
+def _unit_pair(shape):
+    """The degree +-1 pair (delta_1, delta_-1) of a rank one shape.
+
+    It is bbA's generator pair; width 1 has no bbA pair, and there the
+    degree one deltas are the Weyl pair (x, partial).
+    """
+    return generator_pair(shape, "bbA" if shape.m[0] >= 2 else "weyl", 0)
+
+
+def _moves(op, k: int, mask: GradedMask | None) -> bool:
+    """Whether op sends x^k to a nonzero vector, in the quotient by mask if
+    one is given.  The caller has checked op against the mask once, as
+    act_on_quotient would on every call."""
+    image = act(op, LaurentVector._trusted(1, {(k,): 1}))
+    if mask is not None:
+        image = mask.project_outside(image)
+    return not image.is_zero()
+
+
 def simplicity_probe(module: str, shape, window: int,
                      gap_jump: int | None = None) -> bool:
     """Probe that each adjacent pair of module exponents is linked both ways.
@@ -374,47 +411,25 @@ def simplicity_probe(module: str, shape, window: int,
     if window < 2 * m + 2:
         raise ValueError("window %d too small; need at least %d"
                          % (window, 2 * m + 2))
-    up1 = delta_op(shape, (1,))
-    down1 = delta_op(shape, (-1,))
-
-    def nonzero(op, k, quotient):
-        vec = LaurentVector.monomial(1, (k,))
-        if quotient:
-            image = act_on_quotient(op, vec, cusp_mask(shape))
-        else:
-            image = act(op, vec)
-        return not image.is_zero()
-
     if module == "A":
         jump = m if gap_jump is None else gap_jump
-        for k in range(m, window):
-            if not nonzero(up1, k, False):
-                return False
-            if not nonzero(down1, k + 1, False):
-                return False
-        if not nonzero(delta_op(shape, (jump,)), 0, False):
-            return False
-        if not nonzero(delta_op(shape, (-jump,)), m, False):
-            return False
-        return True
-    if module == "Aprime":
+        runs, gap, mask = [range(m, window)], (0, m), None
+    elif module == "Aprime":
         jump = 2 if gap_jump is None else gap_jump
-        for k in range(-window, -1):
-            if not nonzero(up1, k, True):
+        runs, gap = [range(-window, -1), range(1, m - 1)], (-1, 1)
+        mask = cusp_mask(shape)
+    else:
+        raise ValueError("module must be 'A' or 'Aprime'")
+    up1, down1 = _unit_pair(shape)
+    gap_up, gap_down = delta_op(shape, (jump,)), delta_op(shape, (-jump,))
+    if mask is not None:
+        for op in (up1, down1, gap_up, gap_down):
+            _require_stable(op, mask)
+    for run in runs:
+        for k in run:
+            if not (_moves(up1, k, mask) and _moves(down1, k + 1, mask)):
                 return False
-            if not nonzero(down1, k + 1, True):
-                return False
-        for k in range(1, m - 1):
-            if not nonzero(up1, k, True):
-                return False
-            if not nonzero(down1, k + 1, True):
-                return False
-        if not nonzero(delta_op(shape, (jump,)), -1, True):
-            return False
-        if not nonzero(delta_op(shape, (-jump,)), 1, True):
-            return False
-        return True
-    raise ValueError("module must be 'A' or 'Aprime'")
+    return _moves(gap_up, gap[0], mask) and _moves(gap_down, gap[1], mask)
 
 
 def restriction_blocks(shape, window: int):
@@ -436,25 +451,19 @@ def restriction_blocks(shape, window: int):
     if window <= m + 2:
         raise ValueError("window %d too small: it must exceed m+2 = %d"
                          % (window, m + 2))
-    up1 = delta_op(shape, (1,))
-    down1 = delta_op(shape, (-1,))
+    up1, down1 = _unit_pair(shape)
     mask = cusp_mask(shape)
+    _require_stable(up1, mask)
+    _require_stable(down1, mask)
 
-    def blocks(exponents, quotient):
+    def blocks(exponents, quotient_by):
         exponents = sorted(exponents)
         out = []
         current = []
         for k in exponents:
             if current and k == current[-1] + 1:
-                vec_up = LaurentVector.monomial(1, (current[-1],))
-                vec_dn = LaurentVector.monomial(1, (k,))
-                if quotient:
-                    linked = (not act_on_quotient(up1, vec_up, mask).is_zero()
-                              or not act_on_quotient(down1, vec_dn, mask).is_zero())
-                else:
-                    linked = (not act(up1, vec_up).is_zero()
-                              or not act(down1, vec_dn).is_zero())
-                if linked:
+                if (_moves(up1, current[-1], quotient_by)
+                        or _moves(down1, k, quotient_by)):
                     current.append(k)
                     continue
             if current:
@@ -476,4 +485,4 @@ def restriction_blocks(shape, window: int):
               if k in mask.factors[0]]
     exps_q = [k for k in range(-window, window + 1)
               if k not in mask.factors[0]]
-    return blocks(exps_a, False), blocks(exps_q, True)
+    return blocks(exps_a, None), blocks(exps_q, mask)

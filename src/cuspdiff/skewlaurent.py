@@ -13,7 +13,8 @@ The private base Graded holds what LaurentOp shares with gwa.GwaElement, the
 other Z^n-graded sum with left coefficients in Q[h1..hn]: validation,
 immutability, support, sums, negation, equality, hashing and the text form.
 Each subclass keeps its own product, coercion and monomial names.
-modactions.LaurentVector stays apart: its coefficients are Fractions.
+modactions.LaurentVector stays apart: its coefficients are scalars (ints and
+Fractions), not polynomials.
 """
 
 from __future__ import annotations

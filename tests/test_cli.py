@@ -149,6 +149,22 @@ class TestDecomposeAct:
         assert code == 0
         assert out.strip() == "-2*x^-1"
 
+    def test_act_prints_integral_coefficients_bare(self, capsys):
+        # delta(1)*h = (h-2)(h-1) x kills x^-1 and x^0 and sends 1/2*x^3 to
+        # 3/2 * 1/2 * 3 * 4 = 9 at x^4: printed as "9", never "9/1"
+        code, out = run(capsys, "act", "--m", "2", "--json",
+                        "3/2*delta(1)*h", "1/2*x^3 - 2*x^-1 + 4/3")
+        assert code == 0
+        assert json.loads(out)["result"] == {"4": "9"}
+        assert '"9/1"' not in out
+
+    def test_act_quotient_fraction_vector(self, capsys):
+        # delta(2)*h = (h-2)(h-3) x^2; only x^-3 lands outside {0} u [3, inf)
+        code, out = run(capsys, "act", "--m", "3", "--quotient",
+                        "delta(2)*h", "x - 2/5*x^-3 + x^2")
+        assert code == 0
+        assert out == "-12/5*x^-1\n"
+
     def test_act_quotient_unstable(self, capsys):
         code, _ = run(capsys, "act", "--m", "2", "--quotient", "x", "x")
         assert code == 1

@@ -1,17 +1,20 @@
 """Module actions on Laurent monomials, masked quotients, stability, and the
 weight-support bookkeeping behind restriction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspdiff.cuspops import CuspShape, delta_op, generating_set
+from cuspdiff import modactions
+from cuspdiff.cuspops import CuspShape, delta_op, generating_set, generator_pair
 from cuspdiff.exactpoly import ArityMismatch, BasePoly
-from cuspdiff.modactions import (ExponentSet, LaurentVector, NotStable, act,
-                                 act_on_quotient, cusp_mask, quotient_mask,
-                                 render_vector, restriction_blocks,
-                                 simplicity_probe, stability_check, support)
+from cuspdiff.modactions import (ExponentSet, GradedMask, LaurentVector,
+                                 NotStable, act, act_on_quotient, cusp_mask,
+                                 quotient_mask, render_vector,
+                                 restriction_blocks, simplicity_probe,
+                                 stability_check, support)
 from cuspdiff.skewlaurent import LaurentOp
 
 H = BasePoly.variable(1, 0)
@@ -54,7 +57,8 @@ class TestAct:
         got = act(x - 1, mono(0) + mono(1))
         assert got == mono(2) + mono(0, -1)
         assert set(got.coeffs) == {(2,), (0,)}
-        assert all(type(c) is Fraction for c in got.coeffs.values())
+        # integral coefficients are stored as ints
+        assert all(type(c) is int for c in got.coeffs.values())
 
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
@@ -73,6 +77,62 @@ class TestAct:
         assert got == LaurentVector.monomial(2, (2, 2), 3)
         # a boundary weight kills the same operator
         assert act(u, LaurentVector.monomial(2, (0, 2))).is_zero()
+
+
+def _direct_act(u, v):
+    """All-Fraction oracle for act, read off the coefficient terms.
+
+    (d * x^alpha) x^beta = d(alpha + beta + 1) x^{alpha + beta}, with d
+    summed term by term; BasePoly.eval is never called.
+    """
+    out = {}
+    for alpha, dpoly in u.components.items():
+        for beta, c in v.coeffs.items():
+            deg = tuple(a + b for a, b in zip(alpha, beta))
+            scalar = Fraction(0)
+            for exp, coef in dpoly.terms.items():
+                term = Fraction(coef)
+                for e, k in zip(exp, deg):
+                    term *= Fraction(k + 1) ** e
+                scalar += term
+            out[deg] = out.get(deg, Fraction(0)) + Fraction(c) * scalar
+    return {deg: c for deg, c in out.items() if c}
+
+
+class TestActOracle:
+    @staticmethod
+    def _coef(rng):
+        # ints, and Fractions with denominators 1 to 3
+        num = rng.randint(-6, 6)
+        return num if rng.random() < 0.4 else Fraction(num, rng.randint(1, 3))
+
+    @pytest.mark.parametrize("nvars", [1, 2])
+    def test_matches_direct_evaluation(self, nvars):
+        rng = random.Random(17 + nvars)
+        seen = set()
+        for _ in range(80):
+            def degree(lo, hi):
+                return tuple(rng.randint(lo, hi) for _ in range(nvars))
+            u = LaurentOp(nvars, {
+                degree(-4, 4): BasePoly(nvars, {degree(0, 3): self._coef(rng)
+                                                for _ in range(rng.randint(1, 4))})
+                for _ in range(rng.randint(1, 4))})
+            v = LaurentVector(nvars, {degree(-5, 5): self._coef(rng)
+                                      for _ in range(rng.randint(1, 5))})
+            got = act(u, v)
+            assert got.coeffs == _direct_act(u, v), (u, v)
+            for c in list(v.coeffs.values()) + list(got.coeffs.values()):
+                # exact and unboxed: an int exactly when integral
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+                seen.add(type(c))
+        assert seen == {int, Fraction}
+
+    def test_integral_fraction_products_are_stored_as_int(self):
+        # 3/2 * h on 1/3 * x^1 gives 3/2 * 1/3 * 2 = 1
+        got = act(LaurentOp.monomial(1, (0,), Fraction(3, 2) * H),
+                  mono(1, Fraction(1, 3)))
+        assert got.coeffs == {(1,): 1}
+        assert type(got.coeffs[(1,)]) is int
 
 
 class TestMasks:
@@ -122,6 +182,22 @@ class TestQuotientAction:
         mask = cusp_mask(2)
         with pytest.raises(NotStable):
             act_on_quotient(x, mono(1), mask)
+
+    def test_unstable_operator_is_refused_whatever_the_vector(self):
+        # x is outside the ring for every width >= 2, even where its image
+        # happens to miss the mask
+        for v in (mono(-3), mono(-3, Fraction(2, 3)), mono(1) + mono(5),
+                  LaurentVector(1)):
+            with pytest.raises(NotStable):
+                act_on_quotient(x, v, cusp_mask(2))
+        x1 = LaurentOp.x(2, 0)
+        with pytest.raises(NotStable):
+            act_on_quotient(x1, LaurentVector.monomial(2, (-2, 1)),
+                            cusp_mask(CuspShape((2, 3))))
+        # a mask without a shape cannot vouch for any operator
+        bare = GradedMask([ExponentSet(points=(0,), ge=2)])
+        with pytest.raises(NotStable):
+            act_on_quotient(delta_op(2, (1,)), mono(1), bare)
 
 
 class TestStability:
@@ -185,6 +261,42 @@ class TestSimplicity:
             simplicity_probe("B", 2, window=8)
 
 
+class TestProbeWork:
+    """The probes check each operator against the ring once, not per exponent."""
+
+    @pytest.fixture
+    def membership_calls(self, monkeypatch):
+        calls = []
+        real = modactions.membership
+
+        def counting(u, shape):
+            calls.append(u)
+            return real(u, shape)
+
+        monkeypatch.setattr(modactions, "membership", counting)
+        return calls
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_probe_checks_each_operator_once(self, membership_calls, m):
+        for window in (2 * m + 2, 4 * m, 40):
+            membership_calls.clear()
+            assert simplicity_probe("Aprime", m, window)
+            # delta_{+-1}, then the gap pair delta_{+-2}
+            assert membership_calls == [delta_op(m, (1,)), delta_op(m, (-1,)),
+                                        delta_op(m, (2,)), delta_op(m, (-2,))]
+            membership_calls.clear()
+            # the subalgebra module acts without a quotient: no check at all
+            assert simplicity_probe("A", m, window)
+            assert membership_calls == []
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_blocks_check_the_pair_once(self, membership_calls, m):
+        for window in (m + 3, 12, 40):
+            membership_calls.clear()
+            restriction_blocks(m, window)
+            assert membership_calls == [delta_op(m, (1,)), delta_op(m, (-1,))]
+
+
 class TestRestrictionBlocks:
     def test_width_two(self):
         blocks_a, blocks_q = restriction_blocks(2, window=8)
@@ -196,6 +308,14 @@ class TestRestrictionBlocks:
         assert blocks_a == [ExponentSet(points=(0,)), ExponentSet(ge=4)]
         assert blocks_q == [ExponentSet(le=-1),
                             ExponentSet(points=(1, 2, 3))]
+
+    def test_width_one_uses_the_weyl_pair(self):
+        # bbA has no degree one pair at width 1; there delta_{+-1} is the
+        # Weyl pair (x, partial), which links every neighbour
+        assert generator_pair(1, "weyl", 0) == (delta_op(1, (1,)),
+                                                delta_op(1, (-1,)))
+        assert restriction_blocks(1, window=6) == ([ExponentSet(ge=0)],
+                                                   [ExponentSet(le=-1)])
 
     def test_blocks_partition_each_module(self):
         for m in (2, 3):
