@@ -22,7 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .exactpoly import ArityMismatch, BasePoly, rational_roots, render_poly
+from .exactpoly import (ArityMismatch, BasePoly, Frozen, Value, rational_roots,
+                        render_poly)
 from .gwa import GwaElement, GwaPresentation
 from .modactions import ExponentSet, WeightSupport, cusp_mask, quotient_mask, support
 from .cuspops import as_shape
@@ -42,24 +43,13 @@ class InvalidInterval(ValueError):
     """Interval anchors are missing, misordered or in different orbits."""
 
 
-class LinMaxIdeal:
+class LinMaxIdeal(Value):
     """The maximal ideal (h - root) of the base ring."""
 
-    __slots__ = ("root",)
+    __slots__ = _fields = ("root",)
 
     def __init__(self, root):
         object.__setattr__(self, "root", Fraction(root))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinMaxIdeal is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LinMaxIdeal):
-            return NotImplemented
-        return self.root == other.root
-
-    def __hash__(self):
-        return hash(("LinMaxIdeal", self.root))
 
     def __repr__(self):
         return "LinMaxIdeal(%s)" % self.root
@@ -73,28 +63,17 @@ class LinMaxIdeal:
         return "(h+%s)" % (-r)
 
 
-class Orbit:
+class Orbit(Value):
     """Shift orbit of linear maximal ideals: roots sharing a fractional part."""
 
-    __slots__ = ("rep",)
+    __slots__ = _fields = ("rep",)
 
     def __init__(self, rep):
         rep = Fraction(rep)
         object.__setattr__(self, "rep", rep - floor(rep))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Orbit is immutable")
-
     def contains_root(self, root) -> bool:
         return (Fraction(root) - self.rep).denominator == 1
-
-    def __eq__(self, other):
-        if not isinstance(other, Orbit):
-            return NotImplemented
-        return self.rep == other.rep
-
-    def __hash__(self):
-        return hash(("Orbit", self.rep))
 
     def __repr__(self):
         return "Orbit(%s)" % self.rep
@@ -130,7 +109,7 @@ def marked_ideals(a: BasePoly):
     return [(Orbit(rep), ideals) for rep, ideals in sorted(grouped.items())]
 
 
-class GammaInterval:
+class GammaInterval(Value):
     """One piece of an orbit cut at marked ideals.
 
     kind is one of "full", "left_ray", "half_open", "right_ray"; rays and
@@ -138,7 +117,7 @@ class GammaInterval:
     (lower, upper] containing its upper anchor.
     """
 
-    __slots__ = ("kind", "orbit", "lower", "upper")
+    __slots__ = _fields = ("kind", "orbit", "lower", "upper")
 
     def __init__(self, kind, orbit, lower=None, upper=None):
         if kind not in ("full", "left_ray", "half_open", "right_ray"):
@@ -165,18 +144,6 @@ class GammaInterval:
         object.__setattr__(self, "orbit", orbit)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GammaInterval is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, GammaInterval):
-            return NotImplemented
-        return (self.kind == other.kind and self.orbit == other.orbit
-                and self.lower == other.lower and self.upper == other.upper)
-
-    def __hash__(self):
-        return hash((self.kind, self.orbit, self.lower, self.upper))
 
     def render(self) -> str:
         if self.kind == "full":
@@ -217,7 +184,7 @@ def partition_orbit(a: BasePoly, orbit: Orbit):
     return out
 
 
-class WeightModule:
+class WeightModule(Frozen):
     """Weight-by-weight model of the simple module attached to an interval.
 
     Weights are roots in the interval reachable from its anchored end in
@@ -236,9 +203,6 @@ class WeightModule:
         object.__setattr__(self, "interval", interval)
         object.__setattr__(self, "weights", tuple(Fraction(w) for w in weights))
         object.__setattr__(self, "finite", bool(finite))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightModule is immutable")
 
     @property
     def dimension(self):

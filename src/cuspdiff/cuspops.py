@@ -19,17 +19,17 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, divides,
+from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, Value, divides,
                         exact_divide, linear_factors, render_poly)
 from .gwa import Embedding, GwaPresentation
 # phi is re-exported: the package root and the bench read cuspops.phi
 from .skewlaurent import LaurentOp, graded_divisor, phi, vanishing_roots
 
 
-class CuspShape:
+class CuspShape(Value):
     """Width vector of the subalgebra, one entry per tensor factor."""
 
-    __slots__ = ("m",)
+    __slots__ = _fields = ("m",)
 
     def __init__(self, m):
         if isinstance(m, int):
@@ -41,20 +41,9 @@ class CuspShape:
             raise ValueError("widths must be positive integers")
         object.__setattr__(self, "m", m)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CuspShape is immutable")
-
     @property
     def rank(self) -> int:
         return len(self.m)
-
-    def __eq__(self, other):
-        if isinstance(other, CuspShape):
-            return self.m == other.m
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.m)
 
     def __repr__(self):
         return "CuspShape(%s)" % (self.m,)

@@ -5,6 +5,9 @@ operator coefficients, structure constants, weight scalars.  All arithmetic is
 exact; there is no floating point anywhere.  Coefficients are stored as python
 ints when integral and as fractions.Fraction otherwise, which keeps the common
 all-integer computations on the fast path.
+
+The private base Frozen makes every value class of the package immutable, and
+its subclass Value gives the plain-data ones equality and hashing by fields.
 """
 
 from __future__ import annotations
@@ -76,7 +79,35 @@ def grlex_key(exp: tuple[int, ...]):
     return (sum(exp), exp)
 
 
-class RingOps:
+class Frozen:
+    """Base of the immutable classes: assigning an attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class Value(Frozen):
+    """A Frozen class equal and hashed by the slots _fields names.
+
+    Objects of different classes are never equal.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self):
+        return hash((self.__class__, *(getattr(self, f) for f in self._fields)))
+
+
+class RingOps(Frozen):
     """Subtraction and powers, shared by the ring element classes.
 
     The class provides _coerce (returning NotImplemented for foreign
@@ -164,9 +195,6 @@ class BasePoly(RingOps):
                 clean[reduce(lambda key, e: key << _FIELD | e, exp, 0)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_packed", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BasePoly is immutable")
 
     # -- constructors -----------------------------------------------------
 

@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
-from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, exact_divide,
-                        render_poly)
+from .exactpoly import (ArityMismatch, BasePoly, Frozen, NotDivisible, Value,
+                        exact_divide, render_poly)
 from .skewlaurent import Graded, LaurentOp
 
 
@@ -42,10 +42,11 @@ class NotInImage(ArithmeticError):
     """A Laurent operator is not in the image of the embedding."""
 
 
-class GwaPresentation:
+class GwaPresentation(Value):
     """Defining data: one base polynomial and one shift step per factor."""
 
     __slots__ = ("nvars", "a", "steps", "_pair_cache", "_shift_cache")
+    _fields = ("a", "steps")  # the caches follow from these
 
     def __init__(self, a, steps):
         a = list(a)
@@ -78,17 +79,6 @@ class GwaPresentation:
         object.__setattr__(self, "_pair_cache", {})
         object.__setattr__(self, "_shift_cache", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GwaPresentation is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, GwaPresentation):
-            return NotImplemented
-        return self.a == other.a and self.steps == other.steps
-
-    def __hash__(self):
-        return hash((self.a, self.steps))
-
     def __repr__(self):
         return "GwaPresentation(a=[%s], steps=%s)" % (
             ", ".join(render_poly(p) for p in self.a), list(self.steps))
@@ -108,32 +98,14 @@ class GwaPresentation:
         return self._shift_cache[key]
 
     def pair_coefficient(self, i: int, n: int, m: int) -> BasePoly:
-        """The base coefficient (n, m) with v_n(i) v_m(i) = (n, m) v_{n+m}(i).
-
-        Same signs give 1.  Mixed signs give a product of sigma-shifts of a_i:
-        for n > 0 > -m', the factors are sigma^t(a_i) for t descending from n,
-        min(n, m') of them; for -n' < 0 < m, the factors are sigma^t(a_i) for
-        t ascending from -n'+1, min(n', m) of them.
-        """
+        """The base coefficient (n, m) with v_n(i) v_m(i) = (n, m) v_{n+m}(i):
+        the product of sigma_i^t(a_i) over t in pair_interval(n, m), cached."""
         key = (i, n, m)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        if n == 0 or m == 0 or (n > 0) == (m > 0):
-            out = BasePoly.one(self.nvars)
-        elif n > 0:
-            mp = -m
-            count = min(n, mp)
-            out = BasePoly.one(self.nvars)
-            for t in range(n - count + 1, n + 1):
-                out = out * self.sigma_of_a(i, t)
-        else:
-            np = -n
-            count = min(np, m)
-            out = BasePoly.one(self.nvars)
-            for t in range(-np + 1, -np + count + 1):
-                out = out * self.sigma_of_a(i, t)
-        self._pair_cache[key] = out
+        out = self._pair_cache.get(key)
+        if out is None:
+            out = self._pair_cache[key] = reduce(
+                mul, (self.sigma_of_a(i, t) for t in pair_interval(n, m)),
+                BasePoly.one(self.nvars))
         return out
 
     # -- element constructors --------------------------------------------
@@ -146,6 +118,20 @@ class GwaPresentation:
 
     def from_base(self, d: BasePoly) -> "GwaElement":
         return GwaElement(self, {(0,) * self.nvars: d})
+
+
+def pair_interval(n: int, m: int) -> range:
+    """The t with sigma^t(a) a factor of the pair coefficient (n, m).
+
+    Same signs or a zero degree give no factor.  For n > 0 > m the t run
+    down from n, min(n, -m) of them; for n < 0 < m they run up from n + 1,
+    min(-n, m) of them.
+    """
+    if n > 0 > m:
+        return range(n - min(n, -m) + 1, n + 1)
+    if n < 0 < m:
+        return range(n + 1, n + min(-n, m) + 1)
+    return range(0)
 
 
 class GwaElement(Graded):
@@ -354,7 +340,7 @@ class GwaReport:
         return "GwaReport(ok=%s, checks=%d)" % (self.ok, len(self.checks))
 
 
-class Embedding:
+class Embedding(Frozen):
     """A homomorphism into the skew Laurent ring given by generator images.
 
     The images must satisfy every defining relation of the presentation inside
@@ -380,9 +366,6 @@ class Embedding:
         object.__setattr__(self, "y_images", y_images)
         object.__setattr__(self, "_powers", {})
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Embedding is immutable")
 
     def _validate(self):
         n = self.presentation.nvars

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exactpoly import ArityMismatch, _clean
+from .exactpoly import ArityMismatch, Frozen, Value, _clean
 from .skewlaurent import LaurentOp
 from .cuspops import as_shape, delta_op, generator_pair, membership
 
@@ -20,7 +20,7 @@ class NotStable(ValueError):
     """An operator outside the ring was asked to act on a quotient."""
 
 
-class LaurentVector:
+class LaurentVector(Frozen):
     """Finite rational combination of monomials x^beta, beta in Z^n.
 
     Coefficients are stored as BasePoly stores them: an int when integral,
@@ -53,9 +53,6 @@ class LaurentVector:
                 clean[deg] = c.numerator if c.denominator == 1 else c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentVector is immutable")
 
     @classmethod
     def monomial(cls, nvars: int, degree, c=1) -> "LaurentVector":
@@ -158,18 +155,15 @@ def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:
     return LaurentVector._trusted(v.nvars, out)
 
 
-class ExponentSet:
+class ExponentSet(Value):
     """Subset of Z given by finitely many points plus up and down rays."""
 
-    __slots__ = ("points", "ge", "le")
+    __slots__ = _fields = ("points", "ge", "le")
 
     def __init__(self, points=(), ge=None, le=None):
         object.__setattr__(self, "points", frozenset(int(p) for p in points))
         object.__setattr__(self, "ge", None if ge is None else int(ge))
         object.__setattr__(self, "le", None if le is None else int(le))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExponentSet is immutable")
 
     def __contains__(self, k: int) -> bool:
         if k in self.points:
@@ -189,15 +183,6 @@ class ExponentSet:
             ge=None if self.ge is None else self.ge + offset,
             le=None if self.le is None else self.le + offset)
 
-    def __eq__(self, other):
-        if not isinstance(other, ExponentSet):
-            return NotImplemented
-        return (self.points == other.points and self.ge == other.ge
-                and self.le == other.le)
-
-    def __hash__(self):
-        return hash((self.points, self.ge, self.le))
-
     def __repr__(self):
         bits = []
         if self.le is not None:
@@ -212,7 +197,7 @@ class ExponentSet:
         return {"points": sorted(self.points), "ge": self.ge, "le": self.le}
 
 
-class GradedMask:
+class GradedMask(Frozen):
     """Product mask on Z^n: one ExponentSet per factor.
 
     A monomial x^gamma is inside the mask when every coordinate lies in its
@@ -232,18 +217,14 @@ class GradedMask:
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "shape", shape)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedMask is immutable")
-
     @property
     def nvars(self) -> int:
         return len(self.factors)
 
     def contains(self, degree) -> bool:
-        degree = tuple(degree)
-        if len(degree) != self.nvars:
+        if len(degree) != len(self.factors):
             raise ArityMismatch("degree %r has length != %d"
-                                % (degree, self.nvars))
+                                % (tuple(degree), self.nvars))
         return all(k in f for k, f in zip(degree, self.factors))
 
     def masked_monomials(self, window: int):
@@ -322,30 +303,19 @@ def stability_check(gens, mask: GradedMask, window: int) -> bool:
     return True
 
 
-class WeightSupport:
+class WeightSupport(Value):
     """Support of a module over the base: the set of roots of its weight ideals.
 
     Stored as an ExponentSet of integer roots; the ideal at root r is (h - r).
     """
 
-    __slots__ = ("roots",)
+    __slots__ = _fields = ("roots",)
 
     def __init__(self, roots: ExponentSet):
         object.__setattr__(self, "roots", roots)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightSupport is immutable")
-
     def contains_root(self, r: int) -> bool:
         return r in self.roots
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightSupport):
-            return NotImplemented
-        return self.roots == other.roots
-
-    def __hash__(self):
-        return hash(self.roots)
 
     def __repr__(self):
         return "WeightSupport(%r)" % (self.roots,)
@@ -416,7 +386,9 @@ def simplicity_probe(module: str, shape, window: int,
         runs, gap, mask = [range(m, window)], (0, m), None
     elif module == "Aprime":
         jump = 2 if gap_jump is None else gap_jump
-        runs, gap = [range(-window, -1), range(1, m - 1)], (-1, 1)
+        runs = [range(-window, -1), range(1, m - 1)]
+        # at width 1 the run [1, m-1] is empty, so there is no gap to cross
+        gap = (-1, 1) if m > 1 else None
         mask = cusp_mask(shape)
     else:
         raise ValueError("module must be 'A' or 'Aprime'")
@@ -429,7 +401,8 @@ def simplicity_probe(module: str, shape, window: int,
         for k in run:
             if not (_moves(up1, k, mask) and _moves(down1, k + 1, mask)):
                 return False
-    return _moves(gap_up, gap[0], mask) and _moves(gap_down, gap[1], mask)
+    return gap is None or (_moves(gap_up, gap[0], mask)
+                           and _moves(gap_down, gap[1], mask))
 
 
 def restriction_blocks(shape, window: int):

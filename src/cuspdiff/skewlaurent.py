@@ -11,7 +11,8 @@ each key yields one shared immutable BasePoly.
 
 The private base Graded holds what LaurentOp shares with gwa.GwaElement, the
 other Z^n-graded sum with left coefficients in Q[h1..hn]: validation,
-immutability, support, sums, negation, equality, hashing and the text form.
+support, sums, negation, equality, hashing and the text form; like every
+value class of the package it is immutable through exactpoly.Frozen.
 Each subclass keeps its own product, coercion and monomial names.
 modactions.LaurentVector stays apart: its coefficients are scalars (ints and
 Fractions), not polynomials.
@@ -65,9 +66,6 @@ class Graded(RingOps):
         _set_components(u, {d: p for d, p in components.items()
                             if not p.is_zero()})
         return u
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def support(self):
         """Degree vectors with nonzero coefficient, graded-lex descending."""

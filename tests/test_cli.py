@@ -414,6 +414,24 @@ class TestUsageErrors:
         code, _ = run(capsys, "phi", "--m", "zero", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["stability", "--m", "2", "--window", "1"],
+         "window 1 too small for generator degree 3"),
+        (["gwa-verify", "--m", "1", "--algebra", "bbA"],
+         "the degree one pair needs width >= 2"),
+        (["classify", "--m", "1", "--algebra", "bbA"],
+         "classification needs width m >= 2"),
+        (["normalize", "--m", "1", "--algebra", "bbA", "--element", "h"],
+         "the degree one pair needs width >= 2")],
+        ids=["stability", "gwa-verify", "classify", "normalize"])
+    def test_library_rejection_is_a_usage_error(self, capsys, args, message):
+        # main turns every ValueError the library raises into exit 2
+        code, out, err = run_with_stderr(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.endswith("cuspdiff: error: %s\n" % message)
+        assert "Traceback" not in err
+
     def test_closed_stdout_exits_1_without_traceback(self):
         # about 240 kB of JSON: more than a pipe buffer, so the write itself
         # meets the closed pipe, as in `cuspdiff mul ... | head -c 20`

@@ -91,6 +91,26 @@ class TestPairCoefficients:
                 assert lhs == rhs, (n, m)
 
 
+class TestPairInterval:
+    @pytest.mark.parametrize("n, m, ts", [
+        (2, -1, [2]), (1, -2, [1]), (3, -2, [2, 3]), (-1, 2, [0]),
+        (-2, 2, [-1, 0]), (-5, 2, [-4, -3]), (2, 3, []), (-1, -4, []),
+        (0, 5, []), (4, 0, [])])
+    def test_values(self, n, m, ts):
+        assert list(gwa.pair_interval(n, m)) == ts
+
+    def test_widened_interval_fails_associativity(self, monkeypatch):
+        original = gwa.pair_interval
+
+        def widened(n, m):
+            ts = original(n, m)
+            return range(ts.start - 1, ts.stop) if ts else ts
+
+        monkeypatch.setattr(gwa, "pair_interval", widened)
+        pres, _ = calA_presentation(3)
+        assert not _associativity_check(verify_presentation(pres, 3), 3).ok
+
+
 @st.composite
 def gwa_elements(draw, pres):
     coords = {}

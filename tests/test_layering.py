@@ -2,13 +2,25 @@
 
 The public surface holds only what something outside the unit tests reaches:
 another library module, the bench, the acceptance criteria or the README.
+Immutability and value equality are written once, in exactpoly's Frozen and
+Value, and every value class inherits them.
 """
 
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import cuspdiff
+from cuspdiff.classify import GammaInterval, LinMaxIdeal, Orbit, WeightModule
+from cuspdiff.cuspops import CuspShape, presentation
+from cuspdiff.exactpoly import BasePoly, Frozen, Value
+from cuspdiff.gwa import GwaPresentation
+from cuspdiff.modactions import (ExponentSet, LaurentVector, WeightSupport,
+                                 cusp_mask)
+from cuspdiff.skewlaurent import LaurentOp
 
 LAYERS = ["exactpoly", "skewlaurent", "gwa", "cuspops", "modactions",
           "classify", "exprparse", "cli"]
@@ -89,3 +101,90 @@ def test_every_export_is_reached():
     for path in sources:
         reached |= _references(path)
     assert sorted(_exports() - reached) == []
+
+
+def _methods_by_class():
+    """(class name, names of the functions its body defines), per class of
+    the package."""
+    return [(node.name, {f.name for f in node.body
+                         if isinstance(f, ast.FunctionDef)})
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)]
+
+
+def test_only_frozen_defines_setattr():
+    assert [name for name, methods in _methods_by_class()
+            if "__setattr__" in methods] == ["Frozen"]
+
+
+def test_value_equality_is_written_once():
+    own = [name for name, methods in _methods_by_class()
+           if methods & {"__eq__", "__hash__"}]
+    # the others coerce operands or add the presentation to the hash
+    assert sorted(own) == ["BasePoly", "Graded", "GwaElement", "LaurentVector",
+                           "Value"]
+
+
+def _h():
+    return BasePoly(1, {(1,): 1})
+
+
+# one instance per concrete Frozen class; a Value factory called twice gives
+# two distinct objects with equal fields
+_FROZEN = {
+    "BasePoly": _h,
+    "LaurentOp": lambda: LaurentOp(1, {(2,): _h()}),
+    "GwaElement": lambda: GwaPresentation([_h()], [1]).basis((1,)),
+    "LaurentVector": lambda: LaurentVector(1, {(1,): 2}),
+    "GradedMask": lambda: cusp_mask(2),
+    "WeightModule": lambda: WeightModule(_h(), 1, GammaInterval(
+        "full", Orbit(0)), [0], True),
+    "Embedding": lambda: presentation(2, "calA")[1],
+    "CuspShape": lambda: CuspShape((2, 3)),
+    "ExponentSet": lambda: ExponentSet(points=(0,), ge=2),
+    "WeightSupport": lambda: WeightSupport(ExponentSet(points=(1,), ge=3)),
+    "LinMaxIdeal": lambda: LinMaxIdeal(Fraction(1, 2)),
+    "Orbit": lambda: Orbit(Fraction(5, 2)),
+    "GammaInterval": lambda: GammaInterval(
+        "half_open", Orbit(0), LinMaxIdeal(0), LinMaxIdeal(3)),
+    "GwaPresentation": lambda: GwaPresentation([_h()], [2]),
+}
+
+_PRIVATE_BASES = {"Value", "RingOps", "Graded"}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_frozen_class_is_checked():
+    concrete = {c.__name__ for c in _subclasses(Frozen)
+                if c.__module__.startswith("cuspdiff.")} - _PRIVATE_BASES
+    assert concrete == set(_FROZEN)
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN))
+def test_frozen_instances(name):
+    obj = _FROZEN[name]()
+    assert type(obj).__name__ == name
+    assert not hasattr(obj, "__dict__")
+    for attr in (type(obj).__slots__ or ("nvars",)) + ("extra",):
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            setattr(obj, attr, None)
+    if isinstance(obj, Value):
+        twin = _FROZEN[name]()
+        assert twin is not obj
+        assert twin == obj and hash(twin) == hash(obj)
+        assert not twin != obj
+        assert obj in {twin}
+
+
+def test_values_of_different_classes_differ():
+    assert Orbit(0) != LinMaxIdeal(0)
+    assert CuspShape(2) != (2,)
+    assert CuspShape(2) == CuspShape((2,))
+    assert CuspShape(2) != CuspShape(3)
+    assert GwaPresentation([_h()], [1]) != GwaPresentation([_h()], [2])

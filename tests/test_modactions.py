@@ -243,7 +243,8 @@ class TestSupport:
 
 class TestSimplicity:
     def test_both_modules_probe_simple(self):
-        for m in (2, 3, 4):
+        # at width 1, Aprime is the single run x^k, k <= -1, with no gap
+        for m in (1, 2, 3, 4):
             assert simplicity_probe("A", m, window=4 * m)
             assert simplicity_probe("Aprime", m, window=4 * m)
 
