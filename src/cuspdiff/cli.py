@@ -239,9 +239,10 @@ def cmd_relations_check(args, parser):
     corrupt_at = None
     if args.corrupt:
         corrupt_at = triples[Random(args.seed).randrange(len(triples))]
+    subs = {mi: as_shape([mi]) for mi in shape.m}
     failures = []
     for mi, i, j in triples:
-        sub = as_shape([mi])
+        sub = subs[mi]
         rel = structure_constant(sub, i, j)
         lhs = delta_op(sub, (i,)) * delta_op(sub, (j,))
         if (mi, i, j) == corrupt_at:

@@ -11,13 +11,16 @@ structure constants that rewrite products of generators.  Each named algebra
 (calA, bbA, weyl) is fixed by one pair of graded generators per factor, and
 its GWA presentation is read off those pairs.  The graded divisors and the
 deltas are fixed tables, memoized per process as phi is: each key yields one
-shared immutable object.
+shared immutable object.  So is the residual table: the product of residual
+deltas of a structure relation depends only on the width m and s = i + j,
+so it is multiplied out once per (m, s), 8m - 3 keys per width, and every
+pair (i, j) with that sum shares it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, Value, divides,
                         exact_divide, linear_factors, render_poly)
@@ -139,7 +142,9 @@ class StructureRelation:
     delta_{s - sign(s) k m} delta_{sign(s) m}^k: the first factor's index
     is below 2m in size, and k is 0, 1 or 2 for 1 <= |i|, |j| <= 2m - 1.
     The case label names the window of s that gives k, e.g.
-    "2m <= i+j < 3m" for k = 1 and s > 0.
+    "2m <= i+j < 3m" for k = 1 and s > 0.  Case and residual depend on
+    (m, i + j) alone, so the residual product is computed once per
+    (m, i + j) and shared by every pair with that sum (see rhs_op).
 
     Each residual product equals delta_{i+j} exactly (deltas of indices past
     the width multiply by concatenation), so the coefficient is the exact
@@ -159,16 +164,40 @@ class StructureRelation:
         self.residual = residual
 
     def rhs_op(self, shape) -> LaurentOp:
-        """coefficient * product of the residual deltas, in the Laurent ring."""
-        shape = as_shape(shape)
-        out = LaurentOp.from_poly(self.coefficient)
-        for index, power in self.residual:
-            out = out * delta_op(shape, (index,)) ** power
-        return out
+        """coefficient * (product of the residual deltas), in the Laurent ring.
+
+        The residual product is the Laurent product of the generators, read
+        from a per-process table keyed by (m, i + j): 8m - 3 keys per width
+        m, each computed on first use.  So the right-hand side costs one
+        product by the degree zero coefficient, whose shift moves nothing.
+        """
+        m = _require_rank_one(as_shape(shape))
+        return LaurentOp.from_poly(self.coefficient) * _residual_op(m, self.i + self.j)
 
     def __repr__(self):
         return "StructureRelation(i=%d, j=%d, case=%r)" % (self.i, self.j,
                                                            self.case)
+
+
+def _window(m: int, s: int):
+    """(case, residual) of the structure constants with i + j = s at width m."""
+    sign = 1 if s > 0 else -1
+    k = max(0, abs(s) // m - 1)
+    residual = [(s - sign * k * m, 1)]
+    if k == 0:
+        return "|i+j| < 2m", residual
+    if s > 0:
+        residual.append((m, k))
+        return "%dm <= i+j < %dm" % (k + 1, k + 2), residual
+    residual.append((-m, k))
+    return "-%dm < i+j <= -%dm" % (k + 2, k + 1), residual
+
+
+@lru_cache(maxsize=None)
+def _residual_op(m: int, s: int) -> LaurentOp:
+    """The residual delta product of i + j = s at width m, multiplied out."""
+    return reduce(mul, [delta_op(m, (index,)) ** power
+                        for index, power in _window(m, s)[1]])
 
 
 def structure_constant(shape, i: int, j: int) -> StructureRelation:
@@ -185,25 +214,17 @@ def structure_constant(shape, i: int, j: int) -> StructureRelation:
             raise ValueError("index %d out of range; need 1 <= |index| <= %d"
                              % (idx, 2 * m - 1))
     s = i + j
-    sign = 1 if s > 0 else -1
-    k = max(0, abs(s) // m - 1)
-    residual = [(s - sign * k * m, 1)]
-    if k == 0:
-        case = "|i+j| < 2m"
-    elif s > 0:
-        case = "%dm <= i+j < %dm" % (k + 1, k + 2)
-        residual.append((m, k))
-    else:
-        case = "-%dm < i+j <= -%dm" % (k + 2, k + 1)
-        residual.append((-m, k))
-    top = Counter(vanishing_roots(m, i))
-    top.update(r + i for r in vanishing_roots(m, j))
-    bottom = Counter(vanishing_roots(m, s))
-    if bottom - top:
-        raise NotDivisible("%s does not divide %s" % tuple(
-            render_poly(linear_factors(sorted(roots.elements())))
-            for roots in (bottom, top)))
-    coefficient = linear_factors(sorted((top - bottom).elements()))
+    case, residual = _window(m, s)
+    top = vanishing_roots(m, i) + [r + i for r in vanishing_roots(m, j)]
+    bottom = vanishing_roots(m, s)
+    rest = list(top)
+    for r in bottom:
+        if r not in rest:
+            raise NotDivisible("%s does not divide %s" % tuple(
+                render_poly(linear_factors(sorted(roots)))
+                for roots in (bottom, top)))
+        rest.remove(r)
+    coefficient = linear_factors(sorted(rest))
     return StructureRelation(i, j, case, coefficient, residual)
 
 

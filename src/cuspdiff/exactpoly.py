@@ -74,6 +74,19 @@ def _div_coef(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
+def _taylor(a: list, k: int) -> list:
+    """sum_e a_e (h - k)^e as a dense list, lowest degree first, by Ruffini-Horner.
+
+    a is the dense list of sum_e a_e h^e and is overwritten in place.
+    """
+    d = len(a) - 1
+    for low in range(d):
+        acc = a[d]
+        for e in range(d - 1, low - 1, -1):
+            acc = a[e] = a[e] - k * acc
+    return a
+
+
 def grlex_key(exp: tuple[int, ...]):
     """Sort key for graded lexicographic order (total degree first, then lex)."""
     return (sum(exp), exp)
@@ -308,6 +321,13 @@ class BasePoly(RingOps):
 
         This is the automorphism sigma^k of the coefficient ring; shift is a
         ring homomorphism and shift(shift(p, k), l) == shift(p, k + l).
+
+        It is a Ruffini-Horner Taylor shift, with two paths.  At nvars == 1
+        it runs one pass over the dense coefficient list.  At nvars > 1 it
+        splits the terms into columns by their exponent in h_i and runs one
+        pass per column, for each variable h_i that moves (k_i != 0) and
+        that some term involves.  When nothing moves (a zero vector, a
+        constant, or no term in a moved variable) it returns self.
         """
         k = tuple(map(int, k))
         if len(k) != self.nvars:
@@ -316,23 +336,24 @@ class BasePoly(RingOps):
         if not any(k) or self.is_constant():
             return self
         n, packed = self.nvars, self._packed
-        mask = _MASK if n > 1 else -1  # a univariate key is all exponent
-        for i, ki in enumerate(k):
-            if not ki:
-                continue
-            # Ruffini-Horner Taylor shift in h_i of each column of terms
+        if n == 1:
+            a = [0] * (max(packed) + 1)
+            for e, c in packed.items():
+                a[e] = c
+            return BasePoly._trusted(1, _clean(dict(enumerate(_taylor(a, k[0])))))
+        used = reduce(or_, packed)  # a field is nonzero iff a term involves it
+        moved = [(i, ki) for i, ki in enumerate(k)
+                 if ki and used >> _FIELD * (n - 1 - i) & _MASK]
+        if not moved:
+            return self
+        for i, ki in moved:
             at, columns = _FIELD * (n - 1 - i), {}
             for key, c in packed.items():
-                e = key >> at & mask
+                e = key >> at & _MASK
                 columns.setdefault(key - (e << at), {})[e] = c
             packed = {}
             for rest, column in columns.items():
-                a = [column.get(e, 0) for e in range(max(column) + 1)]
-                d = len(a) - 1
-                for low in range(d):
-                    acc = a[d]
-                    for e in range(d - 1, low - 1, -1):
-                        acc = a[e] = a[e] - ki * acc
+                a = _taylor([column.get(e, 0) for e in range(max(column) + 1)], ki)
                 packed.update((rest + (e << at), c) for e, c in enumerate(a) if c)
         return BasePoly._trusted(n, _clean(packed))
 

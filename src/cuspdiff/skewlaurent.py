@@ -198,9 +198,10 @@ class LaurentOp(Graded):
     __add__ = __radd__ = Graded.__add__
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, LaurentOp):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         self._check_arity(other)
         comps = {}
         for alpha, dpoly in self.components.items():

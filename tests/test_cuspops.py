@@ -1,6 +1,7 @@
 """Operator ring of the cusp algebra: phi table, deltas, structure constants,
 the Weyl intersection, and canonical presentations."""
 
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from cuspdiff.cuspops import (CuspShape, as_shape, bbA_presentation,
                               phi_multi, presentation, structure_constant,
                               w_minus, weyl_presentation)
 from cuspdiff import cuspops
+from cuspdiff.cli import main
 from cuspdiff.exactpoly import ArityMismatch, BasePoly, NotDivisible, exact_divide
 from cuspdiff.exprparse import parse_expression, parse_poly
 from cuspdiff.gwa import verify_presentation
@@ -264,6 +266,81 @@ class TestStructureConstants:
                     mi = delta_op(shape, (-i,))
                     mj = delta_op(shape, (-j,))
                     assert mi * mj == delta_op(shape, (-i - j,))
+
+
+def _reference_rhs(rel, m):
+    """coefficient times the residual delta powers, multiplied out with no
+    table: rhs_op as it was before the residual table."""
+    out = LaurentOp.from_poly(rel.coefficient)
+    for index, power in rel.residual:
+        out = out * delta_op(m, (index,)) ** power
+    return out
+
+
+def _index_pairs(m):
+    idxs = [i for i in range(-(2 * m - 1), 2 * m) if i != 0]
+    return [(i, j) for i in idxs for j in idxs]
+
+
+@pytest.fixture
+def fresh_residuals():
+    """An empty residual table before and after the test, so that residuals
+    multiplied out under a monkeypatch never reach another test."""
+    cuspops._residual_op.cache_clear()
+    yield
+    cuspops._residual_op.cache_clear()
+
+
+class TestResidualTable:
+    def test_rhs_matches_the_reference_product(self):
+        for m in range(1, 9):
+            for i, j in _index_pairs(m):
+                rel = structure_constant(m, i, j)
+                assert rel.rhs_op(m) == _reference_rhs(rel, m), (m, i, j)
+
+    def test_one_entry_per_width_and_sum(self, fresh_residuals):
+        for m in (2, 3):
+            for i, j in _index_pairs(m):
+                structure_constant(m, i, j).rhs_op(m)
+        assert cuspops._residual_op.cache_info().currsize == (8 * 2 - 3) + (8 * 3 - 3)
+
+    def test_widths_never_share_a_residual(self, fresh_residuals):
+        # each width is asked after its neighbour has filled the table
+        differ = 0
+        orders = [(m, m + 1) for m in range(1, 8)] + [(m + 1, m) for m in range(1, 8)]
+        for first, second in orders:
+            common = set(_index_pairs(first)) & set(_index_pairs(second))
+            for m in (first, second):
+                for i, j in sorted(common):
+                    rel = structure_constant(m, i, j)
+                    assert rel.rhs_op(m) == _reference_rhs(rel, m), (m, i, j)
+                    # every residual product is delta_{i+j} exactly
+                    assert cuspops._residual_op(m, i + j) == delta_op(m, (i + j,))
+            differ += sum(cuspops._residual_op(first, i + j)
+                          != cuspops._residual_op(second, i + j)
+                          for i, j in common)
+        assert differ > 0
+
+    def test_wrong_shift_fails_relations_check(self, capsys, monkeypatch,
+                                               fresh_residuals):
+        argv = ["relations-check", "--m", "3", "--json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        cuspops._residual_op.cache_clear()
+        real = BasePoly.shift
+        monkeypatch.setattr(BasePoly, "shift",
+                            lambda self, k: real(self, [v + 1 for v in k]))
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["failures"]
+
+    def test_corrupt_pair_found_with_a_warm_table(self, capsys, fresh_residuals):
+        argv = ["relations-check", "--m", "3", "--json", "--corrupt", "--seed", "5"]
+        found = []
+        for _ in range(2):
+            assert main(argv) == 1
+            found.append(json.loads(capsys.readouterr().out)["failures"])
+            assert cuspops._residual_op.cache_info().currsize == 8 * 3 - 3
+        assert len(found[0]) == 1 and found[1] == found[0]
 
 
 class TestWeylIntersection:

@@ -231,6 +231,23 @@ class TestShift:
         q = p.shift([1, -1])
         assert q.eval([3, 5]) == (3 - 1) * (5 + 1)
 
+    def test_returns_self_when_nothing_moves(self):
+        h1, h2, h3 = (BasePoly.variable(3, j) for j in range(3))
+        cases = [
+            (H * H + 1, [0]),
+            (BasePoly.zero(3), [1, -2, 3]),
+            (BasePoly.constant(2, Fraction(3, 4)), [2, -1]),
+            (BasePoly.variable(2, 0) ** 3 + 2, [0, 5]),
+            (h1 * h3 ** 2 - h3, [0, -4, 0]),
+            (h2 ** 4 + 7 * h2, [3, 0, -1]),
+        ]
+        for p, k in cases:
+            assert p.shift(k) is p, (p, k)
+        # one moved variable that some term involves is enough to move
+        p = h1 * h3 ** 2 - h3
+        assert p.shift([0, -4, 1]) is not p
+        assert p.shift([0, -4, 1]) == h1 * (h3 - 1) ** 2 - (h3 - 1)
+
 
 def _reference_shift(p, k):
     """The earlier term-by-term shift, kept as an independent oracle.
@@ -279,6 +296,31 @@ class TestTaylorShiftOracle:
         for k in ([7], [-13]):
             assert _typed(p.shift(k).terms) == _typed(_reference_shift(p, k).terms)
         assert p.shift([7]) == linear_factors(range(-2, 18))
+
+    def test_polynomials_missing_a_shifted_variable(self):
+        rng = random.Random(19)
+        for nvars in (2, 3):
+            for _ in range(40):
+                absent = rng.randrange(nvars)
+                p = BasePoly(nvars, {
+                    tuple(0 if v == absent else e for v, e in enumerate(exp)): c
+                    for exp, c in _random_poly(rng, nvars, rng.choice([2, 5]),
+                                               rng.randint(1, 6)).terms.items()})
+                k = [rng.choice([0, rng.randint(-6, 6)]) for _ in range(nvars)]
+                k[absent] = rng.choice([-3, -1, 2, 5])
+                got, want = p.shift(k), _reference_shift(p, k)
+                assert _typed(got.terms) == _typed(want.terms), (p, k)
+                if not any(k[v] for v in range(nvars) if v != absent):
+                    assert got is p
+
+    def test_sparse_univariate(self):
+        cases = [H ** 12 + H,
+                 3 * H ** 20 - H ** 7 + Fraction(1, 2) * H ** 3,
+                 Fraction(-5, 3) * H ** 9]
+        for p in cases:
+            for k in ([1], [-1], [3], [-7]):
+                got, want = p.shift(k), _reference_shift(p, k)
+                assert _typed(got.terms) == _typed(want.terms), (p, k)
 
 
 class TestTermsView:
