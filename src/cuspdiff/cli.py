@@ -239,15 +239,13 @@ def cmd_relations_check(args, parser):
     corrupt_at = None
     if args.corrupt:
         corrupt_at = triples[Random(args.seed).randrange(len(triples))]
-    subs = {mi: as_shape([mi]) for mi in shape.m}
     failures = []
     for mi, i, j in triples:
-        sub = subs[mi]
-        rel = structure_constant(sub, i, j)
-        lhs = delta_op(sub, (i,)) * delta_op(sub, (j,))
+        rel = structure_constant(mi, i, j)
+        lhs = delta_op(mi, (i,)) * delta_op(mi, (j,))
         if (mi, i, j) == corrupt_at:
             lhs = lhs + 1
-        if lhs != rel.rhs_op(sub):
+        if lhs != rel.rhs_op(mi):
             failures.append((mi, i, j, rel.case))
     commuted = 0
     commute_failures = []

@@ -14,7 +14,8 @@ deltas are fixed tables, memoized per process as phi is: each key yields one
 shared immutable object.  So is the residual table: the product of residual
 deltas of a structure relation depends only on the width m and s = i + j,
 so it is multiplied out once per (m, s), 8m - 3 keys per width, and every
-pair (i, j) with that sum shares it.
+pair (i, j) with that sum shares it.  as_shape interns its int and tuple
+inputs the same way, one shared CuspShape per distinct input.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, Value, divides,
-                        exact_divide, linear_factors, render_poly)
+                        exact_divide, linear_factors)
 from .gwa import Embedding, GwaPresentation
 # phi is re-exported: the package root and the bench read cuspops.phi
 from .skewlaurent import LaurentOp, graded_divisor, phi, vanishing_roots
@@ -52,10 +53,28 @@ class CuspShape(Value):
         return "CuspShape(%s)" % (self.m,)
 
 
+# interned shapes: one table per input class, so 2.0 never finds the shape of 2
+_shapes = {int: {}, tuple: {}}
+
+
 def as_shape(shape) -> CuspShape:
+    """shape as a CuspShape; every int or tuple input gives one shared object.
+
+    Other inputs (a list, say) build a new CuspShape each call.  Invalid
+    inputs raise as CuspShape does and are never stored.
+    """
     if isinstance(shape, CuspShape):
         return shape
-    return CuspShape(shape)
+    table = _shapes.get(shape.__class__)
+    if table is None:
+        return CuspShape(shape)
+    try:
+        hit = table.get(shape)
+    except TypeError:  # a tuple holding an unhashable entry
+        return CuspShape(shape)
+    if hit is None:
+        hit = table[shape] = CuspShape(shape)
+    return hit
 
 
 def _require_rank_one(shape: CuspShape) -> int:
@@ -133,11 +152,12 @@ def decompose(u, shape) -> dict:
     return out
 
 
-class StructureRelation:
-    """The rewriting of delta_i * delta_j as coefficient times residual deltas.
+class StructureRelation(Value):
+    """The rewriting of delta_i * delta_j at width m as coefficient times
+    residual deltas.
 
     coefficient multiplies the residual product from the left; residual is a
-    list of (index, power) pairs naming delta factors in order.  With
+    tuple of (index, power) pairs naming delta factors in order.  With
     s = i + j and k = max(0, |s| // m - 1), the residual is
     delta_{s - sign(s) k m} delta_{sign(s) m}^k: the first factor's index
     is below 2m in size, and k is 0, 1 or 2 for 1 <= |i|, |j| <= 2m - 1.
@@ -154,25 +174,33 @@ class StructureRelation:
     quotient is the product over a root multiset difference.
     """
 
-    __slots__ = ("i", "j", "case", "coefficient", "residual")
+    __slots__ = _fields = ("m", "i", "j", "case", "coefficient", "residual")
 
-    def __init__(self, i, j, case, coefficient, residual):
-        self.i = i
-        self.j = j
-        self.case = case
-        self.coefficient = coefficient
-        self.residual = residual
+    def __init__(self, m, i, j, case, coefficient, residual):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "residual", tuple(residual))
 
     def rhs_op(self, shape) -> LaurentOp:
         """coefficient * (product of the residual deltas), in the Laurent ring.
 
-        The residual product is the Laurent product of the generators, read
-        from a per-process table keyed by (m, i + j): 8m - 3 keys per width
-        m, each computed on first use.  So the right-hand side costs one
-        product by the degree zero coefficient, whose shift moves nothing.
+        shape must be the relation's width m.  The residual product is the
+        Laurent product of the generators, read from a per-process table
+        keyed by (m, i + j): 8m - 3 keys per width m, each computed on first
+        use.  It is one monomial, and the degree zero coefficient on its left
+        shifts nothing, so the right-hand side is that monomial's coefficient
+        scaled by this one.
         """
         m = _require_rank_one(as_shape(shape))
-        return LaurentOp.from_poly(self.coefficient) * _residual_op(m, self.i + self.j)
+        if m != self.m:
+            raise ValueError("relation of width %d read at width %d"
+                             % (self.m, m))
+        residual = _residual_op(m, self.i + self.j)
+        (degree, poly), = residual.components.items()
+        return residual._like({degree: self.coefficient * poly})
 
     def __repr__(self):
         return "StructureRelation(i=%d, j=%d, case=%r)" % (self.i, self.j,
@@ -183,14 +211,12 @@ def _window(m: int, s: int):
     """(case, residual) of the structure constants with i + j = s at width m."""
     sign = 1 if s > 0 else -1
     k = max(0, abs(s) // m - 1)
-    residual = [(s - sign * k * m, 1)]
+    first = (s - sign * k * m, 1)
     if k == 0:
-        return "|i+j| < 2m", residual
+        return "|i+j| < 2m", (first,)
     if s > 0:
-        residual.append((m, k))
-        return "%dm <= i+j < %dm" % (k + 1, k + 2), residual
-    residual.append((-m, k))
-    return "-%dm < i+j <= -%dm" % (k + 2, k + 1), residual
+        return "%dm <= i+j < %dm" % (k + 1, k + 2), (first, (m, k))
+    return "-%dm < i+j <= -%dm" % (k + 2, k + 1), (first, (-m, k))
 
 
 @lru_cache(maxsize=None)
@@ -220,12 +246,11 @@ def structure_constant(shape, i: int, j: int) -> StructureRelation:
     rest = list(top)
     for r in bottom:
         if r not in rest:
-            raise NotDivisible("%s does not divide %s" % tuple(
-                render_poly(linear_factors(sorted(roots)))
-                for roots in (bottom, top)))
+            raise NotDivisible(*(linear_factors(sorted(roots))
+                                 for roots in (bottom, top)))
         rest.remove(r)
     coefficient = linear_factors(sorted(rest))
-    return StructureRelation(i, j, case, coefficient, residual)
+    return StructureRelation(m, i, j, case, coefficient, residual)
 
 
 def w_minus(shape, i: int) -> LaurentOp:

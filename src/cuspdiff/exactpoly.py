@@ -23,7 +23,17 @@ class ArityMismatch(ValueError):
 
 
 class NotDivisible(ArithmeticError):
-    """Exact division was requested but the remainder is nonzero."""
+    """Exact division was requested but the remainder is nonzero.
+
+    Raised with the divisor q and the dividend p, it renders its text
+    "<q> does not divide <p>" only when read, so a caller that just catches
+    it renders nothing.  Raised with one string, that string is its text.
+    """
+
+    def __str__(self):
+        if len(self.args) == 2:
+            return "%s does not divide %s" % tuple(map(render_poly, self.args))
+        return super().__str__()
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -427,8 +437,7 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
         t = lead - qlead
         # a field of lead below qlead borrows: from the sign or a top bit
         if t < 0 or t & guard:
-            raise NotDivisible("%s does not divide %s"
-                               % (render_poly(q), render_poly(p)))
+            raise NotDivisible(q, p)
         c = quot[t] = rem[lead] if qc == 1 else _div_coef(rem[lead], qc)
         for qe, qco in qterms.items():
             ne = t + qe

@@ -11,11 +11,12 @@ from cuspdiff.cuspops import (CuspShape, as_shape, bbA_presentation,
                               generating_set, generator_pair, membership, phi,
                               phi_multi, presentation, structure_constant,
                               w_minus, weyl_presentation)
-from cuspdiff import cuspops
+from cuspdiff import cuspops, exactpoly
 from cuspdiff.cli import main
-from cuspdiff.exactpoly import ArityMismatch, BasePoly, NotDivisible, exact_divide
+from cuspdiff.exactpoly import (ArityMismatch, BasePoly, NotDivisible,
+                                exact_divide, render_poly)
 from cuspdiff.exprparse import parse_expression, parse_poly
-from cuspdiff.gwa import verify_presentation
+from cuspdiff.gwa import NotInImage, verify_presentation
 from cuspdiff.skewlaurent import (LaurentOp, commutator, vanishing_roots,
                                   weyl_membership)
 
@@ -46,6 +47,42 @@ class TestShape:
             CuspShape((0,))
         with pytest.raises(ValueError):
             CuspShape(())
+
+
+@pytest.fixture
+def fresh_shapes():
+    """An empty shape intern table before and after the test."""
+    for table in cuspops._shapes.values():
+        table.clear()
+    yield
+    for table in cuspops._shapes.values():
+        table.clear()
+
+
+def _error(make, shape):
+    with pytest.raises(Exception) as exc:
+        make(shape)
+    return exc.type, str(exc.value)
+
+
+class TestInternedShapes:
+    def test_one_object_per_input(self, fresh_shapes):
+        for shape in (3, (3,), (2, 3)):
+            first = as_shape(shape)
+            assert as_shape(shape) is first
+            assert first == CuspShape(shape)
+
+    def test_list_input(self, fresh_shapes):
+        assert as_shape([2, 3]) == CuspShape((2, 3))
+
+    def test_invalid_inputs_raise_as_cuspshape(self, fresh_shapes):
+        # 2.0 equals 2, but only the int is a width
+        bad = (0, (), (2, 0), "a", (2, [1]), 2.0)
+        before = [_error(as_shape, shape) for shape in bad]
+        for valid in (2, (2,), (2, 3)):
+            as_shape(valid)
+        after = [_error(as_shape, shape) for shape in bad]
+        assert before == after == [_error(CuspShape, shape) for shape in bad]
 
 
 class TestPhi:
@@ -176,17 +213,52 @@ class TestDecompose:
             decompose(LaurentOp.x(1, 0), 2)
 
 
+def _no_rendering(p):
+    raise AssertionError("a polynomial was rendered")
+
+
+class TestErrorTextOnDemand:
+    def test_non_members_render_nothing(self, monkeypatch):
+        monkeypatch.setattr(exactpoly, "render_poly", _no_rendering)
+        for m in (2, 3):
+            assert not membership(LaurentOp.x(1, 0), m)
+            assert not membership(LaurentOp.d(1, 0), m)
+        with pytest.raises(NotDivisible):
+            decompose(LaurentOp.x(1, 0), 2)
+        pres, emb = calA_presentation(2)
+        with pytest.raises(NotInImage):
+            emb.pullback(LaurentOp.monomial(1, (-2,), H))
+
+    def test_structure_shortfall_text_matches_the_rendered_pair(self, monkeypatch):
+        # an extra root in phi_{i+j}, absent from phi_i * shift(phi_j, i)
+        rng = random.Random(7)
+        real = vanishing_roots
+        for _ in range(20):
+            m = rng.randint(1, 4)
+            i, j = rng.choice(_index_pairs(m))
+            extra = rng.randint(50, 90)
+            monkeypatch.setattr(
+                cuspops, "vanishing_roots",
+                lambda w, k, s=i + j, r=extra: real(w, k) + [r] if k == s else real(w, k))
+            with pytest.raises(NotDivisible) as exc:
+                structure_constant(m, i, j)
+            top = phi(m, i) * phi(m, j).shift([i])
+            bottom = phi(m, i + j) * (H - extra)
+            assert str(exc.value) == "%s does not divide %s" % (
+                render_poly(bottom), render_poly(top)), (m, i, j)
+
+
 def _window_table(m, s):
     """The structure-constant windows as a table: (case, residual) at i+j = s."""
     if abs(s) < 2 * m:
-        return "|i+j| < 2m", [(s, 1)]
+        return "|i+j| < 2m", ((s, 1),)
     if 2 * m <= s < 3 * m:
-        return "2m <= i+j < 3m", [(s - m, 1), (m, 1)]
+        return "2m <= i+j < 3m", ((s - m, 1), (m, 1))
     if s >= 3 * m:
-        return "3m <= i+j < 4m", [(s - 2 * m, 1), (m, 2)]
+        return "3m <= i+j < 4m", ((s - 2 * m, 1), (m, 2))
     if -3 * m < s:
-        return "-3m < i+j <= -2m", [(s + m, 1), (-m, 1)]
-    return "-4m < i+j <= -3m", [(s + 2 * m, 1), (-m, 2)]
+        return "-3m < i+j <= -2m", ((s + m, 1), (-m, 1))
+    return "-4m < i+j <= -3m", ((s + 2 * m, 1), (-m, 2))
 
 
 def _reference_structure_coefficient(m, i, j):
@@ -209,7 +281,7 @@ class TestStructureConstants:
         # the composite-index divisor matters on the negative side
         rel = structure_constant(2, -1, -3)
         assert rel.coefficient == p("h-1")
-        assert rel.residual == [(-2, 1), (-2, 1)]
+        assert rel.residual == ((-2, 1), (-2, 1))
 
     def test_windows_match_the_five_branch_table(self):
         for m in range(1, 13):
@@ -297,6 +369,16 @@ class TestResidualTable:
             for i, j in _index_pairs(m):
                 rel = structure_constant(m, i, j)
                 assert rel.rhs_op(m) == _reference_rhs(rel, m), (m, i, j)
+
+    def test_rhs_only_at_the_relation_width(self):
+        rel = structure_constant(2, 1, 1)
+        assert rel.m == 2
+        assert rel.rhs_op(2) == delta_op(2, (1,)) * delta_op(2, (1,))
+        with pytest.raises(ValueError) as exc:
+            rel.rhs_op(3)
+        assert exc.type is ValueError
+        with pytest.raises(ArityMismatch):
+            rel.rhs_op((2, 2))
 
     def test_one_entry_per_width_and_sum(self, fresh_residuals):
         for m in (2, 3):

@@ -7,6 +7,7 @@ from math import comb, gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspdiff import exactpoly
 from cuspdiff.cli import main
 from cuspdiff.exactpoly import (ArityMismatch, BasePoly, DivisionByZero,
                                 ExponentOverflow, NotDivisible, divides,
@@ -385,6 +386,38 @@ class TestDivision:
             return
         assert exact_divide(p * q, q) == p
         assert divides(q, p * q)
+
+
+def _no_rendering(p):
+    raise AssertionError("a polynomial was rendered")
+
+
+class TestErrorTextOnDemand:
+    def test_divides_renders_nothing(self, monkeypatch):
+        monkeypatch.setattr(exactpoly, "render_poly", _no_rendering)
+        assert not divides(H - 1, H * H + 1)
+        with pytest.raises(NotDivisible):
+            exact_divide(H * H + 1, H - 1)
+
+    def test_text_matches_the_rendered_pair(self):
+        rng = random.Random(20)
+        seen = 0
+        for nvars in (1, 2):
+            for _ in range(60):
+                p = _random_poly(rng, nvars, 3, rng.randint(1, 4))
+                q = _random_poly(rng, nvars, 2, rng.randint(1, 3))
+                if q.is_zero():
+                    continue
+                try:
+                    exact_divide(p, q)
+                except NotDivisible as exc:
+                    seen += 1
+                    assert str(exc) == "%s does not divide %s" % (
+                        render_poly(q), render_poly(p))
+        assert seen > 50
+
+    def test_plain_text_prints_unchanged(self):
+        assert str(NotDivisible("plain text")) == "plain text"
 
 
 class TestQuotientTypes:

@@ -15,7 +15,7 @@ import pytest
 
 import cuspdiff
 from cuspdiff.classify import GammaInterval, LinMaxIdeal, Orbit, WeightModule
-from cuspdiff.cuspops import CuspShape, presentation
+from cuspdiff.cuspops import CuspShape, presentation, structure_constant
 from cuspdiff.exactpoly import BasePoly, Frozen, Value
 from cuspdiff.gwa import GwaPresentation
 from cuspdiff.modactions import (ExponentSet, LaurentVector, WeightSupport,
@@ -149,6 +149,7 @@ _FROZEN = {
     "GammaInterval": lambda: GammaInterval(
         "half_open", Orbit(0), LinMaxIdeal(0), LinMaxIdeal(3)),
     "GwaPresentation": lambda: GwaPresentation([_h()], [2]),
+    "StructureRelation": lambda: structure_constant(2, -1, -3),
 }
 
 _PRIVATE_BASES = {"Value", "RingOps", "Graded"}
