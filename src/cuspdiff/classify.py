@@ -11,10 +11,14 @@ are detected by a strict root ordering and repaired by the normalization
 identity b -> beta b alpha^{-1}.
 
 Roots come from exactpoly.rational_roots: an int for an integral root, a
-Fraction otherwise, memoized on each polynomial object, so a presentation's
-a and the stored coefficients of an element are split at most once however
-many tests read them.  The orbit order groups each root list by orbit once
-and compares, per shared orbit, the extreme roots of the two sides.
+Fraction otherwise.  They are kept on each polynomial object, so a
+presentation's a and the stored coefficients of an element are split at
+most once however many tests read them, and they travel through shift and
+product, so the shifts of beta_0 that normalize multiplies together are
+never searched again.  Ideal roots, orbit representatives and weights are
+stored the same way, an int when integral and a Fraction otherwise.  The
+orbit order groups each root list by orbit once and compares, per shared
+orbit, the extreme roots of the two sides.
 """
 
 from __future__ import annotations
@@ -43,13 +47,21 @@ class InvalidInterval(ValueError):
     """Interval anchors are missing, misordered or in different orbits."""
 
 
+def _rational(r):
+    """r as an int when it is integral and as a Fraction otherwise."""
+    if r.__class__ is int:
+        return r
+    r = Fraction(r)
+    return r.numerator if r.denominator == 1 else r
+
+
 class LinMaxIdeal(Value):
     """The maximal ideal (h - root) of the base ring."""
 
     __slots__ = _fields = ("root",)
 
     def __init__(self, root):
-        object.__setattr__(self, "root", Fraction(root))
+        object.__setattr__(self, "root", _rational(root))
 
     def __repr__(self):
         return "LinMaxIdeal(%s)" % self.root
@@ -69,11 +81,12 @@ class Orbit(Value):
     __slots__ = _fields = ("rep",)
 
     def __init__(self, rep):
-        rep = Fraction(rep)
+        rep = _rational(rep)
         object.__setattr__(self, "rep", rep - floor(rep))
 
     def contains_root(self, root) -> bool:
-        return (Fraction(root) - self.rep).denominator == 1
+        """Whether an int or Fraction root lies in this orbit."""
+        return (root - self.rep).denominator == 1
 
     def __repr__(self):
         return "Orbit(%s)" % self.rep
@@ -201,7 +214,7 @@ class WeightModule(Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "step", int(step))
         object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in weights))
+        object.__setattr__(self, "weights", tuple(map(_rational, weights)))
         object.__setattr__(self, "finite", bool(finite))
 
     @property

@@ -190,7 +190,8 @@ class BasePoly(RingOps):
     and are wrapped by the private _trusted constructor without re-checking.
     """
 
-    # _roots is set lazily by rational_roots and never by the constructors
+    # _roots is None until the roots are known: rational_roots fills it, and
+    # shift and * carry it when the cofactor is constant (see rational_roots)
     __slots__ = ("nvars", "_packed", "_roots")
 
     @staticmethod
@@ -199,6 +200,7 @@ class BasePoly(RingOps):
         p = _new(BasePoly)
         _set_nvars(p, nvars)
         _set_packed(p, packed)
+        _set_roots(p, None)
         return p
 
     def __init__(self, nvars: int, terms=None):
@@ -218,6 +220,7 @@ class BasePoly(RingOps):
                 clean[reduce(lambda key, e: key << _FIELD | e, exp, 0)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_packed", clean)
+        object.__setattr__(self, "_roots", None)
 
     # -- constructors -----------------------------------------------------
 
@@ -300,7 +303,15 @@ class BasePoly(RingOps):
             for e2, c2 in right.items():
                 key = e1 + e2
                 terms[key] = terms.get(key, 0) + c1 * c2
-        return BasePoly._trusted(self.nvars, _clean(terms))
+        out = BasePoly._trusted(self.nvars, _clean(terms))
+        known = self._roots
+        if known is not None:
+            other_known = other._roots
+            if (other_known is not None and known[1].__class__ is not BasePoly
+                    and other_known[1].__class__ is not BasePoly):
+                _set_roots(out, (tuple(sorted(known[0] + other_known[0])),
+                                 _norm_coef(known[1] * other_known[1])))
+        return out
 
     __rmul__ = __mul__
 
@@ -338,6 +349,9 @@ class BasePoly(RingOps):
         pass per column, for each variable h_i that moves (k_i != 0) and
         that some term involves.  When nothing moves (a zero vector, a
         constant, or no term in a moved variable) it returns self.
+
+        A univariate polynomial whose roots are known, with a constant
+        cofactor, hands them on moved up by k (see rational_roots).
         """
         k = tuple(map(int, k))
         if len(k) != self.nvars:
@@ -350,7 +364,11 @@ class BasePoly(RingOps):
             a = [0] * (max(packed) + 1)
             for e, c in packed.items():
                 a[e] = c
-            return BasePoly._trusted(1, _clean(dict(enumerate(_taylor(a, k[0])))))
+            out = BasePoly._trusted(1, _clean(dict(enumerate(_taylor(a, k[0])))))
+            known = self._roots
+            if known is not None and known[1].__class__ is not BasePoly:
+                _set_roots(out, (tuple(r + k[0] for r in known[0]), known[1]))
+            return out
         used = reduce(or_, packed)  # a field is nonzero iff a term involves it
         moved = [(i, ki) for i, ki in enumerate(k)
                  if ki and used >> _FIELD * (n - 1 - i) & _MASK]
@@ -408,6 +426,7 @@ class BasePoly(RingOps):
 _new = object.__new__
 _set_nvars = BasePoly.nvars.__set__
 _set_packed = BasePoly._packed.__set__
+_set_roots = BasePoly._roots.__set__
 
 
 def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
@@ -509,8 +528,14 @@ def rational_roots(p: BasePoly):
     dividing out every (h - root) factor; the cofactor has no rational root
     and keeps the leading coefficient, so p == cofactor * prod (h - root).
 
-    The answer is memoized on p, which is immutable, so each polynomial
-    object is split at most once; every call returns a fresh roots list.
+    Once the roots of a polynomial are known they are kept on it, which is
+    immutable, and travel: when the cofactor is constant, a univariate
+    shift by k records the roots plus k, and a product of two such
+    polynomials records the merged roots and the product of the leading
+    coefficients.  So a polynomial is searched only if neither it nor the
+    factors it was built from by shift and * were split before; a constant
+    is answered with ([], p) and no search.  Every call returns a fresh
+    roots list.
 
     Roots at 0 come off the trailing exponent.  The rest of the search works
     on the dense list of the primitive integer coefficients of p.  A linear
@@ -529,16 +554,21 @@ def rational_roots(p: BasePoly):
         raise ArityMismatch("rational_roots expects a univariate polynomial")
     if p.is_zero():
         raise ValueError("the zero polynomial has every root")
-    try:
-        roots, cofactor = p._roots
-    except AttributeError:
-        roots, cofactor = _split(p)
-        object.__setattr__(p, "_roots", (roots, cofactor))
+    known = p._roots
+    if known is None:
+        known = ((), p._packed[0]) if p.is_constant() else _split(p)
+        _set_roots(p, known)
+    roots, cofactor = known
+    if cofactor.__class__ is not BasePoly:
+        cofactor = BasePoly._trusted(1, {0: cofactor})
     return list(roots), cofactor
 
 
 def _split(p: BasePoly):
-    """(ascending roots as a tuple, cofactor) of a nonzero univariate p."""
+    """(ascending roots as a tuple, cofactor) of a nonconstant univariate p.
+
+    A constant cofactor is given as its value, the leading coefficient of p.
+    """
     # roots at 0 come from the trailing exponent
     val, deg = min(p._packed), max(p._packed)
     roots = [0] * val
@@ -571,10 +601,12 @@ def _split(p: BasePoly):
         if len(coeffs) == 1:
             break
     # p == h^val * (scale / denom_lcm) * coeffs * prod (h - root) over the other roots
+    roots.sort()
     top = len(coeffs) - 1
+    if not top:
+        return tuple(roots), _div_coef(coeffs[0] * scale, denom_lcm)
     terms = {top - k: _div_coef(c * scale, denom_lcm)
              for k, c in enumerate(coeffs) if c}
-    roots.sort()
     return tuple(roots), BasePoly._trusted(1, terms)
 
 

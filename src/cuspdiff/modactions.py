@@ -155,15 +155,28 @@ def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:
     return LaurentVector._trusted(v.nvars, out)
 
 
+def _integer(v) -> int:
+    """v as an int; an int or an integral Fraction, else ValueError."""
+    if isinstance(v, int):
+        return int(v)
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return v.numerator
+    raise ValueError("ExponentSet needs integers, got %r" % (v,))
+
+
 class ExponentSet(Value):
-    """Subset of Z given by finitely many points plus up and down rays."""
+    """Subset of Z given by finitely many points plus up and down rays.
+
+    Points and bounds are ints or integral Fractions (a range of points is
+    fine); anything else raises ValueError.
+    """
 
     __slots__ = _fields = ("points", "ge", "le")
 
     def __init__(self, points=(), ge=None, le=None):
-        object.__setattr__(self, "points", frozenset(int(p) for p in points))
-        object.__setattr__(self, "ge", None if ge is None else int(ge))
-        object.__setattr__(self, "le", None if le is None else int(le))
+        object.__setattr__(self, "points", frozenset(map(_integer, points)))
+        object.__setattr__(self, "ge", None if ge is None else _integer(ge))
+        object.__setattr__(self, "le", None if le is None else _integer(le))
 
     def __contains__(self, k: int) -> bool:
         if k in self.points:

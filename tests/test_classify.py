@@ -83,6 +83,17 @@ class TestOrbits:
         assert Orbit(2) == Orbit(-7)
         assert Orbit(Fraction(1, 2)) != Orbit(0)
 
+    def test_integral_values_are_ints(self):
+        # as rational_roots gives roots: an int when integral, else a Fraction
+        for value, want in ((Fraction(8, 2), int), (-3, int), ("5", int),
+                            (Fraction(7, 2), Fraction), ("-1/3", Fraction)):
+            assert type(LinMaxIdeal(value).root) is want
+            assert type(Orbit(value).rep) is want
+        assert LinMaxIdeal(Fraction(8, 2)) == LinMaxIdeal(4)
+        assert Orbit(Fraction(8, 2)) == Orbit(0)
+        assert Orbit(0).contains_root(7) and Orbit(0).contains_root(Fraction(-4))
+        assert not Orbit(0).contains_root(Fraction(1, 2))
+
 
 class TestMarkedIdeals:
     def test_single_orbit(self):
@@ -210,6 +221,18 @@ class TestWeightModules:
         pieces = partition_orbit(a2, Orbit(0))
         wm = build_weight_module(a2, pieces[1], 2)
         assert wm.weights == (2, 4)
+
+    def test_weights_are_ints_when_integral(self):
+        for piece in self.pieces:
+            wm = build_weight_module(self.a, piece, 1, window=4)
+            assert {type(w) for w in wm.weights} == {int}
+        a = p("2*h-1") * p("2*h-5")
+        half = Orbit(Fraction(1, 2))
+        for piece in partition_orbit(a, half):
+            wm = build_weight_module(a, piece, 1, window=4)
+            assert {type(w) for w in wm.weights} == {Fraction}
+        ray = build_weight_module(a, partition_orbit(a, half)[0], 1, window=2)
+        assert ray.weights == (Fraction(-1, 2), Fraction(1, 2))
 
 
 def _reference_bbA_table(m):
@@ -624,6 +647,41 @@ class TestNormalizeOracle:
             normalize(b)
             assert len(roots_calls) <= 6, b
         assert divide_calls == []
+
+    def test_closing_check_searches_nothing(self, monkeypatch):
+        # normalize splits beta_0, the top coefficient and a on entry; the
+        # normalized element's ends are shifts and products of those, so the
+        # closing is_normal reads carried roots and searches nothing
+        from cuspdiff import classify, exactpoly
+        real_split, real_is_normal = exactpoly._split, classify.is_normal
+        searched, closing = [], []
+
+        def counting_split(q):
+            searched.append(q)
+            return real_split(q)
+
+        def closing_is_normal(b):
+            before = len(searched)
+            ok = real_is_normal(b)
+            closing.append(len(searched) - before)
+            return ok
+
+        monkeypatch.setattr(exactpoly, "_split", counting_split)
+        monkeypatch.setattr(classify, "is_normal", closing_is_normal)
+        nonconstant_ends = 0
+        for b in _normalize_cases():
+            searched.clear()
+            closing.clear()
+            result = normalize(b)
+            assert closing == [0], b
+            assert len(searched) <= 3, b
+            assert not any(q.is_constant() for q in searched), b
+            nonconstant_ends += not result.normalized.coords[(0,)].is_constant()
+        assert nonconstant_ends >= 100
+        searched.clear()
+        three = BasePoly.constant(1, 3)
+        assert rational_roots(three) == ([], three)
+        assert searched == []
 
     def test_cli_order_searches_each_polynomial_once(self, monkeypatch):
         # the normalize command asks normalization_shift, is_normal and

@@ -652,6 +652,94 @@ class TestRationalRootsOracle:
         assert linear_factors(got) * cof == p
 
 
+_TRAVEL_ROOTS = [-4, -1, 0, 2, 5, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4)]
+_TRAVEL_LEADS = [2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 5)]
+
+
+def _split_leaf(rng):
+    """A polynomial whose roots rational_roots has already found."""
+    roots = rng.choices(_TRAVEL_ROOTS, k=rng.randint(0, 3))
+    p = linear_factors(roots) * rng.choice(_TRAVEL_LEADS)
+    rational_roots(p)
+    return p
+
+
+def _travelled(rng, depth):
+    """Products and shifts of split polynomials, nested up to depth deep."""
+    if depth == 0 or rng.random() < 0.25:
+        return _split_leaf(rng)
+    if rng.random() < 0.4:
+        return _travelled(rng, depth - 1).shift([rng.choice([-3, -1, 1, 2, 4])])
+    return _travelled(rng, depth - 1) * _travelled(rng, depth - 1)
+
+
+class TestRootsTravel:
+    """Known roots are carried through shift and *, never searched again."""
+
+    def _no_search(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("searched %s again" % render_poly(p))
+
+        monkeypatch.setattr(exactpoly, "_split", refuse)
+
+    def test_carried_roots_match_a_fresh_search(self, monkeypatch):
+        rng = random.Random(2021)
+        built = [_travelled(rng, 3) for _ in range(120)]
+        assert sum(not p.is_constant() for p in built) >= 100
+        self._no_search(monkeypatch)
+        carried = [rational_roots(p) for p in built]
+        monkeypatch.undo()
+        for p, (got, cof) in zip(built, carried):
+            fresh = BasePoly(1, p.terms)
+            assert fresh._roots is None
+            want, ref_cof = _reference_rational_roots(fresh)
+            assert got == want, p
+            assert [type(r) for r in got] == [
+                int if r.denominator == 1 else Fraction for r in want], p
+            assert _typed(cof.terms) == _typed(ref_cof.terms), p
+            assert rational_roots(fresh) == (got, cof)
+
+    def test_shift_moves_the_roots_up(self, monkeypatch):
+        p = linear_factors([-1, Fraction(1, 2)]) * Fraction(-2, 3)
+        rational_roots(p)
+        self._no_search(monkeypatch)
+        roots, cof = rational_roots(p.shift([3]))
+        assert roots == [2, Fraction(7, 2)]
+        assert [type(r) for r in roots] == [int, Fraction]
+        assert _typed(cof.terms) == {(0,): (Fraction, Fraction(-2, 3))}
+
+    def test_product_merges_roots_and_multiplies_leads(self, monkeypatch):
+        p = linear_factors([3, Fraction(1, 2)]) * Fraction(3, 2)
+        q = linear_factors([Fraction(1, 2), -2]) * 4
+        rational_roots(p)
+        rational_roots(q)
+        self._no_search(monkeypatch)
+        roots, cof = rational_roots(p * q)
+        assert roots == [-2, Fraction(1, 2), Fraction(1, 2), 3]
+        # the product of the leads is integral and stored as an int
+        assert _typed(cof.terms) == {(0,): (int, 6)}
+
+    def test_unknown_or_nonlinear_factors_stop_the_carry(self, monkeypatch):
+        split = (H - 1) * (2 * H + 1)
+        rational_roots(split)
+        nonlinear = (H * H + 1) * (H - 2)
+        rational_roots(nonlinear)
+        searched = []
+        real = exactpoly._split
+
+        def counting(p):
+            searched.append(p)
+            return real(p)
+
+        monkeypatch.setattr(exactpoly, "_split", counting)
+        unknown = (H - 3) * (H + 4)
+        for p in (split * unknown, split * nonlinear, nonlinear.shift([1])):
+            searched.clear()
+            roots, cof = rational_roots(p)
+            assert searched == [p]
+            assert linear_factors(roots) * cof == p
+
+
 class TestFieldLimit:
     """Multivariate exponents live in 32-bit fields of one packed int key."""
 

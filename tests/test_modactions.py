@@ -154,6 +154,27 @@ class TestMasks:
         t = s.translate(2)
         assert t.window(0, 8) == [3, 6, 7, 8]
 
+    def test_integral_input_is_stored_as_ints(self):
+        s = ExponentSet(points=[Fraction(4, 2), 5, Fraction(-3)],
+                        ge=Fraction(14, 2), le=Fraction(-10, 2))
+        assert s == ExponentSet(points=(2, 5, -3), ge=7, le=-5)
+        assert {type(p) for p in s.points} == {int}
+        assert type(s.ge) is int and type(s.le) is int
+        assert ExponentSet(points=range(1, 4)).points == frozenset({1, 2, 3})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"points": [Fraction(1, 2)]},
+        {"points": [2, 2.7]},
+        {"points": [2.0]},
+        {"ge": Fraction(7, 2)},
+        {"le": Fraction(-1, 3)},
+        {"ge": 3.0},
+        {"points": ["3"]},
+    ])
+    def test_non_integral_input_is_refused(self, kwargs):
+        with pytest.raises(ValueError, match="ExponentSet needs integers"):
+            ExponentSet(**kwargs)
+
     def test_masked_monomials(self):
         shape = CuspShape((2,))
         mask = cusp_mask(shape)
@@ -256,6 +277,22 @@ class TestSimplicity:
     def test_window_guard(self):
         with pytest.raises(ValueError):
             simplicity_probe("A", 3, window=4)
+
+    @pytest.mark.parametrize("module", ["A", "Aprime"])
+    def test_window_guard_names_the_least_window(self, module):
+        # at m = 3 the least window is 2m + 2 = 8
+        with pytest.raises(ValueError) as err:
+            simplicity_probe(module, 3, window=7)
+        assert str(err.value) == "window 7 too small; need at least 8"
+        assert simplicity_probe(module, 3, window=8)
+
+    def test_blocks_window_guard_names_m_plus_2(self):
+        # at m = 3 the window must exceed m + 2 = 5
+        with pytest.raises(ValueError) as err:
+            restriction_blocks(3, window=5)
+        assert str(err.value) == "window 5 too small: it must exceed m+2 = 5"
+        blocks_a, blocks_q = restriction_blocks(3, window=6)
+        assert blocks_a == [ExponentSet(points=(0,)), ExponentSet(ge=3)]
 
     def test_unknown_module(self):
         with pytest.raises(ValueError):
