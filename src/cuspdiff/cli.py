@@ -6,6 +6,10 @@ when a requested check fails (membership, stability, relation or round trip
 verification) or stdout is closed before the output is written, and 2 for
 usage or parse errors.  Output is deterministic: iteration is sorted and
 randomness is seeded.
+
+Each handler cmd_x(args) returns (exit code, payload, lines): the --json body
+without its schema and command keys, and the text output.  Usage errors are
+ValueErrors; main alone writes stdout, and maps a ValueError to exit 2.
 """
 
 from __future__ import annotations
@@ -36,21 +40,17 @@ SCHEMA = 1
 MAX_NORMALIZE_SHIFT = 256
 
 
-def _shape(args, parser):
+def _shape(args, rank_one=None):
+    """The shape --m names; rank_one, if given, is the message that refuses
+    a shape of rank two or more."""
     try:
         widths = [int(p) for p in str(args.m).split(",")]
     except ValueError:
-        parser.error("--m expects a comma separated list of integers")
-    try:
-        return as_shape(widths)
-    except (ValueError, TypeError) as exc:
-        parser.error(str(exc))
-
-
-def _print_json(command, payload):
-    doc = {"schema": SCHEMA, "command": command}
-    doc.update(payload)
-    print(json.dumps(doc, sort_keys=True))
+        raise ValueError("--m expects a comma separated list of integers")
+    shape = as_shape(widths)
+    if rank_one and shape.rank != 1:
+        raise ValueError(rank_one)
+    return shape
 
 
 def _fmt_degree(alpha) -> str:
@@ -70,33 +70,30 @@ def _render_expset(es) -> str:
     return " u ".join(bits) if bits else "{}"
 
 
-def _to_vector(op, parser) -> LaurentVector:
+def _to_vector(op) -> LaurentVector:
     coeffs = {}
     for alpha, poly in op.components.items():
         if not poly.is_constant():
-            parser.error("vector coefficients must be rational constants, "
-                         "got %s" % render_poly(poly))
+            raise ValueError("vector coefficients must be rational constants, "
+                             "got %s" % render_poly(poly))
         coeffs[alpha] = poly.eval([0] * op.nvars)
     return LaurentVector(op.nvars, coeffs)
 
 
 # -- subcommand handlers ---------------------------------------------------
 
-def cmd_mul(args, parser):
-    shape = _shape(args, parser)
+def cmd_mul(args):
+    shape = _shape(args)
     out = None
     for text in args.expr:
         u = parse_expression(text, shape, args.algebra)
         out = u if out is None else out * u
-    if args.json:
-        _print_json("mul", {"result": op_to_json(out), "text": render_op(out)})
-    else:
-        print(render_op(out))
-    return 0
+    text = render_op(out)
+    return 0, {"result": op_to_json(out), "text": text}, [text]
 
 
-def cmd_member(args, parser):
-    shape = _shape(args, parser)
+def cmd_member(args):
+    shape = _shape(args)
     u = parse_expression(args.expr, shape, args.algebra)
     if args.algebra == "DA":
         ok = membership(u, shape)
@@ -112,29 +109,24 @@ def cmd_member(args, parser):
         except NotInImage:
             ok = False
         where = "the %s image" % args.algebra
-    if args.json:
-        _print_json("member", {"member": ok, "algebra": args.algebra})
-    else:
-        print("member of %s: %s" % (where, "true" if ok else "false"))
-    return 0 if ok else 1
+    return (0 if ok else 1, {"member": ok, "algebra": args.algebra},
+            ["member of %s: %s" % (where, "true" if ok else "false")])
 
 
-def cmd_phi(args, parser):
-    shape = _shape(args, parser)
-    rows = []
+def cmd_phi(args):
+    shape = _shape(args)
+    rows, lines = [], []
     for mi in shape.m:
         for i in args.index:
-            rows.append({"m": mi, "index": i, "poly": poly_to_json(phi(mi, i)),
-                         "text": render_poly(phi(mi, i))})
-    if args.json:
-        _print_json("phi", {"entries": rows})
-    else:
-        for row in rows:
-            print("phi(%d, %d) = %s" % (row["m"], row["index"], row["text"]))
-    return 0
+            poly = phi(mi, i)
+            text = render_poly(poly)
+            rows.append({"m": mi, "index": i, "poly": poly_to_json(poly),
+                         "text": text})
+            lines.append("phi(%d, %d) = %s" % (mi, i, text))
+    return 0, {"entries": rows}, lines
 
 
-def _parse_degree_spec(spec, shape, parser):
+def _parse_degree_spec(spec, shape):
     try:
         if "@" in spec:
             raw, fraw = spec.split("@", 1)
@@ -142,94 +134,75 @@ def _parse_degree_spec(spec, shape, parser):
         else:
             degree, factor = int(spec), 1
     except ValueError:
-        parser.error("bad degree spec %r; expected i or i@k" % spec)
+        raise ValueError("bad degree spec %r; expected i or i@k" % spec)
     if not 1 <= factor <= shape.rank:
-        parser.error("factor index %d out of range 1..%d" % (factor, shape.rank))
+        raise ValueError("factor index %d out of range 1..%d"
+                         % (factor, shape.rank))
     return tuple(degree if j == factor - 1 else 0 for j in range(shape.rank))
 
 
-def cmd_delta(args, parser):
-    shape = _shape(args, parser)
-    rows = []
+def cmd_delta(args):
+    shape = _shape(args)
+    rows, lines = [], []
     for spec in args.degree:
-        alpha = _parse_degree_spec(spec, shape, parser)
+        alpha = _parse_degree_spec(spec, shape)
         op = delta_op(shape, alpha)
+        text = render_op(op)
         rows.append({"degree": list(alpha), "op": op_to_json(op),
-                     "text": render_op(op)})
-    if args.json:
-        _print_json("delta", {"entries": rows})
-    else:
-        for spec, row in zip(args.degree, rows):
-            print("delta(%s) = %s" % (spec, row["text"]))
-    return 0
+                     "text": text})
+        lines.append("delta(%s) = %s" % (spec, text))
+    return 0, {"entries": rows}, lines
 
 
-def cmd_decompose(args, parser):
-    shape = _shape(args, parser)
+def cmd_decompose(args):
+    shape = _shape(args)
     u = parse_expression(args.expr, shape, args.algebra)
     try:
         coords = decompose(u, shape)
     except NotDivisible as exc:
-        if args.json:
-            _print_json("decompose", {"member": False, "error": str(exc)})
-        else:
-            print("not in the operator ring: %s" % exc)
-        return 1
-    ordered = sorted(coords, key=grlex_key, reverse=True)
-    if args.json:
-        _print_json("decompose", {"member": True, "coordinates": [
-            {"degree": list(alpha), "coefficient": poly_to_json(coords[alpha]),
-             "text": render_poly(coords[alpha])} for alpha in ordered]})
-    else:
-        if not ordered:
-            print("0")
-        for alpha in ordered:
-            print("%s: %s" % (_fmt_degree(alpha), render_poly(coords[alpha])))
-    return 0
+        return (1, {"member": False, "error": str(exc)},
+                ["not in the operator ring: %s" % exc])
+    rows, lines = [], []
+    for alpha in sorted(coords, key=grlex_key, reverse=True):
+        text = render_poly(coords[alpha])
+        rows.append({"degree": list(alpha),
+                     "coefficient": poly_to_json(coords[alpha]), "text": text})
+        lines.append("%s: %s" % (_fmt_degree(alpha), text))
+    return 0, {"member": True, "coordinates": rows}, lines or ["0"]
 
 
-def cmd_act(args, parser):
-    shape = _shape(args, parser)
+def cmd_act(args):
+    shape = _shape(args)
     u = parse_expression(args.op, shape, args.algebra)
-    vec = _to_vector(parse_expression(args.vector, shape, args.algebra), parser)
+    vec = _to_vector(parse_expression(args.vector, shape, args.algebra))
     if args.quotient:
         try:
             out = act_on_quotient(u, vec, cusp_mask(shape))
         except NotStable as exc:
-            if args.json:
-                _print_json("act", {"error": str(exc)})
-            else:
-                print(exc)
-            return 1
+            return 1, {"error": str(exc)}, [str(exc)]
     else:
         out = act(u, vec)
-    if args.json:
-        _print_json("act", {"result": {str(_fmt_degree(a)): str(c)
-                                       for a, c in out.coeffs.items()},
-                            "text": render_vector(out)})
-    else:
-        print(render_vector(out))
-    return 0
+    text = render_vector(out)
+    return 0, {"result": {_fmt_degree(a): str(c)
+                          for a, c in out.coeffs.items()},
+               "text": text}, [text]
 
 
-def cmd_stability(args, parser):
-    shape = _shape(args, parser)
+def cmd_stability(args):
+    shape = _shape(args)
     if args.gens:
         gens = [parse_expression(t, shape, args.algebra) for t in args.gens]
     else:
         gens = generating_set(shape)
     ok = stability_check(gens, cusp_mask(shape), args.window)
-    if args.json:
-        _print_json("stability", {"stable": ok, "window": args.window,
-                                  "generators": len(gens)})
-    else:
-        print("stable under %d generators in window %d: %s"
-              % (len(gens), args.window, "true" if ok else "false"))
-    return 0 if ok else 1
+    return (0 if ok else 1,
+            {"stable": ok, "window": args.window, "generators": len(gens)},
+            ["stable under %d generators in window %d: %s"
+             % (len(gens), args.window, "true" if ok else "false")])
 
 
-def cmd_relations_check(args, parser):
-    shape = _shape(args, parser)
+def cmd_relations_check(args):
+    shape = _shape(args)
     triples = []
     for mi in shape.m:
         idxs = [i for i in range(-(2 * mi - 1), 2 * mi) if i != 0]
@@ -264,22 +237,19 @@ def cmd_relations_check(args, parser):
                         if u * v != v * u:
                             commute_failures.append((f1 + 1, f2 + 1))
     bad = bool(failures or commute_failures)
-    if args.json:
-        _print_json("relations-check", {
-            "checked": len(triples), "commutation_checked": commuted,
-            "corrupt": bool(args.corrupt),
-            "failures": [{"m": mi, "i": i, "j": j, "case": case}
-                         for mi, i, j, case in failures],
-            "commutation_failures": [list(f) for f in commute_failures]})
-    else:
-        for mi, i, j, case in failures:
-            print("mismatch at m=%d, (i, j)=(%d, %d), case %s" % (mi, i, j, case))
-        for f1, f2 in commute_failures:
-            print("factors %d and %d fail to commute" % (f1, f2))
-        print("checked %d relation pairs, %d cross-factor commutations: %s"
-              % (len(triples), commuted,
-                 "failures above" if bad else "all hold"))
-    return 1 if bad else 0
+    lines = ["mismatch at m=%d, (i, j)=(%d, %d), case %s" % f
+             for f in failures]
+    lines += ["factors %d and %d fail to commute" % f
+              for f in commute_failures]
+    lines.append("checked %d relation pairs, %d cross-factor commutations: %s"
+                 % (len(triples), commuted,
+                    "failures above" if bad else "all hold"))
+    return 1 if bad else 0, {
+        "checked": len(triples), "commutation_checked": commuted,
+        "corrupt": bool(args.corrupt),
+        "failures": [{"m": mi, "i": i, "j": j, "case": case}
+                     for mi, i, j, case in failures],
+        "commutation_failures": [list(f) for f in commute_failures]}, lines
 
 
 def _random_element(pres, rng):
@@ -294,166 +264,130 @@ def _random_element(pres, rng):
     return pres.element(coords)
 
 
-def cmd_gwa_verify(args, parser):
+def cmd_gwa_verify(args):
     if args.depth < 1:
-        parser.error("--depth must be a positive integer")
+        raise ValueError("--depth must be a positive integer")
     if args.pairs < 0:
-        parser.error("--pairs must be a nonnegative integer")
-    shape = _shape(args, parser)
+        raise ValueError("--pairs must be a nonnegative integer")
+    shape = _shape(args)
     if args.algebra == "DA":
-        parser.error("gwa-verify needs --algebra bbA, calA or weyl")
+        raise ValueError("gwa-verify needs --algebra bbA, calA or weyl")
     pres, emb = presentation(shape, args.algebra)
     report = verify_presentation(pres, depth=args.depth)
     rng = Random(args.seed)
-    trips_ok, witness = True, ""
+    failures = report.failures()
+    lines = ["failed: %s (%s)" % (c.name, c.witness) for c in failures]
+    trips_ok = True
     for _ in range(args.pairs):
         u = _random_element(pres, rng)
-        back = emb.pullback(emb.apply(u))
-        if back != u:
+        if emb.pullback(emb.apply(u)) != u:
             trips_ok = False
-            witness = render_gwa(u)
+            lines.append("round trip failed at %s" % render_gwa(u))
             break
     ok = report.ok and trips_ok
-    if args.json:
-        _print_json("gwa-verify", {
-            "algebra": args.algebra, "checks": len(report.checks),
-            "failures": [c.name for c in report.failures()],
-            "round_trips": args.pairs, "round_trips_ok": trips_ok})
-    else:
-        for c in report.failures():
-            print("failed: %s (%s)" % (c.name, c.witness))
-        if not trips_ok:
-            print("round trip failed at %s" % witness)
-        print("%d relation checks, %d round trips: %s"
-              % (len(report.checks), args.pairs, "ok" if ok else "FAILED"))
-    return 0 if ok else 1
+    lines.append("%d relation checks, %d round trips: %s"
+                 % (len(report.checks), args.pairs, "ok" if ok else "FAILED"))
+    return 0 if ok else 1, {
+        "algebra": args.algebra, "checks": len(report.checks),
+        "failures": [c.name for c in failures],
+        "round_trips": args.pairs, "round_trips_ok": trips_ok}, lines
 
 
-def cmd_classify(args, parser):
-    shape = _shape(args, parser)
-    if shape.rank != 1:
-        parser.error("classification is rank one; pass a single width")
+def cmd_classify(args):
+    shape = _shape(args, "classification is rank one; pass a single width")
     m = shape.m[0]
     if args.algebra in ("calA", "weyl"):
-        parser.error("classify targets --algebra bbA or DA")
+        raise ValueError("classify targets --algebra bbA or DA")
     if args.algebra == "DA":
         result = classify_mod.classify_DA_torsion(m)
-        if args.json:
-            _print_json("classify", {"algebra": "DA",
-                                     "result": result.to_json()})
-        else:
-            for name, supp in result.exceptional:
-                print("%s: support %s, infinite dimensional"
-                      % (name, supp.render()))
-            print("family: %s" % result.family_note)
-        return 0
+        lines = ["%s: support %s, infinite dimensional" % (name, supp.render())
+                 for name, supp in result.exceptional]
+        lines.append("family: %s" % result.family_note)
+        return 0, {"algebra": "DA", "result": result.to_json()}, lines
     entries = classify_mod.classify_bbA(m, args.window)
-    if args.json:
-        _print_json("classify", {"algebra": "bbA",
-                                 "entries": [e.to_json() for e in entries]})
-    else:
-        for e in entries:
-            if e.interval is None:
-                print("family: one module per unmarked orbit, "
-                      "infinite dimensional")
-                continue
-            dim = e.dimension
-            print("%s: interval %s, dimension %s, annihilator (%s), support %s"
-                  % (e.tag, e.interval.render(),
-                     "infinite" if dim == classify_mod.INFINITE else dim,
-                     ", ".join(e.annihilator), e.support.render()))
-    return 0
+    lines = []
+    for e in entries:
+        if e.interval is None:
+            lines.append("family: one module per unmarked orbit, "
+                         "infinite dimensional")
+            continue
+        dim = e.dimension
+        lines.append("%s: interval %s, dimension %s, annihilator (%s), "
+                     "support %s"
+                     % (e.tag, e.interval.render(),
+                        "infinite" if dim == classify_mod.INFINITE else dim,
+                        ", ".join(e.annihilator), e.support.render()))
+    return 0, {"algebra": "bbA",
+               "entries": [e.to_json() for e in entries]}, lines
 
 
-def cmd_orbit(args, parser):
-    shape = _shape(args, parser)
-    if shape.rank != 1:
-        parser.error("orbits live over the univariate base; pass one width")
+def cmd_orbit(args):
+    shape = _shape(args,
+                   "orbits live over the univariate base; pass one width")
     a = parse_poly(args.a, 1)
     if a.is_zero():
-        parser.error("--a must be a nonzero polynomial in h")
+        raise ValueError("--a must be a nonzero polynomial in h")
     try:
         root = Fraction(args.root)
     except (ValueError, ZeroDivisionError):
-        parser.error("--root expects a rational number")
+        raise ValueError("--root expects a rational number")
     marked = classify_mod.marked_ideals(a)
     intervals = classify_mod.partition_orbit(a, classify_mod.Orbit(root))
-    if args.json:
-        _print_json("orbit", {
-            "marked": [{"orbit": str(orb.rep),
-                        "roots": [str(i.root) for i in ideals]}
-                       for orb, ideals in marked],
-            "intervals": [g.to_json() for g in intervals]})
-    else:
-        for orb, ideals in marked:
-            print("marked on orbit %s: %s"
-                  % (orb.rep, ", ".join(i.render() for i in ideals)))
-        if not marked:
-            print("no marked ideals")
-        print("intervals at the orbit of %s:" % root)
-        for g in intervals:
-            print("  %s" % g.render())
-    return 0
+    lines = ["marked on orbit %s: %s"
+             % (orb.rep, ", ".join(i.render() for i in ideals))
+             for orb, ideals in marked] or ["no marked ideals"]
+    lines.append("intervals at the orbit of %s:" % root)
+    lines += ["  %s" % g.render() for g in intervals]
+    return 0, {
+        "marked": [{"orbit": str(orb.rep),
+                    "roots": [str(i.root) for i in ideals]}
+                   for orb, ideals in marked],
+        "intervals": [g.to_json() for g in intervals]}, lines
 
 
-def cmd_normalize(args, parser):
-    shape = _shape(args, parser)
-    if shape.rank != 1:
-        parser.error("normalization is rank one; pass a single width")
+def cmd_normalize(args):
+    shape = _shape(args, "normalization is rank one; pass a single width")
     algebra = "calA" if args.algebra == "DA" else args.algebra
     _, emb = presentation(shape, algebra)
     op = parse_expression(args.element, shape, algebra)
     try:
         b = emb.pullback(op)
     except NotInImage as exc:
-        parser.error("element is outside the %s image: %s" % (algebra, exc))
+        raise ValueError("element is outside the %s image: %s"
+                         % (algebra, exc))
     s = classify_mod.normalization_shift(b)
     if s > MAX_NORMALIZE_SHIFT:
-        parser.error("normalization needs shift count %d, above the limit %d"
-                     % (s, MAX_NORMALIZE_SHIFT))
+        raise ValueError("normalization needs shift count %d, above the "
+                         "limit %d" % (s, MAX_NORMALIZE_SHIFT))
     was_normal = classify_mod.is_normal(b)
     result = classify_mod.normalize(b)
-    if args.json:
-        _print_json("normalize", {
-            "algebra": algebra, "input": render_gwa(b),
-            "normal": was_normal, "s": result.s,
-            "alpha": render_poly(result.alpha),
-            "beta": render_poly(result.beta),
-            "normalized": render_gwa(result.normalized),
-            "normalized_coords": [
-                {"degree": list(alpha), "coefficient": poly_to_json(c)}
-                for alpha, c in sorted(result.normalized.components.items())]})
-    else:
-        print("input: %s" % render_gwa(b))
-        print("normal: %s" % ("true" if was_normal else "false"))
-        print("s = %d" % result.s)
-        print("alpha = %s" % render_poly(result.alpha))
-        print("beta = %s" % render_poly(result.beta))
-        print("normalized: %s" % render_gwa(result.normalized))
-    return 0
+    doc = {"algebra": algebra, "input": render_gwa(b), "normal": was_normal,
+           "s": result.s, "alpha": render_poly(result.alpha),
+           "beta": render_poly(result.beta),
+           "normalized": render_gwa(result.normalized),
+           "normalized_coords": [
+               {"degree": list(alpha), "coefficient": poly_to_json(c)}
+               for alpha, c in sorted(result.normalized.components.items())]}
+    return 0, doc, ["input: %(input)s" % doc,
+                    "normal: %s" % ("true" if was_normal else "false"),
+                    "s = %(s)d" % doc, "alpha = %(alpha)s" % doc,
+                    "beta = %(beta)s" % doc,
+                    "normalized: %(normalized)s" % doc]
 
 
-def cmd_support(args, parser):
-    shape = _shape(args, parser)
-    if shape.rank != 1:
-        parser.error("supports are rank one; pass a single width")
-    supp_a = support(cusp_mask(shape))
-    supp_q = support(quotient_mask(shape))
-    blocks_a, blocks_q = restriction_blocks(shape, args.window)
-    if args.json:
-        _print_json("support", {
-            "A": {"support": supp_a.to_json(),
-                  "blocks": [b.to_json() for b in blocks_a]},
-            "Aprime": {"support": supp_q.to_json(),
-                       "blocks": [b.to_json() for b in blocks_q]}})
-    else:
-        print("A support: %s" % supp_a.render())
-        print("Aprime support: %s" % supp_q.render())
-        print("A exponent blocks under the degree one pair: %s"
-              % "; ".join(_render_expset(b) for b in blocks_a))
-        print("Aprime exponent blocks under the degree one pair: %s"
-              % "; ".join(_render_expset(b) for b in blocks_q))
-    return 0
+def cmd_support(args):
+    shape = _shape(args, "supports are rank one; pass a single width")
+    payload, supports, blocks = {}, [], []
+    for name, mask, exps in zip(("A", "Aprime"),
+                                (cusp_mask(shape), quotient_mask(shape)),
+                                restriction_blocks(shape, args.window)):
+        supp = support(mask)
+        payload[name] = {"support": supp.to_json(),
+                         "blocks": [b.to_json() for b in exps]}
+        supports.append("%s support: %s" % (name, supp.render()))
+        blocks.append("%s exponent blocks under the degree one pair: %s"
+                      % (name, "; ".join(_render_expset(b) for b in exps)))
+    return 0, payload, supports + blocks
 
 
 # -- parser assembly -------------------------------------------------------
@@ -574,18 +508,22 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        code = args.func(args, parser)
+        code, payload, lines = args.func(args)
+        if args.json:
+            lines = [json.dumps({"schema": SCHEMA, "command": args.subcommand,
+                                 **payload}, sort_keys=True)]
+        for line in lines:
+            print(line)
         sys.stdout.flush()
         return code
     except ValueError as exc:
-        # every input the library rejects raises a ValueError subclass
+        # handlers and every input the library rejects raise a ValueError
         parser.error(str(exc))
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull so that the flush at
         # interpreter exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -1,8 +1,10 @@
 """Command line interface: golden outputs, exit codes, JSON determinism."""
 
+import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -482,6 +484,124 @@ class TestParserReuse:
         for _ in range(2):
             assert run_with_stderr(capsys, *ok) == ok_alone
             assert run_with_stderr(capsys, *bad) == alone
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+# Leading 12 hex digits of the sha256 of stdout, for a call as written and
+# for the same call with --json after the subcommand.  Neither writes to
+# stderr.
+_PINNED = [  # argv, exit code, text stdout, --json stdout
+    ("mul --m 2 'delta(-1)*delta(1)'", 0, '35c88970a6af', 'eb4981506463'),
+    ("mul --m 2,3 'delta(1@2)*h1' x2", 0, '5e240166aeb1', 'e03d42f4dc4b'),
+    ("member --m 3 'delta(-2)'", 0, 'd82247ad389c', 'c0894c249538'),
+    ("member --m 3 'd(1)'", 1, 'be8c30a8a8f1', 'd46e1e0e64de'),
+    ('member --m 2 --algebra calA x', 1, '1c6173ebfd19', '73ff04656632'),
+    ("member --m 2 --algebra bbA 'x^2'", 1, '875fa6e1a9af', 'f8f197651aae'),
+    ("member --m 1 --algebra weyl 'x^-1'", 1, '9ef4cd31ced6', '51c3facf432d'),
+    ('phi --m 2 -- -1 1 2', 0, '1c8bdc5f0d3a', '505546d672da'),
+    ('phi --m 2,3 1 -4', 0, 'e4d7453c7adc', '9f8dc9bd521d'),
+    ('delta --m 2 -- -2 2', 0, '5139231870d7', '1e15b133cb96'),
+    ('delta --m 2,3 1@2 -1', 0, '65039ae0f5cf', '0439daf7a0bf'),
+    ("decompose --m 2 'h*delta(1)+3*delta(-2)'",
+     0, '49d2fe3a241d', '6b306c65e93f'),
+    ('decompose --m 2 0', 0, '9a271f2a916b', 'c163567f5014'),
+    ('decompose --m 2 x', 1, '70f9dce15c1d', 'f535bc4a7b80'),
+    ("act --m 2 'd(1)' 'x^2'", 0, '6329cfd7b8d3', '7e200f892b9d'),
+    ("act --m 2 '3/2*delta(1)*h' '1/2*x^3 - 2*x^-1 + 4/3'",
+     0, 'c8de81dbac20', '35a0df4f7168'),
+    ("act --m 2 --quotient 'delta(-2)' x", 0, 'ea471e394c95', '61af8579bea3'),
+    ("act --m 2 --quotient 'd(1)' x", 1, '5a5228dbc8bb', 'e05a58d13bc6'),
+    ("act --m 2,3 'delta(1@2)' 'x1*x2^3'", 0, '0fe54a8197c3', 'eaaa1ab27c0d'),
+    ('stability --m 2 --window 8', 0, '36140b7ba20a', '988ac88dccf7'),
+    ('stability --m 2 --window 8 --gens x', 1, 'fc2c8e186af7', '4ec5c6c84cbc'),
+    ('relations-check --m 2', 0, '567d46861539', 'bbd605ec7e82'),
+    ('relations-check --m 2,3', 0, '46cc514d75f3', '73c9a7e24e30'),
+    ('relations-check --m 2 --corrupt', 1, '3d4723f6a006', '08464c7cb704'),
+    ('relations-check --m 3 --corrupt --seed 5',
+     1, 'e785102d2def', 'c34d5c213cb2'),
+    ('gwa-verify --m 2 --algebra calA', 0, 'c2f04e0d3fec', 'a5554b7984a3'),
+    ('gwa-verify --m 2 --algebra bbA --depth 2 --pairs 3',
+     0, '5750f9bd2a4b', '729f984acb17'),
+    ('gwa-verify --m 2 --algebra weyl --pairs 2',
+     0, '5921ab1d86e0', '9351d7a33437'),
+    ('classify --m 4 --algebra bbA', 0, '7b3df6ff685a', 'a053910dee9b'),
+    ('classify --m 2', 0, '51d49a4cc82a', '7baf853347c9'),
+    ("orbit --a 'h*(h-1)*(h-4)'", 0, 'dcc8c25f1b71', 'e38adbd90975'),
+    ('orbit --a 3', 0, '8a05861ac7c2', '7d97ece09427'),
+    ("orbit --a 'h*(h-1/2)' --root 1/2", 0, '72784760fc08', '5793e324e8c0'),
+    ("normalize --m 2 --algebra bbA --element 'Y*h + h'",
+     0, '47e1bbb40a7b', '8ad6a40d53b2'),
+    ("normalize --m 3 --algebra calA --element 'h+Y*h'",
+     0, 'c7e61f6780a0', '12cabe16fb13'),
+    ('normalize --m 2 --algebra bbA --element h+2',
+     0, '75a2ac9edc45', 'e1cbc51ed05f'),
+    ('support --m 3 --window 12', 0, 'f4dbdafaf9c2', '5dd2f39557f0'),
+    ('support --m 2', 0, '6ad62a8e2039', '4f94498c2c0c'),
+]
+
+_PINNED_USAGE = [  # argv, stdout, stderr; each exits 2
+    ('', '9df5e502ed20', 'e3b0c44298fc'),
+    ('frobnicate', 'e3b0c44298fc', '321dbd28897e'),
+    ('mul --m 2 --window x h', 'e3b0c44298fc', 'e1b5ca9f816d'),
+    ("mul --m 2 'h+$'", 'e3b0c44298fc', '47dd15f840e1'),
+    ('phi --m zero 1', 'e3b0c44298fc', 'd525edb8266f'),
+    ('phi --m 0 1', 'e3b0c44298fc', 'b80a50fa8b39'),
+    ('relations-check --m 2,x', 'e3b0c44298fc', 'd525edb8266f'),
+    ('delta --m 2 1@x', 'e3b0c44298fc', '9db20ea646f8'),
+    ('delta --m 2 1@2', 'e3b0c44298fc', '40b9589d0eed'),
+    ("act --m 2 'd(1)' 'h*x'", 'e3b0c44298fc', '1a8ddd6c8293'),
+    ("act --m 2 --json 'd(1)' x+h", 'e3b0c44298fc', '1a8ddd6c8293'),
+    ('classify --m 2,3', 'e3b0c44298fc', '34e7d14f2a84'),
+    ('orbit --m 2,3 --a h', 'e3b0c44298fc', '11e17c36ae7e'),
+    ('normalize --m 2,3 --algebra bbA --element h',
+     'e3b0c44298fc', '7c56b48f948c'),
+    ('support --m 2,3', 'e3b0c44298fc', 'e9b0583c71a4'),
+    ('gwa-verify --m 2 --algebra calA --depth 0',
+     'e3b0c44298fc', '82536868aab9'),
+    ('gwa-verify --m 2 --algebra calA --pairs -1',
+     'e3b0c44298fc', '1cc2ae2f3b1e'),
+    ('gwa-verify --m 2 --json', 'e3b0c44298fc', '38d93148b7a4'),
+    ('orbit --a 0', 'e3b0c44298fc', '5b7568e4667d'),
+    ("orbit --a 'h^2+1'", 'e3b0c44298fc', '2beeabab2331'),
+    ('orbit --a h --root x', 'e3b0c44298fc', '55fde3869280'),
+    ('orbit --a h --root 1/0', 'e3b0c44298fc', '55fde3869280'),
+    ('classify --m 2 --algebra calA', 'e3b0c44298fc', '89d346a9af2e'),
+    ('classify --m 2 --algebra weyl', 'e3b0c44298fc', '89d346a9af2e'),
+    ('normalize --m 2 --algebra bbA --element x',
+     'e3b0c44298fc', '9aeba0b3a386'),
+    ('normalize --m 2 --algebra bbA --element h-300+Y',
+     'e3b0c44298fc', 'fb43a3e98888'),
+    ("normalize --m 2 --element 'X*h'", 'e3b0c44298fc', 'e95d31357f9d'),
+    ('stability --m 2 --window 1', 'e3b0c44298fc', '4e562d8aae21'),
+    ('support --m 3 --window 5', 'e3b0c44298fc', 'c360c22c43c1'),
+]
+
+
+def _pinned_calls():
+    for line, code, text, as_json in _PINNED:
+        argv = shlex.split(line)
+        yield pytest.param(argv, code, text, _digest(""), id=line)
+        yield pytest.param(argv[:1] + ["--json"] + argv[1:], code, as_json,
+                           _digest(""), id=line + " [json]")
+    for line, out, err in _PINNED_USAGE:
+        yield pytest.param(shlex.split(line), 2, out, err,
+                           id=line or "no subcommand")
+
+
+class TestPinnedOutput:
+    """Exact stdout, stderr and exit code of one call per output path:
+    every subcommand in text and --json, every check that fails, and every
+    usage error the handlers raise."""
+
+    @pytest.mark.parametrize("argv, code, out, err", _pinned_calls())
+    def test_call(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run_with_stderr(capsys, *argv)
+        assert (got[0], _digest(got[1]), _digest(got[2])) == (code, out, err), (
+            "exit %r\n--- stdout\n%s--- stderr\n%s" % got)
 
 
 class TestDeterminismCorpus:

@@ -126,6 +126,27 @@ def test_value_equality_is_written_once():
                            "Value"]
 
 
+def test_only_cli_main_prints_or_fails():
+    # handlers return (exit code, payload, lines) and raise ValueError for
+    # usage errors; main alone writes stdout and calls parser.error
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main, = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    in_main = {id(node) for node in ast.walk(main)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            found += [("parser parameter", getattr(node, "name", "lambda"))
+                      for a in ast.walk(node.args)
+                      if isinstance(a, ast.arg) and a.arg == "parser"]
+        if isinstance(node, ast.Call) and id(node) not in in_main:
+            if isinstance(node.func, ast.Name) and node.func.id == "print":
+                found.append(("print", node.lineno))
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "error":
+                found.append((".error", node.lineno))
+    assert found == []
+
+
 def _h():
     return BasePoly(1, {(1,): 1})
 
