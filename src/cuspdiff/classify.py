@@ -7,7 +7,7 @@ ideal is marked when it contains the defining base element a; marked ideals
 cut their orbit into intervals, and each interval carries one simple weight
 module whose up and down transitions follow the defining relation y x = a.
 Normal elements of nonpositive degree support the torsion-free side: they
-are detected by a strict root ordering and repaired by the normalization
+are detected by the strict orbit order and repaired by the normalization
 identity b -> beta b alpha^{-1}.
 
 Roots come from exactpoly.rational_roots: an int for an integral root, a
@@ -16,9 +16,10 @@ presentation's a and the stored coefficients of an element are split at
 most once however many tests read them, and they travel through shift and
 product, so the shifts of beta_0 that normalize multiplies together are
 never searched again.  Ideal roots, orbit representatives and weights are
-stored the same way, an int when integral and a Fraction otherwise.  The
-orbit order groups each root list by orbit once and compares, per shared
-orbit, the extreme roots of the two sides.
+stored the same way, an int when integral and a Fraction otherwise.  One
+root list lies below another in the orbit order when its least shift below
+the other is 0: per shared orbit, the top root of the first lies below the
+bottom root of the second.  Each root list is grouped by orbit once.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class WrongShape(ValueError):
 
 
 class InvalidInterval(ValueError):
-    """Interval anchors are missing, misordered or in different orbits."""
+    """Interval anchors are misordered or outside the interval's orbit."""
 
 
 def _rational(r):
@@ -123,49 +124,40 @@ def marked_ideals(a: BasePoly):
 
 
 class GammaInterval(Value):
-    """One piece of an orbit cut at marked ideals.
+    """One piece (lower, upper] of an orbit cut at marked ideals.
 
-    kind is one of "full", "left_ray", "half_open", "right_ray"; rays and
-    half-open pieces are anchored at marked ideals, with the half-open piece
-    (lower, upper] containing its upper anchor.
+    lower and upper are marked ideals or None: a missing lower end is -inf
+    and a missing upper end +inf, and the piece contains its upper end.
+    kind names the shape the ends give: "full" (no end), "left_ray" (upper
+    only), "right_ray" (lower only) or "half_open" (both).
     """
 
-    __slots__ = _fields = ("kind", "orbit", "lower", "upper")
+    __slots__ = _fields = ("orbit", "lower", "upper")
 
-    def __init__(self, kind, orbit, lower=None, upper=None):
-        if kind not in ("full", "left_ray", "half_open", "right_ray"):
-            raise InvalidInterval("unknown interval kind %r" % kind)
-        if kind == "full":
-            if lower is not None or upper is not None:
-                raise InvalidInterval("a full orbit has no anchors")
-        elif kind == "left_ray":
-            if upper is None or lower is not None:
-                raise InvalidInterval("a left ray needs exactly an upper anchor")
-        elif kind == "right_ray":
-            if lower is None or upper is not None:
-                raise InvalidInterval("a right ray needs exactly a lower anchor")
-        else:
-            if lower is None or upper is None:
-                raise InvalidInterval("a half-open interval needs both anchors")
-            if lower.root >= upper.root:
-                raise InvalidInterval("anchors must satisfy lower < upper")
+    def __init__(self, orbit, lower=None, upper=None):
+        if (lower is not None and upper is not None
+                and lower.root >= upper.root):
+            raise InvalidInterval("anchors must satisfy lower < upper")
         for anchor in (lower, upper):
             if anchor is not None and not orbit.contains_root(anchor.root):
                 raise InvalidInterval("anchor %s outside orbit %r"
                                       % (anchor.render(), orbit))
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "orbit", orbit)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
+    @property
+    def kind(self) -> str:
+        if self.lower is None:
+            return "full" if self.upper is None else "left_ray"
+        return "right_ray" if self.upper is None else "half_open"
+
     def render(self) -> str:
-        if self.kind == "full":
+        lower, upper = self.lower, self.upper
+        if lower is None and upper is None:
             return "the whole orbit of root %s mod 1" % self.orbit.rep
-        if self.kind == "left_ray":
-            return "(-inf, %s]" % self.upper.render()
-        if self.kind == "right_ray":
-            return "(%s, +inf)" % self.lower.render()
-        return "(%s, %s]" % (self.lower.render(), self.upper.render())
+        return "(%s, %s" % ("-inf" if lower is None else lower.render(),
+                            "+inf)" if upper is None else upper.render() + "]")
 
     def __repr__(self):
         return "GammaInterval(%s)" % self.render()
@@ -186,15 +178,9 @@ def partition_orbit(a: BasePoly, orbit: Orbit):
     (-inf, p_1], (p_1, p_2], ..., (p_{s-1}, p_s], (p_s, +inf); an unmarked
     orbit stays whole.
     """
-    marks = [ideal for orb, ideals in marked_ideals(a) if orb == orbit
-             for ideal in ideals]
-    if not marks:
-        return [GammaInterval("full", orbit)]
-    out = [GammaInterval("left_ray", orbit, upper=marks[0])]
-    for lo, hi in zip(marks, marks[1:]):
-        out.append(GammaInterval("half_open", orbit, lower=lo, upper=hi))
-    out.append(GammaInterval("right_ray", orbit, lower=marks[-1]))
-    return out
+    ends = [None, *(ideal for orb, ideals in marked_ideals(a) if orb == orbit
+                    for ideal in ideals), None]
+    return [GammaInterval(orbit, lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
 class WeightModule(Frozen):
@@ -236,20 +222,15 @@ def build_weight_module(a: BasePoly, gamma: GammaInterval, step: int,
         raise ValueError("step must be a positive integer")
     if window < 1:
         raise ValueError("window must be positive")
-    if gamma.kind == "half_open":
-        weights = []
-        w = gamma.upper.root
-        while w > gamma.lower.root:
-            weights.append(w)
-            w -= step
-        weights.reverse()
-        return WeightModule(a, step, gamma, weights, True)
-    if gamma.kind == "left_ray":
-        top = gamma.upper.root
-        weights = [top - k * step for k in range(window - 1, -1, -1)]
-        return WeightModule(a, step, gamma, weights, False)
-    if gamma.kind == "right_ray":
-        bottom = gamma.lower.root + step
+    lower, upper = gamma.lower, gamma.upper
+    if upper is not None:
+        # walk down from upper: to lower, or for window steps on a left ray
+        top = upper.root
+        count = window if lower is None else -((lower.root - top) // step)
+        weights = [top - k * step for k in range(count - 1, -1, -1)]
+        return WeightModule(a, step, gamma, weights, lower is not None)
+    if lower is not None:
+        bottom = lower.root + step
         weights = [bottom + k * step for k in range(window)]
         return WeightModule(a, step, gamma, weights, False)
     rep = gamma.orbit.rep
@@ -383,18 +364,21 @@ def _orbit_extremes(roots, pick) -> dict:
     return out
 
 
-def _roots_less(aroots, broots) -> bool:
-    """Strict orbit order on root lists.
+def _least_shift(roots0, targets, step: int) -> int:
+    """Least s >= 0 with r - s*step < t for every integer-comparable pair.
 
-    True when every root of aroots lies strictly below every root of broots
-    that it is integer-comparable with; pairs in different orbits impose
-    nothing, so the comparison is vacuously true when no comparable pairs
-    exist.  Within one orbit that is: the largest root of aroots lies below
-    the least one of broots, so each side is grouped by orbit once.
+    r runs over roots0 and t over targets.  A pair with r >= t needs
+    s*step > r - t, so s = floor((r - t)/step) + 1; the answer is the largest
+    such bound, or 0 when no pair constrains s.  In each orbit the largest
+    bound comes from the largest r and the least t.  Least shift 0, for any
+    step, is the strict orbit order: roots0 lies below targets when every
+    integer-comparable pair has r < t, and pairs in different orbits impose
+    nothing.
     """
-    least = _orbit_extremes(broots, min)
-    return all(r < least[key] for key, r in _orbit_extremes(aroots, max).items()
-               if key in least)
+    least = _orbit_extremes(targets, min)
+    return max(((r - least[key]) // step + 1
+                for key, r in _orbit_extremes(roots0, max).items()
+                if key in least and r >= least[key]), default=0)
 
 
 def _nonpositive_coords(b: GwaElement):
@@ -435,13 +419,14 @@ def is_normal(b: GwaElement) -> bool:
     """Normality test for b = v_{-m'} beta_{-m'} + ... + beta_0.
 
     b is normal when beta_0 < beta_{-m'} and beta_0 < a in the strict orbit
-    order (right coefficients).  Raises WrongShape for elements with positive
+    order (right coefficients), that is, when the least shift of the roots
+    of beta_0 below each is 0.  Raises WrongShape for elements with positive
     degrees or vanishing degree zero part, NonlinearFactor when a coefficient
     does not split over Q.  a is split only when beta_0 < beta_{-m'} holds.
     """
     _, _, _, roots0, rootsm = _split_ends(b)
-    return (_roots_less(roots0, rootsm)
-            and _roots_less(roots0, _split_roots(b.presentation.a[0])))
+    return (_least_shift(roots0, rootsm, 1) == 0 and
+            _least_shift(roots0, _split_roots(b.presentation.a[0]), 1) == 0)
 
 
 class NormalizationResult:
@@ -457,20 +442,6 @@ class NormalizationResult:
 
     def __repr__(self):
         return "NormalizationResult(s=%d)" % self.s
-
-
-def _least_shift(roots0, targets, step: int) -> int:
-    """Least s >= 0 with r - s*step < t for every integer-comparable pair.
-
-    r runs over roots0 and t over targets.  A pair with r >= t needs
-    s*step > r - t, so s = floor((r - t)/step) + 1; the answer is the largest
-    such bound, or 0 when no pair constrains s.  In each orbit the largest
-    bound comes from the largest r and the least t.
-    """
-    least = _orbit_extremes(targets, min)
-    return max(((r - least[key]) // step + 1
-                for key, r in _orbit_extremes(roots0, max).items()
-                if key in least and r >= least[key]), default=0)
 
 
 def _normalization_data(b: GwaElement):

@@ -25,8 +25,9 @@ from random import Random
 from .exactpoly import (BasePoly, NotDivisible, grlex_key, poly_to_json,
                         render_poly)
 from .skewlaurent import op_to_json, render_op, weyl_membership
-from .cuspops import (as_shape, decompose, delta_op, generating_set,
-                      membership, phi, presentation, structure_constant)
+from .cuspops import (as_shape, decompose, delta_op, factor_generators,
+                      generating_set, membership, phi, presentation,
+                      structure_constant)
 from .gwa import NotInImage, render_gwa, verify_presentation
 from .exprparse import parse_expression, parse_poly
 from .modactions import (LaurentVector, NotStable, act, act_on_quotient,
@@ -223,12 +224,7 @@ def cmd_relations_check(args):
     commuted = 0
     commute_failures = []
     if shape.rank >= 2:
-        # each generator is h_f or delta(+-k e_f): it involves one factor f
-        factor_gens = [[] for _ in shape.m]
-        for g in generating_set(shape):
-            (deg, coeff), = g.components.items()
-            key = deg if any(deg) else next(iter(coeff.terms))
-            factor_gens[next(j for j, e in enumerate(key) if e)].append(g)
+        factor_gens = [factor_generators(shape, f) for f in range(shape.rank)]
         for f1 in range(shape.rank):
             for f2 in range(f1 + 1, shape.rank):
                 for u in factor_gens[f1]:

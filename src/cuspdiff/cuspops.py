@@ -5,17 +5,18 @@ and the monomials x_i^j with j >= m_i in each factor has a ring of
 differential operators that embeds in the skew Laurent ring.  Its graded
 component in degree alpha is the left ideal generated by
 delta_alpha = prod_i phi(m_i, alpha_i)(h_i) * x^alpha, so membership is a
-divisibility condition coefficient by coefficient.  This module builds the
-graded generators, decides membership, decomposes elements and produces the
-structure constants that rewrite products of generators.  Each named algebra
-(calA, bbA, weyl) is fixed by one pair of graded generators per factor, and
-its GWA presentation is read off those pairs.  The graded divisors and the
-deltas are fixed tables, memoized per process as phi is: each key yields one
-shared immutable object.  So is the residual table: the product of residual
-deltas of a structure relation depends only on the width m and s = i + j,
-so it is multiplied out once per (m, s), 8m - 3 keys per width, and every
-pair (i, j) with that sum shares it.  as_shape interns its int and tuple
-inputs the same way, one shared CuspShape per distinct input.
+divisibility condition coefficient by coefficient: an element is a member
+exactly when its decomposition over the deltas succeeds.  This module builds
+the graded generators per factor, decomposes elements, decides membership and
+produces the structure constants that rewrite products of generators.  Each
+named algebra (calA, bbA, weyl) is fixed by one pair of graded generators per
+factor, and its GWA presentation is read off those pairs.  The graded
+divisors and the deltas are fixed tables, memoized per process as phi is:
+each key yields one shared immutable object.  So is the residual table: the
+product of residual deltas of a structure relation depends only on the width
+m and s = i + j, so it is multiplied out once per (m, s), 8m - 3 keys per
+width, and every pair (i, j) with that sum shares it.  as_shape interns its
+int and tuple inputs the same way, one shared CuspShape per distinct input.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import mul
 
-from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, Value, divides,
+from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, Value,
                         exact_divide, linear_factors)
 from .gwa import Embedding, GwaPresentation
 # phi is re-exported: the package root and the bench read cuspops.phi
@@ -119,20 +120,28 @@ def _as_op(u) -> LaurentOp:
     raise TypeError("expected LaurentOp or BasePoly")
 
 
-def membership(u, shape) -> bool:
-    """Whether u lies in the operator ring of the shape.
-
-    Checks that the coefficient at each degree alpha is divisible by
-    prod_i phi(m_i, alpha_i)(h_i).
-    """
-    shape = as_shape(shape)
+def _graded_quotients(u, shape) -> dict:
+    """{alpha: coefficient of u at alpha / graded_divisor(widths, alpha)},
+    in support order; raises NotDivisible at the first component that the
+    divisor does not divide."""
+    widths = as_shape(shape).m
     u = _as_op(u)
-    if u.nvars != shape.rank:
+    if u.nvars != len(widths):
         raise ArityMismatch("operator arity %d != shape rank %d"
-                            % (u.nvars, shape.rank))
-    for alpha, coeff in u.components.items():
-        if not divides(phi_multi(shape, alpha), coeff):
-            return False
+                            % (u.nvars, len(widths)))
+    comps = u.components
+    return {alpha: exact_divide(comps[alpha], graded_divisor(widths, alpha))
+            for alpha in u.support()}
+
+
+def membership(u, shape) -> bool:
+    """Whether u lies in the operator ring of the shape: whether its
+    decomposition over the deltas succeeds."""
+    # not through decompose: bench/spans.py counts calls to that name
+    try:
+        _graded_quotients(u, shape)
+    except NotDivisible:
+        return False
     return True
 
 
@@ -141,15 +150,7 @@ def decompose(u, shape) -> dict:
 
     Raises NotDivisible when u is outside the operator ring.
     """
-    shape = as_shape(shape)
-    u = _as_op(u)
-    if u.nvars != shape.rank:
-        raise ArityMismatch("operator arity %d != shape rank %d"
-                            % (u.nvars, shape.rank))
-    out = {}
-    for alpha in u.support():
-        out[alpha] = exact_divide(u.components[alpha], phi_multi(shape, alpha))
-    return out
+    return _graded_quotients(u, shape)
 
 
 class StructureRelation(Value):
@@ -271,16 +272,22 @@ def w_minus(shape, i: int) -> LaurentOp:
     return LaurentOp.monomial(1, (-i,), linear_factors(sorted(roots)))
 
 
-def generating_set(shape) -> list[LaurentOp]:
-    """h_i together with the deltas of index 1..2m_i-1 of both signs, per factor."""
+def factor_generators(shape, i: int) -> list[LaurentOp]:
+    """h_i, then delta(k e_i) and delta(-k e_i) for k = 1 .. 2 m_i - 1."""
     shape = as_shape(shape)
-    gens = [LaurentOp.h(shape.rank, i) for i in range(shape.rank)]
-    for i, mi in enumerate(shape.m):
-        for k in range(1, 2 * mi):
-            for signed in (k, -k):
-                alpha = tuple(signed if j == i else 0 for j in range(shape.rank))
-                gens.append(delta_op(shape, alpha))
+    n = shape.rank
+    gens = [LaurentOp.h(n, i)]
+    for k in range(1, 2 * shape.m[i]):
+        for signed in (k, -k):
+            gens.append(delta_op(shape, tuple(signed if j == i else 0
+                                              for j in range(n))))
     return gens
+
+
+def generating_set(shape) -> list[LaurentOp]:
+    """The factor generators of every factor in turn."""
+    shape = as_shape(shape)
+    return [g for i in range(shape.rank) for g in factor_generators(shape, i)]
 
 
 # -- canonical GWA presentations and their Laurent embeddings --------------

@@ -610,20 +610,17 @@ def _split(p: BasePoly):
     return tuple(roots), BasePoly._trusted(1, terms)
 
 
-def linear_factors(roots, nvars: int = 1, j: int = 0) -> BasePoly:
-    """prod (h_{j+1} - r) over the given roots, as a polynomial in nvars variables.
+def linear_factors(roots) -> BasePoly:
+    """prod (h - r) over the given roots, as a univariate polynomial.
 
     Expanded in one pass over a dense coefficient list, lowest degree first.
     """
-    if not 0 <= j < nvars:
-        raise ValueError("variable index %d out of range for nvars=%d" % (j, nvars))
     coeffs = [1]
     for r in roots:
         if r.__class__ is not int:
             r = Fraction(r)
         coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    at = _FIELD * (nvars - 1 - j)
-    return BasePoly._trusted(nvars, _clean({e << at: c for e, c in enumerate(coeffs)}))
+    return BasePoly._trusted(1, _clean(dict(enumerate(coeffs))))
 
 
 # -- canonical text form --------------------------------------------------

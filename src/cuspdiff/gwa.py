@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import add, mul
 
 from .exactpoly import (ArityMismatch, BasePoly, Frozen, NotDivisible, Value,
@@ -281,11 +282,15 @@ def verify_presentation(pres: GwaPresentation, depth: int = 3,
     bad = None
     if any(factor_failures):
         # bound the coordinate sum for higher rank to keep the sweep small
-        vecs = [v for v in _box(n, depth) if sum(map(abs, v)) <= depth]
-        bad = next(((a, b, c) for a in vecs for b in vecs for c in vecs
+        vecs = [(v, pres.basis(v))
+                for v in product(range(-depth, depth + 1), repeat=n)
+                if sum(map(abs, v)) <= depth]
+        bad = next(((a, b, c) for a, va in vecs for b, vb in vecs
+                    for c, vc in vecs
                     if any(t in failures for t, failures
                            in zip(zip(a, b, c), factor_failures))
-                    and not _associates(pres, a, b, c)), None)
+                    and gwa_multiply(gwa_multiply(va, vb), vc)
+                    != gwa_multiply(va, gwa_multiply(vb, vc))), None)
     checks.append(GwaCheck("associativity(depth=%d)" % depth, bad is None,
                            "" if bad is None else "failed at %r" % (bad,)))
     return GwaReport(checks)
@@ -303,19 +308,6 @@ def _factor_failures(pres, i, depth):
             for b, ab, row_b in zip(ks, row_a, table)
             for c, vc, bc in zip(ks, basis, row_b)
             if gwa_multiply(ab, vc) != gwa_multiply(va, bc)}
-
-
-def _associates(pres, a, b, c):
-    va, vb, vc = pres.basis(a), pres.basis(b), pres.basis(c)
-    return gwa_multiply(gwa_multiply(va, vb), vc) == \
-        gwa_multiply(va, gwa_multiply(vb, vc))
-
-
-def _box(n, depth):
-    if n == 0:
-        return [()]
-    rest = _box(n - 1, depth)
-    return [(v,) + r for v in range(-depth, depth + 1) for r in rest]
 
 
 # a named check of verify_presentation; a failed one carries the text of what

@@ -14,7 +14,7 @@ from cuspdiff.classify import (INFINITE, ClassifiedModule, GammaInterval,
                                classify_DA_torsion, classify_bbA, is_normal,
                                marked_ideals, normalization_shift, normalize,
                                partition_orbit)
-from cuspdiff.classify import _least_shift, _nonpositive_coords, _roots_less
+from cuspdiff.classify import _least_shift, _nonpositive_coords
 from cuspdiff.cuspops import bbA_presentation, calA_presentation
 from cuspdiff.exactpoly import BasePoly, exact_divide, rational_roots
 from cuspdiff.exprparse import parse_poly
@@ -155,29 +155,21 @@ class TestPartition:
 
 
 class TestIntervalValidation:
-    def test_full_takes_no_anchors(self):
-        with pytest.raises(InvalidInterval):
-            GammaInterval("full", Orbit(0), upper=LinMaxIdeal(0))
-
-    def test_rays_need_their_anchor(self):
-        with pytest.raises(InvalidInterval):
-            GammaInterval("left_ray", Orbit(0))
-        with pytest.raises(InvalidInterval):
-            GammaInterval("right_ray", Orbit(0), upper=LinMaxIdeal(1))
+    def test_kind_follows_the_ends(self):
+        lo, hi = LinMaxIdeal(0), LinMaxIdeal(2)
+        assert GammaInterval(Orbit(0)).kind == "full"
+        assert GammaInterval(Orbit(0), upper=hi).kind == "left_ray"
+        assert GammaInterval(Orbit(0), lower=lo).kind == "right_ray"
+        assert GammaInterval(Orbit(0), lo, hi).kind == "half_open"
 
     def test_half_open_order(self):
         with pytest.raises(InvalidInterval):
-            GammaInterval("half_open", Orbit(0), lower=LinMaxIdeal(2),
+            GammaInterval(Orbit(0), lower=LinMaxIdeal(2),
                           upper=LinMaxIdeal(1))
 
     def test_anchor_must_lie_in_orbit(self):
         with pytest.raises(InvalidInterval):
-            GammaInterval("left_ray", Orbit(0),
-                          upper=LinMaxIdeal(Fraction(1, 2)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidInterval):
-            GammaInterval("open", Orbit(0))
+            GammaInterval(Orbit(0), upper=LinMaxIdeal(Fraction(1, 2)))
 
 
 class TestWeightModules:
@@ -197,6 +189,14 @@ class TestWeightModules:
         assert wm.weights == tuple(range(-5, 1))
         wm = build_weight_module(self.a, self.pieces[3], 1, window=6)
         assert wm.weights == tuple(range(5, 11))
+
+    def test_full_orbit_is_windowed_both_ways(self):
+        (whole,) = partition_orbit(self.a, Orbit(Fraction(1, 2)))
+        wm = build_weight_module(self.a, whole, 2, window=2)
+        assert wm.dimension == INFINITE and not wm.finite
+        assert wm.weights == tuple(Fraction(k, 2) for k in (-7, -3, 1, 5, 9))
+        assert repr(wm) == ("WeightModule(the whole orbit of root 1/2 mod 1, "
+                            "dim=inf)")
 
     def test_boundary_down_map_vanishes(self):
         # the scalar of the down transition out of the bottom weight is a at
@@ -221,6 +221,10 @@ class TestWeightModules:
         pieces = partition_orbit(a2, Orbit(0))
         wm = build_weight_module(a2, pieces[1], 2)
         assert wm.weights == (2, 4)
+        # a step that does not divide the length stops above the lower end
+        a3 = H * (H - 3)
+        wm = build_weight_module(a3, partition_orbit(a3, Orbit(0))[1], 2)
+        assert wm.weights == (1, 3)
 
     def test_weights_are_ints_when_integral(self):
         for piece in self.pieces:
@@ -392,6 +396,11 @@ _ORDER_VALUES = ([*range(-6, 7), Fraction(4), Fraction(-2)]
                  + [Fraction(k, 3) for k in range(-8, 9) if k % 3])
 
 
+def _below(aroots, broots):
+    """The strict orbit order: the least shift of aroots below broots is 0."""
+    return _least_shift(aroots, broots, 1) == 0
+
+
 class TestOrbitOrder:
     def test_matches_pairwise_loops(self):
         rng = random.Random(47)
@@ -399,34 +408,34 @@ class TestOrbitOrder:
         for _ in range(1500):
             aroots = rng.choices(_ORDER_VALUES, k=rng.randint(0, 5))
             broots = rng.choices(_ORDER_VALUES, k=rng.randint(0, 5))
-            verdict = _roots_less(aroots, broots)
-            assert verdict is _reference_roots_less(aroots, broots), (aroots, broots)
+            verdict = _reference_roots_less(aroots, broots)
             verdicts.add(verdict)
             for step in (1, 2, 3):
                 s = _least_shift(aroots, broots, step)
                 assert s == _reference_least_shift(aroots, broots, step)
+                assert (s == 0) is verdict, (aroots, broots, step)
                 assert type(s) is int
                 shifts.add(s)
         assert verdicts == {False, True}
         assert max(shifts) >= 5
 
     def test_comparable_pairs(self):
-        assert _roots_less([0], [1])
-        assert not _roots_less([1], [0])
-        assert not _roots_less([0], [0])     # strict
+        assert _below([0], [1])
+        assert not _below([1], [0])
+        assert not _below([0], [0])     # strict
 
     def test_products(self):
-        assert _roots_less([0, 1], [2, 3])
-        assert not _roots_less([0, 3], [2, 4])
+        assert _below([0, 1], [2, 3])
+        assert not _below([0, 3], [2, 4])
 
     def test_incomparable_is_vacuous(self):
         half = Fraction(1, 2)
-        assert _roots_less([half], [1])
-        assert _roots_less([1], [half])
+        assert _below([half], [1])
+        assert _below([1], [half])
 
     def test_constants_are_vacuous(self):
-        assert _roots_less([], [0])
-        assert _roots_less([0], [])
+        assert _below([], [0])
+        assert _below([0], [])
 
     def test_nonsplit_rejected(self):
         # beta_{-m'} = h^2 + 1 has no rational root

@@ -13,10 +13,12 @@ from pathlib import Path
 import pytest
 
 import cuspdiff
+from cuspdiff import cli
 from cuspdiff.cli import main
 from cuspdiff.cuspops import delta_op
 from cuspdiff.exactpoly import BasePoly
 from cuspdiff.exprparse import parse_expression
+from cuspdiff.gwa import Embedding, render_gwa
 from cuspdiff.skewlaurent import LaurentOp, render_op
 
 
@@ -234,6 +236,25 @@ class TestRelationsCheck:
             '"corrupt": false, "failures": [], "schema": 1}\n'
             % (checked, commuted))
 
+    def test_commutation_failure_names_the_factors(self, capsys, monkeypatch):
+        # factor 2 brings x1 alone, which fails to commute with h1, delta(1)
+        # and the three deltas of negative degree of factor 1 at width 2
+        x1 = LaurentOp.monomial(2, (1, 0), BasePoly.one(2))
+        real = cli.factor_generators
+        monkeypatch.setattr(cli, "factor_generators", lambda shape, f: (
+            real(shape, f) if f == 0 else [x1]))
+        code, out = run(capsys, "relations-check", "--m", "2,3")
+        assert code == 1
+        assert out.splitlines() == ["factors 1 and 2 fail to commute"] * 5 + [
+            "checked 136 relation pairs, 7 cross-factor commutations: "
+            "failures above"]
+        code, out = run(capsys, "relations-check", "--m", "2,3", "--json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["commutation_checked"] == 7
+        assert data["commutation_failures"] == [[1, 2]] * 5
+        assert data["failures"] == []
+
     def test_corrupt_json_names_the_case(self, capsys):
         code, out = run(capsys, "relations-check", "--m", "2", "--json",
                         "--corrupt")
@@ -244,11 +265,35 @@ class TestRelationsCheck:
         assert data["failures"][0]["j"] == -3
 
 
+def _first_random_element():
+    """The first element gwa-verify draws for calA at width 2 and seed 0."""
+    pres, _ = cuspdiff.cuspops.presentation(2, "calA")
+    return cli._random_element(pres, random.Random(0))
+
+
 class TestGwaVerify:
     def test_calA(self, capsys):
         code, out = run(capsys, "gwa-verify", "--m", "2", "--algebra", "calA")
         assert code == 0
         assert out.strip() == "9 relation checks, 20 round trips: ok"
+
+    def test_round_trip_failure_names_the_element(self, capsys, monkeypatch):
+        # a pullback that adds 1 breaks the first round trip and no other check
+        real = Embedding.pullback
+        monkeypatch.setattr(Embedding, "pullback", lambda emb, op: real(
+            emb, op) + emb.presentation.basis((0,)))
+        argv = ("gwa-verify", "--m", "2", "--algebra", "calA", "--pairs", "3")
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert out.splitlines() == [
+            "round trip failed at %s" % render_gwa(_first_random_element()),
+            "9 relation checks, 3 round trips: FAILED"]
+        code, out = run(capsys, *argv[:1], "--json", *argv[1:])
+        assert code == 1
+        data = json.loads(out)
+        assert data["round_trips_ok"] is False
+        assert data["round_trips"] == 3
+        assert data["failures"] == []
 
     def test_plain_ring_is_an_error(self, capsys):
         code, _ = run(capsys, "gwa-verify", "--m", "2", "--algebra", "DA")
@@ -540,6 +585,17 @@ _PINNED = [  # argv, exit code, text stdout, --json stdout
      0, '75a2ac9edc45', 'e1cbc51ed05f'),
     ('support --m 3 --window 12', 0, 'f4dbdafaf9c2', '5dd2f39557f0'),
     ('support --m 2', 0, '6ad62a8e2039', '4f94498c2c0c'),
+    ('stability --m 2,3 --window 10', 0, 'ce541a64154d', 'dc366efd2693'),
+    ("member --m 2,3 'delta(1@2)*h1+delta(-1)'",
+     0, 'd82247ad389c', 'c0894c249538'),
+    ('member --m 2,3 x2', 1, 'be8c30a8a8f1', 'd46e1e0e64de'),
+    ("decompose --m 2,3 'delta(1@2)*h1+delta(-1)'",
+     0, 'd7900843584c', 'f23f9d598527'),
+    ('decompose --m 2,3 x2', 1, '4602cc1cbcfc', '29acc32a2c5f'),
+    ('classify --m 3 --algebra bbA --window 3',
+     0, 'e69c4eefe2ab', 'c6a95423f7c2'),
+    ("orbit --a 'h*(h-1)*(h-1/2)' --root 1/2",
+     0, 'cb05f5a961c8', 'c853a866c197'),
 ]
 
 _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2
@@ -577,6 +633,7 @@ _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2
     ("normalize --m 2 --element 'X*h'", 'e3b0c44298fc', 'e95d31357f9d'),
     ('stability --m 2 --window 1', 'e3b0c44298fc', '4e562d8aae21'),
     ('support --m 3 --window 5', 'e3b0c44298fc', 'c360c22c43c1'),
+    ('stability --m 2,3 --window 6', 'e3b0c44298fc', 'd2fd986e1c1f'),
 ]
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from cuspdiff.cuspops import (CuspShape, as_shape, bbA_presentation,
                               calA_presentation, decompose, delta_op,
-                              generating_set, generator_pair, membership, phi,
+                              factor_generators, generating_set,
+                              generator_pair, membership, phi,
                               phi_multi, presentation, structure_constant,
                               w_minus, weyl_presentation)
 from cuspdiff import cuspops, exactpoly
@@ -211,6 +212,15 @@ class TestDecompose:
     def test_rejects_outsiders(self):
         with pytest.raises(NotDivisible):
             decompose(LaurentOp.x(1, 0), 2)
+
+    def test_first_failure_in_support_order(self):
+        # both components fail; the error names degree 1, the top of the
+        # support, though degree -1 was stored first
+        u = LaurentOp(1, {(-1,): BasePoly.one(1), (1,): BasePoly.one(1)})
+        with pytest.raises(NotDivisible) as exc:
+            decompose(u, 2)
+        assert str(exc.value) == "h-2 does not divide 1"
+        assert not membership(u, 2)
 
 
 def _no_rendering(p):
@@ -595,6 +605,14 @@ class TestGeneratingSet:
         shape = CuspShape((2, 3))
         gens = generating_set(shape)
         assert len(gens) == 2 + 2 * (2 * 2 - 1) + 2 * (2 * 3 - 1)
+
+    def test_factor_generators(self):
+        shape = CuspShape((2, 3))
+        second = factor_generators(shape, 1)
+        assert second == [LaurentOp.h(2, 1)] + [
+            delta_op(shape, (0, s * k)) for k in range(1, 6) for s in (1, -1)]
+        assert generating_set(shape) == factor_generators(shape, 0) + second
+        assert generating_set(3) == factor_generators(3, 0)
 
 
 def _unit(n, i, k):

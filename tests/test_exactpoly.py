@@ -439,34 +439,27 @@ class TestQuotientTypes:
                     assert_stored_as_validated(got)
 
 
-def _reference_linear_factors(roots, nvars, j):
-    """prod (h_{j+1} - r) by BasePoly products, one factor at a time."""
-    out = BasePoly.one(nvars)
+def _reference_linear_factors(roots):
+    """prod (h - r) by BasePoly products, one factor at a time."""
+    out = BasePoly.one(1)
     for r in roots:
-        out = out * (BasePoly.variable(nvars, j) - Fraction(r))
+        out = out * (H - Fraction(r))
     return out
 
 
 class TestLinearFactorsOracle:
     def test_matches_the_product_of_factors(self):
         rng = random.Random(29)
-        for nvars in (1, 2, 3):
-            for j in range(nvars):
-                for fractions in (False, True):
-                    for _ in range(30):
-                        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                                 if fractions and rng.random() < 0.5
-                                 else rng.randint(-9, 9)
-                                 for _ in range(rng.randint(0, 9))]
-                        got = linear_factors(roots, nvars, j)
-                        want = _reference_linear_factors(roots, nvars, j)
-                        assert _typed(got.terms) == _typed(want.terms), roots
-                        assert_stored_as_validated(got)
-
-    def test_variable_index_checked(self):
-        for nvars, j in ((1, 1), (2, -1), (3, 3)):
-            with pytest.raises(ValueError):
-                linear_factors([1, 2], nvars, j)
+        for fractions in (False, True):
+            for _ in range(30):
+                roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                         if fractions and rng.random() < 0.5
+                         else rng.randint(-9, 9)
+                         for _ in range(rng.randint(0, 9))]
+                got = linear_factors(roots)
+                want = _reference_linear_factors(roots)
+                assert _typed(got.terms) == _typed(want.terms), roots
+                assert_stored_as_validated(got)
 
 
 class TestRationalRoots:

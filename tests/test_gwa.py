@@ -3,6 +3,7 @@ abstract arithmetic against the concrete Laurent model, pullbacks."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from cuspdiff.cuspops import (bbA_presentation, calA_presentation, delta_op,
 from cuspdiff.exactpoly import ArityMismatch, BasePoly
 from cuspdiff.gwa import (Embedding, GwaElement, GwaPresentation,
                           ImagesViolateRelations, NotInImage,
-                          PresentationMismatch, _box, gwa_multiply,
+                          PresentationMismatch, gwa_multiply,
                           render_gwa, verify_presentation)
 from cuspdiff.skewlaurent import LaurentOp, render_op
 
@@ -265,7 +266,8 @@ def _reference_associativity(pres, depth):
     if n == 1:
         triples = [((p,), (q,), (r,)) for p in span for q in span for r in span]
     else:
-        vecs = [v for v in _box(n, depth) if sum(abs(c) for c in v) <= depth]
+        vecs = [v for v in product(span, repeat=n)
+                if sum(abs(c) for c in v) <= depth]
         triples = [(a, b, c) for a in vecs for b in vecs for c in vecs]
     for a, b, c in triples:
         va, vb, vc = pres.basis(a), pres.basis(b), pres.basis(c)

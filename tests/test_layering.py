@@ -159,8 +159,8 @@ _FROZEN = {
     "GwaElement": lambda: GwaPresentation([_h()], [1]).basis((1,)),
     "LaurentVector": lambda: LaurentVector(1, {(1,): 2}),
     "GradedMask": lambda: cusp_mask(2),
-    "WeightModule": lambda: WeightModule(_h(), 1, GammaInterval(
-        "full", Orbit(0)), [0], True),
+    "WeightModule": lambda: WeightModule(_h(), 1, GammaInterval(Orbit(0)),
+                                         [0], True),
     "Embedding": lambda: presentation(2, "calA")[1],
     "CuspShape": lambda: CuspShape((2, 3)),
     "ExponentSet": lambda: ExponentSet(points=(0,), ge=2),
@@ -168,7 +168,7 @@ _FROZEN = {
     "LinMaxIdeal": lambda: LinMaxIdeal(Fraction(1, 2)),
     "Orbit": lambda: Orbit(Fraction(5, 2)),
     "GammaInterval": lambda: GammaInterval(
-        "half_open", Orbit(0), LinMaxIdeal(0), LinMaxIdeal(3)),
+        Orbit(0), LinMaxIdeal(0), LinMaxIdeal(3)),
     "GwaPresentation": lambda: GwaPresentation([_h()], [2]),
     "StructureRelation": lambda: structure_constant(2, -1, -3),
 }
