@@ -7,7 +7,7 @@ classification machinery for simple weight modules and normal elements.
 """
 
 from .exactpoly import (ArityMismatch, BasePoly, DivisionByZero, NotDivisible,
-                        exact_divide, divides, linear_factors, poly_to_json,
+                        exact_divide, linear_factors, poly_to_json,
                         rational_roots, render_poly)
 from .skewlaurent import (LaurentOp, commutator, graded_divisor, op_to_json,
                           render_op, vanishing_roots, weyl_membership)

@@ -27,9 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .exactpoly import (ArityMismatch, BasePoly, Frozen, Value, rational_roots,
-                        render_poly)
-from .gwa import GwaElement, GwaPresentation
+from .exactpoly import ArityMismatch, BasePoly, Value, rational_roots, render_poly
+from .gwa import GwaElement
 from .modactions import ExponentSet, WeightSupport, cusp_mask, quotient_mask, support
 from .cuspops import as_shape
 
@@ -183,25 +182,23 @@ def partition_orbit(a: BasePoly, orbit: Orbit):
     return [GammaInterval(orbit, lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
-class WeightModule(Frozen):
+class WeightModule(Value):
     """Weight-by-weight model of the simple module attached to an interval.
 
-    Weights are roots in the interval reachable from its anchored end in
-    multiples of step; infinite intervals are windowed.  The up transition
+    Weights (a tuple) are roots in the interval reachable from its anchored
+    end in multiples of step; infinite intervals are windowed, and the module
+    is finite exactly when the interval has both ends.  The up transition
     lambda -> lambda + step has scalar 1 where both ends lie in the interval;
     the down transition lambda -> lambda - step has scalar a(lambda - step),
     so down(up(lambda)) = a(lambda) holds on the nose and boundary down maps
     vanish exactly because their scalar sits at a marked root.
     """
 
-    __slots__ = ("a", "step", "interval", "weights", "finite")
+    __slots__ = _fields = ("a", "step", "interval", "weights")
 
-    def __init__(self, a, step, interval, weights, finite):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "step", int(step))
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "weights", tuple(map(_rational, weights)))
-        object.__setattr__(self, "finite", bool(finite))
+    @property
+    def finite(self) -> bool:
+        return self.interval.lower is not None and self.interval.upper is not None
 
     @property
     def dimension(self):
@@ -228,27 +225,22 @@ def build_weight_module(a: BasePoly, gamma: GammaInterval, step: int,
         top = upper.root
         count = window if lower is None else -((lower.root - top) // step)
         weights = [top - k * step for k in range(count - 1, -1, -1)]
-        return WeightModule(a, step, gamma, weights, lower is not None)
-    if lower is not None:
+    elif lower is not None:
         bottom = lower.root + step
         weights = [bottom + k * step for k in range(window)]
-        return WeightModule(a, step, gamma, weights, False)
-    rep = gamma.orbit.rep
-    weights = [rep + k * step for k in range(-window, window + 1)]
-    return WeightModule(a, step, gamma, weights, False)
+    else:
+        rep = gamma.orbit.rep
+        weights = [rep + k * step for k in range(-window, window + 1)]
+    return WeightModule(a, step, gamma, tuple(weights))
 
 
-class ClassifiedModule:
-    """One entry of a classification list: interval, quotient data, support."""
+class ClassifiedModule(Value):
+    """One entry of a classification list: interval, quotient data, support.
 
-    __slots__ = ("tag", "interval", "annihilator", "module", "support")
+    annihilator is a tuple of generator texts.
+    """
 
-    def __init__(self, tag, interval, annihilator, module, supp):
-        self.tag = tag
-        self.interval = interval
-        self.annihilator = annihilator
-        self.module = module
-        self.support = supp
+    __slots__ = _fields = ("tag", "interval", "annihilator", "module", "support")
 
     @property
     def dimension(self):
@@ -262,7 +254,7 @@ class ClassifiedModule:
         return {
             "tag": self.tag,
             "interval": self.interval.to_json() if self.interval else None,
-            "annihilator": self.annihilator,
+            "annihilator": list(self.annihilator),
             "dimension": "infinite" if dim == INFINITE else dim,
             "support": self.support.to_json() if self.support else None,
         }
@@ -291,7 +283,7 @@ def classify_bbA(m: int, window: int = 10):
         entries.append(ClassifiedModule(tag, gamma, ann, wm, supp))
     entries.append(ClassifiedModule(
         "family", None,
-        ["h-r for any root r with 0 < r mod 1"], None, None))
+        ("h-r for any root r with 0 < r mod 1",), None, None))
     return entries
 
 
@@ -317,17 +309,16 @@ def _bbA_annihilator_and_support(wm: WeightModule):
         roots = ExponentSet(ge=w0)
     else:
         roots = ExponentSet(points=wm.weights)
-    return ann, WeightSupport(roots)
+    return tuple(ann), WeightSupport(roots)
 
 
-class TorsionClassification:
-    """The simple modules with base torsion: two exceptional plus a family."""
+class TorsionClassification(Value):
+    """The simple modules with base torsion: two exceptional plus a family.
 
-    __slots__ = ("exceptional", "family_note")
+    exceptional is a tuple of (name, WeightSupport) pairs.
+    """
 
-    def __init__(self, exceptional, family_note):
-        self.exceptional = list(exceptional)
-        self.family_note = family_note
+    __slots__ = _fields = ("exceptional", "family_note")
 
     def to_json(self) -> dict:
         return {
@@ -347,8 +338,8 @@ def classify_DA_torsion(m: int) -> TorsionClassification:
     """
     shape = as_shape(m)
     return TorsionClassification(
-        [("A", support(cusp_mask(shape))),
-         ("Aprime", support(quotient_mask(shape)))],
+        (("A", support(cusp_mask(shape))),
+         ("Aprime", support(quotient_mask(shape)))),
         "one simple module per maximal ideal of the base localization whose "
         "orbit misses the integer roots; all infinite dimensional")
 
@@ -397,22 +388,17 @@ def _nonpositive_coords(b: GwaElement):
     return mprime, {k: b.graded_component((-k,)) for k in range(mprime + 1)}
 
 
-def _right_coeff(pres: GwaPresentation, k: int, left: BasePoly) -> BasePoly:
-    """Right coefficient at v_{-k}: conjugate the left one by sigma^k."""
-    return left.shift([k * pres.steps[0]])
-
-
 def _split_ends(b: GwaElement):
     """(m', left coords, right beta_0, roots of beta_0, roots of beta_{-m'}) of b.
 
-    beta_{-m'} is sigma^{m' step} of the stored left[m'], so its roots are
-    those of left[m'] moved up by m' step; only the stored objects are split.
+    The right coefficient at v_{-k} is sigma^{k step} of the left one, so
+    beta_0 is the stored left[0], and the roots of beta_{-m'} are those of
+    left[m'] moved up by m' step; only the stored objects are split.
     """
     mprime, left = _nonpositive_coords(b)
-    pres = b.presentation
-    beta0 = _right_coeff(pres, 0, left[0])
+    beta0 = left[0]
     return (mprime, left, beta0, _split_roots(beta0),
-            _split_roots(left[mprime], mprime * pres.steps[0]))
+            _split_roots(left[mprime], mprime * b.presentation.steps[0]))
 
 
 def is_normal(b: GwaElement) -> bool:
@@ -429,16 +415,10 @@ def is_normal(b: GwaElement) -> bool:
             _least_shift(roots0, _split_roots(b.presentation.a[0]), 1) == 0)
 
 
-class NormalizationResult:
+class NormalizationResult(Value):
     """Outcome of normalize: the shift count and the two multipliers."""
 
-    __slots__ = ("s", "alpha", "beta", "normalized")
-
-    def __init__(self, s, alpha, beta, normalized):
-        self.s = s
-        self.alpha = alpha
-        self.beta = beta
-        self.normalized = normalized
+    __slots__ = _fields = ("s", "alpha", "beta", "normalized")
 
     def __repr__(self):
         return "NormalizationResult(s=%d)" % self.s

@@ -178,7 +178,7 @@ def cmd_act(args):
     vec = _to_vector(parse_expression(args.vector, shape, args.algebra))
     if args.quotient:
         try:
-            out = act_on_quotient(u, vec, cusp_mask(shape))
+            out = act_on_quotient(u, vec, shape)
         except NotStable as exc:
             return 1, {"error": str(exc)}, [str(exc)]
     else:
@@ -231,11 +231,12 @@ def cmd_relations_check(args):
                     for v in factor_gens[f2]:
                         commuted += 1
                         if u * v != v * u:
-                            commute_failures.append((f1 + 1, f2 + 1))
+                            commute_failures.append(
+                                (f1 + 1, f2 + 1, render_op(u), render_op(v)))
     bad = bool(failures or commute_failures)
     lines = ["mismatch at m=%d, (i, j)=(%d, %d), case %s" % f
              for f in failures]
-    lines += ["factors %d and %d fail to commute" % f
+    lines += ["factors %d and %d fail to commute: u = %s, v = %s" % f
               for f in commute_failures]
     lines.append("checked %d relation pairs, %d cross-factor commutations: %s"
                  % (len(triples), commuted,
@@ -245,7 +246,8 @@ def cmd_relations_check(args):
         "corrupt": bool(args.corrupt),
         "failures": [{"m": mi, "i": i, "j": j, "case": case}
                      for mi, i, j, case in failures],
-        "commutation_failures": [list(f) for f in commute_failures]}, lines
+        "commutation_failures": [{"factors": [f1, f2], "u": u, "v": v}
+                                 for f1, f2, u, v in commute_failures]}, lines
 
 
 def _random_element(pres, rng):

@@ -25,10 +25,11 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, Value,
-                        exact_divide, linear_factors)
+                        linear_factors)
 from .gwa import Embedding, GwaPresentation
 # phi is re-exported: the package root and the bench read cuspops.phi
-from .skewlaurent import LaurentOp, graded_divisor, phi, vanishing_roots
+from .skewlaurent import (LaurentOp, graded_divisor, graded_quotients, phi,
+                          vanishing_roots)
 
 
 class CuspShape(Value):
@@ -120,37 +121,24 @@ def _as_op(u) -> LaurentOp:
     raise TypeError("expected LaurentOp or BasePoly")
 
 
-def _graded_quotients(u, shape) -> dict:
-    """{alpha: coefficient of u at alpha / graded_divisor(widths, alpha)},
-    in support order; raises NotDivisible at the first component that the
-    divisor does not divide."""
-    widths = as_shape(shape).m
-    u = _as_op(u)
-    if u.nvars != len(widths):
-        raise ArityMismatch("operator arity %d != shape rank %d"
-                            % (u.nvars, len(widths)))
-    comps = u.components
-    return {alpha: exact_divide(comps[alpha], graded_divisor(widths, alpha))
-            for alpha in u.support()}
-
-
 def membership(u, shape) -> bool:
     """Whether u lies in the operator ring of the shape: whether its
     decomposition over the deltas succeeds."""
     # not through decompose: bench/spans.py counts calls to that name
     try:
-        _graded_quotients(u, shape)
+        graded_quotients(_as_op(u), as_shape(shape).m)
     except NotDivisible:
         return False
     return True
 
 
 def decompose(u, shape) -> dict:
-    """Coefficients c_alpha with u = sum c_alpha * delta_alpha.
+    """Coefficients c_alpha with u = sum c_alpha * delta_alpha, in support
+    order (skewlaurent.graded_quotients).
 
     Raises NotDivisible when u is outside the operator ring.
     """
-    return _graded_quotients(u, shape)
+    return graded_quotients(_as_op(u), as_shape(shape).m)
 
 
 class StructureRelation(Value):
@@ -176,14 +164,6 @@ class StructureRelation(Value):
     """
 
     __slots__ = _fields = ("m", "i", "j", "case", "coefficient", "residual")
-
-    def __init__(self, m, i, j, case, coefficient, residual):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "residual", tuple(residual))
 
     def rhs_op(self, shape) -> LaurentOp:
         """coefficient * (product of the residual deltas), in the Laurent ring.

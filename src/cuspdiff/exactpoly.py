@@ -114,10 +114,21 @@ class Frozen:
 class Value(Frozen):
     """A Frozen class equal and hashed by the slots _fields names.
 
-    Objects of different classes are never equal.
+    The default constructor stores one value per _fields entry, in order and
+    as given (TypeError on a wrong count), so a record needs no __init__ of
+    its own; one that validates or converts its input defines it.  Objects of
+    different classes are never equal.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s has %d fields, got %d values"
+                            % (type(self).__name__, len(self._fields),
+                               len(values)))
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
 
     def __eq__(self, other):
         if self is other:
@@ -467,14 +478,6 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
                 rem.pop(ne, None)
     # a remainder of Fractions can lead with an integral one, kept as int
     return BasePoly._trusted(p.nvars, _clean(quot) if qc == 1 else quot)
-
-
-def divides(q: BasePoly, p: BasePoly) -> bool:
-    try:
-        exact_divide(p, q)
-        return True
-    except NotDivisible:
-        return False
 
 
 # -- rational roots -------------------------------------------------------

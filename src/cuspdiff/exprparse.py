@@ -24,6 +24,7 @@ grammar and rejects any term of nonzero degree.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactpoly import BasePoly
@@ -37,16 +38,7 @@ class ExprParseError(ValueError):
     """Raised with a position when an expression does not parse."""
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-    def __repr__(self):
-        return "_Token(%s, %r, %d)" % (self.kind, self.text, self.pos)
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str):

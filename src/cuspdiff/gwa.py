@@ -293,7 +293,7 @@ def verify_presentation(pres: GwaPresentation, depth: int = 3,
                     != gwa_multiply(va, gwa_multiply(vb, vc))), None)
     checks.append(GwaCheck("associativity(depth=%d)" % depth, bad is None,
                            "" if bad is None else "failed at %r" % (bad,)))
-    return GwaReport(checks)
+    return GwaReport(tuple(checks))
 
 
 def _factor_failures(pres, i, depth):
@@ -315,11 +315,11 @@ def _factor_failures(pres, i, depth):
 GwaCheck = namedtuple("GwaCheck", "name ok witness")
 
 
-class GwaReport:
-    """Outcome of verify_presentation: named checks plus an overall verdict."""
+class GwaReport(Value):
+    """Outcome of verify_presentation: a tuple of named checks plus an overall
+    verdict."""
 
-    def __init__(self, checks):
-        self.checks = list(checks)
+    __slots__ = _fields = ("checks",)
 
     @property
     def ok(self) -> bool:

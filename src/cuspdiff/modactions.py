@@ -3,7 +3,8 @@
 The ambient module is the span of the monomials x^beta, beta in Z^n, with
 (d * x^alpha) acting on x^beta as d evaluated at (alpha + beta + 1) times
 x^{alpha+beta}; in particular h_i acts on x^beta as beta_i + 1.  Submodules
-and quotients are cut out by masks on the exponent lattice.
+are cut out by masks on the exponent lattice; the quotient is always the one
+by the subalgebra itself, A(m) = the span of the monomials in cusp_mask.
 """
 
 from __future__ import annotations
@@ -214,13 +215,13 @@ class GradedMask(Frozen):
     """Product mask on Z^n: one ExponentSet per factor.
 
     A monomial x^gamma is inside the mask when every coordinate lies in its
-    factor's set.  Masks produced by cusp_mask remember their shape so that
-    quotient actions can check stability.
+    factor's set.  A mask is a set of exponents only; quotient actions take
+    the shape, not a mask (see act_on_quotient).
     """
 
-    __slots__ = ("factors", "shape")
+    __slots__ = ("factors",)
 
-    def __init__(self, factors, shape=None):
+    def __init__(self, factors):
         factors = tuple(factors)
         if not factors:
             raise ValueError("mask needs at least one factor")
@@ -228,7 +229,6 @@ class GradedMask(Frozen):
             if not isinstance(f, ExponentSet):
                 raise TypeError("mask factors must be ExponentSet")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "shape", shape)
 
     @property
     def nvars(self) -> int:
@@ -256,8 +256,7 @@ class GradedMask(Frozen):
 def cusp_mask(shape) -> GradedMask:
     """Exponent mask of the subalgebra itself: {0} union [m_i, infinity) per factor."""
     shape = as_shape(shape)
-    return GradedMask([ExponentSet(points=(0,), ge=mi) for mi in shape.m],
-                      shape=shape)
+    return GradedMask([ExponentSet(points=(0,), ge=mi) for mi in shape.m])
 
 
 def quotient_mask(shape) -> GradedMask:
@@ -266,29 +265,25 @@ def quotient_mask(shape) -> GradedMask:
     Only meaningful factorwise; a rank one quotient has basis exponents
     (-infinity, -1] union [1, m-1].
     """
-    shape = as_shape(shape)
-    factors = []
-    for mi in shape.m:
-        factors.append(ExponentSet(points=range(1, mi), le=-1))
-    return GradedMask(factors, shape=shape)
+    return GradedMask([ExponentSet(points=range(1, mi), le=-1)
+                       for mi in as_shape(shape).m])
 
 
-def act_on_quotient(u, v: LaurentVector, mask: GradedMask) -> LaurentVector:
-    """Action on the quotient by the masked submodule.
+def act_on_quotient(u, v: LaurentVector, shape) -> LaurentVector:
+    """Action on the quotient of the Laurent module by the submodule A(m).
 
-    The operator must belong to the operator ring of the mask's shape, so the
-    masked submodule is stable and the induced action is well defined; apply
-    then discard every component inside the mask.
+    A(m) is the span of the monomials in cusp_mask(shape), and it is stable
+    under exactly the operators of the shape's ring; u must be one (else
+    NotStable), so the induced action is well defined: apply, then discard
+    every component inside the mask.
     """
-    _require_stable(u, mask)
-    return mask.project_outside(act(u, v))
+    _require_stable(u, shape)
+    return cusp_mask(shape).project_outside(act(u, v))
 
 
-def _require_stable(u, mask: GradedMask):
-    """Raise NotStable unless u lies in the operator ring of the mask's shape."""
-    if mask.shape is None:
-        raise NotStable("mask carries no shape; stability cannot be checked")
-    if not membership(u, mask.shape):
+def _require_stable(u, shape):
+    """Raise NotStable unless u lies in the operator ring of the shape."""
+    if not membership(u, shape):
         raise NotStable("operator is outside the ring; quotient action undefined")
 
 
@@ -323,9 +318,6 @@ class WeightSupport(Value):
     """
 
     __slots__ = _fields = ("roots",)
-
-    def __init__(self, roots: ExponentSet):
-        object.__setattr__(self, "roots", roots)
 
     def contains_root(self, r: int) -> bool:
         return r in self.roots
@@ -368,9 +360,9 @@ def _unit_pair(shape):
 
 
 def _moves(op, k: int, mask: GradedMask | None) -> bool:
-    """Whether op sends x^k to a nonzero vector, in the quotient by mask if
-    one is given.  The caller has checked op against the mask once, as
-    act_on_quotient would on every call."""
+    """Whether op sends x^k to a nonzero vector, in the quotient by mask
+    (cusp_mask of the shape) if one is given.  The caller has checked op
+    against the shape's ring once, as act_on_quotient would on every call."""
     image = act(op, LaurentVector._trusted(1, {(k,): 1}))
     if mask is not None:
         image = mask.project_outside(image)
@@ -409,7 +401,7 @@ def simplicity_probe(module: str, shape, window: int,
     gap_up, gap_down = delta_op(shape, (jump,)), delta_op(shape, (-jump,))
     if mask is not None:
         for op in (up1, down1, gap_up, gap_down):
-            _require_stable(op, mask)
+            _require_stable(op, shape)
     for run in runs:
         for k in run:
             if not (_moves(up1, k, mask) and _moves(down1, k + 1, mask)):
@@ -439,8 +431,8 @@ def restriction_blocks(shape, window: int):
                          % (window, m + 2))
     up1, down1 = _unit_pair(shape)
     mask = cusp_mask(shape)
-    _require_stable(up1, mask)
-    _require_stable(down1, mask)
+    _require_stable(up1, shape)
+    _require_stable(down1, shape)
 
     def blocks(exponents, quotient_by):
         exponents = sorted(exponents)

@@ -5,9 +5,10 @@ and d_alpha in Q[h1..hn].  Multiplication moves x past coefficients by the
 shift rule  x^alpha * d = shift(d, alpha) * x^alpha, which encodes
 x_i h_i = (h_i - 1) x_i.  The Weyl algebra sits inside via
 partial_i = h_i x_i^{-1}.  Which components an operator ring allows is one
-rule, the graded divisor of vanishing_roots; the Weyl algebra is its width 1
-instance.  phi and graded_divisor are fixed tables, memoized per process:
-each key yields one shared immutable BasePoly.
+rule, the graded divisor of vanishing_roots, and membership is one loop,
+graded_quotients, that divides each component by it; the Weyl algebra is
+the width 1 instance of both.  phi and graded_divisor are fixed tables,
+memoized per process: each key yields one shared immutable BasePoly.
 
 The private base Graded holds what LaurentOp shares with gwa.GwaElement, the
 other Z^n-graded sum with left coefficients in Q[h1..hn]: validation,
@@ -23,8 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactpoly import (ArityMismatch, BasePoly, RingOps, divides, grlex_key,
-                        linear_factors, poly_to_json, render_poly)
+from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
+                        exact_divide, grlex_key, linear_factors, poly_to_json,
+                        render_poly)
 
 
 class Graded(RingOps):
@@ -274,15 +276,30 @@ def graded_divisor(widths, alpha) -> BasePoly:
     return out
 
 
-def weyl_membership(u: LaurentOp) -> bool:
-    """Whether u lies in the Weyl subalgebra generated by the x_i and partial_i.
+def graded_quotients(u: LaurentOp, widths) -> dict:
+    """{alpha: coefficient of u at alpha / graded_divisor(widths, alpha)}.
 
-    That is membership at widths (1, ..., 1): graded_divisor divides each
-    component.
+    The membership rule of every operator ring: u lies in the ring of the
+    widths (a tuple) exactly when this succeeds.  Walks the support order
+    and raises NotDivisible at the first component that the divisor does
+    not divide.
     """
-    widths = (1,) * u.nvars
-    return all(divides(graded_divisor(widths, alpha), dpoly)
-               for alpha, dpoly in u.components.items())
+    if u.nvars != len(widths):
+        raise ArityMismatch("operator arity %d != shape rank %d"
+                            % (u.nvars, len(widths)))
+    comps = u.components
+    return {alpha: exact_divide(comps[alpha], graded_divisor(widths, alpha))
+            for alpha in u.support()}
+
+
+def weyl_membership(u: LaurentOp) -> bool:
+    """Whether u lies in the Weyl subalgebra generated by the x_i and partial_i:
+    whether graded_quotients succeeds at widths (1, ..., 1)."""
+    try:
+        graded_quotients(u, (1,) * u.nvars)
+    except NotDivisible:
+        return False
+    return True
 
 
 # -- canonical text and json forms ----------------------------------------

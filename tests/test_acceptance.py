@@ -325,12 +325,13 @@ def _reference_roots_less(aroots, broots):
 
 def _minimality_witness(b, s):
     """True when shift count s satisfies the three orbit-order conditions."""
-    from cuspdiff.classify import _nonpositive_coords, _right_coeff, _split_roots
+    from cuspdiff.classify import _nonpositive_coords, _split_roots
     mprime, left = _nonpositive_coords(b)
     pres = b.presentation
     step = pres.steps[0]
-    roots0 = _split_roots(_right_coeff(pres, 0, left[0]))
-    rootsm = _split_roots(_right_coeff(pres, mprime, left[mprime]))
+    # the right coefficient at v_{-k} is sigma^{k step} of the left one
+    roots0 = _split_roots(left[0])
+    rootsm = _split_roots(left[mprime].shift([mprime * step]))
     shifted = [r - s * step for r in roots0]
     return (_reference_roots_less(shifted, rootsm)
             and _reference_roots_less(shifted, roots0)

@@ -291,12 +291,12 @@ class TestClassifyBbA:
 
     def test_annihilators(self):
         entries = classify_bbA(2)
-        assert entries[0].annihilator == ["h", "delta(1)"]
-        assert entries[1].annihilator == ["delta(-1)", "h-1", "delta(1)"]
-        assert entries[2].annihilator == ["delta(-1)", "h-2", "delta(1)"]
-        assert entries[3].annihilator == ["h-3", "delta(-1)"]
+        assert entries[0].annihilator == ("h", "delta(1)")
+        assert entries[1].annihilator == ("delta(-1)", "h-1", "delta(1)")
+        assert entries[2].annihilator == ("delta(-1)", "h-2", "delta(1)")
+        assert entries[3].annihilator == ("h-3", "delta(-1)")
         entries = classify_bbA(5)
-        assert entries[2].annihilator == ["delta(-1)^4", "h-5", "delta(1)"]
+        assert entries[2].annihilator == ("delta(-1)^4", "h-5", "delta(1)")
 
     def test_intervals_match_marked_roots(self):
         entries = classify_bbA(6)
@@ -548,12 +548,13 @@ def _random_lower(pres, rng):
 
 def _shift_ok(b, s):
     """Check the three orbit-order conditions at shift count s."""
-    from cuspdiff.classify import _nonpositive_coords, _right_coeff, _split_roots
+    from cuspdiff.classify import _nonpositive_coords, _split_roots
     mprime, left = _nonpositive_coords(b)
     pres = b.presentation
     step = pres.steps[0]
-    beta0 = _right_coeff(pres, 0, left[0])
-    betam = _right_coeff(pres, mprime, left[mprime])
+    # the right coefficient at v_{-k} is sigma^{k step} of the left one
+    beta0 = left[0]
+    betam = left[mprime].shift([mprime * step])
     shifted = [r - s * step for r in _split_roots(beta0)]
     return (_reference_roots_less(shifted, _split_roots(betam))
             and _reference_roots_less(shifted, _split_roots(beta0))

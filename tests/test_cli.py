@@ -243,16 +243,22 @@ class TestRelationsCheck:
         real = cli.factor_generators
         monkeypatch.setattr(cli, "factor_generators", lambda shape, f: (
             real(shape, f) if f == 0 else [x1]))
+        # each failure names its pair, factor 1's generator first
+        failing = ["(h1)", "(h1-2) * x1", "(h1^2-2*h1) * x1^-1",
+                   "(h1^2-h1-2) * x1^-2", "(h1^3-4*h1) * x1^-3"]
         code, out = run(capsys, "relations-check", "--m", "2,3")
         assert code == 1
-        assert out.splitlines() == ["factors 1 and 2 fail to commute"] * 5 + [
+        assert out.splitlines() == [
+            "factors 1 and 2 fail to commute: u = %s, v = (1) * x1" % u
+            for u in failing] + [
             "checked 136 relation pairs, 7 cross-factor commutations: "
             "failures above"]
         code, out = run(capsys, "relations-check", "--m", "2,3", "--json")
         assert code == 1
         data = json.loads(out)
         assert data["commutation_checked"] == 7
-        assert data["commutation_failures"] == [[1, 2]] * 5
+        assert data["commutation_failures"] == [
+            {"factors": [1, 2], "u": u, "v": "(1) * x1"} for u in failing]
         assert data["failures"] == []
 
     def test_corrupt_json_names_the_case(self, capsys):
@@ -596,6 +602,14 @@ _PINNED = [  # argv, exit code, text stdout, --json stdout
      0, 'e69c4eefe2ab', 'c6a95423f7c2'),
     ("orbit --a 'h*(h-1)*(h-1/2)' --root 1/2",
      0, 'cb05f5a961c8', 'c853a866c197'),
+    ("member --m 2,3 --algebra weyl 'd(1)*x2+h2*d(2)^2'",
+     0, '38ae5bbb95be', '8833081c11e6'),
+    ("member --m 2,3 --algebra weyl 'x1^-1*x2'",
+     1, '9ef4cd31ced6', '51c3facf432d'),
+    ("act --m 2,3 --quotient 'delta(-2)' 'x1*x2^-1'",
+     0, 'a17de6070ef1', 'b236bcbdab1f'),
+    ("act --m 2,3 --quotient x2 'x1^-1'", 1, '5a5228dbc8bb', 'e05a58d13bc6'),
+    ('classify --m 3', 0, '8882d358daf3', 'a478f3776716'),
 ]
 
 _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2

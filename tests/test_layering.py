@@ -14,10 +14,12 @@ from pathlib import Path
 import pytest
 
 import cuspdiff
-from cuspdiff.classify import GammaInterval, LinMaxIdeal, Orbit, WeightModule
-from cuspdiff.cuspops import CuspShape, presentation, structure_constant
+from cuspdiff.classify import (GammaInterval, LinMaxIdeal, Orbit, WeightModule,
+                               classify_bbA, classify_DA_torsion, normalize)
+from cuspdiff.cuspops import (CuspShape, bbA_presentation, presentation,
+                              structure_constant)
 from cuspdiff.exactpoly import BasePoly, Frozen, Value
-from cuspdiff.gwa import GwaPresentation
+from cuspdiff.gwa import GwaPresentation, verify_presentation
 from cuspdiff.modactions import (ExponentSet, LaurentVector, WeightSupport,
                                  cusp_mask)
 from cuspdiff.skewlaurent import LaurentOp
@@ -159,8 +161,9 @@ _FROZEN = {
     "GwaElement": lambda: GwaPresentation([_h()], [1]).basis((1,)),
     "LaurentVector": lambda: LaurentVector(1, {(1,): 2}),
     "GradedMask": lambda: cusp_mask(2),
-    "WeightModule": lambda: WeightModule(_h(), 1, GammaInterval(Orbit(0)),
-                                         [0], True),
+    "WeightModule": lambda: WeightModule(
+        _h(), 1, GammaInterval(Orbit(0), LinMaxIdeal(-1), LinMaxIdeal(0)),
+        (0,)),
     "Embedding": lambda: presentation(2, "calA")[1],
     "CuspShape": lambda: CuspShape((2, 3)),
     "ExponentSet": lambda: ExponentSet(points=(0,), ge=2),
@@ -171,6 +174,12 @@ _FROZEN = {
         Orbit(0), LinMaxIdeal(0), LinMaxIdeal(3)),
     "GwaPresentation": lambda: GwaPresentation([_h()], [2]),
     "StructureRelation": lambda: structure_constant(2, -1, -3),
+    "ClassifiedModule": lambda: classify_bbA(2, window=3)[1],
+    "TorsionClassification": lambda: classify_DA_torsion(3),
+    "NormalizationResult": lambda: normalize(
+        bbA_presentation(2)[0].element({(0,): _h(), (-1,): _h()})),
+    "GwaReport": lambda: verify_presentation(GwaPresentation([_h()], [1]),
+                                             depth=1),
 }
 
 _PRIVATE_BASES = {"Value", "RingOps", "Graded"}
@@ -202,6 +211,15 @@ def test_frozen_instances(name):
         assert twin == obj and hash(twin) == hash(obj)
         assert not twin != obj
         assert obj in {twin}
+
+
+def test_value_constructor_takes_one_value_per_field():
+    roots = ExponentSet(ge=1)
+    assert WeightSupport(roots).roots is roots
+    for values in ((), (roots, roots)):
+        with pytest.raises(TypeError, match="^WeightSupport has 1 fields, "
+                                            "got %d values$" % len(values)):
+            WeightSupport(*values)
 
 
 def test_values_of_different_classes_differ():

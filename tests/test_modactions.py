@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 from cuspdiff import modactions
 from cuspdiff.cuspops import CuspShape, delta_op, generating_set, generator_pair
 from cuspdiff.exactpoly import ArityMismatch, BasePoly
-from cuspdiff.modactions import (ExponentSet, GradedMask, LaurentVector,
-                                 NotStable, act, act_on_quotient, cusp_mask,
-                                 quotient_mask, render_vector,
-                                 restriction_blocks, simplicity_probe,
-                                 stability_check, support)
+from cuspdiff.modactions import (ExponentSet, LaurentVector, NotStable, act,
+                                 act_on_quotient, cusp_mask, quotient_mask,
+                                 render_vector, restriction_blocks,
+                                 simplicity_probe, stability_check, support)
 from cuspdiff.skewlaurent import LaurentOp
 
 H = BasePoly.variable(1, 0)
@@ -188,21 +187,20 @@ class TestMasks:
 
 class TestQuotientAction:
     def test_submodule_is_stable_so_action_descends(self):
-        mask = cusp_mask(2)
         # delta_{-2} x^1 = phi(2,-2)(2) x^{-1} = -2 x^{-1} survives in the quotient
-        got = act_on_quotient(delta_op(2, (-2,)), mono(1), mask)
+        got = act_on_quotient(delta_op(2, (-2,)), mono(1), 2)
         assert got == mono(-1, -2)
 
     def test_inside_part_is_projected_away(self):
-        mask = cusp_mask(2)
-        got = act_on_quotient(delta_op(2, (-1,)), mono(1), mask)
+        got = act_on_quotient(delta_op(2, (-1,)), mono(1), 2)
         # delta_{-1} x = phi(2,-1)(2) x^0 = 0 * x^0, lands in the mask anyway
         assert got.is_zero()
+        # delta_2 x = x^3 lies in A(2), so it is zero in the quotient
+        assert act_on_quotient(delta_op(2, (2,)), mono(1), 2).is_zero()
 
     def test_rejects_unstable_operator(self):
-        mask = cusp_mask(2)
         with pytest.raises(NotStable):
-            act_on_quotient(x, mono(1), mask)
+            act_on_quotient(x, mono(1), 2)
 
     def test_unstable_operator_is_refused_whatever_the_vector(self):
         # x is outside the ring for every width >= 2, even where its image
@@ -210,15 +208,21 @@ class TestQuotientAction:
         for v in (mono(-3), mono(-3, Fraction(2, 3)), mono(1) + mono(5),
                   LaurentVector(1)):
             with pytest.raises(NotStable):
-                act_on_quotient(x, v, cusp_mask(2))
+                act_on_quotient(x, v, 2)
         x1 = LaurentOp.x(2, 0)
         with pytest.raises(NotStable):
-            act_on_quotient(x1, LaurentVector.monomial(2, (-2, 1)),
-                            cusp_mask(CuspShape((2, 3))))
-        # a mask without a shape cannot vouch for any operator
-        bare = GradedMask([ExponentSet(points=(0,), ge=2)])
-        with pytest.raises(NotStable):
-            act_on_quotient(delta_op(2, (1,)), mono(1), bare)
+            act_on_quotient(x1, LaurentVector.monomial(2, (-2, 1)), (2, 3))
+
+    @pytest.mark.parametrize("shape", [2, 3, (2, 3)], ids=["2", "3", "2,3"])
+    def test_generators_kill_the_submodule(self, shape):
+        # A(m) is zero in the quotient, and every generator keeps it there
+        shape = CuspShape(shape)
+        inside = cusp_mask(shape).masked_monomials(8)
+        assert inside
+        for g in generating_set(shape):
+            for gamma in inside:
+                v = LaurentVector.monomial(shape.rank, gamma, 3)
+                assert act_on_quotient(g, v, shape).is_zero(), (g, gamma)
 
 
 class TestStability:
@@ -285,6 +289,13 @@ class TestSimplicity:
             simplicity_probe(module, 3, window=7)
         assert str(err.value) == "window 7 too small; need at least 8"
         assert simplicity_probe(module, 3, window=8)
+        # and the message names 2m + 2 at every width
+        for m in (1, 2, 4, 5):
+            with pytest.raises(ValueError) as err:
+                simplicity_probe(module, m, window=2 * m + 1)
+            assert str(err.value) == ("window %d too small; need at least %d"
+                                      % (2 * m + 1, 2 * m + 2))
+            assert simplicity_probe(module, m, window=2 * m + 2)
 
     def test_blocks_window_guard_names_m_plus_2(self):
         # at m = 3 the window must exceed m + 2 = 5
