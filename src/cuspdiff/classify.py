@@ -27,7 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .exactpoly import ArityMismatch, BasePoly, Value, rational_roots, render_poly
+from .exactpoly import (ArityMismatch, BasePoly, Value, linear_factors,
+                        rational_roots, render_number, render_poly)
 from .gwa import GwaElement
 from .modactions import ExponentSet, WeightSupport, cusp_mask, quotient_mask, support
 from .cuspops import as_shape
@@ -56,7 +57,8 @@ def _rational(r):
 
 
 class LinMaxIdeal(Value):
-    """The maximal ideal (h - root) of the base ring."""
+    """The maximal ideal (h - root) of the base ring, written
+    render_poly(linear_factors([root])) in parentheses."""
 
     __slots__ = _fields = ("root",)
 
@@ -64,15 +66,10 @@ class LinMaxIdeal(Value):
         object.__setattr__(self, "root", _rational(root))
 
     def __repr__(self):
-        return "LinMaxIdeal(%s)" % self.root
+        return "LinMaxIdeal(%s)" % render_number(self.root)
 
     def render(self) -> str:
-        r = self.root
-        if r == 0:
-            return "(h)"
-        if r > 0:
-            return "(h-%s)" % r
-        return "(h+%s)" % (-r)
+        return "(%s)" % render_poly(linear_factors([self.root]))
 
 
 class Orbit(Value):
@@ -89,7 +86,7 @@ class Orbit(Value):
         return (root - self.rep).denominator == 1
 
     def __repr__(self):
-        return "Orbit(%s)" % self.rep
+        return "Orbit(%s)" % render_number(self.rep)
 
 
 def _split_roots(p: BasePoly, k: int = 0):
@@ -154,7 +151,8 @@ class GammaInterval(Value):
     def render(self) -> str:
         lower, upper = self.lower, self.upper
         if lower is None and upper is None:
-            return "the whole orbit of root %s mod 1" % self.orbit.rep
+            return ("the whole orbit of root %s mod 1"
+                    % render_number(self.orbit.rep))
         return "(%s, %s" % ("-inf" if lower is None else lower.render(),
                             "+inf)" if upper is None else upper.render() + "]")
 
@@ -162,12 +160,9 @@ class GammaInterval(Value):
         return "GammaInterval(%s)" % self.render()
 
     def to_json(self) -> dict:
-        anchors = []
-        if self.lower is not None:
-            anchors.append(str(self.lower.root))
-        if self.upper is not None:
-            anchors.append(str(self.upper.root))
-        return {"kind": self.kind, "anchors": anchors}
+        ends = [end for end in (self.lower, self.upper) if end is not None]
+        return {"kind": self.kind,
+                "anchors": [render_number(end.root) for end in ends]}
 
 
 def partition_orbit(a: BasePoly, orbit: Orbit):
@@ -302,7 +297,7 @@ def _bbA_annihilator_and_support(wm: WeightModule):
     if wm.finite:
         k = len(wm.weights)
         ann.append("delta(%d)" % -s + ("^%d" % k if k > 1 else ""))
-    ann += [render_poly(BasePoly.variable(1, 0) - w0), "delta(%d)" % s]
+    ann += [render_poly(linear_factors([w0])), "delta(%d)" % s]
     if wm.interval.kind == "left_ray":
         roots = ExponentSet(le=w0)
     elif wm.interval.kind == "right_ray":

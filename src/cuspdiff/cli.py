@@ -23,7 +23,7 @@ from functools import lru_cache
 from random import Random
 
 from .exactpoly import (BasePoly, NotDivisible, grlex_key, poly_to_json,
-                        render_poly)
+                        render_number, render_poly)
 from .skewlaurent import op_to_json, render_op, weyl_membership
 from .cuspops import (as_shape, decompose, delta_op, factor_generators,
                       generating_set, membership, phi, presentation,
@@ -184,7 +184,7 @@ def cmd_act(args):
     else:
         out = act(u, vec)
     text = render_vector(out)
-    return 0, {"result": {_fmt_degree(a): str(c)
+    return 0, {"result": {_fmt_degree(a): render_number(c)
                           for a, c in out.coeffs.items()},
                "text": text}, [text]
 
@@ -332,13 +332,13 @@ def cmd_orbit(args):
     marked = classify_mod.marked_ideals(a)
     intervals = classify_mod.partition_orbit(a, classify_mod.Orbit(root))
     lines = ["marked on orbit %s: %s"
-             % (orb.rep, ", ".join(i.render() for i in ideals))
+             % (render_number(orb.rep), ", ".join(i.render() for i in ideals))
              for orb, ideals in marked] or ["no marked ideals"]
-    lines.append("intervals at the orbit of %s:" % root)
+    lines.append("intervals at the orbit of %s:" % render_number(root))
     lines += ["  %s" % g.render() for g in intervals]
     return 0, {
-        "marked": [{"orbit": str(orb.rep),
-                    "roots": [str(i.root) for i in ideals]}
+        "marked": [{"orbit": render_number(orb.rep),
+                    "roots": [render_number(i.root) for i in ideals]}
                    for orb, ideals in marked],
         "intervals": [g.to_json() for g in intervals]}, lines
 

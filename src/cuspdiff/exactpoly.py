@@ -8,6 +8,13 @@ all-integer computations on the fast path.
 
 The private base Frozen makes every value class of the package immutable, and
 its subclass Value gives the plain-data ones equality and hashing by fields.
+
+Every exact value of the package becomes text here and nowhere else:
+render_number writes an int or Fraction of any size (past the interpreter's
+4300-digit str() limit), render_sum writes a signed sum of c * monomial
+terms with factor_name's, and render_poly is that sum in h.  The operator,
+GWA and vector forms, the ideals (h - r) and every root, weight and orbit
+representative the CLI prints are built from these.
 """
 
 from __future__ import annotations
@@ -628,12 +635,6 @@ def linear_factors(roots) -> BasePoly:
 
 # -- canonical text form --------------------------------------------------
 
-def _var_names(nvars: int) -> list[str]:
-    if nvars == 1:
-        return ["h"]
-    return ["h%d" % (i + 1) for i in range(nvars)]
-
-
 def _int_str(n: int) -> str:
     """Decimal digits of n, split in halves below the interpreter's str limit."""
     if n.bit_length() <= 12000:
@@ -643,43 +644,55 @@ def _int_str(n: int) -> str:
     return ("-" if n < 0 else "") + _int_str(hi) + _int_str(lo).zfill(m)
 
 
-def _coef_str(c) -> str:
+def render_number(c) -> str:
+    """Text of an exact number of any size: 12, -3/4; an integral Fraction
+    is written as its int."""
     if isinstance(c, Fraction):
-        return "%s/%s" % (_int_str(c.numerator), _int_str(c.denominator))
+        if c.denominator != 1:
+            return _int_str(c.numerator) + "/" + _int_str(c.denominator)
+        c = c.numerator
     return _int_str(c)
+
+
+def factor_name(letter: str, i: int, nvars: int, power: int = 1) -> str:
+    """The name of factor i (0-based) of nvars to the power: letter at rank 1
+    and letter<i+1> above it, with ^power written unless the power is 1."""
+    name = letter if nvars == 1 else "%s%d" % (letter, i + 1)
+    return name if power == 1 else "%s^%d" % (name, power)
+
+
+def render_sum(terms, letter: str, nvars: int, plus: str, minus: str) -> str:
+    """Text of sum c * monomial over (exponent tuple, c) pairs, in their order.
+
+    A monomial is the product of its factor_name's (zero exponents left out),
+    a coefficient of size 1 is not written before one, terms after the first
+    are joined by plus or minus, the first is signed by a bare "-", and the
+    empty sum is "0".
+    """
+    out = []
+    for exp, c in terms:
+        factors = [factor_name(letter, i, nvars, e)
+                   for i, e in enumerate(exp) if e]
+        negative = c < 0
+        mag = -c if negative else c
+        if mag != 1 or not factors:
+            factors.insert(0, render_number(mag))
+        if out:
+            out.append(minus if negative else plus)
+        elif negative:
+            out.append("-")
+        out.append("*".join(factors))
+    return "".join(out) or "0"
 
 
 def render_poly(p: BasePoly) -> str:
     """Canonical text form: graded-lex descending terms, e.g. h^2-3*h+2."""
-    if p.is_zero():
-        return "0"
-    names = _var_names(p.nvars)
-    chunks = []
-    for exp, c in p.sorted_terms():
-        factors = []
-        for name, e in zip(names, exp):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append("%s^%d" % (name, e))
-        negative = c < 0
-        mag = -c if negative else c
-        if not factors:
-            body = _coef_str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([_coef_str(mag)] + factors)
-        if not chunks:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append(("-" if negative else "+") + body)
-    return "".join(chunks)
+    return render_sum(p.sorted_terms(), "h", p.nvars, "+", "-")
 
 
 def poly_to_json(p: BasePoly) -> dict:
     return {
         "nvars": p.nvars,
-        "terms": [{"exp": list(exp), "coef": _coef_str(c)}
+        "terms": [{"exp": list(exp), "coef": render_number(c)}
                   for exp, c in p.sorted_terms()],
     }

@@ -12,7 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exactpoly import ArityMismatch, Frozen, Value, _clean
+from .exactpoly import (ArityMismatch, Frozen, Value, _clean, _norm_coef,
+                        grlex_key, linear_factors, render_number, render_poly,
+                        render_sum)
 from .skewlaurent import LaurentOp
 from .cuspops import as_shape, delta_op, generator_pair, membership
 
@@ -24,9 +26,10 @@ class NotStable(ValueError):
 class LaurentVector(Frozen):
     """Finite rational combination of monomials x^beta, beta in Z^n.
 
-    Coefficients are stored as BasePoly stores them: an int when integral,
-    a Fraction otherwise.  Results the module computes itself are wrapped by
-    the private _trusted constructor without re-checking.
+    Coefficients are validated and stored as BasePoly's are: an int or a
+    Fraction (anything else raises TypeError), an integral one stored as an
+    int.  Results the module computes itself are wrapped by the private
+    _trusted constructor without re-checking.
     """
 
     __slots__ = ("nvars", "coeffs")
@@ -49,9 +52,9 @@ class LaurentVector(Frozen):
             deg = tuple(int(v) for v in deg)
             if len(deg) != nvars:
                 raise ArityMismatch("degree %r has length != %d" % (deg, nvars))
-            c = Fraction(c)
+            c = _norm_coef(c)
             if c:
-                clean[deg] = c.numerator if c.denominator == 1 else c
+                clean[deg] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "coeffs", clean)
 
@@ -63,7 +66,7 @@ class LaurentVector(Frozen):
         return not self.coeffs
 
     def support(self):
-        return sorted(self.coeffs, key=lambda d: (sum(d), d), reverse=True)
+        return sorted(self.coeffs, key=grlex_key, reverse=True)
 
     def __add__(self, other):
         if not isinstance(other, LaurentVector):
@@ -109,30 +112,10 @@ _set_coeffs = LaurentVector.coeffs.__set__
 
 
 def render_vector(v: LaurentVector) -> str:
-    if v.is_zero():
-        return "0"
-    names = ["x"] if v.nvars == 1 else ["x%d" % (i + 1) for i in range(v.nvars)]
-    parts = []
-    for deg in v.support():
-        c = v.coeffs[deg]
-        factors = []
-        for name, e in zip(names, deg):
-            if e == 0:
-                continue
-            factors.append(name if e == 1 else "%s^%d" % (name, e))
-        cstr = str(c)
-        if not factors:
-            parts.append(cstr)
-        elif c == 1:
-            parts.append("*".join(factors))
-        elif c == -1:
-            parts.append("-" + "*".join(factors))
-        else:
-            parts.append("*".join([cstr] + factors))
-    out = parts[0]
-    for part in parts[1:]:
-        out += " - " + part[1:] if part.startswith("-") else " + " + part
-    return out
+    """Canonical text form, e.g. 3*x^2 - 2*x^-1: render_sum in x over the
+    support, terms joined by ' + ' and ' - '."""
+    return render_sum(((d, v.coeffs[d]) for d in v.support()), "x", v.nvars,
+                      " + ", " - ")
 
 
 def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:
@@ -200,11 +183,12 @@ class ExponentSet(Value):
     def __repr__(self):
         bits = []
         if self.le is not None:
-            bits.append("<=%d" % self.le)
+            bits.append("<=" + render_number(self.le))
         if self.points:
-            bits.append("{%s}" % ",".join(str(p) for p in sorted(self.points)))
+            bits.append("{%s}" % ",".join(map(render_number,
+                                              sorted(self.points))))
         if self.ge is not None:
-            bits.append(">=%d" % self.ge)
+            bits.append(">=" + render_number(self.ge))
         return "ExponentSet(%s)" % " | ".join(bits or ["empty"])
 
     def to_json(self) -> dict:
@@ -314,7 +298,8 @@ def stability_check(gens, mask: GradedMask, window: int) -> bool:
 class WeightSupport(Value):
     """Support of a module over the base: the set of roots of its weight ideals.
 
-    Stored as an ExponentSet of integer roots; the ideal at root r is (h - r).
+    Stored as an ExponentSet of integer roots; the ideal at root r is (h - r),
+    written render_poly(linear_factors([r])).
     """
 
     __slots__ = _fields = ("roots",)
@@ -328,11 +313,11 @@ class WeightSupport(Value):
     def render(self) -> str:
         bits = []
         if self.roots.le is not None:
-            bits.append("{(h-j) : j <= %d}" % self.roots.le)
-        for p in sorted(self.roots.points):
-            bits.append("{(h-%d)}" % p if p else "{(h)}")
+            bits.append("{(h-j) : j <= %s}" % render_number(self.roots.le))
+        bits += ["{(%s)}" % render_poly(linear_factors([p]))
+                 for p in sorted(self.roots.points)]
         if self.roots.ge is not None:
-            bits.append("{(h-j) : j >= %d}" % self.roots.ge)
+            bits.append("{(h-j) : j >= %s}" % render_number(self.roots.ge))
         return " u ".join(bits or ["{}"])
 
     def to_json(self) -> dict:
@@ -435,7 +420,6 @@ def restriction_blocks(shape, window: int):
     _require_stable(down1, shape)
 
     def blocks(exponents, quotient_by):
-        exponents = sorted(exponents)
         out = []
         current = []
         for k in exponents:
@@ -459,8 +443,6 @@ def restriction_blocks(shape, window: int):
                 sets.append(ExponentSet(points=block))
         return sets
 
-    exps_a = [k for k in range(-window, window + 1)
-              if k in mask.factors[0]]
-    exps_q = [k for k in range(-window, window + 1)
-              if k not in mask.factors[0]]
-    return blocks(exps_a, None), blocks(exps_q, mask)
+    return (blocks(mask.factors[0].window(-window, window), None),
+            blocks(quotient_mask(shape).factors[0].window(-window, window),
+                   mask))

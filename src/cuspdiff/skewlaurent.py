@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
-                        exact_divide, grlex_key, linear_factors, poly_to_json,
-                        render_poly)
+                        exact_divide, factor_name, grlex_key, linear_factors,
+                        poly_to_json, render_poly)
 
 
 class Graded(RingOps):
@@ -117,7 +117,7 @@ class Graded(RingOps):
 
     def _render(self) -> str:
         """Terms (coefficient) * monomial, graded-lex descending on the degree
-        vector, joined by ' + '; factor names carry an index at rank > 1."""
+        vector, joined by ' + '; the monomial is a product of factor_name's."""
         if self.is_zero():
             return "0"
         parts = []
@@ -126,8 +126,7 @@ class Graded(RingOps):
             for i, e in enumerate(deg):
                 if e:
                     letter, power = self._letter(e)
-                    name = letter if self.nvars == 1 else "%s%d" % (letter, i + 1)
-                    pieces.append(name if power == 1 else "%s^%d" % (name, power))
+                    pieces.append(factor_name(letter, i, self.nvars, power))
             parts.append(" * ".join(pieces))
         return " + ".join(parts)
 

@@ -454,6 +454,51 @@ class TestOrbitNormalizeSupport:
             assert "Traceback" not in err
 
 
+# 10^5000, past the interpreter's 4300-digit limit, written without str(int)
+_TEN_5000 = "1" + "0" * 5000
+
+
+class TestValuesOfAnySize:
+    """Every digit of a number past the str() limit reaches stdout, from a
+    fresh interpreter with its default limit."""
+
+    @staticmethod
+    def _cli(*args):
+        src = Path(cuspdiff.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "cuspdiff", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    def test_act_coefficient(self):
+        # h acts on x^9 as 10, so h^5000 as 10^5000
+        assert self._cli("act", "--m", "2", "h^5000", "x^9") == (
+            _TEN_5000 + "*x^9\n")
+        out = self._cli("act", "--m", "2", "--json", "h^5000", "x^9")
+        assert json.loads(out) == {
+            "schema": 1, "command": "act", "result": {"9": _TEN_5000},
+            "text": _TEN_5000 + "*x^9"}
+
+    def test_orbit_root(self):
+        ideal = "(h-%s)" % _TEN_5000
+        assert self._cli("orbit", "--a", "h-10^5000").splitlines() == [
+            "marked on orbit 0: " + ideal,
+            "intervals at the orbit of 0:",
+            "  (-inf, %s]" % ideal,
+            "  (%s, +inf)" % ideal]
+
+    def test_orbit_representative_json(self):
+        # the root 1/10^5000 is its own orbit representative
+        out = self._cli("orbit", "--json", "--a", "10^5000*h-1")
+        assert json.loads(out) == {
+            "schema": 1, "command": "orbit",
+            "marked": [{"orbit": "1/" + _TEN_5000,
+                        "roots": ["1/" + _TEN_5000]}],
+            "intervals": [{"kind": "full", "anchors": []}]}
+
+
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         code, _ = run(capsys)
@@ -648,6 +693,8 @@ _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2
     ('stability --m 2 --window 1', 'e3b0c44298fc', '4e562d8aae21'),
     ('support --m 3 --window 5', 'e3b0c44298fc', 'c360c22c43c1'),
     ('stability --m 2,3 --window 6', 'e3b0c44298fc', 'd2fd986e1c1f'),
+    ('classify --m 3 --algebra bbA --window 0',
+     'e3b0c44298fc', '2cb233b65af9'),
 ]
 
 

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from cuspdiff import modactions
 from cuspdiff.cuspops import CuspShape, delta_op, generating_set, generator_pair
 from cuspdiff.exactpoly import ArityMismatch, BasePoly
-from cuspdiff.modactions import (ExponentSet, LaurentVector, NotStable, act,
-                                 act_on_quotient, cusp_mask, quotient_mask,
-                                 render_vector, restriction_blocks,
-                                 simplicity_probe, stability_check, support)
+from cuspdiff.modactions import (ExponentSet, LaurentVector, NotStable,
+                                 WeightSupport, act, act_on_quotient,
+                                 cusp_mask, quotient_mask, render_vector,
+                                 restriction_blocks, simplicity_probe,
+                                 stability_check, support)
 from cuspdiff.skewlaurent import LaurentOp
 
 H = BasePoly.variable(1, 0)
@@ -254,6 +255,11 @@ class TestSupport:
         supq = support(quotient_mask(2))
         assert supq.render() == "{(h-j) : j <= 0} u {(h-2)}"
 
+    def test_render_signs_each_root(self):
+        # the ideal at root r is (h - r) in render_poly form at any sign
+        roots = ExponentSet(points=(-3, 0, 2))
+        assert WeightSupport(roots).render() == "{(h+3)} u {(h)} u {(h-2)}"
+
     def test_disjoint_union_covers_everything(self):
         for m in (2, 3, 5):
             a = support(cusp_mask(m))
@@ -380,6 +386,23 @@ class TestVectors:
     def test_render(self):
         assert render_vector(mono(-1, -2) + mono(2, 3)) == "3*x^2 - 2*x^-1"
         assert render_vector(LaurentVector(1)) == "0"
+        # a size-1 coefficient is dropped before a monomial, kept alone
+        assert render_vector(mono(0, -1) - mono(2) + mono(1, Fraction(-1, 2))
+                             ) == "-x^2 - 1/2*x - 1"
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, "1/2"])
+    def test_coefficients_are_checked_as_basepoly_checks_them(self, c):
+        # a float or a string is refused, not read as a nearby rational
+        for build in (lambda: LaurentVector(1, {(0,): c}),
+                      lambda: BasePoly(1, {(0,): c})):
+            with pytest.raises(TypeError,
+                               match="coefficient must be int or Fraction"):
+                build()
+
+    def test_integral_fraction_coefficients_are_stored_as_int(self):
+        v = LaurentVector(2, {(1, -1): Fraction(6, 3), (0, 0): Fraction(0)})
+        assert v.coeffs == {(1, -1): 2}
+        assert type(v.coeffs[(1, -1)]) is int
 
     def test_algebra(self):
         v = mono(1) + mono(1)
