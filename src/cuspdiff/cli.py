@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
 from .exactpoly import (BasePoly, NotDivisible, grlex_key, poly_to_json,
-                        render_number, render_poly)
+                        read_int, render_number, render_poly)
 from .skewlaurent import op_to_json, render_op, weyl_membership
 from .cuspops import (as_shape, decompose, delta_op, factor_generators,
                       generating_set, membership, phi, presentation,
@@ -39,6 +40,9 @@ SCHEMA = 1
 
 # normalize builds products of about s factors; larger shifts are refused
 MAX_NORMALIZE_SHIFT = 256
+
+# p or p/q in ASCII digits, which read_int reads at any length
+_RATIONAL = re.compile(r"\s*([-+]?)([0-9]+)(?:/([0-9]+))?\s*")
 
 
 def _shape(args, rank_one=None):
@@ -319,6 +323,17 @@ def cmd_classify(args):
                "entries": [e.to_json() for e in entries]}, lines
 
 
+def _rational(text: str) -> Fraction:
+    """text as a Fraction: p or p/q through read_int, any other form
+    (decimals, exponents) as Fraction() reads it."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        return Fraction(text)
+    sign, num, den = match.groups()
+    value = Fraction(read_int(num), read_int(den) if den else 1)
+    return -value if sign == "-" else value
+
+
 def cmd_orbit(args):
     shape = _shape(args,
                    "orbits live over the univariate base; pass one width")
@@ -326,7 +341,7 @@ def cmd_orbit(args):
     if a.is_zero():
         raise ValueError("--a must be a nonzero polynomial in h")
     try:
-        root = Fraction(args.root)
+        root = _rational(args.root)
     except (ValueError, ZeroDivisionError):
         raise ValueError("--root expects a rational number")
     marked = classify_mod.marked_ideals(a)

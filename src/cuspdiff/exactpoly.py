@@ -14,7 +14,8 @@ render_number writes an int or Fraction of any size (past the interpreter's
 4300-digit str() limit), render_sum writes a signed sum of c * monomial
 terms with factor_name's, and render_poly is that sum in h.  The operator,
 GWA and vector forms, the ideals (h - r) and every root, weight and orbit
-representative the CLI prints are built from these.
+representative the CLI prints are built from these.  read_int is the way
+back for integers: it reads a digit string of any length.
 """
 
 from __future__ import annotations
@@ -252,15 +253,17 @@ class BasePoly(RingOps):
 
     @classmethod
     def constant(cls, nvars: int, c) -> "BasePoly":
-        return cls(nvars, {(0,) * nvars: c})
+        if nvars < 1:
+            raise ValueError("nvars must be >= 1")
+        c = _norm_coef(c)
+        return BasePoly._trusted(nvars, {0: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, j: int) -> "BasePoly":
         """The variable h_{j+1} (0-based index j)."""
         if not 0 <= j < nvars:
             raise ValueError("variable index %d out of range for nvars=%d" % (j, nvars))
-        exp = tuple(1 if k == j else 0 for k in range(nvars))
-        return cls(nvars, {exp: 1})
+        return BasePoly._trusted(nvars, {1 << _FIELD * (nvars - 1 - j): 1})
 
     # -- predicates and views --------------------------------------------
 
@@ -304,11 +307,21 @@ class BasePoly(RingOps):
         return len(self._packed) == 1 and self._packed.get(0) == 1
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        # instances are immutable, so a factor 1 can hand back the other one;
+        # a scalar factor scales the coefficients, under the same field rule
+        if other.__class__ is not BasePoly:
+            if other.__class__ is int or other.__class__ is Fraction:
+                if other == 1:
+                    return self
+                if _guard(self.nvars) & reduce(or_, self._packed, 0):
+                    raise ExponentOverflow("a factor has an exponent >= 2^%d"
+                                           % (_FIELD - 1))
+                return BasePoly._trusted(self.nvars, _clean(
+                    {e: c * other for e, c in self._packed.items()}))
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         self._check_arity(other)
-        # instances are immutable, so a factor 1 can hand back the other one
         if self._is_one():
             return other
         if other._is_one():
@@ -642,6 +655,18 @@ def _int_str(n: int) -> str:
     m = n.bit_length() * 3 // 20  # about half the digits: log10(2) ~ 0.3
     hi, lo = divmod(abs(n), 10 ** m)
     return ("-" if n < 0 else "") + _int_str(hi) + _int_str(lo).zfill(m)
+
+
+def read_int(digits: str) -> int:
+    """The int that a string of ASCII decimal digits, perhaps after a "-",
+    spells, of any length: the inverse of _int_str, split in halves above
+    the interpreter's 4300-digit int() limit."""
+    if len(digits) <= 4300:
+        return int(digits)
+    if digits[0] == "-":
+        return -read_int(digits[1:])
+    m = len(digits) // 2
+    return read_int(digits[:-m]) * 10 ** m + read_int(digits[-m:])
 
 
 def render_number(c) -> str:

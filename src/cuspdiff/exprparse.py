@@ -18,217 +18,318 @@ on x atoms.  delta and w take a degree (w degrees are negative), d takes a
 factor index, and X/Y are the distinguished generator pair of the selected
 algebra, unavailable in the plain operator ring context.
 
+Tokens are ASCII: an integer is a run of the digits 0-9, read at any length
+by exactpoly.read_int, and a name is an ASCII letter followed by letters,
+digits and '_'.  Any other character that is not whitespace is refused with
+its position.
+
+Evaluation builds as few Laurent operators as it can.  A literal stays an
+int or Fraction, and every atom is a monomial (alpha, c): the coefficient c
+in Q[h1..hn] on the left of x^alpha.  A product of monomials is one
+monomial, (alpha, c) * (beta, d) = (alpha + beta, c * sigma^alpha(d)) with
+sigma^alpha = BasePoly.shift(alpha), and a scalar scales a coefficient and
+never shifts.  The power of a monomial of nonzero degree with a nonconstant
+coefficient is taken one factor at a time,
+c * sigma^alpha(c) * ... * sigma^((k-1) alpha)(c), so each step shifts only
+the small factor c; every other power of a monomial or a scalar is one
+BasePoly or number power by squaring.  A LaurentOp is built only for a sum,
+which adds its terms degree by degree, and for the value of the whole
+expression; a product or power with a parenthesized sum in it is LaurentOp
+arithmetic.
+
 parse_poly reads base polynomials (the render_poly text form) with the same
 grammar and rejects any term of nonzero degree.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import re
 from fractions import Fraction
+from operator import add
 
-from .exactpoly import BasePoly
-from .skewlaurent import LaurentOp
-from .cuspops import as_shape, delta_op, generator_pair, w_minus
+from .exactpoly import BasePoly, read_int, render_number
+from .skewlaurent import LaurentOp, graded_divisor
+from .cuspops import as_shape, generator_pair, w_minus
 
-_SYMBOLS = "+-*^/()@"
+# a token is an int, a name or one other character that is not whitespace;
+# _KINDS reads the kind of each from its first character
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
+_KINDS = {**dict.fromkeys("0123456789", "int"),
+          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                          "abcdefghijklmnopqrstuvwxyz", "name"),
+          **{c: c for c in "+-*^/()@"}}
+
+_SCALARS = (int, Fraction)
 
 
 class ExprParseError(ValueError):
     """Raised with a position when an expression does not parse."""
 
 
-_Token = namedtuple("_Token", "kind text pos")
-
-
 def _tokenize(text: str):
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if c in _SYMBOLS:
-            out.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ExprParseError("unexpected character %r at position %d" % (c, i))
-    out.append(_Token("end", "", n))
-    return out
+    """(kinds, texts) of the tokens, closed by kind "end" and text "".
+
+    The kind of a symbol is the symbol itself.  A character of no kind is
+    refused at its position.
+    """
+    texts = _TOKEN.findall(text)
+    kinds = [_KINDS.get(tok[0]) for tok in texts]
+    if None in kinds:
+        k = kinds.index(None)
+        raise ExprParseError("unexpected character %r at position %d"
+                             % (texts[k], _position(text, k)))
+    kinds.append("end")
+    texts.append("")
+    return kinds, texts
+
+
+def _position(text: str, k: int) -> int:
+    """The position in text of token k, or len(text) for the closing one."""
+    for j, match in enumerate(_TOKEN.finditer(text)):
+        if j == k:
+            return match.start()
+    return len(text)
+
+
+def _scaled(value, s):
+    """A parsed value times the scalar s, which commutes with everything."""
+    if value.__class__ is tuple:
+        return value[0], value[1] * s
+    if isinstance(value, LaurentOp):
+        return LaurentOp(value.nvars, {alpha: p * s for alpha, p
+                                       in value.components.items()})
+    return value * s
+
+
+def _power(value, k: int):
+    """value^k for k >= 0 (see the module docstring)."""
+    if value.__class__ is not tuple:
+        return value ** k
+    alpha, c = value
+    if not any(alpha) or c.is_constant():
+        return tuple(a * k for a in alpha), c ** k
+    if k == 0:
+        return 1
+    degree, out = alpha, c
+    for _ in range(k - 1):
+        out = out * c.shift(degree)
+        degree = tuple(map(add, degree, alpha))
+    return degree, out
 
 
 class _ExprParser:
-    """Recursive descent over the token list; produces LaurentOp values."""
+    """Recursive descent over the token list, one token of lookahead.
+
+    kind is the kind of the current token, number pos; take() consumes it
+    and returns its number, and is never called on the closing "end" token,
+    which nothing matches.  The values passed around are scalars (int or
+    Fraction), monomials (degree tuple, BasePoly coefficient) and
+    LaurentOps; parse() returns a LaurentOp.
+    """
 
     def __init__(self, text, shape, algebra):
-        self.text = text
         self.shape = as_shape(shape)
+        self.rank = self.shape.rank
         self.algebra = algebra
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts = _tokenize(text)
         self.pos = 0
+        self.kind = self.kinds[0]
 
     # token helpers
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def take(self) -> int:
+        k = self.pos
+        self.pos = k + 1
+        self.kind = self.kinds[k + 1]
+        return k
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def found(self, k: int) -> str:
+        return self.texts[k] or "end of input"
 
-    def expect(self, kind) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
+    def expect(self, kind) -> int:
+        if self.kind != kind:
+            k = self.pos
             raise ExprParseError("expected %r at position %d, found %r"
-                                 % (kind, tok.pos, tok.text or "end of input"))
-        return tok
+                                 % (kind, _position(self.text, k),
+                                    self.found(k)))
+        return self.take()
 
-    def fail(self, tok, message):
-        raise ExprParseError("%s at position %d" % (message, tok.pos))
+    def fail(self, k: int, message):
+        raise ExprParseError("%s at position %d"
+                             % (message, _position(self.text, k)))
+
+    # values
+
+    def pairs(self, value):
+        """The (degree, coefficient) pairs of a parsed value."""
+        if value.__class__ is tuple:
+            return (value,)
+        if isinstance(value, LaurentOp):
+            return value.components.items()
+        return (((0,) * self.rank, BasePoly.constant(self.rank, value)),)
+
+    def total(self, pairs) -> LaurentOp:
+        """The LaurentOp summing (degree, coefficient) pairs."""
+        comps = {}
+        for alpha, c in pairs:
+            prev = comps.get(alpha)
+            comps[alpha] = c if prev is None else prev + c
+        return LaurentOp(self.rank, comps)
+
+    def operator(self, value) -> LaurentOp:
+        """A parsed value as a LaurentOp."""
+        if isinstance(value, LaurentOp):
+            return value
+        return self.total(self.pairs(value))
+
+    def product(self, a, b):
+        """a * b of parsed values, in that order."""
+        if isinstance(b, _SCALARS):
+            return _scaled(a, b)
+        if isinstance(a, _SCALARS):
+            return _scaled(b, a)
+        if a.__class__ is tuple and b.__class__ is tuple:
+            (alpha, c), (beta, d) = a, b
+            return tuple(map(add, alpha, beta)), c * d.shift(alpha)
+        return self.operator(a) * self.operator(b)
+
+    def unit(self, factor: int, degree: int) -> tuple:
+        """degree times the unit vector of the zero-based factor."""
+        alpha = [0] * self.rank
+        alpha[factor] = degree
+        return tuple(alpha)
 
     # grammar
 
     def parse(self) -> LaurentOp:
         value = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            self.fail(tok, "trailing input %r" % tok.text)
-        return value
+        if self.kind != "end":
+            self.fail(self.pos, "trailing input %r" % self.texts[self.pos])
+        return self.operator(value)
 
-    def expr(self) -> LaurentOp:
+    def expr(self):
         value = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        if self.kind != "+" and self.kind != "-":
+            return value
+        pairs = list(self.pairs(value))
+        while self.kind == "+" or self.kind == "-":
+            negate = self.kind == "-"
+            self.take()
+            pairs += [(alpha, -c if negate else c)
+                      for alpha, c in self.pairs(self.term())]
+        return self.total(pairs)
 
-    def term(self) -> LaurentOp:
+    def term(self):
         value = self.factor()
-        while self.peek().kind == "*":
-            self.next()
-            value = value * self.factor()
+        while self.kind == "*":
+            self.take()
+            value = self.product(value, self.factor())
         return value
 
-    def factor(self) -> LaurentOp:
-        if self.peek().kind == "-":
-            self.next()
-            return -self.factor()
-        value, kind = self.atom()
-        exponent = 1
-        if self.peek().kind == "^":
-            caret = self.next()
-            exponent = self.signed_int()
-            if kind != "xvar":
-                if exponent < 0:
-                    self.fail(caret, "negative exponents need a bare x variable")
-                return value ** exponent
-        if kind == "xvar":
-            # value is the factor index of a bare x variable
-            return LaurentOp.x(self.shape.rank, value, exponent)
-        return value
+    def factor(self):
+        if self.kind == "-":
+            self.take()
+            return _scaled(self.factor(), -1)
+        value, bare_x = self.atom()
+        if self.kind != "^":
+            return value
+        caret = self.take()
+        exponent = self.signed_int()
+        if bare_x:
+            return tuple(a * exponent for a in value[0]), value[1]
+        if exponent < 0:
+            self.fail(caret, "negative exponents need a bare x variable")
+        return _power(value, exponent)
 
     def signed_int(self) -> int:
-        sign = 1
-        if self.peek().kind == "-":
-            self.next()
-            sign = -1
-        tok = self.expect("int")
-        return sign * int(tok.text)
+        if self.kind == "-":
+            self.take()
+            return -read_int(self.texts[self.expect("int")])
+        return read_int(self.texts[self.expect("int")])
 
-    def factor_index(self, tok, raw: str) -> int:
-        k = int(raw)
-        if not 1 <= k <= self.shape.rank:
-            self.fail(tok, "factor index %d out of range 1..%d"
-                      % (k, self.shape.rank))
-        return k - 1
+    def factor_index(self, k: int, digits: str) -> int:
+        """The zero-based factor that digits name, refused at token k when
+        it is out of range."""
+        i = read_int(digits)
+        if not 1 <= i <= self.rank:
+            self.fail(k, "factor index %s out of range 1..%d"
+                      % (render_number(i), self.rank))
+        return i - 1
 
     def indexed_args(self):
-        """'(' int ['@' int] ')' -> (degree, zero-based factor)."""
+        """'(' int ['@' int] ')' -> (degree, zero-based factor, its token)."""
         self.expect("(")
-        tok = self.peek()
-        value = self.signed_int()
+        k = self.pos
+        degree = self.signed_int()
         factor = self.at_factor()
         self.expect(")")
-        return value, factor, tok
+        return degree, factor, k
 
     def at_factor(self) -> int:
-        if self.peek().kind == "@":
-            self.next()
-            ftok = self.expect("int")
-            return self.factor_index(ftok, ftok.text)
-        return 0
+        if self.kind != "@":
+            return 0
+        self.take()
+        k = self.expect("int")
+        return self.factor_index(k, self.texts[k])
 
     def atom(self):
-        tok = self.next()
-        n = self.shape.rank
-        if tok.kind == "int":
-            num = int(tok.text)
-            if self.peek().kind == "/":
-                self.next()
+        """(value, whether it is a bare x variable)."""
+        kind = self.kind
+        if kind != "int" and kind != "name" and kind != "(":
+            self.fail(self.pos, "expected an operand, found %r"
+                      % self.found(self.pos))
+        k = self.take()
+        name = self.texts[k]
+        n = self.rank
+        if kind == "int":
+            num = read_int(name)
+            if self.kind == "/":
+                self.take()
                 den = self.expect("int")
-                if int(den.text) == 0:
+                q = read_int(self.texts[den])
+                if q == 0:
                     self.fail(den, "zero denominator")
-                num = Fraction(num, int(den.text))
-            return LaurentOp.monomial(n, (0,) * n, num), "op"
-        if tok.kind == "(":
+                num = Fraction(num, q)
+            return num, False
+        if kind == "(":
             value = self.expr()
             self.expect(")")
-            return value, "op"
-        if tok.kind != "name":
-            self.fail(tok, "expected an operand, found %r"
-                      % (tok.text or "end of input"))
-        name = tok.text
+            return value, False
         if name == "delta":
+            # delta_op(shape, alpha) is graded_divisor(widths, alpha) * x^alpha
             degree, factor, _ = self.indexed_args()
-            alpha = tuple(degree if j == factor else 0 for j in range(n))
-            return delta_op(self.shape, alpha), "op"
+            alpha = self.unit(factor, degree)
+            return (alpha, graded_divisor(self.shape.m, alpha)), False
+        if name[0] in ("h", "x") and (len(name) == 1 or name[1:].isdigit()):
+            factor = 0 if len(name) == 1 else self.factor_index(k, name[1:])
+            if name[0] == "h":
+                return ((0,) * n, BasePoly.variable(n, factor)), False
+            return (self.unit(factor, 1), BasePoly.one(n)), True
         if name == "w":
-            degree, factor, dtok = self.indexed_args()
+            degree, factor, at = self.indexed_args()
             if degree >= 0:
-                self.fail(dtok, "w degrees are negative")
-            base = w_minus(self.shape.m[factor], -degree)
-            coeff = base.components[(degree,)].inject(n, factor)
-            alpha = tuple(degree if j == factor else 0 for j in range(n))
-            return LaurentOp.monomial(n, alpha, coeff), "op"
+                self.fail(at, "w degrees are negative")
+            (coeff,) = w_minus(self.shape.m[factor], -degree).components.values()
+            return (self.unit(factor, degree), coeff.inject(n, factor)), False
         if name == "d":
             self.expect("(")
-            ftok = self.expect("int")
-            factor = self.factor_index(ftok, ftok.text)
+            at = self.expect("int")
+            factor = self.factor_index(at, self.texts[at])
             self.expect(")")
-            return LaurentOp.d(n, factor), "op"
-        if name in ("X", "Y"):
+            return (self.unit(factor, -1), BasePoly.variable(n, factor)), False
+        if name == "X" or name == "Y":
             factor = self.at_factor()
             if self.algebra == "DA":
-                self.fail(tok, "%s is only defined for a named algebra "
+                self.fail(k, "%s is only defined for a named algebra "
                           "(bbA, calA or weyl)" % name)
             try:
                 pair = generator_pair(self.shape, self.algebra, factor)
             except ValueError as exc:
-                self.fail(tok, str(exc))
-            return pair[name == "Y"], "op"
-        if name[0] in ("h", "x") and (len(name) == 1 or name[1:].isdigit()):
-            factor = 0 if len(name) == 1 else self.factor_index(tok, name[1:])
-            if name[0] == "h":
-                return LaurentOp.h(n, factor), "op"
-            return factor, "xvar"
-        self.fail(tok, "unknown name %r" % name)
+                self.fail(k, str(exc))
+            (item,) = pair[name == "Y"].components.items()
+            return item, False
+        self.fail(k, "unknown name %r" % name)
 
 
 def parse_expression(text: str, shape, algebra: str = "DA") -> LaurentOp:

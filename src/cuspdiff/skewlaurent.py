@@ -47,7 +47,7 @@ class Graded(RingOps):
             raise ValueError("nvars must be >= 1")
         clean = {}
         for deg, poly in (components or {}).items():
-            deg = tuple(int(v) for v in deg)
+            deg = tuple(map(int, deg))
             if len(deg) != nvars:
                 raise ArityMismatch("degree %r has length != %d" % (deg, nvars))
             if not isinstance(poly, BasePoly):

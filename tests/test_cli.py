@@ -498,6 +498,24 @@ class TestValuesOfAnySize:
                         "roots": ["1/" + _TEN_5000]}],
             "intervals": [{"kind": "full", "anchors": []}]}
 
+    def test_literal_past_the_limit(self):
+        digits = "7" * 4401
+        assert self._cli("mul", "--m", "2", digits) == "(%s)\n" % digits
+
+    def test_orbit_root_option_past_the_limit(self):
+        digits = "3" * 4401
+        assert self._cli("orbit", "--m", "2", "--a", "h", "--root",
+                         digits).splitlines() == [
+            "marked on orbit 0: (h)",
+            "intervals at the orbit of %s:" % digits,
+            "  (-inf, (h)]",
+            "  ((h), +inf)"]
+        out = self._cli("orbit", "--json", "--a", "h", "--root=-1/" + digits)
+        assert json.loads(out) == {
+            "schema": 1, "command": "orbit",
+            "marked": [{"orbit": "0", "roots": ["0"]}],
+            "intervals": [{"kind": "full", "anchors": []}]}
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
@@ -511,6 +529,15 @@ class TestUsageErrors:
     def test_bad_width(self, capsys):
         code, _ = run(capsys, "phi", "--m", "zero", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("expr, char, at", [
+        ("h^²", "²", 2), ("x^١", "١", 2), ("h١", "١", 1)])
+    def test_non_ascii_digits_are_refused_at_their_position(
+            self, capsys, expr, char, at):
+        code, out, err = run_with_stderr(capsys, "mul", "--m", "2", expr)
+        assert (code, out) == (2, "")
+        assert err.endswith("cuspdiff: error: unexpected character %r at "
+                            "position %d\n" % (char, at))
 
     @pytest.mark.parametrize("args, message", [
         (["stability", "--m", "2", "--window", "1"],

@@ -118,6 +118,29 @@ class TestTrustedResults:
         assert (half - half).terms == {}
         assert_stored_as_validated(half * 2)
 
+    def test_constants_variables_and_scalings(self):
+        # constant and variable build their terms without validation, and a
+        # scalar factor scales the coefficients without a product
+        half = BasePoly(2, {(1, 0): Fraction(1, 2), (0, 3): 3})
+        for r in (BasePoly.constant(2, Fraction(4, 2)), BasePoly.constant(1, 0),
+                  BasePoly.variable(3, 1), BasePoly.variable(1, 0),
+                  half * 2, half * 0, half * Fraction(-2, 3), 4 * half):
+            assert_stored_as_validated(r)
+        assert BasePoly.constant(2, Fraction(4, 2)) == BasePoly(2, {(0, 0): 2})
+        assert BasePoly.variable(3, 1) == BasePoly(3, {(0, 1, 0): 1})
+        assert half * 1 is half
+        assert (half * 0).is_zero()
+        assert half * Fraction(2, 3) == half * BasePoly.constant(2, Fraction(2, 3))
+        wide = BasePoly(2, {(2 ** 31, 0): 1})
+        assert wide * 1 is wide
+        for scalar in (3, 0, Fraction(1, 2)):
+            with pytest.raises(ExponentOverflow):
+                wide * scalar
+        with pytest.raises(ValueError):
+            BasePoly.constant(0, 1)
+        with pytest.raises(TypeError):
+            BasePoly.constant(1, 0.5)
+
 
 class TestArithmetic:
     def test_known_product(self):
@@ -813,6 +836,22 @@ class TestHugeCoefficients:
             n = _digits_to_int(digits)
             assert render_poly(BasePoly(1, {(0,): n})) == digits
             assert render_poly(BasePoly(1, {(0,): -n})) == "-" + digits
+
+
+class TestReadInt:
+    """read_int is the inverse of the digit text, at any length."""
+
+    def test_inverts_render_number(self):
+        rng = random.Random(5)
+        for n in (0, 7, -7, 10 ** 4300, -(10 ** 4300) + 1, 3 ** 20000,
+                  -(7 ** 9000), rng.getrandbits(60000)):
+            assert exactpoly.read_int(exactpoly.render_number(n)) == n
+
+    def test_zero_runs_across_the_split(self):
+        for digits in ("1" + "0" * 4400, "9" * 4300 + "0" * 4301 + "5",
+                       "0" * 5000 + "12"):
+            assert exactpoly.render_number(exactpoly.read_int(digits)) == (
+                digits.lstrip("0"))
 
 
 class TestJson:

@@ -2,12 +2,16 @@
 algebra-specific generator pairs, round trips through the renderer, and base
 polynomials read with the same grammar."""
 
+import json
+import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspdiff.cuspops import delta_op, w_minus
+from cuspdiff.cuspops import delta_op, generator_pair, w_minus
 from cuspdiff.exactpoly import BasePoly, render_poly
 from cuspdiff.exprparse import ExprParseError, parse_expression, parse_poly
 from cuspdiff.skewlaurent import LaurentOp, render_op
@@ -252,3 +256,247 @@ class TestParsePoly:
     def test_roundtrip_rank_two(self, p):
         q = parse_poly(render_poly(p), nvars=2)
         assert q == p and typed_terms(q) == typed_terms(p)
+
+
+# -- the recorded error corpus ------------------------------------------------
+
+CORPUS = json.loads((Path(__file__).parent / "exprparse_errors.json").read_text())
+
+
+class TestErrorCorpus:
+    """Every truncation, a bad character inserted at and substituted for each
+    position, and each doubled operator of ten seed expressions: the error
+    text, or the rendered value of a variant that parses, stays as recorded
+    in exprparse_errors.json."""
+
+    def test_outcomes_are_unchanged(self):
+        changed = []
+        for case in CORPUS["cases"]:
+            try:
+                got = {"value": render_op(parse(case["text"],
+                                                tuple(case["shape"]),
+                                                case["algebra"]))}
+            except ExprParseError as exc:
+                got = {"error": str(exc)}
+            want = {k: case[k] for k in ("value", "error") if k in case}
+            if got != want:
+                changed.append((case["text"], got, want))
+        assert changed == []
+        assert len(CORPUS["cases"]) > 600
+
+
+class TestAsciiTokens:
+    @pytest.mark.parametrize("text, char, at", [
+        ("h^²", "²", 2),      # superscript two
+        ("x^١", "١", 2),      # Arabic-Indic digit one
+        ("h١", "١", 1),
+        ("é", "é", 0),
+        ("2*h + ٣", "٣", 6)])
+    def test_non_ascii_characters_are_refused(self, text, char, at):
+        with pytest.raises(ExprParseError) as err:
+            parse(text)
+        assert str(err.value) == ("unexpected character %r at position %d"
+                                  % (char, at))
+
+    def test_unicode_whitespace_still_separates(self):
+        assert parse("h\u00a0+\u20032") == h + 2
+
+
+class TestIntegersOfAnyLength:
+    def test_long_literal(self):
+        digits = "9" * 4401
+        assert parse(digits) == LaurentOp.one(1) * (10 ** 4401 - 1)
+        assert parse("1/" + digits + "*h") == h * Fraction(1, 10 ** 4401 - 1)
+
+    def test_long_exponent_and_factor_index(self):
+        digits = "0" * 4400 + "3"
+        assert parse("x^" + digits) == LaurentOp.x(1, 0, 3)
+        assert parse("h" + digits, (2, 2, 2)) == LaurentOp.h(3, 2)
+        with pytest.raises(ExprParseError,
+                           match="factor index 1%s out of range 1..2"
+                           % ("0" * 4400)):
+            parse("d(1%s)" % ("0" * 4400), (2, 2))
+
+    def test_5001_digit_coefficient_round_trips(self):
+        u = (LaurentOp.monomial(1, (2,), BasePoly(1, {(1,): 10 ** 5000,
+                                                      (0,): -3}))
+             + LaurentOp.monomial(1, (-1,), Fraction(1, 7 ** 6000)))
+        assert parse(render_op(u)) == u
+
+
+# -- a value oracle -------------------------------------------------------------
+
+ORACLE_SHAPES = [((2,), "DA"), ((3,), "calA"), ((2,), "bbA"), ((1,), "weyl"),
+                 ((2, 3), "DA"), ((2, 3), "bbA"), ((3, 2), "calA"),
+                 ((2, 2, 3), "weyl"), ((2, 3, 4), "DA")]
+
+
+class _Oracle:
+    """Random expression text with its value built by LaurentOp arithmetic
+    alone, never by the parser."""
+
+    def __init__(self, rng, shape, algebra):
+        self.rng, self.shape, self.algebra = rng, shape, algebra
+        self.n = len(shape)
+
+    def name(self, letter, j):
+        if self.n == 1 and self.rng.random() < 0.7:
+            return letter
+        return "%s%d" % (letter, j + 1)
+
+    def at(self, j):
+        if self.n == 1 and self.rng.random() < 0.7:
+            return ""
+        return "@%d" % (j + 1)
+
+    def unit(self, j, k):
+        return tuple(k if i == j else 0 for i in range(self.n))
+
+    def literal(self):
+        rng = self.rng
+        p = rng.choice([0, 1, 2, 3, 7, 12])
+        if rng.random() < 0.4:
+            q = rng.choice([1, 2, 3, 6])
+            return "%d/%d" % (p, q), Fraction(p, q)
+        return str(p), p
+
+    def atom(self):
+        """(text, value, exponents it takes) of a random atom."""
+        rng, n = self.rng, self.n
+        j = rng.randrange(n)
+        kinds = ["literal", "h", "x", "delta", "w", "d"]
+        if self.algebra != "DA":
+            kinds += ["XY"] * 2
+        kind = rng.choice(kinds)
+        if kind == "literal":
+            text, value = self.literal()
+            return text, LaurentOp.one(n) * value, range(0, 3)
+        if kind == "h":
+            return self.name("h", j), LaurentOp.h(n, j), range(0, 4)
+        if kind == "x":
+            return self.name("x", j), LaurentOp.x(n, j), range(-3, 4)
+        if kind == "delta":
+            k = rng.randint(-4, 4)
+            return ("delta(%d%s)" % (k, self.at(j)),
+                    delta_op(self.shape, self.unit(j, k)), range(0, 3))
+        if kind == "w":
+            k = rng.randint(1, 3)
+            coeff = w_minus(self.shape[j], k).graded_component((-k,))
+            return ("w(%d%s)" % (-k, self.at(j)),
+                    LaurentOp.monomial(n, self.unit(j, -k),
+                                       coeff.inject(n, j)), range(0, 2))
+        if kind == "d":
+            return "d(%d)" % (j + 1), LaurentOp.d(n, j), range(0, 3)
+        if self.algebra == "bbA" and self.shape[j] < 2:
+            j = self.shape.index(max(self.shape))
+        letter = rng.choice("XY")
+        pair = generator_pair(self.shape, self.algebra, j)
+        return (letter + self.at(j), pair[letter == "Y"], range(0, 3))
+
+    def factor(self, depth):
+        rng = self.rng
+        if rng.random() < 0.15:
+            text, value = self.factor(depth)
+            return "-" + text, -value
+        if depth and rng.random() < 0.2:
+            text, value = self.expr(depth - 1)
+            text, value, powers = "(" + text + ")", value, range(0, 3)
+        else:
+            text, value, powers = self.atom()
+        if rng.random() < 0.4:
+            e = rng.choice(powers)
+            if e == 1 and rng.random() < 0.5:
+                return text + "^1", value
+            if e < 0:
+                # a negative power is only written on a bare x, as x^e
+                return text + "^%d" % e, LaurentOp.monomial(
+                    self.n, tuple(v * e for v in value.support()[0]), 1)
+            return text + "^%d" % e, value ** e
+        return text, value
+
+    def term(self, depth):
+        text, value = self.factor(depth)
+        for _ in range(self.rng.randint(0, 2)):
+            more, v = self.factor(depth)
+            text, value = text + self.rng.choice(["*", " * "]) + more, value * v
+        return text, value
+
+    def expr(self, depth=1):
+        text, value = self.term(depth)
+        for _ in range(self.rng.randint(0, 2)):
+            more, v = self.term(depth)
+            if self.rng.random() < 0.5:
+                text, value = text + " + " + more, value + v
+            else:
+                text, value = text + " - " + more, value - v
+        return text, value
+
+
+class TestValueOracle:
+    @pytest.mark.parametrize("shape, algebra", ORACLE_SHAPES,
+                             ids=["%s-%s" % (",".join(map(str, s)), a)
+                                  for s, a in ORACLE_SHAPES])
+    def test_seeded_expressions(self, shape, algebra):
+        rng = random.Random("%s:%s" % (shape, algebra))
+        oracle = _Oracle(rng, shape, algebra)
+        for _ in range(60):
+            text, expected = oracle.expr()
+            got = parse(text, shape, algebra)
+            assert got == expected, text
+            assert render_op(got) == render_op(expected), text
+
+    def test_the_oracle_reaches_every_form(self):
+        texts = []
+        for shape, algebra in ORACLE_SHAPES:
+            oracle = _Oracle(random.Random("%s:%s" % (shape, algebra)),
+                             shape, algebra)
+            texts += [oracle.expr()[0] for _ in range(60)]
+        text = "\n".join(texts)
+        for needle in ("/", "0*", "^0", "h^", "h2", "x^-", "x2", "delta(",
+                       "@", "w(-", "d(", "X", "Y", "-(", ")^", ")*", "*("):
+            assert needle in text, needle
+
+
+# -- work counts ----------------------------------------------------------------
+
+class TestWorkCounts:
+    def test_monomial_terms_make_no_laurent_product(self, monkeypatch):
+        expected = (3 * h * h * delta_op(2, (5,))
+                    - Fraction(4, 3) * LaurentOp.x(1, 0, -2) * h)
+        products = []
+        real = LaurentOp.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentOp, "__mul__", counting)
+        got = parse("3*h^2*delta(5) - 4/3*x^-2*h")
+        monkeypatch.undo()
+        assert products == []
+        assert got == expected
+
+    @pytest.mark.parametrize("k", [3, 7, 20])
+    def test_power_shifts_only_the_generator(self, monkeypatch, k):
+        y = generator_pair(2, "calA", 0)[1]
+        (coeff,) = y.components.values()
+        shifts = []
+        real = BasePoly.shift
+
+        def counting(self, by):
+            if self is coeff:
+                shifts.append(tuple(by))
+            return real(self, by)
+
+        monkeypatch.setattr(BasePoly, "shift", counting)
+        got = parse("Y^%d" % k, 2, "calA")
+        monkeypatch.undo()
+        assert shifts == [(-2 * j,) for j in range(1, k)]
+        assert got == y ** k
+
+    def test_power_of_h_squares(self):
+        # a degree zero base keeps BasePoly squaring
+        start = time.perf_counter()
+        got = parse("h^1000000")
+        assert time.perf_counter() - start < 0.1
+        assert got.components == {(0,): BasePoly(1, {(1000000,): 1})}
