@@ -307,21 +307,11 @@ class BasePoly(RingOps):
         return len(self._packed) == 1 and self._packed.get(0) == 1
 
     def __mul__(self, other):
-        # instances are immutable, so a factor 1 can hand back the other one;
-        # a scalar factor scales the coefficients, under the same field rule
-        if other.__class__ is not BasePoly:
-            if other.__class__ is int or other.__class__ is Fraction:
-                if other == 1:
-                    return self
-                if _guard(self.nvars) & reduce(or_, self._packed, 0):
-                    raise ExponentOverflow("a factor has an exponent >= 2^%d"
-                                           % (_FIELD - 1))
-                return BasePoly._trusted(self.nvars, _clean(
-                    {e: c * other for e, c in self._packed.items()}))
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check_arity(other)
+        # instances are immutable, so a factor 1 can hand back the other one
         if self._is_one():
             return other
         if other._is_one():

@@ -47,7 +47,7 @@ import re
 from fractions import Fraction
 from operator import add
 
-from .exactpoly import BasePoly, read_int, render_number
+from .exactpoly import BasePoly, ExponentOverflow, read_int, render_number
 from .skewlaurent import LaurentOp, graded_divisor
 from .cuspops import as_shape, generator_pair, w_minus
 
@@ -92,13 +92,21 @@ def _position(text: str, k: int) -> int:
 
 
 def _scaled(value, s):
-    """A parsed value times the scalar s, which commutes with everything."""
+    """A parsed value times the scalar s, which commutes with everything;
+    a zero s gives zero without multiplying, as a product with the empty
+    operator does."""
+    if not s:
+        return 0
     if value.__class__ is tuple:
         return value[0], value[1] * s
-    if isinstance(value, LaurentOp):
-        return LaurentOp(value.nvars, {alpha: p * s for alpha, p
-                                       in value.components.items()})
     return value * s
+
+
+def _negated(value):
+    """-value of a parsed value."""
+    if value.__class__ is tuple:
+        return value[0], -value[1]
+    return -value
 
 
 def _power(value, k: int):
@@ -111,9 +119,14 @@ def _power(value, k: int):
     if k == 0:
         return 1
     degree, out = alpha, c
-    for _ in range(k - 1):
-        out = out * c.shift(degree)
-        degree = tuple(map(add, degree, alpha))
+    try:
+        for _ in range(k - 1):
+            out = out * c.shift(degree)
+            degree = tuple(map(add, degree, alpha))
+    except ExponentOverflow:
+        # the walk's partial products pass the 2^31 field rule of a product
+        # before squaring's do; squaring raises only where it must
+        return LaurentOp(len(alpha), {alpha: c}) ** k
     return degree, out
 
 
@@ -230,7 +243,7 @@ class _ExprParser:
     def factor(self):
         if self.kind == "-":
             self.take()
-            return _scaled(self.factor(), -1)
+            return _negated(self.factor())
         value, bare_x = self.atom()
         if self.kind != "^":
             return value

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspdiff.cuspops import delta_op, generator_pair, w_minus
-from cuspdiff.exactpoly import BasePoly, render_poly
+from cuspdiff.exactpoly import BasePoly, ExponentOverflow, render_poly
 from cuspdiff.exprparse import ExprParseError, parse_expression, parse_poly
 from cuspdiff.skewlaurent import LaurentOp, render_op
 
@@ -500,3 +500,35 @@ class TestWorkCounts:
         got = parse("h^1000000")
         assert time.perf_counter() - start < 0.1
         assert got.components == {(0,): BasePoly(1, {(1000000,): 1})}
+
+
+# -- the 2^31 field rule --------------------------------------------------------
+
+WIDE = 2 ** 31  # an exponent at rank >= 2 that no product may take as a factor
+
+
+def _coefficient(alpha, terms):
+    return LaurentOp(2, {alpha: BasePoly(2, terms)})
+
+
+class TestExponentFieldRule:
+    # negation, a zero scalar and a walked power multiply no coefficient that
+    # a product of the same operators would not
+    @pytest.mark.parametrize("text, expected", [
+        ("-h1^%d" % WIDE, _coefficient((0, 0), {(WIDE, 0): -1})),
+        ("-(h1^%d+1)" % WIDE, _coefficient((0, 0), {(WIDE, 0): -1, (0, 0): -1})),
+        ("0*h1^%d" % WIDE, LaurentOp.zero(2)),
+        ("h1^%d*0" % WIDE, LaurentOp.zero(2)),
+        ("0*(h1^%d+1)" % WIDE, LaurentOp.zero(2)),
+        ("1*h1^%d" % WIDE, _coefficient((0, 0), {(WIDE, 0): 1})),
+        # the walk reaches 5e >= 2^31 as a factor, squaring only 4e
+        ("(x1*h2^429496730)^6", _coefficient((6, 0), {(0, 6 * 429496730): 1})),
+    ])
+    def test_accepted(self, text, expected):
+        assert parse(text, (2, 2)) == expected
+
+    @pytest.mark.parametrize("text", [
+        "2*h1^%d" % WIDE, "1/2*h1^%d" % WIDE, "(x1*h2^%d)^3" % (WIDE // 2)])
+    def test_refused(self, text):
+        with pytest.raises(ExponentOverflow):
+            parse(text, (2, 2))
