@@ -31,11 +31,13 @@ sigma^alpha = BasePoly.shift(alpha), and a scalar scales a coefficient and
 never shifts.  The power of a monomial of nonzero degree with a nonconstant
 coefficient is taken one factor at a time,
 c * sigma^alpha(c) * ... * sigma^((k-1) alpha)(c), so each step shifts only
-the small factor c; every other power of a monomial or a scalar is one
-BasePoly or number power by squaring.  A LaurentOp is built only for a sum,
-which adds its terms degree by degree, and for the value of the whole
-expression; a product or power with a parenthesized sum in it is LaurentOp
-arithmetic.
+the small factor c, unless a partial product passes the 2^31 exponent
+field rule of a product (BasePoly), where squaring takes over; every other
+power of a monomial or a scalar is one BasePoly or number power by
+squaring.  Negation negates a coefficient and a zero scalar gives zero, so
+neither multiplies.  A LaurentOp is built only for a sum, which adds its
+terms degree by degree, and for the value of the whole expression; a
+product or power with a parenthesized sum in it is LaurentOp arithmetic.
 
 parse_poly reads base polynomials (the render_poly text form) with the same
 grammar and rejects any term of nonzero degree.

@@ -119,8 +119,8 @@ class TestTrustedResults:
         assert_stored_as_validated(half * 2)
 
     def test_constants_variables_and_scalings(self):
-        # constant and variable build their terms without validation, and a
-        # scalar factor scales the coefficients without a product
+        # constant and variable build their terms without validation; a
+        # scalar factor is a product with a constant, under the field rule
         half = BasePoly(2, {(1, 0): Fraction(1, 2), (0, 3): 3})
         for r in (BasePoly.constant(2, Fraction(4, 2)), BasePoly.constant(1, 0),
                   BasePoly.variable(3, 1), BasePoly.variable(1, 0),
