@@ -64,15 +64,8 @@ def _fmt_degree(alpha) -> str:
     return "(" + ",".join(str(v) for v in alpha) + ")"
 
 
-def _render_expset(es) -> str:
-    bits = []
-    if es.le is not None:
-        bits.append("(-inf, %d]" % es.le)
-    for p in sorted(es.points):
-        bits.append("{%d}" % p)
-    if es.ge is not None:
-        bits.append("[%d, inf)" % es.ge)
-    return " u ".join(bits) if bits else "{}"
+def _render_points(points) -> str:
+    return " u ".join("{%s}" % render_number(p) for p in points)
 
 
 def _to_vector(op) -> LaurentVector:
@@ -324,10 +317,12 @@ def cmd_classify(args):
 
 
 def _rational(text: str) -> Fraction:
-    """text as a Fraction: p or p/q through read_int, any other form
+    """text as a Fraction: p or p/q through read_int, any other ASCII form
     (decimals, exponents) as Fraction() reads it."""
     match = _RATIONAL.fullmatch(text)
     if match is None:
+        if not text.isascii():
+            raise ValueError("non-ASCII rational %r" % text)
         return Fraction(text)
     sign, num, den = match.groups()
     value = Fraction(read_int(num), read_int(den) if den else 1)
@@ -399,7 +394,9 @@ def cmd_support(args):
                          "blocks": [b.to_json() for b in exps]}
         supports.append("%s support: %s" % (name, supp.render()))
         blocks.append("%s exponent blocks under the degree one pair: %s"
-                      % (name, "; ".join(_render_expset(b) for b in exps)))
+                      % (name, "; ".join(
+                          b.render("(-inf, %s]", _render_points, "[%s, inf)")
+                          for b in exps)))
     return 0, payload, supports + blocks
 
 

@@ -26,12 +26,11 @@ its position.
 Evaluation builds as few Laurent operators as it can.  A literal stays an
 int or Fraction, and every atom is a monomial (alpha, c): the coefficient c
 in Q[h1..hn] on the left of x^alpha.  A product of monomials is one
-monomial, (alpha, c) * (beta, d) = (alpha + beta, c * sigma^alpha(d)) with
-sigma^alpha = BasePoly.shift(alpha), and a scalar scales a coefficient and
-never shifts.  The power of a monomial of nonzero degree with a nonconstant
-coefficient is taken one factor at a time,
-c * sigma^alpha(c) * ... * sigma^((k-1) alpha)(c), so each step shifts only
-the small factor c, unless a partial product passes the 2^31 exponent
+monomial, skewlaurent.monomial_product(a, b), and a scalar scales a
+coefficient and never shifts.  The power of a monomial of nonzero degree
+with a nonconstant coefficient is taken one factor at a time,
+reduce(monomial_product, repeat(value, k)), so each step shifts only the
+small factor c, unless a partial product passes the 2^31 exponent
 field rule of a product (BasePoly), where squaring takes over; every other
 power of a monomial or a scalar is one BasePoly or number power by
 squaring.  Negation negates a coefficient and a zero scalar gives zero, so
@@ -47,10 +46,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from itertools import repeat
 
 from .exactpoly import BasePoly, ExponentOverflow, read_int, render_number
-from .skewlaurent import LaurentOp, graded_divisor
+from .skewlaurent import LaurentOp, graded_divisor, monomial_product
 from .cuspops import as_shape, generator_pair, w_minus
 
 # a token is an int, a name or one other character that is not whitespace;
@@ -120,16 +120,12 @@ def _power(value, k: int):
         return tuple(a * k for a in alpha), c ** k
     if k == 0:
         return 1
-    degree, out = alpha, c
     try:
-        for _ in range(k - 1):
-            out = out * c.shift(degree)
-            degree = tuple(map(add, degree, alpha))
+        return reduce(monomial_product, repeat(value, k))
     except ExponentOverflow:
         # the walk's partial products pass the 2^31 field rule of a product
         # before squaring's do; squaring raises only where it must
         return LaurentOp(len(alpha), {alpha: c}) ** k
-    return degree, out
 
 
 class _ExprParser:
@@ -205,8 +201,7 @@ class _ExprParser:
         if isinstance(a, _SCALARS):
             return _scaled(b, a)
         if a.__class__ is tuple and b.__class__ is tuple:
-            (alpha, c), (beta, d) = a, b
-            return tuple(map(add, alpha, beta)), c * d.shift(alpha)
+            return monomial_product(a, b)
         return self.operator(a) * self.operator(b)
 
     def unit(self, factor: int, degree: int) -> tuple:

@@ -15,7 +15,8 @@ GwaElement shares its sums, equality and text form with
 skewlaurent.LaurentOp through their common base, and keeps its own product,
 gwa_multiply.  The relations above are listed once, in _relations, and
 checked both by verify_presentation on GWA elements and by Embedding on the
-generator images in the Laurent ring.
+generator images in the Laurent ring.  Embedding multiplies its monomial
+images with skewlaurent.monomial_product, never as Laurent products.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import add, mul
 
 from .exactpoly import (ArityMismatch, BasePoly, Frozen, NotDivisible, Value,
                         exact_divide, render_poly)
-from .skewlaurent import Graded, LaurentOp
+from .skewlaurent import Graded, LaurentOp, monomial_product
 
 
 class PresentationMismatch(ValueError):
@@ -340,6 +341,12 @@ class Embedding(Frozen):
     variables h_j as base samples; this is checked on construction and the
     first violation raises ImagesViolateRelations.  Base polynomials map to
     degree zero operators.
+
+    The x-shift relations on h_1..h_n leave X_i and Y_i one component each,
+    at degrees s_i e_i and -s_i e_i.  So v_alpha maps to psi_alpha
+    x^(alpha_i s_i), psi_alpha the coefficient of the monomial_product of
+    the powers X_i^alpha_i (Y_i^-alpha_i when negative) in factor order,
+    and apply and pullback only multiply or divide by it.
     """
 
     __slots__ = ("presentation", "x_images", "y_images", "_powers")
@@ -356,8 +363,13 @@ class Embedding(Frozen):
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "x_images", x_images)
         object.__setattr__(self, "y_images", y_images)
-        object.__setattr__(self, "_powers", {})
         self._validate()
+        # per factor and sign, the powers X_i, X_i^2, ... (Y_i, Y_i^2, ...)
+        # as (degree, coefficient) pairs, extended when asked for
+        object.__setattr__(self, "_powers", {
+            (i, up): [next(iter(img.components.items()))]
+            for up, images in ((True, x_images), (False, y_images))
+            for i, img in enumerate(images)})
 
     def _validate(self):
         n = self.presentation.nvars
@@ -368,48 +380,36 @@ class Embedding(Frozen):
             if lhs != rhs:
                 raise ImagesViolateRelations("images fail %s" % name)
 
-    def _power(self, i: int, k: int) -> LaurentOp:
-        """X_i^k for k > 0, Y_i^-k for k < 0; cached.
-
-        A missing power is built up from the largest one of the same sign
-        already stored (the generator itself if none is), and every power on
-        the way is stored too.
-        """
-        powers = self._powers
-        gen = self.x_images[i] if k > 0 else self.y_images[i]
-        step = 1 if k > 0 else -1
-        j = k
-        while j != step and (i, j) not in powers:
-            j -= step
-        acc = powers.setdefault((i, j), gen)
-        while j != k:
-            j += step
-            acc = acc * gen
-            powers[(i, j)] = acc
-        return acc
+    def _coefficient(self, alpha) -> BasePoly:
+        """psi_alpha, the coefficient of the image of v_alpha."""
+        pairs = []
+        for i, k in enumerate(alpha):
+            if k:
+                powers = self._powers[(i, k > 0)]
+                while len(powers) < abs(k):
+                    powers.append(monomial_product(powers[-1], powers[0]))
+                pairs.append(powers[abs(k) - 1])
+        return (reduce(monomial_product, pairs)[1] if pairs
+                else BasePoly.one(len(alpha)))
 
     def apply(self, u: GwaElement) -> LaurentOp:
         if u.presentation != self.presentation:
             raise PresentationMismatch("element from a different presentation")
-        out = LaurentOp.zero(self.presentation.nvars)
-        for alpha, c in u.components.items():
-            img = LaurentOp.from_poly(c)
-            if any(alpha):
-                img = img * self.basis_image(alpha)
-            out = out + img
-        return out
+        steps = self.presentation.steps
+        return LaurentOp(u.nvars, {
+            tuple(map(mul, alpha, steps)):
+            c * self._coefficient(alpha) if any(alpha) else c
+            for alpha, c in u.components.items()})
 
     def basis_image(self, alpha) -> LaurentOp:
-        powers = [self._power(i, k) for i, k in enumerate(alpha) if k]
-        return reduce(mul, powers) if powers else \
-            LaurentOp.one(self.presentation.nvars)
+        return self.apply(self.presentation.basis(alpha))
 
     def pullback(self, op: LaurentOp) -> GwaElement:
         """Inverse of apply on the image subalgebra; NotInImage otherwise.
 
-        Each basis image is homogeneous of Laurent degree (alpha_i * s_i), so
-        the coordinates are recovered one graded component at a time by exact
-        division.
+        The component of degree deg is the image of one coordinate, alpha
+        with alpha_i s_i = deg_i, so each coordinate is that component
+        divided exactly by psi_alpha.
         """
         pres = self.presentation
         n = pres.nvars
@@ -424,15 +424,10 @@ class Embedding(Frozen):
                         "degree %r is not a multiple of the steps" % (deg,))
                 alpha.append(v // s)
             alpha = tuple(alpha)
-            img = self.basis_image(alpha)
-            psi = img.components.get(deg)
-            if psi is None:
-                raise NotInImage("basis image at %r vanishes" % (alpha,))
             try:
-                coords[alpha] = exact_divide(poly, psi)
+                coords[alpha] = exact_divide(poly, self._coefficient(alpha))
             except NotDivisible as exc:
                 raise NotInImage(
                     "component at %r is not a multiple of the basis image"
                     % (deg,)) from exc
         return GwaElement(pres, coords)
-

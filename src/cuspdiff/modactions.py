@@ -180,16 +180,21 @@ class ExponentSet(Value):
             ge=None if self.ge is None else self.ge + offset,
             le=None if self.le is None else self.le + offset)
 
-    def __repr__(self):
-        bits = []
-        if self.le is not None:
-            bits.append("<=" + render_number(self.le))
+    def render(self, down, points, up, sep=" u ", empty="{}") -> str:
+        """The set as text, in increasing order: down % le, points(the
+        sorted points) and up % ge, each part that is present, joined by
+        sep; empty when none is.  The bounds go through render_number."""
+        bits = [] if self.le is None else [down % render_number(self.le)]
         if self.points:
-            bits.append("{%s}" % ",".join(map(render_number,
-                                              sorted(self.points))))
+            bits.append(points(sorted(self.points)))
         if self.ge is not None:
-            bits.append(">=" + render_number(self.ge))
-        return "ExponentSet(%s)" % " | ".join(bits or ["empty"])
+            bits.append(up % render_number(self.ge))
+        return sep.join(bits) or empty
+
+    def __repr__(self):
+        return "ExponentSet(%s)" % self.render(
+            "<=%s", lambda ps: "{%s}" % ",".join(map(render_number, ps)),
+            ">=%s", " | ", "empty")
 
     def to_json(self) -> dict:
         return {"points": sorted(self.points), "ge": self.ge, "le": self.le}
@@ -311,14 +316,11 @@ class WeightSupport(Value):
         return "WeightSupport(%r)" % (self.roots,)
 
     def render(self) -> str:
-        bits = []
-        if self.roots.le is not None:
-            bits.append("{(h-j) : j <= %s}" % render_number(self.roots.le))
-        bits += ["{(%s)}" % render_poly(linear_factors([p]))
-                 for p in sorted(self.roots.points)]
-        if self.roots.ge is not None:
-            bits.append("{(h-j) : j >= %s}" % render_number(self.roots.ge))
-        return " u ".join(bits or ["{}"])
+        return self.roots.render(
+            "{(h-j) : j <= %s}",
+            lambda ps: " u ".join("{(%s)}" % render_poly(linear_factors([p]))
+                                  for p in ps),
+            "{(h-j) : j >= %s}")
 
     def to_json(self) -> dict:
         return self.roots.to_json()

@@ -3,12 +3,14 @@
 Elements are finite sums  sum_alpha  d_alpha(h) * x^alpha  with alpha in Z^n
 and d_alpha in Q[h1..hn].  Multiplication moves x past coefficients by the
 shift rule  x^alpha * d = shift(d, alpha) * x^alpha, which encodes
-x_i h_i = (h_i - 1) x_i.  The Weyl algebra sits inside via
-partial_i = h_i x_i^{-1}.  Which components an operator ring allows is one
-rule, the graded divisor of vanishing_roots, and membership is one loop,
-graded_quotients, that divides each component by it; the Weyl algebra is
-the width 1 instance of both.  phi and graded_divisor are fixed tables,
-memoized per process: each key yields one shared immutable BasePoly.
+x_i h_i = (h_i - 1) x_i.  That rule is written once, in monomial_product:
+LaurentOp.__mul__ sums it over pairs of components, and exprparse and
+gwa.Embedding multiply their monomials with it.  The Weyl algebra sits
+inside via partial_i = h_i x_i^{-1}.  Which components an operator ring
+allows is one rule, the graded divisor of vanishing_roots, and membership
+is one loop, graded_quotients, that divides each component by it; the Weyl
+algebra is the width 1 instance of both.  phi and graded_divisor are fixed
+tables, memoized per process: each key yields one shared immutable BasePoly.
 
 The private base Graded holds what LaurentOp shares with gwa.GwaElement, the
 other Z^n-graded sum with left coefficients in Q[h1..hn]: validation,
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
                         exact_divide, factor_name, grlex_key, linear_factors,
@@ -205,10 +208,9 @@ class LaurentOp(Graded):
                 return NotImplemented
         self._check_arity(other)
         comps = {}
-        for alpha, dpoly in self.components.items():
-            for beta, epoly in other.components.items():
-                deg = tuple(a + b for a, b in zip(alpha, beta))
-                term = dpoly * epoly.shift(alpha)
+        for u in self.components.items():
+            for v in other.components.items():
+                deg, term = monomial_product(u, v)
                 prev = comps.get(deg)
                 comps[deg] = term if prev is None else prev + term
         return self._like(comps)
@@ -216,6 +218,14 @@ class LaurentOp(Graded):
     @staticmethod
     def _letter(e: int):
         return "x", e
+
+
+def monomial_product(u, v):
+    """(alpha, c) * (beta, d) = (alpha + beta, c * sigma^alpha(d)): the
+    product of the monomials c x^alpha and d x^beta, given as (degree,
+    BasePoly coefficient) pairs, with sigma^alpha = BasePoly.shift(alpha)."""
+    (alpha, c), (beta, d) = u, v
+    return tuple(map(add, alpha, beta)), c * d.shift(alpha)
 
 
 def commutator(u: LaurentOp, v: LaurentOp) -> LaurentOp:

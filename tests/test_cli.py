@@ -539,6 +539,15 @@ class TestUsageErrors:
         assert err.endswith("cuspdiff: error: unexpected character %r at "
                             "position %d\n" % (char, at))
 
+    @pytest.mark.parametrize("root", ["\u0661", "1/\u0662", "\uff13",
+                                      "1.\u0665", "\u0661e3"])
+    def test_non_ascii_root_is_refused(self, capsys, root):
+        code, out, err = run_with_stderr(
+            capsys, "orbit", "--m", "2", "--a", "h", "--root", root)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "cuspdiff: error: --root expects a rational number\n")
+
     @pytest.mark.parametrize("args, message", [
         (["stability", "--m", "2", "--window", "1"],
          "window 1 too small for generator degree 3"),

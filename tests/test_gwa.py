@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuspdiff import gwa
 from cuspdiff.cuspops import (bbA_presentation, calA_presentation, delta_op,
-                              membership, weyl_presentation)
+                              membership, presentation, weyl_presentation)
 from cuspdiff.exactpoly import ArityMismatch, BasePoly
 from cuspdiff.gwa import (Embedding, GwaElement, GwaPresentation,
                           ImagesViolateRelations, NotInImage,
@@ -481,6 +481,65 @@ class TestEmbedding:
             emb.pullback(LaurentOp.x(1, 0))  # degree not a multiple of the step
         with pytest.raises(NotInImage):
             emb.pullback(LaurentOp.monomial(1, (-2,), H))  # coefficient escapes
+
+    def test_round_trip_makes_no_laurent_product(self, monkeypatch):
+        # images and their powers are single monomials; apply and pullback
+        # multiply and divide coefficients only
+        rng = random.Random(5)
+        pres, emb = bbA_presentation((2, 3))
+        products = []
+        real = LaurentOp.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentOp, "__mul__", counting)
+        for _ in range(10):
+            u = _random_gwa(pres, rng)
+            assert emb.pullback(emb.apply(u)) == u
+        assert products == []
+
+    @pytest.mark.parametrize("algebra, k", [
+        ("calA", 4), ("calA", -6), ("bbA", 3), ("bbA", -5)])
+    def test_power_shifts_only_the_generator(self, monkeypatch, algebra, k):
+        # X^k (Y^-k) shifts the generator's coefficient k - 1 times, by the
+        # degrees of the powers before it, and shifts nothing else
+        pres, emb = presentation(2, algebra)
+        gen = (emb.x_images if k > 0 else emb.y_images)[0]
+        ((step,), coeff), = gen.components.items()
+        shifts = []
+        real = BasePoly.shift
+
+        def counting(self, by):
+            shifts.append((self is coeff, tuple(by)))
+            return real(self, by)
+
+        monkeypatch.setattr(BasePoly, "shift", counting)
+        u = pres.basis((k,))
+        back = emb.pullback(emb.apply(u))
+        monkeypatch.undo()
+        assert back == u
+        assert shifts == [(True, (step * j,)) for j in range(1, abs(k))]
+
+    @pytest.mark.parametrize("algebra", ["calA", "bbA", "weyl"])
+    def test_basis_image_oracle_seeded(self, algebra):
+        # the image of v_alpha is the Laurent product of generator powers,
+        # X_i^alpha_i or Y_i^-alpha_i, in factor order; one embedding serves
+        # every alpha, so cached powers are reused and extended
+        rng = random.Random(31)
+        for widths in ((2,), (3,), (2, 3), (3, 2)):
+            pres, emb = presentation(widths, algebra)
+            n = pres.nvars
+            for _ in range(12):
+                alpha = tuple(rng.randint(-4, 4) for _ in range(n))
+                expected = LaurentOp.one(n)
+                for i, k in enumerate(alpha):
+                    if k > 0:
+                        expected = expected * emb.x_images[i] ** k
+                    elif k < 0:
+                        expected = expected * emb.y_images[i] ** -k
+                assert emb.basis_image(alpha) == expected, (widths, alpha)
 
     def test_deep_power_round_trip(self):
         # generator powers are built by a loop, not one stack frame per power

@@ -120,6 +120,34 @@ def test_only_frozen_defines_setattr():
             if "__setattr__" in methods] == ["Frozen"]
 
 
+def _shift_calls(tree):
+    """The .shift( calls under an AST node."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "shift"]
+
+
+def _definition(path, name):
+    tree = ast.parse(path.read_text())
+    found, = [node for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name == name]
+    return tree, found
+
+
+def test_skew_rule_is_written_once():
+    # x^alpha d = sigma^alpha(d) x^alpha is monomial_product alone; gwa's
+    # shifts on the GWA basis (sigma_power, sigma_of_a, gwa_multiply) are
+    # another ring's rule
+    tree, rule = _definition(PACKAGE / "skewlaurent.py", "monomial_product")
+    inside = {id(node) for node in _shift_calls(rule)}
+    assert len(inside) == 1
+    assert [node.lineno for node in _shift_calls(tree)
+            if id(node) not in inside] == []
+    assert _shift_calls(ast.parse((PACKAGE / "exprparse.py").read_text())) == []
+    assert _shift_calls(_definition(PACKAGE / "gwa.py", "Embedding")[1]) == []
+
+
 def test_value_equality_is_written_once():
     own = [name for name, methods in _methods_by_class()
            if methods & {"__eq__", "__hash__"}]
