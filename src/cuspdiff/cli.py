@@ -45,11 +45,22 @@ MAX_NORMALIZE_SHIFT = 256
 _RATIONAL = re.compile(r"\s*([-+]?)([0-9]+)(?:/([0-9]+))?\s*")
 
 
+def _int(text: str) -> int:
+    """_RATIONAL's p alone, as an int; int() reads other digits and "_" too."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match[3] is not None:
+        raise ValueError("invalid integer %r" % text)
+    return -read_int(match[2]) if match[1] == "-" else read_int(match[2])
+
+
+_int.__name__ = "int"  # argparse names the type: "invalid int value: ..."
+
+
 def _shape(args, rank_one=None):
     """The shape --m names; rank_one, if given, is the message that refuses
     a shape of rank two or more."""
     try:
-        widths = [int(p) for p in str(args.m).split(",")]
+        widths = [_int(p) for p in str(args.m).split(",")]
     except ValueError:
         raise ValueError("--m expects a comma separated list of integers")
     shape = as_shape(widths)
@@ -128,9 +139,9 @@ def _parse_degree_spec(spec, shape):
     try:
         if "@" in spec:
             raw, fraw = spec.split("@", 1)
-            degree, factor = int(raw), int(fraw)
+            degree, factor = _int(raw), _int(fraw)
         else:
-            degree, factor = int(spec), 1
+            degree, factor = _int(spec), 1
     except ValueError:
         raise ValueError("bad degree spec %r; expected i or i@k" % spec)
     if not 1 <= factor <= shape.rank:
@@ -411,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="algebra context for expressions and checks")
     common.add_argument("--json", action="store_true",
                         help="emit a single JSON document")
-    common.add_argument("--window", type=int, default=12,
+    common.add_argument("--window", type=_int, default=12,
                         help="exponent window for module computations")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_int, default=0,
                         help="seed for randomized sweeps")
 
     parser = argparse.ArgumentParser(
@@ -434,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi", parents=[common],
                        help="graded coefficient polynomials")
-    p.add_argument("index", nargs="+", type=int, help="degrees")
+    p.add_argument("index", nargs="+", type=_int, help="degrees")
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("delta", parents=[common],
@@ -471,9 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gwa-verify", parents=[common],
                        help="verify a generalized Weyl presentation and its "
                             "Laurent embedding")
-    p.add_argument("--depth", type=int, default=3,
+    p.add_argument("--depth", type=_int, default=3,
                    help="coordinate bound for the associativity sweep")
-    p.add_argument("--pairs", type=int, default=20,
+    p.add_argument("--pairs", type=_int, default=20,
                    help="number of random embed/pullback round trips")
     p.set_defaults(func=cmd_gwa_verify)
 

@@ -5,6 +5,10 @@ The ambient module is the span of the monomials x^beta, beta in Z^n, with
 x^{alpha+beta}; in particular h_i acts on x^beta as beta_i + 1.  Submodules
 are cut out by masks on the exponent lattice; the quotient is always the one
 by the subalgebra itself, A(m) = the span of the monomials in cusp_mask.
+
+The window sweeps stability_check, simplicity_probe and restriction_blocks
+stop at a bound that the mask and the operators fix (proved at _saturation),
+so past it neither their answer nor their cost grows with the window.
 """
 
 from __future__ import annotations
@@ -276,11 +280,51 @@ def _require_stable(u, shape):
         raise NotStable("operator is outside the ring; quotient action undefined")
 
 
+def _saturation(mask: GradedMask, ops, links: bool = False) -> int:
+    """The exponent bound B past which a sweep of ops over mask is constant.
+
+    E is the largest |point| or |ray start| of a mask factor.  A component
+    c x^alpha of an op, with |alpha_i| <= A and degree <= D in each
+    variable, sends x^gamma to c(gamma + alpha + 1) x^(gamma + alpha).
+
+    Stability: gamma fails when it is in the mask, gamma + alpha is not, and
+    c(gamma + alpha + 1) != 0.  If |gamma_i| >= E + A, then gamma_i and
+    gamma_i + alpha_i lie on one ray, so only coordinates with |gamma_i| <=
+    E + A - 1 leave the mask, and B = E + A - 1 at rank 1.  At rank n, c is
+    a nonzero polynomial of degree <= D in any other coordinate t of a
+    failure; it is nonzero at one of the D + 1 ray points E <= |t| <= E + D
+    on t's side, and moving t there keeps a failure: B = E + max(A - 1, D).
+
+    Links (rank 1): a coefficient sum a_i h^i of degree d has no root t with
+    |t| > max(1, S), S = sum_{i<d} |a_i / a_d|, since there |a_d t^d| >
+    S |a_d| |t|^(d-1) (Cauchy; no root search); R is the largest max(1,
+    floor(S)).  If |gamma| >= B = max(E, R + 1) + A + 1, gamma + alpha lies
+    past E on gamma's side and c(gamma + alpha + 1) != 0, so each op acts
+    alike on all such x^gamma: a link (k, k + 1) with k >= B or k + 1 <= -B
+    has the outcome of every link further out.
+    """
+    extent = max((abs(v) for f in mask.factors
+                  for v in (*f.points, f.ge, f.le) if v is not None), default=0)
+    reach = degree = roots = 0
+    for op in ops:
+        for alpha, c in op.components.items():
+            reach = max(reach, *map(abs, alpha))
+            if links:
+                *rest, lead = [abs(a) for _, a in sorted(c.terms.items())]
+                roots = max(roots, sum(rest) // lead)
+            elif mask.nvars > 1:
+                degree = max(degree, *map(max, c.terms))
+    if links:
+        return max(extent, roots + 1, 2) + reach + 1
+    return extent + max(reach - 1, degree, 0)
+
+
 def stability_check(gens, mask: GradedMask, window: int) -> bool:
     """Whether every generator maps masked monomials inside the window into the mask.
 
-    The window must comfortably exceed the generator degrees; a window below
-    twice the largest degree would miss the interesting transitions.
+    A window below twice the largest generator degree is refused.  The walk
+    stops at _saturation's bound: c x^alpha moves no x^gamma past it across a
+    mask end, and a c of degree D cannot vanish at D + 1 ray points.
     """
     gens = list(gens)
     maxdeg = 0
@@ -290,7 +334,7 @@ def stability_check(gens, mask: GradedMask, window: int) -> bool:
     if window < 2 * maxdeg:
         raise ValueError("window %d too small for generator degree %d"
                          % (window, maxdeg))
-    for gamma in mask.masked_monomials(window):
+    for gamma in mask.masked_monomials(min(window, _saturation(mask, gens))):
         vec = LaurentVector._trusted(mask.nvars, {gamma: 1})
         for g in gens:
             image = act(g, vec)
@@ -346,14 +390,14 @@ def _unit_pair(shape):
     return generator_pair(shape, "bbA" if shape.m[0] >= 2 else "weyl", 0)
 
 
-def _moves(op, k: int, mask: GradedMask | None) -> bool:
-    """Whether op sends x^k to a nonzero vector, in the quotient by mask
-    (cusp_mask of the shape) if one is given.  The caller has checked op
-    against the shape's ring once, as act_on_quotient would on every call."""
-    image = act(op, LaurentVector._trusted(1, {(k,): 1}))
-    if mask is not None:
-        image = mask.project_outside(image)
-    return not image.is_zero()
+def _moved(op, exponents, mask: GradedMask | None) -> set:
+    """The k in exponents whose x^k the one-degree op sends to a nonzero
+    vector modulo mask (A(m)) if given, from one act on the sum of the x^k:
+    op sends them to distinct degrees.  The caller checks op's membership."""
+    (alpha,), = op.components
+    image = act(op, LaurentVector._trusted(1, {(k,): 1 for k in exponents}))
+    return {d - alpha for (d,) in image.coeffs
+            if mask is None or not mask.contains((d,))}
 
 
 def simplicity_probe(module: str, shape, window: int,
@@ -365,6 +409,7 @@ def simplicity_probe(module: str, shape, window: int,
     generators; the gap between the two runs needs the wider generators, of
     degree +-m for "A" and +-2 for "Aprime".  gap_jump overrides the gap
     generator degree, which is how a deliberately wrong probe is demonstrated.
+    A run stops one link past _saturation's bound, standing for all beyond.
     """
     shape = as_shape(shape)
     if shape.rank != 1:
@@ -373,28 +418,29 @@ def simplicity_probe(module: str, shape, window: int,
     if window < 2 * m + 2:
         raise ValueError("window %d too small; need at least %d"
                          % (window, 2 * m + 2))
+    up1, down1 = _unit_pair(shape)
+    mask = cusp_mask(shape)
+    cut = min(window, _saturation(mask, (up1, down1), links=True) + 1)
     if module == "A":
         jump = m if gap_jump is None else gap_jump
-        runs, gap, mask = [range(m, window)], (0, m), None
+        runs, gap, mask = [range(m, cut)], (0, m), None
     elif module == "Aprime":
         jump = 2 if gap_jump is None else gap_jump
-        runs = [range(-window, -1), range(1, m - 1)]
+        runs = [range(-cut, -1), range(1, m - 1)]
         # at width 1 the run [1, m-1] is empty, so there is no gap to cross
         gap = (-1, 1) if m > 1 else None
-        mask = cusp_mask(shape)
     else:
         raise ValueError("module must be 'A' or 'Aprime'")
-    up1, down1 = _unit_pair(shape)
     gap_up, gap_down = delta_op(shape, (jump,)), delta_op(shape, (-jump,))
     if mask is not None:
         for op in (up1, down1, gap_up, gap_down):
             _require_stable(op, shape)
-    for run in runs:
-        for k in run:
-            if not (_moves(up1, k, mask) and _moves(down1, k + 1, mask)):
-                return False
-    return gap is None or (_moves(gap_up, gap[0], mask)
-                           and _moves(gap_down, gap[1], mask))
+    links = [k for run in runs for k in run]
+    up = _moved(up1, links, mask)
+    down = _moved(down1, [k + 1 for k in links], mask)
+    return (all(k in up and k + 1 in down for k in links)
+            and (gap is None or all(_moved(op, [k], mask) for op, k
+                                    in zip((gap_up, gap_down), gap))))
 
 
 def restriction_blocks(shape, window: int):
@@ -403,7 +449,10 @@ def restriction_blocks(shape, window: int):
     Returns (blocks_A, blocks_Aprime): for each module, the partition of its
     exponents into components linked by nonzero delta_{+-1} transitions,
     computed inside [-window, window] and described as ExponentSets; a block
-    touching the window boundary is reported as a ray.
+    touching the window boundary is reported as a ray.  The walk stops one
+    link past _saturation's bound; every link past it joins (the pair's
+    coefficients are nonzero there, A'(m)'s ray lies outside A(m)), so a
+    block reaching the cut is the same ray.
 
     The decomposition is what restriction to the subalgebra generated by
     delta_{+-1} and h sees: the wider gap-crossing generators are not
@@ -420,14 +469,14 @@ def restriction_blocks(shape, window: int):
     mask = cusp_mask(shape)
     _require_stable(up1, shape)
     _require_stable(down1, shape)
+    cut = min(window, _saturation(mask, (up1, down1), links=True) + 1)
 
     def blocks(exponents, quotient_by):
-        out = []
-        current = []
+        up, down = (_moved(op, exponents, quotient_by) for op in (up1, down1))
+        out, current = [], []
         for k in exponents:
             if current and k == current[-1] + 1:
-                if (_moves(up1, current[-1], quotient_by)
-                        or _moves(down1, k, quotient_by)):
+                if current[-1] in up or k in down:
                     current.append(k)
                     continue
             if current:
@@ -437,14 +486,14 @@ def restriction_blocks(shape, window: int):
             out.append(current)
         sets = []
         for block in out:
-            if block[0] == exponents[0] and block[0] == -window:
+            if block[0] == exponents[0] and block[0] == -cut:
                 sets.append(ExponentSet(le=block[-1]))
-            elif block[-1] == exponents[-1] and block[-1] == window:
+            elif block[-1] == exponents[-1] and block[-1] == cut:
                 sets.append(ExponentSet(ge=block[0]))
             else:
                 sets.append(ExponentSet(points=block))
         return sets
 
-    return (blocks(mask.factors[0].window(-window, window), None),
-            blocks(quotient_mask(shape).factors[0].window(-window, window),
+    return (blocks(mask.factors[0].window(-cut, cut), None),
+            blocks(quotient_mask(shape).factors[0].window(-cut, cut),
                    mask))

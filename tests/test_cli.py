@@ -549,6 +549,22 @@ class TestUsageErrors:
             "cuspdiff: error: --root expects a rational number\n")
 
     @pytest.mark.parametrize("args, message", [
+        (["phi", "--m", "\u0662", "1"],
+         "cuspdiff: error: --m expects a comma separated list of integers"),
+        (["stability", "--m", "2", "--window", "\u0661\u0660"],
+         "cuspdiff stability: error: argument --window: invalid int value: "
+         "'\u0661\u0660'"),
+        (["phi", "--m", "1_0", "1"],
+         "cuspdiff: error: --m expects a comma separated list of integers"),
+        (["delta", "--m", "2", "\u0663"],
+         "cuspdiff: error: bad degree spec '\u0663'; expected i or i@k")],
+        ids=["m", "window", "separator", "degree"])
+    def test_integers_are_ascii_digits(self, capsys, args, message):
+        code, out, err = run_with_stderr(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.endswith(message + "\n")
+
+    @pytest.mark.parametrize("args, message", [
         (["stability", "--m", "2", "--window", "1"],
          "window 1 too small for generator degree 3"),
         (["gwa-verify", "--m", "1", "--algebra", "bbA"],
@@ -583,13 +599,34 @@ class TestUsageErrors:
         assert b"BrokenPipeError" not in err
 
 
-def single_call(*args):
+def single_call(*args, timeout=60):
     """(exit code, stdout, stderr) of the CLI alone in a fresh interpreter."""
     src = Path(cuspdiff.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
     proc = subprocess.run([sys.executable, "-m", "cuspdiff", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestWindowProbes:
+    """A sweep's cost stops growing once the window passes its bound, so a
+    huge window answers fast, and as the same command at window 20 does."""
+
+    @pytest.mark.parametrize("argv", [
+        ("stability", "--m", "2", "--window", "100000"),
+        ("stability", "--m", "2,3", "--window", "400"),
+        ("support", "--m", "3", "--window", "100000")])
+    def test_large_window_answers_fast(self, argv):
+        docs = []
+        for window in (argv[-1], "20"):
+            code, out, err = single_call(*argv[:-1], window, "--json",
+                                         timeout=5)
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert doc.pop("window", int(window)) == int(window)
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
 
 class TestParserReuse:
@@ -691,6 +728,8 @@ _PINNED = [  # argv, exit code, text stdout, --json stdout
      0, 'a17de6070ef1', 'b236bcbdab1f'),
     ("act --m 2,3 --quotient x2 'x1^-1'", 1, '5a5228dbc8bb', 'e05a58d13bc6'),
     ('classify --m 3', 0, '8882d358daf3', 'a478f3776716'),
+    ('stability --m 2 --gens 0', 0, '2223122d6911', '240c5f4c8c04'),
+    ('stability --m 2 --gens h', 0, '2223122d6911', '240c5f4c8c04'),
 ]
 
 _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2

@@ -1,6 +1,7 @@
 """Module actions on Laurent monomials, masked quotients, stability, and the
 weight-support bookkeeping behind restriction."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspdiff import modactions
-from cuspdiff.cuspops import CuspShape, delta_op, generating_set, generator_pair
-from cuspdiff.exactpoly import ArityMismatch, BasePoly
+from cuspdiff.cuspops import (CuspShape, delta_op, generating_set,
+                              generator_pair, graded_divisor)
+from cuspdiff.exactpoly import ArityMismatch, BasePoly, linear_factors
 from cuspdiff.modactions import (ExponentSet, LaurentVector, NotStable,
                                  WeightSupport, act, act_on_quotient,
                                  cusp_mask, quotient_mask, render_vector,
@@ -380,6 +382,124 @@ class TestRestrictionBlocks:
             for k in range(-10, 11):
                 assert sum(k in b for b in blocks_a) == (1 if k in mask_a.factors[0] else 0)
                 assert sum(k in b for b in blocks_q) == (1 if k in mask_q.factors[0] else 0)
+
+
+@pytest.fixture
+def full_walk(monkeypatch):
+    """Run a sweep over every exponent of its window: the reference walk,
+    with _saturation's bound made infinite."""
+    def run(sweep, *args):
+        with monkeypatch.context() as patched:
+            patched.setattr(modactions, "_saturation",
+                            lambda *_, **__: math.inf)
+            return sweep(*args)
+    return run
+
+
+def _failures(gens, mask, window):
+    """Every masked exponent in the window that some generator moves out of
+    the mask, straight from act."""
+    return [gamma for gamma in mask.masked_monomials(window)
+            for g in gens
+            if any(not mask.contains(deg) for deg in act(
+                g, LaurentVector.monomial(mask.nvars, gamma)).coeffs)]
+
+
+def _seeded_ops(rng, widths):
+    """Three monomial operators of degree at most 3 whose coefficients are
+    products of a few (h_j - r); each is a ring member with odds 1/2."""
+    n = len(widths)
+    ops = []
+    for _ in range(3):
+        alpha = tuple(rng.randint(-3, 3) for _ in range(n))
+        c = BasePoly.constant(n, rng.choice([1, -2, 3]))
+        for _ in range(rng.randint(0, 3)):
+            c = c * linear_factors([rng.randint(-5, 5)]).inject(
+                n, rng.randrange(n))
+        if rng.random() < 0.5:
+            c = c * graded_divisor(widths, alpha)
+        ops.append(LaurentOp.monomial(n, alpha, c))
+    return ops
+
+
+class TestSaturation:
+    """Each sweep stops at the bound of _saturation and still gives the
+    answer of the walk over its whole window."""
+
+    @pytest.mark.parametrize("widths, large", [
+        ((1,), 200), ((2,), 200), ((3,), 200), ((4,), 200),
+        ((1, 1), 16), ((2, 3), 16), ((3, 2), 16)])
+    def test_seeded_stability_saturates(self, full_walk, widths, large):
+        answers = set()
+        for seed in range(40):
+            gens = _seeded_ops(random.Random(seed), widths)
+            least = 2 * max(abs(k) for g in gens for deg in g.components
+                            for k in deg)
+            for mask in (cusp_mask(widths), quotient_mask(widths)):
+                bound = modactions._saturation(mask, gens)
+                expected = full_walk(stability_check, gens, mask, large)
+                answers.add(expected)
+                for window in range(least, max(least, bound) + 3):
+                    assert stability_check(gens, mask, window) == full_walk(
+                        stability_check, gens, mask, window), (seed, window)
+                assert stability_check(gens, mask, large) == expected, seed
+                assert stability_check(gens, mask,
+                                       max(least, bound)) == expected, seed
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("mask, gen", [
+        # A'(2) = (-inf, -1] u {1}: x^-3 -> x^0 is the only escape that
+        # (h-3)(h-5) does not kill, at |gamma| = E + A - 1 = 1 + 3 - 1
+        (quotient_mask(2), LaurentOp.monomial(
+            1, (3,), linear_factors([3, 5]))),
+        # A(3) = {0} u [3, inf): x^4 -> x^2 at |gamma| = 3 + 2 - 1
+        (cusp_mask(3), LaurentOp.monomial(1, (-2,), linear_factors([-1, 2])))],
+        ids=["quotient", "cusp"])
+    def test_rank_one_failure_on_the_ray_at_the_bound(self, mask, gen):
+        bound = modactions._saturation(mask, [gen])
+        failures = _failures([gen], mask, 60)
+        assert [max(map(abs, g)) for g in failures] == [bound]
+        for window in range(6, 61):
+            assert not stability_check([gen], mask, window)
+
+    def test_rank_two_far_coordinate_needs_all_d_plus_one_points(self):
+        # A'(1, 1) = (-inf, -1]^2.  x1 moves x1^-1 out, with coefficient
+        # c(0, t + 1), which vanishes at the D = 3 ray points t = -1..-3; the
+        # first failure is at t = -4 = -(E + D)
+        mask = quotient_mask((1, 1))
+        gen = LaurentOp.monomial(
+            2, (1, 0), linear_factors([0, -1, -2]).inject(2, 1))
+        bound = modactions._saturation(mask, [gen])
+        assert bound == 4
+        failures = _failures([gen], mask, 30)
+        assert min(max(map(abs, g)) for g in failures) == bound
+        assert (-1, -bound) in failures
+        for window in range(2, 31):
+            # a window below the bound does not reach the failure
+            assert stability_check([gen], mask, window) == (window < bound)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_probes_and_blocks_saturate(self, full_walk, m):
+        cut = modactions._saturation(
+            cusp_mask(m), modactions._unit_pair(CuspShape(m)), links=True) + 1
+        windows = [*range(m + 3, 61), 2000]
+        at_cut = restriction_blocks(m, max(cut, m + 3))
+        for window in windows:
+            got = restriction_blocks(m, window)
+            assert got == full_walk(restriction_blocks, m, window), window
+            if window >= cut:
+                assert got == at_cut, window
+        for module in ("A", "Aprime"):
+            for jump in (None, 1):
+                at_cut = simplicity_probe(module, m, max(cut, 2 * m + 2), jump)
+                for window in windows:
+                    if window < 2 * m + 2:
+                        continue
+                    got = simplicity_probe(module, m, window, jump)
+                    assert got == full_walk(simplicity_probe, module, m,
+                                            window, jump), (module, window)
+                    if window >= cut:
+                        assert got == at_cut, (module, window)
 
 
 class TestVectors:
