@@ -25,7 +25,7 @@ from random import Random
 
 from .exactpoly import (BasePoly, NotDivisible, grlex_key, poly_to_json,
                         read_int, render_number, render_poly)
-from .skewlaurent import op_to_json, render_op, weyl_membership
+from .skewlaurent import op_to_json, render_op, unit, weyl_membership
 from .cuspops import (as_shape, decompose, delta_op, factor_generators,
                       generating_set, membership, phi, presentation,
                       structure_constant)
@@ -147,7 +147,7 @@ def _parse_degree_spec(spec, shape):
     if not 1 <= factor <= shape.rank:
         raise ValueError("factor index %d out of range 1..%d"
                          % (factor, shape.rank))
-    return tuple(degree if j == factor - 1 else 0 for j in range(shape.rank))
+    return unit(shape.rank, factor - 1, degree)
 
 
 def cmd_delta(args):

@@ -29,7 +29,7 @@ from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, Value,
 from .gwa import Embedding, GwaPresentation
 # phi is re-exported: the package root and the bench read cuspops.phi
 from .skewlaurent import (LaurentOp, graded_divisor, graded_quotients, phi,
-                          vanishing_roots)
+                          unit, vanishing_roots)
 
 
 class CuspShape(Value):
@@ -259,8 +259,7 @@ def factor_generators(shape, i: int) -> list[LaurentOp]:
     gens = [LaurentOp.h(n, i)]
     for k in range(1, 2 * shape.m[i]):
         for signed in (k, -k):
-            gens.append(delta_op(shape, tuple(signed if j == i else 0
-                                              for j in range(n))))
+            gens.append(delta_op(shape, unit(n, i, signed)))
     return gens
 
 
@@ -287,8 +286,8 @@ def generator_pair(shape, algebra: str, i: int):
     elif algebra not in ("bbA", "calA"):
         raise ValueError("no canonical presentation for algebra %r" % algebra)
     k = shape.m[i] if algebra == "calA" else 1
-    up = tuple(k if j == i else 0 for j in range(shape.rank))
-    return delta_op(shape, up), delta_op(shape, tuple(-v for v in up))
+    return (delta_op(shape, unit(shape.rank, i, k)),
+            delta_op(shape, unit(shape.rank, i, -k)))
 
 
 def presentation(shape, algebra: str):

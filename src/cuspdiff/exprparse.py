@@ -23,20 +23,23 @@ by exactpoly.read_int, and a name is an ASCII letter followed by letters,
 digits and '_'.  Any other character that is not whitespace is refused with
 its position.
 
-Evaluation builds as few Laurent operators as it can.  A literal stays an
-int or Fraction, and every atom is a monomial (alpha, c): the coefficient c
-in Q[h1..hn] on the left of x^alpha.  A product of monomials is one
-monomial, skewlaurent.monomial_product(a, b), and a scalar scales a
-coefficient and never shifts.  The power of a monomial of nonzero degree
-with a nonconstant coefficient is taken one factor at a time,
-reduce(monomial_product, repeat(value, k)), so each step shifts only the
-small factor c, unless a partial product passes the 2^31 exponent
-field rule of a product (BasePoly), where squaring takes over; every other
-power of a monomial or a scalar is one BasePoly or number power by
-squaring.  Negation negates a coefficient and a zero scalar gives zero, so
-neither multiplies.  A LaurentOp is built only for a sum, which adds its
-terms degree by degree, and for the value of the whole expression; a
-product or power with a parenthesized sum in it is LaurentOp arithmetic.
+Evaluation builds as few Laurent operators as it can.  D(A(m)) is
+Z^n-graded, so a parsed value is one of two kinds: a monomial (alpha, c),
+the nonzero coefficient c in Q[h1..hn] on the left of x^alpha, or a
+LaurentOp.  Every atom is a monomial: a literal p or p/q is the degree zero
+monomial with constant coefficient, except that 0 is the empty LaurentOp, so
+no monomial holds a zero coefficient.  A product of monomials is one
+monomial, skewlaurent.monomial_product(a, b); any other product is LaurentOp
+arithmetic, and a product with 0 runs over no components.  The power of a
+monomial of nonzero degree with a nonconstant coefficient is taken one
+factor at a time, reduce(monomial_product, repeat(value, k)), so each step
+shifts only the small factor c, unless a partial product passes the 2^31
+exponent field rule of a product (BasePoly), where squaring takes over;
+every other power of a monomial is one BasePoly power by squaring.
+Negation negates a coefficient, so it multiplies nothing.  A LaurentOp is
+built only for 0, for a sum, which adds its terms degree by degree, and for
+the value of the whole expression; a product or power with a parenthesized
+sum in it is LaurentOp arithmetic.
 
 parse_poly reads base polynomials (the render_poly text form) with the same
 grammar and rejects any term of nonzero degree.
@@ -50,7 +53,7 @@ from functools import reduce
 from itertools import repeat
 
 from .exactpoly import BasePoly, ExponentOverflow, read_int, render_number
-from .skewlaurent import LaurentOp, graded_divisor, monomial_product
+from .skewlaurent import LaurentOp, graded_divisor, monomial_product, unit
 from .cuspops import as_shape, generator_pair, w_minus
 
 # a token is an int, a name or one other character that is not whitespace;
@@ -60,8 +63,6 @@ _KINDS = {**dict.fromkeys("0123456789", "int"),
           **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
                           "abcdefghijklmnopqrstuvwxyz", "name"),
           **{c: c for c in "+-*^/()@"}}
-
-_SCALARS = (int, Fraction)
 
 
 class ExprParseError(ValueError):
@@ -93,17 +94,6 @@ def _position(text: str, k: int) -> int:
     return len(text)
 
 
-def _scaled(value, s):
-    """A parsed value times the scalar s, which commutes with everything;
-    a zero s gives zero without multiplying, as a product with the empty
-    operator does."""
-    if not s:
-        return 0
-    if value.__class__ is tuple:
-        return value[0], value[1] * s
-    return value * s
-
-
 def _negated(value):
     """-value of a parsed value."""
     if value.__class__ is tuple:
@@ -116,10 +106,8 @@ def _power(value, k: int):
     if value.__class__ is not tuple:
         return value ** k
     alpha, c = value
-    if not any(alpha) or c.is_constant():
+    if not (k and any(alpha)) or c.is_constant():
         return tuple(a * k for a in alpha), c ** k
-    if k == 0:
-        return 1
     try:
         return reduce(monomial_product, repeat(value, k))
     except ExponentOverflow:
@@ -133,9 +121,9 @@ class _ExprParser:
 
     kind is the kind of the current token, number pos; take() consumes it
     and returns its number, and is never called on the closing "end" token,
-    which nothing matches.  The values passed around are scalars (int or
-    Fraction), monomials (degree tuple, BasePoly coefficient) and
-    LaurentOps; parse() returns a LaurentOp.
+    which nothing matches.  The values passed around are monomials (degree
+    tuple, nonzero BasePoly coefficient) and LaurentOps, 0 among them as
+    the empty one; parse() returns a LaurentOp.
     """
 
     def __init__(self, text, shape, algebra):
@@ -176,9 +164,7 @@ class _ExprParser:
         """The (degree, coefficient) pairs of a parsed value."""
         if value.__class__ is tuple:
             return (value,)
-        if isinstance(value, LaurentOp):
-            return value.components.items()
-        return (((0,) * self.rank, BasePoly.constant(self.rank, value)),)
+        return value.components.items()
 
     def total(self, pairs) -> LaurentOp:
         """The LaurentOp summing (degree, coefficient) pairs."""
@@ -196,19 +182,9 @@ class _ExprParser:
 
     def product(self, a, b):
         """a * b of parsed values, in that order."""
-        if isinstance(b, _SCALARS):
-            return _scaled(a, b)
-        if isinstance(a, _SCALARS):
-            return _scaled(b, a)
         if a.__class__ is tuple and b.__class__ is tuple:
             return monomial_product(a, b)
         return self.operator(a) * self.operator(b)
-
-    def unit(self, factor: int, degree: int) -> tuple:
-        """degree times the unit vector of the zero-based factor."""
-        alpha = [0] * self.rank
-        alpha[factor] = degree
-        return tuple(alpha)
 
     # grammar
 
@@ -241,12 +217,14 @@ class _ExprParser:
         if self.kind == "-":
             self.take()
             return _negated(self.factor())
-        value, bare_x = self.atom()
+        first = self.pos
+        value = self.atom()
         if self.kind != "^":
             return value
         caret = self.take()
         exponent = self.signed_int()
-        if bare_x:
+        # atom takes no name starting with x but a bare x variable
+        if self.texts[first][0] == "x":
             return tuple(a * exponent for a in value[0]), value[1]
         if exponent < 0:
             self.fail(caret, "negative exponents need a bare x variable")
@@ -284,7 +262,6 @@ class _ExprParser:
         return self.factor_index(k, self.texts[k])
 
     def atom(self):
-        """(value, whether it is a bare x variable)."""
         kind = self.kind
         if kind != "int" and kind != "name" and kind != "(":
             self.fail(self.pos, "expected an operand, found %r"
@@ -301,33 +278,35 @@ class _ExprParser:
                 if q == 0:
                     self.fail(den, "zero denominator")
                 num = Fraction(num, q)
-            return num, False
+            if not num:
+                return LaurentOp.zero(n)
+            return (0,) * n, BasePoly.constant(n, num)
         if kind == "(":
             value = self.expr()
             self.expect(")")
-            return value, False
+            return value
         if name == "delta":
             # delta_op(shape, alpha) is graded_divisor(widths, alpha) * x^alpha
             degree, factor, _ = self.indexed_args()
-            alpha = self.unit(factor, degree)
-            return (alpha, graded_divisor(self.shape.m, alpha)), False
+            alpha = unit(n, factor, degree)
+            return alpha, graded_divisor(self.shape.m, alpha)
         if name[0] in ("h", "x") and (len(name) == 1 or name[1:].isdigit()):
             factor = 0 if len(name) == 1 else self.factor_index(k, name[1:])
             if name[0] == "h":
-                return ((0,) * n, BasePoly.variable(n, factor)), False
-            return (self.unit(factor, 1), BasePoly.one(n)), True
+                return (0,) * n, BasePoly.variable(n, factor)
+            return unit(n, factor), BasePoly.one(n)
         if name == "w":
             degree, factor, at = self.indexed_args()
             if degree >= 0:
                 self.fail(at, "w degrees are negative")
             (coeff,) = w_minus(self.shape.m[factor], -degree).components.values()
-            return (self.unit(factor, degree), coeff.inject(n, factor)), False
+            return unit(n, factor, degree), coeff.inject(n, factor)
         if name == "d":
             self.expect("(")
             at = self.expect("int")
             factor = self.factor_index(at, self.texts[at])
             self.expect(")")
-            return (self.unit(factor, -1), BasePoly.variable(n, factor)), False
+            return unit(n, factor, -1), BasePoly.variable(n, factor)
         if name == "X" or name == "Y":
             factor = self.at_factor()
             if self.algebra == "DA":
@@ -338,7 +317,7 @@ class _ExprParser:
             except ValueError as exc:
                 self.fail(k, str(exc))
             (item,) = pair[name == "Y"].components.items()
-            return item, False
+            return item
         self.fail(k, "unknown name %r" % name)
 
 

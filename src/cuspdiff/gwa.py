@@ -29,7 +29,7 @@ from operator import add, mul
 
 from .exactpoly import (ArityMismatch, BasePoly, Frozen, NotDivisible, Value,
                         exact_divide, render_poly)
-from .skewlaurent import Graded, LaurentOp, monomial_product
+from .skewlaurent import Graded, LaurentOp, monomial_product, unit
 
 
 class PresentationMismatch(ValueError):
@@ -227,14 +227,13 @@ def _relations(pres: GwaPresentation, xs, ys, lift, samples):
     n = pres.nvars
     for i in range(n):
         X, Y = xs[i], ys[i]
-        e = tuple(1 if j == i else 0 for j in range(n))
         yield "yx=a[%d]" % i, Y * X, lift(pres.a[i])
         yield "xy=sigma(a)[%d]" % i, X * Y, lift(pres.sigma_of_a(i, 1))
         for k, d in enumerate(samples):
             yield ("x-shift[%d,%d]" % (i, k), X * lift(d),
-                   lift(pres.sigma_power(d, e)) * X)
+                   lift(pres.sigma_power(d, unit(n, i))) * X)
             yield ("y-shift[%d,%d]" % (i, k), Y * lift(d),
-                   lift(pres.sigma_power(d, tuple(-v for v in e))) * Y)
+                   lift(pres.sigma_power(d, unit(n, i, -1))) * Y)
         for j in range(i + 1, n):
             for u in (X, Y):
                 for v in (xs[j], ys[j]):
@@ -272,9 +271,8 @@ def verify_presentation(pres: GwaPresentation, depth: int = 3,
     n = pres.nvars
     samples = [BasePoly.one(n), *(BasePoly.variable(n, i) for i in range(n)),
                *pres.a, *extra_base]
-    units = [[int(j == i) for j in range(n)] for i in range(n)]
-    xs = [pres.basis(e) for e in units]
-    ys = [pres.basis([-v for v in e]) for e in units]
+    xs = [pres.basis(unit(n, i)) for i in range(n)]
+    ys = [pres.basis(unit(n, i, -1)) for i in range(n)]
     for name, lhs, rhs in _relations(pres, xs, ys, pres.from_base, samples):
         ok = lhs == rhs
         checks.append(GwaCheck(name, ok, "" if ok else render_gwa(lhs)))
@@ -301,8 +299,7 @@ def _factor_failures(pres, i, depth):
     """The set of int triples (a, b, c) in [-depth, depth] at which
     (v_a v_b) v_c != v_a (v_b v_c) for v_k = v_k(i), at full rank."""
     ks = range(-depth, depth + 1)
-    basis = [pres.basis([k if j == i else 0 for j in range(pres.nvars)])
-             for k in ks]
+    basis = [pres.basis(unit(pres.nvars, i, k)) for k in ks]
     table = [[gwa_multiply(u, v) for v in basis] for u in basis]
     return {(a, b, c)
             for a, va, row_a in zip(ks, basis, table)

@@ -173,8 +173,7 @@ class LaurentOp(Graded):
     @classmethod
     def x(cls, nvars: int, j: int = 0, power: int = 1) -> "LaurentOp":
         """x_{j+1}^power (power may be negative)."""
-        deg = tuple(power if i == j else 0 for i in range(nvars))
-        return cls.monomial(nvars, deg, 1)
+        return cls.monomial(nvars, unit(nvars, j, power), 1)
 
     @classmethod
     def h(cls, nvars: int, j: int = 0) -> "LaurentOp":
@@ -183,8 +182,8 @@ class LaurentOp(Graded):
     @classmethod
     def d(cls, nvars: int, j: int = 0) -> "LaurentOp":
         """The partial derivative operator for factor j: h_j * x_j^{-1}."""
-        deg = tuple(-1 if i == j else 0 for i in range(nvars))
-        return cls.monomial(nvars, deg, BasePoly.variable(nvars, j))
+        return cls.monomial(nvars, unit(nvars, j, -1),
+                            BasePoly.variable(nvars, j))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -218,6 +217,11 @@ class LaurentOp(Graded):
     @staticmethod
     def _letter(e: int):
         return "x", e
+
+
+def unit(n: int, i: int, k: int = 1) -> tuple:
+    """The degree k e_i in Z^n: k at the zero-based factor i, 0 elsewhere."""
+    return tuple(k if j == i else 0 for j in range(n))
 
 
 def monomial_product(u, v):

@@ -1,23 +1,26 @@
-"""Acceptance gate: the ten end-to-end criteria, one test and one printed
+"""Acceptance gate: the eleven end-to-end criteria, one test and one printed
 PASS/FAIL line each.  Everything is exact arithmetic; the runtime-bounded
 sweeps are seeded and deterministic."""
 
 import json
 import random
 import time
+from fractions import Fraction
 
 from cuspdiff.classify import classify_bbA, is_normal, normalize
 from cuspdiff.cli import main as cli_main
 from cuspdiff.cuspops import (CuspShape, bbA_presentation, calA_presentation,
-                              decompose, delta_op, generating_set, membership,
-                              structure_constant, w_minus)
+                              decompose, delta_op, factor_generators,
+                              generating_set, membership, structure_constant,
+                              w_minus)
 from cuspdiff.exactpoly import BasePoly, NotDivisible
 from cuspdiff.exprparse import parse_expression
 from cuspdiff.gwa import GwaElement, gwa_multiply
 from cuspdiff.modactions import (WeightSupport, cusp_mask, quotient_mask,
                                  restriction_blocks, simplicity_probe,
                                  stability_check, support)
-from cuspdiff.skewlaurent import LaurentOp, commutator, render_op
+from cuspdiff.skewlaurent import (LaurentOp, commutator, monomial_product,
+                                  render_op)
 
 H = BasePoly.variable(1, 0)
 
@@ -452,3 +455,146 @@ def test_criterion_10_cli_determinism(capsys):
     ok = not failures
     line = _report(10, ok, "byte-identical JSON, 100-string corpus", capsys)
     assert ok, line + " failures=%r" % failures
+
+
+def _least_coefficient(m, i):
+    """Coefficients, lowest degree first, of the monic c(h) of least degree
+    with c(h) x^i in D(A(m)), read off the definitions rather than from
+    skewlaurent.
+
+    c(h) x^i sends x^k to c(k+i+1) x^{k+i}, so c vanishes at k + i + 1
+    wherever x^k lies in A(m) and x^{k+i} does not; for k >= m + |i| both
+    do, so the window k < m + |i| is complete.
+    """
+    def in_s(k):
+        return k == 0 or k >= m
+    roots = [k + i + 1 for k in range(m + abs(i))
+             if in_s(k) and not in_s(k + i)]
+    out = [Fraction(1)]
+    for r in roots:
+        out = [Fraction(0)] + out  # times h, then minus r times the old
+        for e in range(len(out) - 1):
+            out[e] -= r * out[e + 1]
+    return out
+
+
+def _coefficients(p, var):
+    """Coefficients of p in h_{var+1}, lowest degree first; p involves no
+    other variable."""
+    out = [Fraction(0)] * (max(e[var] for e in p.terms) + 1)
+    for e, c in p.terms.items():
+        out[e[var]] += c
+    return out
+
+
+def _remainder(a, b):
+    """a mod b in Q[h], both nonzero coefficient lists, lowest degree first."""
+    a = list(a)
+    while len(a) >= len(b):
+        q = a.pop() / b[-1]
+        at = len(a) + 1 - len(b)
+        for j, c in enumerate(b[:-1]):
+            a[at + j] -= q * c
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _gcd(a, b):
+    """The monic gcd in Q[h] of a nonzero a and b, by Euclid."""
+    while b:
+        a, b = b, _remainder(a, b)
+    return [c / a[-1] for c in a]
+
+
+def _word_gcds(gens, length, targets, var=0):
+    """{i: monic gcd of the h_{var+1} coefficients of the words of degree
+    i e_{var+1} and length <= length in gens}, for the i in targets.
+
+    Every word lies in D(A(m)), so each gcd is a multiple of its target, and
+    a degree takes no more words once its gcd has come down to the target.
+    """
+    letters = [item for g in gens for item in g.components.items()]
+    gcds, level = {}, [None]  # the empty word
+    for step in range(length):
+        last, longer = step == length - 1, []
+        for w in level:
+            for g in letters:
+                i = g[0][var] + (w[0][var] if w else 0)
+                done = i not in targets or gcds.get(i) == targets[i]
+                if last and done:
+                    continue
+                word = monomial_product(w, g) if w else g
+                longer.append(word)
+                if not done:
+                    c = _coefficients(word[1], var)
+                    gcds[i] = _gcd(gcds[i], c) if i in gcds else _gcd(c, [])
+        level = longer
+    return gcds
+
+
+def test_criterion_11_generators_generate(capfd):
+    """generating_set(m) generates D(A(m)): m = 2..6, 1 <= |i| <= 3m, words
+    of length <= 3, and mixed degrees at shape (2, 3).
+
+    Words in the generators are homogeneous and h is one of them, so the
+    degree i part of the subalgebra they generate is a left K[h]-module.
+    K[h] is a principal ideal domain, so by Bezout that part holds g x^i,
+    where g is the gcd of the coefficients of the degree i words.  It holds
+    delta(i) = phi(m, i) x^i, and so all of D(A(m)) in degree i, exactly
+    when g = phi(m, i) up to a scalar.  The gcd is taken by Euclid over
+    Fractions, and phi is read off the definitions, so no root search runs.
+    Each delta(k) with |k| < 2m has |k| <= 3m, so the words check every
+    generator; a factor_generators that stops at k < m fails.
+
+    At shape (2, 3) a word of mixed degree (i, j) is a word u in factor 1's
+    generators times one v in factor 2's, since the factors commute.  The
+    words with u of length <= l and v of length <= 3 - l span the ideal of
+    g_1(h1) g_2(h2), the product of the two one-factor gcds, and the least
+    coefficient at (i, j) is phi(2, i)(h1) phi(3, j)(h2).
+
+    Observation, not an erratum: the set is not minimal.  h and delta(+-k)
+    for k <= m alone, in words of length <= 3, already give g = phi(m, i)
+    at every 1 <= |i| <= 3m for m = 2..6, so they generate every
+    delta(+-k) with k < 2m and with it D(A(m)); at m = 2,
+    delta(3) = [delta(1), delta(2)] / 2.
+    """
+    start = time.monotonic()
+    failures = []
+    for m in range(2, 7):
+        targets = {i: _least_coefficient(m, i)
+                   for i in range(-3 * m, 3 * m + 1) if i}
+        gens = generating_set(m)
+        failures += [("not a member", m, g) for g in gens
+                     if not membership(g, m)]
+        prefix = [g for g in gens if all(abs(d) <= m for (d,) in g.components)]
+        for name, words in (("generating_set", gens), ("k <= m", prefix)):
+            gcds = _word_gcds(words, 3, targets)
+            failures += [(name, m, i, gcds.get(i)) for i in targets
+                         if gcds.get(i) != targets[i]]
+    delta = [delta_op(2, (k,)) for k in (1, 2, 3)]
+    if commutator(delta[0], delta[1]) != 2 * delta[2]:
+        failures.append("delta(3) at m = 2")
+    shape = CuspShape((2, 3))
+    split = {}
+    for f in (0, 1):
+        targets = {i: _least_coefficient(shape.m[f], i)
+                   for i in range(-3 * shape.m[f], 3 * shape.m[f] + 1) if i}
+        gens = factor_generators(shape, f)
+        failures += [("not a member", shape, g) for g in gens
+                     if not membership(g, shape)]
+        for length in (1, 2):
+            gcds = _word_gcds(gens, length, targets, f)
+            split[f, length] = {i for i in targets
+                                if gcds.get(i) == targets[i]}
+    mixed = [(1, 1), (-1, 2), (3, -5), (-3, 6), (-6, 4), (5, -2)]
+    failures += [("mixed", alpha) for alpha in mixed
+                 if not any(alpha[0] in split[0, length]
+                            and alpha[1] in split[1, 3 - length]
+                            for length in (1, 2))]
+    elapsed = time.monotonic() - start
+    ok = not failures and elapsed < 2.0
+    line = _report(11, ok, "m=2..6, 1 <= |i| <= 3m, words of length <= 3, "
+                           "%d mixed degrees, %.2f s" % (len(mixed), elapsed),
+                   capfd)
+    assert ok, line + " failures=%r" % failures[:5]

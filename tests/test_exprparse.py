@@ -494,6 +494,34 @@ class TestWorkCounts:
         assert shifts == [(-2 * j,) for j in range(1, k)]
         assert got == y ** k
 
+    def test_products_are_polynomial_products(self, monkeypatch):
+        # a literal is a degree zero monomial and 0 the empty operator, so
+        # every coefficient product multiplies two polynomials
+        cases = [
+            ("3*h^2*delta(5) - 4/3*x^-2*h", 2,
+             3 * h * h * delta_op(2, (5,))
+             - Fraction(4, 3) * LaurentOp.x(1, 0, -2) * h),
+            ("2*(h+1)*x^-1*3", 2, 2 * (h + 1) * LaurentOp.x(1, 0, -1) * 3),
+            ("-1/2*h1*delta(1@2)^2*5", (2, 3),
+             -Fraction(1, 2) * LaurentOp.h(2, 0)
+             * delta_op((2, 3), (0, 1)) ** 2 * 5),
+            ("0*h + 0^0*x", 2, 0 * h + LaurentOp.zero(1) ** 0 * x),
+        ]
+        operands = []
+        real = BasePoly.__mul__
+
+        def recording(self, other):
+            operands.append((self, other))
+            return real(self, other)
+
+        monkeypatch.setattr(BasePoly, "__mul__", recording)
+        got = [parse(text, shape) for text, shape, _ in cases]
+        monkeypatch.undo()
+        assert operands
+        assert [pair for pair in operands
+                if not all(isinstance(v, BasePoly) for v in pair)] == []
+        assert got == [expected for _, _, expected in cases]
+
     def test_power_of_h_squares(self):
         # a degree zero base keeps BasePoly squaring
         start = time.perf_counter()

@@ -148,6 +148,24 @@ def test_skew_rule_is_written_once():
     assert _shift_calls(_definition(PACKAGE / "gwa.py", "Embedding")[1]) == []
 
 
+def _unit_conditionals(tree):
+    """The `... if a == b else 0` conditional expressions under an AST node."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.IfExp)
+            and isinstance(node.test, ast.Compare)
+            and [type(op) for op in node.test.ops] == [ast.Eq]
+            and isinstance(node.orelse, ast.Constant)
+            and node.orelse.value == 0]
+
+
+def test_unit_degree_is_written_once():
+    # the degree k e_i is skewlaurent.unit alone
+    found = [(path.stem, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for node in _unit_conditionals(ast.parse(path.read_text()))]
+    (rule,) = _unit_conditionals(_definition(PACKAGE / "skewlaurent.py",
+                                             "unit")[1])
+    assert found == [("skewlaurent", rule.lineno)]
+
+
 def test_value_equality_is_written_once():
     own = [name for name, methods in _methods_by_class()
            if methods & {"__eq__", "__hash__"}]
