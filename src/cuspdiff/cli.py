@@ -1,11 +1,14 @@
 """Command line interface.
 
-Every subcommand takes --m (comma separated factor widths), --algebra,
---json, --window and --seed.  Exit status is 0 for successful queries, 1
-when a requested check fails (membership, stability, relation or round trip
-verification) or stdout is closed before the output is written, and 2 for
-usage or parse errors.  Output is deterministic: iteration is sorted and
-randomness is seeded.
+Every subcommand takes --m (comma separated factor widths) and --json, and
+only those of --algebra, --window and --seed that its handler reads:
+--algebra for mul, member, decompose, act, normalize, stability, classify
+and gwa-verify; --window for stability, classify and support; --seed for
+relations-check and gwa-verify.  Any other flag is a usage error.  Exit
+status is 0 for successful queries, 1 when a requested check fails
+(membership, stability, relation or round trip verification) or stdout is
+closed before the output is written, and 2 for usage or parse errors.
+Output is deterministic: iteration is sorted and randomness is seeded.
 
 Each handler cmd_x(args) returns (exit code, payload, lines): the --json body
 without its schema and command keys, and the text output.  Usage errors are
@@ -414,18 +417,26 @@ def cmd_support(args):
 # -- parser assembly -------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", default="2",
-                        help="comma separated factor widths (default 2)")
-    common.add_argument("--algebra", default="DA",
-                        choices=["DA", "bbA", "calA", "weyl"],
-                        help="algebra context for expressions and checks")
-    common.add_argument("--json", action="store_true",
-                        help="emit a single JSON document")
-    common.add_argument("--window", type=_int, default=12,
-                        help="exponent window for module computations")
-    common.add_argument("--seed", type=_int, default=0,
-                        help="seed for randomized sweeps")
+    def option(flag, **kwargs):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(flag, **kwargs)
+        return parent
+
+    # one parent parser per common option, in usage order
+    options = {
+        "m": option("--m", default="2",
+                    help="comma separated factor widths (default 2)"),
+        "algebra": option("--algebra", default="DA",
+                          choices=["DA", "bbA", "calA", "weyl"],
+                          help="algebra context for expressions and checks"),
+        "json": option("--json", action="store_true",
+                       help="emit a single JSON document"),
+        "window": option("--window", type=_int, default=12,
+                         help="exponent window for module computations; "
+                              "a sweep refuses one too small for its exact "
+                              "answer"),
+        "seed": option("--seed", type=_int, default=0,
+                       help="seed for randomized sweeps")}
 
     parser = argparse.ArgumentParser(
         prog="cuspdiff",
@@ -433,84 +444,80 @@ def build_parser() -> argparse.ArgumentParser:
                     "on monomial curve algebras")
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("mul", parents=[common],
-                       help="multiply operator expressions")
+    def command(name, summary, *reads):
+        """A subcommand taking --m, --json and the options in reads."""
+        return sub.add_parser(name, help=summary, parents=[
+            parent for key, parent in options.items()
+            if key in ("m", "json") + reads])
+
+    p = command("mul", "multiply operator expressions", "algebra")
     p.add_argument("expr", nargs="+", help="operator expressions")
     p.set_defaults(func=cmd_mul)
 
-    p = sub.add_parser("member", parents=[common],
-                       help="membership test in the selected algebra")
+    p = command("member", "membership test in the selected algebra",
+                "algebra")
     p.add_argument("expr", help="operator expression")
     p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("phi", parents=[common],
-                       help="graded coefficient polynomials")
+    p = command("phi", "graded coefficient polynomials")
     p.add_argument("index", nargs="+", type=_int, help="degrees")
     p.set_defaults(func=cmd_phi)
 
-    p = sub.add_parser("delta", parents=[common],
-                       help="graded generators as Laurent operators")
+    p = command("delta", "graded generators as Laurent operators")
     p.add_argument("degree", nargs="+", help="degree specs i or i@k")
     p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="coordinates on the delta basis")
+    p = command("decompose", "coordinates on the delta basis", "algebra")
     p.add_argument("expr", help="operator expression")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("act", parents=[common],
-                       help="apply an operator to a Laurent vector")
+    p = command("act", "apply an operator to a Laurent vector", "algebra")
     p.add_argument("op", help="operator expression")
     p.add_argument("vector", help="vector expression (x monomials)")
     p.add_argument("--quotient", action="store_true",
                    help="act on the quotient by the monomial subalgebra")
     p.set_defaults(func=cmd_act)
 
-    p = sub.add_parser("stability", parents=[common],
-                       help="check that generators preserve the monomial mask")
+    p = command("stability", "check that generators preserve the monomial "
+                "mask", "algebra", "window")
     p.add_argument("--gens", action="append", default=None, metavar="EXPR",
                    help="generator expression (repeatable; default: the "
                         "canonical generating set)")
     p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("relations-check", parents=[common],
-                       help="verify the product table of the graded generators")
+    p = command("relations-check", "verify the product table of the graded "
+                "generators", "seed")
     p.add_argument("--corrupt", action="store_true",
                    help="perturb one product to demonstrate detection")
     p.set_defaults(func=cmd_relations_check)
 
-    p = sub.add_parser("gwa-verify", parents=[common],
-                       help="verify a generalized Weyl presentation and its "
-                            "Laurent embedding")
+    p = command("gwa-verify", "verify a generalized Weyl presentation and its "
+                "Laurent embedding", "algebra", "seed")
     p.add_argument("--depth", type=_int, default=3,
                    help="coordinate bound for the associativity sweep")
     p.add_argument("--pairs", type=_int, default=20,
                    help="number of random embed/pullback round trips")
     p.set_defaults(func=cmd_gwa_verify)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="simple weight module tables")
+    p = command("classify", "simple weight module tables", "algebra", "window")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("orbit", parents=[common],
-                       help="marked ideals and interval partition of an orbit")
+    p = command("orbit", "marked ideals and interval partition of an orbit")
     p.add_argument("--a", required=True, metavar="POLY",
                    help="base polynomial in h")
     p.add_argument("--root", default="0",
                    help="rational root selecting the orbit (default 0)")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("normalize", parents=[common],
-                       help="normality test and normalization of a "
-                            "nonpositive-degree element")
+    p = command("normalize", "normality test and normalization of a "
+                "nonpositive-degree element", "algebra")
     p.add_argument("--element", required=True, metavar="EXPR",
                    help="element expression; resolved through the algebra's "
                         "Laurent embedding (DA uses the canonical "
                         "presentation on X = x^m, Y = delta(-m))")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("support", parents=[common],
-                       help="weight supports and restriction blocks")
+    p = command("support", "weight supports and restriction blocks", "window")
     p.set_defaults(func=cmd_support)
 
     return parser

@@ -94,9 +94,8 @@ class GwaPresentation(Value):
         """sigma_i^t(a_i), cached."""
         key = (i, t)
         if key not in self._shift_cache:
-            shift_vec = [0] * self.nvars
-            shift_vec[i] = t * self.steps[i]
-            self._shift_cache[key] = self.a[i].shift(shift_vec)
+            self._shift_cache[key] = self.a[i].shift(
+                unit(self.nvars, i, t * self.steps[i]))
         return self._shift_cache[key]
 
     def pair_coefficient(self, i: int, n: int, m: int) -> BasePoly:
@@ -397,9 +396,6 @@ class Embedding(Frozen):
             tuple(map(mul, alpha, steps)):
             c * self._coefficient(alpha) if any(alpha) else c
             for alpha, c in u.components.items()})
-
-    def basis_image(self, alpha) -> LaurentOp:
-        return self.apply(self.presentation.basis(alpha))
 
     def pullback(self, op: LaurentOp) -> GwaElement:
         """Inverse of apply on the image subalgebra; NotInImage otherwise.

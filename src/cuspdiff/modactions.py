@@ -308,6 +308,8 @@ def _saturation(mask: GradedMask, ops, links: bool = False) -> int:
     reach = degree = roots = 0
     for op in ops:
         for alpha, c in op.components.items():
+            if not any(alpha):
+                continue  # x^gamma -> c(gamma + 1) x^gamma stays put
             reach = max(reach, *map(abs, alpha))
             if links:
                 *rest, lead = [abs(a) for _, a in sorted(c.terms.items())]
@@ -320,11 +322,12 @@ def _saturation(mask: GradedMask, ops, links: bool = False) -> int:
 
 
 def stability_check(gens, mask: GradedMask, window: int) -> bool:
-    """Whether every generator maps masked monomials inside the window into the mask.
+    """Whether every generator maps every masked monomial into the mask.
 
-    A window below twice the largest generator degree is refused.  The walk
-    stops at _saturation's bound: c x^alpha moves no x^gamma past it across a
-    mask end, and a c of degree D cannot vanish at D + 1 ray points.
+    The walk goes to _saturation's bound B: c x^alpha moves no x^gamma past
+    it across a mask end, and a c of degree D cannot vanish at D + 1 ray
+    points.  A window below B or twice the largest generator degree is
+    refused, so every accepted window caps the walk and gives the answer.
     """
     gens = list(gens)
     maxdeg = 0
@@ -334,7 +337,11 @@ def stability_check(gens, mask: GradedMask, window: int) -> bool:
     if window < 2 * maxdeg:
         raise ValueError("window %d too small for generator degree %d"
                          % (window, maxdeg))
-    for gamma in mask.masked_monomials(min(window, _saturation(mask, gens))):
+    bound = _saturation(mask, gens)
+    if window < bound:
+        raise ValueError("window %d below the sweep bound %d"
+                         % (window, bound))
+    for gamma in mask.masked_monomials(bound):
         vec = LaurentVector._trusted(mask.nvars, {gamma: 1})
         for g in gens:
             image = act(g, vec)

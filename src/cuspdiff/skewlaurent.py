@@ -221,7 +221,7 @@ class LaurentOp(Graded):
 
 def unit(n: int, i: int, k: int = 1) -> tuple:
     """The degree k e_i in Z^n: k at the zero-based factor i, 0 elsewhere."""
-    return tuple(k if j == i else 0 for j in range(n))
+    return (0,) * i + (k,) + (0,) * (n - i - 1)
 
 
 def monomial_product(u, v):

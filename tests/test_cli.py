@@ -1,5 +1,7 @@
 """Command line interface: golden outputs, exit codes, JSON determinism."""
 
+import argparse
+import ast
 import hashlib
 import json
 import os
@@ -193,6 +195,17 @@ class TestStability:
                         "--gens", "x")
         assert code == 1
         assert "false" in out
+
+    def test_window_below_the_bound_is_refused(self, capsys):
+        # the partial sends x^5 to 5x^4, outside A(5): window 2 passes the
+        # degree guard but lies below the bound 5, where the failure is
+        argv = ("stability", "--m", "5", "--gens", "h*x^-1", "--window")
+        code, out, err = run_with_stderr(capsys, *argv, "2")
+        assert (code, out) == (2, "")
+        assert "window 2 below the sweep bound 5" in err
+        code, out = run(capsys, *argv, "5")
+        assert (code, out) == (
+            1, "stable under 1 generators in window 5: false\n")
 
 
 class TestRelationsCheck:
@@ -628,6 +641,19 @@ class TestWindowProbes:
             docs.append(doc)
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("gen, code, needle", [
+        ("h2^3000", 0, "true"),
+        ("x1*h2^3000", 2, "window 12 below the sweep bound 3003")])
+    def test_coefficient_degree_cannot_outrun_the_window(self, gen, code,
+                                                         needle):
+        # a degree-zero component never leaves the mask, so its coefficient
+        # adds nothing to the bound; a moving one of degree 3000 in h2 needs
+        # a bound past 3000, which the default window refuses
+        got, out, err = single_call("stability", "--m", "2,3", "--gens", gen,
+                                    timeout=5)
+        assert got == code
+        assert needle in out + err
+
 
 class TestParserReuse:
     """main builds its parser once per process; no call may leak into the next."""
@@ -735,7 +761,12 @@ _PINNED = [  # argv, exit code, text stdout, --json stdout
 _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2
     ('', '9df5e502ed20', 'e3b0c44298fc'),
     ('frobnicate', 'e3b0c44298fc', '321dbd28897e'),
-    ('mul --m 2 --window x h', 'e3b0c44298fc', 'e1b5ca9f816d'),
+    ('mul --m 2 --window x h', 'e3b0c44298fc', '1c005e3f2107'),
+    ('stability --m 2 --window x', 'e3b0c44298fc', 'f4502ad0bd7a'),
+    # a flag its subcommand does not read is refused, not ignored
+    ('phi --m 2 1 --algebra bbA', 'e3b0c44298fc', '9d7d54bb35a5'),
+    ('orbit --a h --window 3', 'e3b0c44298fc', '165fcf0fd852'),
+    ('support --m 3 --seed 1', 'e3b0c44298fc', '87ddaafe3f2e'),
     ("mul --m 2 'h+$'", 'e3b0c44298fc', '47dd15f840e1'),
     ('phi --m zero 1', 'e3b0c44298fc', 'd525edb8266f'),
     ('phi --m 0 1', 'e3b0c44298fc', 'b80a50fa8b39'),
@@ -795,6 +826,52 @@ class TestPinnedOutput:
         got = run_with_stderr(capsys, *argv)
         assert (got[0], _digest(got[1]), _digest(got[2])) == (code, out, err), (
             "exit %r\n--- stdout\n%s--- stderr\n%s" % got)
+
+
+def _args_reads(tree, func, param="args"):
+    """The attributes read off param in func, and in every module function
+    that func passes param to, at any depth."""
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    reads, seen, todo = set(), set(), [(functions[func], param)]
+    while todo:
+        node, name = todo.pop()
+        if (node.name, name) in seen:
+            continue
+        seen.add((node.name, name))
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.value,
+                                                              ast.Name)
+                    and sub.value.id == name):
+                reads.add(sub.attr)
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                    and sub.func.id in functions):
+                callee = functions[sub.func.id]
+                todo += [(callee, p.arg) for a, p in zip(sub.args,
+                                                         callee.args.args)
+                         if isinstance(a, ast.Name) and a.id == name]
+    return reads
+
+
+def test_every_option_is_read():
+    """Each subcommand declares exactly the options its handler reads, plus
+    --json, which main reads.
+
+    The declared options come from argparse's internal _actions.  The reads
+    are found in the AST: args.<name> in the handler, and in the module
+    functions it passes args to positionally under the same name; a read by
+    keyword argument or getattr would be missed."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    subparsers, = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    unread, missing = [], []
+    for name, sub in subparsers.choices.items():
+        declared = {action.dest for action in sub._actions
+                    if not isinstance(action, argparse._HelpAction)}
+        reads = _args_reads(tree, sub.get_default("func").__name__) | {"json"}
+        unread += [(name, dest) for dest in sorted(declared - reads)]
+        missing += [(name, dest) for dest in sorted(reads - declared)]
+    assert (unread, missing) == ([], [])
 
 
 class TestDeterminismCorpus:

@@ -86,9 +86,10 @@ class TestPairCoefficients:
         pres, emb = weyl()
         for n in range(-4, 5):
             for m in range(-4, 5):
-                lhs = emb.basis_image((n,)) * emb.basis_image((m,))
+                lhs = (emb.apply(pres.basis((n,)))
+                       * emb.apply(pres.basis((m,))))
                 rhs = (LaurentOp.from_poly(pres.pair_coefficient(0, n, m))
-                       * emb.basis_image((n + m,)))
+                       * emb.apply(pres.basis((n + m,))))
                 assert lhs == rhs, (n, m)
 
 
@@ -539,7 +540,8 @@ class TestEmbedding:
                         expected = expected * emb.x_images[i] ** k
                     elif k < 0:
                         expected = expected * emb.y_images[i] ** -k
-                assert emb.basis_image(alpha) == expected, (widths, alpha)
+                assert emb.apply(pres.basis(alpha)) == expected, (widths,
+                                                                  alpha)
 
     def test_deep_power_round_trip(self):
         # generator powers are built by a loop, not one stack frame per power

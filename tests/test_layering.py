@@ -148,22 +148,49 @@ def test_skew_rule_is_written_once():
     assert _shift_calls(_definition(PACKAGE / "gwa.py", "Embedding")[1]) == []
 
 
-def _unit_conditionals(tree):
-    """The `... if a == b else 0` conditional expressions under an AST node."""
-    return [node for node in ast.walk(tree) if isinstance(node, ast.IfExp)
-            and isinstance(node.test, ast.Compare)
-            and [type(op) for op in node.test.ops] == [ast.Eq]
-            and isinstance(node.orelse, ast.Constant)
-            and node.orelse.value == 0]
+def _unit_spellings(tree):
+    """Hand spellings of a unit vector under an AST node: a `... if a == b
+    else 0` conditional, or a `v = [0] * n` list stored at one index, once
+    and outside a loop."""
+    found = [node for node in ast.walk(tree) if isinstance(node, ast.IfExp)
+             and isinstance(node.test, ast.Compare)
+             and [type(op) for op in node.test.ops] == [ast.Eq]
+             and isinstance(node.orelse, ast.Constant)
+             and node.orelse.value == 0]
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        looped = {id(node) for loop in ast.walk(func)
+                  if isinstance(loop, (ast.For, ast.While))
+                  for node in ast.walk(loop)}
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.BinOp)
+                    and isinstance(node.value.op, ast.Mult)
+                    and ast.unparse(node.value.left) == "[0]"):
+                continue
+            names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            stores = [sub for sub in ast.walk(func)
+                      if isinstance(sub, ast.Subscript)
+                      and isinstance(sub.ctx, ast.Store)
+                      and isinstance(sub.value, ast.Name)
+                      and sub.value.id in names]
+            if len(stores) == 1 and id(stores[0]) not in looped:
+                found.append(node)
+    return found
 
 
 def test_unit_degree_is_written_once():
-    # the degree k e_i is skewlaurent.unit alone
-    found = [(path.stem, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
-             for node in _unit_conditionals(ast.parse(path.read_text()))]
-    (rule,) = _unit_conditionals(_definition(PACKAGE / "skewlaurent.py",
-                                             "unit")[1])
-    assert found == [("skewlaurent", rule.lineno)]
+    # the degree k e_i is skewlaurent.unit alone: no other function spells
+    # it out by hand
+    unit_tree, rule = _definition(PACKAGE / "skewlaurent.py", "unit")
+    inside = {id(node) for node in ast.walk(rule)}
+    trees = {path.stem: unit_tree if path.stem == "skewlaurent"
+             else ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = [(stem, node.lineno) for stem, tree in trees.items()
+             for node in _unit_spellings(tree) if id(node) not in inside]
+    assert found == []
 
 
 def test_value_equality_is_written_once():

@@ -386,12 +386,13 @@ class TestRestrictionBlocks:
 
 @pytest.fixture
 def full_walk(monkeypatch):
-    """Run a sweep over every exponent of its window: the reference walk,
-    with _saturation's bound made infinite."""
-    def run(sweep, *args):
+    """Run a sweep with _saturation's bound replaced by reach: math.inf
+    walks a probe or a block sweep over its whole window, a finite reach
+    cuts a walk short."""
+    def run(reach, sweep, *args):
         with monkeypatch.context() as patched:
             patched.setattr(modactions, "_saturation",
-                            lambda *_, **__: math.inf)
+                            lambda *_, **__: reach)
             return sweep(*args)
     return run
 
@@ -423,13 +424,14 @@ def _seeded_ops(rng, widths):
 
 
 class TestSaturation:
-    """Each sweep stops at the bound of _saturation and still gives the
-    answer of the walk over its whole window."""
+    """stability_check walks to the bound of _saturation and refuses a window
+    below it; the probes and blocks stop there.  Every window a sweep
+    accepts gives the exact answer, that of a walk with a large reach."""
 
     @pytest.mark.parametrize("widths, large", [
         ((1,), 200), ((2,), 200), ((3,), 200), ((4,), 200),
         ((1, 1), 16), ((2, 3), 16), ((3, 2), 16)])
-    def test_seeded_stability_saturates(self, full_walk, widths, large):
+    def test_seeded_stability_saturates(self, widths, large):
         answers = set()
         for seed in range(40):
             gens = _seeded_ops(random.Random(seed), widths)
@@ -437,14 +439,17 @@ class TestSaturation:
                             for k in deg)
             for mask in (cusp_mask(widths), quotient_mask(widths)):
                 bound = modactions._saturation(mask, gens)
-                expected = full_walk(stability_check, gens, mask, large)
+                expected = not _failures(gens, mask, large)
                 answers.add(expected)
                 for window in range(least, max(least, bound) + 3):
-                    assert stability_check(gens, mask, window) == full_walk(
-                        stability_check, gens, mask, window), (seed, window)
+                    if window < bound:
+                        with pytest.raises(ValueError, match="sweep bound"):
+                            stability_check(gens, mask, window)
+                    else:
+                        assert stability_check(gens, mask,
+                                               window) == expected, (seed,
+                                                                     window)
                 assert stability_check(gens, mask, large) == expected, seed
-                assert stability_check(gens, mask,
-                                       max(least, bound)) == expected, seed
         assert answers == {True, False}
 
     @pytest.mark.parametrize("mask, gen", [
@@ -462,7 +467,8 @@ class TestSaturation:
         for window in range(6, 61):
             assert not stability_check([gen], mask, window)
 
-    def test_rank_two_far_coordinate_needs_all_d_plus_one_points(self):
+    def test_rank_two_far_coordinate_needs_all_d_plus_one_points(
+            self, full_walk):
         # A'(1, 1) = (-inf, -1]^2.  x1 moves x1^-1 out, with coefficient
         # c(0, t + 1), which vanishes at the D = 3 ray points t = -1..-3; the
         # first failure is at t = -4 = -(E + D)
@@ -475,29 +481,50 @@ class TestSaturation:
         assert min(max(map(abs, g)) for g in failures) == bound
         assert (-1, -bound) in failures
         for window in range(2, 31):
-            # a window below the bound does not reach the failure
-            assert stability_check([gen], mask, window) == (window < bound)
+            if window < bound:
+                # the window cannot hold the failure, so it is refused
+                with pytest.raises(ValueError, match="sweep bound 4"):
+                    stability_check([gen], mask, window)
+            else:
+                assert not stability_check([gen], mask, window)
+        # a walk that stops one short of the bound misses it
+        assert full_walk(bound - 1, stability_check, [gen], mask, bound - 1)
+
+    def test_degree_zero_components_leave_the_bound_alone(self):
+        # h2^3000 keeps every x^gamma in place; x1 alone sets the bound
+        mask = cusp_mask((2, 3))
+        x1 = LaurentOp.monomial(2, (1, 0), BasePoly.constant(2, 1))
+        still = LaurentOp.monomial(2, (0, 0), BasePoly.variable(2, 1) ** 3000)
+        assert (modactions._saturation(mask, [x1 + still])
+                == modactions._saturation(mask, [x1]) == 3)
+        assert stability_check([still], mask, 3)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_probes_and_blocks_saturate(self, full_walk, m):
         cut = modactions._saturation(
             cusp_mask(m), modactions._unit_pair(CuspShape(m)), links=True) + 1
         windows = [*range(m + 3, 61), 2000]
+        exact = full_walk(math.inf, restriction_blocks, m, 1000)
         at_cut = restriction_blocks(m, max(cut, m + 3))
         for window in windows:
             got = restriction_blocks(m, window)
-            assert got == full_walk(restriction_blocks, m, window), window
+            assert got == full_walk(math.inf, restriction_blocks, m,
+                                    window), window
+            assert got == exact, window
             if window >= cut:
                 assert got == at_cut, window
         for module in ("A", "Aprime"):
             for jump in (None, 1):
+                exact = full_walk(math.inf, simplicity_probe, module, m, 1000,
+                                  jump)
                 at_cut = simplicity_probe(module, m, max(cut, 2 * m + 2), jump)
                 for window in windows:
                     if window < 2 * m + 2:
                         continue
                     got = simplicity_probe(module, m, window, jump)
-                    assert got == full_walk(simplicity_probe, module, m,
-                                            window, jump), (module, window)
+                    assert got == full_walk(math.inf, simplicity_probe, module,
+                                            m, window, jump), (module, window)
+                    assert got == exact, (module, window)
                     if window >= cut:
                         assert got == at_cut, (module, window)
 
