@@ -255,14 +255,15 @@ class ClassifiedModule(Value):
         }
 
 
-def classify_bbA(m: int, window: int = 10):
+def classify_bbA(m: int):
     """Simple weight modules of the degree one GWA pair for width m >= 2.
 
     The base element h (h-1)(h-m) marks the roots 0, 1, m of the integer
     orbit, so that orbit breaks into four intervals; every other orbit stays
     whole and contributes a one-parameter family.  Returns five entries: the
     two rays (infinite dimensional), the two half-open pieces of dimensions 1
-    and m-1, and the family descriptor.
+    and m-1, and the family descriptor.  No window enters an entry, which is
+    read off its interval's ends (a ray keeps build_weight_module's default).
     """
     m = int(m)
     if m < 2:
@@ -273,7 +274,7 @@ def classify_bbA(m: int, window: int = 10):
     tags = ["Gamma-", "Gamma1", "Gamma(m-1)", "Gamma+"]
     entries = []
     for tag, gamma in zip(tags, gammas):
-        wm = build_weight_module(a, gamma, 1, window)
+        wm = build_weight_module(a, gamma, 1)
         ann, supp = _bbA_annihilator_and_support(wm)
         entries.append(ClassifiedModule(tag, gamma, ann, wm, supp))
     entries.append(ClassifiedModule(

@@ -3,8 +3,9 @@
 Every subcommand takes --m (comma separated factor widths) and --json, and
 only those of --algebra, --window and --seed that its handler reads:
 --algebra for mul, member, decompose, act, normalize, stability, classify
-and gwa-verify; --window for stability, classify and support; --seed for
-relations-check and gwa-verify.  Any other flag is a usage error.  Exit
+and gwa-verify; --window for stability alone, as its sweep's cost cap;
+--seed for relations-check and gwa-verify.  Any other flag is a usage
+error, refused before argparse can hand its value to a positional.  Exit
 status is 0 for successful queries, 1 when a requested check fails
 (membership, stability, relation or round trip verification) or stdout is
 closed before the output is written, and 2 for usage or parse errors.
@@ -33,7 +34,7 @@ from .cuspops import (as_shape, decompose, delta_op, factor_generators,
                       generating_set, membership, phi, presentation,
                       structure_constant)
 from .gwa import NotInImage, render_gwa, verify_presentation
-from .exprparse import parse_expression, parse_poly
+from .exprparse import ALGEBRAS, parse_expression, parse_poly
 from .modactions import (LaurentVector, NotStable, act, act_on_quotient,
                          cusp_mask, quotient_mask, render_vector,
                          restriction_blocks, stability_check, support)
@@ -313,7 +314,7 @@ def cmd_classify(args):
                  for name, supp in result.exceptional]
         lines.append("family: %s" % result.family_note)
         return 0, {"algebra": "DA", "result": result.to_json()}, lines
-    entries = classify_mod.classify_bbA(m, args.window)
+    entries = classify_mod.classify_bbA(m)
     lines = []
     for e in entries:
         if e.interval is None:
@@ -402,7 +403,7 @@ def cmd_support(args):
     payload, supports, blocks = {}, [], []
     for name, mask, exps in zip(("A", "Aprime"),
                                 (cusp_mask(shape), quotient_mask(shape)),
-                                restriction_blocks(shape, args.window)):
+                                restriction_blocks(shape)):
         supp = support(mask)
         payload[name] = {"support": supp.to_json(),
                          "blocks": [b.to_json() for b in exps]}
@@ -427,14 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
         "m": option("--m", default="2",
                     help="comma separated factor widths (default 2)"),
         "algebra": option("--algebra", default="DA",
-                          choices=["DA", "bbA", "calA", "weyl"],
+                          choices=ALGEBRAS,
                           help="algebra context for expressions and checks"),
         "json": option("--json", action="store_true",
                        help="emit a single JSON document"),
         "window": option("--window", type=_int, default=12,
-                         help="exponent window for module computations; "
-                              "a sweep refuses one too small for its exact "
-                              "answer"),
+                         help="cost cap of the stability sweep; a window "
+                              "below its bound is refused"),
         "seed": option("--seed", type=_int, default=0,
                        help="seed for randomized sweeps")}
 
@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of random embed/pullback round trips")
     p.set_defaults(func=cmd_gwa_verify)
 
-    p = command("classify", "simple weight module tables", "algebra", "window")
+    p = command("classify", "simple weight module tables", "algebra")
     p.set_defaults(func=cmd_classify)
 
     p = command("orbit", "marked ideals and interval partition of an orbit")
@@ -517,9 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "presentation on X = x^m, Y = delta(-m))")
     p.set_defaults(func=cmd_normalize)
 
-    p = command("support", "weight supports and restriction blocks", "window")
+    p = command("support", "weight supports and restriction blocks")
     p.set_defaults(func=cmd_support)
 
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -529,8 +530,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _unknown_flags(subcommands, argv) -> list:
+    """Each --flag before a bare -- that the subcommand does not declare (a
+    unique prefix is read as argparse reads it).  argparse alone would hand
+    such a flag's value to a positional, and refuse the value."""
+    command = next((t for t in argv if not t.startswith("-")), None)
+    if command not in subcommands:
+        return []
+    known = subcommands[command]._option_string_actions
+    tokens = [*argv[argv.index(command) + 1:], "--"]
+    tokens = tokens[:tokens.index("--")]
+    return [t for t in tokens if t.startswith("--") and not any(
+        flag.startswith(t.split("=", 1)[0]) for flag in known)]
+
+
 def main(argv=None) -> int:
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    unknown = _unknown_flags(parser.subcommands, argv)
+    if unknown:
+        parser.error("unrecognized arguments: %s" % " ".join(unknown))
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()

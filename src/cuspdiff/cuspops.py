@@ -25,7 +25,7 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, Value,
-                        linear_factors)
+                        _integer, linear_factors)
 from .gwa import Embedding, GwaPresentation
 # phi is re-exported: the package root and the bench read cuspops.phi
 from .skewlaurent import (LaurentOp, graded_divisor, graded_quotients, phi,
@@ -33,14 +33,15 @@ from .skewlaurent import (LaurentOp, graded_divisor, graded_quotients, phi,
 
 
 class CuspShape(Value):
-    """Width vector of the subalgebra, one entry per tensor factor."""
+    """Width vector of the subalgebra, one entry per tensor factor: each a
+    positive int or integral Fraction, else ValueError."""
 
     __slots__ = _fields = ("m",)
 
     def __init__(self, m):
         if isinstance(m, int):
             m = (m,)
-        m = tuple(int(v) for v in m)
+        m = tuple(_integer(v, "CuspShape") for v in m)
         if not m:
             raise ValueError("shape needs at least one factor")
         if any(v < 1 for v in m):
@@ -76,6 +77,8 @@ def as_shape(shape) -> CuspShape:
         return CuspShape(shape)
     if hit is None:
         hit = table[shape] = CuspShape(shape)
+    elif shape.__class__ is tuple and sum(shape).__class__ is not int:
+        return CuspShape(shape)  # (2.0,) finds (2,) but sums to a float
     return hit
 
 

@@ -75,6 +75,15 @@ def _norm_coef(c):
     raise TypeError("coefficient must be int or Fraction, got %r" % type(c).__name__)
 
 
+def _integer(v, owner: str) -> int:
+    """v as an int: an int or integral Fraction, else ValueError for owner."""
+    if isinstance(v, int):
+        return int(v)
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return v.numerator
+    raise ValueError("%s needs integers, got %r" % (owner, v))
+
+
 def _clean(terms: dict) -> dict:
     """Drop zero coefficients and store integral Fractions as int.
 

@@ -48,6 +48,7 @@ grammar and rejects any term of nonzero degree.
 from __future__ import annotations
 
 import re
+import string
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
@@ -59,10 +60,11 @@ from .cuspops import as_shape, generator_pair, w_minus
 # a token is an int, a name or one other character that is not whitespace;
 # _KINDS reads the kind of each from its first character
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
-_KINDS = {**dict.fromkeys("0123456789", "int"),
-          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                          "abcdefghijklmnopqrstuvwxyz", "name"),
+_KINDS = {**dict.fromkeys(string.digits, "int"),
+          **dict.fromkeys(string.ascii_letters, "name"),
           **{c: c for c in "+-*^/()@"}}
+
+ALGEBRAS = ("DA", "bbA", "calA", "weyl")  # the ring, then presentations
 
 
 class ExprParseError(ValueError):
@@ -328,7 +330,7 @@ def parse_expression(text: str, shape, algebra: str = "DA") -> LaurentOp:
     context ("DA") has none.  Raises ExprParseError with a position on bad
     input.
     """
-    if algebra not in ("DA", "bbA", "calA", "weyl"):
+    if algebra not in ALGEBRAS:
         raise ValueError("unknown algebra tag %r" % algebra)
     return _ExprParser(text, shape, algebra).parse()
 

@@ -6,9 +6,9 @@ x^{alpha+beta}; in particular h_i acts on x^beta as beta_i + 1.  Submodules
 are cut out by masks on the exponent lattice; the quotient is always the one
 by the subalgebra itself, A(m) = the span of the monomials in cusp_mask.
 
-The window sweeps stability_check, simplicity_probe and restriction_blocks
-stop at a bound that the mask and the operators fix (proved at _saturation),
-so past it neither their answer nor their cost grows with the window.
+The sweeps stability_check, simplicity_probe and restriction_blocks stop at
+a bound that the mask and the operators fix (proved at _saturation), so no
+answer depends on a window; where one is taken, it only refuses input.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exactpoly import (ArityMismatch, Frozen, Value, _clean, _norm_coef,
-                        grlex_key, linear_factors, render_number, render_poly,
-                        render_sum)
+from .exactpoly import (ArityMismatch, Frozen, Value, _clean, _integer,
+                        _norm_coef, grlex_key, linear_factors, render_number,
+                        render_poly, render_sum)
 from .skewlaurent import LaurentOp
 from .cuspops import as_shape, delta_op, generator_pair, membership
 
@@ -143,15 +143,6 @@ def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:
     return LaurentVector._trusted(v.nvars, out)
 
 
-def _integer(v) -> int:
-    """v as an int; an int or an integral Fraction, else ValueError."""
-    if isinstance(v, int):
-        return int(v)
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
-    raise ValueError("ExponentSet needs integers, got %r" % (v,))
-
-
 class ExponentSet(Value):
     """Subset of Z given by finitely many points plus up and down rays.
 
@@ -162,9 +153,12 @@ class ExponentSet(Value):
     __slots__ = _fields = ("points", "ge", "le")
 
     def __init__(self, points=(), ge=None, le=None):
-        object.__setattr__(self, "points", frozenset(map(_integer, points)))
-        object.__setattr__(self, "ge", None if ge is None else _integer(ge))
-        object.__setattr__(self, "le", None if le is None else _integer(le))
+        object.__setattr__(self, "points", frozenset(
+            _integer(p, "ExponentSet") for p in points))
+        object.__setattr__(self, "ge",
+                           None if ge is None else _integer(ge, "ExponentSet"))
+        object.__setattr__(self, "le",
+                           None if le is None else _integer(le, "ExponentSet"))
 
     def __contains__(self, k: int) -> bool:
         if k in self.points:
@@ -280,7 +274,7 @@ def _require_stable(u, shape):
         raise NotStable("operator is outside the ring; quotient action undefined")
 
 
-def _saturation(mask: GradedMask, ops, links: bool = False) -> int:
+def _saturation(mask: GradedMask, ops) -> int:
     """The exponent bound B past which a sweep of ops over mask is constant.
 
     E is the largest |point| or |ray start| of a mask factor.  A component
@@ -295,29 +289,21 @@ def _saturation(mask: GradedMask, ops, links: bool = False) -> int:
     failure; it is nonzero at one of the D + 1 ray points E <= |t| <= E + D
     on t's side, and moving t there keeps a failure: B = E + max(A - 1, D).
 
-    Links (rank 1): a coefficient sum a_i h^i of degree d has no root t with
-    |t| > max(1, S), S = sum_{i<d} |a_i / a_d|, since there |a_d t^d| >
-    S |a_d| |t|^(d-1) (Cauchy; no root search); R is the largest max(1,
-    floor(S)).  If |gamma| >= B = max(E, R + 1) + A + 1, gamma + alpha lies
-    past E on gamma's side and c(gamma + alpha + 1) != 0, so each op acts
-    alike on all such x^gamma: a link (k, k + 1) with k >= B or k + 1 <= -B
-    has the outcome of every link further out.
+    Links: the probes and blocks walk the degree +-1 pair of A(m) (E = m,
+    A = 1), whose coefficients vanish only at vanishing_roots(m, +-1) in
+    [0, m]; so every link (k, k + 1) with k >= m + 3 or k + 1 <= -(m + 3)
+    has the outcome of every link further out, and they cut at m + 4.
     """
     extent = max((abs(v) for f in mask.factors
                   for v in (*f.points, f.ge, f.le) if v is not None), default=0)
-    reach = degree = roots = 0
+    reach = degree = 0
     for op in ops:
         for alpha, c in op.components.items():
             if not any(alpha):
                 continue  # x^gamma -> c(gamma + 1) x^gamma stays put
             reach = max(reach, *map(abs, alpha))
-            if links:
-                *rest, lead = [abs(a) for _, a in sorted(c.terms.items())]
-                roots = max(roots, sum(rest) // lead)
-            elif mask.nvars > 1:
+            if mask.nvars > 1:
                 degree = max(degree, *map(max, c.terms))
-    if links:
-        return max(extent, roots + 1, 2) + reach + 1
     return extent + max(reach - 1, degree, 0)
 
 
@@ -326,17 +312,10 @@ def stability_check(gens, mask: GradedMask, window: int) -> bool:
 
     The walk goes to _saturation's bound B: c x^alpha moves no x^gamma past
     it across a mask end, and a c of degree D cannot vanish at D + 1 ray
-    points.  A window below B or twice the largest generator degree is
-    refused, so every accepted window caps the walk and gives the answer.
+    points.  The window caps the cost: one below B is refused, and every
+    other window gives the answer of the walk to B.
     """
     gens = list(gens)
-    maxdeg = 0
-    for g in gens:
-        for deg in g.components:
-            maxdeg = max(maxdeg, max(abs(k) for k in deg))
-    if window < 2 * maxdeg:
-        raise ValueError("window %d too small for generator degree %d"
-                         % (window, maxdeg))
     bound = _saturation(mask, gens)
     if window < bound:
         raise ValueError("window %d below the sweep bound %d"
@@ -416,7 +395,8 @@ def simplicity_probe(module: str, shape, window: int,
     generators; the gap between the two runs needs the wider generators, of
     degree +-m for "A" and +-2 for "Aprime".  gap_jump overrides the gap
     generator degree, which is how a deliberately wrong probe is demonstrated.
-    A run stops one link past _saturation's bound, standing for all beyond.
+    A run stops at m + 4, standing for all links beyond (see _saturation),
+    so the window, at least 2m + 2, only guards input.
     """
     shape = as_shape(shape)
     if shape.rank != 1:
@@ -427,7 +407,7 @@ def simplicity_probe(module: str, shape, window: int,
                          % (window, 2 * m + 2))
     up1, down1 = _unit_pair(shape)
     mask = cusp_mask(shape)
-    cut = min(window, _saturation(mask, (up1, down1), links=True) + 1)
+    cut = m + 4
     if module == "A":
         jump = m if gap_jump is None else gap_jump
         runs, gap, mask = [range(m, cut)], (0, m), None
@@ -450,16 +430,15 @@ def simplicity_probe(module: str, shape, window: int,
                                     in zip((gap_up, gap_down), gap))))
 
 
-def restriction_blocks(shape, window: int):
+def restriction_blocks(shape):
     """Connected blocks of the two monomial modules under the degree +-1 pair.
 
     Returns (blocks_A, blocks_Aprime): for each module, the partition of its
     exponents into components linked by nonzero delta_{+-1} transitions,
-    computed inside [-window, window] and described as ExponentSets; a block
-    touching the window boundary is reported as a ray.  The walk stops one
-    link past _saturation's bound; every link past it joins (the pair's
-    coefficients are nonzero there, A'(m)'s ray lies outside A(m)), so a
-    block reaching the cut is the same ray.
+    described as ExponentSets.  The walk covers [-(m + 4), m + 4], one link
+    past the bound of the links (see _saturation); every link past it joins
+    (the pair's coefficients are nonzero there, A'(m)'s ray lies outside
+    A(m)), so a block reaching the cut is reported as a ray.
 
     The decomposition is what restriction to the subalgebra generated by
     delta_{+-1} and h sees: the wider gap-crossing generators are not
@@ -468,38 +447,23 @@ def restriction_blocks(shape, window: int):
     shape = as_shape(shape)
     if shape.rank != 1:
         raise ArityMismatch("restriction blocks are rank one")
-    m = shape.m[0]
-    if window <= m + 2:
-        raise ValueError("window %d too small: it must exceed m+2 = %d"
-                         % (window, m + 2))
     up1, down1 = _unit_pair(shape)
     mask = cusp_mask(shape)
     _require_stable(up1, shape)
     _require_stable(down1, shape)
-    cut = min(window, _saturation(mask, (up1, down1), links=True) + 1)
+    cut = shape.m[0] + 4
 
     def blocks(exponents, quotient_by):
         up, down = (_moved(op, exponents, quotient_by) for op in (up1, down1))
-        out, current = [], []
+        out = []
         for k in exponents:
-            if current and k == current[-1] + 1:
-                if current[-1] in up or k in down:
-                    current.append(k)
-                    continue
-            if current:
-                out.append(current)
-            current = [k]
-        if current:
-            out.append(current)
-        sets = []
-        for block in out:
-            if block[0] == exponents[0] and block[0] == -cut:
-                sets.append(ExponentSet(le=block[-1]))
-            elif block[-1] == exponents[-1] and block[-1] == cut:
-                sets.append(ExponentSet(ge=block[0]))
+            if out and k == out[-1][-1] + 1 and (k - 1 in up or k in down):
+                out[-1].append(k)
             else:
-                sets.append(ExponentSet(points=block))
-        return sets
+                out.append([k])
+        return [ExponentSet(le=b[-1]) if b[0] == -cut else
+                ExponentSet(ge=b[0]) if b[-1] == cut else
+                ExponentSet(points=b) for b in out]
 
     return (blocks(mask.factors[0].window(-cut, cut), None),
             blocks(quotient_mask(shape).factors[0].window(-cut, cut),

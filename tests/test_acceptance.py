@@ -293,7 +293,7 @@ def test_criterion_07_classification_dimensions(capfd):
         dims = sorted(e.dimension for e in finite)
         if dims != sorted([1, m - 1]):
             failures.append((m, "dims %r" % dims))
-        blocks_a, blocks_q = restriction_blocks(m, window=12)
+        blocks_a, blocks_q = restriction_blocks(m)
         independent = {WeightSupport(b.translate(1))
                        for b in blocks_a + blocks_q}
         classified = {e.support for e in entries[:4]}

@@ -197,8 +197,8 @@ class TestStability:
         assert "false" in out
 
     def test_window_below_the_bound_is_refused(self, capsys):
-        # the partial sends x^5 to 5x^4, outside A(5): window 2 passes the
-        # degree guard but lies below the bound 5, where the failure is
+        # the partial sends x^5 to 5x^4, outside A(5): window 2 lies below
+        # the bound 5, where the failure is
         argv = ("stability", "--m", "5", "--gens", "h*x^-1", "--window")
         code, out, err = run_with_stderr(capsys, *argv, "2")
         assert (code, out) == (2, "")
@@ -446,7 +446,7 @@ class TestOrbitNormalizeSupport:
         assert needle in proc.stdout + proc.stderr
 
     def test_support(self, capsys):
-        code, out = run(capsys, "support", "--m", "3", "--window", "12")
+        code, out = run(capsys, "support", "--m", "3")
         assert code == 0
         assert out.splitlines() == [
             "A support: {(h-1)} u {(h-j) : j >= 4}",
@@ -458,12 +458,13 @@ class TestOrbitNormalizeSupport:
 
 
     def test_support_rejects_small_window(self, capsys):
-        for window in ("0", "5"):
+        # support answers from a proved bound and takes no window at all
+        for window in ("0", "5", "12"):
             code, out, err = run_with_stderr(capsys, "support", "--m", "3",
                                              "--window", window)
             assert code == 2
             assert out == ""
-            assert "too small: it must exceed m+2 = 5" in err
+            assert err.endswith("error: unrecognized arguments: --window\n")
             assert "Traceback" not in err
 
 
@@ -579,7 +580,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("args, message", [
         (["stability", "--m", "2", "--window", "1"],
-         "window 1 too small for generator degree 3"),
+         "window 1 below the sweep bound 4"),
         (["gwa-verify", "--m", "1", "--algebra", "bbA"],
          "the degree one pair needs width >= 2"),
         (["classify", "--m", "1", "--algebra", "bbA"],
@@ -629,7 +630,7 @@ class TestWindowProbes:
     @pytest.mark.parametrize("argv", [
         ("stability", "--m", "2", "--window", "100000"),
         ("stability", "--m", "2,3", "--window", "400"),
-        ("support", "--m", "3", "--window", "100000")])
+        ("stability", "--m", "3", "--window", "100000")])
     def test_large_window_answers_fast(self, argv):
         docs = []
         for window in (argv[-1], "20"):
@@ -637,7 +638,7 @@ class TestWindowProbes:
                                          timeout=5)
             assert (code, err) == (0, "")
             doc = json.loads(out)
-            assert doc.pop("window", int(window)) == int(window)
+            assert doc.pop("window") == int(window)
             docs.append(doc)
         assert docs[0] == docs[1]
 
@@ -733,7 +734,7 @@ _PINNED = [  # argv, exit code, text stdout, --json stdout
      0, 'c7e61f6780a0', '12cabe16fb13'),
     ('normalize --m 2 --algebra bbA --element h+2',
      0, '75a2ac9edc45', 'e1cbc51ed05f'),
-    ('support --m 3 --window 12', 0, 'f4dbdafaf9c2', '5dd2f39557f0'),
+    ('support --m 3', 0, 'f4dbdafaf9c2', '5dd2f39557f0'),
     ('support --m 2', 0, '6ad62a8e2039', '4f94498c2c0c'),
     ('stability --m 2,3 --window 10', 0, 'ce541a64154d', 'dc366efd2693'),
     ("member --m 2,3 'delta(1@2)*h1+delta(-1)'",
@@ -742,8 +743,7 @@ _PINNED = [  # argv, exit code, text stdout, --json stdout
     ("decompose --m 2,3 'delta(1@2)*h1+delta(-1)'",
      0, 'd7900843584c', 'f23f9d598527'),
     ('decompose --m 2,3 x2', 1, '4602cc1cbcfc', '29acc32a2c5f'),
-    ('classify --m 3 --algebra bbA --window 3',
-     0, 'e69c4eefe2ab', 'c6a95423f7c2'),
+    ('classify --m 3 --algebra bbA', 0, 'e69c4eefe2ab', 'c6a95423f7c2'),
     ("orbit --a 'h*(h-1)*(h-1/2)' --root 1/2",
      0, 'cb05f5a961c8', 'c853a866c197'),
     ("member --m 2,3 --algebra weyl 'd(1)*x2+h2*d(2)^2'",
@@ -756,6 +756,8 @@ _PINNED = [  # argv, exit code, text stdout, --json stdout
     ('classify --m 3', 0, '8882d358daf3', 'a478f3776716'),
     ('stability --m 2 --gens 0', 0, '2223122d6911', '240c5f4c8c04'),
     ('stability --m 2 --gens h', 0, '2223122d6911', '240c5f4c8c04'),
+    # below twice the generator degree 3, at the sweep bound 4 and past it
+    ('stability --m 2 --window 5', 0, '0af835c6b9e3', 'aee80db2e643'),
 ]
 
 _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2
@@ -764,9 +766,9 @@ _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2
     ('mul --m 2 --window x h', 'e3b0c44298fc', '1c005e3f2107'),
     ('stability --m 2 --window x', 'e3b0c44298fc', 'f4502ad0bd7a'),
     # a flag its subcommand does not read is refused, not ignored
-    ('phi --m 2 1 --algebra bbA', 'e3b0c44298fc', '9d7d54bb35a5'),
-    ('orbit --a h --window 3', 'e3b0c44298fc', '165fcf0fd852'),
-    ('support --m 3 --seed 1', 'e3b0c44298fc', '87ddaafe3f2e'),
+    ('phi --m 2 1 --algebra bbA', 'e3b0c44298fc', '7f7a52ecb67b'),
+    ('orbit --a h --window 3', 'e3b0c44298fc', '1c005e3f2107'),
+    ('support --m 3 --seed 1', 'e3b0c44298fc', '11a425d02fb5'),
     ("mul --m 2 'h+$'", 'e3b0c44298fc', '47dd15f840e1'),
     ('phi --m zero 1', 'e3b0c44298fc', 'd525edb8266f'),
     ('phi --m 0 1', 'e3b0c44298fc', 'b80a50fa8b39'),
@@ -796,11 +798,18 @@ _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2
     ('normalize --m 2 --algebra bbA --element h-300+Y',
      'e3b0c44298fc', 'fb43a3e98888'),
     ("normalize --m 2 --element 'X*h'", 'e3b0c44298fc', 'e95d31357f9d'),
-    ('stability --m 2 --window 1', 'e3b0c44298fc', '4e562d8aae21'),
-    ('support --m 3 --window 5', 'e3b0c44298fc', 'c360c22c43c1'),
-    ('stability --m 2,3 --window 6', 'e3b0c44298fc', 'd2fd986e1c1f'),
+    ('stability --m 2 --window 1', 'e3b0c44298fc', 'c29f5aacf454'),
+    ('support --m 3 --window 5', 'e3b0c44298fc', '1c005e3f2107'),
+    ('stability --m 2,3 --window 6', 'e3b0c44298fc', '9cf60d57c459'),
     ('classify --m 3 --algebra bbA --window 0',
-     'e3b0c44298fc', '2cb233b65af9'),
+     'e3b0c44298fc', '1c005e3f2107'),
+    # the window-free sweeps take no --window
+    ('support --m 3 --window 12', 'e3b0c44298fc', '1c005e3f2107'),
+    ('classify --m 3 --algebra bbA --window 3', 'e3b0c44298fc', '1c005e3f2107'),
+    # an unread flag is refused by name, before its value reaches a
+    # positional
+    ('phi --m 2 --algebra bbA 1', 'e3b0c44298fc', '7f7a52ecb67b'),
+    ('mul --m 2 --window 3 h', 'e3b0c44298fc', '1c005e3f2107'),
 ]
 
 

@@ -3,6 +3,7 @@ the Weyl intersection, and canonical presentations."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,19 @@ class TestShape:
             CuspShape((0,))
         with pytest.raises(ValueError):
             CuspShape(())
+
+    @pytest.mark.parametrize("width", [2.5, Fraction(7, 2), "3"])
+    def test_non_integral_width_is_refused(self, width):
+        # widths follow ExponentSet's rule: an int or an integral Fraction
+        for make in (CuspShape, as_shape):
+            with pytest.raises(ValueError, match="CuspShape needs integers"):
+                make((width,))
+        assert CuspShape((Fraction(6, 2),)) == CuspShape((3,))
+
+    def test_an_equal_float_does_not_find_an_interned_shape(self):
+        as_shape((2,))
+        with pytest.raises(ValueError, match="CuspShape needs integers"):
+            as_shape((2.0,))
 
 
 @pytest.fixture

@@ -247,7 +247,7 @@ _FROZEN = {
         Orbit(0), LinMaxIdeal(0), LinMaxIdeal(3)),
     "GwaPresentation": lambda: GwaPresentation([_h()], [2]),
     "StructureRelation": lambda: structure_constant(2, -1, -3),
-    "ClassifiedModule": lambda: classify_bbA(2, window=3)[1],
+    "ClassifiedModule": lambda: classify_bbA(2)[1],
     "TorsionClassification": lambda: classify_DA_torsion(3),
     "NormalizationResult": lambda: normalize(
         bbA_presentation(2)[0].element({(0,): _h(), (-1,): _h()})),

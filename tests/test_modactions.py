@@ -305,14 +305,6 @@ class TestSimplicity:
                                       % (2 * m + 1, 2 * m + 2))
             assert simplicity_probe(module, m, window=2 * m + 2)
 
-    def test_blocks_window_guard_names_m_plus_2(self):
-        # at m = 3 the window must exceed m + 2 = 5
-        with pytest.raises(ValueError) as err:
-            restriction_blocks(3, window=5)
-        assert str(err.value) == "window 5 too small: it must exceed m+2 = 5"
-        blocks_a, blocks_q = restriction_blocks(3, window=6)
-        assert blocks_a == [ExponentSet(points=(0,)), ExponentSet(ge=3)]
-
     def test_unknown_module(self):
         with pytest.raises(ValueError):
             simplicity_probe("B", 2, window=8)
@@ -348,20 +340,18 @@ class TestProbeWork:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_blocks_check_the_pair_once(self, membership_calls, m):
-        for window in (m + 3, 12, 40):
-            membership_calls.clear()
-            restriction_blocks(m, window)
-            assert membership_calls == [delta_op(m, (1,)), delta_op(m, (-1,))]
+        restriction_blocks(m)
+        assert membership_calls == [delta_op(m, (1,)), delta_op(m, (-1,))]
 
 
 class TestRestrictionBlocks:
     def test_width_two(self):
-        blocks_a, blocks_q = restriction_blocks(2, window=8)
+        blocks_a, blocks_q = restriction_blocks(2)
         assert blocks_a == [ExponentSet(points=(0,)), ExponentSet(ge=2)]
         assert blocks_q == [ExponentSet(le=-1), ExponentSet(points=(1,))]
 
     def test_width_four(self):
-        blocks_a, blocks_q = restriction_blocks(4, window=12)
+        blocks_a, blocks_q = restriction_blocks(4)
         assert blocks_a == [ExponentSet(points=(0,)), ExponentSet(ge=4)]
         assert blocks_q == [ExponentSet(le=-1),
                             ExponentSet(points=(1, 2, 3))]
@@ -371,14 +361,14 @@ class TestRestrictionBlocks:
         # Weyl pair (x, partial), which links every neighbour
         assert generator_pair(1, "weyl", 0) == (delta_op(1, (1,)),
                                                 delta_op(1, (-1,)))
-        assert restriction_blocks(1, window=6) == ([ExponentSet(ge=0)],
-                                                   [ExponentSet(le=-1)])
+        assert restriction_blocks(1) == ([ExponentSet(ge=0)],
+                                         [ExponentSet(le=-1)])
 
     def test_blocks_partition_each_module(self):
         for m in (2, 3):
             mask_a = cusp_mask(m)
             mask_q = quotient_mask(m)
-            blocks_a, blocks_q = restriction_blocks(m, window=10)
+            blocks_a, blocks_q = restriction_blocks(m)
             for k in range(-10, 11):
                 assert sum(k in b for b in blocks_a) == (1 if k in mask_a.factors[0] else 0)
                 assert sum(k in b for b in blocks_q) == (1 if k in mask_q.factors[0] else 0)
@@ -386,9 +376,8 @@ class TestRestrictionBlocks:
 
 @pytest.fixture
 def full_walk(monkeypatch):
-    """Run a sweep with _saturation's bound replaced by reach: math.inf
-    walks a probe or a block sweep over its whole window, a finite reach
-    cuts a walk short."""
+    """Run stability_check with _saturation's bound replaced by reach, so
+    that a walk can be cut short."""
     def run(reach, sweep, *args):
         with monkeypatch.context() as patched:
             patched.setattr(modactions, "_saturation",
@@ -500,33 +489,67 @@ class TestSaturation:
         assert stability_check([still], mask, 3)
 
     @pytest.mark.parametrize("m", range(1, 7))
-    def test_probes_and_blocks_saturate(self, full_walk, m):
-        cut = modactions._saturation(
-            cusp_mask(m), modactions._unit_pair(CuspShape(m)), links=True) + 1
-        windows = [*range(m + 3, 61), 2000]
-        exact = full_walk(math.inf, restriction_blocks, m, 1000)
-        at_cut = restriction_blocks(m, max(cut, m + 3))
-        for window in windows:
-            got = restriction_blocks(m, window)
-            assert got == full_walk(math.inf, restriction_blocks, m,
-                                    window), window
-            assert got == exact, window
-            if window >= cut:
-                assert got == at_cut, window
-        for module in ("A", "Aprime"):
+    def test_windows_below_twice_the_degree_answer_exactly(self, m):
+        # the walk runs to the bound whatever the window, so a window in
+        # [B, 2 * maxdeg), which an older guard refused, answers as 200 does
+        checked = 0
+        for seed in range(40):
+            gens = _seeded_ops(random.Random(seed), (m,)) + generating_set(m)
+            maxdeg = max(abs(k) for g in gens for deg in g.components
+                         for k in deg)
+            for mask in (cusp_mask(m), quotient_mask(m)):
+                bound = modactions._saturation(mask, gens)
+                expected = stability_check(gens, mask, 200)
+                for window in range(bound, 2 * maxdeg):
+                    assert stability_check(gens, mask, window) == expected, (
+                        seed, window)
+                    checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_probes_and_blocks_saturate(self, m):
+        # an oracle that acts on every monomial of [-200, 200]
+        reach = 200
+        up, down = delta_op(m, (1,)), delta_op(m, (-1,))
+        cusp = cusp_mask(m)
+
+        def moves(op, k, quotient):
+            return any(not (quotient and cusp.contains(deg))
+                       for deg in act(op, mono(k)).coeffs)
+
+        def exponents(module):
+            return [k for k in range(-reach, reach + 1) if k in module]
+
+        blocks = []
+        for mask, quotient in ((cusp, False), (quotient_mask(m), True)):
+            runs = []
+            for k in exponents(mask.factors[0]):
+                if runs and k == runs[-1][-1] + 1 and (
+                        moves(up, k - 1, quotient) or moves(down, k, quotient)):
+                    runs[-1].append(k)
+                else:
+                    runs.append([k])
+            blocks.append([ExponentSet(le=r[-1]) if r[0] == -reach else
+                           ExponentSet(ge=r[0]) if r[-1] == reach else
+                           ExponentSet(points=r) for r in runs])
+        assert restriction_blocks(m) == tuple(blocks)
+
+        for module, quotient, gaps, wide in (
+                ("A", False, [(0, m)], m),
+                ("Aprime", True, [(-1, 1)] if m > 1 else [], 2)):
+            exps = set(exponents((quotient_mask(m) if quotient else cusp
+                                  ).factors[0]))
+            linked = all(moves(up, k, quotient) and moves(down, k + 1, quotient)
+                         for k in exps if k + 1 in exps)
             for jump in (None, 1):
-                exact = full_walk(math.inf, simplicity_probe, module, m, 1000,
-                                  jump)
-                at_cut = simplicity_probe(module, m, max(cut, 2 * m + 2), jump)
-                for window in windows:
-                    if window < 2 * m + 2:
-                        continue
-                    got = simplicity_probe(module, m, window, jump)
-                    assert got == full_walk(math.inf, simplicity_probe, module,
-                                            m, window, jump), (module, window)
-                    assert got == exact, (module, window)
-                    if window >= cut:
-                        assert got == at_cut, (module, window)
+                j = wide if jump is None else jump
+                exact = linked and all(
+                    moves(delta_op(m, (j,)), lo, quotient)
+                    and moves(delta_op(m, (-j,)), hi, quotient)
+                    for lo, hi in gaps)
+                for window in [*range(2 * m + 2, 61), 2000]:
+                    assert simplicity_probe(module, m, window,
+                                            jump) == exact, (module, window)
 
 
 class TestVectors:
