@@ -29,7 +29,8 @@ from random import Random
 
 from .exactpoly import (BasePoly, NotDivisible, grlex_key, poly_to_json,
                         read_int, render_number, render_poly)
-from .skewlaurent import op_to_json, render_op, unit, weyl_membership
+from .skewlaurent import (graded_divisor, monomial_product, op_to_json,
+                          render_op, unit, weyl_membership)
 from .cuspops import (as_shape, decompose, delta_op, factor_generators,
                       generating_set, membership, phi, presentation,
                       structure_constant)
@@ -228,10 +229,12 @@ def cmd_relations_check(args):
     failures = []
     for mi, i, j in triples:
         rel = structure_constant(mi, i, j)
-        lhs = delta_op(mi, (i,)) * delta_op(mi, (j,))
+        degree, coefficient = monomial_product(
+            ((i,), graded_divisor((mi,), (i,))),
+            ((j,), graded_divisor((mi,), (j,))))
         if (mi, i, j) == corrupt_at:
-            lhs = lhs + 1
-        if lhs != rel.rhs_op(mi):
+            coefficient = coefficient + 1
+        if rel.rhs_op(mi).components != {degree: coefficient}:
             failures.append((mi, i, j, rel.case))
     commuted = 0
     commute_failures = []

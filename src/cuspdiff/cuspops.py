@@ -12,11 +12,14 @@ produces the structure constants that rewrite products of generators.  Each
 named algebra (calA, bbA, weyl) is fixed by one pair of graded generators per
 factor, and its GWA presentation is read off those pairs.  The graded
 divisors and the deltas are fixed tables, memoized per process as phi is:
-each key yields one shared immutable object.  So is the residual table: the
-product of residual deltas of a structure relation depends only on the width
-m and s = i + j, so it is multiplied out once per (m, s), 8m - 3 keys per
-width, and every pair (i, j) with that sum shares it.  as_shape interns its
-int and tuple inputs the same way, one shared CuspShape per distinct input.
+each key yields one shared immutable object.  The structure relations read
+three more per-width tables, each of 8m - 3 keys per width m.  A relation's
+case label and residual depend only on m and s = i + j, and so does the
+product of its residual deltas, so each is worked out once per (m, s) and
+every pair (i, j) with that sum shares it.  The vanishing roots of the
+indices i, j and i + j are kept per (m, k) as tuples.  Nothing is kept per
+(m, i, j).  as_shape interns its int and tuple inputs the same way, one
+shared CuspShape per distinct input.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def _require_rank_one(shape: CuspShape) -> int:
 def _graded_key(shape, alpha):
     """(widths, alpha) as int tuples, with alpha checked against the rank."""
     shape = as_shape(shape)
-    alpha = tuple(int(v) for v in alpha)
+    alpha = tuple(map(int, alpha))
     if len(alpha) != shape.rank:
         raise ArityMismatch("degree %r has length != %d" % (alpha, shape.rank))
     return shape.m, alpha
@@ -155,15 +158,16 @@ class StructureRelation(Value):
     is below 2m in size, and k is 0, 1 or 2 for 1 <= |i|, |j| <= 2m - 1.
     The case label names the window of s that gives k, e.g.
     "2m <= i+j < 3m" for k = 1 and s > 0.  Case and residual depend on
-    (m, i + j) alone, so the residual product is computed once per
-    (m, i + j) and shared by every pair with that sum (see rhs_op).
+    (m, i + j) alone, so both, and the residual product (see rhs_op), are
+    read from per-(m, i + j) tables shared by every pair with that sum.
 
     Each residual product equals delta_{i+j} exactly (deltas of indices past
     the width multiply by concatenation), so the coefficient is the exact
     quotient phi_i * shift(phi_j, i) / phi_{i+j}; exactness is a consequence
     of the ring being closed under multiplication.  All three are products
     of (h - r) over vanishing_roots (shift by i adds i to each root), so the
-    quotient is the product over a root multiset difference.
+    quotient is the product over a root multiset difference; the roots are
+    read from a per-(m, k) table of tuples.
     """
 
     __slots__ = _fields = ("m", "i", "j", "case", "coefficient", "residual")
@@ -174,15 +178,21 @@ class StructureRelation(Value):
         shape must be the relation's width m.  The residual product is the
         Laurent product of the generators, read from a per-process table
         keyed by (m, i + j): 8m - 3 keys per width m, each computed on first
-        use.  It is one monomial, and the degree zero coefficient on its left
-        shifts nothing, so the right-hand side is that monomial's coefficient
+        use.  A residual other than the table's (case, residual) entry for
+        that key is multiplied out on its own and never stored.  It is one
+        monomial, and the degree zero coefficient on its left shifts
+        nothing, so the right-hand side is that monomial's coefficient
         scaled by this one.
         """
         m = _require_rank_one(as_shape(shape))
         if m != self.m:
             raise ValueError("relation of width %d read at width %d"
                              % (self.m, m))
-        residual = _residual_op(m, self.i + self.j)
+        s = self.i + self.j
+        if self.residual == _window(m, s)[1]:
+            residual = _residual_op(m, s)
+        else:
+            residual = _delta_product(m, self.residual)
         (degree, poly), = residual.components.items()
         return residual._like({degree: self.coefficient * poly})
 
@@ -191,8 +201,10 @@ class StructureRelation(Value):
                                                            self.case)
 
 
+@lru_cache(maxsize=None)
 def _window(m: int, s: int):
-    """(case, residual) of the structure constants with i + j = s at width m."""
+    """(case, residual) of the structure constants with i + j = s at width m,
+    a per-process table of 8m - 3 keys per width."""
     sign = 1 if s > 0 else -1
     k = max(0, abs(s) // m - 1)
     first = (s - sign * k * m, 1)
@@ -204,10 +216,22 @@ def _window(m: int, s: int):
 
 
 @lru_cache(maxsize=None)
+def _roots(m: int, k: int) -> tuple:
+    """vanishing_roots(m, k) as a tuple, a per-process table: the indices
+    i, j and i + j of the structure constants give 8m - 3 keys per width."""
+    return tuple(vanishing_roots(m, k))
+
+
+def _delta_product(m: int, residual) -> LaurentOp:
+    """The product of the deltas a residual names, in order."""
+    return reduce(mul, [delta_op(m, (index,)) ** power
+                        for index, power in residual])
+
+
+@lru_cache(maxsize=None)
 def _residual_op(m: int, s: int) -> LaurentOp:
     """The residual delta product of i + j = s at width m, multiplied out."""
-    return reduce(mul, [delta_op(m, (index,)) ** power
-                        for index, power in _window(m, s)[1]])
+    return _delta_product(m, _window(m, s)[1])
 
 
 def structure_constant(shape, i: int, j: int) -> StructureRelation:
@@ -215,8 +239,9 @@ def structure_constant(shape, i: int, j: int) -> StructureRelation:
 
     Defined for 1 <= |i|, |j| <= 2m - 1.  See StructureRelation for the case
     table and why the division is exact; the coefficient is read off the
-    root multisets, vanishing_roots(m, i) plus vanishing_roots(m, j) moved
-    by +i, less vanishing_roots(m, i + j).
+    root multisets, the roots of i plus the roots of j moved by +i, less
+    the roots of i + j, each read from the per-(m, k) roots table.  Nothing
+    is kept per (m, i, j): each call builds a new relation.
     """
     m = _require_rank_one(as_shape(shape))
     for idx in (i, j):
@@ -225,16 +250,15 @@ def structure_constant(shape, i: int, j: int) -> StructureRelation:
                              % (idx, 2 * m - 1))
     s = i + j
     case, residual = _window(m, s)
-    top = vanishing_roots(m, i) + [r + i for r in vanishing_roots(m, j)]
-    bottom = vanishing_roots(m, s)
-    rest = list(top)
-    for r in bottom:
+    top = [*_roots(m, i), *[r + i for r in _roots(m, j)]]
+    rest = top[:]
+    for r in _roots(m, s):
         if r not in rest:
             raise NotDivisible(*(linear_factors(sorted(roots))
-                                 for roots in (bottom, top)))
+                                 for roots in (_roots(m, s), top)))
         rest.remove(r)
-    coefficient = linear_factors(sorted(rest))
-    return StructureRelation(m, i, j, case, coefficient, residual)
+    rest.sort()
+    return StructureRelation(m, i, j, case, linear_factors(rest), residual)
 
 
 def w_minus(shape, i: int) -> LaurentOp:

@@ -636,12 +636,17 @@ def linear_factors(roots) -> BasePoly:
     """prod (h - r) over the given roots, as a univariate polynomial.
 
     Expanded in one pass over a dense coefficient list, lowest degree first.
+    Int roots give int coefficients, so only their zeros need dropping.
     """
     coeffs = [1]
+    ints = True
     for r in roots:
         if r.__class__ is not int:
             r = Fraction(r)
+            ints = False
         coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    if ints:
+        return BasePoly._trusted(1, {e: c for e, c in enumerate(coeffs) if c})
     return BasePoly._trusted(1, _clean(dict(enumerate(coeffs))))
 
 

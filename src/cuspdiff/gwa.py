@@ -87,7 +87,7 @@ class GwaPresentation(Value):
 
     def sigma_power(self, d: BasePoly, alpha) -> BasePoly:
         """Apply prod_i sigma_i^{alpha_i} to a base polynomial."""
-        key = tuple(int(v) for v in alpha)
+        key = tuple(map(int, alpha))
         return d.shift([k * s for k, s in zip(key, self.steps)])
 
     def sigma_of_a(self, i: int, t: int) -> BasePoly:

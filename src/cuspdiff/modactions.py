@@ -53,7 +53,7 @@ class LaurentVector(Frozen):
             raise ValueError("nvars must be >= 1")
         clean = {}
         for deg, c in (coeffs or {}).items():
-            deg = tuple(int(v) for v in deg)
+            deg = tuple(map(int, deg))
             if len(deg) != nvars:
                 raise ArityMismatch("degree %r has length != %d" % (deg, nvars))
             c = _norm_coef(c)

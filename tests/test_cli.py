@@ -17,7 +17,7 @@ import pytest
 import cuspdiff
 from cuspdiff import cli
 from cuspdiff.cli import main
-from cuspdiff.cuspops import delta_op
+from cuspdiff.cuspops import StructureRelation, delta_op
 from cuspdiff.exactpoly import BasePoly
 from cuspdiff.exprparse import parse_expression
 from cuspdiff.gwa import Embedding, render_gwa
@@ -273,6 +273,39 @@ class TestRelationsCheck:
         assert data["commutation_failures"] == [
             {"factors": [1, 2], "u": u, "v": "(1) * x1"} for u in failing]
         assert data["failures"] == []
+
+    @pytest.mark.parametrize("fault", ["coefficient", "residual"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_wrong_table_entry_is_named(self, capsys, monkeypatch, m, fault):
+        # the table, not only the product, is checked: one seeded relation
+        # gains a factor h - 1 in its coefficient or delta_m in its residual
+        rng = random.Random(31 + m)
+        idxs = [k for k in range(-(2 * m - 1), 2 * m) if k]
+        bad = (m, rng.choice(idxs), rng.choice(idxs))
+        real = cli.structure_constant
+        h = BasePoly.variable(1, 0)
+
+        def table(w, i, j):
+            rel = real(w, i, j)
+            if (w, i, j) != bad:
+                return rel
+            if fault == "coefficient":
+                return StructureRelation(w, i, j, rel.case,
+                                         rel.coefficient * (h - 1), rel.residual)
+            return StructureRelation(w, i, j, rel.case, rel.coefficient,
+                                     rel.residual + ((w, 1),))
+        monkeypatch.setattr(cli, "structure_constant", table)
+        case = real(*bad).case
+        code, out = run(capsys, "relations-check", "--m", str(m))
+        assert code == 1
+        assert out.splitlines() == [
+            "mismatch at m=%d, (i, j)=(%d, %d), case %s" % (*bad, case),
+            "checked %d relation pairs, 0 cross-factor commutations: "
+            "failures above" % len(idxs) ** 2]
+        code, out = run(capsys, "relations-check", "--m", str(m), "--json")
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            {"m": m, "i": bad[1], "j": bad[2], "case": case}]
 
     def test_corrupt_json_names_the_case(self, capsys):
         code, out = run(capsys, "relations-check", "--m", "2", "--json",

@@ -256,14 +256,14 @@ class TestErrorTextOnDemand:
     def test_structure_shortfall_text_matches_the_rendered_pair(self, monkeypatch):
         # an extra root in phi_{i+j}, absent from phi_i * shift(phi_j, i)
         rng = random.Random(7)
-        real = vanishing_roots
+        real = cuspops._roots
         for _ in range(20):
             m = rng.randint(1, 4)
             i, j = rng.choice(_index_pairs(m))
             extra = rng.randint(50, 90)
             monkeypatch.setattr(
-                cuspops, "vanishing_roots",
-                lambda w, k, s=i + j, r=extra: real(w, k) + [r] if k == s else real(w, k))
+                cuspops, "_roots",
+                lambda w, k, s=i + j, r=extra: real(w, k) + (r,) if k == s else real(w, k))
             with pytest.raises(NotDivisible) as exc:
                 structure_constant(m, i, j)
             top = phi(m, i) * phi(m, j).shift([i])
@@ -325,9 +325,9 @@ class TestStructureConstants:
 
     def test_root_shortfall_names_both_polynomials(self, monkeypatch):
         # a table whose phi_{i+j} has a root phi_i * shift(phi_j, i) lacks
-        real = vanishing_roots
-        monkeypatch.setattr(cuspops, "vanishing_roots",
-                            lambda m, i: real(m, i) + [9] if i == 2 else real(m, i))
+        real = cuspops._roots
+        monkeypatch.setattr(cuspops, "_roots",
+                            lambda m, i: real(m, i) + (9,) if i == 2 else real(m, i))
         with pytest.raises(NotDivisible) as exc:
             structure_constant(3, 1, 1)
         # phi_2 now (h - 3)(h - 9); phi_1 * shift(phi_1, 1) = (h - 2)(h - 3)
@@ -387,6 +387,16 @@ def fresh_residuals():
     cuspops._residual_op.cache_clear()
 
 
+@pytest.fixture
+def fresh_tables():
+    """Empty case and roots tables before and after the test."""
+    for table in (cuspops._window, cuspops._roots):
+        table.cache_clear()
+    yield
+    for table in (cuspops._window, cuspops._roots):
+        table.cache_clear()
+
+
 class TestResidualTable:
     def test_rhs_matches_the_reference_product(self):
         for m in range(1, 9):
@@ -409,6 +419,15 @@ class TestResidualTable:
             for i, j in _index_pairs(m):
                 structure_constant(m, i, j).rhs_op(m)
         assert cuspops._residual_op.cache_info().currsize == (8 * 2 - 3) + (8 * 3 - 3)
+
+    def test_case_and_roots_tables_stay_per_width(self, capsys, fresh_tables):
+        for m in ("2", "3"):
+            assert main(["relations-check", "--m", m]) == 0
+        capsys.readouterr()
+        for table in (cuspops._window, cuspops._roots):
+            assert table.cache_info().currsize <= (8 * 2 - 3) + (8 * 3 - 3)
+        # no memo per (m, i, j): each call builds its own relation
+        assert structure_constant(3, 1, 2) is not structure_constant(3, 1, 2)
 
     def test_widths_never_share_a_residual(self, fresh_residuals):
         # each width is asked after its neighbour has filled the table

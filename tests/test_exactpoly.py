@@ -484,6 +484,21 @@ class TestLinearFactorsOracle:
                 assert _typed(got.terms) == _typed(want.terms), roots
                 assert_stored_as_validated(got)
 
+    @pytest.mark.parametrize("roots", [
+        [], [0], [0, 0], [1, -1], [2, 2, -2, -2, 0], [3, 1, 2, 0, -4],
+        [Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)],
+        [Fraction(4, 2), Fraction(-6, 3)], [Fraction(0), Fraction(3, 1)],
+        [1, Fraction(-1)], [Fraction(1, 3), 0, Fraction(-1, 3), 2],
+        [Fraction(2, 3), Fraction(2, 3), -1, Fraction(3, 2)]])
+    def test_int_and_fraction_roots_store_validated_terms(self, roots):
+        # int roots take the int path; any other root takes the Fraction one
+        got = linear_factors(roots)
+        assert got == _reference_linear_factors(roots)
+        assert_stored_as_validated(got)
+        for c in got.terms.values():
+            assert c != 0
+            assert not (type(c) is Fraction and c.denominator == 1), roots
+
 
 class TestRationalRoots:
     def test_monic_split(self):
