@@ -30,7 +30,7 @@ from random import Random
 from .exactpoly import (BasePoly, NotDivisible, grlex_key, poly_to_json,
                         read_int, render_number, render_poly)
 from .skewlaurent import (graded_divisor, monomial_product, op_to_json,
-                          render_op, unit, weyl_membership)
+                          render_op, unit)
 from .cuspops import (as_shape, decompose, delta_op, factor_generators,
                       generating_set, membership, phi, presentation,
                       structure_constant)
@@ -113,7 +113,7 @@ def cmd_member(args):
         ok = membership(u, shape)
         where = "the operator ring"
     elif args.algebra == "weyl":
-        ok = weyl_membership(u)
+        ok = membership(u, (1,) * shape.rank)
         where = "the Weyl algebra"
     else:
         _, emb = presentation(shape, args.algebra)

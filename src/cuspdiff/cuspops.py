@@ -13,11 +13,11 @@ named algebra (calA, bbA, weyl) is fixed by one pair of graded generators per
 factor, and its GWA presentation is read off those pairs.  The graded
 divisors and the deltas are fixed tables, memoized per process as phi is:
 each key yields one shared immutable object.  The structure relations read
-three more per-width tables, each of 8m - 3 keys per width m.  A relation's
-case label and residual depend only on m and s = i + j, and so does the
-product of its residual deltas, so each is worked out once per (m, s) and
-every pair (i, j) with that sum shares it.  The vanishing roots of the
-indices i, j and i + j are kept per (m, k) as tuples.  Nothing is kept per
+three more tables.  A relation's case label and residual depend only on m
+and s = i + j, so they are worked out once per (m, s); the vanishing roots
+of the indices i, j and i + j are kept per (m, k) as tuples; and the product
+of a residual's deltas is kept per (m, residual).  Each holds 8m - 3 keys
+per width m, as a residual determines its s.  Nothing is kept per
 (m, i, j).  as_shape interns its int and tuple inputs the same way, one
 shared CuspShape per distinct input.
 """
@@ -158,8 +158,8 @@ class StructureRelation(Value):
     is below 2m in size, and k is 0, 1 or 2 for 1 <= |i|, |j| <= 2m - 1.
     The case label names the window of s that gives k, e.g.
     "2m <= i+j < 3m" for k = 1 and s > 0.  Case and residual depend on
-    (m, i + j) alone, so both, and the residual product (see rhs_op), are
-    read from per-(m, i + j) tables shared by every pair with that sum.
+    (m, i + j) alone, so both are read from a per-(m, i + j) table shared by
+    every pair with that sum.
 
     Each residual product equals delta_{i+j} exactly (deltas of indices past
     the width multiply by concatenation), so the coefficient is the exact
@@ -177,9 +177,7 @@ class StructureRelation(Value):
 
         shape must be the relation's width m.  The residual product is the
         Laurent product of the generators, read from a per-process table
-        keyed by (m, i + j): 8m - 3 keys per width m, each computed on first
-        use.  A residual other than the table's (case, residual) entry for
-        that key is multiplied out on its own and never stored.  It is one
+        keyed by (m, residual) and computed on first use.  It is one
         monomial, and the degree zero coefficient on its left shifts
         nothing, so the right-hand side is that monomial's coefficient
         scaled by this one.
@@ -188,11 +186,7 @@ class StructureRelation(Value):
         if m != self.m:
             raise ValueError("relation of width %d read at width %d"
                              % (self.m, m))
-        s = self.i + self.j
-        if self.residual == _window(m, s)[1]:
-            residual = _residual_op(m, s)
-        else:
-            residual = _delta_product(m, self.residual)
+        residual = _delta_product(m, self.residual)
         (degree, poly), = residual.components.items()
         return residual._like({degree: self.coefficient * poly})
 
@@ -222,16 +216,12 @@ def _roots(m: int, k: int) -> tuple:
     return tuple(vanishing_roots(m, k))
 
 
+@lru_cache(maxsize=None)
 def _delta_product(m: int, residual) -> LaurentOp:
-    """The product of the deltas a residual names, in order."""
+    """The product of the deltas a residual names, in order, a per-process
+    table keyed by (m, residual)."""
     return reduce(mul, [delta_op(m, (index,)) ** power
                         for index, power in residual])
-
-
-@lru_cache(maxsize=None)
-def _residual_op(m: int, s: int) -> LaurentOp:
-    """The residual delta product of i + j = s at width m, multiplied out."""
-    return _delta_product(m, _window(m, s)[1])
 
 
 def structure_constant(shape, i: int, j: int) -> StructureRelation:

@@ -20,7 +20,7 @@ from .exactpoly import (ArityMismatch, Frozen, Value, _clean, _integer,
                         _norm_coef, grlex_key, linear_factors, render_number,
                         render_poly, render_sum)
 from .skewlaurent import LaurentOp
-from .cuspops import as_shape, delta_op, generator_pair, membership
+from .cuspops import as_shape, delta_op, membership
 
 
 class NotStable(ValueError):
@@ -368,12 +368,10 @@ def support(mask: GradedMask) -> WeightSupport:
 
 
 def _unit_pair(shape):
-    """The degree +-1 pair (delta_1, delta_-1) of a rank one shape.
-
-    It is bbA's generator pair; width 1 has no bbA pair, and there the
-    degree one deltas are the Weyl pair (x, partial).
-    """
-    return generator_pair(shape, "bbA" if shape.m[0] >= 2 else "weyl", 0)
+    """The degree +-1 pair (delta_1, delta_-1) of a rank one shape, read
+    from the delta table: bbA's generator pair at width >= 2, the Weyl pair
+    (x, partial) at width 1."""
+    return delta_op(shape, (1,)), delta_op(shape, (-1,))
 
 
 def _moved(op, exponents, mask: GradedMask | None) -> set:

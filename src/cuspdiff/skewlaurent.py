@@ -307,7 +307,9 @@ def graded_quotients(u: LaurentOp, widths) -> dict:
 
 def weyl_membership(u: LaurentOp) -> bool:
     """Whether u lies in the Weyl subalgebra generated by the x_i and partial_i:
-    whether graded_quotients succeeds at widths (1, ..., 1)."""
+    whether graded_quotients succeeds at widths (1, ..., 1).  The library
+    asks cuspops.membership at those widths; this alias stays only while
+    the bench tracer wraps it by name (ROADMAP.md, item 1)."""
     try:
         graded_quotients(u, (1,) * u.nvars)
     except NotDivisible:

@@ -1,4 +1,4 @@
-"""Acceptance gate: the eleven end-to-end criteria, one test and one printed
+"""Acceptance gate: the twelve end-to-end criteria, one test and one printed
 PASS/FAIL line each.  Everything is exact arithmetic; the runtime-bounded
 sweeps are seeded and deterministic."""
 
@@ -597,4 +597,84 @@ def test_criterion_11_generators_generate(capfd):
     line = _report(11, ok, "m=2..6, 1 <= |i| <= 3m, words of length <= 3, "
                            "%d mixed degrees, %.2f s" % (len(mixed), elapsed),
                    capfd)
+    assert ok, line + " failures=%r" % failures[:5]
+
+
+def _growth(shape, top):
+    """dim V^N for N = 0 .. top, V = K 1 + span(generating_set(shape)).
+
+    Words in the generators are homogeneous, so V^N is graded, and its
+    degree alpha part is spanned by the coefficients of its words of that
+    degree.  Each part keeps one echelon basis over Fraction, pivoting on
+    the highest exponent.  V^N = V^(N-1) + (new words of V^(N-1)) * V, so
+    each layer multiplies only the words the layer before added.
+    """
+    letters = [item for g in generating_set(shape)
+               for item in g.components.items()]
+    bases = {}
+
+    def added(word):
+        alpha, c = word
+        v, basis = c.terms, bases.setdefault(alpha, {})
+        while v:
+            lead = max(v)
+            q, pivot = v[lead], basis.get(lead)
+            if pivot is None:
+                basis[lead] = {e: Fraction(x) / q for e, x in v.items()}
+                return True
+            for e, x in pivot.items():
+                y = v.get(e, 0) - q * x
+                if y:
+                    v[e] = y
+                else:
+                    del v[e]
+        return False
+
+    n = len(letters[0][0])
+    fresh = [((0,) * n, BasePoly.one(n))]
+    added(fresh[0])
+    dims = [1]
+    for _ in range(top):
+        fresh = [w for w in (monomial_product(u, g) for u in fresh
+                             for g in letters) if added(w)]
+        dims.append(dims[-1] + len(fresh))
+    return dims
+
+
+def _differences(seq, k):
+    for _ in range(k):
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+    return seq
+
+
+def test_criterion_12_growth(capfd):
+    """dim V^N grows like a polynomial of degree 2n, as GK dimension 2n asks:
+    its 2n-th difference is constant and positive over the last three N.
+
+    V = K 1 + span(generating_set(shape)); the GK dimension is the growth
+    degree of dim V^N for any finite generating space V containing 1
+    (Krause-Lenagan, ch. 1).  The test reaches m = 2 at N <= 8, m = 3 at
+    N <= 5, (1, 1) at N <= 7 and (2, 1) at N <= 6, and pins the m = 2
+    sequence, which a skew rule shifting by -alpha changes from N = 2 on.
+
+    Observation, not a theorem: at rank one the constant second difference
+    is (2m - 1)^2, 9 and 25 here; finite data cannot prove it, and the
+    paper's abstract does not state it.  At (1, 1) the fourth difference is
+    4 and at (2, 1) it is 18.
+    """
+    start = time.monotonic()
+    failures = []
+    constants = []
+    for shape, top in (((2,), 8), ((3,), 5), ((1, 1), 7), ((2, 1), 6)):
+        dims = _growth(shape, top)
+        last = _differences(dims, 2 * len(shape))[-3:]
+        constants.append("%s: %d" % (shape, last[-1]))
+        if len(set(last)) != 1 or last[0] <= 0:
+            failures.append((shape, dims))
+        if shape == (2,) and dims != [1, 8, 26, 53, 89, 134, 188, 251, 323]:
+            failures.append(("m = 2 sequence", dims))
+    elapsed = time.monotonic() - start
+    ok = not failures and elapsed < 2.0
+    line = _report(12, ok, "2n-th differences %s, %.2f s"
+                   % (", ".join(constants), elapsed), capfd)
     assert ok, line + " failures=%r" % failures[:5]

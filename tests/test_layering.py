@@ -105,6 +105,34 @@ def test_every_export_is_reached():
     assert sorted(_exports() - reached) == []
 
 
+# kept only because the bench calls or wraps them by name (ROADMAP.md, item 1)
+_BENCH_ALIASES = {"weyl_membership", "phi_multi", "calA_presentation",
+                  "bbA_presentation", "weyl_presentation"}
+
+
+def test_library_calls_no_bench_alias():
+    # no module of the package imports, calls or reads an alias the bench
+    # alone keeps, nor GwaElement.coords, so deleting them is a bench edit
+    # plus the deletions
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.stem, node.lineno, name) for name in names
+                      if name in _BENCH_ALIASES
+                      or name == "coords" and isinstance(node, ast.Attribute)]
+    assert found == []
+
+
 def _methods_by_class():
     """(class name, names of the functions its body defines), per class of
     the package."""
