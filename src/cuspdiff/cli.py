@@ -198,7 +198,7 @@ def cmd_act(args):
         out = act(u, vec)
     text = render_vector(out)
     return 0, {"result": {_fmt_degree(a): render_number(c)
-                          for a, c in out.coeffs.items()},
+                          for a, c in out.components.items()},
                "text": text}, [text]
 
 

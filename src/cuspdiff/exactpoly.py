@@ -87,8 +87,8 @@ def _integer(v, owner: str) -> int:
 def _clean(terms: dict) -> dict:
     """Drop zero coefficients and store integral Fractions as int.
 
-    For the int and Fraction values that arithmetic produces this is exactly
-    what validation stores, without re-checking the keys.
+    For the int, Fraction and BasePoly values that arithmetic produces this
+    is exactly what validation stores, without re-checking the keys.
     """
     return {e: (c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
             for e, c in terms.items() if c}
@@ -282,6 +282,11 @@ class BasePoly(RingOps):
 
     def is_zero(self) -> bool:
         return not self._packed
+
+    def __bool__(self) -> bool:
+        # falsy at zero, as an int or Fraction coefficient is, so that _clean
+        # drops zero coefficients of either kind
+        return bool(self._packed)
 
     def is_constant(self) -> bool:
         return not self._packed or (len(self._packed) == 1 and 0 in self._packed)

@@ -16,10 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exactpoly import (ArityMismatch, Frozen, Value, _clean, _integer,
-                        _norm_coef, grlex_key, linear_factors, render_number,
-                        render_poly, render_sum)
-from .skewlaurent import LaurentOp
+from .exactpoly import (ArityMismatch, Frozen, Value, _integer, _norm_coef,
+                        linear_factors, render_number, render_poly,
+                        render_sum)
+from .skewlaurent import Graded, LaurentOp
 from .cuspops import as_shape, delta_op, membership
 
 
@@ -27,98 +27,47 @@ class NotStable(ValueError):
     """An operator outside the ring was asked to act on a quotient."""
 
 
-class LaurentVector(Frozen):
+class LaurentVector(Graded):
     """Finite rational combination of monomials x^beta, beta in Z^n.
 
-    Coefficients are validated and stored as BasePoly's are: an int or a
-    Fraction (anything else raises TypeError), an integral one stored as an
-    int.  Results the module computes itself are wrapped by the private
-    _trusted constructor without re-checking.
+    A graded sum on skewlaurent.Graded whose coefficient rule is
+    exactpoly's scalar one: an int or a Fraction (anything else raises
+    TypeError), an integral one stored as an int.  Vectors add, subtract,
+    negate and scale by scalars; operators act on them through act.
     """
 
-    __slots__ = ("nvars", "coeffs")
+    __slots__ = ()
 
-    @staticmethod
-    def _trusted(nvars: int, coeffs: dict) -> "LaurentVector":
-        """Wrap coeffs whose keys are int tuples of length nvars and whose
-        values are ints and Fractions, unchecked; zero values are dropped and
-        integral Fractions stored as int."""
-        v = _new(LaurentVector)
-        _set_nvars(v, nvars)
-        _set_coeffs(v, _clean(coeffs))
-        return v
+    _coefficient = staticmethod(_norm_coef)
 
-    def __init__(self, nvars: int, coeffs=None):
-        if nvars < 1:
-            raise ValueError("nvars must be >= 1")
-        clean = {}
-        for deg, c in (coeffs or {}).items():
-            deg = tuple(map(int, deg))
-            if len(deg) != nvars:
-                raise ArityMismatch("degree %r has length != %d" % (deg, nvars))
-            c = _norm_coef(c)
-            if c:
-                clean[deg] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "coeffs", clean)
+    def __pow__(self, n):  # a module, not a ring: vectors have no product
+        return NotImplemented
 
     @classmethod
     def monomial(cls, nvars: int, degree, c=1) -> "LaurentVector":
         return cls(nvars, {tuple(degree): c})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def coeffs(self) -> dict:
+        return self.components
 
-    def support(self):
-        return sorted(self.coeffs, key=grlex_key, reverse=True)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentVector):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ArityMismatch("mixed arities")
-        coeffs = dict(self.coeffs)
-        for deg, c in other.coeffs.items():
-            coeffs[deg] = coeffs.get(deg, 0) + c
-        return LaurentVector._trusted(self.nvars, coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentVector):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentVector._trusted(self.nvars,
-                                      {d: -c for d, c in self.coeffs.items()})
+    def _coerce(self, other):
+        return other if isinstance(other, LaurentVector) else NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LaurentVector._trusted(
-                self.nvars, {d: other * c for d, c in self.coeffs.items()})
+            return self._like({d: other * c
+                               for d, c in self.components.items()})
         return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentVector):
-            return NotImplemented
-        return self.nvars == other.nvars and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         return "LaurentVector(%s)" % render_vector(self)
 
 
-# slot setters for LaurentVector._trusted, which bypasses __init__ and __setattr__
-_new = object.__new__
-_set_nvars = LaurentVector.nvars.__set__
-_set_coeffs = LaurentVector.coeffs.__set__
-
-
 def render_vector(v: LaurentVector) -> str:
     """Canonical text form, e.g. 3*x^2 - 2*x^-1: render_sum in x over the
     support, terms joined by ' + ' and ' - '."""
-    return render_sum(((d, v.coeffs[d]) for d in v.support()), "x", v.nvars,
+    return render_sum(((d, v.components[d]) for d in v.support()), "x", v.nvars,
                       " + ", " - ")
 
 
@@ -135,12 +84,12 @@ def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:
                             % (u.nvars, v.nvars))
     out = {}
     for alpha, dpoly in u.components.items():
-        for beta, c in v.coeffs.items():
+        for beta, c in v.components.items():
             deg = tuple(map(add, alpha, beta))
             scalar = dpoly.eval([k + 1 for k in deg])
             if scalar:
                 out[deg] = out.get(deg, 0) + c * scalar
-    return LaurentVector._trusted(v.nvars, out)
+    return v._like(out)
 
 
 class ExponentSet(Value):
@@ -236,8 +185,8 @@ class GradedMask(Frozen):
         return out
 
     def project_outside(self, v: LaurentVector) -> LaurentVector:
-        return LaurentVector._trusted(v.nvars, {d: c for d, c in v.coeffs.items()
-                                                if not self.contains(d)})
+        return v._like({d: c for d, c in v.components.items()
+                        if not self.contains(d)})
 
 
 def cusp_mask(shape) -> GradedMask:
@@ -324,7 +273,7 @@ def stability_check(gens, mask: GradedMask, window: int) -> bool:
         vec = LaurentVector._trusted(mask.nvars, {gamma: 1})
         for g in gens:
             image = act(g, vec)
-            for deg in image.coeffs:
+            for deg in image.components:
                 if not mask.contains(deg):
                     return False
     return True
@@ -380,7 +329,7 @@ def _moved(op, exponents, mask: GradedMask | None) -> set:
     op sends them to distinct degrees.  The caller checks op's membership."""
     (alpha,), = op.components
     image = act(op, LaurentVector._trusted(1, {(k,): 1 for k in exponents}))
-    return {d - alpha for (d,) in image.coeffs
+    return {d - alpha for (d,) in image.components
             if mask is None or not mask.contains((d,))}
 
 

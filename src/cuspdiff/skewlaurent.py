@@ -12,13 +12,12 @@ is one loop, graded_quotients, that divides each component by it; the Weyl
 algebra is the width 1 instance of both.  phi and graded_divisor are fixed
 tables, memoized per process: each key yields one shared immutable BasePoly.
 
-The private base Graded holds what LaurentOp shares with gwa.GwaElement, the
-other Z^n-graded sum with left coefficients in Q[h1..hn]: validation,
-support, sums, negation, equality, hashing and the text form; like every
-value class of the package it is immutable through exactpoly.Frozen.
-Each subclass keeps its own product, coercion and monomial names.
-modactions.LaurentVector stays apart: its coefficients are scalars (ints and
-Fractions), not polynomials.
+The private base Graded holds what the package's three Z^n-graded sums share:
+LaurentOp, gwa.GwaElement (both with left coefficients in Q[h1..hn]) and
+modactions.LaurentVector (scalar coefficients): validation, support, sums,
+negation, equality and hashing; like every value class of the package it is
+immutable through exactpoly.Frozen.  Each subclass names its coefficient
+rule, _coefficient, and keeps its own product, coercion and text form.
 """
 
 from __future__ import annotations
@@ -28,19 +27,22 @@ from functools import lru_cache
 from operator import add
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
-                        exact_divide, factor_name, grlex_key, linear_factors,
-                        poly_to_json, render_poly)
+                        _clean, exact_divide, factor_name, grlex_key,
+                        linear_factors, poly_to_json, render_poly)
 
 
 class Graded(RingOps):
     """A finite sum  sum_alpha  c_alpha * m_alpha  graded by alpha in Z^n.
 
-    The shared body of LaurentOp and GwaElement.  components maps degree
-    vectors (int tuples of length nvars) to nonzero BasePoly coefficients of
-    arity nvars, each written on the left of the degree alpha monomial
-    m_alpha.  A subclass supplies _coerce, __mul__ and _letter (the name and
-    power that one nonzero entry of alpha renders as); one with more slots
-    naming its ring extends _like and __hash__ with them.
+    The shared body of LaurentOp, GwaElement and LaurentVector.  components
+    maps degree vectors (int tuples of length nvars) to the nonzero
+    coefficients c_alpha, each validated by the class's _coefficient rule:
+    by default a BasePoly of arity nvars written on the left of the degree
+    alpha monomial m_alpha.  Any coefficient kind whose zero is falsy fits,
+    so the base never branches on it.  A subclass supplies _coerce and its
+    products; a polynomial one also _letter (the name and power that one
+    nonzero entry of alpha renders as), and one with more slots naming its
+    ring extends _like and __hash__ with them.
     """
 
     __slots__ = ("nvars", "components")
@@ -48,36 +50,46 @@ class Graded(RingOps):
     def __init__(self, nvars: int, components=None):
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
+        object.__setattr__(self, "nvars", nvars)
         clean = {}
-        for deg, poly in (components or {}).items():
+        for deg, c in (components or {}).items():
             deg = tuple(map(int, deg))
             if len(deg) != nvars:
                 raise ArityMismatch("degree %r has length != %d" % (deg, nvars))
-            if not isinstance(poly, BasePoly):
-                poly = BasePoly.constant(nvars, poly)
-            if poly.nvars != nvars:
-                raise ArityMismatch("coefficient arity %d != %d"
-                                    % (poly.nvars, nvars))
-            if not poly.is_zero():
-                clean[deg] = poly
-        object.__setattr__(self, "nvars", nvars)
+            c = self._coefficient(c)
+            if c:
+                clean[deg] = c
         object.__setattr__(self, "components", clean)
 
-    def _like(self, components: dict):
-        """An element of self's ring holding components, which must already
-        meet the invariant apart from zero coefficients; those are dropped."""
-        u = _new(type(self))
-        _set_nvars(u, self.nvars)
-        _set_components(u, {d: p for d, p in components.items()
-                            if not p.is_zero()})
+    def _coefficient(self, c) -> BasePoly:
+        """c as a BasePoly of arity nvars: a scalar as a constant."""
+        if not isinstance(c, BasePoly):
+            return BasePoly.constant(self.nvars, c)
+        if c.nvars != self.nvars:
+            raise ArityMismatch("coefficient arity %d != %d"
+                                % (c.nvars, self.nvars))
+        return c
+
+    @classmethod
+    def _trusted(cls, nvars: int, components: dict):
+        """Wrap components whose keys are int tuples of length nvars and whose
+        values are coefficients that arithmetic produced, unchecked; zeros
+        are dropped and integral Fractions stored as int (exactpoly._clean)."""
+        u = _new(cls)
+        _set_nvars(u, nvars)
+        _set_components(u, _clean(components))
         return u
+
+    def _like(self, components: dict):
+        """An element of self's ring holding components, as _trusted."""
+        return self._trusted(self.nvars, components)
 
     def support(self):
         """Degree vectors with nonzero coefficient, graded-lex descending."""
         return sorted(self.components, key=grlex_key, reverse=True)
 
-    def graded_component(self, degree) -> BasePoly:
-        return self.components.get(tuple(degree), BasePoly.zero(self.nvars))
+    def graded_component(self, degree):
+        return self.components.get(tuple(degree), self._coefficient(0))
 
     def is_zero(self) -> bool:
         return not self.components
@@ -137,7 +149,7 @@ class Graded(RingOps):
         return "%s(%d, %s)" % (type(self).__name__, self.nvars, self._render())
 
 
-# slot setters for Graded._like, which bypasses __init__ and __setattr__
+# slot setters for Graded._trusted, which bypasses __init__ and __setattr__
 _new = object.__new__
 _set_nvars = Graded.nvars.__set__
 _set_components = Graded.components.__set__

@@ -112,8 +112,8 @@ _BENCH_ALIASES = {"weyl_membership", "phi_multi", "calA_presentation",
 
 def test_library_calls_no_bench_alias():
     # no module of the package imports, calls or reads an alias the bench
-    # alone keeps, nor GwaElement.coords, so deleting them is a bench edit
-    # plus the deletions
+    # alone keeps, nor GwaElement.coords or LaurentVector.coeffs, so
+    # deleting them is a bench edit plus the deletions
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -129,8 +129,33 @@ def test_library_calls_no_bench_alias():
                 continue
             found += [(path.stem, node.lineno, name) for name in names
                       if name in _BENCH_ALIASES
-                      or name == "coords" and isinstance(node, ast.Attribute)]
+                      or name in ("coords", "coeffs")
+                      and isinstance(node, ast.Attribute)]
     assert found == []
+
+
+# cuspops re-exports skewlaurent.phi: the package root and the bench read
+# cuspops.phi (its import says so)
+_REEXPORTS = {("cuspops", "phi")}
+
+
+def test_no_unused_imports():
+    # every module but the package root reads each name it imports
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [(path.stem, node.lineno, name)
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in (alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+                   if name not in read and (path.stem, name) not in _REEXPORTS]
+    assert unused == []
 
 
 def _methods_by_class():
@@ -225,8 +250,7 @@ def test_value_equality_is_written_once():
     own = [name for name, methods in _methods_by_class()
            if methods & {"__eq__", "__hash__"}]
     # the others coerce operands or add the presentation to the hash
-    assert sorted(own) == ["BasePoly", "Graded", "GwaElement", "LaurentVector",
-                           "Value"]
+    assert sorted(own) == ["BasePoly", "Graded", "GwaElement", "Value"]
 
 
 def test_only_cli_main_prints_or_fails():
