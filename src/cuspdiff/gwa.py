@@ -149,7 +149,7 @@ class GwaElement(Graded):
         super().__init__(presentation.nvars, coords)
 
     def _like(self, components: dict) -> "GwaElement":
-        u = Graded._like(self, components)
+        u = self._trusted(self.nvars, components)
         _set_presentation(u, self.presentation)
         return u
 

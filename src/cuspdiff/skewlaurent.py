@@ -15,9 +15,10 @@ tables, memoized per process: each key yields one shared immutable BasePoly.
 The private base Graded holds what the package's three Z^n-graded sums share:
 LaurentOp, gwa.GwaElement (both with left coefficients in Q[h1..hn]) and
 modactions.LaurentVector (scalar coefficients): validation, support, sums,
-negation, equality and hashing; like every value class of the package it is
-immutable through exactpoly.Frozen.  Each subclass names its coefficient
-rule, _coefficient, and keeps its own product, coercion and text form.
+negation, equality and hashing, and the text form of the two polynomial
+ones; like every value class of the package it is immutable through
+exactpoly.Frozen.  Each subclass names its coefficient rule, _coefficient,
+and keeps its own product and coercion.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Acceptance gate: the twelve end-to-end criteria, one test and one printed
-PASS/FAIL line each.  Everything is exact arithmetic; the runtime-bounded
-sweeps are seeded and deterministic."""
+PASS/FAIL line each, and two for criterion 12 (its operator and module
+halves).  Everything is exact arithmetic; the runtime-bounded sweeps are
+seeded and deterministic."""
 
 import json
 import random
@@ -16,7 +17,8 @@ from cuspdiff.cuspops import (CuspShape, bbA_presentation, calA_presentation,
 from cuspdiff.exactpoly import BasePoly, NotDivisible
 from cuspdiff.exprparse import parse_expression
 from cuspdiff.gwa import GwaElement, gwa_multiply
-from cuspdiff.modactions import (WeightSupport, cusp_mask, quotient_mask,
+from cuspdiff.modactions import (LaurentVector, WeightSupport, act,
+                                 act_on_quotient, cusp_mask, quotient_mask,
                                  restriction_blocks, simplicity_probe,
                                  stability_check, support)
 from cuspdiff.skewlaurent import (LaurentOp, commutator, monomial_product,
@@ -677,4 +679,51 @@ def test_criterion_12_growth(capfd):
     ok = not failures and elapsed < 2.0
     line = _report(12, ok, "2n-th differences %s, %.2f s"
                    % (", ".join(constants), elapsed), capfd)
+    assert ok, line + " failures=%r" % failures[:5]
+
+
+def _module_growth(m, top, quotient):
+    """dim V^N v for N = 1 .. top, V = K 1 + span(generating_set(m)), with
+    v = 1 in A(m), or v = x^-1 in the quotient K[x^+-1]/A(m) if quotient.
+
+    Each generator is homogeneous, so every word sends x^beta to a multiple
+    of one monomial, and V^N v is spanned by the monomials that words of
+    length <= N reach; each layer acts only on the monomials the layer
+    before added.
+    """
+    gens = generating_set(m)
+    fresh = [(-1,) if quotient else (0,)]
+    seen, dims = set(fresh), []
+    for _ in range(top):
+        images = [act_on_quotient(g, LaurentVector.monomial(1, beta), m)
+                  if quotient else act(g, LaurentVector.monomial(1, beta))
+                  for beta in fresh for g in gens]
+        fresh = {d for image in images for d in image.components} - seen
+        seen |= fresh
+        dims.append(len(seen))
+    return dims
+
+
+def test_criterion_12_module_growth(capfd):
+    """The module half of criterion 12: V^N 1 in A(m) and V^N x^-1 in the
+    quotient K[x^+-1]/A(m) grow with degree 1 = n, as the Bernstein
+    analogue asks of a nonzero finitely generated module.  The vectors go
+    through act and act_on_quotient.
+
+    Observations, not theorems, at m = 2, 3, 4 and N = 1 .. 8: dim V^N 1 =
+    (2m - 1) N - (m - 2), and the quotient grows by exactly 2m - 1 a step
+    from 5, 8 and 11 at N = 1.
+    """
+    start = time.monotonic()
+    failures = []
+    for m in (2, 3, 4):
+        step = 2 * m - 1
+        for quotient, first in ((False, m + 1), (True, 3 * m - 1)):
+            dims = _module_growth(m, 8, quotient)
+            if dims != [first + step * k for k in range(8)]:
+                failures.append((m, quotient, dims))
+    elapsed = time.monotonic() - start
+    ok = not failures and elapsed < 1.0
+    line = _report(12, ok, "module half: first differences 2m - 1 in A(m) "
+                   "and its quotient, m = 2..4, %.2f s" % elapsed, capfd)
     assert ok, line + " failures=%r" % failures[:5]
