@@ -25,6 +25,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from random import Random
 
 from .exactpoly import (BasePoly, NotDivisible, grlex_key, poly_to_json,
@@ -533,24 +534,38 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _unknown_flags(subcommands, argv) -> list:
-    """Each --flag before a bare -- that the subcommand does not declare (a
-    unique prefix is read as argparse reads it).  argparse alone would hand
-    such a flag's value to a positional, and refuse the value."""
+def _split_argv(subcommands, argv):
+    """(unknown flags, argv to parse).  An unknown flag is a --flag before a
+    bare -- that the subcommand does not declare (a unique prefix is read as
+    argparse reads it); argparse alone would hand such a flag's value to a
+    positional, and refuse the value.  When a positional there begins with
+    "-" (argparse reads an expression such as -h*x as a flag), argv is
+    parsed as its options, then --, then its positionals; else as given."""
     command = next((t for t in argv if not t.startswith("-")), None)
     if command not in subcommands:
-        return []
+        return [], argv
     known = subcommands[command]._option_string_actions
-    tokens = [*argv[argv.index(command) + 1:], "--"]
-    tokens = tokens[:tokens.index("--")]
-    return [t for t in tokens if t.startswith("--") and not any(
+    at = argv.index(command) + 1
+    tokens = [*argv[at:], "--"]
+    cut = tokens.index("--")
+    unknown = [t for t in tokens[:cut] if t.startswith("--") and not any(
         flag.startswith(t.split("=", 1)[0]) for flag in known)]
+    options, values, rest = [], [], iter(tokens[:cut])
+    for t in rest:
+        flag = t.startswith("--") or t in known
+        (options if flag else values).append(t)
+        if flag and "=" not in t and any(
+                f.startswith(t) and known[f].nargs is None for f in known):
+            options.extend(islice(rest, 1))  # the option's value
+    if any(v.startswith("-") and v != "-" for v in values):
+        argv = [*argv[:at], *options, "--", *values, *tokens[cut + 1:-1]]
+    return unknown, argv
 
 
 def main(argv=None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else argv
-    unknown = _unknown_flags(parser.subcommands, argv)
+    unknown, argv = _split_argv(parser.subcommands, argv)
     if unknown:
         parser.error("unrecognized arguments: %s" % " ".join(unknown))
     args = parser.parse_args(argv)

@@ -6,8 +6,11 @@ exact; there is no floating point anywhere.  Coefficients are stored as python
 ints when integral and as fractions.Fraction otherwise, which keeps the common
 all-integer computations on the fast path.
 
-The private base Frozen makes every value class of the package immutable, and
-its subclass Value gives the plain-data ones equality and hashing by fields.
+The private base Frozen makes every value class of the package immutable.
+Its subclass Value gives the plain-data ones equality and hashing by fields,
+and its subclass RingOps is the one body of a finite sum of nonzero terms:
+BasePoly here and skewlaurent's graded sums keep only their keys,
+coefficient rule, product, shift and text.  The cleaning rule is RingOps's.
 
 Every exact value of the package becomes text here and nowhere else:
 render_number writes an int or Fraction of any size (past the interpreter's
@@ -159,13 +162,58 @@ class Value(Frozen):
 
 
 class RingOps(Frozen):
-    """Subtraction and powers, shared by the ring element classes.
+    """The one body of a finite sum, shared by the ring element classes.
 
-    The class provides _coerce (returning NotImplemented for foreign
-    operands), __add__, __neg__ and __mul__; the identity is _coerce(1).
+    components maps keys to nonzero coefficients, an integral one stored as
+    an int, never as a Fraction; nvars is the number of variables.  This
+    base holds what every sum does alike: is_zero, the arity check, sums,
+    negation, subtraction, powers, equality and hashing.  The class provides
+    _trusted(nvars, components), _coerce (returning NotImplemented for
+    foreign operands) and __mul__; the identity is _coerce(1).
+
+    Cleaning rule: _trusted and _like wrap a dict that already holds no
+    zero, unchecked.  Arithmetic that can cancel (a sum, a product, an
+    action) passes its dict through _clean first; negation cannot cancel.
     """
 
-    __slots__ = ()
+    __slots__ = ("nvars", "components")
+
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def _check_arity(self, other):
+        if self.nvars != other.nvars:
+            raise ArityMismatch("mixed arities %d and %d"
+                                % (self.nvars, other.nvars))
+
+    def _like(self, components: dict):
+        """An element of self's ring holding components, as _trusted."""
+        return self._trusted(self.nvars, components)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check_arity(other)
+        comps = dict(self.components)
+        for key, c in other.components.items():
+            prev = comps.get(key)
+            comps[key] = c if prev is None else prev + c
+        return self._like(_clean(comps))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.components.items()})
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.nvars == other.nvars and self.components == other.components
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.components.items())))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -204,30 +252,30 @@ class BasePoly(RingOps):
     The variables are written h1..hn (plain h when nvars == 1).  Instances are
     treated as immutable; no method mutates self.
 
-    Stored terms invariant: ``_packed`` maps packed keys to nonzero
-    coefficients, an integral one stored as an int, never as a Fraction.  A
-    key has a _FIELD-bit field per variable, variable 0 most significant (one
-    variable: the key is the exponent, of any size), so int order on keys is
-    lex and keys add as exponents do.  Products and quotients refuse factors
-    with a field's top bit set (_guard), so no sum carries between fields.
-    ``terms`` is a read-only view by exponent tuple.
+    Stored terms invariant: ``components`` maps packed keys to nonzero
+    coefficients, as RingOps states it.  A key has a _FIELD-bit field per
+    variable, variable 0 most significant (one variable: the key is the
+    exponent, of any size), so int order on keys is lex and keys add as
+    exponents do.  Products and quotients refuse factors with a field's top
+    bit set (_guard), so no sum carries between fields.  ``terms`` is a
+    read-only view by exponent tuple.
 
     Only the public constructor BasePoly(nvars, terms) validates; use it for
     every outside input.  Results the class computes itself (sums, negation,
-    products, shifts, exact quotients, inject) already satisfy the invariant
-    and are wrapped by the private _trusted constructor without re-checking.
+    products, shifts, exact quotients, inject) are wrapped by the private
+    _trusted constructor without re-checking, under RingOps's cleaning rule.
     """
 
     # _roots is None until the roots are known: rational_roots fills it, and
     # shift and * carry it when the cofactor is constant (see rational_roots)
-    __slots__ = ("nvars", "_packed", "_roots")
+    __slots__ = ("_roots",)
 
     @staticmethod
     def _trusted(nvars: int, packed: dict) -> "BasePoly":
         """Wrap a packed dict that already satisfies the stored-terms invariant."""
         p = _new(BasePoly)
         _set_nvars(p, nvars)
-        _set_packed(p, packed)
+        _set_components(p, packed)
         _set_roots(p, None)
         return p
 
@@ -247,7 +295,7 @@ class BasePoly(RingOps):
             if c:
                 clean[reduce(lambda key, e: key << _FIELD | e, exp, 0)] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_packed", clean)
+        object.__setattr__(self, "components", clean)
         object.__setattr__(self, "_roots", None)
 
     # -- constructors -----------------------------------------------------
@@ -278,18 +326,16 @@ class BasePoly(RingOps):
 
     @property
     def terms(self) -> dict:
-        return {_unpack(key, self.nvars): c for key, c in self._packed.items()}
-
-    def is_zero(self) -> bool:
-        return not self._packed
+        return {_unpack(key, self.nvars): c for key, c in self.components.items()}
 
     def __bool__(self) -> bool:
         # falsy at zero, as an int or Fraction coefficient is, so that _clean
         # drops zero coefficients of either kind
-        return bool(self._packed)
+        return bool(self.components)
 
     def is_constant(self) -> bool:
-        return not self._packed or (len(self._packed) == 1 and 0 in self._packed)
+        terms = self.components
+        return not terms or (len(terms) == 1 and 0 in terms)
 
     def sorted_terms(self):
         """Terms in graded-lex descending order (the canonical order)."""
@@ -297,28 +343,12 @@ class BasePoly(RingOps):
 
     # -- ring operations --------------------------------------------------
 
-    def _check_arity(self, other: "BasePoly"):
-        if self.nvars != other.nvars:
-            raise ArityMismatch(
-                "mixed arities %d and %d" % (self.nvars, other.nvars))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_arity(other)
-        terms = dict(self._packed)
-        for key, c in other._packed.items():
-            terms[key] = terms.get(key, 0) + c
-        return BasePoly._trusted(self.nvars, _clean(terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BasePoly._trusted(self.nvars, {k: -c for k, c in self._packed.items()})
+    # entries of this class's own dict, so that wrapping them (as
+    # bench/spans.py does) leaves the other sums alone
+    __add__ = __radd__ = RingOps.__add__
 
     def _is_one(self) -> bool:
-        return len(self._packed) == 1 and self._packed.get(0) == 1
+        return len(self.components) == 1 and self.components.get(0) == 1
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -330,7 +360,7 @@ class BasePoly(RingOps):
             return other
         if other._is_one():
             return self
-        left, right, guard = self._packed, other._packed, _guard(self.nvars)
+        left, right, guard = self.components, other.components, _guard(self.nvars)
         if guard and (reduce(or_, left, 0) | reduce(or_, right, 0)) & guard:
             raise ExponentOverflow("a factor has an exponent >= 2^%d" % (_FIELD - 1))
         terms = {}
@@ -356,16 +386,6 @@ class BasePoly(RingOps):
         if isinstance(other, (int, Fraction)):
             return BasePoly.constant(self.nvars, other)
         return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BasePoly.constant(self.nvars, other)
-        if not isinstance(other, BasePoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self._packed == other._packed
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self._packed.items())))
 
     def __repr__(self):
         return "BasePoly(%d, %s)" % (self.nvars, render_poly(self))
@@ -394,7 +414,7 @@ class BasePoly(RingOps):
                                 % (len(k), self.nvars))
         if not any(k) or self.is_constant():
             return self
-        n, packed = self.nvars, self._packed
+        n, packed = self.nvars, self.components
         if n == 1:
             a = [0] * (max(packed) + 1)
             for e, c in packed.items():
@@ -434,7 +454,7 @@ class BasePoly(RingOps):
                                 % (len(point), self.nvars))
         total, mask = 0, (_MASK if self.nvars > 1 else -1)
         point.reverse()  # the last variable sits in the lowest field
-        for key, c in self._packed.items():
+        for key, c in self.components.items():
             for x in point:
                 e = key & mask
                 if e:
@@ -451,16 +471,17 @@ class BasePoly(RingOps):
             raise ArityMismatch("inject expects a univariate polynomial")
         if not 0 <= j < nvars:
             raise ValueError("variable index %d out of range for nvars=%d" % (j, nvars))
-        if nvars > 1 and max(self._packed, default=0) > _MASK:
+        if nvars > 1 and max(self.components, default=0) > _MASK:
             raise ExponentOverflow("exponent passes 2^%d" % _FIELD)
         return BasePoly._trusted(nvars, {e << _FIELD * (nvars - 1 - j): c
-                                         for e, c in self._packed.items()})
+                                         for e, c in self.components.items()})
 
 
-# slot setters for BasePoly._trusted, which bypasses __init__ and __setattr__
+# slot setters for the _trusted constructors, which bypass __init__ and
+# __setattr__
 _new = object.__new__
-_set_nvars = BasePoly.nvars.__set__
-_set_packed = BasePoly._packed.__set__
+_set_nvars = RingOps.nvars.__set__
+_set_components = RingOps.components.__set__
 _set_roots = BasePoly._roots.__set__
 
 
@@ -475,17 +496,16 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
     """
     if not isinstance(p, BasePoly) or not isinstance(q, BasePoly):
         raise TypeError("exact_divide expects BasePoly operands")
-    if p.nvars != q.nvars:
-        raise ArityMismatch("mixed arities %d and %d" % (p.nvars, q.nvars))
+    p._check_arity(q)
     if q.is_zero():
         raise DivisionByZero("division by the zero polynomial")
     if p.is_zero():
         return BasePoly.zero(p.nvars)
-    qterms, guard = q._packed, _guard(p.nvars)
-    if guard and (reduce(or_, p._packed) | reduce(or_, qterms)) & guard:
+    qterms, guard = q.components, _guard(p.nvars)
+    if guard and (reduce(or_, p.components) | reduce(or_, qterms)) & guard:
         raise ExponentOverflow("a factor has an exponent >= 2^%d" % (_FIELD - 1))
     qlead, qc = max(qterms.items())  # keys are distinct: coefficients never compared
-    rem, quot = dict(p._packed), {}
+    rem, quot = dict(p.components), {}
     while rem:
         lead = max(rem)
         t = lead - qlead
@@ -583,7 +603,7 @@ def rational_roots(p: BasePoly):
         raise ValueError("the zero polynomial has every root")
     known = p._roots
     if known is None:
-        known = ((), p._packed[0]) if p.is_constant() else _split(p)
+        known = ((), p.components[0]) if p.is_constant() else _split(p)
         _set_roots(p, known)
     roots, cofactor = known
     if cofactor.__class__ is not BasePoly:
@@ -597,14 +617,14 @@ def _split(p: BasePoly):
     A constant cofactor is given as its value, the leading coefficient of p.
     """
     # roots at 0 come from the trailing exponent
-    val, deg = min(p._packed), max(p._packed)
+    val, deg = min(p.components), max(p.components)
     roots = [0] * val
     # primitive integer form, dense from the leading coefficient down
     denom_lcm = 1
-    for c in p._packed.values():
+    for c in p.components.values():
         if c.__class__ is Fraction:
             denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    coeffs = [int(p._packed.get(e, 0) * denom_lcm) for e in range(deg, val - 1, -1)]
+    coeffs = [int(p.components.get(e, 0) * denom_lcm) for e in range(deg, val - 1, -1)]
     scale = 0
     for c in coeffs:
         scale = gcd(scale, c)

@@ -28,7 +28,7 @@ from itertools import product
 from operator import add, mul
 
 from .exactpoly import (ArityMismatch, BasePoly, Frozen, NotDivisible, Value,
-                        exact_divide, render_poly)
+                        _clean, exact_divide, render_poly)
 from .skewlaurent import Graded, LaurentOp, monomial_product, unit
 
 
@@ -154,7 +154,7 @@ class GwaElement(Graded):
         return u
 
     def __hash__(self):
-        return hash((self.presentation, Graded.__hash__(self)))
+        return hash((self.presentation, super().__hash__()))
 
     @property
     def coords(self) -> dict:
@@ -206,7 +206,7 @@ def gwa_multiply(u: GwaElement, v: GwaElement) -> GwaElement:
             gamma = tuple(map(add, alpha, beta))
             prev = coords.get(gamma)
             coords[gamma] = poly if prev is None else prev + poly
-    return u._like(coords)
+    return u._like(_clean(coords))
 
 
 def render_gwa(u: GwaElement) -> str:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .exactpoly import (ArityMismatch, Frozen, Value, _integer, _norm_coef,
-                        linear_factors, render_number, render_poly,
-                        render_sum)
+from .exactpoly import (ArityMismatch, Frozen, Value, _clean, _integer,
+                        _norm_coef, linear_factors, render_number,
+                        render_poly, render_sum)
 from .skewlaurent import Graded, LaurentOp
 from .cuspops import as_shape, delta_op, membership
 
@@ -56,8 +56,8 @@ class LaurentVector(Graded):
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._like({d: other * c
-                               for d, c in self.components.items()})
+            return self._like(_clean({d: other * c
+                                      for d, c in self.components.items()}))
         return NotImplemented
 
     def __repr__(self):
@@ -89,7 +89,7 @@ def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:
             scalar = dpoly.eval([k + 1 for k in deg])
             if scalar:
                 out[deg] = out.get(deg, 0) + c * scalar
-    return v._like(out)
+    return v._like(_clean(out))
 
 
 class ExponentSet(Value):
@@ -357,7 +357,9 @@ def simplicity_probe(module: str, shape, window: int,
     cut = m + 4
     if module == "A":
         jump = m if gap_jump is None else gap_jump
-        runs, gap, mask = [range(m, cut)], (0, m), None
+        # at width 1, A(1) = K[x] is the one run [0, cut): no gap to cross
+        runs, mask = [range(m if m > 1 else 0, cut)], None
+        gap = (0, m) if m > 1 else None
     elif module == "Aprime":
         jump = 2 if gap_jump is None else gap_jump
         runs = [range(-cut, -1), range(1, m - 1)]

@@ -12,13 +12,12 @@ is one loop, graded_quotients, that divides each component by it; the Weyl
 algebra is the width 1 instance of both.  phi and graded_divisor are fixed
 tables, memoized per process: each key yields one shared immutable BasePoly.
 
-The private base Graded holds what the package's three Z^n-graded sums share:
-LaurentOp, gwa.GwaElement (both with left coefficients in Q[h1..hn]) and
-modactions.LaurentVector (scalar coefficients): validation, support, sums,
-negation, equality and hashing, and the text form of the two polynomial
-ones; like every value class of the package it is immutable through
-exactpoly.Frozen.  Each subclass names its coefficient rule, _coefficient,
-and keeps its own product and coercion.
+The private base Graded holds what the package's three Z^n-graded sums share
+beyond the finite-sum body of exactpoly.RingOps: LaurentOp, gwa.GwaElement
+(both with left coefficients in Q[h1..hn]) and modactions.LaurentVector
+(scalar coefficients) get validation, support and the text form of the two
+polynomial ones from it.  Each subclass names its coefficient rule,
+_coefficient, and keeps its own product and coercion.
 """
 
 from __future__ import annotations
@@ -28,25 +27,27 @@ from functools import lru_cache
 from operator import add
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
-                        _clean, exact_divide, factor_name, grlex_key,
-                        linear_factors, poly_to_json, render_poly)
+                        _clean, _new, _set_components, _set_nvars,
+                        exact_divide, factor_name, grlex_key, linear_factors,
+                        poly_to_json, render_poly)
 
 
 class Graded(RingOps):
     """A finite sum  sum_alpha  c_alpha * m_alpha  graded by alpha in Z^n.
 
-    The shared body of LaurentOp, GwaElement and LaurentVector.  components
-    maps degree vectors (int tuples of length nvars) to the nonzero
-    coefficients c_alpha, each validated by the class's _coefficient rule:
-    by default a BasePoly of arity nvars written on the left of the degree
-    alpha monomial m_alpha.  Any coefficient kind whose zero is falsy fits,
-    so the base never branches on it.  A subclass supplies _coerce and its
-    products; a polynomial one also _letter (the name and power that one
-    nonzero entry of alpha renders as), and one with more slots naming its
-    ring extends _like and __hash__ with them.
+    The shared base of LaurentOp, GwaElement and LaurentVector; sums,
+    negation, equality and hashing are RingOps's.  components maps degree
+    vectors (int tuples of length nvars) to the nonzero coefficients c_alpha,
+    each validated by the class's _coefficient rule: by default a BasePoly
+    of arity nvars written on the left of the degree alpha monomial m_alpha.
+    Any coefficient kind whose zero is falsy fits, so the base never
+    branches on it.  A subclass supplies _coerce and its products; a
+    polynomial one also _letter (the name and power that one nonzero entry
+    of alpha renders as), and one with more slots naming its ring extends
+    _like and __hash__ with them.
     """
 
-    __slots__ = ("nvars", "components")
+    __slots__ = ()
 
     def __init__(self, nvars: int, components=None):
         if nvars < 1:
@@ -74,16 +75,12 @@ class Graded(RingOps):
     @classmethod
     def _trusted(cls, nvars: int, components: dict):
         """Wrap components whose keys are int tuples of length nvars and whose
-        values are coefficients that arithmetic produced, unchecked; zeros
-        are dropped and integral Fractions stored as int (exactpoly._clean)."""
+        values are nonzero coefficients, unchecked: a caller whose arithmetic
+        can cancel passes them through exactpoly._clean first."""
         u = _new(cls)
         _set_nvars(u, nvars)
-        _set_components(u, _clean(components))
+        _set_components(u, components)
         return u
-
-    def _like(self, components: dict):
-        """An element of self's ring holding components, as _trusted."""
-        return self._trusted(self.nvars, components)
 
     def support(self):
         """Degree vectors with nonzero coefficient, graded-lex descending."""
@@ -92,44 +89,11 @@ class Graded(RingOps):
     def graded_component(self, degree):
         return self.components.get(tuple(degree), self._coefficient(0))
 
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def _check_arity(self, other):
-        if self.nvars != other.nvars:
-            raise ArityMismatch("mixed arities %d and %d"
-                                % (self.nvars, other.nvars))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_arity(other)
-        comps = dict(self.components)
-        for deg, poly in other.components.items():
-            prev = comps.get(deg)
-            comps[deg] = poly if prev is None else prev + poly
-        return self._like(comps)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like({d: -p for d, p in self.components.items()})
-
     def __rmul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other * self
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.nvars == other.nvars and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.components.items())))
 
     def _render(self) -> str:
         """Terms (coefficient) * monomial, graded-lex descending on the degree
@@ -148,12 +112,6 @@ class Graded(RingOps):
 
     def __repr__(self):
         return "%s(%d, %s)" % (type(self).__name__, self.nvars, self._render())
-
-
-# slot setters for Graded._trusted, which bypasses __init__ and __setattr__
-_new = object.__new__
-_set_nvars = Graded.nvars.__set__
-_set_components = Graded.components.__set__
 
 
 class LaurentOp(Graded):
@@ -210,8 +168,8 @@ class LaurentOp(Graded):
         return NotImplemented
 
     # entries of this class's own dict, so that wrapping them (as
-    # bench/spans.py does) leaves GwaElement's sums alone
-    __add__ = __radd__ = Graded.__add__
+    # bench/spans.py does) leaves the other sums alone
+    __add__ = __radd__ = RingOps.__add__
 
     def __mul__(self, other):
         if not isinstance(other, LaurentOp):
@@ -225,7 +183,7 @@ class LaurentOp(Graded):
                 deg, term = monomial_product(u, v)
                 prev = comps.get(deg)
                 comps[deg] = term if prev is None else prev + term
-        return self._like(comps)
+        return self._like(_clean(comps))
 
     @staticmethod
     def _letter(e: int):

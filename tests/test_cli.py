@@ -791,6 +791,11 @@ _PINNED = [  # argv, exit code, text stdout, --json stdout
     ('stability --m 2 --gens h', 0, '2223122d6911', '240c5f4c8c04'),
     # below twice the generator degree 3, at the sweep bound 4 and past it
     ('stability --m 2 --window 5', 0, '0af835c6b9e3', 'aee80db2e643'),
+    # an expression that begins with "-" is a value: each digest is that of
+    # the call with a bare -- before its positionals
+    ("mul --m 2 '-h*x'", 0, 'd93f8c656631', '974a72d99c40'),
+    ("mul --m 2 '-3*x'", 0, '70d57083936b', 'c67e7da2898f'),
+    ("act --m 2 h '-x'", 0, '12ee8c1d62a3', '3905bb73fe74'),
 ]
 
 _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2

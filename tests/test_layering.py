@@ -249,8 +249,21 @@ def test_unit_degree_is_written_once():
 def test_value_equality_is_written_once():
     own = [name for name, methods in _methods_by_class()
            if methods & {"__eq__", "__hash__"}]
-    # the others coerce operands or add the presentation to the hash
-    assert sorted(own) == ["BasePoly", "Graded", "GwaElement", "Value"]
+    # RingOps compares sums through their coercion; GwaElement adds the
+    # presentation to the hash
+    assert sorted(own) == ["GwaElement", "RingOps", "Value"]
+
+
+def test_sum_body_is_written_once():
+    # sums, negation, is_zero and the arity check are RingOps's alone; the
+    # `__add__ = __radd__ = RingOps.__add__` rebinds are assignments, not
+    # defs, and GwaElement's _like attaches the presentation
+    owners = {name: sorted(methods & {"__add__", "__neg__", "is_zero",
+                                      "_check_arity", "_like"})
+              for name, methods in _methods_by_class()}
+    assert {name: found for name, found in owners.items() if found} == {
+        "RingOps": ["__add__", "__neg__", "_check_arity", "_like", "is_zero"],
+        "GwaElement": ["_like"]}
 
 
 def test_only_cli_main_prints_or_fails():

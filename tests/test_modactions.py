@@ -286,6 +286,13 @@ class TestSimplicity:
         assert not simplicity_probe("A", 2, window=8, gap_jump=1)
         assert not simplicity_probe("Aprime", 3, window=12, gap_jump=1)
 
+    def test_width_one_has_no_gap(self):
+        # A(1) = K[x] is one run of exponents, as its blocks say, so a wide
+        # gap_jump has no gap to strand
+        assert restriction_blocks(1)[0] == [ExponentSet(ge=0)]
+        for jump in (2, 3):
+            assert simplicity_probe("A", 1, window=4, gap_jump=jump)
+
     def test_window_guard(self):
         with pytest.raises(ValueError):
             simplicity_probe("A", 3, window=4)
