@@ -100,8 +100,8 @@ def test_cancelling_operands_leave_no_zero():
     h = BasePoly.variable(1, 0)
     x = LaurentOp.x(1, 0)
     X = _presentation(1).basis((1,))
-    for one, y in ((1, h), (1, x), (1, X)):
-        product = (y + one) * (y - one)
+    for y in (h, x, X):
+        product = (y + 1) * (y - 1)
         _assert_zero_free(product)
         assert product == y * y - 1
     # x and 1 send 1 - x to x - x at degree 1; halves scale to integers
