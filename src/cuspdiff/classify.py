@@ -30,7 +30,7 @@ from math import floor
 from .exactpoly import (ArityMismatch, BasePoly, Value, linear_factors,
                         rational_roots, render_number, render_poly)
 from .gwa import GwaElement
-from .modactions import ExponentSet, WeightSupport, cusp_mask, quotient_mask, support
+from .modactions import MODULES, ExponentSet, WeightSupport, support
 from .cuspops import as_shape
 
 INFINITE = float("inf")
@@ -334,8 +334,8 @@ def classify_DA_torsion(m: int) -> TorsionClassification:
     """
     shape = as_shape(m)
     return TorsionClassification(
-        (("A", support(cusp_mask(shape))),
-         ("Aprime", support(quotient_mask(shape)))),
+        tuple((name, support(mask(shape)))
+              for name, (mask, _) in MODULES.items()),
         "one simple module per maximal ideal of the base localization whose "
         "orbit misses the integer roots; all infinite dimensional")
 

@@ -37,8 +37,8 @@ from .cuspops import (as_shape, decompose, delta_op, factor_generators,
                       structure_constant)
 from .gwa import NotInImage, render_gwa, verify_presentation
 from .exprparse import ALGEBRAS, parse_expression, parse_poly
-from .modactions import (LaurentVector, NotStable, act, act_on_quotient,
-                         cusp_mask, quotient_mask, render_vector,
+from .modactions import (MODULES, LaurentVector, NotStable, _saturation,
+                         act, act_on_quotient, cusp_mask, render_vector,
                          restriction_blocks, stability_check, support)
 from . import classify as classify_mod
 
@@ -209,11 +209,13 @@ def cmd_stability(args):
         gens = [parse_expression(t, shape, args.algebra) for t in args.gens]
     else:
         gens = generating_set(shape)
-    ok = stability_check(gens, cusp_mask(shape), args.window)
+    window = (max(12, _saturation(cusp_mask(shape), generating_set(shape)))
+              if args.window is None else args.window)
+    ok = stability_check(gens, cusp_mask(shape), window)
     return (0 if ok else 1,
-            {"stable": ok, "window": args.window, "generators": len(gens)},
+            {"stable": ok, "window": window, "generators": len(gens)},
             ["stable under %d generators in window %d: %s"
-             % (len(gens), args.window, "true" if ok else "false")])
+             % (len(gens), window, "true" if ok else "false")])
 
 
 def cmd_relations_check(args):
@@ -405,10 +407,9 @@ def cmd_normalize(args):
 def cmd_support(args):
     shape = _shape(args, "supports are rank one; pass a single width")
     payload, supports, blocks = {}, [], []
-    for name, mask, exps in zip(("A", "Aprime"),
-                                (cusp_mask(shape), quotient_mask(shape)),
-                                restriction_blocks(shape)):
-        supp = support(mask)
+    for (name, (mask, _)), exps in zip(MODULES.items(),
+                                       restriction_blocks(shape)):
+        supp = support(mask(shape))
         payload[name] = {"support": supp.to_json(),
                          "blocks": [b.to_json() for b in exps]}
         supports.append("%s support: %s" % (name, supp.render()))
@@ -436,9 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="algebra context for expressions and checks"),
         "json": option("--json", action="store_true",
                        help="emit a single JSON document"),
-        "window": option("--window", type=_int, default=12,
+        "window": option("--window", type=_int,
                          help="cost cap of the stability sweep; a window "
-                              "below its bound is refused"),
+                              "below its bound is refused (default 12, or "
+                              "the canonical generators' bound if larger)"),
         "seed": option("--seed", type=_int, default=0,
                        help="seed for randomized sweeps")}
 
@@ -538,9 +540,11 @@ def _split_argv(subcommands, argv):
     """(unknown flags, argv to parse).  An unknown flag is a --flag before a
     bare -- that the subcommand does not declare (a unique prefix is read as
     argparse reads it); argparse alone would hand such a flag's value to a
-    positional, and refuse the value.  When a positional there begins with
-    "-" (argparse reads an expression such as -h*x as a flag), argv is
-    parsed as its options, then --, then its positionals; else as given."""
+    positional, and refuse the value.  argparse also reads a value that
+    begins with "-", such as -h*x or -1/2, as a flag.  So an option's value
+    that begins with one "-" is passed joined, as --opt=value; and when a
+    positional there begins with "-", argv is parsed as its options, then
+    --, then its positionals.  Any other argv is parsed as given."""
     command = next((t for t in argv if not t.startswith("-")), None)
     if command not in subcommands:
         return [], argv
@@ -550,16 +554,23 @@ def _split_argv(subcommands, argv):
     cut = tokens.index("--")
     unknown = [t for t in tokens[:cut] if t.startswith("--") and not any(
         flag.startswith(t.split("=", 1)[0]) for flag in known)]
-    options, values, rest = [], [], iter(tokens[:cut])
+    head, options, values, rest = [], [], [], iter(tokens[:cut])
     for t in rest:
         flag = t.startswith("--") or t in known
         (options if flag else values).append(t)
+        head.append(t)
         if flag and "=" not in t and any(
                 f.startswith(t) and known[f].nargs is None for f in known):
-            options.extend(islice(rest, 1))  # the option's value
+            for value in islice(rest, 1):  # the option's value
+                if value[:1] == "-" != value[1:2]:
+                    options[-1] = head[-1] = t + "=" + value
+                else:
+                    options.append(value)
+                    head.append(value)
     if any(v.startswith("-") and v != "-" for v in values):
-        argv = [*argv[:at], *options, "--", *values, *tokens[cut + 1:-1]]
-    return unknown, argv
+        return unknown, [*argv[:at], *options, "--", *values,
+                         *tokens[cut + 1:-1]]
+    return unknown, [*argv[:at], *head, *tokens[cut:-1]]
 
 
 def main(argv=None) -> int:

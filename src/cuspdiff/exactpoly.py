@@ -207,12 +207,20 @@ class RingOps(Frozen):
         return self._like({key: -c for key, c in self.components.items()})
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except ValueError:  # refused: another arity or presentation
+            return False
         if other is NotImplemented:
             return NotImplemented
         return self.nvars == other.nvars and self.components == other.components
 
     def __hash__(self):
+        # equal across _coerce, so hashed alike: the zero as 0, and a lone
+        # term at the zero key (0, or the zero degree) as its coefficient
+        (key, c), *more = self.components.items() or [(0, 0)]
+        if not more and key in (0, (0,) * self.nvars):
+            return hash(c)
         return hash((self.nvars, frozenset(self.components.items())))
 
     def __sub__(self, other):

@@ -153,9 +153,6 @@ class GwaElement(Graded):
         _set_presentation(u, self.presentation)
         return u
 
-    def __hash__(self):
-        return hash((self.presentation, super().__hash__()))
-
     @property
     def coords(self) -> dict:
         return self.components

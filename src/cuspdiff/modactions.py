@@ -8,7 +8,8 @@ by the subalgebra itself, A(m) = the span of the monomials in cusp_mask.
 
 The sweeps stability_check, simplicity_probe and restriction_blocks stop at
 a bound that the mask and the operators fix (proved at _saturation), so no
-answer depends on a window; where one is taken, it only refuses input.
+answer depends on a window; where one is taken, it only refuses input.  The
+rank one probes and blocks share one walk, _walk, over the module's mask.
 """
 
 from __future__ import annotations
@@ -205,6 +206,11 @@ def quotient_mask(shape) -> GradedMask:
                        for mi in as_shape(shape).m])
 
 
+# The monomial modules by name, each with its mask and the mask it is acted
+# on modulo: "A" is A(m) itself, "Aprime" the quotient A'(m) = K[x^+-1]/A(m).
+MODULES = {"A": (cusp_mask, None), "Aprime": (quotient_mask, cusp_mask)}
+
+
 def act_on_quotient(u, v: LaurentVector, shape) -> LaurentVector:
     """Action on the quotient of the Laurent module by the submodule A(m).
 
@@ -213,14 +219,9 @@ def act_on_quotient(u, v: LaurentVector, shape) -> LaurentVector:
     NotStable), so the induced action is well defined: apply, then discard
     every component inside the mask.
     """
-    _require_stable(u, shape)
-    return cusp_mask(shape).project_outside(act(u, v))
-
-
-def _require_stable(u, shape):
-    """Raise NotStable unless u lies in the operator ring of the shape."""
     if not membership(u, shape):
         raise NotStable("operator is outside the ring; quotient action undefined")
+    return cusp_mask(shape).project_outside(act(u, v))
 
 
 def _saturation(mask: GradedMask, ops) -> int:
@@ -263,20 +264,22 @@ def stability_check(gens, mask: GradedMask, window: int) -> bool:
     it across a mask end, and a c of degree D cannot vanish at D + 1 ray
     points.  The window caps the cost: one below B is refused, and every
     other window gives the answer of the walk to B.
+
+    Each moving component of a generator acts once, on the sum of the masked
+    monomials in [-B, B]^n: it sends them to distinct degrees, so nothing
+    cancels, as two components of one generator can (h*x^-1 - h*x).
     """
     gens = list(gens)
     bound = _saturation(mask, gens)
     if window < bound:
         raise ValueError("window %d below the sweep bound %d"
                          % (window, bound))
-    for gamma in mask.masked_monomials(bound):
-        vec = LaurentVector._trusted(mask.nvars, {gamma: 1})
-        for g in gens:
-            image = act(g, vec)
-            for deg in image.components:
-                if not mask.contains(deg):
-                    return False
-    return True
+    box = LaurentVector._trusted(
+        mask.nvars, dict.fromkeys(mask.masked_monomials(bound), 1))
+    return all(mask.contains(deg) for g in gens
+               for alpha, c in g.components.items() if any(alpha)
+               for deg in act(LaurentOp._trusted(g.nvars, {alpha: c}),
+                              box).components)
 
 
 class WeightSupport(Value):
@@ -316,21 +319,32 @@ def support(mask: GradedMask) -> WeightSupport:
     return WeightSupport(mask.factors[0].translate(1))
 
 
-def _unit_pair(shape):
-    """The degree +-1 pair (delta_1, delta_-1) of a rank one shape, read
-    from the delta table: bbA's generator pair at width >= 2, the Weyl pair
-    (x, partial) at width 1."""
-    return delta_op(shape, (1,)), delta_op(shape, (-1,))
-
-
-def _moved(op, exponents, mask: GradedMask | None) -> set:
-    """The k in exponents whose x^k the one-degree op sends to a nonzero
-    vector modulo mask (A(m)) if given, from one act on the sum of the x^k:
-    op sends them to distinct degrees.  The caller checks op's membership."""
-    (alpha,), = op.components
-    image = act(op, LaurentVector._trusted(1, {(k,): 1 for k in exponents}))
-    return {d - alpha for (d,) in image.components
+def _moved(shape, k: int, exponents, mask: GradedMask | None) -> set:
+    """The e in exponents whose x^e delta_k of the rank one shape sends to a
+    nonzero vector modulo mask (A(m)) if given, from one act on the sum of
+    the x^e: it sends them to distinct degrees.  delta_k is in the ring by
+    construction, so its action modulo A(m) is defined."""
+    image = act(delta_op(shape, (k,)),
+                LaurentVector._trusted(1, {(e,): 1 for e in exponents}))
+    return {d - k for (d,) in image.components
             if mask is None or not mask.contains((d,))}
+
+
+def _walk(module: str, shape):
+    """The rank one walk of a module of MODULES under delta_1 and delta_-1:
+    (cut, by, exponents, up, down), with cut = m + 4 (see _saturation), by
+    the mask it is acted on modulo (or None), its exponents in [-cut, cut]
+    and those that delta_1 and delta_-1 move, each found by one _moved."""
+    shape = as_shape(shape)
+    if shape.rank != 1:
+        raise ArityMismatch("the module walks are rank one")
+    if module not in MODULES:
+        raise ValueError("module must be 'A' or 'Aprime'")
+    mask, by = (f(shape) if f else None for f in MODULES[module])
+    cut = shape.m[0] + 4
+    exponents = mask.factors[0].window(-cut, cut)
+    up, down = (_moved(shape, s, exponents, by) for s in (1, -1))
+    return cut, by, exponents, up, down
 
 
 def simplicity_probe(module: str, shape, window: int,
@@ -338,45 +352,25 @@ def simplicity_probe(module: str, shape, window: int,
     """Probe that each adjacent pair of module exponents is linked both ways.
 
     module is "A" (the subalgebra) or "Aprime" (its quotient in the Laurent
-    module).  Runs of consecutive exponents are linked by the degree +-1
-    generators; the gap between the two runs needs the wider generators, of
-    degree +-m for "A" and +-2 for "Aprime".  gap_jump overrides the gap
-    generator degree, which is how a deliberately wrong probe is demonstrated.
-    A run stops at m + 4, standing for all links beyond (see _saturation),
-    so the window, at least 2m + 2, only guards input.
+    module), walked by _walk.  Neighbours k, k + 1 need delta_1 up and
+    delta_-1 down; a gap a < b needs delta_(b-a) up from x^a and delta_(a-b)
+    down from x^b, and gap_jump replaces b - a, which is how a deliberately
+    wrong probe is demonstrated.  The walk stops at m + 4, standing for all
+    links beyond (see _saturation), so the window, at least 2m + 2, only
+    guards input.
     """
-    shape = as_shape(shape)
-    if shape.rank != 1:
-        raise ArityMismatch("simplicity probes are rank one")
-    m = shape.m[0]
+    m = as_shape(shape).m[0]
     if window < 2 * m + 2:
         raise ValueError("window %d too small; need at least %d"
                          % (window, 2 * m + 2))
-    up1, down1 = _unit_pair(shape)
-    mask = cusp_mask(shape)
-    cut = m + 4
-    if module == "A":
-        jump = m if gap_jump is None else gap_jump
-        # at width 1, A(1) = K[x] is the one run [0, cut): no gap to cross
-        runs, mask = [range(m if m > 1 else 0, cut)], None
-        gap = (0, m) if m > 1 else None
-    elif module == "Aprime":
-        jump = 2 if gap_jump is None else gap_jump
-        runs = [range(-cut, -1), range(1, m - 1)]
-        # at width 1 the run [1, m-1] is empty, so there is no gap to cross
-        gap = (-1, 1) if m > 1 else None
-    else:
-        raise ValueError("module must be 'A' or 'Aprime'")
-    gap_up, gap_down = delta_op(shape, (jump,)), delta_op(shape, (-jump,))
-    if mask is not None:
-        for op in (up1, down1, gap_up, gap_down):
-            _require_stable(op, shape)
-    links = [k for run in runs for k in run]
-    up = _moved(up1, links, mask)
-    down = _moved(down1, [k + 1 for k in links], mask)
-    return (all(k in up and k + 1 in down for k in links)
-            and (gap is None or all(_moved(op, [k], mask) for op, k
-                                    in zip((gap_up, gap_down), gap))))
+    _, by, exponents, up, down = _walk(module, shape)
+
+    def crossed(a, b):
+        jump = b - a if gap_jump is None else gap_jump
+        return _moved(shape, jump, [a], by) and _moved(shape, -jump, [b], by)
+
+    return all(a in up and b in down if b == a + 1 else crossed(a, b)
+               for a, b in zip(exponents, exponents[1:]))
 
 
 def restriction_blocks(shape):
@@ -384,26 +378,17 @@ def restriction_blocks(shape):
 
     Returns (blocks_A, blocks_Aprime): for each module, the partition of its
     exponents into components linked by nonzero delta_{+-1} transitions,
-    described as ExponentSets.  The walk covers [-(m + 4), m + 4], one link
-    past the bound of the links (see _saturation); every link past it joins
-    (the pair's coefficients are nonzero there, A'(m)'s ray lies outside
-    A(m)), so a block reaching the cut is reported as a ray.
+    described as ExponentSets.  The walk (_walk) covers [-(m + 4), m + 4],
+    one link past the bound of the links (see _saturation); every link past
+    it joins (the pair's coefficients are nonzero there, A'(m)'s ray lies
+    outside A(m)), so a block reaching the cut is reported as a ray.
 
     The decomposition is what restriction to the subalgebra generated by
     delta_{+-1} and h sees: the wider gap-crossing generators are not
     available, so the gap disconnects each module into two blocks.
     """
-    shape = as_shape(shape)
-    if shape.rank != 1:
-        raise ArityMismatch("restriction blocks are rank one")
-    up1, down1 = _unit_pair(shape)
-    mask = cusp_mask(shape)
-    _require_stable(up1, shape)
-    _require_stable(down1, shape)
-    cut = shape.m[0] + 4
-
-    def blocks(exponents, quotient_by):
-        up, down = (_moved(op, exponents, quotient_by) for op in (up1, down1))
+    def blocks(module):
+        cut, _, exponents, up, down = _walk(module, shape)
         out = []
         for k in exponents:
             if out and k == out[-1][-1] + 1 and (k - 1 in up or k in down):
@@ -414,6 +399,4 @@ def restriction_blocks(shape):
                 ExponentSet(ge=b[0]) if b[-1] == cut else
                 ExponentSet(points=b) for b in out]
 
-    return (blocks(mask.factors[0].window(-cut, cut), None),
-            blocks(quotient_mask(shape).factors[0].window(-cut, cut),
-                   mask))
+    return blocks("A"), blocks("Aprime")

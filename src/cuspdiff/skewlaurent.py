@@ -44,7 +44,7 @@ class Graded(RingOps):
     branches on it.  A subclass supplies _coerce and its products; a
     polynomial one also _letter (the name and power that one nonzero entry
     of alpha renders as), and one with more slots naming its ring extends
-    _like and __hash__ with them.
+    _like with them.
     """
 
     __slots__ = ()

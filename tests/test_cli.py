@@ -17,7 +17,7 @@ import pytest
 import cuspdiff
 from cuspdiff import cli
 from cuspdiff.cli import main
-from cuspdiff.cuspops import StructureRelation, delta_op
+from cuspdiff.cuspops import StructureRelation, delta_op, generating_set
 from cuspdiff.exactpoly import BasePoly
 from cuspdiff.exprparse import parse_expression
 from cuspdiff.gwa import Embedding, render_gwa
@@ -206,6 +206,27 @@ class TestStability:
         code, out = run(capsys, *argv, "5")
         assert (code, out) == (
             1, "stable under 1 generators in window 5: false\n")
+
+    @pytest.mark.parametrize("m, window", [
+        ("1", 12), ("2", 12), ("4", 12), ("5", 13), ("7", 19), ("2,3", 12),
+        ("4,4", 12), ("5,2", 14)])
+    def test_default_window_reaches_the_canonical_bound(self, capsys, m,
+                                                        window):
+        # the default window is 12 wherever the canonical generators' bound
+        # (3m - 2 at rank one) allows it, as it always was, and that bound
+        # past it, with or without --gens; a window set below the bound is
+        # still refused
+        gens = len(generating_set([int(w) for w in m.split(",")]))
+        assert run(capsys, "stability", "--m", m) == (
+            0, "stable under %d generators in window %d: true\n"
+            % (gens, window))
+        assert run(capsys, "stability", "--m", m, "--gens", "h") == (
+            0, "stable under 1 generators in window %d: true\n" % window)
+        if window > 12:
+            code, out, err = run_with_stderr(capsys, "stability", "--m", m,
+                                             "--window", "12")
+            assert (code, out) == (2, "")
+            assert "window 12 below the sweep bound %d" % window in err
 
 
 class TestRelationsCheck:
@@ -629,6 +650,23 @@ class TestUsageErrors:
         assert err.endswith("cuspdiff: error: %s\n" % message)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "-h"], ["orbit", "--a", "h", "--help"],
+        ["orbit", "--a", "h", "-h"], ["orbit", "--a", "--json"],
+        ["orbit", "--a", "h", "--bogus", "3"],
+        ["orbit", "--a", "h", "--root", "1/2"],
+        ["mul", "--m", "2", "h", "--json", "x"],
+        ["phi", "--m", "2", "--", "-1"]])
+    def test_argv_without_a_dash_value_is_parsed_as_given(self, argv):
+        # help flags, unknown flags and a long option where a value should
+        # be are left for argparse, as is every argv that needs no rewrite
+        assert cli._split_argv(cli._parser().subcommands, argv)[1] == argv
+
+    def test_a_dash_value_is_joined_to_its_option(self):
+        argv = ["orbit", "--m", "2", "--a", "-h", "--root", "-1/2", "--json"]
+        assert cli._split_argv(cli._parser().subcommands, argv) == (
+            [], ["orbit", "--m", "2", "--a=-h", "--root=-1/2", "--json"])
+
     def test_closed_stdout_exits_1_without_traceback(self):
         # about 240 kB of JSON: more than a pipe buffer, so the write itself
         # meets the closed pipe, as in `cuspdiff mul ... | head -c 20`
@@ -796,6 +834,12 @@ _PINNED = [  # argv, exit code, text stdout, --json stdout
     ("mul --m 2 '-h*x'", 0, 'd93f8c656631', '974a72d99c40'),
     ("mul --m 2 '-3*x'", 0, '70d57083936b', 'c67e7da2898f'),
     ("act --m 2 h '-x'", 0, '12ee8c1d62a3', '3905bb73fe74'),
+    # so is an option's value that begins with "-": each digest is that of
+    # the call written --opt=value
+    ('orbit --a h --root -1/2', 0, '4ba35700efcf', 'e3255f793a4b'),
+    ('orbit --a -h+1', 0, '48f04b8fa6e4', '003a6caaa8d5'),
+    ('normalize --element -h', 0, 'd1b6221082e9', 'b4db3244d0f2'),
+    ('stability --gens -x', 1, 'a773c8840c55', 'cff9a672c421'),
 ]
 
 _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2

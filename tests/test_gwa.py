@@ -643,9 +643,67 @@ class TestRingsStayApart:
         assert equal is True
 
     def test_presentations_do_not_mix(self):
+        # arithmetic across presentations raises; equality answers False
         X2 = calA_presentation(2)[0].basis((1,))
         X3 = calA_presentation(3)[0].basis((1,))
         for combine in (lambda a, b: a + b, lambda a, b: a * b,
-                        lambda a, b: a - b, lambda a, b: a == b):
+                        lambda a, b: a - b):
             with pytest.raises(PresentationMismatch):
                 combine(X2, X3)
+        assert (X2 == X3, X2 != X3, X3 in [X2]) == (False, True, False)
+
+
+# two presentations per rank, so that elements of both meet in one test
+_TWO_PRESENTATIONS = {n: [presentation(shape, algebra)[0]
+                          for shape, algebra in pairs]
+                      for n, pairs in {1: [(2, "calA"), (3, "bbA")],
+                                       2: [((2, 3), "calA"),
+                                           ((1, 1), "weyl")]}.items()}
+
+
+@st.composite
+def ring_values(draw):
+    """An int or a Fraction, or a BasePoly, LaurentOp or GwaElement of rank
+    1 or 2 holding one term: a small constant, plus h1 at times, at a degree
+    that is mostly zero, so that values of different kinds are often equal."""
+    c = draw(st.one_of(st.integers(-2, 2),
+                       st.fractions(-2, 2, max_denominator=2)))
+    kind = draw(st.sampled_from(["number", "poly", "op", "gwa"]))
+    if kind == "number":
+        return c
+    n = draw(st.integers(1, 2))
+    poly = BasePoly.constant(n, c) + draw(st.sampled_from(
+        [0, 0, BasePoly.variable(n, 0)]))
+    if kind == "poly":
+        return poly
+    degree = tuple(draw(st.sampled_from([0, 0, 0, 1, -1])) for _ in range(n))
+    if kind == "op":
+        return LaurentOp(n, {degree: poly})
+    return GwaElement(draw(st.sampled_from(_TWO_PRESENTATIONS[n])),
+                      {degree: poly})
+
+
+class TestEqualityAcrossKinds:
+    """== coerces numbers into polynomials, polynomials into operators and
+    both into GWA elements, so it must never raise, must be symmetric, and
+    equal values must hash alike.  It is strict across arities and
+    presentations, so not transitive: 3 == BasePoly.constant(1, 3) and
+    3 == BasePoly.constant(2, 3), but the two polynomials differ."""
+
+    @given(ring_values(), ring_values())
+    @settings(max_examples=400, deadline=None)
+    def test_equality_is_total_symmetric_and_hashed_alike(self, a, b):
+        assert (a == b) == (b == a)
+        assert (a != b) == (not a == b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_constants_hash_as_numbers(self):
+        pres = _TWO_PRESENTATIONS[1][0]
+        three = BasePoly.constant(1, 3)
+        for value in (three, LaurentOp.from_poly(three), pres.from_base(three)):
+            assert value == 3 and hash(value) == hash(3)
+        for zero in (BasePoly.zero(2), LaurentOp(2), pres.element({})):
+            assert zero == 0 and hash(zero) == 0
+        assert three != BasePoly.constant(2, 3)
+

@@ -246,12 +246,23 @@ def test_unit_degree_is_written_once():
     assert found == []
 
 
+def test_only_the_quotient_action_checks_membership():
+    # the module sweeps act with the shape's own deltas, members by
+    # construction; only act_on_quotient takes an operator from outside
+    tree = ast.parse((PACKAGE / "modactions.py").read_text())
+    callers = [func.name for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Call)
+               and ast.unparse(node.func).split(".")[-1] == "membership"]
+    assert callers == ["act_on_quotient"]
+
+
 def test_value_equality_is_written_once():
     own = [name for name, methods in _methods_by_class()
            if methods & {"__eq__", "__hash__"}]
-    # RingOps compares sums through their coercion; GwaElement adds the
-    # presentation to the hash
-    assert sorted(own) == ["GwaElement", "RingOps", "Value"]
+    # RingOps compares and hashes every sum through its coercion, GWA
+    # elements included: their presentation refines equality, not the hash
+    assert sorted(own) == ["RingOps", "Value"]
 
 
 def test_sum_body_is_written_once():

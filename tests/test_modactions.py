@@ -318,7 +318,11 @@ class TestSimplicity:
 
 
 class TestProbeWork:
-    """The probes check each operator against the ring once, not per exponent."""
+    """The probes and blocks never check an operator against the ring, let
+    alone once per exponent: each operator they act with is a delta of the
+    shape, a member by construction (test_cuspops.py's
+    TestMembership.test_generators_inside), and only act_on_quotient, which
+    takes any operator, checks membership."""
 
     @pytest.fixture
     def membership_calls(self, monkeypatch):
@@ -335,20 +339,19 @@ class TestProbeWork:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_probe_checks_each_operator_once(self, membership_calls, m):
         for window in (2 * m + 2, 4 * m, 40):
-            membership_calls.clear()
-            assert simplicity_probe("Aprime", m, window)
-            # delta_{+-1}, then the gap pair delta_{+-2}
-            assert membership_calls == [delta_op(m, (1,)), delta_op(m, (-1,)),
-                                        delta_op(m, (2,)), delta_op(m, (-2,))]
-            membership_calls.clear()
-            # the subalgebra module acts without a quotient: no check at all
-            assert simplicity_probe("A", m, window)
-            assert membership_calls == []
+            for module in ("Aprime", "A"):
+                for jump in (None, 1):
+                    simplicity_probe(module, m, window, jump)
+        assert membership_calls == []
+        # the quotient action of a foreign operator is still checked
+        with pytest.raises(NotStable):
+            act_on_quotient(x, mono(-1), m)
+        assert membership_calls == [x]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_blocks_check_the_pair_once(self, membership_calls, m):
         restriction_blocks(m)
-        assert membership_calls == [delta_op(m, (1,)), delta_op(m, (-1,))]
+        assert membership_calls == []
 
 
 class TestRestrictionBlocks:
@@ -417,6 +420,39 @@ def _seeded_ops(rng, widths):
             c = c * graded_divisor(widths, alpha)
         ops.append(LaurentOp.monomial(n, alpha, c))
     return ops
+
+
+class TestStabilityOracle:
+    """stability_check against _failures, one monomial at a time, on
+    generators of several components: the sweep acts each component on the
+    sum of the masked monomials, where two components of one generator
+    could cancel."""
+
+    @pytest.mark.parametrize("widths", [(2,), (3,), (1, 1), (2, 3)])
+    def test_seeded_sums_match_the_oracle(self, widths):
+        answers = set()
+        for seed in range(30):
+            rng = random.Random(seed)
+            gens = [sum(_seeded_ops(rng, widths)[:2]) for _ in range(2)]
+            for mask in (cusp_mask(widths), quotient_mask(widths)):
+                bound = modactions._saturation(mask, gens)
+                expected = not _failures(gens, mask, bound + 2)
+                answers.add(expected)
+                assert stability_check(gens, mask, bound) == expected, seed
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cancelling_components_are_acted_apart(self, n):
+        # h1*x1^-1 - h1*x1 on A(2) (times A(2) at rank two): x1^2 goes to
+        # 2*x1, outside the mask, but on the sum of the masked monomials
+        # x1^0 sends -2*x1 to the same place
+        h1 = BasePoly.variable(n, 0)
+        gen = (LaurentOp.monomial(n, (-1,) + (0,) * (n - 1), h1)
+               - LaurentOp.monomial(n, (1,) + (0,) * (n - 1), h1))
+        mask = cusp_mask((2,) * n)
+        assert (2,) + (0,) * (n - 1) in _failures([gen], mask, 8)
+        for window in (8, 20):
+            assert not stability_check([gen], mask, window)
 
 
 class TestSaturation:
