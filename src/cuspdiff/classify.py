@@ -12,14 +12,14 @@ identity b -> beta b alpha^{-1}.
 
 Roots come from exactpoly.rational_roots: an int for an integral root, a
 Fraction otherwise.  They are kept on each polynomial object, so a
-presentation's a and the stored coefficients of an element are split at
-most once however many tests read them, and they travel through shift and
-product, so the shifts of beta_0 that normalize multiplies together are
-never searched again.  Ideal roots, orbit representatives and weights are
-stored the same way, an int when integral and a Fraction otherwise.  One
-root list lies below another in the orbit order when its least shift below
-the other is 0: per shared orbit, the top root of the first lies below the
-bottom root of the second.  Each root list is grouped by orbit once.
+presentation's a and the stored coefficients of an element are split at most
+once however many tests read them.  normalize shifts nothing: its results
+record the moved roots of beta_0, so the normalized element is never
+searched.  Ideal roots, orbit representatives and weights are stored the same
+way, an int when integral and a Fraction otherwise.  One root list lies below
+another in the orbit order when its least shift below the other is 0: per
+shared orbit, the top root of the first lies below the bottom root of the
+second.  Each root list is grouped by orbit once.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .exactpoly import (ArityMismatch, BasePoly, Value, linear_factors,
-                        rational_roots, render_number, render_poly)
+from .exactpoly import (ArityMismatch, BasePoly, Value, _from_dense,
+                        _times_linear, linear_factors, rational_roots,
+                        render_number, render_poly)
 from .gwa import GwaElement
 from .modactions import MODULES, ExponentSet, WeightSupport, support
-from .cuspops import as_shape
+from .cuspops import _canonical, as_shape
 
 INFINITE = float("inf")
 
@@ -258,18 +259,18 @@ class ClassifiedModule(Value):
 def classify_bbA(m: int):
     """Simple weight modules of the degree one GWA pair for width m >= 2.
 
-    The base element h (h-1)(h-m) marks the roots 0, 1, m of the integer
-    orbit, so that orbit breaks into four intervals; every other orbit stays
-    whole and contributes a one-parameter family.  Returns five entries: the
-    two rays (infinite dimensional), the two half-open pieces of dimensions 1
-    and m-1, and the family descriptor.  No window enters an entry, which is
+    The base element h (h-1)(h-m), read from the cuspops table and so split
+    once per process, marks the roots 0, 1, m of the integer orbit, so that
+    orbit breaks into four intervals; every other orbit stays whole and
+    contributes a one-parameter family.  Returns five entries: the two rays
+    (infinite dimensional), the two half-open pieces of dimensions 1 and
+    m-1, and the family descriptor.  No window enters an entry, which is
     read off its interval's ends (a ray keeps build_weight_module's default).
     """
     m = int(m)
     if m < 2:
         raise ValueError("classification needs width m >= 2")
-    h = BasePoly.variable(1, 0)
-    a = h * (h - 1) * (h - m)
+    a = _canonical((m,), "bbA")[0][0]
     gammas = partition_orbit(a, Orbit(0))
     tags = ["Gamma-", "Gamma1", "Gamma(m-1)", "Gamma+"]
     entries = []
@@ -385,15 +386,14 @@ def _nonpositive_coords(b: GwaElement):
 
 
 def _split_ends(b: GwaElement):
-    """(m', left coords, right beta_0, roots of beta_0, roots of beta_{-m'}) of b.
+    """(m', left coords, roots of beta_0, roots of beta_{-m'}) of b.
 
     The right coefficient at v_{-k} is sigma^{k step} of the left one, so
     beta_0 is the stored left[0], and the roots of beta_{-m'} are those of
     left[m'] moved up by m' step; only the stored objects are split.
     """
     mprime, left = _nonpositive_coords(b)
-    beta0 = left[0]
-    return (mprime, left, beta0, _split_roots(beta0),
+    return (mprime, left, _split_roots(left[0]),
             _split_roots(left[mprime], mprime * b.presentation.steps[0]))
 
 
@@ -406,7 +406,7 @@ def is_normal(b: GwaElement) -> bool:
     degrees or vanishing degree zero part, NonlinearFactor when a coefficient
     does not split over Q.  a is split only when beta_0 < beta_{-m'} holds.
     """
-    _, _, _, roots0, rootsm = _split_ends(b)
+    _, _, roots0, rootsm = _split_ends(b)
     return (_least_shift(roots0, rootsm, 1) == 0 and
             _least_shift(roots0, _split_roots(b.presentation.a[0]), 1) == 0)
 
@@ -421,12 +421,11 @@ class NormalizationResult(Value):
 
 
 def _normalization_data(b: GwaElement):
-    """(m', left coords, right beta_0, least shift count) of b."""
-    mprime, left, beta0, roots0, rootsm = _split_ends(b)
+    """(m', left coords, roots of beta_0, least shift count) of b."""
+    mprime, left, roots0, rootsm = _split_ends(b)
     pres = b.presentation
-    rootsa = _split_roots(pres.a[0])
-    s = _least_shift(roots0, rootsm + roots0 + rootsa, pres.steps[0])
-    return mprime, left, beta0, s
+    return mprime, left, roots0, _least_shift(
+        roots0, rootsm + roots0 + _split_roots(pres.a[0]), pres.steps[0])
 
 
 def normalization_shift(b: GwaElement) -> int:
@@ -451,30 +450,37 @@ def normalize(b: GwaElement) -> NormalizationResult:
     so nothing is divided: c_0 = beta_0 = f_0 cancels and leaves
     prod_{j=s+1}^{s+m'} f_j, and for 1 <= k <= m' the interval [k, s+k] lies
     inside [1, s+m'], which leaves c_k * prod_{j=1}^{k-1} f_j *
-    prod_{j=s+k+1}^{s+m'} f_j.  Both products are read off running prefix
-    and suffix products of the f_j.  The result is normal.  Raises the same
-    shape and splitting errors as is_normal.  The cost grows with s;
-    normalization_shift(b) gives s first.
+    prod_{j=s+k+1}^{s+m'} f_j.  beta_0 is never shifted: f_j has the roots
+    r - j*step and the lead of beta_0, so a product of f_j's grows as a dense
+    integer list, by one primitive factor den*h - num at a time, with its
+    lead and roots; only the results become polynomials.  The result is
+    normal.  Raises the same shape and splitting errors as is_normal.  The
+    cost grows with s; normalization_shift(b) gives s first.
     """
-    mprime, left, beta0, s = _normalization_data(b)
-    pres = b.presentation
-    step = pres.steps[0]
-    top = s + mprime
-    f = [beta0] + [beta0.shift([-j * step]) for j in range(1, top + 1)]
-    one = BasePoly.one(1)
-    # low[j] = f_1 ... f_j and high[j] = f_j ... f_top; only high[s+1 ..] is read
-    low = [one]
+    mprime, left, roots0, s = _normalization_data(b)
+    step, top = b.presentation.steps[0], s + mprime
+    lead = left[0].components[max(left[0].components)]
+
+    def grow(part, js):  # part: (dense list, lead, roots) of a product
+        for j in js:
+            moved = [r - j * step for r in roots0]
+            part = (_times_linear(part[0], moved), part[1] * lead, part[2] + moved)
+        return part
+
+    # low[j] = f_1 ... f_j, kept for j < m' (the coordinates) and j = s, top
+    low = {0: ([1], 1, [])}
+    part = low[0]
     for j in range(1, top + 1):
-        low.append(low[-1] * f[j])
-    high = {top + 1: one}
-    for j in range(top, s, -1):
-        high[j] = f[j] * high[j + 1]
-    coords = {(0,): high[s + 1]}
+        part = grow(part, (j,))
+        if j < mprime or j in (s, top):
+            low[j] = part
+    coords = {(0,): _from_dense(*grow(low[0], range(s + 1, top + 1)))}
     for k in range(1, mprime + 1):
         if not left[k].is_zero():
-            coords[(-k,)] = left[k] * low[k - 1] * high[s + k + 1]
-    normalized = GwaElement(pres, coords)
+            coords[(-k,)] = left[k] * _from_dense(
+                *grow(low[k - 1], range(s + k + 1, top + 1)))
+    normalized = GwaElement(b.presentation, coords)
     if not is_normal(normalized):
         raise RuntimeError("normalization produced a non-normal element")
-    return NormalizationResult(s, beta0 * low[s], low[top], normalized)
-
+    return NormalizationResult(s, _from_dense(*grow(low[s], (0,))),
+                               _from_dense(*low[top]), normalized)

@@ -543,8 +543,8 @@ def _split_argv(subcommands, argv):
     positional, and refuse the value.  argparse also reads a value that
     begins with "-", such as -h*x or -1/2, as a flag.  So an option's value
     that begins with one "-" is passed joined, as --opt=value; and when a
-    positional there begins with "-", argv is parsed as its options, then
-    --, then its positionals.  Any other argv is parsed as given."""
+    positional begins with "-" or an option splits the positionals, argv is
+    parsed as options, --, positionals.  Any other argv is parsed as given."""
     command = next((t for t in argv if not t.startswith("-")), None)
     if command not in subcommands:
         return [], argv
@@ -555,8 +555,11 @@ def _split_argv(subcommands, argv):
     unknown = [t for t in tokens[:cut] if t.startswith("--") and not any(
         flag.startswith(t.split("=", 1)[0]) for flag in known)]
     head, options, values, rest = [], [], [], iter(tokens[:cut])
+    gap = split = False  # an option after a positional; a positional after it
     for t in rest:
         flag = t.startswith("--") or t in known
+        split = split or gap and not flag
+        gap = gap or flag and bool(values)
         (options if flag else values).append(t)
         head.append(t)
         if flag and "=" not in t and any(
@@ -567,7 +570,7 @@ def _split_argv(subcommands, argv):
                 else:
                     options.append(value)
                     head.append(value)
-    if any(v.startswith("-") and v != "-" for v in values):
+    if split or any(v.startswith("-") and v != "-" for v in values):
         return unknown, [*argv[:at], *options, "--", *values,
                          *tokens[cut + 1:-1]]
     return unknown, [*argv[:at], *head, *tokens[cut:-1]]

@@ -11,15 +11,16 @@ the graded generators per factor, decomposes elements, decides membership and
 produces the structure constants that rewrite products of generators.  Each
 named algebra (calA, bbA, weyl) is fixed by one pair of graded generators per
 factor, and its GWA presentation is read off those pairs.  The graded
-divisors and the deltas are fixed tables, memoized per process as phi is:
-each key yields one shared immutable object.  The structure relations read
-three more tables.  A relation's case label and residual depend only on m
-and s = i + j, so they are worked out once per (m, s); the vanishing roots
-of the indices i, j and i + j are kept per (m, k) as tuples; and the product
-of a residual's deltas is kept per (m, residual).  Each holds 8m - 3 keys
-per width m, as a residual determines its s.  Nothing is kept per
-(m, i, j).  as_shape interns its int and tuple inputs the same way, one
-shared CuspShape per distinct input.
+divisors, the deltas and each named algebra's (a, steps, pairs) are fixed
+tables, memoized per process as phi is: each key yields one shared immutable
+object, and a presentation built on them is new per call, with fresh caches.
+The structure relations read three more tables.  A relation's case label
+and residual depend only on m and s = i + j, so they are worked out once per
+(m, s); the vanishing roots of the indices i, j and i + j are kept per
+(m, k) as tuples; and the product of a residual's deltas is kept per
+(m, residual).  Each holds 8m - 3 keys per width m, as a residual determines
+its s.  Nothing is kept per (m, i, j).  as_shape interns its int and tuple
+inputs the same way, one shared CuspShape per distinct input.
 """
 
 from __future__ import annotations
@@ -314,14 +315,19 @@ def presentation(shape, algebra: str):
     degree of X_i, and the pairs are the embedding images; returns
     (presentation, embedding).
     """
-    shape = as_shape(shape)
-    zero = (0,) * shape.rank
-    xs, ys = zip(*(generator_pair(shape, algebra, i)
-                   for i in range(shape.rank)))
-    pres = GwaPresentation([(y * x).graded_component(zero)
-                            for x, y in zip(xs, ys)],
-                           [x.support()[0][i] for i, x in enumerate(xs)])
+    a, steps, xs, ys = _canonical(as_shape(shape).m, algebra)
+    pres = GwaPresentation(a, steps)
     return pres, Embedding(pres, xs, ys)
+
+
+@lru_cache(maxsize=None)
+def _canonical(widths, algebra: str):
+    """(a, steps, X images, Y images) of a named algebra, as tuples."""
+    xs, ys = zip(*(generator_pair(widths, algebra, i)
+                   for i in range(len(widths))))
+    zero = (0,) * len(widths)
+    return (tuple((y * x).graded_component(zero) for x, y in zip(xs, ys)),
+            tuple(x.support()[0][i] for i, x in enumerate(xs)), xs, ys)
 
 
 def calA_presentation(shape):

@@ -665,22 +665,32 @@ def _split(p: BasePoly):
     return tuple(roots), BasePoly._trusted(1, terms)
 
 
-def linear_factors(roots) -> BasePoly:
-    """prod (h - r) over the given roots, as a univariate polynomial.
-
-    Expanded in one pass over a dense coefficient list, lowest degree first.
-    Int roots give int coefficients, so only their zeros need dropping.
-    """
-    coeffs = [1]
-    ints = True
+def _times_linear(coeffs: list, roots) -> list:
+    """Dense integer coeffs, lowest degree first, times prod (den*h - num)
+    over int or Fraction roots num/den: no Fraction arithmetic."""
     for r in roots:
-        if r.__class__ is not int:
-            r = Fraction(r)
-            ints = False
-        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    if ints:
-        return BasePoly._trusted(1, {e: c for e, c in enumerate(coeffs) if c})
-    return BasePoly._trusted(1, _clean(dict(enumerate(coeffs))))
+        num, den, pairs = r.numerator, r.denominator, zip(coeffs + [0], [0] + coeffs)
+        coeffs = ([b - num * a for a, b in pairs] if den == 1 else
+                  [den * b - num * a for a, b in pairs])
+    return coeffs
+
+
+def _from_dense(coeffs: list, lead, roots=None) -> BasePoly:
+    """The dense integer coeffs, lowest degree first, scaled to the leading
+    coefficient lead; roots, when given, are its roots, recorded sorted."""
+    scale = _div_coef(lead, coeffs[-1])
+    terms = {e: scale * c for e, c in enumerate(coeffs) if c}
+    p = BasePoly._trusted(1, terms if scale.__class__ is int else _clean(terms))
+    if roots is not None:
+        _set_roots(p, (tuple(sorted(roots)), _norm_coef(lead)))
+    return p
+
+
+def linear_factors(roots) -> BasePoly:
+    """prod (h - r) over the given roots, as a univariate polynomial that,
+    unlike a normalize product, records no roots."""
+    roots = [r if r.__class__ is int else Fraction(r) for r in roots]
+    return _from_dense(_times_linear([1], roots), 1)
 
 
 # -- canonical text form --------------------------------------------------

@@ -610,6 +610,20 @@ def _normalize_cases():
             for mprime in range(4):
                 for _ in range(8):
                     yield _random_split_element(pres, mprime, rng)
+    # long chains: beta_0 with roots far apart needs shift count >= 6, here
+    # with a Fraction root and a non-unit lead at a large shift
+    pres, _ = bbA_presentation(2)
+    far = [(1, (H - 4) * (H + 2)),
+           (-3, (H - 9) * (3 * H - 1)),
+           (Fraction(2, 5), (2 * H - 7) * (H + 5) * (H - 30))]
+    for mprime in range(4):
+        for lead, beta0 in far:
+            coords = {(0,): lead * beta0}
+            if mprime:
+                coords[(-mprime,)] = (H - mprime) * (2 * H + 1)
+            if mprime > 1:
+                coords[(-1,)] = H * H + 1  # a middle coordinate need not split
+            yield GwaElement(pres, coords)
 
 
 class TestNormalizeOracle:
@@ -628,7 +642,36 @@ class TestNormalizeOracle:
             assert result.alpha == alpha, b
             assert result.beta == beta, b
             assert result.normalized.coords == coords, b
-        assert max(shifts) >= 3
+        assert max(shifts) >= 6
+
+    def test_chain_multiplies_no_shift(self, monkeypatch):
+        # f_j = sigma^{-j}(beta_0) is built from the roots of beta_0, so
+        # normalize shifts nothing; its only polynomial products are one per
+        # nonzero coordinate c_k, k >= 1
+        shifts, products = [], []
+        real_shift, real_mul = BasePoly.shift, BasePoly.__mul__
+
+        def counting_shift(q, k):
+            shifts.append(k)
+            return real_shift(q, k)
+
+        def counting_mul(q, other):
+            products.append(1)
+            return real_mul(q, other)
+
+        monkeypatch.setattr(BasePoly, "shift", counting_shift)
+        monkeypatch.setattr(BasePoly, "__mul__", counting_mul)
+        monkeypatch.setattr(BasePoly, "__rmul__", counting_mul)
+        large = 0
+        for b in _normalize_cases():
+            mprime = -min(k for (k,) in b.coords)
+            shifts.clear()
+            products.clear()
+            result = normalize(b)
+            assert shifts == [], b
+            assert len(products) <= 2 * mprime, b
+            large += result.s >= 6
+        assert large >= 4
 
     def test_work_counts(self, monkeypatch):
         from cuspdiff import classify, exactpoly

@@ -655,12 +655,18 @@ class TestUsageErrors:
         ["orbit", "--a", "h", "-h"], ["orbit", "--a", "--json"],
         ["orbit", "--a", "h", "--bogus", "3"],
         ["orbit", "--a", "h", "--root", "1/2"],
-        ["mul", "--m", "2", "h", "--json", "x"],
+        ["mul", "--m", "2", "h", "x", "--json"],
         ["phi", "--m", "2", "--", "-1"]])
     def test_argv_without_a_dash_value_is_parsed_as_given(self, argv):
         # help flags, unknown flags and a long option where a value should
         # be are left for argparse, as is every argv that needs no rewrite
         assert cli._split_argv(cli._parser().subcommands, argv)[1] == argv
+
+    def test_split_positionals_follow_the_options(self):
+        # argparse takes only the first run of a nargs="+" positional
+        argv = ["mul", "--m", "2", "h", "--json", "x", "--", "y"]
+        assert cli._split_argv(cli._parser().subcommands, argv) == (
+            [], ["mul", "--m", "2", "--json", "--", "h", "x", "y"])
 
     def test_a_dash_value_is_joined_to_its_option(self):
         argv = ["orbit", "--m", "2", "--a", "-h", "--root", "-1/2", "--json"]
@@ -840,6 +846,10 @@ _PINNED = [  # argv, exit code, text stdout, --json stdout
     ('orbit --a -h+1', 0, '48f04b8fa6e4', '003a6caaa8d5'),
     ('normalize --element -h', 0, 'd1b6221082e9', 'b4db3244d0f2'),
     ('stability --gens -x', 1, 'a773c8840c55', 'cff9a672c421'),
+    # positionals split by an option: each digest is that of the call with
+    # its options first, then a bare --, then its positionals
+    ('mul h --m 2 x', 0, '75e407628297', '68e8c8fbdfa5'),
+    ("act --m 2 'delta(-2)' --quotient x", 0, 'ea471e394c95', '61af8579bea3'),
 ]
 
 _PINNED_USAGE = [  # argv, stdout, stderr; each exits 2

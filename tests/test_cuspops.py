@@ -743,6 +743,37 @@ class TestPresentations:
                 assert parse_expression("X@2", widths, algebra) == emb.x_images[1]
                 assert parse_expression("Y@2", widths, algebra) == emb.y_images[1]
 
+    def test_bases_come_from_one_table(self):
+        # each call builds a new presentation with fresh caches (a caller
+        # timing a fresh presentation inherits no pair or shift cache), but
+        # the a_i are one shared object per (widths, algebra); the shift
+        # cache holds only sigma(a), which the new embedding's check of
+        # X Y = sigma(a) reads
+        first, _ = presentation(3, "bbA")
+        first.pair_coefficient(0, 2, -1)
+        first.sigma_of_a(0, 5)
+        second, _ = presentation(3, "bbA")
+        assert first is not second
+        assert second._pair_cache == {}
+        assert list(second._shift_cache) == [(0, 1)]
+        assert first.a[0] is second.a[0]
+
+    def test_classify_bbA_searches_its_base_once(self, monkeypatch):
+        from cuspdiff.classify import classify_bbA
+        real_split, searched = exactpoly._split, []
+
+        def counting_split(q):
+            searched.append(q)
+            return real_split(q)
+
+        monkeypatch.setattr(exactpoly, "_split", counting_split)
+        cuspops._canonical.cache_clear()  # a fresh table: nothing split yet
+        m = 7
+        entries = [classify_bbA(m), classify_bbA(m)]
+        assert len(searched) == 1
+        assert searched[0] is entries[1][0].module.a
+        assert entries[0][0].module.a == H * (H - 1) * (H - m)
+
     def test_plain_ring_has_no_presentation(self):
         with pytest.raises(ValueError):
             presentation(2, "DA")
