@@ -270,7 +270,7 @@ def classify_bbA(m: int):
     m = int(m)
     if m < 2:
         raise ValueError("classification needs width m >= 2")
-    a = _canonical((m,), "bbA")[0][0]
+    a = _canonical((m,), "bbA").presentation.a[0]
     gammas = partition_orbit(a, Orbit(0))
     tags = ["Gamma-", "Gamma1", "Gamma(m-1)", "Gamma+"]
     entries = []

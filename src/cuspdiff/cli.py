@@ -205,13 +205,12 @@ def cmd_act(args):
 
 def cmd_stability(args):
     shape = _shape(args)
+    mask, gens = cusp_mask(shape), generating_set(shape)
+    window = (max(12, _saturation(mask, gens))
+              if args.window is None else args.window)
     if args.gens:
         gens = [parse_expression(t, shape, args.algebra) for t in args.gens]
-    else:
-        gens = generating_set(shape)
-    window = (max(12, _saturation(cusp_mask(shape), generating_set(shape)))
-              if args.window is None else args.window)
-    ok = stability_check(gens, cusp_mask(shape), window)
+    ok = stability_check(gens, mask, window)
     return (0 if ok else 1,
             {"stable": ok, "window": window, "generators": len(gens)},
             ["stable under %d generators in window %d: %s"

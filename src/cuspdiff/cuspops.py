@@ -11,9 +11,8 @@ the graded generators per factor, decomposes elements, decides membership and
 produces the structure constants that rewrite products of generators.  Each
 named algebra (calA, bbA, weyl) is fixed by one pair of graded generators per
 factor, and its GWA presentation is read off those pairs.  The graded
-divisors, the deltas and each named algebra's (a, steps, pairs) are fixed
-tables, memoized per process as phi is: each key yields one shared immutable
-object, and a presentation built on them is new per call, with fresh caches.
+divisors, the deltas and each algebra's embedding (relations proved, powers
+cached) are per-process tables; presentation() adds a new, equal presentation.
 The structure relations read three more tables.  A relation's case label
 and residual depend only on m and s = i + j, so they are worked out once per
 (m, s); the vanishing roots of the indices i, j and i + j are kept per
@@ -311,23 +310,23 @@ def generator_pair(shape, algebra: str, i: int):
 def presentation(shape, algebra: str):
     """The GWA of a named algebra read off its generator pairs.
 
-    a_i is the degree zero coefficient of Y_i X_i, the step s_i is the
-    degree of X_i, and the pairs are the embedding images; returns
-    (presentation, embedding).
+    a_i is the degree zero coefficient of Y_i X_i and the step s_i the
+    degree of X_i.  Returns a new presentation, with empty caches, and the
+    table's embedding, whose equal presentation pulled-back elements carry.
     """
-    a, steps, xs, ys = _canonical(as_shape(shape).m, algebra)
-    pres = GwaPresentation(a, steps)
-    return pres, Embedding(pres, xs, ys)
+    emb = _canonical(as_shape(shape).m, algebra)
+    return GwaPresentation(emb.presentation.a, emb.presentation.steps), emb
 
 
 @lru_cache(maxsize=None)
-def _canonical(widths, algebra: str):
-    """(a, steps, X images, Y images) of a named algebra, as tuples."""
+def _canonical(widths, algebra: str) -> Embedding:
+    """The embedding of a named algebra, its relations proved once."""
     xs, ys = zip(*(generator_pair(widths, algebra, i)
                    for i in range(len(widths))))
     zero = (0,) * len(widths)
-    return (tuple((y * x).graded_component(zero) for x, y in zip(xs, ys)),
-            tuple(x.support()[0][i] for i, x in enumerate(xs)), xs, ys)
+    return Embedding(GwaPresentation(
+        [(y * x).graded_component(zero) for x, y in zip(xs, ys)],
+        [x.support()[0][i] for i, x in enumerate(xs)]), xs, ys)
 
 
 def calA_presentation(shape):

@@ -30,12 +30,12 @@ LaurentOp.  Every atom is a monomial: a literal p or p/q is the degree zero
 monomial with constant coefficient, except that 0 is the empty LaurentOp, so
 no monomial holds a zero coefficient.  A product of monomials is one
 monomial, skewlaurent.monomial_product(a, b); any other product is LaurentOp
-arithmetic, and a product with 0 runs over no components.  The power of a
-monomial of nonzero degree with a nonconstant coefficient is taken one
-factor at a time, reduce(monomial_product, repeat(value, k)), so each step
-shifts only the small factor c, unless a partial product passes the 2^31
-exponent field rule of a product (BasePoly), where squaring takes over;
-every other power of a monomial is one BasePoly power by squaring.
+arithmetic, and a product with 0 runs over no components.  A power of a
+monomial of nonzero degree and nonconstant coefficient c is walked one
+factor at a time, each step shifting only c: X_i^k and Y_i^k (images of
+v_{+-k e_i}) in cuspops' embedding's power cache, where a pullback finds
+them, others by reduce(monomial_product, repeat(value, k)).  Squaring does
+every other power, and one whose walk passes the 2^31 field rule (BasePoly).
 Negation negates a coefficient, so it multiplies nothing.  A LaurentOp is
 built only for 0, for a sum, which adds its terms degree by degree, and for
 the value of the whole expression; a product or power with a parenthesized
@@ -55,7 +55,7 @@ from itertools import repeat
 
 from .exactpoly import BasePoly, ExponentOverflow, read_int, render_number
 from .skewlaurent import LaurentOp, graded_divisor, monomial_product, unit
-from .cuspops import as_shape, generator_pair, w_minus
+from .cuspops import _canonical, as_shape, w_minus
 
 # a token is an int, a name or one other character that is not whitespace;
 # _KINDS reads the kind of each from its first character
@@ -230,6 +230,9 @@ class _ExprParser:
             return tuple(a * exponent for a in value[0]), value[1]
         if exponent < 0:
             self.fail(caret, "negative exponents need a bare x variable")
+        if self.texts[first] in ("X", "Y") and not value[1].is_constant():
+            return self.image(first, [exponent * ((d > 0) - (d < 0))
+                                      for d in value[0]])
         return _power(value, exponent)
 
     def signed_int(self) -> int:
@@ -262,6 +265,15 @@ class _ExprParser:
         self.take()
         k = self.expect("int")
         return self.factor_index(k, self.texts[k])
+
+    def image(self, k: int, alpha):
+        """The image of v_alpha under the algebra's embedding, a monomial."""
+        try:
+            emb = _canonical(self.shape.m, self.algebra)
+        except ValueError as exc:
+            self.fail(k, str(exc))
+        (item,) = emb.apply(emb.presentation.basis(alpha)).components.items()
+        return item
 
     def atom(self):
         kind = self.kind
@@ -314,12 +326,7 @@ class _ExprParser:
             if self.algebra == "DA":
                 self.fail(k, "%s is only defined for a named algebra "
                           "(bbA, calA or weyl)" % name)
-            try:
-                pair = generator_pair(self.shape, self.algebra, factor)
-            except ValueError as exc:
-                self.fail(k, str(exc))
-            (item,) = pair[name == "Y"].components.items()
-            return item
+            return self.image(k, unit(n, factor, -1 if name == "Y" else 1))
         self.fail(k, "unknown name %r" % name)
 
 

@@ -336,10 +336,10 @@ class Embedding(Frozen):
     degree zero operators.
 
     The x-shift relations on h_1..h_n leave X_i and Y_i one component each,
-    at degrees s_i e_i and -s_i e_i.  So v_alpha maps to psi_alpha
-    x^(alpha_i s_i), psi_alpha the coefficient of the monomial_product of
-    the powers X_i^alpha_i (Y_i^-alpha_i when negative) in factor order,
-    and apply and pullback only multiply or divide by it.
+    at degrees +-s_i e_i.  So v_alpha maps to psi_alpha x^(alpha_i s_i),
+    psi_alpha the coefficient of the monomial_product of the cached powers
+    X_i^alpha_i (Y_i^-alpha_i if negative) in factor order, and apply and
+    pullback only multiply or divide by it.  cuspops shares one per algebra.
     """
 
     __slots__ = ("presentation", "x_images", "y_images", "_powers")

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cuspdiff
-from cuspdiff import cli
+from cuspdiff import cli, cuspops
 from cuspdiff.cli import main
 from cuspdiff.cuspops import StructureRelation, delta_op, generating_set
 from cuspdiff.exactpoly import BasePoly
@@ -70,6 +70,27 @@ class TestMember:
         code, out = run(capsys, "member", "--m", "3", "delta(-2)")
         assert code == 0
         assert "true" in out
+
+    @pytest.mark.parametrize("k", [50, 200])
+    def test_power_is_walked_once(self, monkeypatch, capsys, k):
+        # the parser reads Y^k from the embedding's power cache, so the
+        # pullback divides the coefficient by itself: k - 1 products for
+        # the walk and a few more, where walking twice took about 2k
+        cuspops._canonical.cache_clear()
+        cuspops._canonical((2,), "calA")  # the relations, proved once
+        calls = []
+        real = BasePoly.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(BasePoly, "__mul__", counting)
+        code, out = run(capsys, "member", "--m", "2", "--algebra", "calA",
+                        "--json", "Y^%d" % k)
+        monkeypatch.undo()
+        assert (code, json.loads(out)["member"]) == (0, True)
+        assert len(calls) <= k + 10
 
     def test_deep_power_in_image(self):
         src = Path(cuspdiff.__file__).resolve().parents[1]

@@ -744,19 +744,39 @@ class TestPresentations:
                 assert parse_expression("Y@2", widths, algebra) == emb.y_images[1]
 
     def test_bases_come_from_one_table(self):
-        # each call builds a new presentation with fresh caches (a caller
+        # each call builds a new presentation with empty caches (a caller
         # timing a fresh presentation inherits no pair or shift cache), but
-        # the a_i are one shared object per (widths, algebra); the shift
-        # cache holds only sigma(a), which the new embedding's check of
-        # X Y = sigma(a) reads
+        # the a_i are one shared object per (widths, algebra); the relations
+        # were proved once, on the table's own presentation
         first, _ = presentation(3, "bbA")
         first.pair_coefficient(0, 2, -1)
         first.sigma_of_a(0, 5)
         second, _ = presentation(3, "bbA")
         assert first is not second
         assert second._pair_cache == {}
-        assert list(second._shift_cache) == [(0, 1)]
+        assert second._shift_cache == {}
         assert first.a[0] is second.a[0]
+
+    @pytest.mark.parametrize("widths, algebra", [
+        ((3,), "bbA"), ((2, 3), "calA"), ((1, 1), "weyl")])
+    def test_relations_are_proved_once(self, monkeypatch, widths, algebra):
+        # the table holds one validated embedding per key: a second call
+        # proves nothing again and hands back that embedding
+        _, first = presentation(widths, algebra)
+        products = []
+        real = LaurentOp.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentOp, "__mul__", counting)
+        pres, second = presentation(widths, algebra)
+        monkeypatch.undo()
+        assert products == []
+        assert second is first
+        assert pres == second.presentation
+        assert pres is not second.presentation
 
     def test_classify_bbA_searches_its_base_once(self, monkeypatch):
         from cuspdiff.classify import classify_bbA

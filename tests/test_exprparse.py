@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspdiff import cuspops
 from cuspdiff.cuspops import delta_op, generator_pair, w_minus
 from cuspdiff.exactpoly import BasePoly, ExponentOverflow, render_poly
 from cuspdiff.exprparse import ExprParseError, parse_expression, parse_poly
@@ -166,6 +167,16 @@ class TestAlgebraPairs:
     def test_bbA_needs_width_two(self):
         with pytest.raises(ExprParseError, match="width"):
             parse("X", 1, "bbA")
+
+    def test_bbA_pair_needs_every_width_two(self):
+        # X and Y are the images of the algebra's one embedding, so a bbA
+        # pair is refused at its token wherever a width is 1, as the
+        # presentation itself is
+        with pytest.raises(ExprParseError, match="^the degree one pair needs "
+                                                 "width >= 2 at position 2$"):
+            parse("h*X@2", (1, 3), "bbA")
+        assert parse("h*X@2", (3, 1), "weyl") == (LaurentOp.h(2, 0)
+                                                  * LaurentOp.x(2, 1))
 
     def test_plain_ring_has_no_pair(self):
         with pytest.raises(ExprParseError, match="named algebra"):
@@ -478,6 +489,10 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("k", [3, 7, 20])
     def test_power_shifts_only_the_generator(self, monkeypatch, k):
+        # the table keeps its powers for the process: clear it and prove the
+        # relations before counting, so the walk is this parse's own
+        cuspops._canonical.cache_clear()
+        cuspops._canonical((2,), "calA")
         y = generator_pair(2, "calA", 0)[1]
         (coeff,) = y.components.values()
         shifts = []
@@ -493,6 +508,21 @@ class TestWorkCounts:
         monkeypatch.undo()
         assert shifts == [(-2 * j,) for j in range(1, k)]
         assert got == y ** k
+
+    @pytest.mark.parametrize("algebra", ["calA", "weyl"])
+    def test_constant_generator_power_walks_nothing(self, monkeypatch,
+                                                    algebra):
+        # X of calA and weyl has coefficient 1: its power is read off the
+        # exponent, however large, with no walk through the embedding
+        cuspops._canonical((2,), algebra)  # the relations shift; proved here
+        shifts = []
+        monkeypatch.setattr(BasePoly, "shift",
+                            lambda self, by: shifts.append(by))
+        got = parse("X^100000000", 2, algebra)
+        monkeypatch.undo()
+        assert shifts == []
+        step = 2 if algebra == "calA" else 1
+        assert got == LaurentOp.x(1, 0, 100000000 * step)
 
     def test_products_are_polynomial_products(self, monkeypatch):
         # a literal is a degree zero monomial and 0 the empty operator, so

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspdiff import gwa
+from cuspdiff import cuspops, gwa
 from cuspdiff.cuspops import (bbA_presentation, calA_presentation, delta_op,
                               membership, presentation, weyl_presentation)
 from cuspdiff.exactpoly import ArityMismatch, BasePoly
@@ -505,7 +505,9 @@ class TestEmbedding:
         ("calA", 4), ("calA", -6), ("bbA", 3), ("bbA", -5)])
     def test_power_shifts_only_the_generator(self, monkeypatch, algebra, k):
         # X^k (Y^-k) shifts the generator's coefficient k - 1 times, by the
-        # degrees of the powers before it, and shifts nothing else
+        # degrees of the powers before it, and shifts nothing else; the
+        # table keeps its powers for the process, so it is cleared first
+        cuspops._canonical.cache_clear()
         pres, emb = presentation(2, algebra)
         gen = (emb.x_images if k > 0 else emb.y_images)[0]
         ((step,), coeff), = gen.components.items()

@@ -246,6 +246,12 @@ def test_unit_degree_is_written_once():
     assert found == []
 
 
+def test_parser_reads_generators_from_the_embedding():
+    # X and Y and their powers are images under cuspops' one embedding per
+    # named algebra, never rebuilt from the generator pairs
+    assert "generator_pair" not in _references(PACKAGE / "exprparse.py")
+
+
 def test_only_the_quotient_action_checks_membership():
     # the module sweeps act with the shape's own deltas, members by
     # construction; only act_on_quotient takes an operator from outside
