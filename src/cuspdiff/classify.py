@@ -32,7 +32,7 @@ from .exactpoly import (ArityMismatch, BasePoly, Value, _from_dense,
                         render_number, render_poly)
 from .gwa import GwaElement
 from .modactions import MODULES, ExponentSet, WeightSupport, support
-from .cuspops import _canonical, as_shape
+from .cuspops import as_shape, embedding
 
 INFINITE = float("inf")
 
@@ -270,7 +270,7 @@ def classify_bbA(m: int):
     m = int(m)
     if m < 2:
         raise ValueError("classification needs width m >= 2")
-    a = _canonical((m,), "bbA").presentation.a[0]
+    a = embedding(m, "bbA").presentation.a[0]
     gammas = partition_orbit(a, Orbit(0))
     tags = ["Gamma-", "Gamma1", "Gamma(m-1)", "Gamma+"]
     entries = []

@@ -32,9 +32,9 @@ from .exactpoly import (BasePoly, NotDivisible, grlex_key, poly_to_json,
                         read_int, render_number, render_poly)
 from .skewlaurent import (graded_divisor, monomial_product, op_to_json,
                           render_op, unit)
-from .cuspops import (as_shape, decompose, delta_op, factor_generators,
-                      generating_set, membership, phi, presentation,
-                      structure_constant)
+from .cuspops import (as_shape, decompose, delta_op, embedding,
+                      factor_generators, generating_set, membership, phi,
+                      presentation, structure_constant)
 from .gwa import NotInImage, render_gwa, verify_presentation
 from .exprparse import ALGEBRAS, parse_expression, parse_poly
 from .modactions import (MODULES, LaurentVector, NotStable, _saturation,
@@ -110,20 +110,16 @@ def cmd_mul(args):
 def cmd_member(args):
     shape = _shape(args)
     u = parse_expression(args.expr, shape, args.algebra)
+    where = {"DA": "the operator ring", "weyl": "the Weyl algebra"}.get(
+        args.algebra, "the %s image" % args.algebra)
     if args.algebra == "DA":
         ok = membership(u, shape)
-        where = "the operator ring"
-    elif args.algebra == "weyl":
-        ok = membership(u, (1,) * shape.rank)
-        where = "the Weyl algebra"
     else:
-        _, emb = presentation(shape, args.algebra)
         try:
-            emb.pullback(u)
+            embedding(shape, args.algebra).pullback(u)
             ok = True
         except NotInImage:
             ok = False
-        where = "the %s image" % args.algebra
     return (0 if ok else 1, {"member": ok, "algebra": args.algebra},
             ["member of %s: %s" % (where, "true" if ok else "false")])
 
@@ -376,7 +372,7 @@ def cmd_orbit(args):
 def cmd_normalize(args):
     shape = _shape(args, "normalization is rank one; pass a single width")
     algebra = "calA" if args.algebra == "DA" else args.algebra
-    _, emb = presentation(shape, algebra)
+    emb = embedding(shape, algebra)
     op = parse_expression(args.element, shape, algebra)
     try:
         b = emb.pullback(op)

@@ -11,8 +11,8 @@ the graded generators per factor, decomposes elements, decides membership and
 produces the structure constants that rewrite products of generators.  Each
 named algebra (calA, bbA, weyl) is fixed by one pair of graded generators per
 factor, and its GWA presentation is read off those pairs.  The graded
-divisors, the deltas and each algebra's embedding (relations proved, powers
-cached) are per-process tables; presentation() adds a new, equal presentation.
+divisors, the deltas and the embeddings (one per algebra and generator
+widths) are per-process tables; presentation() adds a new, equal presentation.
 The structure relations read three more tables.  A relation's case label
 and residual depend only on m and s = i + j, so they are worked out once per
 (m, s); the vanishing roots of the indices i, j and i + j are kept per
@@ -289,44 +289,47 @@ def generating_set(shape) -> list[LaurentOp]:
 # -- canonical GWA presentations and their Laurent embeddings --------------
 
 def generator_pair(shape, algebra: str, i: int):
-    """(X_i, Y_i) = (delta_{k e_i}, delta_{-k e_i}) of a named algebra.
+    """(X_i, Y_i) = (delta_{k e_i}, delta_{-k e_i}), read from embedding().
 
     calA takes k = m_i, so X_i = x_i^{m_i} since phi(m, k) = 1 for k >= m;
-    bbA takes k = 1 and needs m_i >= 2; weyl is the bbA pair at widths
-    (1, ..., 1), which is (x_i, partial_i) whatever the shape.
+    bbA takes k = 1 and needs every width >= 2; weyl is the bbA pair at
+    widths (1, ..., 1), which is (x_i, partial_i) whatever the shape.
     """
-    shape = as_shape(shape)
+    emb = embedding(shape, algebra)
+    return emb.x_images[i], emb.y_images[i]
+
+
+def embedding(shape, algebra: str) -> Embedding:
+    """The one embedding of a named algebra that the process keeps, keyed
+    by the widths its generators live on: (1, ..., 1) for every weyl shape."""
+    widths = as_shape(shape).m
     if algebra == "weyl":
-        shape = CuspShape((1,) * shape.rank)
-    elif algebra == "bbA" and shape.m[i] < 2:
-        raise ValueError("the degree one pair needs width >= 2")
-    elif algebra not in ("bbA", "calA"):
-        raise ValueError("no canonical presentation for algebra %r" % algebra)
-    k = shape.m[i] if algebra == "calA" else 1
-    return (delta_op(shape, unit(shape.rank, i, k)),
-            delta_op(shape, unit(shape.rank, i, -k)))
+        widths = (1,) * len(widths)
+    return _canonical(widths, algebra)
 
 
 def presentation(shape, algebra: str):
-    """The GWA of a named algebra read off its generator pairs.
-
-    a_i is the degree zero coefficient of Y_i X_i and the step s_i the
-    degree of X_i.  Returns a new presentation, with empty caches, and the
-    table's embedding, whose equal presentation pulled-back elements carry.
-    """
-    emb = _canonical(as_shape(shape).m, algebra)
+    """The GWA of a named algebra, new and with empty caches, and the
+    table's embedding, whose equal presentation pulled-back elements carry."""
+    emb = embedding(shape, algebra)
     return GwaPresentation(emb.presentation.a, emb.presentation.steps), emb
 
 
 @lru_cache(maxsize=None)
 def _canonical(widths, algebra: str) -> Embedding:
-    """The embedding of a named algebra, its relations proved once."""
-    xs, ys = zip(*(generator_pair(widths, algebra, i)
-                   for i in range(len(widths))))
-    zero = (0,) * len(widths)
-    return Embedding(GwaPresentation(
-        [(y * x).graded_component(zero) for x, y in zip(xs, ys)],
-        [x.support()[0][i] for i, x in enumerate(xs)]), xs, ys)
+    """embedding()'s table entry, its relations proved once per key: a_i is
+    Y_i X_i's degree zero coefficient, and the step s_i the degree of X_i."""
+    if algebra == "bbA" and min(widths) < 2:
+        raise ValueError("the degree one pair needs width >= 2")
+    if algebra not in ("bbA", "calA", "weyl"):
+        raise ValueError("no canonical presentation for algebra %r" % algebra)
+    n = len(widths)
+    steps = widths if algebra == "calA" else (1,) * n
+    xs = [delta_op(widths, unit(n, i, k)) for i, k in enumerate(steps)]
+    ys = [delta_op(widths, unit(n, i, -k)) for i, k in enumerate(steps)]
+    zero = (0,) * n
+    a = [(y * x).graded_component(zero) for x, y in zip(xs, ys)]
+    return Embedding(GwaPresentation(a, steps), xs, ys)
 
 
 def calA_presentation(shape):

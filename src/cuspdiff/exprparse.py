@@ -30,12 +30,12 @@ LaurentOp.  Every atom is a monomial: a literal p or p/q is the degree zero
 monomial with constant coefficient, except that 0 is the empty LaurentOp, so
 no monomial holds a zero coefficient.  A product of monomials is one
 monomial, skewlaurent.monomial_product(a, b); any other product is LaurentOp
-arithmetic, and a product with 0 runs over no components.  A power of a
-monomial of nonzero degree and nonconstant coefficient c is walked one
-factor at a time, each step shifting only c: X_i^k and Y_i^k (images of
-v_{+-k e_i}) in cuspops' embedding's power cache, where a pullback finds
-them, others by reduce(monomial_product, repeat(value, k)).  Squaring does
-every other power, and one whose walk passes the 2^31 field rule (BasePoly).
+arithmetic, and a product with 0 runs over no components.  X_i^k and Y_i^k
+are the embedding's images of v_{+-k e_i}, by the rule pullback reads.  Any
+other power of a monomial of nonzero degree and nonconstant coefficient c
+is walked one factor at a time, each step shifting only c, by
+reduce(monomial_product, repeat(value, k)).  Squaring does every other
+power, and one whose walk passes the 2^31 field rule (BasePoly).
 Negation negates a coefficient, so it multiplies nothing.  A LaurentOp is
 built only for 0, for a sum, which adds its terms degree by degree, and for
 the value of the whole expression; a product or power with a parenthesized
@@ -55,7 +55,7 @@ from itertools import repeat
 
 from .exactpoly import BasePoly, ExponentOverflow, read_int, render_number
 from .skewlaurent import LaurentOp, graded_divisor, monomial_product, unit
-from .cuspops import _canonical, as_shape, w_minus
+from .cuspops import as_shape, embedding, w_minus
 
 # a token is an int, a name or one other character that is not whitespace;
 # _KINDS reads the kind of each from its first character
@@ -230,7 +230,7 @@ class _ExprParser:
             return tuple(a * exponent for a in value[0]), value[1]
         if exponent < 0:
             self.fail(caret, "negative exponents need a bare x variable")
-        if self.texts[first] in ("X", "Y") and not value[1].is_constant():
+        if self.texts[first] in ("X", "Y"):
             return self.image(first, [exponent * ((d > 0) - (d < 0))
                                       for d in value[0]])
         return _power(value, exponent)
@@ -269,11 +269,10 @@ class _ExprParser:
     def image(self, k: int, alpha):
         """The image of v_alpha under the algebra's embedding, a monomial."""
         try:
-            emb = _canonical(self.shape.m, self.algebra)
+            emb = embedding(self.shape, self.algebra)
         except ValueError as exc:
             self.fail(k, str(exc))
-        (item,) = emb.apply(emb.presentation.basis(alpha)).components.items()
-        return item
+        return emb.image(alpha)
 
     def atom(self):
         kind = self.kind

@@ -336,10 +336,10 @@ class Embedding(Frozen):
     degree zero operators.
 
     The x-shift relations on h_1..h_n leave X_i and Y_i one component each,
-    at degrees +-s_i e_i.  So v_alpha maps to psi_alpha x^(alpha_i s_i),
-    psi_alpha the coefficient of the monomial_product of the cached powers
-    X_i^alpha_i (Y_i^-alpha_i if negative) in factor order, and apply and
-    pullback only multiply or divide by it.  cuspops shares one per algebra.
+    at degrees +-s_i e_i.  So v_alpha maps to one monomial, image(alpha): the
+    monomial_product of the powers X_i^alpha_i (Y_i^-alpha_i if negative) in
+    factor order, each (k * degree, c^k) for a constant coefficient c, else a
+    cached walk; apply and pullback scale by its coefficient or divide by it.
     """
 
     __slots__ = ("presentation", "x_images", "y_images", "_powers")
@@ -353,53 +353,53 @@ class Embedding(Frozen):
         for img in x_images + y_images:
             if not isinstance(img, LaurentOp) or img.nvars != n:
                 raise ArityMismatch("images must be LaurentOp of arity %d" % n)
+        samples = [BasePoly.variable(n, j) for j in range(n)]
+        for name, lhs, rhs in _relations(presentation, x_images, y_images,
+                                         LaurentOp.from_poly, samples):
+            if lhs != rhs:
+                raise ImagesViolateRelations("images fail %s" % name)
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "x_images", x_images)
         object.__setattr__(self, "y_images", y_images)
-        self._validate()
-        # per factor and sign, the powers X_i, X_i^2, ... (Y_i, Y_i^2, ...)
+        # per factor and sign, the walked powers X_i, X_i^2, ... (Y_i, ...)
         # as (degree, coefficient) pairs, extended when asked for
         object.__setattr__(self, "_powers", {
             (i, up): [next(iter(img.components.items()))]
             for up, images in ((True, x_images), (False, y_images))
             for i, img in enumerate(images)})
 
-    def _validate(self):
-        n = self.presentation.nvars
-        samples = [BasePoly.variable(n, j) for j in range(n)]
-        for name, lhs, rhs in _relations(self.presentation, self.x_images,
-                                         self.y_images, LaurentOp.from_poly,
-                                         samples):
-            if lhs != rhs:
-                raise ImagesViolateRelations("images fail %s" % name)
-
-    def _coefficient(self, alpha) -> BasePoly:
-        """psi_alpha, the coefficient of the image of v_alpha."""
-        pairs = []
+    def image(self, alpha):
+        """The image of v_alpha, a monomial (degree, coefficient)."""
+        out = None
         for i, k in enumerate(alpha):
             if k:
                 powers = self._powers[(i, k > 0)]
-                while len(powers) < abs(k):
-                    powers.append(monomial_product(powers[-1], powers[0]))
-                pairs.append(powers[abs(k) - 1])
-        return (reduce(monomial_product, pairs)[1] if pairs
-                else BasePoly.one(len(alpha)))
+                (degree, c), k = powers[0], abs(k)
+                if c.is_constant():  # no walk: 1^k is 1, others square
+                    pair = (tuple([k * d for d in degree]),
+                            c if c._is_one() else c ** k)
+                else:
+                    while len(powers) < k:
+                        powers.append(monomial_product(powers[-1], powers[0]))
+                    pair = powers[k - 1]
+                out = pair if out is None else monomial_product(out, pair)
+        return out or (tuple(alpha), BasePoly.one(len(alpha)))
 
     def apply(self, u: GwaElement) -> LaurentOp:
         if u.presentation != self.presentation:
             raise PresentationMismatch("element from a different presentation")
-        steps = self.presentation.steps
-        return LaurentOp(u.nvars, {
-            tuple(map(mul, alpha, steps)):
-            c * self._coefficient(alpha) if any(alpha) else c
-            for alpha, c in u.components.items()})
+        comps = {}
+        for alpha, c in u.components.items():
+            degree, psi = self.image(alpha)
+            comps[degree] = c * psi
+        return LaurentOp(u.nvars, comps)
 
     def pullback(self, op: LaurentOp) -> GwaElement:
         """Inverse of apply on the image subalgebra; NotInImage otherwise.
 
         The component of degree deg is the image of one coordinate, alpha
         with alpha_i s_i = deg_i, so each coordinate is that component
-        divided exactly by psi_alpha.
+        divided exactly by the coefficient of image(alpha).
         """
         pres = self.presentation
         n = pres.nvars
@@ -415,7 +415,7 @@ class Embedding(Frozen):
                 alpha.append(v // s)
             alpha = tuple(alpha)
             try:
-                coords[alpha] = exact_divide(poly, self._coefficient(alpha))
+                coords[alpha] = exact_divide(poly, self.image(alpha)[1])
             except NotDivisible as exc:
                 raise NotInImage(
                     "component at %r is not a multiple of the basis image"

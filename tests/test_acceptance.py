@@ -682,48 +682,72 @@ def test_criterion_12_growth(capfd):
     assert ok, line + " failures=%r" % failures[:5]
 
 
-def _module_growth(m, top, quotient):
-    """dim V^N v for N = 1 .. top, V = K 1 + span(generating_set(m)), with
-    v = 1 in A(m), or v = x^-1 in the quotient K[x^+-1]/A(m) if quotient.
+def _module_growth(shape, top, quotient):
+    """dim V^N v for N = 1 .. top, V = K 1 + span(generating_set(shape)),
+    with v = 1 in A(m), or v = x^(-1, ..., -1) in the quotient
+    K[x^+-1]/A(m) if quotient.
 
     Each generator is homogeneous, so every word sends x^beta to a multiple
     of one monomial, and V^N v is spanned by the monomials that words of
-    length <= N reach; each layer acts only on the monomials the layer
-    before added.
+    length <= N reach.  Each layer acts only on the sum of the monomials
+    the layer before added; a generator sends distinct monomials to
+    distinct degrees, so nothing in that sum cancels.
     """
-    gens = generating_set(m)
-    fresh = [(-1,) if quotient else (0,)]
+    shape = CuspShape(shape)
+    n = shape.rank
+    gens = generating_set(shape)
+    fresh = [(-1,) * n if quotient else (0,) * n]
     seen, dims = set(fresh), []
     for _ in range(top):
-        images = [act_on_quotient(g, LaurentVector.monomial(1, beta), m)
-                  if quotient else act(g, LaurentVector.monomial(1, beta))
-                  for beta in fresh for g in gens]
+        v = LaurentVector(n, dict.fromkeys(fresh, 1))
+        images = [act_on_quotient(g, v, shape) if quotient else act(g, v)
+                  for g in gens]
         fresh = {d for image in images for d in image.components} - seen
         seen |= fresh
         dims.append(len(seen))
     return dims
 
 
+# the constant second differences of dim V^N 1 and of dim V^N x^(-1,-1)
+# in the quotient at rank 2, observed from N = 3 on
+_RANK_TWO_GROWTH = {(1, 1): (1, 3), (2, 1): (3, 9), (2, 2): (9, 27),
+                    (3, 2): (15, 45)}
+
+
 def test_criterion_12_module_growth(capfd):
     """The module half of criterion 12: V^N 1 in A(m) and V^N x^-1 in the
-    quotient K[x^+-1]/A(m) grow with degree 1 = n, as the Bernstein
-    analogue asks of a nonzero finitely generated module.  The vectors go
-    through act and act_on_quotient.
+    quotient K[x^+-1]/A(m) grow with degree n, as the Bernstein analogue
+    asks of a nonzero finitely generated module.  The vectors go through
+    act and act_on_quotient.
 
-    Observations, not theorems, at m = 2, 3, 4 and N = 1 .. 8: dim V^N 1 =
-    (2m - 1) N - (m - 2), and the quotient grows by exactly 2m - 1 a step
-    from 5, 8 and 11 at N = 1.
+    Observations, not theorems.  At rank 1, m = 2, 3, 4 and N = 1 .. 8:
+    dim V^N 1 = (2m - 1) N - (m - 2), and the quotient grows by exactly
+    2m - 1 a step from 5, 8 and 11 at N = 1.  At rank 2, shapes (1, 1),
+    (2, 1), (2, 2) and (3, 2) and N = 1 .. 8: the second difference
+    dim V^(N+1) - 2 dim V^N + dim V^(N-1) is constant from N = 3 on, 1, 3,
+    9 and 15 for V^N 1, that is (2 m_1 - 1)(2 m_2 - 1), and three times
+    that, 3, 9, 27 and 45, for V^N x^(-1,-1) in the quotient: degree 2.
     """
     start = time.monotonic()
     failures = []
     for m in (2, 3, 4):
         step = 2 * m - 1
         for quotient, first in ((False, m + 1), (True, 3 * m - 1)):
-            dims = _module_growth(m, 8, quotient)
+            dims = _module_growth((m,), 8, quotient)
             if dims != [first + step * k for k in range(8)]:
                 failures.append((m, quotient, dims))
+    for shape, constants in _RANK_TWO_GROWTH.items():
+        for quotient, constant in zip((False, True), constants):
+            dims = _module_growth(shape, 8, quotient)
+            # dims[k] is N = k + 1: the second differences at N = 3 .. 7
+            second = [dims[k + 1] - 2 * dims[k] + dims[k - 1]
+                      for k in range(2, 7)]
+            if second != [constant] * 5:
+                failures.append((shape, quotient, dims))
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 1.0
     line = _report(12, ok, "module half: first differences 2m - 1 in A(m) "
-                   "and its quotient, m = 2..4, %.2f s" % elapsed, capfd)
+                   "and its quotient, m = 2..4, and constant second "
+                   "differences at four rank-2 shapes, %.2f s" % elapsed,
+                   capfd)
     assert ok, line + " failures=%r" % failures[:5]

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import shlex
 import subprocess
 import sys
@@ -17,11 +18,12 @@ import pytest
 import cuspdiff
 from cuspdiff import cli, cuspops
 from cuspdiff.cli import main
-from cuspdiff.cuspops import StructureRelation, delta_op, generating_set
+from cuspdiff.cuspops import (StructureRelation, delta_op, generating_set,
+                              membership)
 from cuspdiff.exactpoly import BasePoly
 from cuspdiff.exprparse import parse_expression
 from cuspdiff.gwa import Embedding, render_gwa
-from cuspdiff.skewlaurent import LaurentOp, render_op
+from cuspdiff.skewlaurent import LaurentOp, graded_divisor, render_op
 
 
 _PRIME_31 = "1000000000000000000000000000057"
@@ -115,6 +117,56 @@ class TestMember:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "the degree one pair needs width >= 2" in proc.stderr
+
+    def test_constant_generator_power_is_read_off_its_exponent(self):
+        # calA's X = x^2 has coefficient 1, so the pullback forms X^k in
+        # closed form; a walk through the powers, caching each, took
+        # seconds and hundreds of MB here
+        src = Path(cuspdiff.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspdiff", "member", "--m", "2",
+             "--algebra", "calA", "X^3000000"],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=limit_address_space)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "member of the calA image: true\n"
+        assert elapsed < 2.0
+
+    def test_weyl_answer_is_width_one_membership(self):
+        # the weyl answer is a pullback along the weyl embedding; the
+        # operator ring at widths (1, ..., 1) is the Weyl algebra, so
+        # membership there is an independent oracle
+        rng = random.Random(39)
+        members = 0
+        for _ in range(3000):
+            n = rng.randint(1, 2)
+            comps = {}
+            for _ in range(rng.randint(1, 3)):
+                alpha = tuple(rng.randint(-3, 3) for _ in range(n))
+                coeff = BasePoly(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                                     rng.randint(-3, 3) or 1
+                                     for _ in range(rng.randint(1, 2))})
+                if rng.random() < 0.5:
+                    coeff = coeff * graded_divisor((1,) * n, alpha)
+                comps[alpha] = coeff
+            u = LaurentOp(n, comps)
+            widths = ",".join(str(rng.randint(1, 3)) for _ in range(n))
+            code, payload, lines = cli.cmd_member(argparse.Namespace(
+                m=widths, algebra="weyl", expr=render_op(u)))
+            expected = membership(u, (1,) * n)
+            assert (code, payload["member"]) == (0 if expected else 1,
+                                                 expected), render_op(u)
+            assert lines == ["member of the Weyl algebra: %s"
+                             % ("true" if expected else "false")]
+            members += expected
+        assert 600 < members < 2400
 
     def test_weyl_context(self, capsys):
         code, out = run(capsys, "member", "--m", "1", "--algebra", "weyl",

@@ -778,6 +778,16 @@ class TestPresentations:
         assert pres == second.presentation
         assert pres is not second.presentation
 
+    def test_weyl_shapes_share_one_entry(self):
+        # weyl's generators live on widths (1, ..., 1) whatever the shape,
+        # so the table keys every rank-2 weyl shape there
+        cuspops._canonical.cache_clear()
+        embeddings = [presentation((2, 3), "weyl")[1],
+                      weyl_presentation(2)[1],
+                      presentation((5, 4), "weyl")[1]]
+        assert cuspops._canonical.cache_info().currsize == 1
+        assert embeddings[0] is embeddings[1] is embeddings[2]
+
     def test_classify_bbA_searches_its_base_once(self, monkeypatch):
         from cuspdiff.classify import classify_bbA
         real_split, searched = exactpoly._split, []

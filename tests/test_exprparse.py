@@ -512,9 +512,10 @@ class TestWorkCounts:
     @pytest.mark.parametrize("algebra", ["calA", "weyl"])
     def test_constant_generator_power_walks_nothing(self, monkeypatch,
                                                     algebra):
-        # X of calA and weyl has coefficient 1: its power is read off the
-        # exponent, however large, with no walk through the embedding
-        cuspops._canonical((2,), algebra)  # the relations shift; proved here
+        # X of calA and weyl has coefficient 1: the embedding forms its
+        # power in closed form, however large, with no walk; the relations
+        # shift, so they are proved first, at the algebra's table key
+        cuspops.embedding(2, algebra)
         shifts = []
         monkeypatch.setattr(BasePoly, "shift",
                             lambda self, by: shifts.append(by))

@@ -252,6 +252,25 @@ def test_parser_reads_generators_from_the_embedding():
     assert "generator_pair" not in _references(PACKAGE / "exprparse.py")
 
 
+def test_only_cuspops_reads_the_embedding_table():
+    # the table of canonical embeddings is keyed in cuspops alone; every
+    # other module of the package reaches it through cuspops.embedding
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.stem, node.lineno) for name in names
+                      if name == "_canonical" and path.stem != "cuspops"]
+    assert found == []
+
+
 def test_only_the_quotient_action_checks_membership():
     # the module sweeps act with the shape's own deltas, members by
     # construction; only act_on_quotient takes an operator from outside
