@@ -289,14 +289,22 @@ def generating_set(shape) -> list[LaurentOp]:
 # -- canonical GWA presentations and their Laurent embeddings --------------
 
 def generator_pair(shape, algebra: str, i: int):
-    """(X_i, Y_i) = (delta_{k e_i}, delta_{-k e_i}), read from embedding().
+    """(X_i, Y_i) = (delta_{k e_i}, delta_{-k e_i}) of a named algebra.
 
     calA takes k = m_i, so X_i = x_i^{m_i} since phi(m, k) = 1 for k >= m;
-    bbA takes k = 1 and needs every width >= 2; weyl is the bbA pair at
-    widths (1, ..., 1), which is (x_i, partial_i) whatever the shape.
+    bbA takes k = 1 and needs m_i >= 2; weyl is the bbA pair at widths
+    (1, ..., 1), which is (x_i, partial_i) whatever the shape.
     """
-    emb = embedding(shape, algebra)
-    return emb.x_images[i], emb.y_images[i]
+    shape = as_shape(shape)
+    if algebra == "weyl":
+        shape = CuspShape((1,) * shape.rank)
+    elif algebra == "bbA" and shape.m[i] < 2:
+        raise ValueError("the degree one pair needs width >= 2")
+    elif algebra not in ("bbA", "calA"):
+        raise ValueError("no canonical presentation for algebra %r" % algebra)
+    k = shape.m[i] if algebra == "calA" else 1
+    return (delta_op(shape, unit(shape.rank, i, k)),
+            delta_op(shape, unit(shape.rank, i, -k)))
 
 
 def embedding(shape, algebra: str) -> Embedding:
@@ -319,17 +327,12 @@ def presentation(shape, algebra: str):
 def _canonical(widths, algebra: str) -> Embedding:
     """embedding()'s table entry, its relations proved once per key: a_i is
     Y_i X_i's degree zero coefficient, and the step s_i the degree of X_i."""
-    if algebra == "bbA" and min(widths) < 2:
-        raise ValueError("the degree one pair needs width >= 2")
-    if algebra not in ("bbA", "calA", "weyl"):
-        raise ValueError("no canonical presentation for algebra %r" % algebra)
-    n = len(widths)
-    steps = widths if algebra == "calA" else (1,) * n
-    xs = [delta_op(widths, unit(n, i, k)) for i, k in enumerate(steps)]
-    ys = [delta_op(widths, unit(n, i, -k)) for i, k in enumerate(steps)]
-    zero = (0,) * n
-    a = [(y * x).graded_component(zero) for x, y in zip(xs, ys)]
-    return Embedding(GwaPresentation(a, steps), xs, ys)
+    xs, ys = zip(*(generator_pair(widths, algebra, i)
+                   for i in range(len(widths))))
+    zero = (0,) * len(widths)
+    return Embedding(GwaPresentation(
+        [(y * x).graded_component(zero) for x, y in zip(xs, ys)],
+        [x.support()[0][i] for i, x in enumerate(xs)]), xs, ys)
 
 
 def calA_presentation(shape):

@@ -231,8 +231,8 @@ class _ExprParser:
         if exponent < 0:
             self.fail(caret, "negative exponents need a bare x variable")
         if self.texts[first] in ("X", "Y"):
-            return self.image(first, [exponent * ((d > 0) - (d < 0))
-                                      for d in value[0]])
+            return self.image(first, tuple([exponent * ((d > 0) - (d < 0))
+                                            for d in value[0]]))
         return _power(value, exponent)
 
     def signed_int(self) -> int:

@@ -326,6 +326,11 @@ class GwaReport(Value):
         return "GwaReport(ok=%s, checks=%d)" % (self.ok, len(self.checks))
 
 
+def _degree(p: BasePoly) -> int:
+    """Total degree; shifts keep it and products add it."""
+    return max(map(sum, p.terms))
+
+
 class Embedding(Frozen):
     """A homomorphism into the skew Laurent ring given by generator images.
 
@@ -339,10 +344,11 @@ class Embedding(Frozen):
     at degrees +-s_i e_i.  So v_alpha maps to one monomial, image(alpha): the
     monomial_product of the powers X_i^alpha_i (Y_i^-alpha_i if negative) in
     factor order, each (k * degree, c^k) for a constant coefficient c, else a
-    cached walk; apply and pullback scale by its coefficient or divide by it.
+    walk of k - 1 products.  Each image is formed once and kept by alpha;
+    apply and pullback scale by its coefficient or divide by it.
     """
 
-    __slots__ = ("presentation", "x_images", "y_images", "_powers")
+    __slots__ = ("presentation", "x_images", "y_images", "_images")
 
     def __init__(self, presentation: GwaPresentation, x_images, y_images):
         n = presentation.nvars
@@ -361,29 +367,33 @@ class Embedding(Frozen):
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "x_images", x_images)
         object.__setattr__(self, "y_images", y_images)
-        # per factor and sign, the walked powers X_i, X_i^2, ... (Y_i, ...)
-        # as (degree, coefficient) pairs, extended when asked for
-        object.__setattr__(self, "_powers", {
-            (i, up): [next(iter(img.components.items()))]
+        # the images formed so far, by alpha, as (degree, coefficient)
+        # pairs; the generators' own are at the units e_i and -e_i
+        object.__setattr__(self, "_images", {
+            unit(n, i, 1 if up else -1): next(iter(img.components.items()))
             for up, images in ((True, x_images), (False, y_images))
             for i, img in enumerate(images)})
 
-    def image(self, alpha):
+    def image(self, alpha: tuple):
         """The image of v_alpha, a monomial (degree, coefficient)."""
-        out = None
+        out = self._images.get(alpha)
+        if out is not None:
+            return out
+        n = len(alpha)
         for i, k in enumerate(alpha):
             if k:
-                powers = self._powers[(i, k > 0)]
-                (degree, c), k = powers[0], abs(k)
+                gen = (degree, c) = self._images[unit(n, i, k // abs(k))]
+                k = abs(k)
                 if c.is_constant():  # no walk: 1^k is 1, others square
                     pair = (tuple([k * d for d in degree]),
                             c if c._is_one() else c ** k)
-                else:
-                    while len(powers) < k:
-                        powers.append(monomial_product(powers[-1], powers[0]))
-                    pair = powers[k - 1]
+                else:  # a walk that keeps only its end
+                    pair = gen
+                    for _ in range(k - 1):
+                        pair = monomial_product(pair, gen)
                 out = pair if out is None else monomial_product(out, pair)
-        return out or (tuple(alpha), BasePoly.one(len(alpha)))
+        out = self._images[alpha] = out or (alpha, BasePoly.one(n))
+        return out
 
     def apply(self, u: GwaElement) -> LaurentOp:
         if u.presentation != self.presentation:
@@ -399,9 +409,10 @@ class Embedding(Frozen):
 
         The component of degree deg is the image of one coordinate, alpha
         with alpha_i s_i = deg_i, so each coordinate is that component
-        divided exactly by the coefficient of image(alpha).
+        divided exactly by the coefficient of image(alpha), which is not
+        formed when its degree alone rules the component out.
         """
-        pres = self.presentation
+        pres, images = self.presentation, self._images
         n = pres.nvars
         if op.nvars != n:
             raise ArityMismatch("operator arity %d != %d" % (op.nvars, n))
@@ -415,6 +426,12 @@ class Embedding(Frozen):
                 alpha.append(v // s)
             alpha = tuple(alpha)
             try:
+                # an image not formed yet is not formed to divide a component
+                # of lower degree: its degree is |k| times X_i's (Y_i's)
+                if alpha not in images and _degree(poly) < sum(
+                        abs(k) * _degree(images[unit(n, i, k // abs(k))][1])
+                        for i, k in enumerate(alpha) if k):
+                    raise NotDivisible("of lower degree than the image")
                 coords[alpha] = exact_divide(poly, self.image(alpha)[1])
             except NotDivisible as exc:
                 raise NotInImage(

@@ -62,6 +62,24 @@ class TestMul:
         assert code == 2
 
 
+def _capped_member(m, algebra, expr):
+    """Run `member` as a child whose address space is capped at 256 MB;
+    returns the finished process and its wall time."""
+    src = Path(cuspdiff.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspdiff", "member", "--m", m, "--algebra",
+         algebra, expr],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=limit_address_space)
+    return proc, time.perf_counter() - start
+
+
 class TestMember:
     def test_partial_is_outside_for_width_three(self, capsys):
         code, out = run(capsys, "member", "--m", "3", "d(1)")
@@ -75,9 +93,9 @@ class TestMember:
 
     @pytest.mark.parametrize("k", [50, 200])
     def test_power_is_walked_once(self, monkeypatch, capsys, k):
-        # the parser reads Y^k from the embedding's power cache, so the
-        # pullback divides the coefficient by itself: k - 1 products for
-        # the walk and a few more, where walking twice took about 2k
+        # the parser reads Y^k as the embedding's image, which it keeps, so
+        # the pullback divides the coefficient by itself: k - 1 products
+        # for the walk and a few more, where walking twice took about 2k
         cuspops._canonical.cache_clear()
         cuspops._canonical((2,), "calA")  # the relations, proved once
         calls = []
@@ -122,22 +140,31 @@ class TestMember:
         # calA's X = x^2 has coefficient 1, so the pullback forms X^k in
         # closed form; a walk through the powers, caching each, took
         # seconds and hundreds of MB here
-        src = Path(cuspdiff.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
-
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "cuspdiff", "member", "--m", "2",
-             "--algebra", "calA", "X^3000000"],
-            capture_output=True, text=True, env=env, timeout=60,
-            preexec_fn=limit_address_space)
-        elapsed = time.perf_counter() - start
+        proc, elapsed = _capped_member("2", "calA", "X^3000000")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "member of the calA image: true\n"
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize("m, algebra, expr, where", [
+        ("1", "weyl", "x^-1600", "the Weyl algebra"),
+        ("2", "calA", "x^-1600", "the calA image"),
+        ("2", "bbA", "x^-800", "the bbA image")])
+    def test_degree_rules_a_power_out_unformed(self, m, algebra, expr,
+                                               where):
+        # the coefficient 1 cannot be a multiple of Y^k's, which has degree
+        # 1600 (800 for bbA), so the pullback forms no power of Y; walking
+        # them all and keeping each took over a second and 0.5 to 1 GB
+        proc, elapsed = _capped_member(m, algebra, expr)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout == "member of %s: false\n" % where
+        assert elapsed < 2.0
+
+    def test_walk_keeps_only_its_end(self):
+        # delta(-1000) at width 1 is the image of Y^1000, walked in 999
+        # products; keeping every step took about 270 MB
+        proc, _ = _capped_member("1", "weyl", "delta(-1000)")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "member of the Weyl algebra: true\n"
 
     def test_weyl_answer_is_width_one_membership(self):
         # the weyl answer is a pullback along the weyl embedding; the

@@ -708,6 +708,14 @@ class TestPresentations:
         with pytest.raises(ValueError, match="width >= 2"):
             bbA_presentation((2, 1))
 
+    def test_bbA_pair_needs_only_its_own_width_two(self):
+        # the pair of factor i is read off m_i alone; the presentation
+        # needs every factor's pair
+        assert generator_pair((2, 1), "bbA", 0) == (
+            delta_op((2, 1), (1, 0)), delta_op((2, 1), (-1, 0)))
+        with pytest.raises(ValueError, match="width >= 2"):
+            generator_pair((2, 1), "bbA", 1)
+
     def test_weyl_pair_is_x_and_partial(self):
         for m in ((1,), (3,), (2, 3)):
             n = len(m)

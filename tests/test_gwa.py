@@ -533,7 +533,7 @@ class TestEmbedding:
     def test_basis_image_oracle_seeded(self, algebra):
         # the image of v_alpha is the Laurent product of generator powers,
         # X_i^alpha_i or Y_i^-alpha_i, in factor order; one embedding serves
-        # every alpha, so cached powers are reused and extended
+        # every alpha and keeps each image it forms
         rng = random.Random(31)
         for widths in ((2,), (3,), (2, 3), (3, 2)):
             pres, emb = presentation(widths, algebra)
@@ -554,6 +554,40 @@ class TestEmbedding:
         pres, emb = calA_presentation(2)
         u = pres.basis((1100,))
         assert emb.pullback(emb.apply(u)) == u
+
+    def test_image_is_formed_once(self, monkeypatch):
+        pres, table = calA_presentation((2, 3))
+        emb = Embedding(pres, table.x_images, table.y_images)
+        first = emb.image((-3, 2))
+        calls = []
+        monkeypatch.setattr(gwa, "monomial_product",
+                            lambda u, v: calls.append((u, v)))
+        assert emb.image((-3, 2)) is first
+        assert emb.pullback(emb.apply(pres.basis((-3, 2)))) == pres.basis(
+            (-3, 2))
+        assert calls == []
+
+    @pytest.mark.parametrize("algebra, widths", [
+        ("weyl", (1, 1)), ("calA", (2, 3)), ("bbA", (2, 2))])
+    def test_degree_rules_a_component_out_unformed(self, monkeypatch,
+                                                   algebra, widths):
+        # Y_1^40 has a coefficient of degree 40 at least: h1^3 at that
+        # degree is not in the image, and no power of Y_1 is formed to say so
+        pres, table = presentation(widths, algebra)
+        emb = Embedding(pres, table.x_images, table.y_images)
+        calls = []
+        monkeypatch.setattr(gwa, "monomial_product",
+                            lambda u, v: calls.append((u, v)))
+        h1 = BasePoly.variable(2, 0)
+        op = LaurentOp.monomial(2, (-40 * pres.steps[0], 0), h1 ** 3)
+        with pytest.raises(NotInImage):
+            emb.pullback(op)
+        assert calls == []
+        monkeypatch.undo()
+        # at the degree of the image itself the power is formed and divides
+        degree, psi = emb.image((-40, 0))
+        assert emb.pullback(LaurentOp.monomial(2, degree, psi * h1)) == (
+            pres.element({(-40, 0): h1}))
 
 
 def _random_gwa(pres, rng):
