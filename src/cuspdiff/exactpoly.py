@@ -23,6 +23,7 @@ back for integers: it reads a digit string of any length.
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
@@ -500,7 +501,8 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
     packed keys decides exact divisibility: if p == c*q, the reduction can
     never get stuck, because a stuck remainder would be a multiple of q whose
     leading monomial is not divisible by the leading monomial of q.  A
-    monic q (every graded divisor is one) needs no coefficient division.
+    monic q (every graded divisor is one) needs no coefficient division, and
+    q == 1 no division at all: p comes back, as * hands back a 1's cofactor.
     """
     if not isinstance(p, BasePoly) or not isinstance(q, BasePoly):
         raise TypeError("exact_divide expects BasePoly operands")
@@ -509,6 +511,8 @@ def exact_divide(p: BasePoly, q: BasePoly) -> BasePoly:
         raise DivisionByZero("division by the zero polynomial")
     if p.is_zero():
         return BasePoly.zero(p.nvars)
+    if q._is_one():
+        return p
     qterms, guard = q.components, _guard(p.nvars)
     if guard and (reduce(or_, p.components) | reduce(or_, qterms)) & guard:
         raise ExponentOverflow("a factor has an exponent >= 2^%d" % (_FIELD - 1))
@@ -696,12 +700,21 @@ def linear_factors(roots) -> BasePoly:
 # -- canonical text form --------------------------------------------------
 
 def _int_str(n: int) -> str:
-    """Decimal digits of n, split in halves below the interpreter's str limit."""
+    """Decimal digits of n, of any size: str() up to 12,000 bits; above, the
+    halves of a split on powers of two joined as exact Decimals, in near-linear
+    time, as CPython 3.12's _pylong.int_to_decimal_string does."""
     if n.bit_length() <= 12000:
         return str(n)
-    m = n.bit_length() * 3 // 20  # about half the digits: log10(2) ~ 0.3
-    hi, lo = divmod(abs(n), 10 ** m)
-    return ("-" if n < 0 else "") + _int_str(hi) + _int_str(lo).zfill(m)
+    pows = {}
+
+    def join(m, w):  # m < 2**w as an exact Decimal
+        if w <= 128:
+            return Decimal(m)
+        h, hi = w >> 1, m >> (w >> 1)
+        p = pows[h] = pows.get(h) or Decimal(2) ** h
+        return join(m - (hi << h), h) + join(hi, w - h) * p
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX)):
+        return ("-" if n < 0 else "") + str(join(abs(n), n.bit_length()))
 
 
 def read_int(digits: str) -> int:

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
 from itertools import product
-from operator import add, mul
+from operator import add
 
 from .exactpoly import (ArityMismatch, BasePoly, Frozen, NotDivisible, Value,
                         _clean, exact_divide, render_poly)
@@ -100,13 +99,22 @@ class GwaPresentation(Value):
 
     def pair_coefficient(self, i: int, n: int, m: int) -> BasePoly:
         """The base coefficient (n, m) with v_n(i) v_m(i) = (n, m) v_{n+m}(i):
-        the product of sigma_i^t(a_i) over t in pair_interval(n, m), cached."""
-        key = (i, n, m)
-        out = self._pair_cache.get(key)
-        if out is None:
-            out = self._pair_cache[key] = reduce(
-                mul, (self.sigma_of_a(i, t) for t in pair_interval(n, m)),
-                BasePoly.one(self.nvars))
+        the product of sigma_i^t(a_i) over t in pair_interval(n, m), cached.
+        A missing key grows from its neighbour one step toward m = 0 by the
+        one t that its interval adds (none once min(|n|, |m|) saturates), in
+        a loop that walks to the nearest cached key or empty interval first.
+        """
+        out = self._pair_cache.get((i, n, m))
+        if out is not None:
+            return out
+        cache, step, end = self._pair_cache, -1 if m > 0 else 1, m
+        while (i, n, m) not in cache and pair_interval(n, m):
+            m += step
+        out = cache.get((i, n, m)) or BasePoly.one(self.nvars)
+        for m in range(m - step, end - step, -step):
+            for t in {*pair_interval(n, m)} - {*pair_interval(n, m + step)}:
+                out = out * self.sigma_of_a(i, t)
+            cache[i, n, m] = out
         return out
 
     # -- element constructors --------------------------------------------
@@ -149,9 +157,7 @@ class GwaElement(Graded):
         super().__init__(presentation.nvars, coords)
 
     def _like(self, components: dict) -> "GwaElement":
-        u = self._trusted(self.nvars, components)
-        _set_presentation(u, self.presentation)
-        return u
+        return _wrap(self.presentation, components)
 
     @property
     def coords(self) -> dict:
@@ -181,6 +187,13 @@ class GwaElement(Graded):
 
 
 _set_presentation = GwaElement.presentation.__set__
+
+
+def _wrap(pres: GwaPresentation, components: dict) -> GwaElement:
+    """A GwaElement of pres holding components, as _trusted wraps them."""
+    u = GwaElement._trusted(pres.nvars, components)
+    _set_presentation(u, pres)
+    return u
 
 
 def gwa_multiply(u: GwaElement, v: GwaElement) -> GwaElement:
@@ -396,13 +409,15 @@ class Embedding(Frozen):
         return out
 
     def apply(self, u: GwaElement) -> LaurentOp:
+        """The image of u, wrapped unchecked: its components are products of
+        nonzero polynomials at the distinct degrees of distinct alpha."""
         if u.presentation != self.presentation:
             raise PresentationMismatch("element from a different presentation")
         comps = {}
         for alpha, c in u.components.items():
             degree, psi = self.image(alpha)
             comps[degree] = c * psi
-        return LaurentOp(u.nvars, comps)
+        return LaurentOp._trusted(u.nvars, comps)
 
     def pullback(self, op: LaurentOp) -> GwaElement:
         """Inverse of apply on the image subalgebra; NotInImage otherwise.
@@ -410,7 +425,8 @@ class Embedding(Frozen):
         The component of degree deg is the image of one coordinate, alpha
         with alpha_i s_i = deg_i, so each coordinate is that component
         divided exactly by the coefficient of image(alpha), which is not
-        formed when its degree alone rules the component out.
+        formed when its degree alone rules the component out.  These nonzero
+        quotients at distinct alpha are wrapped unchecked, as _like wraps.
         """
         pres, images = self.presentation, self._images
         n = pres.nvars
@@ -437,4 +453,4 @@ class Embedding(Frozen):
                 raise NotInImage(
                     "component at %r is not a multiple of the basis image"
                     % (deg,)) from exc
-        return GwaElement(pres, coords)
+        return _wrap(pres, coords)

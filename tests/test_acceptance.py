@@ -1,7 +1,8 @@
-"""Acceptance gate: the twelve end-to-end criteria, one test and one printed
+"""Acceptance gate: the thirteen end-to-end criteria, one test and one printed
 PASS/FAIL line each, and two for criterion 12 (its operator and module
 halves).  Everything is exact arithmetic; the runtime-bounded sweeps are
-seeded and deterministic."""
+seeded and deterministic.  Criterion 13 is the centre half of the claim that
+D(A(m)) is central simple: a proof per width, checked on a trial space."""
 
 import json
 import random
@@ -602,6 +603,25 @@ def test_criterion_11_generators_generate(capfd):
     assert ok, line + " failures=%r" % failures[:5]
 
 
+def _echelon_insert(basis, v):
+    """Reduce the sparse row v (a dict, consumed) by basis, whose rows have
+    leading coefficient 1 and are keyed by their highest key, over Fraction;
+    add what is left, and say whether anything was."""
+    while v:
+        lead = max(v)
+        q, pivot = v[lead], basis.get(lead)
+        if pivot is None:
+            basis[lead] = {e: Fraction(x) / q for e, x in v.items()}
+            return True
+        for e, x in pivot.items():
+            y = v.get(e, 0) - q * x
+            if y:
+                v[e] = y
+            else:
+                del v[e]
+    return False
+
+
 def _growth(shape, top):
     """dim V^N for N = 0 .. top, V = K 1 + span(generating_set(shape)).
 
@@ -617,20 +637,7 @@ def _growth(shape, top):
 
     def added(word):
         alpha, c = word
-        v, basis = c.terms, bases.setdefault(alpha, {})
-        while v:
-            lead = max(v)
-            q, pivot = v[lead], basis.get(lead)
-            if pivot is None:
-                basis[lead] = {e: Fraction(x) / q for e, x in v.items()}
-                return True
-            for e, x in pivot.items():
-                y = v.get(e, 0) - q * x
-                if y:
-                    v[e] = y
-                else:
-                    del v[e]
-        return False
+        return _echelon_insert(bases.setdefault(alpha, {}), c.terms)
 
     n = len(letters[0][0])
     fresh = [((0,) * n, BasePoly.one(n))]
@@ -750,4 +757,49 @@ def test_criterion_12_module_growth(capfd):
                    "and its quotient, m = 2..4, and constant second "
                    "differences at four rank-2 shapes, %.2f s" % elapsed,
                    capfd)
+    assert ok, line + " failures=%r" % failures[:5]
+
+
+def _rank(rows):
+    """Rank over Fraction of sparse rows (dicts, consumed)."""
+    basis = {}
+    return sum(_echelon_insert(basis, row) for row in rows)
+
+
+def test_criterion_13_centre(capfd):
+    """The centre of D(A(m)) is K, for m = 1..5.
+
+    The argument, per width: an element z commuting with h lies in degree 0,
+    because [h, c x^k] = k c x^k; and a p(h) commuting with delta(1), that
+    is with phi(m, 1) x, satisfies p(h) = p(h - 1), so p is constant.
+
+    The test also computes the commutant of generating_set(m) on the
+    trial space phi(m, k) span(1, h, h^2, h^3) x^k at each degree
+    |k| <= 2m: the operators there that commute with every generator form
+    the kernel of a Fraction matrix whose rows are the commutators of the
+    four basis operators, so its dimension is 4 minus their rank.  It must
+    be 1 (the constants) at degree 0 and 0 at every other degree.  With a
+    skew rule that leaves out the shift every operator commutes with every
+    other, and each degree reads dimension 4.
+    """
+    start = time.monotonic()
+    failures = []
+    for m in range(1, 6):
+        gens = generating_set(m)
+        for k in range(-2 * m, 2 * m + 1):
+            basis = [LaurentOp.from_poly(H ** j) * delta_op(m, (k,))
+                     for j in range(4)]
+            rows = [{(g, deg, e): c
+                     for g, gen in enumerate(gens)
+                     for deg, poly in commutator(b, gen).components.items()
+                     for (e,), c in poly.terms.items()}
+                    for b in basis]
+            dim = 4 - _rank(rows)
+            if dim != (1 if k == 0 else 0):
+                failures.append((m, k, dim))
+    elapsed = time.monotonic() - start
+    ok = not failures and elapsed < 1.0
+    line = _report(13, ok, "the centre is K: commutant of generating_set(m) "
+                   "on phi_k span(1, h, h^2, h^3) x^k, |k| <= 2m, "
+                   "m = 1..5, %.2f s" % elapsed, capfd)
     assert ok, line + " failures=%r" % failures[:5]

@@ -649,6 +649,28 @@ class TestValuesOfAnySize:
             "schema": 1, "command": "act", "result": {"9": _TEN_5000},
             "text": _TEN_5000 + "*x^9"}
 
+    def test_million_digit_coefficient_in_near_linear_time(self):
+        # h^1000000 acts on x^9 as 10^1000000: a million digits, rendered in
+        # a child whose address space is capped at 1 GiB
+        src = Path(cuspdiff.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspdiff", "act", "--m", "2",
+             "h^1000000", "x^9"],
+            capture_output=True, env=env, timeout=60,
+            preexec_fn=limit_address_space)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(proc.stdout) == 1000006
+        assert proc.stdout.startswith(b"1" + b"0" * 99)
+        assert hashlib.sha256(proc.stdout).hexdigest()[:12] == "9c6edbb4fa42"
+        assert elapsed < 3.0
+
     def test_orbit_root(self):
         ideal = "(h-%s)" % _TEN_5000
         assert self._cli("orbit", "--a", "h-10^5000").splitlines() == [

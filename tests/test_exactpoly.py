@@ -402,6 +402,24 @@ class TestDivision:
             with pytest.raises(NotDivisible):
                 exact_divide(p, d)
 
+    def test_unit_divisor_hands_back_the_dividend(self):
+        h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
+        for p in (3 * H * H - H + Fraction(1, 2), h1 * h2 - 7, H):
+            assert exact_divide(p, BasePoly.one(p.nvars)) is p
+        # the type, arity and zero checks still come first
+        with pytest.raises(TypeError):
+            exact_divide(1, BasePoly.one(1))
+        with pytest.raises(ArityMismatch):
+            exact_divide(h1, BasePoly.one(1))
+        assert exact_divide(BasePoly.zero(1), BasePoly.one(1)).is_zero()
+
+    def test_constant_divisor_still_divides(self):
+        p = 4 * H * H - 3 * H + 1
+        got = exact_divide(p, BasePoly.constant(1, 2))
+        assert got == 2 * H * H - Fraction(3, 2) * H + Fraction(1, 2)
+        assert_stored_as_validated(got)
+        assert exact_divide(p, BasePoly.constant(1, -1)) == -p
+
     @given(polys(), polys())
     @settings(max_examples=80, deadline=None)
     def test_product_roundtrip(self, p, q):
@@ -851,6 +869,27 @@ class TestHugeCoefficients:
             n = _digits_to_int(digits)
             assert render_poly(BasePoly(1, {(0,): n})) == digits
             assert render_poly(BasePoly(1, {(0,): -n})) == "-" + digits
+
+    def test_decimal_join_agrees_with_str_past_the_switch(self):
+        # up to 14,000 bits str() still works, so it checks the join
+        rng = random.Random(6)
+        for bits in (12001, 12002, 12345, 12800, 13000, 14000):
+            for n in (rng.getrandbits(bits) | 1 << (bits - 1),
+                      1 << (bits - 1), (1 << bits) - 1):
+                assert exactpoly._int_str(n) == str(n)
+                assert exactpoly._int_str(-n) == str(-n)
+
+    def test_100000_digits_round_trip(self):
+        rng = random.Random(7)
+        digits = "8" + "".join(rng.choice("0123456789") for _ in range(99999))
+        n = exactpoly.read_int(digits)
+        assert exactpoly.render_number(n) == digits
+        assert exactpoly.render_number(-n) == "-" + digits
+        assert exactpoly.render_number(10 ** 100000) == "1" + "0" * 100000
+        assert exactpoly.render_number(10 ** 100000 - 1) == "9" * 100000
+        p = BasePoly(1, {(3,): n, (1,): -Fraction(1, n + 2),
+                         (0,): 10 ** 99999 + 1})
+        assert parse_poly(render_poly(p)) == p
 
 
 class TestReadInt:

@@ -15,6 +15,7 @@ from cuspdiff import cuspops
 from cuspdiff.cuspops import delta_op, generator_pair, w_minus
 from cuspdiff.exactpoly import BasePoly, ExponentOverflow, render_poly
 from cuspdiff.exprparse import ExprParseError, parse_expression, parse_poly
+from cuspdiff.gwa import render_gwa
 from cuspdiff.skewlaurent import LaurentOp, render_op
 
 H = BasePoly.variable(1, 0)
@@ -333,6 +334,21 @@ class TestIntegersOfAnyLength:
                                                       (0,): -3}))
              + LaurentOp.monomial(1, (-1,), Fraction(1, 7 ** 6000)))
         assert parse(render_op(u)) == u
+
+    def test_100000_digit_coefficients_round_trip(self):
+        big = 10 ** 99999 + 7 ** 100000  # 100,000 digits
+        rng = random.Random(9)
+        u = (LaurentOp.monomial(1, (2,), BasePoly(1, {(1,): big, (0,): -3}))
+             + LaurentOp.monomial(1, (-1,), Fraction(1, big + 2)))
+        assert parse(render_op(u)) == u
+        assert parse_poly(render_poly(big * H - 1)) == big * H - 1
+        # the GWA text form reads back as the element's image (at rank 1:
+        # above it, render_gwa writes X1 where the parser reads X@1)
+        for widths, algebra in (((2,), "calA"), ((3,), "bbA"), ((1,), "weyl")):
+            pres, emb = cuspops.presentation(widths, algebra)
+            u = pres.element({(rng.randint(-2, 2),): BasePoly(
+                1, {(1,): big, (0,): -rng.randint(1, 9)}) for _ in range(3)})
+            assert parse(render_gwa(u), widths, algebra) == emb.apply(u)
 
 
 # -- a value oracle -------------------------------------------------------------

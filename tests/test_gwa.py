@@ -93,6 +93,77 @@ class TestPairCoefficients:
                 assert lhs == rhs, (n, m)
 
 
+def _pair_oracle(pres, i, n, m):
+    """The product of sigma_i^t(a_i) over pair_interval(n, m), each factor
+    shifted here and multiplied out in order."""
+    out = BasePoly.one(pres.nvars)
+    for t in gwa.pair_interval(n, m):
+        by = [0] * pres.nvars
+        by[i] = t * pres.steps[i]
+        out = out * pres.a[i].shift(by)
+    return out
+
+
+_ORACLE_PRESENTATIONS = {
+    "calA23": lambda: calA_presentation((2, 3))[0],
+    "bbA4": lambda: bbA_presentation(4)[0],
+    "weyl": lambda: weyl()[0],
+    "non_split": lambda: GwaPresentation((H * H + 1,), (2,)),
+}
+
+
+class TestPairCoefficientGrowth:
+    """Each missing pair coefficient grows from its cached neighbour one step
+    toward m = 0, so the order of the fills must not matter."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_PRESENTATIONS))
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_every_key_matches_the_interval_product(self, name, descending):
+        pres = _ORACLE_PRESENTATIONS[name]()
+        span = range(-8, 9)
+        keys = sorted(((i, n, m) for i in range(pres.nvars) for n in span
+                       for m in span),
+                      key=lambda key: abs(key[2]), reverse=descending)
+        for i, n, m in keys:
+            assert pres.pair_coefficient(i, n, m) == _pair_oracle(
+                pres, i, n, m), (name, i, n, m)
+
+    @pytest.mark.parametrize("n, m, neighbour", [
+        (3, -3, (3, -2)), (-3, 3, (-3, 2)), (5, -2, (5, -1)),
+        (-4, 1, (-4, 0))])
+    def test_cold_key_next_to_a_cached_one_makes_one_product(
+            self, monkeypatch, n, m, neighbour):
+        pres = GwaPresentation((H * H + 1,), (2,))
+        pres.pair_coefficient(0, *neighbour)
+        calls = []
+        real = BasePoly.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(BasePoly, "__mul__", counting)
+        got = pres.pair_coefficient(0, n, m)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert got == _pair_oracle(pres, 0, n, m)
+
+    @pytest.mark.parametrize("n, m", [(2, -3), (-2, 5), (1, -8)])
+    def test_saturated_key_reuses_its_neighbour(self, n, m):
+        # once min(|n|, |m|) = |n| the interval stops growing
+        pres = GwaPresentation((H * H + 1,), (2,))
+        step = 1 if m < 0 else -1
+        before = pres.pair_coefficient(0, n, m + step)
+        assert pres.pair_coefficient(0, n, m) is before
+
+    def test_deep_fill_is_a_loop(self):
+        # a recursion would pass the interpreter's default depth here
+        pres = GwaPresentation((BasePoly.constant(1, 2),), (1,))
+        assert pres.pair_coefficient(0, 1500, -1500) == 2 ** 1500
+        assert pres.pair_coefficient(0, -1500, 1500) == 2 ** 1500
+        assert pres.pair_coefficient(0, -700, 1500) == 2 ** 700
+
+
 class TestPairInterval:
     @pytest.mark.parametrize("n, m, ts", [
         (2, -1, [2]), (1, -2, [1]), (3, -2, [2, 3]), (-1, 2, [0]),
@@ -214,6 +285,37 @@ class TestTrustedProducts:
         v = pres.basis((-1,)) - pres.from_base(H - 1)
         # X*Y = h-1 cancels against 1*(-(h-1)) at degree zero
         assert (0,) not in gwa_multiply(u, v).coords
+
+
+class TestTrustedRoundTrips:
+    """apply and pullback wrap what they compute without the public
+    constructors' checks, so their results must pass those checks."""
+
+    @pytest.mark.parametrize("widths, algebra", [
+        ((3,), "calA"), ((2,), "bbA"), ((1,), "weyl"), ((2, 3), "calA"),
+        ((3, 2), "bbA"), ((1, 1), "weyl")])
+    def test_results_rebuild_unchanged(self, widths, algebra):
+        rng = random.Random(41)
+        pres, emb = presentation(widths, algebra)
+        for _ in range(30):
+            u = _random_gwa(pres, rng) + _random_gwa(pres, rng)
+            op = emb.apply(u)
+            back = emb.pullback(op)
+            assert back == u
+            for w, rebuilt in ((op, LaurentOp(op.nvars, op.components)),
+                               (back, GwaElement(back.presentation,
+                                                 back.coords))):
+                assert rebuilt.components == w.components
+                assert len(w.components) == len(u.coords)
+                for deg, c in w.components.items():
+                    assert type(deg) is tuple
+                    assert all(type(d) is int for d in deg)
+                    assert isinstance(c, BasePoly) and not c.is_zero()
+                    assert c.nvars == pres.nvars
+                    terms = BasePoly(c.nvars, dict(c.terms)).terms
+                    assert terms == c.terms
+                    assert all(type(terms[e]) is type(x)
+                               for e, x in c.terms.items())
 
 
 class TestVerify:
