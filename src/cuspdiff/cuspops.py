@@ -28,7 +28,7 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, Value,
-                        _integer, linear_factors)
+                        _integer, _set_roots, linear_factors)
 from .gwa import Embedding, GwaPresentation
 # phi is re-exported: the package root and the bench read cuspops.phi
 from .skewlaurent import (LaurentOp, graded_divisor, graded_quotients, phi,
@@ -326,9 +326,13 @@ def presentation(shape, algebra: str):
 @lru_cache(maxsize=None)
 def _canonical(widths, algebra: str) -> Embedding:
     """embedding()'s table entry, its relations proved once per key: a_i is
-    Y_i X_i's degree zero coefficient, and the step s_i the degree of X_i."""
+    Y_i X_i's degree zero coefficient, and the step s_i the degree of X_i; a
+    rank one generator's phi(m, d) gets its roots, so powers need no search."""
     xs, ys = zip(*(generator_pair(widths, algebra, i)
                    for i in range(len(widths))))
+    for img in xs + ys if len(widths) == 1 else ():
+        ((d,), c), = img.components.items()
+        _set_roots(c, (tuple(vanishing_roots(widths[0], d)), 1))
     zero = (0,) * len(widths)
     return Embedding(GwaPresentation(
         [(y * x).graded_component(zero) for x, y in zip(xs, ys)],

@@ -5,7 +5,7 @@ Grammar (noncommutative, left associative):
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
     factor := '-' factor | atom ('^' exponent)?
-    atom   := rational | 'h' | 'h<k>' | 'x' | 'x<k>'
+    atom   := rational | 'h' | 'h<k>' | 'x' | 'x<k>' | 'X<k>' | 'Y<k>'
             | 'delta' '(' int ['@' int] ')'
             | 'w' '(' int ['@' int] ')'
             | 'd' '(' int ')'
@@ -13,10 +13,10 @@ Grammar (noncommutative, left associative):
             | '(' expr ')'
 
 Rationals are written p or p/q.  h and x may carry a trailing factor index
-(h2, x3); the bare names mean factor 1.  Negative exponents are allowed only
-on x atoms.  delta and w take a degree (w degrees are negative), d takes a
-factor index, and X/Y are the distinguished generator pair of the selected
-algebra, unavailable in the plain operator ring context.
+(h2, x3), X and Y one in range (Y2) or after '@' (Y@2); the bare names mean
+factor 1.  Negative exponents are allowed only on x atoms.  delta and w take
+a degree (w degrees are negative), d takes a factor index, and X/Y are the
+selected algebra's generator pair, unavailable in the plain ring context.
 
 Tokens are ASCII: an integer is a run of the digits 0-9, read at any length
 by exactpoly.read_int, and a name is an ASCII letter followed by letters,
@@ -30,12 +30,10 @@ LaurentOp.  Every atom is a monomial: a literal p or p/q is the degree zero
 monomial with constant coefficient, except that 0 is the empty LaurentOp, so
 no monomial holds a zero coefficient.  A product of monomials is one
 monomial, skewlaurent.monomial_product(a, b); any other product is LaurentOp
-arithmetic, and a product with 0 runs over no components.  X_i^k and Y_i^k
-are the embedding's images of v_{+-k e_i}, by the rule pullback reads.  Any
-other power of a monomial of nonzero degree and nonconstant coefficient c
-is walked one factor at a time, each step shifting only c, by
-reduce(monomial_product, repeat(value, k)).  Squaring does every other
-power, and one whose walk passes the 2^31 field rule (BasePoly).
+arithmetic, and a product with 0 runs over no components.  A power of a
+monomial is skewlaurent.monomial_power, X_i^k and Y_i^k through the
+embedding's image of v_{+-k e_i}, which pullback reads; squaring does every
+other power, and one whose walk passes the 2^31 field rule (BasePoly).
 Negation negates a coefficient, so it multiplies nothing.  A LaurentOp is
 built only for 0, for a sum, which adds its terms degree by degree, and for
 the value of the whole expression; a product or power with a parenthesized
@@ -50,11 +48,10 @@ from __future__ import annotations
 import re
 import string
 from fractions import Fraction
-from functools import reduce
-from itertools import repeat
 
 from .exactpoly import BasePoly, ExponentOverflow, read_int, render_number
-from .skewlaurent import LaurentOp, graded_divisor, monomial_product, unit
+from .skewlaurent import (LaurentOp, graded_divisor, monomial_power,
+                          monomial_product, unit)
 from .cuspops import as_shape, embedding, w_minus
 
 # a token is an int, a name or one other character that is not whitespace;
@@ -101,21 +98,6 @@ def _negated(value):
     if value.__class__ is tuple:
         return value[0], -value[1]
     return -value
-
-
-def _power(value, k: int):
-    """value^k for k >= 0 (see the module docstring)."""
-    if value.__class__ is not tuple:
-        return value ** k
-    alpha, c = value
-    if not (k and any(alpha)) or c.is_constant():
-        return tuple(a * k for a in alpha), c ** k
-    try:
-        return reduce(monomial_product, repeat(value, k))
-    except ExponentOverflow:
-        # the walk's partial products pass the 2^31 field rule of a product
-        # before squaring's do; squaring raises only where it must
-        return LaurentOp(len(alpha), {alpha: c}) ** k
 
 
 class _ExprParser:
@@ -230,10 +212,17 @@ class _ExprParser:
             return tuple(a * exponent for a in value[0]), value[1]
         if exponent < 0:
             self.fail(caret, "negative exponents need a bare x variable")
-        if self.texts[first] in ("X", "Y"):
+        if self.texts[first][0] in "XY":
             return self.image(first, tuple([exponent * ((d > 0) - (d < 0))
                                             for d in value[0]]))
-        return _power(value, exponent)
+        if value.__class__ is not tuple:
+            return value ** exponent
+        try:
+            return monomial_power(value, exponent)
+        except ExponentOverflow:
+            # the walk's partial products pass the 2^31 field rule of a
+            # product before squaring's do; squaring raises only where it must
+            return self.operator(value) ** exponent
 
     def signed_int(self) -> int:
         if self.kind == "-":
@@ -320,12 +309,12 @@ class _ExprParser:
             factor = self.factor_index(at, self.texts[at])
             self.expect(")")
             return unit(n, factor, -1), BasePoly.variable(n, factor)
-        if name == "X" or name == "Y":
-            factor = self.at_factor()
+        if name[0] in "XY" and name[1:] in ["", *map(str, range(1, n + 1))]:
+            factor = self.at_factor() if len(name) == 1 else int(name[1:]) - 1
             if self.algebra == "DA":
                 self.fail(k, "%s is only defined for a named algebra "
                           "(bbA, calA or weyl)" % name)
-            return self.image(k, unit(n, factor, -1 if name == "Y" else 1))
+            return self.image(k, unit(n, factor, -1 if name[0] == "Y" else 1))
         self.fail(k, "unknown name %r" % name)
 
 

@@ -28,7 +28,8 @@ from operator import add
 
 from .exactpoly import (ArityMismatch, BasePoly, Frozen, NotDivisible, Value,
                         _clean, exact_divide, render_poly)
-from .skewlaurent import Graded, LaurentOp, monomial_product, unit
+from .skewlaurent import (Graded, LaurentOp, monomial_power,
+                          monomial_product, unit)
 
 
 class PresentationMismatch(ValueError):
@@ -355,9 +356,8 @@ class Embedding(Frozen):
 
     The x-shift relations on h_1..h_n leave X_i and Y_i one component each,
     at degrees +-s_i e_i.  So v_alpha maps to one monomial, image(alpha): the
-    monomial_product of the powers X_i^alpha_i (Y_i^-alpha_i if negative) in
-    factor order, each (k * degree, c^k) for a constant coefficient c, else a
-    walk of k - 1 products.  Each image is formed once and kept by alpha;
+    monomial_product, in factor order, of the skewlaurent.monomial_power's
+    X_i^alpha_i (Y_i^-alpha_i if negative), formed once and kept by alpha;
     apply and pullback scale by its coefficient or divide by it.
     """
 
@@ -392,20 +392,12 @@ class Embedding(Frozen):
         out = self._images.get(alpha)
         if out is not None:
             return out
-        n = len(alpha)
         for i, k in enumerate(alpha):
             if k:
-                gen = (degree, c) = self._images[unit(n, i, k // abs(k))]
-                k = abs(k)
-                if c.is_constant():  # no walk: 1^k is 1, others square
-                    pair = (tuple([k * d for d in degree]),
-                            c if c._is_one() else c ** k)
-                else:  # a walk that keeps only its end
-                    pair = gen
-                    for _ in range(k - 1):
-                        pair = monomial_product(pair, gen)
+                gen = self._images[unit(len(alpha), i, k // abs(k))]
+                pair = monomial_power(gen, abs(k))
                 out = pair if out is None else monomial_product(out, pair)
-        out = self._images[alpha] = out or (alpha, BasePoly.one(n))
+        out = self._images[alpha] = out or (alpha, BasePoly.one(len(alpha)))
         return out
 
     def apply(self, u: GwaElement) -> LaurentOp:

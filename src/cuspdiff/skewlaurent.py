@@ -5,12 +5,12 @@ and d_alpha in Q[h1..hn].  Multiplication moves x past coefficients by the
 shift rule  x^alpha * d = shift(d, alpha) * x^alpha, which encodes
 x_i h_i = (h_i - 1) x_i.  That rule is written once, in monomial_product:
 LaurentOp.__mul__ sums it over pairs of components, and exprparse and
-gwa.Embedding multiply their monomials with it.  The Weyl algebra sits
-inside via partial_i = h_i x_i^{-1}.  Which components an operator ring
-allows is one rule, the graded divisor of vanishing_roots, and membership
-is one loop, graded_quotients, that divides each component by it; the Weyl
-algebra is the width 1 instance of both.  phi and graded_divisor are fixed
-tables, memoized per process: each key yields one shared immutable BasePoly.
+gwa.Embedding multiply monomials with it and take powers by monomial_power.
+The Weyl algebra sits inside via partial_i = h_i x_i^{-1}.  Which components
+an operator ring allows is one rule, the graded divisor of vanishing_roots,
+and membership is one loop, graded_quotients, that divides each component by
+it; the Weyl algebra is the width 1 instance of both.  phi and graded_divisor
+are per-process tables: each key yields one shared immutable BasePoly.
 
 The private base Graded holds what the package's three Z^n-graded sums share
 beyond the finite-sum body of exactpoly.RingOps: LaurentOp, gwa.GwaElement
@@ -23,13 +23,14 @@ _coefficient, and keeps its own product and coercion.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
-                        _clean, _new, _set_components, _set_nvars,
-                        exact_divide, factor_name, grlex_key, linear_factors,
-                        poly_to_json, render_poly)
+                        _clean, _from_dense, _new, _set_components,
+                        _set_nvars, _times_linear, exact_divide, factor_name,
+                        grlex_key, linear_factors, poly_to_json,
+                        rational_roots, render_poly)
 
 
 class Graded(RingOps):
@@ -201,6 +202,24 @@ def monomial_product(u, v):
     BasePoly coefficient) pairs, with sigma^alpha = BasePoly.shift(alpha)."""
     (alpha, c), (beta, d) = u, v
     return tuple(map(add, alpha, beta)), c * d.shift(alpha)
+
+
+def monomial_power(u, k: int):
+    """(alpha, c)^k = (k alpha, prod_{j<k} sigma^{j alpha}(c)), k >= 0: closed
+    (k alpha, c^k) if k < 2, alpha = 0 or c is constant; else one dense pass
+    over c's roots r + j alpha at lead^k, recorded, if c splits unsearched
+    (its roots travel, or it is linear past h^v); else monomial_products."""
+    alpha, c = u
+    if k < 2 or not any(alpha) or c.is_constant():
+        return tuple([a * k for a in alpha]), c ** k
+    terms = c.components
+    if c.nvars == 1 and (c._roots or max(terms) - min(terms) < 2):
+        roots, rest = rational_roots(c)
+        if rest.is_constant():
+            moved = [r + j * alpha[0] for j in range(k) for r in roots]
+            return (k * alpha[0],), _from_dense(
+                _times_linear([1], moved), rest.components[0] ** k, moved)
+    return reduce(monomial_product, [u] * k)
 
 
 def commutator(u: LaurentOp, v: LaurentOp) -> LaurentOp:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspdiff import cuspops
+from cuspdiff import cuspops, exactpoly
 from cuspdiff.cuspops import delta_op, generator_pair, w_minus
 from cuspdiff.exactpoly import BasePoly, ExponentOverflow, render_poly
 from cuspdiff.exprparse import ExprParseError, parse_expression, parse_poly
@@ -188,6 +188,31 @@ class TestAlgebraPairs:
         expected = LaurentOp.x(2, 1, 3) * delta_op((2, 3), (0, -3))
         assert got == expected
 
+    def test_pair_with_trailing_index(self):
+        # X<k> and Y<k> name factor k as h<k> and x<k> do, and as X@k does
+        for algebra, shape in (("calA", (2, 3)), ("bbA", (2, 3, 2)),
+                               ("weyl", (1, 1))):
+            for k in range(1, len(shape) + 1):
+                for name in ("X", "Y"):
+                    assert parse("%s%d^2*h%d" % (name, k, k), shape,
+                                 algebra) == parse("%s@%d^2*h%d" % (
+                                     name, k, k), shape, algebra)
+        assert parse("X1", 2, "calA") == parse("X", 2, "calA")
+
+    def test_trailing_index_out_of_range_is_no_name(self):
+        # only the names of the shape's factors are generators, so the
+        # recorded errors of exprparse_errors.json stand
+        with pytest.raises(ExprParseError,
+                           match="^unknown name 'Y3' at position 0$"):
+            parse("Y3", (2, 3), "calA")
+        with pytest.raises(ExprParseError,
+                           match="^unknown name 'X0' at position 0$"):
+            parse("X0", (2, 3), "calA")
+        with pytest.raises(ExprParseError, match="^X2 is only defined for a "
+                           r"named algebra \(bbA, calA or weyl\) at "
+                           "position 0$"):
+            parse("X2", (2, 3))
+
     def test_right_coefficient_style_input(self):
         got = parse("Y*h + h", 2, "bbA")
         expected = delta_op(2, (-1,)) * h + h
@@ -208,6 +233,28 @@ class TestRoundTrip:
         u = (delta_op((2, 3), (1, -2)) * 2
              + LaurentOp.monomial(2, (0, 1), BasePoly.variable(2, 0)))
         assert parse(render_op(u), (2, 3)) == u
+
+    @pytest.mark.parametrize("algebra, shape", [
+        ("calA", (2,)), ("calA", (2, 3)), ("calA", (3, 2, 2)),
+        ("bbA", (3,)), ("bbA", (2, 3)), ("bbA", (2, 2, 3)),
+        ("weyl", (1,)), ("weyl", (1, 1)), ("weyl", (1, 1, 1))])
+    def test_gwa_text_parses_back(self, algebra, shape):
+        # render_gwa names factor i's generators Xi and Yi above rank one,
+        # and its text is the embedding's image of the element
+        pres, emb = cuspops.presentation(shape, algebra)
+        n = pres.nvars
+        rng = random.Random(41)
+        for _ in range(15):
+            coords = {}
+            for _ in range(rng.randint(1, 4)):
+                alpha = tuple(rng.randint(-3, 3) for _ in range(n))
+                coords[alpha] = BasePoly(n, {
+                    tuple(rng.randint(0, 2) for _ in range(n)):
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 3))})
+            u = pres.element(coords)
+            assert parse(render_gwa(u), shape, algebra) == emb.apply(u), \
+                render_gwa(u)
 
 
 coeffs = st.one_of(st.integers(min_value=-9, max_value=9),
@@ -505,25 +552,36 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("k", [3, 7, 20])
     def test_power_shifts_only_the_generator(self, monkeypatch, k):
-        # the table keeps its powers for the process: clear it and prove the
-        # relations before counting, so the walk is this parse's own
+        # calA's Y at m = 2 has coefficient (h + 1)(h - 2), whose roots the
+        # table records, so Y^k is one dense pass over the moved roots, with
+        # no BasePoly shift and no product.  The table keeps its powers for
+        # the process: clear it and prove the relations before counting
         cuspops._canonical.cache_clear()
         cuspops._canonical((2,), "calA")
         y = generator_pair(2, "calA", 0)[1]
-        (coeff,) = y.components.values()
-        shifts = []
-        real = BasePoly.shift
-
-        def counting(self, by):
-            if self is coeff:
-                shifts.append(tuple(by))
-            return real(self, by)
-
-        monkeypatch.setattr(BasePoly, "shift", counting)
+        calls = []
+        monkeypatch.setattr(BasePoly, "shift",
+                            lambda self, by: calls.append(("shift", by)))
+        monkeypatch.setattr(BasePoly, "__mul__",
+                            lambda self, other: calls.append(("mul", other)))
         got = parse("Y^%d" % k, 2, "calA")
         monkeypatch.undo()
-        assert shifts == [(-2 * j,) for j in range(1, k)]
+        assert calls == []
         assert got == y ** k
+
+    def test_powers_search_no_roots(self, monkeypatch):
+        # delta(-40) at width 1 is h (h + 1) ... (h + 39), and calA's Y at
+        # m = 40 has 40 roots too: a divisor scan of their constant terms
+        # would not end in time, so a power reads only the roots that travel
+        # with its coefficient, or walks
+        def refuse(n):
+            raise AssertionError("searched the divisors of %d" % n)
+
+        expected = [delta_op(1, (-40,)) ** 2,
+                    generator_pair(40, "calA", 0)[1] ** 2]
+        monkeypatch.setattr(exactpoly, "_divisors", refuse)
+        got = [parse("delta(-40)^2", 1), parse("Y^2", 40, "calA")]
+        assert got == expected
 
     @pytest.mark.parametrize("algebra", ["calA", "weyl"])
     def test_constant_generator_power_walks_nothing(self, monkeypatch,

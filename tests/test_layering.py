@@ -201,6 +201,45 @@ def test_skew_rule_is_written_once():
     assert _shift_calls(_definition(PACKAGE / "gwa.py", "Embedding")[1]) == []
 
 
+def _power_walks(tree):
+    """Walks of monomial_product under an AST node: a reduce over it, or a
+    loop over a range or a while loop whose body calls it."""
+    def calls(node, name):
+        return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                and name in (getattr(sub.func, "id", None),
+                             getattr(sub.func, "attr", None))]
+
+    found = [node for node in calls(tree, "reduce") if node.args
+             and isinstance(node.args[0], ast.Name)
+             and node.args[0].id == "monomial_product"]
+    for node in ast.walk(tree):
+        ranged = (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                  and isinstance(node.iter.func, ast.Name)
+                  and node.iter.func.id == "range")
+        if ((ranged or isinstance(node, ast.While))
+                and calls(node, "monomial_product")):
+            found.append(node)
+    return found
+
+
+def test_power_rule_is_written_once():
+    # the power of a monomial is skewlaurent.monomial_power alone: its walk
+    # is the package's only one, and the parser and Embedding.image call it
+    tree, rule = _definition(PACKAGE / "skewlaurent.py", "monomial_power")
+    inside = {id(node) for node in _power_walks(rule)}
+    assert len(inside) == 1
+    found = [(path.stem, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in _power_walks(tree if path.stem == "skewlaurent"
+                                      else ast.parse(path.read_text()))
+             if id(node) not in inside]
+    assert found == []
+    assert "monomial_power" in _references(PACKAGE / "exprparse.py")
+    image = _definition(PACKAGE / "gwa.py", "Embedding")[1]
+    assert any(isinstance(node, ast.Name) and node.id == "monomial_power"
+               for node in ast.walk(image))
+
+
 def _unit_spellings(tree):
     """Hand spellings of a unit vector under an AST node: a `... if a == b
     else 0` conditional, or a `v = [0] * n` list stored at one index, once

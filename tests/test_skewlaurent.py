@@ -5,10 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspdiff.cuspops import decompose
-from cuspdiff.exactpoly import ArityMismatch, BasePoly
+from cuspdiff import exactpoly
+from cuspdiff.cuspops import decompose, embedding
+from cuspdiff.exactpoly import (ArityMismatch, BasePoly, linear_factors,
+                                rational_roots)
+from cuspdiff.gwa import Embedding, GwaPresentation
 from cuspdiff.skewlaurent import (LaurentOp, commutator, graded_divisor,
-                                  op_to_json, render_op, weyl_membership)
+                                  monomial_power, monomial_product, op_to_json,
+                                  render_op, weyl_membership)
 
 H = BasePoly.variable(1, 0)
 x = LaurentOp.x(1, 0)
@@ -236,3 +240,123 @@ class TestTextAndJson:
     def test_fraction_coefficients(self):
         u = LaurentOp.monomial(1, (1,), Fraction(2, 3))
         assert render_op(u) == "(2/3) * x"
+
+
+# -- powers of a monomial --------------------------------------------------
+
+def _walk(u, k):
+    """The oracle: u^k as k products by u from the unit, each shifting only
+    u's coefficient, which is how powers were formed before the dense pass."""
+    alpha, c = u
+    out = ((0,) * len(alpha), BasePoly.one(c.nvars))
+    for _ in range(k):
+        out = monomial_product(out, u)
+    return out
+
+
+def _generator(img):
+    """The one (degree, coefficient) pair of a generator image."""
+    (pair,) = img.components.items()
+    return pair
+
+
+POWERS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 40)
+
+
+class TestMonomialPower:
+    """monomial_power against the walk it replaced: closed forms, the dense
+    pass over the moved roots, and the walk it keeps for the rest."""
+
+    @pytest.mark.parametrize("algebra, shape", [
+        ("calA", (2,)), ("calA", (3,)), ("calA", (2, 3)), ("calA", (2, 2, 3)),
+        ("bbA", (2,)), ("bbA", (4,)), ("bbA", (2, 3)), ("bbA", (3, 2, 2)),
+        ("weyl", (1,)), ("weyl", (1, 1)), ("weyl", (1, 1, 1))])
+    def test_generator_powers_match_the_walk(self, algebra, shape):
+        emb = embedding(shape, algebra)
+        for img in emb.x_images + emb.y_images:
+            gen = _generator(img)
+            for k in POWERS:
+                assert monomial_power(gen, k) == _walk(gen, k), (img, k)
+
+    @pytest.mark.parametrize("algebra, m", [
+        ("calA", 2), ("calA", 5), ("bbA", 3), ("weyl", 1)])
+    def test_recorded_roots_are_the_roots(self, algebra, m):
+        # the dense pass records the moved roots on its result, where later
+        # searches read them: each is a root, and they give the result back
+        for img in embedding((m,), algebra).y_images:
+            degree, c = monomial_power(_generator(img), 12)
+            roots, rest = rational_roots(c)
+            assert all(c.eval([r]) == 0 for r in roots)
+            assert linear_factors(roots) * rest == c
+
+    def test_split_generator_power_shifts_and_multiplies_nothing(
+            self, monkeypatch):
+        gen = _generator(embedding((3,), "calA").y_images[0])
+        expected = _walk(gen, 9)
+        calls = []
+        monkeypatch.setattr(BasePoly, "shift",
+                            lambda self, by: calls.append(("shift", by)))
+        monkeypatch.setattr(BasePoly, "__mul__",
+                            lambda self, other: calls.append(("mul", other)))
+        got = monomial_power(gen, 9)
+        monkeypatch.undo()
+        assert calls == []
+        assert got == expected
+
+    def test_unsplit_user_generator_is_walked(self):
+        # a = h^2 + 1 has no rational root, so Y's powers take the walk
+        pres = GwaPresentation((H * H + 1,), (2,))
+        emb = Embedding(pres, [LaurentOp.x(1, 0, 2)],
+                        [LaurentOp.monomial(1, (-2,), H * H + 1)])
+        gen = _generator(emb.y_images[0])
+        for k in range(13):
+            assert monomial_power(gen, k) == _walk(gen, k)
+            assert emb.image((-k,)) == _walk(gen, k)
+
+    def test_fraction_roots(self):
+        # (h - 1/2)(h + 3) * x^2: walked while its roots are unknown, then,
+        # once a search has split it, one dense pass over Fraction roots
+        c = (H - Fraction(1, 2)) * (H + 3)
+        u = ((2,), c)
+        walked = [monomial_power(u, k) for k in range(13)]
+        assert c._roots is None
+        rational_roots(c)
+        for k, expected in enumerate(walked):
+            assert monomial_power(u, k) == expected == _walk(u, k)
+
+    def test_multivariate_coefficient_is_walked(self):
+        h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
+        u = ((1, 0), h1 + h2)
+        for k in range(9):
+            assert monomial_power(u, k) == _walk(u, k)
+
+    @pytest.mark.parametrize("u", [
+        ((1,), H), ((-2,), H * H - H - 2), ((0,), H + 5), ((3,), 7 * H ** 0),
+        ((1, 0), BasePoly.variable(2, 0) + BasePoly.variable(2, 1))])
+    def test_zeroth_and_first_powers(self, u):
+        alpha, c = u
+        one = BasePoly.one(c.nvars)
+        assert monomial_power(u, 0) == ((0,) * len(alpha), one)
+        assert monomial_power(u, 1) == u
+
+    def test_constant_and_degree_zero_powers_are_closed(self):
+        assert monomial_power(((3,), BasePoly.constant(1, 2)), 5) == (
+            (15,), BasePoly.constant(1, 32))
+        assert monomial_power(((0,), H + 1), 3) == ((0,), (H + 1) ** 3)
+
+    def test_never_searches_for_roots(self, monkeypatch):
+        # only roots that travel with c, or the root of a linear c, are
+        # read: (h - 1) ... (h - 40) has a 48-digit constant term whose
+        # divisor scan would not end in time, so its powers are walked
+        c = linear_factors(range(1, 41))
+        u = ((1,), c)
+        expected = _walk(u, 2)
+
+        def refuse(n):
+            raise AssertionError("searched the divisors of %d" % n)
+
+        monkeypatch.setattr(exactpoly, "_divisors", refuse)
+        assert monomial_power(u, 2) == expected
+        assert monomial_power(((-1,), H - 7), 30) == _walk(((-1,), H - 7), 30)
+        assert monomial_power(((1,), H ** 3 * (H + 2)), 6) == _walk(
+            ((1,), H ** 3 * (H + 2)), 6)
