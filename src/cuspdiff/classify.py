@@ -11,15 +11,17 @@ are detected by the strict orbit order and repaired by the normalization
 identity b -> beta b alpha^{-1}.
 
 Roots come from exactpoly.rational_roots: an int for an integral root, a
-Fraction otherwise.  They are kept on each polynomial object, so a
-presentation's a and the stored coefficients of an element are split at most
-once however many tests read them.  normalize shifts nothing: its results
-record the moved roots of beta_0, so the normalized element is never
-searched.  Ideal roots, orbit representatives and weights are stored the same
-way, an int when integral and a Fraction otherwise.  One root list lies below
-another in the orbit order when its least shift below the other is 0: per
-shared orbit, the top root of the first lies below the bottom root of the
-second.  Each root list is grouped by orbit once.
+Fraction otherwise.  A polynomial records them where it is built from them,
+as the named algebras' a is, or once a search finds them, never through a
+product or shift; so a presentation's a and the stored coefficients of an
+element are split at most once however many tests read them.  normalize
+shifts nothing: its results are built from roots it holds and record them,
+so the normalized element is never searched.  Ideal roots, orbit
+representatives and weights are stored the same way, an int when integral
+and a Fraction otherwise.  One root list lies below another in the orbit
+order when its least shift below the other is 0: per shared orbit, the top
+root of the first lies below the bottom root of the second.  Each root list
+is grouped by orbit once.
 """
 
 from __future__ import annotations
@@ -421,10 +423,10 @@ class NormalizationResult(Value):
 
 
 def _normalization_data(b: GwaElement):
-    """(m', left coords, roots of beta_0, least shift count) of b."""
+    """(m', left coords, roots of beta_0 and beta_{-m'}, least shift) of b."""
     mprime, left, roots0, rootsm = _split_ends(b)
     pres = b.presentation
-    return mprime, left, roots0, _least_shift(
+    return mprime, left, roots0, rootsm, _least_shift(
         roots0, rootsm + roots0 + _split_roots(pres.a[0]), pres.steps[0])
 
 
@@ -433,7 +435,7 @@ def normalization_shift(b: GwaElement) -> int:
 
     Raises the same shape and splitting errors as is_normal.
     """
-    return _normalization_data(b)[3]
+    return _normalization_data(b)[4]
 
 
 def normalize(b: GwaElement) -> NormalizationResult:
@@ -453,17 +455,20 @@ def normalize(b: GwaElement) -> NormalizationResult:
     prod_{j=s+k+1}^{s+m'} f_j.  beta_0 is never shifted: f_j has the roots
     r - j*step and the lead of beta_0, so a product of f_j's grows as a dense
     integer list, by one primitive factor den*h - num at a time, with its
-    lead and roots; only the results become polynomials.  The result is
-    normal.  Raises the same shape and splitting errors as is_normal.  The
-    cost grows with s; normalization_shift(b) gives s first.
+    lead and roots, and c_{m'} joins f_1 ... f_{m'-1} by its own roots and
+    lead the same way; only the results become polynomials, and the ends
+    and multipliers record their roots.  The result is normal.  Raises the
+    same shape and splitting errors as is_normal.  The cost grows with s;
+    normalization_shift(b) gives s first.
     """
-    mprime, left, roots0, s = _normalization_data(b)
+    mprime, left, roots0, rootsm, s = _normalization_data(b)
     step, top = b.presentation.steps[0], s + mprime
-    lead = left[0].components[max(left[0].components)]
+    lead0, leadm = (left[k].components[max(left[k].components)]
+                    for k in (0, mprime))
 
-    def grow(part, js):  # part: (dense list, lead, roots) of a product
-        for j in js:
-            moved = [r - j * step for r in roots0]
+    def grow(part, js, roots=roots0, lead=lead0):
+        for j in js:  # part: (dense list, lead, roots) of a product
+            moved = [r - j * step for r in roots]
             part = (_times_linear(part[0], moved), part[1] * lead, part[2] + moved)
         return part
 
@@ -475,10 +480,13 @@ def normalize(b: GwaElement) -> NormalizationResult:
         if j < mprime or j in (s, top):
             low[j] = part
     coords = {(0,): _from_dense(*grow(low[0], range(s + 1, top + 1)))}
-    for k in range(1, mprime + 1):
+    for k in range(1, mprime):
         if not left[k].is_zero():
             coords[(-k,)] = left[k] * _from_dense(
                 *grow(low[k - 1], range(s + k + 1, top + 1)))
+    if mprime:  # c_{m'} has the roots of beta_{-m'} moved down m' steps
+        coords[(-mprime,)] = _from_dense(
+            *grow(low[mprime - 1], (mprime,), rootsm, leadm))
     normalized = GwaElement(b.presentation, coords)
     if not is_normal(normalized):
         raise RuntimeError("normalization produced a non-normal element")

@@ -34,7 +34,7 @@ from .skewlaurent import (graded_divisor, monomial_product, op_to_json,
                           render_op, unit)
 from .cuspops import (as_shape, decompose, delta_op, embedding,
                       factor_generators, generating_set, membership, phi,
-                      presentation, structure_constant)
+                      structure_constant)
 from .gwa import NotInImage, render_gwa, verify_presentation
 from .exprparse import ALGEBRAS, parse_expression, parse_poly
 from .modactions import (MODULES, LaurentVector, NotStable, _saturation,
@@ -283,7 +283,8 @@ def cmd_gwa_verify(args):
     shape = _shape(args)
     if args.algebra == "DA":
         raise ValueError("gwa-verify needs --algebra bbA, calA or weyl")
-    pres, emb = presentation(shape, args.algebra)
+    emb = embedding(shape, args.algebra)
+    pres = emb.presentation  # the table's own, so apply takes its shortcut
     report = verify_presentation(pres, depth=args.depth)
     rng = Random(args.seed)
     failures = report.failures()

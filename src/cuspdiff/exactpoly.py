@@ -275,8 +275,9 @@ class BasePoly(RingOps):
     _trusted constructor without re-checking, under RingOps's cleaning rule.
     """
 
-    # _roots is None until the roots are known: rational_roots fills it, and
-    # shift and * carry it when the cofactor is constant (see rational_roots)
+    # _roots is None until the roots are known: linear_factors records them
+    # on what it builds from them, and rational_roots what its search finds;
+    # no arithmetic carries them (see rational_roots)
     __slots__ = ("_roots",)
 
     @staticmethod
@@ -377,15 +378,7 @@ class BasePoly(RingOps):
             for e2, c2 in right.items():
                 key = e1 + e2
                 terms[key] = terms.get(key, 0) + c1 * c2
-        out = BasePoly._trusted(self.nvars, _clean(terms))
-        known = self._roots
-        if known is not None:
-            other_known = other._roots
-            if (other_known is not None and known[1].__class__ is not BasePoly
-                    and other_known[1].__class__ is not BasePoly):
-                _set_roots(out, (tuple(sorted(known[0] + other_known[0])),
-                                 _norm_coef(known[1] * other_known[1])))
-        return out
+        return BasePoly._trusted(self.nvars, _clean(terms))
 
     __rmul__ = __mul__
 
@@ -412,10 +405,9 @@ class BasePoly(RingOps):
         splits the terms into columns by their exponent in h_i and runs one
         pass per column, for each variable h_i that moves (k_i != 0) and
         that some term involves.  When nothing moves (a zero vector, a
-        constant, or no term in a moved variable) it returns self.
-
-        A univariate polynomial whose roots are known, with a constant
-        cofactor, hands them on moved up by k (see rational_roots).
+        constant, or no term in a moved variable) it returns self.  A
+        shifted polynomial records no roots, as no product does (see
+        rational_roots).
         """
         k = tuple(map(int, k))
         if len(k) != self.nvars:
@@ -428,11 +420,7 @@ class BasePoly(RingOps):
             a = [0] * (max(packed) + 1)
             for e, c in packed.items():
                 a[e] = c
-            out = BasePoly._trusted(1, _clean(dict(enumerate(_taylor(a, k[0])))))
-            known = self._roots
-            if known is not None and known[1].__class__ is not BasePoly:
-                _set_roots(out, (tuple(r + k[0] for r in known[0]), known[1]))
-            return out
+            return BasePoly._trusted(1, _clean(dict(enumerate(_taylor(a, k[0])))))
         used = reduce(or_, packed)  # a field is nonzero iff a term involves it
         moved = [(i, ki) for i, ki in enumerate(k)
                  if ki and used >> _FIELD * (n - 1 - i) & _MASK]
@@ -475,12 +463,15 @@ class BasePoly(RingOps):
         return total
 
     def inject(self, nvars: int, j: int) -> "BasePoly":
-        """View a univariate polynomial as a polynomial in h_{j+1} of a larger ring."""
+        """View a univariate polynomial as a polynomial in h_{j+1} of a larger
+        ring; into one variable it is self, with any roots it records."""
         if self.nvars != 1:
             raise ArityMismatch("inject expects a univariate polynomial")
         if not 0 <= j < nvars:
             raise ValueError("variable index %d out of range for nvars=%d" % (j, nvars))
-        if nvars > 1 and max(self.components, default=0) > _MASK:
+        if nvars == 1:
+            return self
+        if max(self.components, default=0) > _MASK:
             raise ExponentOverflow("exponent passes 2^%d" % _FIELD)
         return BasePoly._trusted(nvars, {e << _FIELD * (nvars - 1 - j): c
                                          for e, c in self.components.items()})
@@ -588,13 +579,12 @@ def rational_roots(p: BasePoly):
     and keeps the leading coefficient, so p == cofactor * prod (h - root).
 
     Once the roots of a polynomial are known they are kept on it, which is
-    immutable, and travel: when the cofactor is constant, a univariate
-    shift by k records the roots plus k, and a product of two such
-    polynomials records the merged roots and the product of the leading
-    coefficients.  So a polynomial is searched only if neither it nor the
-    factors it was built from by shift and * were split before; a constant
-    is answered with ([], p) and no search.  Every call returns a fresh
-    roots list.
+    immutable: linear_factors records them on the polynomial it builds from
+    them, and the first search of any other polynomial records what it
+    finds.  Arithmetic records nothing, so a product or shift of split
+    polynomials is a new polynomial, searched on its first call.  A
+    constant is answered with ([], p) and no search.  Every call returns a
+    fresh roots list.
 
     Roots at 0 come off the trailing exponent.  The rest of the search works
     on the dense list of the primitive integer coefficients of p.  A linear
@@ -679,22 +669,24 @@ def _times_linear(coeffs: list, roots) -> list:
     return coeffs
 
 
-def _from_dense(coeffs: list, lead, roots=None) -> BasePoly:
-    """The dense integer coeffs, lowest degree first, scaled to the leading
-    coefficient lead; roots, when given, are its roots, recorded sorted."""
+def _from_dense(coeffs: list, lead, roots) -> BasePoly:
+    """Dense integer coeffs, lowest degree first, of prod (h - r) over the
+    roots up to scale, scaled to the nonzero lead; records roots and lead."""
     scale = _div_coef(lead, coeffs[-1])
     terms = {e: scale * c for e, c in enumerate(coeffs) if c}
     p = BasePoly._trusted(1, terms if scale.__class__ is int else _clean(terms))
-    if roots is not None:
-        _set_roots(p, (tuple(sorted(roots)), _norm_coef(lead)))
+    _set_roots(p, (tuple(sorted(roots)), _norm_coef(lead)))
     return p
 
 
-def linear_factors(roots) -> BasePoly:
-    """prod (h - r) over the given roots, as a univariate polynomial that,
-    unlike a normalize product, records no roots."""
-    roots = [r if r.__class__ is int else Fraction(r) for r in roots]
-    return _from_dense(_times_linear([1], roots), 1)
+def linear_factors(roots, lead=1) -> BasePoly:
+    """lead * prod (h - r) over the int or rational roots, as a univariate
+    polynomial that records its roots, so no search ever splits it."""
+    lead = _norm_coef(lead)
+    if not lead:
+        raise ValueError("linear_factors needs a nonzero lead")
+    roots = [r if r.__class__ is int else _norm_coef(Fraction(r)) for r in roots]
+    return _from_dense(_times_linear([1], roots), lead, roots)
 
 
 # -- canonical text form --------------------------------------------------

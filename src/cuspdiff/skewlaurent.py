@@ -27,10 +27,9 @@ from functools import lru_cache, reduce
 from operator import add
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
-                        _clean, _from_dense, _new, _set_components,
-                        _set_nvars, _times_linear, exact_divide, factor_name,
-                        grlex_key, linear_factors, poly_to_json,
-                        rational_roots, render_poly)
+                        _clean, _new, _set_components, _set_nvars,
+                        exact_divide, factor_name, grlex_key, linear_factors,
+                        poly_to_json, rational_roots, render_poly)
 
 
 class Graded(RingOps):
@@ -206,9 +205,9 @@ def monomial_product(u, v):
 
 def monomial_power(u, k: int):
     """(alpha, c)^k = (k alpha, prod_{j<k} sigma^{j alpha}(c)), k >= 0: closed
-    (k alpha, c^k) if k < 2, alpha = 0 or c is constant; else one dense pass
-    over c's roots r + j alpha at lead^k, recorded, if c splits unsearched
-    (its roots travel, or it is linear past h^v); else monomial_products."""
+    (k alpha, c^k) if k < 2, alpha = 0 or c is constant; else linear_factors
+    of c's roots r + j alpha at lead^k if c splits unsearched (it records its
+    roots, or it is linear past h^v); else monomial_products."""
     alpha, c = u
     if k < 2 or not any(alpha) or c.is_constant():
         return tuple([a * k for a in alpha]), c ** k
@@ -216,9 +215,9 @@ def monomial_power(u, k: int):
     if c.nvars == 1 and (c._roots or max(terms) - min(terms) < 2):
         roots, rest = rational_roots(c)
         if rest.is_constant():
-            moved = [r + j * alpha[0] for j in range(k) for r in roots]
-            return (k * alpha[0],), _from_dense(
-                _times_linear([1], moved), rest.components[0] ** k, moved)
+            return (k * alpha[0],), linear_factors(
+                [r + j * alpha[0] for j in range(k) for r in roots],
+                rest.components[0] ** k)
     return reduce(monomial_product, [u] * k)
 
 
@@ -247,8 +246,8 @@ def vanishing_roots(m: int, i: int) -> list[int]:
 def phi(mi: int, i: int) -> BasePoly:
     """The coefficient polynomial of the degree i graded generator (one factor).
 
-    The product of (h - r) over vanishing_roots(mi, i).  Written out, with h
-    the shift variable and width mi:
+    linear_factors(vanishing_roots(mi, i)), which records those roots.
+    Written out, with h the shift variable and width mi:
 
       phi(mi, 0) = 1
       phi(mi, i) = h - i - 1          for 1 <= i <= mi - 1
@@ -270,7 +269,7 @@ def graded_divisor(widths, alpha) -> BasePoly:
     when this product divides d.  Widths (1, ..., 1) give the Weyl algebra,
     where only partial_i = h_i x_i^{-1} brings in x_i^{-1}.  Memoized per
     process, as phi is, so widths and alpha must be tuples; every caller
-    shares one immutable BasePoly per key.
+    shares one immutable BasePoly per key, at rank one phi's own.
     """
     n = len(alpha)
     out = BasePoly.one(n)

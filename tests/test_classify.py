@@ -645,9 +645,10 @@ class TestNormalizeOracle:
         assert max(shifts) >= 6
 
     def test_chain_multiplies_no_shift(self, monkeypatch):
-        # f_j = sigma^{-j}(beta_0) is built from the roots of beta_0, so
-        # normalize shifts nothing; its only polynomial products are one per
-        # nonzero coordinate c_k, k >= 1
+        # f_j = sigma^{-j}(beta_0) is built from the roots of beta_0, and
+        # c_{m'} joins its product by its own roots, so normalize shifts
+        # nothing; its only polynomial products are one per nonzero middle
+        # coordinate c_k, 1 <= k < m'
         shifts, products = [], []
         real_shift, real_mul = BasePoly.shift, BasePoly.__mul__
 
@@ -669,7 +670,7 @@ class TestNormalizeOracle:
             products.clear()
             result = normalize(b)
             assert shifts == [], b
-            assert len(products) <= 2 * mprime, b
+            assert len(products) <= max(mprime - 1, 0), b
             large += result.s >= 6
         assert large >= 4
 
@@ -702,9 +703,9 @@ class TestNormalizeOracle:
         assert divide_calls == []
 
     def test_closing_check_searches_nothing(self, monkeypatch):
-        # normalize splits beta_0, the top coefficient and a on entry; the
-        # normalized element's ends are shifts and products of those, so the
-        # closing is_normal reads carried roots and searches nothing
+        # normalize splits beta_0, the top coefficient and a on entry, and
+        # builds the normalized element's ends from those roots, which the
+        # ends record, so the closing is_normal searches nothing
         from cuspdiff import classify, exactpoly
         real_split, real_is_normal = exactpoly._split, classify.is_normal
         searched, closing = [], []

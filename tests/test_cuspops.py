@@ -16,11 +16,11 @@ from cuspdiff.cuspops import (CuspShape, as_shape, bbA_presentation,
 from cuspdiff import cuspops, exactpoly
 from cuspdiff.cli import main
 from cuspdiff.exactpoly import (ArityMismatch, BasePoly, NotDivisible,
-                                exact_divide, render_poly)
+                                exact_divide, linear_factors, render_poly)
 from cuspdiff.exprparse import parse_expression, parse_poly
 from cuspdiff.gwa import NotInImage, verify_presentation
-from cuspdiff.skewlaurent import (LaurentOp, commutator, vanishing_roots,
-                                  weyl_membership)
+from cuspdiff.skewlaurent import (LaurentOp, commutator, graded_divisor,
+                                  vanishing_roots, weyl_membership)
 
 H = BasePoly.variable(1, 0)
 
@@ -808,11 +808,33 @@ class TestPresentations:
         cuspops._canonical.cache_clear()  # a fresh table
         m = 7
         entries = [classify_bbA(m), classify_bbA(m)]
-        # the table builds its rank one generators with their roots, which
-        # travel to a = Y X, so the base is searched not once but never
+        # the table builds a = Y X as a structure constant from its roots,
+        # which it records, so the base is searched not once but never
         assert searched == []
         assert entries[1][0].module.a._roots == ((0, 1, m), 1)
         assert entries[0][0].module.a == H * (H - 1) * (H - m)
+
+    def test_tables_change_no_object_they_did_not_build(self):
+        # roots are recorded where a polynomial is built from them, so
+        # building an embedding writes nothing onto the shared deltas, and
+        # what a delta's coefficient records does not depend on what ran
+        # before it in the process
+        for table in (cuspops._canonical, cuspops._delta, graded_divisor):
+            table.cache_clear()
+        c = delta_op(3, (-1,)).components[(-1,)]
+        before = c._roots
+        emb = cuspops.embedding(3, "bbA")
+        cuspops.embedding(3, "calA")
+        assert before == c._roots == ((0, 3), 1)
+        assert emb.presentation.a[0]._roots == ((0, 1, 3), 1)
+        for m in (1, 2, 3):
+            for d in range(1 - 2 * m, 2 * m):
+                assert graded_divisor((m,), (d,)) is phi(m, d)
+        q = linear_factors([-2, Fraction(1, 2)], Fraction(3, 4))
+        assert q.inject(1, 0) is q
+        assert q._roots == ((-2, Fraction(1, 2)), Fraction(3, 4))
+        for built in (c * q, q * q, c.shift([2]), q.shift([-1])):
+            assert built._roots is None
 
     def test_plain_ring_has_no_presentation(self):
         with pytest.raises(ValueError):

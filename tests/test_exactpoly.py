@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspdiff import exactpoly
+from cuspdiff.classify import normalize
 from cuspdiff.cli import main
+from cuspdiff.cuspops import bbA_presentation
 from cuspdiff.exactpoly import (ArityMismatch, BasePoly, DivisionByZero,
                                 ExponentOverflow, NotDivisible, exact_divide, grlex_key, linear_factors,
                                 poly_to_json, rational_roots, render_poly)
 from cuspdiff.exprparse import parse_poly
-from cuspdiff.skewlaurent import LaurentOp, weyl_membership
+from cuspdiff.gwa import GwaElement
+from cuspdiff.skewlaurent import LaurentOp, monomial_power, weyl_membership
 
 H = BasePoly.variable(1, 0)
 
@@ -497,10 +500,13 @@ class TestLinearFactorsOracle:
                          if fractions and rng.random() < 0.5
                          else rng.randint(-9, 9)
                          for _ in range(rng.randint(0, 9))]
-                got = linear_factors(roots)
-                want = _reference_linear_factors(roots)
+                lead = rng.choice([1, -3, Fraction(2, 5), Fraction(-6, 3)])
+                got = linear_factors(roots, lead)
+                want = _reference_linear_factors(roots) * lead
                 assert _typed(got.terms) == _typed(want.terms), roots
                 assert_stored_as_validated(got)
+        with pytest.raises(ValueError):
+            linear_factors([1, 2], 0)
 
     @pytest.mark.parametrize("roots", [
         [], [0], [0, 0], [1, -1], [2, 2, -2, -2, 0], [3, 1, 2, 0, -4],
@@ -701,29 +707,38 @@ class TestRationalRootsOracle:
         assert linear_factors(got) * cof == p
 
 
-_TRAVEL_ROOTS = [-4, -1, 0, 2, 5, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4)]
+_TRAVEL_ROOTS = [-4, -1, 0, 2, 5, Fraction(6, 3), Fraction(1, 2), Fraction(-7, 3),
+                 Fraction(5, 4)]
 _TRAVEL_LEADS = [2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 5)]
 
 
-def _split_leaf(rng):
-    """A polynomial whose roots rational_roots has already found."""
-    roots = rng.choices(_TRAVEL_ROOTS, k=rng.randint(0, 3))
-    p = linear_factors(roots) * rng.choice(_TRAVEL_LEADS)
-    rational_roots(p)
-    return p
+def _recorded(rng):
+    """Polynomials that record their roots as they are built: linear_factors
+    of int and Fraction roots at a lead, monomial_power of one, and the end
+    coordinates and multipliers of normalize."""
+    def leaf():
+        return linear_factors(rng.choices(_TRAVEL_ROOTS, k=rng.randint(0, 3)),
+                              rng.choice(_TRAVEL_LEADS))
 
-
-def _travelled(rng, depth):
-    """Products and shifts of split polynomials, nested up to depth deep."""
-    if depth == 0 or rng.random() < 0.25:
-        return _split_leaf(rng)
-    if rng.random() < 0.4:
-        return _travelled(rng, depth - 1).shift([rng.choice([-3, -1, 1, 2, 4])])
-    return _travelled(rng, depth - 1) * _travelled(rng, depth - 1)
+    for _ in range(50):
+        c = leaf()
+        yield c
+        yield monomial_power(((rng.choice([-2, -1, 1, 3]),), c),
+                             rng.randint(2, 4))[1]
+    for m in (2, 3):
+        pres, _ = bbA_presentation(m)
+        for mprime in range(4):
+            # products record nothing, so normalize searches these ends
+            b = GwaElement(pres, {(-k,): leaf() * rng.choice(_TRAVEL_LEADS)
+                                  for k in range(mprime + 1)})
+            result = normalize(b)
+            ends = result.normalized.coords
+            yield from (result.alpha, result.beta, ends[(0,)], ends[(-mprime,)])
 
 
 class TestRootsTravel:
-    """Known roots are carried through shift and *, never searched again."""
+    """Roots are recorded where a polynomial is built from them, or once a
+    search has found them, and read back with no second search."""
 
     def _no_search(self, monkeypatch):
         def refuse(p):
@@ -732,8 +747,7 @@ class TestRootsTravel:
         monkeypatch.setattr(exactpoly, "_split", refuse)
 
     def test_carried_roots_match_a_fresh_search(self, monkeypatch):
-        rng = random.Random(2021)
-        built = [_travelled(rng, 3) for _ in range(120)]
+        built = list(_recorded(random.Random(2021)))
         assert sum(not p.is_constant() for p in built) >= 100
         self._no_search(monkeypatch)
         carried = [rational_roots(p) for p in built]
@@ -747,26 +761,6 @@ class TestRootsTravel:
                 int if r.denominator == 1 else Fraction for r in want], p
             assert _typed(cof.terms) == _typed(ref_cof.terms), p
             assert rational_roots(fresh) == (got, cof)
-
-    def test_shift_moves_the_roots_up(self, monkeypatch):
-        p = linear_factors([-1, Fraction(1, 2)]) * Fraction(-2, 3)
-        rational_roots(p)
-        self._no_search(monkeypatch)
-        roots, cof = rational_roots(p.shift([3]))
-        assert roots == [2, Fraction(7, 2)]
-        assert [type(r) for r in roots] == [int, Fraction]
-        assert _typed(cof.terms) == {(0,): (Fraction, Fraction(-2, 3))}
-
-    def test_product_merges_roots_and_multiplies_leads(self, monkeypatch):
-        p = linear_factors([3, Fraction(1, 2)]) * Fraction(3, 2)
-        q = linear_factors([Fraction(1, 2), -2]) * 4
-        rational_roots(p)
-        rational_roots(q)
-        self._no_search(monkeypatch)
-        roots, cof = rational_roots(p * q)
-        assert roots == [-2, Fraction(1, 2), Fraction(1, 2), 3]
-        # the product of the leads is integral and stored as an int
-        assert _typed(cof.terms) == {(0,): (int, 6)}
 
     def test_unknown_or_nonlinear_factors_stop_the_carry(self, monkeypatch):
         split = (H - 1) * (2 * H + 1)

@@ -572,8 +572,8 @@ class TestWorkCounts:
     def test_powers_search_no_roots(self, monkeypatch):
         # delta(-40) at width 1 is h (h + 1) ... (h + 39), and calA's Y at
         # m = 40 has 40 roots too: a divisor scan of their constant terms
-        # would not end in time, so a power reads only the roots that travel
-        # with its coefficient, or walks
+        # would not end in time, so a power reads only the roots that its
+        # coefficient records, or walks
         def refuse(n):
             raise AssertionError("searched the divisors of %d" % n)
 

@@ -134,6 +134,46 @@ def test_library_calls_no_bench_alias():
     assert found == []
 
 
+def _identifiers(node):
+    """(line, name) of every name, attribute, imported name and string
+    constant under node."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.ImportFrom):
+            yield from ((child.lineno, alias.name) for alias in child.names)
+        elif isinstance(child, ast.Name):
+            yield child.lineno, child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.lineno, child.attr
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield child.lineno, child.value
+
+
+def test_roots_are_recorded_only_where_built():
+    # a polynomial records its roots where it is built from them or where a
+    # search finds them: only exactpoly writes the slot, BasePoly's product
+    # and shift neither read nor write it, and only classify, for
+    # normalize's shared dense prefixes, reaches the dense helpers
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "exactpoly":
+            continue
+        for line, name in _identifiers(ast.parse(path.read_text())):
+            if name == "_set_roots" or (
+                    name in ("_from_dense", "_times_linear")
+                    and path.stem != "classify"):
+                found.append((path.stem, line, name))
+    tree = ast.parse((PACKAGE / "exactpoly.py").read_text())
+    base_poly, = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "BasePoly"]
+    for method in base_poly.body:
+        if isinstance(method, ast.FunctionDef) and method.name in (
+                "__mul__", "shift"):
+            found += [("BasePoly." + method.name, line, name)
+                      for line, name in _identifiers(method)
+                      if name in ("_roots", "_set_roots")]
+    assert found == []
+
+
 # cuspops re-exports skewlaurent.phi: the package root and the bench read
 # cuspops.phi (its import says so)
 _REEXPORTS = {("cuspops", "phi")}

@@ -345,10 +345,11 @@ class TestMonomialPower:
         assert monomial_power(((0,), H + 1), 3) == ((0,), (H + 1) ** 3)
 
     def test_never_searches_for_roots(self, monkeypatch):
-        # only roots that travel with c, or the root of a linear c, are
-        # read: (h - 1) ... (h - 40) has a 48-digit constant term whose
-        # divisor scan would not end in time, so its powers are walked
-        c = linear_factors(range(1, 41))
+        # only roots that c records, or the root of a linear c, are read:
+        # (h - 1) ... (h - 40), built afresh from its terms, records none and
+        # has a 48-digit constant term whose divisor scan would not end in
+        # time, so its powers are walked
+        c = BasePoly(1, linear_factors(range(1, 41)).terms)
         u = ((1,), c)
         expected = _walk(u, 2)
 
