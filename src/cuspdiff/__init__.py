@@ -7,10 +7,10 @@ classification machinery for simple weight modules and normal elements.
 """
 
 from .exactpoly import (ArityMismatch, BasePoly, DivisionByZero, NotDivisible,
-                        exact_divide, linear_factors, poly_to_json,
+                        exact_divide, linear_factors, poly_forms,
                         rational_roots, render_poly)
-from .skewlaurent import (LaurentOp, commutator, graded_divisor, op_to_json,
-                          render_op, vanishing_roots)
+from .skewlaurent import (LaurentOp, commutator, graded_divisor,
+                          graded_forms, render_op, vanishing_roots)
 from .cuspops import (CuspShape, StructureRelation, as_shape, bbA_presentation,
                       calA_presentation, decompose, delta_op, generating_set,
                       generator_pair, membership, phi, phi_multi, presentation,

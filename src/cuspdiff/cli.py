@@ -12,8 +12,9 @@ closed before the output is written, and 2 for usage or parse errors.
 Output is deterministic: iteration is sorted and randomness is seeded.
 
 Each handler cmd_x(args) returns (exit code, payload, lines): the --json body
-without its schema and command keys, and the text output.  Usage errors are
-ValueErrors; main alone writes stdout, and maps a ValueError to exit 2.
+without its schema and command keys, and the text output, both written from
+one reading of each printed value's digits.  Usage errors are ValueErrors;
+main alone writes stdout, and maps a ValueError to exit 2.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from functools import lru_cache
 from itertools import islice
 from random import Random
 
-from .exactpoly import (BasePoly, NotDivisible, grlex_key, poly_to_json,
+from .exactpoly import (BasePoly, NotDivisible, grlex_key, poly_forms,
                         read_int, render_number, render_poly)
-from .skewlaurent import (graded_divisor, monomial_product, op_to_json,
+from .skewlaurent import (graded_divisor, graded_forms, monomial_product,
                           render_op, unit)
 from .cuspops import (as_shape, decompose, delta_op, embedding,
                       factor_generators, generating_set, membership, phi,
@@ -38,8 +39,8 @@ from .cuspops import (as_shape, decompose, delta_op, embedding,
 from .gwa import NotInImage, render_gwa, verify_presentation
 from .exprparse import ALGEBRAS, parse_expression, parse_poly
 from .modactions import (MODULES, LaurentVector, NotStable, _saturation,
-                         act, act_on_quotient, cusp_mask, render_vector,
-                         restriction_blocks, stability_check, support)
+                         act, act_on_quotient, cusp_mask, restriction_blocks,
+                         stability_check, support, vector_forms)
 from . import classify as classify_mod
 
 SCHEMA = 1
@@ -76,9 +77,8 @@ def _shape(args, rank_one=None):
 
 
 def _fmt_degree(alpha) -> str:
-    if len(alpha) == 1:
-        return str(alpha[0])
-    return "(" + ",".join(str(v) for v in alpha) + ")"
+    return (str(alpha[0]) if len(alpha) == 1
+            else "(%s)" % ",".join(map(str, alpha)))
 
 
 def _render_points(points) -> str:
@@ -103,8 +103,8 @@ def cmd_mul(args):
     for text in args.expr:
         u = parse_expression(text, shape, args.algebra)
         out = u if out is None else out * u
-    text = render_op(out)
-    return 0, {"result": op_to_json(out), "text": text}, [text]
+    doc, text = graded_forms(out)
+    return 0, {"result": doc, "text": text}, [text]
 
 
 def cmd_member(args):
@@ -129,10 +129,8 @@ def cmd_phi(args):
     rows, lines = [], []
     for mi in shape.m:
         for i in args.index:
-            poly = phi(mi, i)
-            text = render_poly(poly)
-            rows.append({"m": mi, "index": i, "poly": poly_to_json(poly),
-                         "text": text})
+            doc, text = poly_forms(phi(mi, i))
+            rows.append({"m": mi, "index": i, "poly": doc, "text": text})
             lines.append("phi(%d, %d) = %s" % (mi, i, text))
     return 0, {"entries": rows}, lines
 
@@ -157,10 +155,8 @@ def cmd_delta(args):
     rows, lines = [], []
     for spec in args.degree:
         alpha = _parse_degree_spec(spec, shape)
-        op = delta_op(shape, alpha)
-        text = render_op(op)
-        rows.append({"degree": list(alpha), "op": op_to_json(op),
-                     "text": text})
+        doc, text = graded_forms(delta_op(shape, alpha))
+        rows.append({"degree": list(alpha), "op": doc, "text": text})
         lines.append("delta(%s) = %s" % (spec, text))
     return 0, {"entries": rows}, lines
 
@@ -170,14 +166,14 @@ def cmd_decompose(args):
     u = parse_expression(args.expr, shape, args.algebra)
     try:
         coords = decompose(u, shape)
-    except NotDivisible as exc:
-        return (1, {"member": False, "error": str(exc)},
-                ["not in the operator ring: %s" % exc])
+    except NotDivisible as exc:  # its text renders both polynomials
+        error = str(exc)
+        return 1, {"member": False, "error": error}, [
+            "not in the operator ring: " + error]
     rows, lines = [], []
     for alpha in sorted(coords, key=grlex_key, reverse=True):
-        text = render_poly(coords[alpha])
-        rows.append({"degree": list(alpha),
-                     "coefficient": poly_to_json(coords[alpha]), "text": text})
+        doc, text = poly_forms(coords[alpha])
+        rows.append({"degree": list(alpha), "coefficient": doc, "text": text})
         lines.append("%s: %s" % (_fmt_degree(alpha), text))
     return 0, {"member": True, "coordinates": rows}, lines or ["0"]
 
@@ -193,9 +189,8 @@ def cmd_act(args):
             return 1, {"error": str(exc)}, [str(exc)]
     else:
         out = act(u, vec)
-    text = render_vector(out)
-    return 0, {"result": {_fmt_degree(a): render_number(c)
-                          for a, c in out.components.items()},
+    texts, text = vector_forms(out)
+    return 0, {"result": {_fmt_degree(a): c for a, c in texts},
                "text": text}, [text]
 
 
@@ -356,17 +351,18 @@ def cmd_orbit(args):
         root = _rational(args.root)
     except (ValueError, ZeroDivisionError):
         raise ValueError("--root expects a rational number")
-    marked = classify_mod.marked_ideals(a)
+    marked = [(render_number(orb.rep), ideals)
+              for orb, ideals in classify_mod.marked_ideals(a)]
     intervals = classify_mod.partition_orbit(a, classify_mod.Orbit(root))
     lines = ["marked on orbit %s: %s"
-             % (render_number(orb.rep), ", ".join(i.render() for i in ideals))
-             for orb, ideals in marked] or ["no marked ideals"]
+             % (rep, ", ".join(i.render() for i in ideals))
+             for rep, ideals in marked] or ["no marked ideals"]
     lines.append("intervals at the orbit of %s:" % render_number(root))
     lines += ["  %s" % g.render() for g in intervals]
     return 0, {
-        "marked": [{"orbit": render_number(orb.rep),
+        "marked": [{"orbit": rep,
                     "roots": [render_number(i.root) for i in ideals]}
-                   for orb, ideals in marked],
+                   for rep, ideals in marked],
         "intervals": [g.to_json() for g in intervals]}, lines
 
 
@@ -386,13 +382,13 @@ def cmd_normalize(args):
                          "limit %d" % (s, MAX_NORMALIZE_SHIFT))
     was_normal = classify_mod.is_normal(b)
     result = classify_mod.normalize(b)
+    normalized, text = graded_forms(result.normalized)
     doc = {"algebra": algebra, "input": render_gwa(b), "normal": was_normal,
            "s": result.s, "alpha": render_poly(result.alpha),
-           "beta": render_poly(result.beta),
-           "normalized": render_gwa(result.normalized),
-           "normalized_coords": [
-               {"degree": list(alpha), "coefficient": poly_to_json(c)}
-               for alpha, c in sorted(result.normalized.components.items())]}
+           "beta": render_poly(result.beta), "normalized": text,
+           "normalized_coords": [  # by ascending degree, at rank one
+               {"degree": c["degree"], "coefficient": c["coeff"]}
+               for c in normalized["components"][::-1]]}
     return 0, doc, ["input: %(input)s" % doc,
                     "normal: %s" % ("true" if was_normal else "false"),
                     "s = %(s)d" % doc, "alpha = %(alpha)s" % doc,

@@ -14,11 +14,12 @@ coefficient rule, product, shift and text.  The cleaning rule is RingOps's.
 
 Every exact value of the package becomes text here and nowhere else:
 render_number writes an int or Fraction of any size (past the interpreter's
-4300-digit str() limit), render_sum writes a signed sum of c * monomial
-terms with factor_name's, and render_poly is that sum in h.  The operator,
-GWA and vector forms, the ideals (h - r) and every root, weight and orbit
-representative the CLI prints are built from these.  read_int is the way
-back for integers: it reads a digit string of any length.
+4300-digit str() limit), coefficient_texts is the one reader of a sum's
+coefficients, render_sum writes a signed sum from their texts, render_poly
+is that sum in h, and poly_forms gives both the --json rows and that text
+from one reading.  The operator, GWA and vector forms, the ideals (h - r)
+and every root, weight and orbit representative the CLI prints are built
+from these.  read_int is the way back for integers: any length of digits.
 """
 
 from __future__ import annotations
@@ -731,29 +732,35 @@ def render_number(c) -> str:
     return _int_str(c)
 
 
-def factor_name(letter: str, i: int, nvars: int, power: int = 1) -> str:
+@lru_cache(maxsize=1 << 12)
+def factor_name(i: int, nvars: int, letter: str, power: int) -> str:
     """The name of factor i (0-based) of nvars to the power: letter at rank 1
     and letter<i+1> above it, with ^power written unless the power is 1."""
     name = letter if nvars == 1 else "%s%d" % (letter, i + 1)
     return name if power == 1 else "%s^%d" % (name, power)
 
 
+def coefficient_texts(terms) -> list:
+    """[(key, render_number(c))] over (key, c) pairs, in order: the one reader
+    of a sum's coefficients, whose texts render_sum and the --json rows share."""
+    return [(key, render_number(c)) for key, c in terms]
+
+
 def render_sum(terms, letter: str, nvars: int, plus: str, minus: str) -> str:
-    """Text of sum c * monomial over (exponent tuple, c) pairs, in their order.
+    """Text of sum c * monomial over (exponent, render_number(c)) pairs, in order.
 
     A monomial is the product of its factor_name's (zero exponents left out),
     a coefficient of size 1 is not written before one, terms after the first
-    are joined by plus or minus, the first is signed by a bare "-", and the
-    empty sum is "0".
+    are joined by plus or minus as their text is signed, the first is signed
+    by a bare "-", and the empty sum is "0".
     """
     out = []
-    for exp, c in terms:
-        factors = [factor_name(letter, i, nvars, e)
+    for exp, text in terms:
+        factors = [factor_name(i, nvars, letter, e)
                    for i, e in enumerate(exp) if e]
-        negative = c < 0
-        mag = -c if negative else c
-        if mag != 1 or not factors:
-            factors.insert(0, render_number(mag))
+        negative, mag = text[0] == "-", text.lstrip("-")
+        if mag != "1" or not factors:
+            factors.insert(0, mag)
         if out:
             out.append(minus if negative else plus)
         elif negative:
@@ -764,12 +771,11 @@ def render_sum(terms, letter: str, nvars: int, plus: str, minus: str) -> str:
 
 def render_poly(p: BasePoly) -> str:
     """Canonical text form: graded-lex descending terms, e.g. h^2-3*h+2."""
-    return render_sum(p.sorted_terms(), "h", p.nvars, "+", "-")
+    return render_sum(coefficient_texts(p.sorted_terms()), "h", p.nvars, "+", "-")
 
 
-def poly_to_json(p: BasePoly) -> dict:
-    return {
-        "nvars": p.nvars,
-        "terms": [{"exp": list(exp), "coef": render_number(c)}
-                  for exp, c in p.sorted_terms()],
-    }
+def poly_forms(p: BasePoly) -> tuple:
+    """(the --json form of p, render_poly(p)) from one reading of p's digits."""
+    terms = coefficient_texts(p.sorted_terms())
+    rows = [{"exp": list(exp), "coef": text} for exp, text in terms]
+    return {"nvars": p.nvars, "terms": rows}, render_sum(terms, "h", p.nvars, "+", "-")

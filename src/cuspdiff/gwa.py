@@ -29,7 +29,7 @@ from operator import add
 from .exactpoly import (ArityMismatch, BasePoly, Frozen, NotDivisible, Value,
                         _clean, exact_divide, render_poly)
 from .skewlaurent import (Graded, LaurentOp, monomial_power,
-                          monomial_product, unit)
+                          monomial_product, render_op, unit)
 
 
 class PresentationMismatch(ValueError):
@@ -222,7 +222,7 @@ def gwa_multiply(u: GwaElement, v: GwaElement) -> GwaElement:
 
 def render_gwa(u: GwaElement) -> str:
     """Text form on the v-basis using X/Y names (X1, Y1, ... for rank > 1)."""
-    return u._render()
+    return render_op(u)
 
 
 def _relations(pres: GwaPresentation, xs, ys, lift, samples):

@@ -18,8 +18,8 @@ from fractions import Fraction
 from operator import add
 
 from .exactpoly import (ArityMismatch, Frozen, Value, _clean, _integer,
-                        _norm_coef, linear_factors, render_number,
-                        render_poly, render_sum)
+                        _norm_coef, coefficient_texts, linear_factors,
+                        render_number, render_poly, render_sum)
 from .skewlaurent import Graded, LaurentOp
 from .cuspops import as_shape, delta_op, membership
 
@@ -66,10 +66,15 @@ class LaurentVector(Graded):
 
 
 def render_vector(v: LaurentVector) -> str:
-    """Canonical text form, e.g. 3*x^2 - 2*x^-1: render_sum in x over the
-    support, terms joined by ' + ' and ' - '."""
-    return render_sum(((d, v.components[d]) for d in v.support()), "x", v.nvars,
-                      " + ", " - ")
+    """Canonical text form, e.g. 3*x^2 - 2*x^-1 (see vector_forms)."""
+    return vector_forms(v)[1]
+
+
+def vector_forms(v: LaurentVector) -> tuple:
+    """([(degree, coefficient text)] in support order, the text: render_sum in
+    x over them, joined by ' + ' and ' - '), from one reading of v's digits."""
+    texts = coefficient_texts((d, v.components[d]) for d in v.support())
+    return texts, render_sum(texts, "x", v.nvars, " + ", " - ")
 
 
 def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:

@@ -29,7 +29,7 @@ from operator import add
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
                         _clean, _new, _set_components, _set_nvars,
                         exact_divide, factor_name, grlex_key, linear_factors,
-                        poly_to_json, rational_roots, render_poly)
+                        poly_forms, rational_roots, render_poly)
 
 
 class Graded(RingOps):
@@ -95,23 +95,15 @@ class Graded(RingOps):
             return NotImplemented
         return other * self
 
-    def _render(self) -> str:
-        """Terms (coefficient) * monomial, graded-lex descending on the degree
-        vector, joined by ' + '; the monomial is a product of factor_name's."""
-        if self.is_zero():
-            return "0"
-        parts = []
-        for deg in self.support():
-            pieces = ["(%s)" % render_poly(self.components[deg])]
-            for i, e in enumerate(deg):
-                if e:
-                    letter, power = self._letter(e)
-                    pieces.append(factor_name(letter, i, self.nvars, power))
-            parts.append(" * ".join(pieces))
-        return " + ".join(parts)
+    def _render(self, terms) -> str:
+        """Terms (text) * monomial over (degree, text) pairs, joined by ' + '."""
+        return " + ".join(" * ".join(
+            ["(%s)" % text] + [factor_name(i, self.nvars, *self._letter(e))
+                               for i, e in enumerate(deg) if e])
+            for deg, text in terms) or "0"
 
     def __repr__(self):
-        return "%s(%d, %s)" % (type(self).__name__, self.nvars, self._render())
+        return "%s(%d, %s)" % (type(self).__name__, self.nvars, render_op(self))
 
 
 class LaurentOp(Graded):
@@ -312,14 +304,15 @@ def render_op(u: LaurentOp) -> str:
     """Canonical text form, e.g. (h^2-3*h) * x1^-1 * x2^2 + (h-2).
 
     Components are sorted graded-lex descending on the degree vector; each
-    coefficient polynomial is parenthesized.
+    coefficient polynomial is parenthesized.  render_gwa's form too.
     """
-    return u._render()
+    return u._render([(d, render_poly(u.components[d])) for d in u.support()])
 
 
-def op_to_json(u: LaurentOp) -> dict:
-    return {
-        "nvars": u.nvars,
-        "components": [{"degree": list(deg), "coeff": poly_to_json(u.components[deg])}
-                       for deg in u.support()],
-    }
+def graded_forms(u: Graded) -> tuple:
+    """(the --json form of u, its text form) of a LaurentOp or GwaElement,
+    from one reading of its digits: poly_forms of each coefficient."""
+    rows = [(d, *poly_forms(u.components[d])) for d in u.support()]
+    docs = [{"degree": list(d), "coeff": doc} for d, doc, _ in rows]
+    return {"nvars": u.nvars, "components": docs}, u._render(
+        [(d, text) for d, _, text in rows])

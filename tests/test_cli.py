@@ -11,18 +11,20 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cuspdiff
-from cuspdiff import cli, cuspops
+from cuspdiff import cli, cuspops, exactpoly
 from cuspdiff.cli import main
-from cuspdiff.cuspops import (StructureRelation, delta_op, generating_set,
-                              membership)
+from cuspdiff.cuspops import (StructureRelation, decompose, delta_op,
+                              generating_set, membership)
 from cuspdiff.exactpoly import BasePoly
 from cuspdiff.exprparse import parse_expression
 from cuspdiff.gwa import Embedding, render_gwa
+from cuspdiff.modactions import act
 from cuspdiff.skewlaurent import LaurentOp, graded_divisor, render_op
 
 
@@ -1125,3 +1127,107 @@ class TestDeterminismCorpus:
         round_tripped = parse_expression(out.strip(), 2)
         expected = delta_op(2, (-2,)) * delta_op(2, (2,)) * LaurentOp.h(1, 0)
         assert round_tripped == expected
+
+
+def _integers(value):
+    """How many ints the coefficients of a value print: one per int, two
+    per Fraction (its numerator and denominator)."""
+    if isinstance(value, int):
+        return 1
+    if isinstance(value, Fraction):
+        return 2
+    return sum(map(_integers, value.components.values()))
+
+
+# argv, and the values whose coefficients its output prints
+_PRINTED = [
+    (("mul", "--m", "2", "w(-40)"), lambda: [parse_expression("w(-40)", 2)]),
+    (("phi", "--m", "40", "--", "-40"), lambda: [cuspops.phi(40, -40)]),
+    (("delta", "--m", "40", "--", "-40"), lambda: [delta_op(40, (-40,))]),
+    (("decompose", "--m", "3", "w(-9)*h + 3/2*delta(4) - delta(-7)"),
+     lambda: list(decompose(parse_expression(
+         "w(-9)*h + 3/2*delta(4) - delta(-7)", 3), 3).values())),
+    (("act", "--m", "2", "w(-12)*h", "x^20 - 1/3*x^15"),
+     lambda: [act(parse_expression("w(-12)*h", 2),
+                  cli._to_vector(parse_expression("x^20 - 1/3*x^15", 2)))]),
+]
+
+
+class TestDigitsReadOnce:
+    """Every number's digits pass through exactpoly._int_str; a printed
+    coefficient's are read once, in text and --json mode alike."""
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    @pytest.mark.parametrize("argv, printed", _PRINTED,
+                             ids=[argv[0] for argv, _ in _PRINTED])
+    def test_one_reading_per_coefficient(self, capsys, monkeypatch, argv,
+                                         printed, json_mode):
+        bound = sum(map(_integers, printed()))
+        calls = []
+        int_str = exactpoly._int_str
+        monkeypatch.setattr(exactpoly, "_int_str",
+                            lambda n: calls.append(n) or int_str(n))
+        if json_mode:
+            argv = (argv[0], "--json", *argv[1:])
+        code, out = run(capsys, *argv)
+        assert code == 0 and out
+        assert 0 < len(calls) <= bound
+
+
+def _coefs(node):
+    """Every "coef" string of a --json document."""
+    if isinstance(node, dict):
+        return [node["coef"]] if "coef" in node else _coefs(list(node.values()))
+    if isinstance(node, list):
+        return [c for child in node for c in _coefs(child)]
+    return []
+
+
+# each command's text lines, as its handler writes them from the --json text
+# fields; argv is what follows the subcommand
+_LINES_FROM_JSON = {
+    "mul": lambda doc, argv: [doc["text"]],
+    "act": lambda doc, argv: [doc["text"]],
+    "phi": lambda doc, argv: ["phi(%d, %d) = %s" % (e["m"], e["index"],
+                                                    e["text"])
+                              for e in doc["entries"]],
+    "delta": lambda doc, argv: [
+        "delta(%s) = %s" % (spec, e["text"])
+        for spec, e in zip(argv[argv.index("--") + 1:], doc["entries"])],
+    "decompose": lambda doc, argv: [
+        "%s: %s" % (cli._fmt_degree(c["degree"]), c["text"])
+        for c in doc["coordinates"]] or ["0"],
+    "normalize": lambda doc, argv: [
+        "input: " + doc["input"],
+        "normal: " + ("true" if doc["normal"] else "false"),
+        "s = %d" % doc["s"], "alpha = " + doc["alpha"],
+        "beta = " + doc["beta"], "normalized: " + doc["normalized"]],
+}
+
+
+class TestCrossMode:
+    """Text mode prints the strings that --json carries."""
+
+    @pytest.mark.parametrize("argv", [
+        ("mul", "--m", "2", "w(-7)*h + 1/2*delta(2) - 3"),
+        ("mul", "--m", "2,3", "delta(-2)*x2^-3*h1", "delta(1)"),
+        ("phi", "--m", "2,3", "--", "-5", "-1", "0", "2"),
+        ("delta", "--m", "2,3", "--", "-4", "1@2", "-3@2"),
+        ("decompose", "--m", "3", "w(-9)*h + 3/2*delta(4) - delta(-7)"),
+        ("decompose", "--m", "2", "0"),
+        ("act", "--m", "2", "w(-5)*h", "x^9 - 1/3*x^4"),
+        ("act", "--m", "2,2", "x1*h2", "-x1*x2^3 + 5/2*x2"),
+        ("normalize", "--m", "2", "--algebra", "bbA", "--element",
+         "Y*h + h"),
+        ("normalize", "--m", "3", "--algebra", "calA", "--element",
+         "Y^2*h + 3/2*Y*h + h"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_text_is_the_json_text_fields(self, capsys, argv):
+        code, text = run(capsys, *argv)
+        json_code, out = run(capsys, argv[0], "--json", *argv[1:])
+        assert code == json_code == 0
+        doc = json.loads(out)
+        lines = _LINES_FROM_JSON[argv[0]](doc, argv[1:])
+        assert text == "".join(line + "\n" for line in lines)
+        for coef in _coefs(doc):  # a coefficient 1 may go unwritten
+            assert coef.lstrip("-") == "1" or coef.lstrip("-") in text

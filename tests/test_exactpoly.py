@@ -13,7 +13,7 @@ from cuspdiff.cli import main
 from cuspdiff.cuspops import bbA_presentation
 from cuspdiff.exactpoly import (ArityMismatch, BasePoly, DivisionByZero,
                                 ExponentOverflow, NotDivisible, exact_divide, grlex_key, linear_factors,
-                                poly_to_json, rational_roots, render_poly)
+                                poly_forms, rational_roots, render_poly)
 from cuspdiff.exprparse import parse_poly
 from cuspdiff.gwa import GwaElement
 from cuspdiff.skewlaurent import LaurentOp, monomial_power, weyl_membership
@@ -849,7 +849,7 @@ class TestHugeCoefficients:
         n = _digits_to_int(digits)
         p = BasePoly(1, {(1,): n, (0,): -n, (2,): Fraction(1, n)})
         assert render_poly(p) == "1/%s*h^2+%s*h-%s" % (digits, digits, digits)
-        assert poly_to_json(p)["terms"] == [
+        assert poly_forms(p)[0]["terms"] == [
             {"exp": [2], "coef": "1/" + digits},
             {"exp": [1], "coef": digits},
             {"exp": [0], "coef": "-" + digits}]
@@ -906,7 +906,7 @@ class TestJson:
     def test_fraction_coefficients_survive(self):
         h1, h2 = BasePoly.variable(2, 0), BasePoly.variable(2, 1)
         p = Fraction(3, 7) * h1 * h1 * h2 - 2 * h2 * h2 - Fraction(1, 2) * h1 - 5
-        assert poly_to_json(p) == {"nvars": 2, "terms": [
+        assert poly_forms(p)[0] == {"nvars": 2, "terms": [
             {"exp": [2, 1], "coef": "3/7"},
             {"exp": [0, 2], "coef": "-2"},
             {"exp": [1, 0], "coef": "-1/2"},

@@ -9,14 +9,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cuspdiff import cuspops, exactpoly
+from cuspdiff import cli, cuspops, exactpoly
 from cuspdiff.cuspops import delta_op, generator_pair, w_minus
-from cuspdiff.exactpoly import BasePoly, ExponentOverflow, render_poly
+from cuspdiff.exactpoly import (BasePoly, ExponentOverflow, poly_forms,
+                                render_number, render_poly)
 from cuspdiff.exprparse import ExprParseError, parse_expression, parse_poly
 from cuspdiff.gwa import render_gwa
-from cuspdiff.skewlaurent import LaurentOp, render_op
+from cuspdiff.modactions import LaurentVector, render_vector, vector_forms
+from cuspdiff.skewlaurent import LaurentOp, graded_forms, render_op
 
 H = BasePoly.variable(1, 0)
 x = LaurentOp.x(1, 0)
@@ -255,6 +257,97 @@ class TestRoundTrip:
             u = pres.element(coords)
             assert parse(render_gwa(u), shape, algebra) == emb.apply(u), \
                 render_gwa(u)
+
+
+# +-1, negative and Fraction coefficients, and an int past 12,000 bits,
+# whose digits _int_str joins from exact Decimal halves
+_BIG = 7 ** 4400 + 2
+printed_coeffs = st.one_of(
+    st.sampled_from([1, -1, _BIG, -_BIG]),
+    st.integers(min_value=-99, max_value=99).filter(bool),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool))
+
+# the shape each algebra's values of rank 1-3 live over; "DA" holds the
+# polynomials, operators and vectors
+_PRINTED_SHAPES = {"DA": (2, 2, 2), "calA": (3, 2, 2), "bbA": (2, 3, 3),
+                   "weyl": (1, 1, 1)}
+
+
+@st.composite
+def printed_values(draw):
+    """(kind, value, shape, algebra): a BasePoly ("poly"), LaurentOp ("op"),
+    LaurentVector ("vector") or GwaElement ("gwa") at rank 1-3."""
+    kind = draw(st.sampled_from(["poly", "op", "vector", "gwa"]))
+    algebra = (draw(st.sampled_from(["calA", "bbA", "weyl"]))
+               if kind == "gwa" else "DA")
+    n = draw(st.integers(min_value=1, max_value=3))
+    shape = _PRINTED_SHAPES[algebra][:n]
+
+    def poly():
+        return BasePoly(n, {tuple(draw(st.integers(0, 2)) for _ in range(n)):
+                            draw(printed_coeffs)
+                            for _ in range(draw(st.integers(0, 3)))})
+
+    def degrees():
+        return [tuple(draw(st.integers(-2, 2)) for _ in range(n))
+                for _ in range(draw(st.integers(0, 3)))]
+
+    if kind == "poly":
+        return kind, poly(), shape, algebra
+    if kind == "vector":
+        return kind, LaurentVector(n, {d: draw(printed_coeffs)
+                                       for d in degrees()}), shape, algebra
+    coords = {d: poly() for d in degrees()}
+    if kind == "op":
+        return kind, LaurentOp(n, coords), shape, algebra
+    return kind, cuspops.presentation(shape, algebra)[0].element(coords), \
+        shape, algebra
+
+
+def _coefficient_rows(kind, u):
+    """(text, [(--json coef string, its coefficient)]) of u from its forms."""
+    if kind == "vector":
+        texts, text = vector_forms(u)
+        assert [d for d, _ in texts] == u.support()
+        return text, [(c, u.components[d]) for d, c in texts]
+    if kind == "poly":
+        doc, text = poly_forms(u)
+        polys = [(doc, u)]
+    else:
+        doc, text = graded_forms(u)
+        assert [tuple(row["degree"]) for row in doc["components"]] == \
+            u.support()
+        polys = [(row["coeff"], u.components[tuple(row["degree"])])
+                 for row in doc["components"]]
+    return text, [(row["coef"], c) for doc, p in polys
+                  for row, (_, c) in zip(doc["terms"], p.sorted_terms(),
+                                         strict=True)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(printed_values())
+@example(("poly", BasePoly(1, {(2,): -_BIG, (0,): 1}), (2,), "DA"))
+@example(("gwa", cuspops.presentation((2, 3), "bbA")[0].element(
+    {(1, -1): BasePoly(2, {(1, 0): _BIG, (0, 0): -1})}), (2, 3), "bbA"))
+def test_printed_values_parse_back_from_one_reading(value):
+    # each kind's text parses back to the value (a GWA element to its
+    # Laurent image), and the --json rows hold render_number of each
+    # coefficient, the strings the text is written from
+    kind, u, shape, algebra = value
+    render = {"poly": render_poly, "op": render_op, "vector": render_vector,
+              "gwa": render_gwa}[kind]
+    text, rows = _coefficient_rows(kind, u)
+    assert text == render(u)
+    assert [s for s, _ in rows] == [render_number(c) for _, c in rows]
+    if kind == "poly":
+        assert parse_poly(text, u.nvars) == u
+    elif kind == "vector":
+        assert cli._to_vector(parse(text, shape)) == u
+    elif kind == "op":
+        assert parse(text, shape) == u
+    else:
+        assert parse(text, shape, algebra) == cuspops.embedding(
+            shape, algebra).apply(u)
 
 
 coeffs = st.one_of(st.integers(min_value=-9, max_value=9),

@@ -33,12 +33,12 @@ from cuspdiff.classify import (LinMaxIdeal, Orbit,
                                build_weight_module, classify_bbA,
                                classify_DA_torsion, normalize, partition_orbit)
 from cuspdiff.cuspops import CuspShape, presentation, structure_constant
-from cuspdiff.exactpoly import (BasePoly, linear_factors, poly_to_json,
+from cuspdiff.exactpoly import (BasePoly, linear_factors, poly_forms,
                                 render_number, render_poly)
 from cuspdiff.gwa import GwaPresentation, render_gwa, verify_presentation
 from cuspdiff.modactions import (ExponentSet, LaurentVector, WeightSupport,
                                  render_vector)
-from cuspdiff.skewlaurent import LaurentOp, op_to_json, render_op
+from cuspdiff.skewlaurent import LaurentOp, graded_forms, render_op
 
 RECORD = Path(__file__).with_name("golden_output.json")
 
@@ -92,7 +92,7 @@ def family_render_poly(rng):
     for _ in range(650):
         n = rng.randint(1, 3)
         p = _poly(rng, n, terms=5)
-        text = "%s | %r | %s" % (render_poly(p), p, _dumps(poly_to_json(p)))
+        text = "%s | %r | %s" % (render_poly(p), p, _dumps(poly_forms(p)[0]))
         out.append(("BasePoly(%d, %r)" % (n, p.terms), text))
     return out
 
@@ -103,7 +103,7 @@ def family_render_op(rng):
         n = rng.randint(1, 3)
         u = LaurentOp(n, {_degree(rng, n): _poly(rng, n)
                           for _ in range(rng.randint(0, 4))})
-        text = "%s | %r | %s" % (render_op(u), u, _dumps(op_to_json(u)))
+        text = "%s | %r | %s" % (render_op(u), u, _dumps(graded_forms(u)[0]))
         out.append(("LaurentOp(%d, %s)" % (n, render_op(u)), text))
     return out
 

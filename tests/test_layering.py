@@ -174,6 +174,43 @@ def test_roots_are_recorded_only_where_built():
     assert found == []
 
 
+# what a loop over a sum's coefficients iterates, and what turns a number
+# into digits
+_TERMS = {"sorted_terms", "components", "support", "terms", "coeffs"}
+_DIGITS = {"render_number", "_int_str"}
+
+
+def _loops(node, func=None):
+    """(enclosing function, iterated nodes, body nodes) of every for loop and
+    comprehension under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        if isinstance(child, ast.For):
+            yield inner, [child.iter], child.body
+        elif isinstance(child, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                                ast.DictComp)):
+            parts = ([child.key, child.value] if isinstance(child, ast.DictComp)
+                     else [child.elt])
+            yield (inner, [g.iter for g in child.generators],
+                   parts + [c for g in child.generators for c in g.ifs])
+        yield from _loops(child, inner)
+
+
+def test_coefficients_become_digits_in_one_reader():
+    # exactpoly.coefficient_texts alone reads a sum's coefficients as digits:
+    # render_sum, the --json rows and act's map take its texts, so a value
+    # printed in text and --json reads each coefficient's digits once
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func, iters, body in _loops(ast.parse(path.read_text())):
+            if _TERMS & {name for it in iters for _, name in _identifiers(it)} \
+                    and _DIGITS & {name for part in body
+                                   for _, name in _identifiers(part)}:
+                found.add((path.stem, func))
+    assert found == {("exactpoly", "coefficient_texts")}
+
+
 # cuspops re-exports skewlaurent.phi: the package root and the bench read
 # cuspops.phi (its import says so)
 _REEXPORTS = {("cuspops", "phi")}

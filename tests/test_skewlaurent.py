@@ -11,7 +11,7 @@ from cuspdiff.exactpoly import (ArityMismatch, BasePoly, linear_factors,
                                 rational_roots)
 from cuspdiff.gwa import Embedding, GwaPresentation
 from cuspdiff.skewlaurent import (LaurentOp, commutator, graded_divisor,
-                                  monomial_power, monomial_product, op_to_json,
+                                  monomial_power, monomial_product, graded_forms,
                                   render_op, weyl_membership)
 
 H = BasePoly.variable(1, 0)
@@ -226,7 +226,7 @@ class TestTextAndJson:
         u = (LaurentOp.monomial(2, (-1, 2), p)
              + LaurentOp.monomial(2, (1, 0), Fraction(-2, 3))
              + LaurentOp.h(2, 1))
-        assert op_to_json(u) == {"nvars": 2, "components": [
+        assert graded_forms(u)[0] == {"nvars": 2, "components": [
             {"degree": [1, 0], "coeff": {"nvars": 2, "terms": [
                 {"exp": [0, 0], "coef": "-2/3"}]}},
             {"degree": [-1, 2], "coeff": {"nvars": 2, "terms": [
