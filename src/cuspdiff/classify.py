@@ -10,7 +10,7 @@ Normal elements of nonpositive degree support the torsion-free side: they
 are detected by the strict orbit order and repaired by the normalization
 identity b -> beta b alpha^{-1}.
 
-Roots come from exactpoly.rational_roots: an int for an integral root, a
+Roots come from exactpoly._splitting: an int for an integral root, a
 Fraction otherwise.  A polynomial records them where it is built from them,
 as the named algebras' a is, or once a search finds them, never through a
 product or shift; so a presentation's a and the stored coefficients of an
@@ -30,9 +30,9 @@ from fractions import Fraction
 from math import floor
 
 from .exactpoly import (ArityMismatch, BasePoly, Value, _from_dense,
-                        _times_linear, linear_factors, rational_roots,
-                        render_number, render_poly)
-from .gwa import GwaElement
+                        _splitting, _times_linear, linear_factors,
+                        render_number, render_poly, render_sum)
+from .gwa import GwaElement, _wrap
 from .modactions import MODULES, ExponentSet, WeightSupport, support
 from .cuspops import as_shape, embedding
 
@@ -60,8 +60,8 @@ def _rational(r):
 
 
 class LinMaxIdeal(Value):
-    """The maximal ideal (h - root) of the base ring, written
-    render_poly(linear_factors([root])) in parentheses."""
+    """The maximal ideal (h - root) of the base ring, written in parentheses
+    as render_poly writes linear_factors([root]), from one reading of root."""
 
     __slots__ = _fields = ("root",)
 
@@ -72,7 +72,9 @@ class LinMaxIdeal(Value):
         return "LinMaxIdeal(%s)" % render_number(self.root)
 
     def render(self) -> str:
-        return "(%s)" % render_poly(linear_factors([self.root]))
+        r = self.root
+        terms = [((1,), "1")] + ([((0,), render_number(-r))] if r else [])
+        return "(%s)" % render_sum(terms, "h", 1, "+", "-")
 
 
 class Orbit(Value):
@@ -93,17 +95,17 @@ class Orbit(Value):
 
 
 def _split_roots(p: BasePoly, k: int = 0):
-    """Rational roots of sigma^k(p) = p(h - k), read off those of p plus k.
+    """Rational roots of sigma^k(p) = p(h - k): p's recorded tuple, plus k.
 
     Raises NonlinearFactor, naming sigma^k(p) and its cofactor, when p does
     not split over Q.
     """
-    roots, cofactor = rational_roots(p)
-    if not cofactor.is_constant():
+    roots, cofactor = _splitting(p)
+    if cofactor.__class__ is BasePoly:  # a constant one is held as its value
         raise NonlinearFactor("%s has the non-linear factor %s"
                               % (render_poly(p.shift([k])),
                                  render_poly(cofactor.shift([k]))))
-    return [r + k for r in roots] if k else roots
+    return tuple([r + k for r in roots]) if k else roots
 
 
 def marked_ideals(a: BasePoly):
@@ -372,41 +374,39 @@ def _least_shift(roots0, targets, step: int) -> int:
 
 
 def _nonpositive_coords(b: GwaElement):
-    """Validate the shape sum_{k=0}^{m'} v_{-k} beta_{-k} and return (m', left coords)."""
-    pres = b.presentation
-    if pres.nvars != 1:
+    """(m', b.components) once b has the shape sum_{k=0}^{m'} v_{-k} beta_{-k},
+    read off its degrees; the caller reads the coordinates by degree."""
+    if b.presentation.nvars != 1:
         raise WrongShape("normal elements are rank one")
     if b.is_zero():
         raise WrongShape("the zero element has no normal form")
-    degrees = [alpha[0] for alpha in b.components]
-    if any(k > 0 for k in degrees):
+    if max(b.components) > (0,):
         raise WrongShape("positive-degree coordinates present")
-    if 0 not in degrees:
+    if (0,) not in b.components:
         raise WrongShape("the degree zero coordinate vanishes")
-    mprime = -min(degrees)
-    return mprime, {k: b.graded_component((-k,)) for k in range(mprime + 1)}
+    return -min(b.components)[0], b.components
 
 
 def _split_ends(b: GwaElement):
     """(m', left coords, roots of beta_0, roots of beta_{-m'}) of b.
 
     The right coefficient at v_{-k} is sigma^{k step} of the left one, so
-    beta_0 is the stored left[0], and the roots of beta_{-m'} are those of
-    left[m'] moved up by m' step; only the stored objects are split.
+    beta_0 is the stored left[(0,)], and the roots of beta_{-m'} are those
+    of left[(-m',)] moved up by m' step; only the stored objects are split.
     """
     mprime, left = _nonpositive_coords(b)
-    return (mprime, left, _split_roots(left[0]),
-            _split_roots(left[mprime], mprime * b.presentation.steps[0]))
+    return (mprime, left, _split_roots(left[(0,)]),
+            _split_roots(left[(-mprime,)], mprime * b.presentation.steps[0]))
 
 
 def is_normal(b: GwaElement) -> bool:
     """Normality test for b = v_{-m'} beta_{-m'} + ... + beta_0.
 
     b is normal when beta_0 < beta_{-m'} and beta_0 < a in the strict orbit
-    order (right coefficients), that is, when the least shift of the roots
-    of beta_0 below each is 0.  Raises WrongShape for elements with positive
-    degrees or vanishing degree zero part, NonlinearFactor when a coefficient
-    does not split over Q.  a is split only when beta_0 < beta_{-m'} holds.
+    order (right coefficients): the least shift of the roots of beta_0 below
+    each is 0, read off the splittings that b's stored ends and, only when
+    beta_0 < beta_{-m'}, a record.  Raises WrongShape for positive degrees or
+    a vanishing degree zero part, NonlinearFactor for a non-split coefficient.
     """
     _, _, roots0, rootsm = _split_ends(b)
     return (_least_shift(roots0, rootsm, 1) == 0 and
@@ -456,14 +456,14 @@ def normalize(b: GwaElement) -> NormalizationResult:
     r - j*step and the lead of beta_0, so a product of f_j's grows as a dense
     integer list, by one primitive factor den*h - num at a time, with its
     lead and roots, and c_{m'} joins f_1 ... f_{m'-1} by its own roots and
-    lead the same way; only the results become polynomials, and the ends
-    and multipliers record their roots.  The result is normal.  Raises the
-    same shape and splitting errors as is_normal.  The cost grows with s;
-    normalization_shift(b) gives s first.
+    lead the same way; only the results become polynomials, the ends and
+    multipliers record their roots, and the nonzero coordinates are wrapped
+    unchecked.  b's are read as stored.  The result is normal.  Raises
+    is_normal's errors.  The cost grows with s; normalization_shift gives s.
     """
     mprime, left, roots0, rootsm, s = _normalization_data(b)
     step, top = b.presentation.steps[0], s + mprime
-    lead0, leadm = (left[k].components[max(left[k].components)]
+    lead0, leadm = (left[(-k,)].components[max(left[(-k,)].components)]
                     for k in (0, mprime))
 
     def grow(part, js, roots=roots0, lead=lead0):
@@ -481,13 +481,13 @@ def normalize(b: GwaElement) -> NormalizationResult:
             low[j] = part
     coords = {(0,): _from_dense(*grow(low[0], range(s + 1, top + 1)))}
     for k in range(1, mprime):
-        if not left[k].is_zero():
-            coords[(-k,)] = left[k] * _from_dense(
+        if (-k,) in left:
+            coords[(-k,)] = left[(-k,)] * _from_dense(
                 *grow(low[k - 1], range(s + k + 1, top + 1)))
     if mprime:  # c_{m'} has the roots of beta_{-m'} moved down m' steps
         coords[(-mprime,)] = _from_dense(
             *grow(low[mprime - 1], (mprime,), rootsm, leadm))
-    normalized = GwaElement(b.presentation, coords)
+    normalized = _wrap(b.presentation, coords)  # nonzero products, by degree
     if not is_normal(normalized):
         raise RuntimeError("normalization produced a non-normal element")
     return NormalizationResult(s, _from_dense(*grow(low[s], (0,))),

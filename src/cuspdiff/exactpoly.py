@@ -67,8 +67,8 @@ def _guard(nvars: int) -> int:
 
 
 def _unpack(key: int, nvars: int) -> tuple:
-    return (key,) if nvars == 1 else tuple(
-        key >> at & _MASK for at in range(_FIELD * (nvars - 1), -1, -_FIELD))
+    return (key,) if nvars == 1 else tuple([
+        key >> at & _MASK for at in range(_FIELD * (nvars - 1), -1, -_FIELD)])
 
 
 def _norm_coef(c):
@@ -349,8 +349,14 @@ class BasePoly(RingOps):
         return not terms or (len(terms) == 1 and 0 in terms)
 
     def sorted_terms(self):
-        """Terms in graded-lex descending order (the canonical order)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        """Terms in graded-lex descending order (the canonical order), read
+        off the packed keys: int order on keys is lex on exponents."""
+        n, packed = self.nvars, self.components
+        if n == 1:
+            return [((e,), packed[e]) for e in sorted(packed, reverse=True)]
+        terms = sorted([(sum(e), key, e, c) for key, c in packed.items()
+                        for e in [_unpack(key, n)]], reverse=True)
+        return [(e, c) for _, _, e, c in terms]
 
     # -- ring operations --------------------------------------------------
 
@@ -600,6 +606,14 @@ def rational_roots(p: BasePoly):
     once at the end, by content * prod(den) / lcm of the denominators, so the
     cofactor keeps the leading coefficient of p.
     """
+    roots, cofactor = _splitting(p)
+    return list(roots), (cofactor if cofactor.__class__ is BasePoly
+                         else BasePoly._trusted(1, {0: cofactor}))
+
+
+def _splitting(p: BasePoly):
+    """(roots as a tuple, cofactor) as p records them, a constant cofactor
+    held as its value: found by _split and recorded on first use."""
     if p.nvars != 1:
         raise ArityMismatch("rational_roots expects a univariate polynomial")
     if p.is_zero():
@@ -608,10 +622,7 @@ def rational_roots(p: BasePoly):
     if known is None:
         known = ((), p.components[0]) if p.is_constant() else _split(p)
         _set_roots(p, known)
-    roots, cofactor = known
-    if cofactor.__class__ is not BasePoly:
-        cofactor = BasePoly._trusted(1, {0: cofactor})
-    return list(roots), cofactor
+    return known
 
 
 def _split(p: BasePoly):

@@ -83,19 +83,24 @@ def act(u: LaurentOp, v: LaurentVector) -> LaurentVector:
     Componentwise, (d * x^alpha) sends x^beta to
     d(alpha_1 + beta_1 + 1, ..., alpha_n + beta_n + 1) x^{alpha + beta}.
     """
-    if not isinstance(u, LaurentOp):
-        raise TypeError("expected an operator")
-    if u.nvars != v.nvars:
-        raise ArityMismatch("operator arity %d != vector arity %d"
-                            % (u.nvars, v.nvars))
     out = {}
-    for alpha, dpoly in u.components.items():
+    for alpha, dpoly in _operator(u, v.nvars).components.items():
         for beta, c in v.components.items():
             deg = tuple(map(add, alpha, beta))
             scalar = dpoly.eval([k + 1 for k in deg])
             if scalar:
                 out[deg] = out.get(deg, 0) + c * scalar
     return v._like(_clean(out))
+
+
+def _operator(u, nvars: int) -> LaurentOp:
+    """u, once it is checked to be an operator of arity nvars."""
+    if not isinstance(u, LaurentOp):
+        raise TypeError("expected an operator")
+    if u.nvars != nvars:
+        raise ArityMismatch("operator arity %d != vector arity %d"
+                            % (u.nvars, nvars))
+    return u
 
 
 class ExponentSet(Value):
@@ -270,21 +275,24 @@ def stability_check(gens, mask: GradedMask, window: int) -> bool:
     points.  The window caps the cost: one below B is refused, and every
     other window gives the answer of the walk to B.
 
-    Each moving component of a generator acts once, on the sum of the masked
-    monomials in [-B, B]^n: it sends them to distinct degrees, so nothing
-    cancels, as two components of one generator can (h*x^-1 - h*x).
+    Each masked x^gamma in [-B, B]^n meets each moving component c x^alpha
+    of each generator, and c(gamma + alpha + 1) is read only where
+    x^(gamma + alpha) leaves the mask; the first nonzero one answers.  One
+    x^gamma goes to distinct degrees, so nothing cancels (h*x^-1 - h*x could
+    on a sum of monomials).
     """
     gens = list(gens)
     bound = _saturation(mask, gens)
     if window < bound:
         raise ValueError("window %d below the sweep bound %d"
                          % (window, bound))
-    box = LaurentVector._trusted(
-        mask.nvars, dict.fromkeys(mask.masked_monomials(bound), 1))
-    return all(mask.contains(deg) for g in gens
-               for alpha, c in g.components.items() if any(alpha)
-               for deg in act(LaurentOp._trusted(g.nvars, {alpha: c}),
-                              box).components)
+    moving = [(alpha, c) for g in gens
+              for alpha, c in _operator(g, mask.nvars).components.items()
+              if any(alpha)]
+    return not any(not mask.contains(deg) and c.eval([k + 1 for k in deg])
+                   for gamma in mask.masked_monomials(bound)
+                   for alpha, c in moving
+                   for deg in [tuple(map(add, gamma, alpha))])
 
 
 class WeightSupport(Value):

@@ -87,7 +87,8 @@ class Graded(RingOps):
         return sorted(self.components, key=grlex_key, reverse=True)
 
     def graded_component(self, degree):
-        return self.components.get(tuple(degree), self._coefficient(0))
+        c = self.components.get(tuple(degree))
+        return self._coefficient(0) if c is None else c
 
     def __rmul__(self, other):
         other = self._coerce(other)

@@ -332,12 +332,13 @@ def _reference_roots_less(aroots, broots):
 def _minimality_witness(b, s):
     """True when shift count s satisfies the three orbit-order conditions."""
     from cuspdiff.classify import _nonpositive_coords, _split_roots
-    mprime, left = _nonpositive_coords(b)
+    mprime, _ = _nonpositive_coords(b)
     pres = b.presentation
     step = pres.steps[0]
     # the right coefficient at v_{-k} is sigma^{k step} of the left one
-    roots0 = _split_roots(left[0])
-    rootsm = _split_roots(left[mprime].shift([mprime * step]))
+    roots0 = _split_roots(b.graded_component((0,)))
+    rootsm = _split_roots(
+        b.graded_component((-mprime,)).shift([mprime * step]))
     shifted = [r - s * step for r in roots0]
     return (_reference_roots_less(shifted, rootsm)
             and _reference_roots_less(shifted, roots0)

@@ -549,12 +549,12 @@ def _random_lower(pres, rng):
 def _shift_ok(b, s):
     """Check the three orbit-order conditions at shift count s."""
     from cuspdiff.classify import _nonpositive_coords, _split_roots
-    mprime, left = _nonpositive_coords(b)
+    mprime, _ = _nonpositive_coords(b)
     pres = b.presentation
     step = pres.steps[0]
     # the right coefficient at v_{-k} is sigma^{k step} of the left one
-    beta0 = left[0]
-    betam = left[mprime].shift([mprime * step])
+    beta0 = b.graded_component((0,))
+    betam = b.graded_component((-mprime,)).shift([mprime * step])
     shifted = [r - s * step for r in _split_roots(beta0)]
     return (_reference_roots_less(shifted, _split_roots(betam))
             and _reference_roots_less(shifted, _split_roots(beta0))
@@ -570,8 +570,9 @@ def _reference_normalize(b):
     s = 0
     while not _shift_ok(b, s):
         s += 1
-    mprime, left = _nonpositive_coords(b)
+    mprime, _ = _nonpositive_coords(b)
     step = b.presentation.steps[0]
+    left = {k: b.graded_component((-k,)) for k in range(mprime + 1)}
     beta0 = left[0]
     alpha = BasePoly.one(1)
     for i in range(0, s + 1):
@@ -680,13 +681,13 @@ class TestNormalizeOracle:
 
         def counting_roots(p):
             roots_calls.append(1)
-            return rational_roots(p)
+            return exactpoly._splitting(p)
 
         def counting_divide(p, q):
             divide_calls.append(1)
             return exact_divide(p, q)
 
-        monkeypatch.setattr(classify, "rational_roots", counting_roots)
+        monkeypatch.setattr(classify, "_splitting", counting_roots)
         # every module binding, so one imported into classify again counts too
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("cuspdiff") and \
@@ -737,6 +738,28 @@ class TestNormalizeOracle:
         assert rational_roots(three) == ([], three)
         assert searched == []
 
+    def test_no_coefficient_is_rebuilt(self, monkeypatch):
+        # the shape check hands back b's own components and the recorded
+        # splittings are read as held, so is_normal builds no BasePoly and
+        # normalize only its results: the degree zero and -m' coordinates,
+        # alpha, beta, and per nonzero middle coordinate a factor and product
+        cases = [(2, {(0,): 2 * (H - 1) * (H + 3)}),
+                 (3, {(0,): (H - 2) * H, (-1,): -H - 1}),
+                 (4, {(0,): 3 * (H - 4) * (H + 1) * (H - 1), (-2,): H - 3}),
+                 (2, {(0,): -(H + 2), (-1,): 2 * H, (-3,): (H - 4) * (H - 2)})]
+        elements = [GwaElement(bbA_presentation(m)[0], coords)
+                    for m, coords in cases]
+        built = []
+        real = BasePoly._trusted
+        monkeypatch.setattr(BasePoly, "_trusted", staticmethod(
+            lambda n, packed: built.append(packed) or real(n, packed)))
+        for b, pinned in zip(elements, [3, 4, 4, 6]):
+            built.clear()
+            is_normal(b)
+            assert built == [], b
+            normalize(b)
+            assert len(built) == pinned, b
+
     def test_cli_order_searches_each_polynomial_once(self, monkeypatch):
         # the normalize command asks normalization_shift, is_normal and
         # normalize in turn; each end coefficient of b, and a, is searched
@@ -747,13 +770,13 @@ class TestNormalizeOracle:
 
         def tracking_roots(q):
             calls.append(q)
-            return rational_roots(q)
+            return exactpoly._splitting(q)
 
         def tracking_divisors(n):
             searched.add(len(calls) - 1)
             return divisors(n)
 
-        monkeypatch.setattr(classify, "rational_roots", tracking_roots)
+        monkeypatch.setattr(classify, "_splitting", tracking_roots)
         monkeypatch.setattr(exactpoly, "_divisors", tracking_divisors)
         pres, _ = bbA_presentation(3)
         # degree two ends, so that neither is read off as a linear root

@@ -1173,6 +1173,22 @@ class TestDigitsReadOnce:
         assert code == 0 and out
         assert 0 < len(calls) <= bound
 
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_orbit_reads_each_ideal_root_once(self, capsys, monkeypatch,
+                                              json_mode):
+        # each ideal (h - r) is written from the digits of r alone, not
+        # also from the coefficient 1 of h: 24 readings in either mode
+        calls = []
+        int_str = exactpoly._int_str
+        monkeypatch.setattr(exactpoly, "_int_str",
+                            lambda n: calls.append(n) or int_str(n))
+        argv = ["orbit", "--m", "2", "--a", "(h-3)*(h+1/2)*(h-7)*(h-1/2)"]
+        if json_mode:
+            argv.insert(1, "--json")
+        code, out = run(capsys, *argv)
+        assert code == 0 and out
+        assert len(calls) == 24
+
 
 def _coefs(node):
     """Every "coef" string of a --json document."""

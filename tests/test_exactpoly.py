@@ -363,6 +363,17 @@ class TestTermsView:
         wide = BasePoly(2, {(2 ** 32 - 1, 0): 1, (1, 2 ** 32 - 1): 2})
         assert wide.terms == {(2 ** 32 - 1, 0): 1, (1, 2 ** 32 - 1): 2}
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_terms_is_the_grlex_sort_of_the_view(self, data):
+        # read off the packed keys; exponents near a field's top included
+        n = data.draw(st.integers(1, 3))
+        exps = st.one_of(st.integers(0, 4), st.integers(2 ** 32 - 3, 2 ** 32 - 1))
+        p = BasePoly(n, data.draw(st.dictionaries(
+            st.tuples(*[exps] * n), mixed_coeffs, max_size=6)))
+        assert p.sorted_terms() == sorted(
+            p.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+
     def test_view_is_read_only(self):
         p = H * H + 1
         p.terms[(7,)] = 1

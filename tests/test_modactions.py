@@ -242,6 +242,36 @@ class TestStability:
         with pytest.raises(ValueError):
             stability_check(generating_set(2), cusp_mask(2), window=1)
 
+    def test_generators_are_checked_after_the_window(self):
+        from cuspdiff.cuspops import bbA_presentation
+        wide = LaurentOp.x(2)
+        with pytest.raises(ValueError, match="sweep bound"):
+            stability_check([wide], cusp_mask(2), window=1)
+        with pytest.raises(ArityMismatch):
+            stability_check([wide], cusp_mask(2), window=8)
+        v = bbA_presentation(2)[0].basis((1,))
+        with pytest.raises(TypeError, match="expected an operator"):
+            stability_check([v], cusp_mask(2), window=8)
+
+
+class TestStabilityWork:
+    """stability_check evaluates a component only where its target leaves
+    the mask, and stops at the first nonzero value."""
+
+    @pytest.mark.parametrize("m, stable, unstable",
+                             [(2, 8, 5), (3, 19, 8), (4, 34, 11)])
+    def test_evals(self, monkeypatch, m, stable, unstable):
+        calls = []
+        real = BasePoly.eval
+        monkeypatch.setattr(BasePoly, "eval",
+                            lambda p, point: calls.append(point) or real(p, point))
+        gens = generating_set(m)
+        assert stability_check(gens, cusp_mask(m), 4 * m)
+        assert len(calls) <= stable
+        calls.clear()
+        assert not stability_check(gens + [x], cusp_mask(m), 4 * m)
+        assert len(calls) <= unstable
+
 
 class TestSupport:
     def test_translate_by_one(self):

@@ -163,6 +163,17 @@ class TestSupport:
         assert u.graded_component((2,)) == BasePoly.constant(1, 3)
         assert u.graded_component((5,)).is_zero()
 
+    def test_graded_component_builds_zero_only_on_a_miss(self, monkeypatch):
+        u = h * xinv + x * x * 3
+        built = []
+        real = BasePoly._trusted
+        monkeypatch.setattr(BasePoly, "_trusted", staticmethod(
+            lambda n, packed: built.append(packed) or real(n, packed)))
+        assert u.graded_component((2,)) is u.components[(2,)]
+        assert built == []
+        assert u.graded_component((5,)).is_zero()
+        assert built == [{}]
+
     def test_zero_components_dropped(self):
         u = LaurentOp(1, {(2,): BasePoly.zero(1)})
         assert u.is_zero()
