@@ -26,12 +26,11 @@ is grouped by orbit once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import floor
 
 from .exactpoly import (ArityMismatch, BasePoly, Value, _from_dense,
-                        _splitting, _times_linear, linear_factors,
-                        render_number, render_poly, render_sum)
+                        _rational, _splitting, _times_linear, render_ideal,
+                        render_number, render_poly)
 from .gwa import GwaElement, _wrap
 from .modactions import MODULES, ExponentSet, WeightSupport, support
 from .cuspops import as_shape, embedding
@@ -51,30 +50,20 @@ class InvalidInterval(ValueError):
     """Interval anchors are misordered or outside the interval's orbit."""
 
 
-def _rational(r):
-    """r as an int when it is integral and as a Fraction otherwise."""
-    if r.__class__ is int:
-        return r
-    r = Fraction(r)
-    return r.numerator if r.denominator == 1 else r
-
-
 class LinMaxIdeal(Value):
     """The maximal ideal (h - root) of the base ring, written in parentheses
-    as render_poly writes linear_factors([root]), from one reading of root."""
+    around exactpoly.render_ideal(root)."""
 
     __slots__ = _fields = ("root",)
 
     def __init__(self, root):
-        object.__setattr__(self, "root", _rational(root))
+        super().__init__(_rational(root))
 
     def __repr__(self):
         return "LinMaxIdeal(%s)" % render_number(self.root)
 
     def render(self) -> str:
-        r = self.root
-        terms = [((1,), "1")] + ([((0,), render_number(-r))] if r else [])
-        return "(%s)" % render_sum(terms, "h", 1, "+", "-")
+        return "(%s)" % render_ideal(self.root)
 
 
 class Orbit(Value):
@@ -84,7 +73,7 @@ class Orbit(Value):
 
     def __init__(self, rep):
         rep = _rational(rep)
-        object.__setattr__(self, "rep", rep - floor(rep))
+        super().__init__(rep - floor(rep))
 
     def contains_root(self, root) -> bool:
         """Whether an int or Fraction root lies in this orbit."""
@@ -143,9 +132,7 @@ class GammaInterval(Value):
             if anchor is not None and not orbit.contains_root(anchor.root):
                 raise InvalidInterval("anchor %s outside orbit %r"
                                       % (anchor.render(), orbit))
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        super().__init__(orbit, lower, upper)
 
     @property
     def kind(self) -> str:
@@ -303,7 +290,7 @@ def _bbA_annihilator_and_support(wm: WeightModule):
     if wm.finite:
         k = len(wm.weights)
         ann.append("delta(%d)" % -s + ("^%d" % k if k > 1 else ""))
-    ann += [render_poly(linear_factors([w0])), "delta(%d)" % s]
+    ann += [render_ideal(w0), "delta(%d)" % s]
     if wm.interval.kind == "left_ray":
         roots = ExponentSet(le=w0)
     elif wm.interval.kind == "right_ray":

@@ -49,7 +49,7 @@ class CuspShape(Value):
             raise ValueError("shape needs at least one factor")
         if any(v < 1 for v in m):
             raise ValueError("widths must be positive integers")
-        object.__setattr__(self, "m", m)
+        super().__init__(m)
 
     @property
     def rank(self) -> int:

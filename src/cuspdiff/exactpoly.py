@@ -16,10 +16,11 @@ Every exact value of the package becomes text here and nowhere else:
 render_number writes an int or Fraction of any size (past the interpreter's
 4300-digit str() limit), coefficient_texts is the one reader of a sum's
 coefficients, render_sum writes a signed sum from their texts, render_poly
-is that sum in h, and poly_forms gives both the --json rows and that text
-from one reading.  The operator, GWA and vector forms, the ideals (h - r)
-and every root, weight and orbit representative the CLI prints are built
-from these.  read_int is the way back for integers: any length of digits.
+is that sum in h, render_ideal the generator h - r of an ideal (h - r) from
+r alone, and poly_forms gives both the --json rows and render_poly's text
+from one reading.  The operator, GWA and vector forms and every ideal,
+root, weight and orbit representative the CLI prints are built from these.
+read_int is the way back for integers: any length of digits.
 """
 
 from __future__ import annotations
@@ -80,6 +81,15 @@ def _norm_coef(c):
     raise TypeError("coefficient must be int or Fraction, got %r" % type(c).__name__)
 
 
+def _rational(r):
+    """r as an int when integral, else a Fraction: converts what Fraction
+    accepts, where _norm_coef admits only an int or Fraction coefficient."""
+    if r.__class__ is int:
+        return r
+    r = Fraction(r)
+    return r.numerator if r.denominator == 1 else r
+
+
 def _integer(v, owner: str) -> int:
     """v as an int: an int or integral Fraction, else ValueError for owner."""
     if isinstance(v, int):
@@ -138,8 +148,8 @@ class Value(Frozen):
 
     The default constructor stores one value per _fields entry, in order and
     as given (TypeError on a wrong count), so a record needs no __init__ of
-    its own; one that validates or converts its input defines it.  Objects of
-    different classes are never equal.
+    its own; one that validates or converts its input passes the results on
+    to it.  Objects of different classes are never equal.
     """
 
     __slots__ = ()
@@ -697,7 +707,7 @@ def linear_factors(roots, lead=1) -> BasePoly:
     lead = _norm_coef(lead)
     if not lead:
         raise ValueError("linear_factors needs a nonzero lead")
-    roots = [r if r.__class__ is int else _norm_coef(Fraction(r)) for r in roots]
+    roots = [_rational(r) for r in roots]
     return _from_dense(_times_linear([1], roots), lead, roots)
 
 
@@ -783,6 +793,13 @@ def render_sum(terms, letter: str, nvars: int, plus: str, minus: str) -> str:
 def render_poly(p: BasePoly) -> str:
     """Canonical text form: graded-lex descending terms, e.g. h^2-3*h+2."""
     return render_sum(coefficient_texts(p.sorted_terms()), "h", p.nvars, "+", "-")
+
+
+def render_ideal(r) -> str:
+    """The generator h-r of the maximal ideal (h - r), for an int or Fraction
+    r, as render_poly writes linear_factors([r]), from one reading of r."""
+    terms = [((1,), "1")] + ([((0,), render_number(-r))] if r else [])
+    return render_sum(terms, "h", 1, "+", "-")
 
 
 def poly_forms(p: BasePoly) -> tuple:

@@ -22,7 +22,6 @@ images with skewlaurent.monomial_product, never as Laurent products.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 from operator import add
 
@@ -165,16 +164,11 @@ class GwaElement(Graded):
         return self.components
 
     def _coerce(self, other):
-        if isinstance(other, GwaElement):
-            if (other.presentation is not self.presentation
-                    and other.presentation != self.presentation):
-                raise PresentationMismatch("elements of different presentations")
-            return other
-        if isinstance(other, BasePoly):
-            return self.presentation.from_base(other)
-        if isinstance(other, (int, Fraction)):
-            return self.presentation.from_base(BasePoly.constant(self.nvars, other))
-        return NotImplemented
+        if (isinstance(other, GwaElement)
+                and other.presentation is not self.presentation
+                and other.presentation != self.presentation):
+            raise PresentationMismatch("elements of different presentations")
+        return super()._coerce(other)
 
     def __mul__(self, other):
         other = self._coerce(other)

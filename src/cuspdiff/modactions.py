@@ -15,11 +15,12 @@ rank one probes and blocks share one walk, _walk, over the module's mask.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from operator import add
 
 from .exactpoly import (ArityMismatch, Frozen, Value, _clean, _integer,
-                        _norm_coef, coefficient_texts, linear_factors,
-                        render_number, render_poly, render_sum)
+                        _norm_coef, coefficient_texts, render_ideal,
+                        render_number, render_sum)
 from .skewlaurent import Graded, LaurentOp
 from .cuspops import as_shape, delta_op, membership
 
@@ -113,12 +114,10 @@ class ExponentSet(Value):
     __slots__ = _fields = ("points", "ge", "le")
 
     def __init__(self, points=(), ge=None, le=None):
-        object.__setattr__(self, "points", frozenset(
-            _integer(p, "ExponentSet") for p in points))
-        object.__setattr__(self, "ge",
-                           None if ge is None else _integer(ge, "ExponentSet"))
-        object.__setattr__(self, "le",
-                           None if le is None else _integer(le, "ExponentSet"))
+        super().__init__(
+            frozenset(_integer(p, "ExponentSet") for p in points),
+            None if ge is None else _integer(ge, "ExponentSet"),
+            None if le is None else _integer(le, "ExponentSet"))
 
     def __contains__(self, k: int) -> bool:
         if k in self.points:
@@ -189,11 +188,7 @@ class GradedMask(Frozen):
 
     def masked_monomials(self, window: int):
         """All degree vectors inside the mask with coordinates in [-window, window]."""
-        axes = [f.window(-window, window) for f in self.factors]
-        out = [()]
-        for axis in axes:
-            out = [v + (k,) for v in out for k in axis]
-        return out
+        return list(product(*(f.window(-window, window) for f in self.factors)))
 
     def project_outside(self, v: LaurentVector) -> LaurentVector:
         return v._like({d: c for d, c in v.components.items()
@@ -299,7 +294,7 @@ class WeightSupport(Value):
     """Support of a module over the base: the set of roots of its weight ideals.
 
     Stored as an ExponentSet of integer roots; the ideal at root r is (h - r),
-    written render_poly(linear_factors([r])).
+    written around exactpoly.render_ideal(r), from one reading of r.
     """
 
     __slots__ = _fields = ("roots",)
@@ -313,8 +308,7 @@ class WeightSupport(Value):
     def render(self) -> str:
         return self.roots.render(
             "{(h-j) : j <= %s}",
-            lambda ps: " u ".join("{(%s)}" % render_poly(linear_factors([p]))
-                                  for p in ps),
+            lambda ps: " u ".join("{(%s)}" % render_ideal(p) for p in ps),
             "{(h-j) : j >= %s}")
 
     def to_json(self) -> dict:

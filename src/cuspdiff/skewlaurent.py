@@ -15,9 +15,9 @@ are per-process tables: each key yields one shared immutable BasePoly.
 The private base Graded holds what the package's three Z^n-graded sums share
 beyond the finite-sum body of exactpoly.RingOps: LaurentOp, gwa.GwaElement
 (both with left coefficients in Q[h1..hn]) and modactions.LaurentVector
-(scalar coefficients) get validation, support and the text form of the two
-polynomial ones from it.  Each subclass names its coefficient rule,
-_coefficient, and keeps its own product and coercion.
+(scalar coefficients) get validation and support from it, and the two
+polynomial ones their coercion and text form.  Each subclass names its
+coefficient rule, _coefficient, and keeps its own product.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from operator import add
 
 from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
                         _clean, _new, _set_components, _set_nvars,
-                        exact_divide, factor_name, grlex_key, linear_factors,
-                        poly_forms, rational_roots, render_poly)
+                        _splitting, exact_divide, factor_name, grlex_key,
+                        linear_factors, poly_forms, render_poly)
 
 
 class Graded(RingOps):
@@ -41,10 +41,10 @@ class Graded(RingOps):
     each validated by the class's _coefficient rule: by default a BasePoly
     of arity nvars written on the left of the degree alpha monomial m_alpha.
     Any coefficient kind whose zero is falsy fits, so the base never
-    branches on it.  A subclass supplies _coerce and its products; a
-    polynomial one also _letter (the name and power that one nonzero entry
-    of alpha renders as), and one with more slots naming its ring extends
-    _like with them.
+    branches on it.  _coerce puts a scalar or BasePoly at degree zero by
+    that rule.  A subclass supplies its products; a polynomial one also
+    _letter (the name and power that one nonzero entry of alpha renders
+    as), and one with more slots naming its ring extends _like with them.
     """
 
     __slots__ = ()
@@ -85,6 +85,16 @@ class Graded(RingOps):
     def support(self):
         """Degree vectors with nonzero coefficient, graded-lex descending."""
         return sorted(self.components, key=grlex_key, reverse=True)
+
+    def _coerce(self, other):
+        """other in self's ring: self's class as is, a BasePoly, int or
+        Fraction at degree zero by _coefficient; else NotImplemented."""
+        if other.__class__ is self.__class__:
+            return other
+        if not isinstance(other, (BasePoly, int, Fraction)):
+            return NotImplemented
+        c = self._coefficient(other)
+        return self._like({(0,) * self.nvars: c} if c else {})
 
     def graded_component(self, degree):
         c = self.components.get(tuple(degree))
@@ -151,15 +161,6 @@ class LaurentOp(Graded):
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, LaurentOp):
-            return other
-        if isinstance(other, BasePoly):
-            return LaurentOp.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return LaurentOp.monomial(self.nvars, (0,) * self.nvars, other)
-        return NotImplemented
-
     # entries of this class's own dict, so that wrapping them (as
     # bench/spans.py does) leaves the other sums alone
     __add__ = __radd__ = RingOps.__add__
@@ -199,18 +200,17 @@ def monomial_product(u, v):
 def monomial_power(u, k: int):
     """(alpha, c)^k = (k alpha, prod_{j<k} sigma^{j alpha}(c)), k >= 0: closed
     (k alpha, c^k) if k < 2, alpha = 0 or c is constant; else linear_factors
-    of c's roots r + j alpha at lead^k if c splits unsearched (it records its
-    roots, or it is linear past h^v); else monomial_products."""
+    of c's _splitting roots r + j alpha at lead^k if c splits unsearched (it
+    records its roots, or it is linear past h^v); else monomial_products."""
     alpha, c = u
     if k < 2 or not any(alpha) or c.is_constant():
         return tuple([a * k for a in alpha]), c ** k
     terms = c.components
     if c.nvars == 1 and (c._roots or max(terms) - min(terms) < 2):
-        roots, rest = rational_roots(c)
-        if rest.is_constant():
+        roots, rest = _splitting(c)
+        if rest.__class__ is not BasePoly:  # c splits: rest is its lead
             return (k * alpha[0],), linear_factors(
-                [r + j * alpha[0] for j in range(k) for r in roots],
-                rest.components[0] ** k)
+                [r + j * alpha[0] for j in range(k) for r in roots], rest ** k)
     return reduce(monomial_product, [u] * k)
 
 

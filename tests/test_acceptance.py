@@ -1,8 +1,10 @@
 """Acceptance gate: the thirteen end-to-end criteria, one test and one printed
 PASS/FAIL line each, and two for criterion 12 (its operator and module
-halves).  Everything is exact arithmetic; the runtime-bounded sweeps are
-seeded and deterministic.  Criterion 13 is the centre half of the claim that
-D(A(m)) is central simple: a proof per width, checked on a trial space."""
+halves) and criterion 13 (its centre and simplicity halves).  Everything
+is exact arithmetic; the runtime-bounded sweeps are seeded and
+deterministic.  Criterion 13 is the claim that D(A(m)) is central simple at
+rank one, proved per width: the centre on a trial space, simplicity from
+the roots of the psi_k."""
 
 import json
 import random
@@ -15,7 +17,7 @@ from cuspdiff.cuspops import (CuspShape, bbA_presentation, calA_presentation,
                               decompose, delta_op, factor_generators,
                               generating_set, membership, structure_constant,
                               w_minus)
-from cuspdiff.exactpoly import BasePoly, NotDivisible
+from cuspdiff.exactpoly import BasePoly, NotDivisible, rational_roots
 from cuspdiff.exprparse import parse_expression
 from cuspdiff.gwa import GwaElement, gwa_multiply
 from cuspdiff.modactions import (LaurentVector, WeightSupport, act,
@@ -798,4 +800,57 @@ def test_criterion_13_centre(capfd):
     line = _report(13, ok, "the centre is K: commutant of generating_set(m) "
                    "on phi_k span(1, h, h^2, h^3) x^k, |k| <= 2m, "
                    "m = 1..5, %.2f s" % elapsed, capfd)
+    assert ok, line + " failures=%r" % failures[:5]
+
+
+def test_criterion_13_simple(capfd):
+    """The simplicity half of criterion 13: D(A(m)) is simple, m = 1..12.
+
+    psi_k is the degree 0 coefficient of delta(k) delta(-k), and sigma^k(g)
+    is g(h - k).  The argument, per width: ad h isolates a homogeneous
+    component c x^k of a nonzero element of a two-sided ideal I, and
+    c x^k delta(-k) is a nonzero polynomial in I.  The polynomials in I form
+    an ideal (g) of K[h] holding delta(k) g delta(-k) = sigma^k(g) psi_k, so
+    every root of g is a root of sigma^k(g) or of psi_k.  The least root of
+    g in its orbit mod 1 is then a root of psi_1, which has integer roots
+    only, so every root of g is an integer.  The least root of g is a
+    common root of the psi_k with k > 0, so it is at least lo, the least
+    such root; the greatest root is at most hi, the greatest common root
+    of the psi_k with k < 0.  Once k > r - lo, no root r of g is a root of
+    sigma^k(g), so psi_k(r) = 0; once k > hi - r, psi_-k(r) = 0 likewise.
+
+    For 1 <= |k| <= m + 1 the test finds lo and hi and rules out each
+    integer r in [lo, hi] by some psi_k(r) != 0 with k >= r - lo + 1 or
+    psi_-k(r) != 0 with k >= hi - r + 1.  So g is a nonzero constant and I
+    is the whole ring.  A skew rule that leaves out the shift makes psi_k
+    and psi_-k equal, and r = m then stands at every m >= 2 (r = 0 at
+    m = 1); a spurious root 0 in every psi_k leaves r = 0 standing.
+
+    Rank n is not run: D(A(m)) is the tensor product of its rank-one
+    factors (criterion 9 checks that they commute), and a tensor product
+    of central simple algebras over K is central simple.
+    """
+    start = time.monotonic()
+    failures = []
+    for m in range(1, 13):
+        psi, common = {}, {}
+        for k in (*range(-m - 1, 0), *range(1, m + 2)):
+            psi[k] = (delta_op(m, (k,)) * delta_op(m, (-k,))).components[(0,)]
+            roots, rest = rational_roots(psi[k])
+            if not rest.is_constant() or any(type(r) is not int for r in roots):
+                failures.append((m, k, "psi_k does not split over Z"))
+            common[k > 0] = common.get(k > 0, set(roots)) & set(roots)
+        # with no common root on one side, g has no root: the range is empty
+        lo, hi = ((min(common[True]), max(common[False]))
+                  if all(common.values()) else (1, 0))
+        for r in range(lo, hi + 1):
+            if not (any(psi[k].eval([r]) for k in range(r - lo + 1, m + 2))
+                    or any(psi[-k].eval([r])
+                           for k in range(hi - r + 1, m + 2))):
+                failures.append((m, r))
+    elapsed = time.monotonic() - start
+    ok = not failures and elapsed < 1.0
+    line = _report(13, ok, "simple: every integer root of the degree 0 part "
+                   "of an ideal ruled out by psi_k = delta(k) delta(-k), "
+                   "1 <= |k| <= m + 1, m = 1..12, %.2f s" % elapsed, capfd)
     assert ok, line + " failures=%r" % failures[:5]

@@ -1189,6 +1189,26 @@ class TestDigitsReadOnce:
         assert code == 0 and out
         assert len(calls) == 24
 
+    @pytest.mark.parametrize("json_mode", [False, True])
+    @pytest.mark.parametrize("argv, count", [
+        (("support", "--m", "3"), 10),
+        (("classify", "--m", "3"), 5),
+        (("classify", "--m", "3", "--algebra", "bbA"), 18),
+    ], ids=["support", "classify", "classify-bbA"])
+    def test_ideals_read_only_their_roots(self, capsys, monkeypatch, argv,
+                                          count, json_mode):
+        # a support's ideals and an annihilator's h - w0 are written from the
+        # digits of the root alone: the lead 1 of h is never read
+        calls = []
+        int_str = exactpoly._int_str
+        monkeypatch.setattr(exactpoly, "_int_str",
+                            lambda n: calls.append(n) or int_str(n))
+        if json_mode:
+            argv = (argv[0], "--json", *argv[1:])
+        code, out = run(capsys, *argv)
+        assert code == 0 and out
+        assert len(calls) == count
+
 
 def _coefs(node):
     """Every "coef" string of a --json document."""

@@ -174,6 +174,31 @@ def test_roots_are_recorded_only_where_built():
     assert found == []
 
 
+def _callee(call):
+    """The name a call node calls: f(...) or obj.f(...)."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_ideals_are_written_from_their_roots():
+    # exactpoly.render_ideal writes every ideal (h - r) from the digits of r:
+    # no function renders a linear_factors result with render_poly, and only
+    # exactpoly calls rational_roots (the others read _splitting's record)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)) and {
+                    "linear_factors", "render_poly"} <= {
+                    _callee(c) for c in ast.walk(node)
+                    if isinstance(c, ast.Call)}:
+                found.append((path.stem, node.lineno, "render_poly"))
+            if (isinstance(node, ast.Call) and path.stem != "exactpoly"
+                    and _callee(node) == "rational_roots"):
+                found.append((path.stem, node.lineno, "rational_roots"))
+    assert found == []
+
+
 # what a loop over a sum's coefficients iterates, and what turns a number
 # into digits
 _TERMS = {"sorted_terms", "components", "support", "terms", "coeffs"}
