@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import floor
 
 from .exactpoly import (ArityMismatch, BasePoly, Value, _from_dense,
-                        _rational, _splitting, _times_linear, render_ideal,
+                        _norm_coef, _splitting, _times_linear, render_ideal,
                         render_number, render_poly)
 from .gwa import GwaElement, _wrap
 from .modactions import MODULES, ExponentSet, WeightSupport, support
@@ -57,7 +57,7 @@ class LinMaxIdeal(Value):
     __slots__ = _fields = ("root",)
 
     def __init__(self, root):
-        super().__init__(_rational(root))
+        super().__init__(_norm_coef(root, "root"))
 
     def __repr__(self):
         return "LinMaxIdeal(%s)" % render_number(self.root)
@@ -72,7 +72,7 @@ class Orbit(Value):
     __slots__ = _fields = ("rep",)
 
     def __init__(self, rep):
-        rep = _rational(rep)
+        rep = _norm_coef(rep, "root")
         super().__init__(rep - floor(rep))
 
     def contains_root(self, root) -> bool:

@@ -3,8 +3,9 @@
 Every subcommand takes --m (comma separated factor widths) and --json, and
 only those of --algebra, --window and --seed that its handler reads:
 --algebra for mul, member, decompose, act, normalize, stability, classify
-and gwa-verify; --window for stability alone, as its sweep's cost cap;
---seed for relations-check and gwa-verify.  Any other flag is a usage
+and gwa-verify; --window for stability alone, as an input floor that the
+answer does not read (see _saturation); --seed for relations-check and
+gwa-verify.  Any other flag is a usage
 error, refused before argparse can hand its value to a positional.  Exit
 status is 0 for successful queries, 1 when a requested check fails
 (membership, stability, relation or round trip verification) or stdout is
@@ -38,8 +39,8 @@ from .cuspops import (as_shape, decompose, delta_op, embedding,
                       structure_constant)
 from .gwa import NotInImage, render_gwa, verify_presentation
 from .exprparse import ALGEBRAS, parse_expression, parse_poly
-from .modactions import (MODULES, LaurentVector, NotStable, _saturation,
-                         act, act_on_quotient, cusp_mask, restriction_blocks,
+from .modactions import (MODULES, LaurentVector, NotStable, act,
+                         act_on_quotient, cusp_mask, restriction_blocks,
                          stability_check, support, vector_forms)
 from . import classify as classify_mod
 
@@ -194,14 +195,32 @@ def cmd_act(args):
                "text": text}, [text]
 
 
+def _saturation(shape, ops) -> int:
+    """The least --window stability accepts for ops, which stability_check
+    does not read: the bound of the monomial walk it replaced, E + max(A -
+    1, D, 0) with E the largest width, A the largest |alpha_i| of a moving
+    component c x^alpha and, at rank >= 2, D the largest degree of a c."""
+    reach = degree = 0
+    for op in ops:
+        for alpha, c in op.components.items():
+            if any(alpha):
+                reach = max(reach, *map(abs, alpha))
+                if shape.rank > 1:
+                    degree = max(degree, *map(max, c.terms))
+    return max(shape.m) + max(reach - 1, degree, 0)
+
+
 def cmd_stability(args):
     shape = _shape(args)
-    mask, gens = cusp_mask(shape), generating_set(shape)
-    window = (max(12, _saturation(mask, gens))
+    gens = generating_set(shape)
+    window = (max(12, _saturation(shape, gens))
               if args.window is None else args.window)
     if args.gens:
         gens = [parse_expression(t, shape, args.algebra) for t in args.gens]
-    ok = stability_check(gens, mask, window)
+    bound = _saturation(shape, gens)
+    if window < bound:
+        raise ValueError("window %d below the sweep bound %d" % (window, bound))
+    ok = stability_check(gens, cusp_mask(shape))
     return (0 if ok else 1,
             {"stable": ok, "window": window, "generators": len(gens)},
             ["stable under %d generators in window %d: %s"
@@ -430,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
         "json": option("--json", action="store_true",
                        help="emit a single JSON document"),
         "window": option("--window", type=_int,
-                         help="cost cap of the stability sweep; a window "
-                              "below its bound is refused (default 12, or "
-                              "the canonical generators' bound if larger)"),
+                         help="input floor of stability, which answers by "
+                              "divisibility: a window below the sweep bound is "
+                              "refused (default 12, or that bound if larger)"),
         "seed": option("--seed", type=_int, default=0,
                        help="seed for randomized sweeps")}
 

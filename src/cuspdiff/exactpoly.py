@@ -72,31 +72,27 @@ def _unpack(key: int, nvars: int) -> tuple:
         key >> at & _MASK for at in range(_FIELD * (nvars - 1), -1, -_FIELD)])
 
 
-def _norm_coef(c):
-    # ints and integral Fractions are the same coefficient; store the int.
-    if isinstance(c, int):
+def _norm_coef(c, what="coefficient"):
+    """The one scalar gate: c as an int, or a Fraction when not integral.
+    An int is tested by class, so a bool is refused; anything but an int or
+    Fraction raises TypeError, naming c as what."""
+    if c.__class__ is int:
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    raise TypeError("coefficient must be int or Fraction, got %r" % type(c).__name__)
-
-
-def _rational(r):
-    """r as an int when integral, else a Fraction: converts what Fraction
-    accepts, where _norm_coef admits only an int or Fraction coefficient."""
-    if r.__class__ is int:
-        return r
-    r = Fraction(r)
-    return r.numerator if r.denominator == 1 else r
+    raise TypeError("%s must be int or Fraction, got %r"
+                    % (what, type(c).__name__))
 
 
 def _integer(v, owner: str) -> int:
-    """v as an int: an int or integral Fraction, else ValueError for owner."""
-    if isinstance(v, int):
-        return int(v)
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
-    raise ValueError("%s needs integers, got %r" % (owner, v))
+    """v as an int that _norm_coef admits, else ValueError for owner."""
+    try:
+        n = _norm_coef(v)
+    except TypeError:
+        n = None
+    if n.__class__ is not int:
+        raise ValueError("%s needs integers, got %r" % (owner, v))
+    return n
 
 
 def _clean(terms: dict) -> dict:
@@ -221,7 +217,7 @@ class RingOps(Frozen):
     def __eq__(self, other):
         try:
             other = self._coerce(other)
-        except ValueError:  # refused: another arity or presentation
+        except (TypeError, ValueError):  # a bool, another arity or ring
             return False
         if other is NotImplemented:
             return NotImplemented
@@ -707,7 +703,7 @@ def linear_factors(roots, lead=1) -> BasePoly:
     lead = _norm_coef(lead)
     if not lead:
         raise ValueError("linear_factors needs a nonzero lead")
-    roots = [_rational(r) for r in roots]
+    roots = [_norm_coef(r, "root") for r in roots]
     return _from_dense(_times_linear([1], roots), lead, roots)
 
 

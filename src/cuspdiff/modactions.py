@@ -6,23 +6,25 @@ x^{alpha+beta}; in particular h_i acts on x^beta as beta_i + 1.  Submodules
 are cut out by masks on the exponent lattice; the quotient is always the one
 by the subalgebra itself, A(m) = the span of the monomials in cusp_mask.
 
-The sweeps stability_check, simplicity_probe and restriction_blocks stop at
-a bound that the mask and the operators fix (proved at _saturation), so no
-answer depends on a window; where one is taken, it only refuses input.  The
-rank one probes and blocks share one walk, _walk, over the module's mask.
+One rule, ExponentSet.escape_roots, says which monomials c(h) x^alpha moves
+out of a mask: stability_check divides by its roots' product, and the rank
+one probes and blocks, one walk (_walk), read links off vanishing_roots, the
+rule on A(m).  No answer reads a window; where one is taken, it only guards
+input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from operator import add
+from functools import lru_cache, reduce
+from operator import add, mul
 
-from .exactpoly import (ArityMismatch, Frozen, Value, _clean, _integer,
-                        _norm_coef, coefficient_texts, render_ideal,
-                        render_number, render_sum)
-from .skewlaurent import Graded, LaurentOp
-from .cuspops import as_shape, delta_op, membership
+from .exactpoly import (ArityMismatch, Frozen, NotDivisible, Value, _clean,
+                        _norm_coef, coefficient_texts, exact_divide,
+                        linear_factors, render_ideal, render_sum)
+from .skewlaurent import (ExponentSet, Graded, LaurentOp, cusp_set,
+                          vanishing_roots)
+from .cuspops import as_shape, membership
 
 
 class NotStable(ValueError):
@@ -104,65 +106,13 @@ def _operator(u, nvars: int) -> LaurentOp:
     return u
 
 
-class ExponentSet(Value):
-    """Subset of Z given by finitely many points plus up and down rays.
-
-    Points and bounds are ints or integral Fractions (a range of points is
-    fine); anything else raises ValueError.
-    """
-
-    __slots__ = _fields = ("points", "ge", "le")
-
-    def __init__(self, points=(), ge=None, le=None):
-        super().__init__(
-            frozenset(_integer(p, "ExponentSet") for p in points),
-            None if ge is None else _integer(ge, "ExponentSet"),
-            None if le is None else _integer(le, "ExponentSet"))
-
-    def __contains__(self, k: int) -> bool:
-        if k in self.points:
-            return True
-        if self.ge is not None and k >= self.ge:
-            return True
-        if self.le is not None and k <= self.le:
-            return True
-        return False
-
-    def window(self, lo: int, hi: int) -> list[int]:
-        return [k for k in range(lo, hi + 1) if k in self]
-
-    def translate(self, offset: int) -> "ExponentSet":
-        return ExponentSet(
-            points=(p + offset for p in self.points),
-            ge=None if self.ge is None else self.ge + offset,
-            le=None if self.le is None else self.le + offset)
-
-    def render(self, down, points, up, sep=" u ", empty="{}") -> str:
-        """The set as text, in increasing order: down % le, points(the
-        sorted points) and up % ge, each part that is present, joined by
-        sep; empty when none is.  The bounds go through render_number."""
-        bits = [] if self.le is None else [down % render_number(self.le)]
-        if self.points:
-            bits.append(points(sorted(self.points)))
-        if self.ge is not None:
-            bits.append(up % render_number(self.ge))
-        return sep.join(bits) or empty
-
-    def __repr__(self):
-        return "ExponentSet(%s)" % self.render(
-            "<=%s", lambda ps: "{%s}" % ",".join(map(render_number, ps)),
-            ">=%s", " | ", "empty")
-
-    def to_json(self) -> dict:
-        return {"points": sorted(self.points), "ge": self.ge, "le": self.le}
-
-
 class GradedMask(Frozen):
     """Product mask on Z^n: one ExponentSet per factor.
 
     A monomial x^gamma is inside the mask when every coordinate lies in its
-    factor's set.  A mask is a set of exponents only; quotient actions take
-    the shape, not a mask (see act_on_quotient).
+    factor's set; at rank >= 2 each factor needs a ray (see stability_check).
+    A mask is a set of exponents only; quotient actions take the shape, not
+    a mask (see act_on_quotient).
     """
 
     __slots__ = ("factors",)
@@ -174,6 +124,8 @@ class GradedMask(Frozen):
         for f in factors:
             if not isinstance(f, ExponentSet):
                 raise TypeError("mask factors must be ExponentSet")
+            if len(factors) > 1 and f.ge is None and f.le is None:
+                raise ValueError("a mask of rank >= 2 needs a ray in every factor")
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -186,10 +138,6 @@ class GradedMask(Frozen):
                                 % (tuple(degree), self.nvars))
         return all(k in f for k, f in zip(degree, self.factors))
 
-    def masked_monomials(self, window: int):
-        """All degree vectors inside the mask with coordinates in [-window, window]."""
-        return list(product(*(f.window(-window, window) for f in self.factors)))
-
     def project_outside(self, v: LaurentVector) -> LaurentVector:
         return v._like({d: c for d, c in v.components.items()
                         if not self.contains(d)})
@@ -198,7 +146,7 @@ class GradedMask(Frozen):
 def cusp_mask(shape) -> GradedMask:
     """Exponent mask of the subalgebra itself: {0} union [m_i, infinity) per factor."""
     shape = as_shape(shape)
-    return GradedMask([ExponentSet(points=(0,), ge=mi) for mi in shape.m])
+    return GradedMask([cusp_set(mi) for mi in shape.m])
 
 
 def quotient_mask(shape) -> GradedMask:
@@ -229,65 +177,34 @@ def act_on_quotient(u, v: LaurentVector, shape) -> LaurentVector:
     return cusp_mask(shape).project_outside(act(u, v))
 
 
-def _saturation(mask: GradedMask, ops) -> int:
-    """The exponent bound B past which a sweep of ops over mask is constant.
+@lru_cache(maxsize=None)
+def _escape_divisor(factors, alpha):
+    """The least coefficient at alpha that keeps the mask of the factors,
+    prod (h_i - r) over factors_i.escape_roots(alpha_i); a per-process memo."""
+    n = len(alpha)
+    return reduce(mul, [linear_factors(f.escape_roots(a)).inject(n, i)
+                        for i, (f, a) in enumerate(zip(factors, alpha))])
 
-    E is the largest |point| or |ray start| of a mask factor.  A component
-    c x^alpha of an op, with |alpha_i| <= A and degree <= D in each
-    variable, sends x^gamma to c(gamma + alpha + 1) x^(gamma + alpha).
 
-    Stability: gamma fails when it is in the mask, gamma + alpha is not, and
-    c(gamma + alpha + 1) != 0.  If |gamma_i| >= E + A, then gamma_i and
-    gamma_i + alpha_i lie on one ray, so only coordinates with |gamma_i| <=
-    E + A - 1 leave the mask, and B = E + A - 1 at rank 1.  At rank n, c is
-    a nonzero polynomial of degree <= D in any other coordinate t of a
-    failure; it is nonzero at one of the D + 1 ray points E <= |t| <= E + D
-    on t's side, and moving t there keeps a failure: B = E + max(A - 1, D).
+def stability_check(gens, mask: GradedMask, window=None) -> bool:
+    """Whether every generator maps span{x^gamma : gamma in mask} into itself.
 
-    Links: the probes and blocks walk the degree +-1 pair of A(m) (E = m,
-    A = 1), whose coefficients vanish only at vanishing_roots(m, +-1) in
-    [0, m]; so every link (k, k + 1) with k >= m + 3 or k + 1 <= -(m + 3)
-    has the outcome of every link further out, and they cut at m + 4.
+    A generator sends x^gamma to distinct degrees, so it keeps the span when
+    each component c x^alpha does: when c vanishes at every gamma + alpha + 1
+    with gamma in the mask and gamma + alpha not.  Those points fill the
+    hyperplanes h_i = r, r an escape root of alpha_i, up to the other
+    factors' sets, each with a ray and so Zariski dense: _escape_divisor must
+    divide c.  The first component it does not divide answers False.  window
+    is unused, accepted for callers that still pass one.
     """
-    extent = max((abs(v) for f in mask.factors
-                  for v in (*f.points, f.ge, f.le) if v is not None), default=0)
-    reach = degree = 0
-    for op in ops:
-        for alpha, c in op.components.items():
-            if not any(alpha):
-                continue  # x^gamma -> c(gamma + 1) x^gamma stays put
-            reach = max(reach, *map(abs, alpha))
-            if mask.nvars > 1:
-                degree = max(degree, *map(max, c.terms))
-    return extent + max(reach - 1, degree, 0)
-
-
-def stability_check(gens, mask: GradedMask, window: int) -> bool:
-    """Whether every generator maps every masked monomial into the mask.
-
-    The walk goes to _saturation's bound B: c x^alpha moves no x^gamma past
-    it across a mask end, and a c of degree D cannot vanish at D + 1 ray
-    points.  The window caps the cost: one below B is refused, and every
-    other window gives the answer of the walk to B.
-
-    Each masked x^gamma in [-B, B]^n meets each moving component c x^alpha
-    of each generator, and c(gamma + alpha + 1) is read only where
-    x^(gamma + alpha) leaves the mask; the first nonzero one answers.  One
-    x^gamma goes to distinct degrees, so nothing cancels (h*x^-1 - h*x could
-    on a sum of monomials).
-    """
-    gens = list(gens)
-    bound = _saturation(mask, gens)
-    if window < bound:
-        raise ValueError("window %d below the sweep bound %d"
-                         % (window, bound))
-    moving = [(alpha, c) for g in gens
-              for alpha, c in _operator(g, mask.nvars).components.items()
-              if any(alpha)]
-    return not any(not mask.contains(deg) and c.eval([k + 1 for k in deg])
-                   for gamma in mask.masked_monomials(bound)
-                   for alpha, c in moving
-                   for deg in [tuple(map(add, gamma, alpha))])
+    for g in gens:
+        for alpha, c in _operator(g, mask.nvars).components.items():
+            if any(alpha):
+                try:
+                    exact_divide(c, _escape_divisor(mask.factors, alpha))
+                except NotDivisible:
+                    return False
+    return True
 
 
 class WeightSupport(Value):
@@ -326,22 +243,25 @@ def support(mask: GradedMask) -> WeightSupport:
     return WeightSupport(mask.factors[0].translate(1))
 
 
-def _moved(shape, k: int, exponents, mask: GradedMask | None) -> set:
-    """The e in exponents whose x^e delta_k of the rank one shape sends to a
-    nonzero vector modulo mask (A(m)) if given, from one act on the sum of
-    the x^e: it sends them to distinct degrees.  delta_k is in the ring by
-    construction, so its action modulo A(m) is defined."""
-    image = act(delta_op(shape, (k,)),
-                LaurentVector._trusted(1, {(e,): 1 for e in exponents}))
-    return {d - k for (d,) in image.components
-            if mask is None or not mask.contains((d,))}
+def _moved(m: int, k: int, exponents, mask: GradedMask | None) -> set:
+    """The e in exponents whose x^e delta_k at width m sends to a nonzero
+    vector modulo mask (A(m)) if given: delta_k x^e is
+    phi(m, k)(e + k + 1) x^(e + k), zero exactly when e + k + 1 is one of
+    vanishing_roots(m, k) or x^(e + k) lies in the mask.  delta_k is in the
+    ring by construction, so its action modulo A(m) is defined."""
+    roots = set(vanishing_roots(m, k))
+    return {e for e in exponents if e + k + 1 not in roots
+            and (mask is None or not mask.contains((e + k,)))}
 
 
 def _walk(module: str, shape):
     """The rank one walk of a module of MODULES under delta_1 and delta_-1:
-    (cut, by, exponents, up, down), with cut = m + 4 (see _saturation), by
-    the mask it is acted on modulo (or None), its exponents in [-cut, cut]
-    and those that delta_1 and delta_-1 move, each found by one _moved."""
+    (cut, by, exponents, up, down), with by the mask it is acted on modulo
+    (or None), its exponents in [-cut, cut] and those that delta_1 and
+    delta_-1 move, each found by one _moved.  The cut is m + 4: the pair's
+    roots vanishing_roots(m, +-1) lie in [0, m], and both masks change only
+    in [-1, m], so every link (k, k + 1) with k >= m + 3 or k + 1 <= -(m + 3)
+    has the outcome of every link further out."""
     shape = as_shape(shape)
     if shape.rank != 1:
         raise ArityMismatch("the module walks are rank one")
@@ -350,7 +270,7 @@ def _walk(module: str, shape):
     mask, by = (f(shape) if f else None for f in MODULES[module])
     cut = shape.m[0] + 4
     exponents = mask.factors[0].window(-cut, cut)
-    up, down = (_moved(shape, s, exponents, by) for s in (1, -1))
+    up, down = (_moved(shape.m[0], s, exponents, by) for s in (1, -1))
     return cut, by, exponents, up, down
 
 
@@ -363,8 +283,8 @@ def simplicity_probe(module: str, shape, window: int,
     delta_-1 down; a gap a < b needs delta_(b-a) up from x^a and delta_(a-b)
     down from x^b, and gap_jump replaces b - a, which is how a deliberately
     wrong probe is demonstrated.  The walk stops at m + 4, standing for all
-    links beyond (see _saturation), so the window, at least 2m + 2, only
-    guards input.
+    links beyond (see _walk), so the window, at least 2m + 2, only guards
+    input.
     """
     m = as_shape(shape).m[0]
     if window < 2 * m + 2:
@@ -374,7 +294,7 @@ def simplicity_probe(module: str, shape, window: int,
 
     def crossed(a, b):
         jump = b - a if gap_jump is None else gap_jump
-        return _moved(shape, jump, [a], by) and _moved(shape, -jump, [b], by)
+        return _moved(m, jump, [a], by) and _moved(m, -jump, [b], by)
 
     return all(a in up and b in down if b == a + 1 else crossed(a, b)
                for a, b in zip(exponents, exponents[1:]))
@@ -386,7 +306,7 @@ def restriction_blocks(shape):
     Returns (blocks_A, blocks_Aprime): for each module, the partition of its
     exponents into components linked by nonzero delta_{+-1} transitions,
     described as ExponentSets.  The walk (_walk) covers [-(m + 4), m + 4],
-    one link past the bound of the links (see _saturation); every link past
+    one link past the bound of the links; every link past
     it joins (the pair's coefficients are nonzero there, A'(m)'s ray lies
     outside A(m)), so a block reaching the cut is reported as a ray.
 

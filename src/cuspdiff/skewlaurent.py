@@ -6,8 +6,9 @@ shift rule  x^alpha * d = shift(d, alpha) * x^alpha, which encodes
 x_i h_i = (h_i - 1) x_i.  That rule is written once, in monomial_product:
 LaurentOp.__mul__ sums it over pairs of components, and exprparse and
 gwa.Embedding multiply monomials with it and take powers by monomial_power.
-The Weyl algebra sits inside via partial_i = h_i x_i^{-1}.  Which components
-an operator ring allows is one rule, the graded divisor of vanishing_roots,
+The Weyl algebra sits inside via partial_i = h_i x_i^{-1}.  Whether c x^i
+keeps a monomial set is one rule, ExponentSet.escape_roots; on the cusp set
+it is vanishing_roots, whose graded divisor is what an operator ring allows,
 and membership is one loop, graded_quotients, that divides each component by
 it; the Weyl algebra is the width 1 instance of both.  phi and graded_divisor
 are per-process tables: each key yields one shared immutable BasePoly.
@@ -26,10 +27,11 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import add
 
-from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps,
-                        _clean, _new, _set_components, _set_nvars,
+from .exactpoly import (ArityMismatch, BasePoly, NotDivisible, RingOps, Value,
+                        _clean, _integer, _new, _set_components, _set_nvars,
                         _splitting, exact_divide, factor_name, grlex_key,
-                        linear_factors, poly_forms, render_poly)
+                        linear_factors, poly_forms, render_number,
+                        render_poly)
 
 
 class Graded(RingOps):
@@ -218,21 +220,83 @@ def commutator(u: LaurentOp, v: LaurentOp) -> LaurentOp:
     return u * v - v * u
 
 
-def vanishing_roots(m: int, i: int) -> list[int]:
-    """Roots at which a degree i coefficient must vanish on the width m set.
+class ExponentSet(Value):
+    """Subset of Z given by finitely many points plus up and down rays.
 
-    S_m = {0} union [m, infinity) is the exponent set of the width m cusp
-    algebra, and h x^k = (k+1) x^k, so c(h) x^i maps span{x^k : k in S_m}
-    into itself exactly when c(i+k+1) = 0 for every k in S_m with
-    i + k not in S_m.  Only k = 0 and m <= k < m - i can leave the set.
-    Every graded coefficient table is an instance: phi is the product of
-    (h - r) over these roots, width 1 (S_1 = N) is the Weyl algebra, and
-    the Weyl intersection takes the union of both root sets.
+    Points and bounds are ints or integral Fractions (a range of points is
+    fine); anything else raises ValueError.
     """
+
+    __slots__ = _fields = ("points", "ge", "le")
+
+    def __init__(self, points=(), ge=None, le=None):
+        super().__init__(
+            frozenset(_integer(p, "ExponentSet") for p in points),
+            None if ge is None else _integer(ge, "ExponentSet"),
+            None if le is None else _integer(le, "ExponentSet"))
+
+    def __contains__(self, k: int) -> bool:
+        return (k in self.points or self.ge is not None and k >= self.ge
+                or self.le is not None and k <= self.le)
+
+    def window(self, lo: int, hi: int) -> list[int]:
+        return [k for k in range(lo, hi + 1) if k in self]
+
+    def escape_roots(self, i: int) -> list[int]:
+        """The k + i + 1 for k in the set with k + i outside it, ascending:
+        as h x^k = (k + 1) x^k, c(h) x^i keeps span{x^k : k in the set}
+        exactly when c vanishes at each.  A k on a ray leaves the set only
+        across the ray's end, so the candidates are the points and the |i|
+        ray points nearest the end that i moves toward."""
+        ks = set(self.points)
+        if self.ge is not None and i < 0:
+            ks.update(range(self.ge, self.ge - i))
+        if self.le is not None and i > 0:
+            ks.update(range(self.le - i + 1, self.le + 1))
+        return [k + i + 1 for k in sorted(ks) if k + i not in self]
+
+    def translate(self, offset: int) -> "ExponentSet":
+        return ExponentSet(
+            points=(p + offset for p in self.points),
+            ge=None if self.ge is None else self.ge + offset,
+            le=None if self.le is None else self.le + offset)
+
+    def render(self, down, points, up, sep=" u ", empty="{}") -> str:
+        """The set as text, in increasing order: down % le, points(the
+        sorted points) and up % ge, each part that is present, joined by
+        sep; empty when none is.  The bounds go through render_number."""
+        bits = [] if self.le is None else [down % render_number(self.le)]
+        if self.points:
+            bits.append(points(sorted(self.points)))
+        if self.ge is not None:
+            bits.append(up % render_number(self.ge))
+        return sep.join(bits) or empty
+
+    def __repr__(self):
+        return "ExponentSet(%s)" % self.render(
+            "<=%s", lambda ps: "{%s}" % ",".join(map(render_number, ps)),
+            ">=%s", " | ", "empty")
+
+    def to_json(self) -> dict:
+        return {"points": sorted(self.points), "ge": self.ge, "le": self.le}
+
+
+@lru_cache(maxsize=None, typed=True)
+def cusp_set(m: int) -> ExponentSet:
+    """S_m = {0} union [m, infinity), the exponents of the width m cusp
+    algebra: one shared set per width and type, so 2.0 never finds S_2."""
     if m < 1:
         raise ValueError("width must be >= 1")
-    return [i + k + 1 for k in (0, *range(m, m - i))
-            if not (i + k == 0 or i + k >= m)]
+    return ExponentSet(points=(0,), ge=m)
+
+
+def vanishing_roots(m: int, i: int) -> list[int]:
+    """Roots at which a degree i coefficient must vanish on the width m set,
+    cusp_set(m).escape_roots(i).  Every graded coefficient table is an
+    instance: phi is the product of (h - r) over these roots, width 1
+    (S_1 = N) is the Weyl algebra, and the Weyl intersection takes the
+    union of both root sets."""
+    return cusp_set(m).escape_roots(i)
 
 
 @lru_cache(maxsize=None)

@@ -85,8 +85,9 @@ class TestOrbits:
 
     def test_integral_values_are_ints(self):
         # as rational_roots gives roots: an int when integral, else a Fraction
-        for value, want in ((Fraction(8, 2), int), (-3, int), ("5", int),
-                            (Fraction(7, 2), Fraction), ("-1/3", Fraction)):
+        for value, want in ((Fraction(8, 2), int), (-3, int),
+                            (Fraction(-10, 2), int), (Fraction(7, 2), Fraction),
+                            (Fraction(-1, 3), Fraction)):
             assert type(LinMaxIdeal(value).root) is want
             assert type(Orbit(value).rep) is want
         assert LinMaxIdeal(Fraction(8, 2)) == LinMaxIdeal(4)

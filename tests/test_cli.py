@@ -825,8 +825,8 @@ def single_call(*args, timeout=60):
 
 
 class TestWindowProbes:
-    """A sweep's cost stops growing once the window passes its bound, so a
-    huge window answers fast, and as the same command at window 20 does."""
+    """stability reads no window past its input floor, so a huge window
+    answers fast, and as the same command at window 20 does."""
 
     @pytest.mark.parametrize("argv", [
         ("stability", "--m", "2", "--window", "100000"),

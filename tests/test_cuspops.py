@@ -579,6 +579,11 @@ class TestVanishingRule:
     def test_rejects_width_zero(self):
         with pytest.raises(ValueError):
             vanishing_roots(0, -1)
+        # the shared set of width 2 is never found by 2.0 or True
+        assert vanishing_roots(2, -1) == [0, 2] and vanishing_roots(1, 1) == []
+        for width in (2.0, True):
+            with pytest.raises(ValueError, match="ExponentSet needs integers"):
+                vanishing_roots(width, -1)
 
     def test_membership_against_monomial_action(self):
         # c(h) x^alpha maps span{x^k : k in S_m} into itself exactly when

@@ -1,6 +1,7 @@
 """Exact polynomial layer: ring axioms, shift, division, roots, text forms."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -8,15 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspdiff import exactpoly
-from cuspdiff.classify import normalize
+from cuspdiff.classify import LinMaxIdeal, Orbit, normalize
 from cuspdiff.cli import main
-from cuspdiff.cuspops import bbA_presentation
+from cuspdiff.cuspops import CuspShape, bbA_presentation
 from cuspdiff.exactpoly import (ArityMismatch, BasePoly, DivisionByZero,
                                 ExponentOverflow, NotDivisible, exact_divide, grlex_key, linear_factors,
                                 poly_forms, rational_roots, render_poly)
 from cuspdiff.exprparse import parse_poly
 from cuspdiff.gwa import GwaElement
-from cuspdiff.skewlaurent import LaurentOp, monomial_power, weyl_membership
+from cuspdiff.modactions import LaurentVector
+from cuspdiff.skewlaurent import (ExponentSet, LaurentOp, monomial_power,
+                                  weyl_membership)
 
 H = BasePoly.variable(1, 0)
 
@@ -67,6 +70,47 @@ class TestConstruction:
             BasePoly(0, {})
         with pytest.raises(TypeError):
             BasePoly(1, {(1,): 0.5})
+
+
+# each builder of an exact value, with the error and message it refuses a
+# scalar with; all of them pass the value through exactpoly._norm_coef
+_GATED = {
+    "BasePoly": (lambda v: BasePoly(1, {(0,): v}), TypeError,
+                 "coefficient must be int or Fraction"),
+    "LaurentVector": (lambda v: LaurentVector(1, {(0,): v}), TypeError,
+                      "coefficient must be int or Fraction"),
+    "linear_factors": (lambda v: linear_factors([v]), TypeError,
+                       "root must be int or Fraction"),
+    "LinMaxIdeal": (LinMaxIdeal, TypeError, "root must be int or Fraction"),
+    "Orbit": (Orbit, TypeError, "root must be int or Fraction"),
+    "ExponentSet": (lambda v: ExponentSet(points=[v]), ValueError,
+                    "ExponentSet needs integers"),
+    "CuspShape": (lambda v: CuspShape((v,)), ValueError,
+                  "CuspShape needs integers"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 0.5, "1", Decimal(1)],
+                         ids=["bool", "float", "str", "Decimal"])
+@pytest.mark.parametrize("name", sorted(_GATED))
+def test_one_scalar_gate(name, value):
+    # an int (never a bool) or a Fraction, the int when integral; a float,
+    # str or Decimal is refused, not read as a nearby rational
+    build, error, message = _GATED[name]
+    with pytest.raises(error, match=message):
+        build(value)
+    assert build(3) == build(Fraction(6, 2))
+
+
+def test_a_bool_is_no_scalar():
+    # a bool is refused where an int is taken, and is unequal to every sum
+    x = LaurentOp.x(1)
+    for make in (lambda: BasePoly.constant(1, True), lambda: x * True,
+                 lambda: True + x, lambda: H - False):
+        with pytest.raises(TypeError, match="got 'bool'"):
+            make()
+    assert x * 1 == x and (x == True) is False
+    assert BasePoly.one(1) != True and BasePoly.one(1) == 1
 
 
 mixed_coeffs = st.one_of(

@@ -412,15 +412,54 @@ def test_only_cuspops_reads_the_embedding_table():
     assert found == []
 
 
+def _callers(tree, name):
+    """The functions under tree that call name, once per call."""
+    return [func.name for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == name]
+
+
 def test_only_the_quotient_action_checks_membership():
-    # the module sweeps act with the shape's own deltas, members by
-    # construction; only act_on_quotient takes an operator from outside
+    # the module sweeps read the shape's own roots, never an operator from
+    # outside; only act_on_quotient takes one
     tree = ast.parse((PACKAGE / "modactions.py").read_text())
-    callers = [func.name for func in ast.walk(tree)
-               if isinstance(func, ast.FunctionDef)
-               for node in ast.walk(func) if isinstance(node, ast.Call)
-               and ast.unparse(node.func).split(".")[-1] == "membership"]
-    assert callers == ["act_on_quotient"]
+    assert _callers(tree, "membership") == ["act_on_quotient"]
+
+
+def _escape_comprehensions(tree):
+    """Comprehensions under tree whose element is a sum of two terms and
+    the constant 1, as the escape rule's k + i + 1 is."""
+    def terms(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return terms(node.left) + terms(node.right)
+        return [node]
+
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
+            for parts in [terms(node.elt)] if len(parts) == 3
+            and sum(isinstance(p, ast.Constant) and p.value == 1
+                    for p in parts) == 1]
+
+
+def test_escape_rule_is_written_once():
+    # which monomials c(h) x^i moves out of a set is ExponentSet.escape_roots
+    # alone: vanishing_roots, stability_check and the link walks read it,
+    # and modactions acts on vectors only in act and act_on_quotient
+    tree, rule = _definition(PACKAGE / "skewlaurent.py", "escape_roots")
+    inside = {id(node) for node in _escape_comprehensions(rule)}
+    assert len(inside) == 1
+    found = [(path.stem, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in _escape_comprehensions(
+                 tree if path.stem == "skewlaurent"
+                 else ast.parse(path.read_text()))
+             if id(node) not in inside]
+    assert found == []
+    tree = ast.parse((PACKAGE / "modactions.py").read_text())
+    assert set(_callers(tree, "act")) <= {"act", "act_on_quotient"}
+    assert "_saturation" not in {node.name for node in ast.walk(tree)
+                                 if isinstance(node, ast.FunctionDef)}
 
 
 def test_value_equality_is_written_once():

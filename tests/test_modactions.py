@@ -4,19 +4,20 @@ weight-support bookkeeping behind restriction."""
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspdiff import modactions
+from cuspdiff import cli, modactions
 from cuspdiff.cuspops import (CuspShape, delta_op, generating_set,
                               generator_pair, graded_divisor)
 from cuspdiff.exactpoly import ArityMismatch, BasePoly, linear_factors
-from cuspdiff.modactions import (ExponentSet, LaurentVector, NotStable,
-                                 WeightSupport, act, act_on_quotient,
-                                 cusp_mask, quotient_mask, render_vector,
-                                 restriction_blocks, simplicity_probe,
-                                 stability_check, support)
+from cuspdiff.modactions import (ExponentSet, GradedMask, LaurentVector,
+                                 NotStable, WeightSupport, act,
+                                 act_on_quotient, cusp_mask, quotient_mask,
+                                 render_vector, restriction_blocks,
+                                 simplicity_probe, stability_check, support)
 from cuspdiff.skewlaurent import LaurentOp
 
 H = BasePoly.variable(1, 0)
@@ -26,6 +27,19 @@ d = LaurentOp.d(1, 0)
 
 def mono(k, c=1):
     return LaurentVector.monomial(1, (k,), c)
+
+
+def _box(mask, window):
+    """Every degree vector inside the mask with coordinates in
+    [-window, window]."""
+    return list(product(*(f.window(-window, window) for f in mask.factors)))
+
+
+def _floor(widths, gens):
+    """The least window the stability command accepts for gens at widths,
+    the bound past which no monomial of A(m) or A'(m) leaves its mask
+    first: a box to it holds a failure whenever there is one."""
+    return cli._saturation(CuspShape(widths), gens)
 
 
 class TestAct:
@@ -177,10 +191,31 @@ class TestMasks:
         with pytest.raises(ValueError, match="ExponentSet needs integers"):
             ExponentSet(**kwargs)
 
-    def test_masked_monomials(self):
-        shape = CuspShape((2,))
-        mask = cusp_mask(shape)
-        assert mask.masked_monomials(3) == [(0,), (2,), (3,)]
+    def test_escape_roots_match_the_window_definition(self):
+        # k + i + 1 for every k of the set with k + i outside it, against a
+        # scan far past the set's extent, on seeded sets of every kind
+        rng = random.Random(46)
+        for _ in range(300):
+            s = ExponentSet(
+                points=rng.sample(range(-6, 7), rng.randint(0, 4)),
+                ge=rng.choice([None, rng.randint(-3, 8)]),
+                le=rng.choice([None, rng.randint(-8, 3)]))
+            for i in range(-9, 10):
+                assert s.escape_roots(i) == [
+                    k + i + 1 for k in range(-60, 61)
+                    if k in s and k + i not in s], (s, i)
+
+    def test_rank_two_factors_need_a_ray(self):
+        # stability is a divisibility only where each other factor is
+        # infinite, so a factor without a ray is refused at rank >= 2
+        finite = ExponentSet(points=(0, 2))
+        assert GradedMask([finite]).factors == (finite,)
+        for factors in ([finite, ExponentSet(ge=1)],
+                        [ExponentSet(le=0), finite, ExponentSet(ge=1)]):
+            with pytest.raises(ValueError, match="needs a ray in every factor"):
+                GradedMask(factors)
+        assert GradedMask([ExponentSet(points=(5,), le=-1),
+                           ExponentSet(ge=1)]).nvars == 2
 
     def test_projections(self):
         mask = cusp_mask(2)
@@ -220,7 +255,7 @@ class TestQuotientAction:
     def test_generators_kill_the_submodule(self, shape):
         # A(m) is zero in the quotient, and every generator keeps it there
         shape = CuspShape(shape)
-        inside = cusp_mask(shape).masked_monomials(8)
+        inside = _box(cusp_mask(shape), 8)
         assert inside
         for g in generating_set(shape):
             for gamma in inside:
@@ -232,45 +267,55 @@ class TestStability:
     def test_generating_set_is_stable(self):
         for m in (2, 3):
             gens = generating_set(m)
+            assert stability_check(gens, cusp_mask(m))
             assert stability_check(gens, cusp_mask(m), window=4 * m)
 
     def test_bare_x_breaks_stability(self):
         gens = generating_set(2) + [x]
+        assert not stability_check(gens, cusp_mask(2))
         assert not stability_check(gens, cusp_mask(2), window=8)
 
-    def test_window_guard(self):
-        with pytest.raises(ValueError):
-            stability_check(generating_set(2), cusp_mask(2), window=1)
-
     def test_generators_are_checked_after_the_window(self):
+        # every generator is checked as an operator of the mask's arity,
+        # whatever window is passed (stability_check reads none)
         from cuspdiff.cuspops import bbA_presentation
         wide = LaurentOp.x(2)
-        with pytest.raises(ValueError, match="sweep bound"):
-            stability_check([wide], cusp_mask(2), window=1)
-        with pytest.raises(ArityMismatch):
-            stability_check([wide], cusp_mask(2), window=8)
+        for window in (1, 8, None):
+            with pytest.raises(ArityMismatch):
+                stability_check([wide], cusp_mask(2), window)
         v = bbA_presentation(2)[0].basis((1,))
         with pytest.raises(TypeError, match="expected an operator"):
             stability_check([v], cusp_mask(2), window=8)
 
 
 class TestStabilityWork:
-    """stability_check evaluates a component only where its target leaves
-    the mask, and stops at the first nonzero value."""
+    """stability_check evaluates nothing: it divides each moving component
+    once by its escape-root product, and stops at the first that does not
+    divide."""
 
-    @pytest.mark.parametrize("m, stable, unstable",
-                             [(2, 8, 5), (3, 19, 8), (4, 34, 11)])
-    def test_evals(self, monkeypatch, m, stable, unstable):
-        calls = []
-        real = BasePoly.eval
-        monkeypatch.setattr(BasePoly, "eval",
-                            lambda p, point: calls.append(point) or real(p, point))
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_evals(self, monkeypatch, m):
+        evals, divisions = [], []
+        real_eval, real_divide = BasePoly.eval, modactions.exact_divide
+        monkeypatch.setattr(BasePoly, "eval", lambda p, point: evals.append(
+            point) or real_eval(p, point))
+
+        def divide(p, q):
+            divisions.append(p)
+            return real_divide(p, q)
+
+        monkeypatch.setattr(modactions, "exact_divide", divide)
         gens = generating_set(m)
+        moving = [c for g in gens for a, c in g.components.items() if any(a)]
         assert stability_check(gens, cusp_mask(m), 4 * m)
-        assert len(calls) <= stable
-        calls.clear()
-        assert not stability_check(gens + [x], cusp_mask(m), 4 * m)
-        assert len(calls) <= unstable
+        assert divisions == moving
+        divisions.clear()
+        assert not stability_check(gens + [x] + gens, cusp_mask(m), 4 * m)
+        assert divisions == moving + [x.components[(1,)]]
+        divisions.clear()
+        assert not stability_check([x] + gens, cusp_mask(m), 4 * m)
+        assert len(divisions) == 1
+        assert evals == []
 
 
 class TestSupport:
@@ -349,8 +394,8 @@ class TestSimplicity:
 
 class TestProbeWork:
     """The probes and blocks never check an operator against the ring, let
-    alone once per exponent: each operator they act with is a delta of the
-    shape, a member by construction (test_cuspops.py's
+    alone once per exponent: they read each link off the roots of a delta
+    of the shape, a member by construction (test_cuspops.py's
     TestMembership.test_generators_inside), and only act_on_quotient, which
     takes any operator, checks membership."""
 
@@ -414,22 +459,10 @@ class TestRestrictionBlocks:
                 assert sum(k in b for b in blocks_q) == (1 if k in mask_q.factors[0] else 0)
 
 
-@pytest.fixture
-def full_walk(monkeypatch):
-    """Run stability_check with _saturation's bound replaced by reach, so
-    that a walk can be cut short."""
-    def run(reach, sweep, *args):
-        with monkeypatch.context() as patched:
-            patched.setattr(modactions, "_saturation",
-                            lambda *_, **__: reach)
-            return sweep(*args)
-    return run
-
-
 def _failures(gens, mask, window):
     """Every masked exponent in the window that some generator moves out of
     the mask, straight from act."""
-    return [gamma for gamma in mask.masked_monomials(window)
+    return [gamma for gamma in _box(mask, window)
             for g in gens
             if any(not mask.contains(deg) for deg in act(
                 g, LaurentVector.monomial(mask.nvars, gamma)).coeffs)]
@@ -454,21 +487,22 @@ def _seeded_ops(rng, widths):
 
 class TestStabilityOracle:
     """stability_check against _failures, one monomial at a time, on
-    generators of several components: the sweep acts each component on the
-    sum of the masked monomials, where two components of one generator
-    could cancel."""
+    generators of several components: one generator sends a monomial to
+    distinct degrees, so its components are divided apart, where on a sum
+    of monomials two of them could cancel."""
 
-    @pytest.mark.parametrize("widths", [(2,), (3,), (1, 1), (2, 3)])
+    @pytest.mark.parametrize("widths", [(1,), (2,), (3,), (4,), (1, 1),
+                                        (2, 3), (3, 2), (2, 2, 2)])
     def test_seeded_sums_match_the_oracle(self, widths):
         answers = set()
-        for seed in range(30):
+        for seed in range(60):
             rng = random.Random(seed)
             gens = [sum(_seeded_ops(rng, widths)[:2]) for _ in range(2)]
+            reach = _floor(widths, gens) + 1
             for mask in (cusp_mask(widths), quotient_mask(widths)):
-                bound = modactions._saturation(mask, gens)
-                expected = not _failures(gens, mask, bound + 2)
+                expected = not _failures(gens, mask, reach)
                 answers.add(expected)
-                assert stability_check(gens, mask, bound) == expected, seed
+                assert stability_check(gens, mask) == expected, seed
         assert answers == {True, False}
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -481,14 +515,14 @@ class TestStabilityOracle:
                - LaurentOp.monomial(n, (1,) + (0,) * (n - 1), h1))
         mask = cusp_mask((2,) * n)
         assert (2,) + (0,) * (n - 1) in _failures([gen], mask, 8)
-        for window in (8, 20):
+        for window in (None, 8, 20):
             assert not stability_check([gen], mask, window)
 
 
 class TestSaturation:
-    """stability_check walks to the bound of _saturation and refuses a window
-    below it; the probes and blocks stop there.  Every window a sweep
-    accepts gives the exact answer, that of a walk with a large reach."""
+    """stability_check gives the answer of _failures over a box far past
+    the stability command's input floor (cli._saturation), and the probes
+    and blocks that of an oracle acting on every monomial of a wide box."""
 
     @pytest.mark.parametrize("widths, large", [
         ((1,), 200), ((2,), 200), ((3,), 200), ((4,), 200),
@@ -497,82 +531,71 @@ class TestSaturation:
         answers = set()
         for seed in range(40):
             gens = _seeded_ops(random.Random(seed), widths)
-            least = 2 * max(abs(k) for g in gens for deg in g.components
-                            for k in deg)
             for mask in (cusp_mask(widths), quotient_mask(widths)):
-                bound = modactions._saturation(mask, gens)
                 expected = not _failures(gens, mask, large)
                 answers.add(expected)
-                for window in range(least, max(least, bound) + 3):
-                    if window < bound:
-                        with pytest.raises(ValueError, match="sweep bound"):
-                            stability_check(gens, mask, window)
-                    else:
-                        assert stability_check(gens, mask,
-                                               window) == expected, (seed,
-                                                                     window)
+                assert stability_check(gens, mask) == expected, seed
                 assert stability_check(gens, mask, large) == expected, seed
         assert answers == {True, False}
 
     @pytest.mark.parametrize("mask, gen", [
         # A'(2) = (-inf, -1] u {1}: x^-3 -> x^0 is the only escape that
-        # (h-3)(h-5) does not kill, at |gamma| = E + A - 1 = 1 + 3 - 1
+        # (h-3)(h-5) does not kill, at the escape root 1 of degree 3
         (quotient_mask(2), LaurentOp.monomial(
             1, (3,), linear_factors([3, 5]))),
-        # A(3) = {0} u [3, inf): x^4 -> x^2 at |gamma| = 3 + 2 - 1
+        # A(3) = {0} u [3, inf): x^4 -> x^2 at the escape root 3 of degree
+        # -2, at the stability command's floor 3 + 2 - 1
         (cusp_mask(3), LaurentOp.monomial(1, (-2,), linear_factors([-1, 2])))],
         ids=["quotient", "cusp"])
     def test_rank_one_failure_on_the_ray_at_the_bound(self, mask, gen):
-        bound = modactions._saturation(mask, [gen])
+        (alpha, c), = gen.components.items()
         failures = _failures([gen], mask, 60)
-        assert [max(map(abs, g)) for g in failures] == [bound]
-        for window in range(6, 61):
-            assert not stability_check([gen], mask, window)
+        assert failures == [(r - alpha[0] - 1,)
+                            for r in mask.factors[0].escape_roots(alpha[0])
+                            if c.eval([r])]
+        assert len(failures) == 1
+        if mask == cusp_mask(3):
+            assert max(map(abs, failures[0])) == _floor((3,), [gen]) == 4
+        assert not stability_check([gen], mask)
 
-    def test_rank_two_far_coordinate_needs_all_d_plus_one_points(
-            self, full_walk):
+    def test_rank_two_far_coordinate_needs_all_d_plus_one_points(self):
         # A'(1, 1) = (-inf, -1]^2.  x1 moves x1^-1 out, with coefficient
         # c(0, t + 1), which vanishes at the D = 3 ray points t = -1..-3; the
-        # first failure is at t = -4 = -(E + D)
+        # first failure is at t = -4 = -(E + D), the stability command's
+        # floor, but (h1 - 1) not dividing c finds it at once
         mask = quotient_mask((1, 1))
         gen = LaurentOp.monomial(
             2, (1, 0), linear_factors([0, -1, -2]).inject(2, 1))
-        bound = modactions._saturation(mask, [gen])
+        bound = _floor((1, 1), [gen])
         assert bound == 4
         failures = _failures([gen], mask, 30)
         assert min(max(map(abs, g)) for g in failures) == bound
         assert (-1, -bound) in failures
-        for window in range(2, 31):
-            if window < bound:
-                # the window cannot hold the failure, so it is refused
-                with pytest.raises(ValueError, match="sweep bound 4"):
-                    stability_check([gen], mask, window)
-            else:
-                assert not stability_check([gen], mask, window)
-        # a walk that stops one short of the bound misses it
-        assert full_walk(bound - 1, stability_check, [gen], mask, bound - 1)
+        assert not _failures([gen], mask, bound - 1)
+        assert not stability_check([gen], mask)
 
     def test_degree_zero_components_leave_the_bound_alone(self):
-        # h2^3000 keeps every x^gamma in place; x1 alone sets the bound
+        # h2^3000 keeps every x^gamma in place; x1 alone sets the floor
         mask = cusp_mask((2, 3))
         x1 = LaurentOp.monomial(2, (1, 0), BasePoly.constant(2, 1))
         still = LaurentOp.monomial(2, (0, 0), BasePoly.variable(2, 1) ** 3000)
-        assert (modactions._saturation(mask, [x1 + still])
-                == modactions._saturation(mask, [x1]) == 3)
-        assert stability_check([still], mask, 3)
+        assert _floor((2, 3), [x1 + still]) == _floor((2, 3), [x1]) == 3
+        assert stability_check([still], mask)
+        assert not stability_check([x1 + still], mask)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_windows_below_twice_the_degree_answer_exactly(self, m):
-        # the walk runs to the bound whatever the window, so a window in
-        # [B, 2 * maxdeg), which an older guard refused, answers as 200 does
+        # the stability command accepts every window from its floor B up,
+        # [B, 2 * maxdeg) included, which an older guard refused; the
+        # answer reads no window and is _failures' over a box to B
         checked = 0
         for seed in range(40):
             gens = _seeded_ops(random.Random(seed), (m,)) + generating_set(m)
             maxdeg = max(abs(k) for g in gens for deg in g.components
                          for k in deg)
+            bound = _floor((m,), gens)
             for mask in (cusp_mask(m), quotient_mask(m)):
-                bound = modactions._saturation(mask, gens)
-                expected = stability_check(gens, mask, 200)
+                expected = not _failures(gens, mask, bound)
                 for window in range(bound, 2 * maxdeg):
                     assert stability_check(gens, mask, window) == expected, (
                         seed, window)
